@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet fmt-check verify test-cache test-update test-shard test-trace test-filter test-union serve-smoke fuzz-smoke bench bench-parallel bench-union bench-build bench-server bench-cache bench-shard bench-trace
+.PHONY: all build test race vet fmt-check verify test-cache test-update test-trace test-filter test-union test-benchmark serve-smoke fuzz-smoke loc bench bench-parallel bench-union bench-build bench-server bench-cache bench-trace
 
 # The default target is the full tier-1 verification, race detector included.
 all: verify
@@ -47,21 +47,10 @@ test-update:
 		-run 'TestApplyUpdate|TestUpdate|TestAutoCompact|TestWAL|TestOverlay|TestExtend|TestParseUpdate|TestETag|TestMetricsSnapshotGeneration|TestStoreMutation' \
 		./internal/rdf ./internal/bitmat ./internal/sparql ./internal/server .
 
-# test-shard runs the sharding test surface under -race: subject-hash
-# partitioning, the k-way index merge identity, the shardability analysis,
-# and the store-level shard differential suite (queries, updates,
-# compaction, save/load, streaming at shard counts {1,2,4}). The full
-# `make` covers all of these too; this target is the fast loop while
-# working on the shard layers.
-test-shard:
-	$(GO) test -race -count=1 \
-		-run 'TestSubjectShard|TestPartitionBySubject|TestMergeIndexes|TestShardable|TestShard|TestSaveShards|TestOpenShards' \
-		./internal/rdf ./internal/bitmat ./internal/planner ./internal/bench .
-
 # test-trace runs the observability test surface under -race: the span
 # tree unit tests and the nil-tracer allocation pin, the store-level
-# traced-vs-untraced differential suite (byte identity across worker and
-# shard counts, span row-count accounting, slow-query log), and the
+# traced-vs-untraced differential suite (byte identity across worker
+# counts, span row-count accounting, slow-query log), and the
 # server's explain/metrics/Prometheus tests. The full `make` covers all
 # of these too; this target is the fast loop while working on tracing.
 test-trace:
@@ -72,8 +61,8 @@ test-trace:
 # test-filter runs the FILTER-expression test surface under -race: the
 # golden operator-semantics table (asserted against the engine evaluator
 # AND the reference oracle), the engine's evaluator unit tests, filter
-# safety/substitution analysis, the store-level worker x shard filter
-# sweep, and the server's unsupported-filter/filter-span tests. The full
+# safety/substitution analysis, the store-level worker filter sweep,
+# and the server's unsupported-filter/filter-span tests. The full
 # `make` covers all of these too; this target is the fast loop while
 # working on the expression evaluator.
 test-filter:
@@ -83,8 +72,8 @@ test-filter:
 
 # test-union runs the UNION/OPTIONAL minimum-union test surface under
 # -race: the engine's best-match/dedup unit tests, the witnessless-union
-# regression tables (engine-level worker sweep + store-level
-# worker x shard sweep, both vs the reference evaluator) and their
+# regression tables (engine-level and store-level worker sweeps, both
+# vs the reference evaluator) and their
 # no-leak pins (synthetic witness columns must never surface in results,
 # streams, or EXPLAIN), and the random union worker sweep. The full
 # `make` covers all of these too; this target is the fast loop while
@@ -93,6 +82,13 @@ test-union:
 	$(GO) test -race -count=1 \
 		-run 'TestBestMatch|TestDedupNull|TestWitnesslessUnion|TestDifferentialWitnesslessUnionRegressions|TestDifferentialUnionWorkerSweep' \
 		./internal/engine ./internal/algebra .
+
+# test-benchmark vets and tests the benchmark module (benchmark/, its own
+# go.mod, outside the root `go test ./...`): statistics, seeded schedules,
+# the --compare verdicts, BENCHMARK.json consistency, and a tiny in-process
+# pass of every workload. The measured run is `bash benchmark/run.sh`.
+test-benchmark:
+	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
 # serve-smoke boots the real lbrserver binary on an ephemeral port, runs a
 # content-negotiated SPARQL Protocol query over HTTP, and asserts the JSON
@@ -113,6 +109,11 @@ FUZZTIME ?= 30s
 fuzz-smoke:
 	$(GO) test ./internal/engine -run='^$$' -fuzz=FuzzQueryDifferential -fuzztime=$(FUZZTIME)
 	$(GO) test . -run='^$$' -fuzz=FuzzUpdateDifferential -fuzztime=$(FUZZTIME)
+
+# loc prints the non-test Go line count outside the benchmark module, the
+# number a deletion is measured by.
+loc:
+	@git ls-files '*.go' ':!:*_test.go' ':!:benchmark/**' | xargs wc -l | tail -n 1
 
 # bench regenerates the paper's evaluation tables at the default scales.
 bench:
@@ -153,9 +154,3 @@ bench-trace:
 # 4, as in bench-parallel; byte-identity asserted per query).
 bench-cache:
 	$(GO) run ./cmd/lbrbench -table cache -lubm-univ 32 -runs 15 -workers 4 -json BENCH_cache.json
-
-# bench-shard refreshes the checked-in single-index-vs-sharded baseline
-# (shard counts 2 and 4, workers pinned to 4 as in bench-parallel;
-# row-multiset identity asserted per query and shard count).
-bench-shard:
-	$(GO) run ./cmd/lbrbench -table shard -lubm-univ 32 -runs 7 -workers 4 -json BENCH_shard.json

@@ -25,7 +25,7 @@ import (
 
 func main() {
 	var (
-		table    = flag.String("table", "all", "which experiment: 6.1|6.2|6.3|6.4|index-sizes|ablations|crossover|parallel|union|build|server|cache|shard|trace|all")
+		table    = flag.String("table", "all", "which experiment: 6.1|6.2|6.3|6.4|index-sizes|ablations|crossover|parallel|union|build|server|cache|trace|all")
 		lubmU    = flag.Int("lubm-univ", 16, "LUBM scale: universities")
 		uniprotP = flag.Int("uniprot-proteins", 20000, "UniProt scale: proteins")
 		dbpediaE = flag.Int("dbpedia-entities", 40000, "DBPedia scale: entities")
@@ -49,7 +49,7 @@ func main() {
 	var lubm, uniprot, dbpedia *bench.Dataset
 	build := func() {
 		var err error
-		if lubm == nil && want("6.1", "6.2", "index-sizes", "ablations", "parallel", "union", "build", "server", "cache", "shard", "trace") {
+		if lubm == nil && want("6.1", "6.2", "index-sizes", "ablations", "parallel", "union", "build", "server", "cache", "trace") {
 			step("generating LUBM-like dataset (%d universities)", *lubmU)
 			lubm, err = bench.BuildLUBM(*lubmU)
 			check(err)
@@ -187,9 +187,6 @@ func main() {
 		w := engine.Options{Workers: *workers}.EffectiveWorkers()
 		maxConc := 4 * w // the server's own default, recorded in the report
 		step("running SPARQL Protocol server bench (workers=%d, max-concurrent=%d)", w, maxConc)
-		// The server bench runs a single-index store; the shard count is
-		// recorded so the report carries the field the other tables do.
-		shards := 1
 		ms, tp, err := bench.RunServerTable(lubm, w, maxConc, *runs)
 		check(err)
 		bench.FprintServerTable(os.Stdout,
@@ -198,7 +195,7 @@ func main() {
 		// -json is shared with the other tables; write the server report
 		// only when this run is specifically the server table.
 		if *jsonPath != "" && *table == "server" {
-			rep := bench.NewServerReport(w, shards, maxConc, *runs, ms, tp)
+			rep := bench.NewServerReport(w, maxConc, *runs, ms, tp)
 			f, err := os.Create(*jsonPath)
 			check(err)
 			check(bench.WriteServerJSON(f, rep))
@@ -224,27 +221,6 @@ func main() {
 			f, err := os.Create(*jsonPath)
 			check(err)
 			check(bench.WriteCacheJSON(f, rep))
-			check(f.Close())
-			step("wrote %s", *jsonPath)
-		}
-	}
-
-	if want("shard") && lubm != nil {
-		w := engine.Options{Workers: *workers}.EffectiveWorkers()
-		counts := []int{2, 4}
-		step("running shard scatter-gather comparison (workers=%d, shards=%v)", w, counts)
-		ms, err := bench.RunShardTable(lubm, counts, *workers, *runs)
-		check(err)
-		bench.FprintShardTable(os.Stdout,
-			fmt.Sprintf("Subject-hash sharding: LUBM (%d triples), %d workers", lubm.Graph.Len(), w), ms)
-		fmt.Println()
-		// -json is shared with the other tables; write the shard report
-		// only when this run is specifically the shard table.
-		if *jsonPath != "" && *table == "shard" {
-			rep := bench.NewShardReport(w, *runs, ms)
-			f, err := os.Create(*jsonPath)
-			check(err)
-			check(bench.WriteShardJSON(f, rep))
 			check(f.Close())
 			step("wrote %s", *jsonPath)
 		}

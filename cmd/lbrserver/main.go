@@ -39,14 +39,12 @@ import (
 
 func main() {
 	var (
-		dataPath  = flag.String("data", "", "N-Triples file to load and index")
-		indexPath = flag.String("index", "", "binary index snapshot to open (alternative to -data)")
-		addr      = flag.String("addr", ":8080", "listen address (host:port; port 0 picks an ephemeral port)")
-		timeout   = flag.Duration("timeout", 30*time.Second, "per-query timeout (0 = unlimited)")
-		maxConc   = flag.Int("max-concurrent", 0, "max queries executing at once (0 = 4x workers)")
-		workers   = flag.Int("workers", 0, "engine worker goroutines (0 = GOMAXPROCS, 1 = sequential)")
-		shards    = flag.Int("shards", 0,
-			"subject-hash shard count; >= 2 scatter-gathers subject-star queries across per-shard indexes (0 or 1 = single index)")
+		dataPath    = flag.String("data", "", "N-Triples file to load and index")
+		indexPath   = flag.String("index", "", "binary index snapshot to open (alternative to -data)")
+		addr        = flag.String("addr", ":8080", "listen address (host:port; port 0 picks an ephemeral port)")
+		timeout     = flag.Duration("timeout", 30*time.Second, "per-query timeout (0 = unlimited)")
+		maxConc     = flag.Int("max-concurrent", 0, "max queries executing at once (0 = 4x workers)")
+		workers     = flag.Int("workers", 0, "engine worker goroutines (0 = GOMAXPROCS, 1 = sequential)")
 		cacheBudget = flag.Int64("cache-budget", 0,
 			"byte bound of the store's cross-query BitMat materialization cache (0 = 64 MiB default, negative = disabled)")
 		resultCache = flag.Int64("result-cache", 0,
@@ -71,7 +69,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	opts := lbr.Options{Workers: *workers, Shards: *shards, CacheBudget: *cacheBudget, CompactThreshold: *compactThreshold}
+	opts := lbr.Options{Workers: *workers, CacheBudget: *cacheBudget, CompactThreshold: *compactThreshold}
 	if *slowLog != "" {
 		w, closer, err := openSlowLog(*slowLog)
 		if err != nil {

@@ -158,12 +158,12 @@ func storeRowKeys(res *Result, vars []sparql.Var) []string {
 }
 
 // TestDifferentialFilterWorkerSweep is the store-level harness of the
-// filter evaluator: ~300 generated filter queries executed at every
-// Shards ∈ {1, 2} × Workers ∈ {1, 2, 4, 8} combination. Every run must agree
-// with the reference evaluator as a sorted multiset, and within one shard
-// count the rendered result must be byte-identical across worker counts —
-// filters may not perturb row order or NULL cells. Runs under -race in CI
-// (make test-filter), where the worker fan-out actually interleaves.
+// filter evaluator: ~300 generated filter queries executed at Workers ∈
+// {1, 2, 4, 8}. Every run must agree with the reference evaluator as a
+// sorted multiset, and the rendered result must be byte-identical across
+// worker counts — filters may not perturb row order or NULL cells. Runs
+// under -race in CI (make test-filter), where the worker fan-out actually
+// interleaves.
 func TestDifferentialFilterWorkerSweep(t *testing.T) {
 	rng := rand.New(rand.NewSource(909))
 	triples := filterSweepTriples(rng)
@@ -172,17 +172,14 @@ func TestDifferentialFilterWorkerSweep(t *testing.T) {
 		g.Add(tr)
 	}
 	workerCounts := []int{1, 2, 4, 8}
-	type cfg struct{ shards, workers int }
-	stores := map[cfg]*Store{}
-	for _, shards := range []int{1, 2} {
-		for _, w := range workerCounts {
-			s := NewStoreWithOptions(Options{Shards: shards, Workers: w})
-			s.AddAll(triples)
-			if err := s.Build(); err != nil {
-				t.Fatal(err)
-			}
-			stores[cfg{shards, w}] = s
+	stores := map[int]*Store{}
+	for _, w := range workerCounts {
+		s := NewStoreWithOptions(Options{Workers: w})
+		s.AddAll(triples)
+		if err := s.Build(); err != nil {
+			t.Fatal(err)
 		}
+		stores[w] = s
 	}
 	trials := 300
 	if testing.Short() {
@@ -200,24 +197,22 @@ func TestDifferentialFilterWorkerSweep(t *testing.T) {
 			t.Fatalf("ref on %q: %v", src, err)
 		}
 		want := ref.SortedKeys(maps, vars)
-		for _, shards := range []int{1, 2} {
-			first := ""
-			for _, w := range workerCounts {
-				res, err := stores[cfg{shards, w}].Query(src)
-				if err != nil {
-					t.Fatalf("trial %d shards=%d workers=%d on %q: %v", trial, shards, w, src, err)
-				}
-				got := storeRowKeys(res, vars)
-				if fmt.Sprint(got) != fmt.Sprint(want) {
-					t.Fatalf("trial %d shards=%d workers=%d mismatch\nquery: %s\nstore: %v\nref:   %v",
-						trial, shards, w, src, got, want)
-				}
-				if exact := res.String(); first == "" {
-					first = exact
-				} else if exact != first {
-					t.Fatalf("trial %d shards=%d workers=%d: rows diverge from workers=%d\nquery: %s",
-						trial, shards, w, workerCounts[0], src)
-				}
+		first := ""
+		for _, w := range workerCounts {
+			res, err := stores[w].Query(src)
+			if err != nil {
+				t.Fatalf("trial %d workers=%d on %q: %v", trial, w, src, err)
+			}
+			got := storeRowKeys(res, vars)
+			if fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("trial %d workers=%d mismatch\nquery: %s\nstore: %v\nref:   %v",
+					trial, w, src, got, want)
+			}
+			if exact := res.String(); first == "" {
+				first = exact
+			} else if exact != first {
+				t.Fatalf("trial %d workers=%d: rows diverge from workers=%d\nquery: %s",
+					trial, w, workerCounts[0], src)
 			}
 		}
 		if q.Where.String() != "" { // count filter-bearing trials for the floor check

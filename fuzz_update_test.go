@@ -26,32 +26,21 @@ func fuzzUpdateBase() []Triple {
 }
 
 var fuzzUpdateProbes = []string{
-	`SELECT * WHERE { ?s <p0> ?o }`,                           // subject-star: scatter-gathers on a sharded store
-	`SELECT * WHERE { ?s <p0> ?o . OPTIONAL { ?s <p1> ?x } }`, // shardable star with OPTIONAL slave
-	`SELECT * WHERE { ?s <p1> ?o . ?o <p0> ?x }`,              // chain join: merged-index fallback
-	`SELECT * WHERE { ?s ?p ?o }`,                             // three-variable scan: fallback
+	`SELECT * WHERE { ?s <p0> ?o }`,                           // single pattern
+	`SELECT * WHERE { ?s <p0> ?o . OPTIONAL { ?s <p1> ?x } }`, // star with OPTIONAL slave
+	`SELECT * WHERE { ?s <p1> ?o . ?o <p0> ?x }`,              // chain join
+	`SELECT * WHERE { ?s ?p ?o }`,                             // three-variable scan
 }
 
-// diffUpdateStream runs the update-stream differential at shard counts
-// {1, 2, 4}: the sharded stores must agree with the unsharded reference on
-// every probe, both through the scatter-gather path (subject-star probes)
-// and the merged fallback.
+// diffUpdateStream applies one update stream (ops separated by '\n') to a
+// native store and the naive reference, comparing effective counts and
+// probe query results after every op, then across a compaction and
+// against a cold rebuild. Unparseable or unsupported streams are skipped,
+// but only when BOTH implementations reject them — one-sided rejection is
+// a finding.
 func diffUpdateStream(t *testing.T, stream string) {
 	t.Helper()
-	for _, shards := range []int{1, 2, 4} {
-		diffUpdateStreamSharded(t, stream, shards)
-	}
-}
-
-// diffUpdateStreamSharded applies one update stream (ops separated by
-// '\n') to a native store and the naive reference, comparing effective
-// counts and probe query results after every op, then across a compaction
-// and against a cold rebuild. Unparseable or unsupported streams are
-// skipped, but only when BOTH implementations reject them — one-sided
-// rejection is a finding.
-func diffUpdateStreamSharded(t *testing.T, stream string, shards int) {
-	t.Helper()
-	s := NewStoreWithOptions(Options{Workers: 2, Shards: shards})
+	s := NewStoreWithOptions(Options{Workers: 2})
 	s.AddAll(fuzzUpdateBase())
 	if err := s.Build(); err != nil {
 		t.Fatal(err)
@@ -93,10 +82,9 @@ func diffUpdateStreamSharded(t *testing.T, stream string, shards int) {
 		t.Fatal(err)
 	}
 	compareProbes(t, s, g, "post-compact")
-	// The cold rebuild runs at the same shard count: row-for-row identity
-	// then also pins scatter-gather determinism across independent builds
-	// of the same logical state.
-	cold := NewStoreWithOptions(Options{Shards: shards})
+	// Row-for-row identity with a cold rebuild pins determinism across
+	// independent builds of the same logical state.
+	cold := NewStore()
 	cold.LoadGraph(g)
 	if err := cold.Build(); err != nil {
 		t.Fatal(err)

@@ -56,13 +56,10 @@ type ServerThroughput struct {
 // ServerReport is the JSON document `lbrbench -table server -json` emits:
 // machine shape, configuration, per-query latency, and throughput.
 type ServerReport struct {
-	CreatedAt  string `json:"created_at"`
-	NumCPU     int    `json:"num_cpu"`
-	GoMaxProcs int    `json:"gomaxprocs"`
-	Workers    int    `json:"workers"`
-	// Shards is the subject-hash shard count of the benched store, the
-	// field every other report table carries (1 = single index).
-	Shards        int                 `json:"shards"`
+	CreatedAt     string              `json:"created_at"`
+	NumCPU        int                 `json:"num_cpu"`
+	GoMaxProcs    int                 `json:"gomaxprocs"`
+	Workers       int                 `json:"workers"`
 	MaxConcurrent int                 `json:"max_concurrent"`
 	Runs          int                 `json:"runs"`
 	Measurements  []ServerMeasurement `json:"measurements"`
@@ -70,16 +67,12 @@ type ServerReport struct {
 }
 
 // NewServerReport stamps a report with the current machine shape.
-func NewServerReport(workers, shards, maxConcurrent, runs int, ms []ServerMeasurement, tp ServerThroughput) ServerReport {
-	if shards < 1 {
-		shards = 1
-	}
+func NewServerReport(workers, maxConcurrent, runs int, ms []ServerMeasurement, tp ServerThroughput) ServerReport {
 	return ServerReport{
 		CreatedAt:     time.Now().UTC().Format(time.RFC3339),
 		NumCPU:        runtime.NumCPU(),
 		GoMaxProcs:    runtime.GOMAXPROCS(0),
 		Workers:       workers,
-		Shards:        shards,
 		MaxConcurrent: maxConcurrent,
 		Runs:          runs,
 		Measurements:  ms,

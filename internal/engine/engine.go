@@ -76,7 +76,7 @@ type Stats struct {
 	Init  time.Duration // Tinit: BitMat loading with active pruning
 	Prune time.Duration // Tprune: prune_triples
 	Join  time.Duration // Tmultiway: multi-way join + nullification/best-match
-	Merge time.Duration // branch/shard merge, cross-branch best-match, solution modifiers
+	Merge time.Duration // branch merge, cross-branch best-match, solution modifiers
 	Total time.Duration
 
 	InitialTriples int64 // sum of per-pattern matches before init pruning
@@ -398,7 +398,7 @@ func (e *Engine) executeQuery(ctx context.Context, q *sparql.Query, sp *trace.Sp
 	}
 	res.Stats.Total = time.Since(start)
 
-	res.ApplyModifiers(q)
+	res.applyModifiers(q)
 	res.Stats.Merge = time.Since(tMerge)
 	if msp != nil {
 		msp.Set("rows", len(res.Rows))
@@ -407,14 +407,10 @@ func (e *Engine) executeQuery(ctx context.Context, q *sparql.Query, sp *trace.Sp
 	return res, nil
 }
 
-// ApplyModifiers applies q's solution modifiers to the result, in SPARQL
+// applyModifiers applies q's solution modifiers to the result, in SPARQL
 // order: ORDER BY on the full bindings, then projection, DISTINCT, OFFSET,
-// LIMIT. executeQuery routes through it, and so does the sharded store's
-// scatter-gather coordinator — modifiers are not shard-local (projection
-// can make rows from different shards collide under DISTINCT), so the
-// coordinator runs shards modifier-free and applies them here, once, over
-// the merged rows.
-func (res *Result) ApplyModifiers(q *sparql.Query) {
+// LIMIT.
+func (res *Result) applyModifiers(q *sparql.Query) {
 	if len(q.OrderBy) > 0 {
 		res.orderBy(q.OrderBy)
 	}

@@ -20,7 +20,7 @@ var stageBoundsMS = [...]float64{0.2, 1, 5, 25, 100, 500}
 
 // stageNames are the per-query execution stages /metrics breaks latency
 // into: the engine's init (BitMat loading), prune (semi-join passes), and
-// join (multi-way join) stages, the merge stage (branch/shard merge plus
+// join (multi-way join) stages, the merge stage (branch merge plus
 // solution modifiers), and serialize — the residual of the query's wall
 // time not attributed to an engine stage, which on the streaming path is
 // dominated by result serialization and socket writes.
@@ -159,10 +159,6 @@ type Snapshot struct {
 	// WAL carries the store's durability and compaction counters. Filled
 	// by the /metrics handler.
 	WAL *lbr.WALStats `json:"wal,omitempty"`
-	// Shards lists per-shard statistics (triple counts, snapshot
-	// generations, cache counters) on a sharded store; omitted when the
-	// store runs a single index.
-	Shards []lbr.ShardInfo `json:"shards,omitempty"`
 	// RegexCacheEntries is the current size of the engine's process-wide
 	// compiled-regex cache (size-bounded; see engine.RegexCacheSize).
 	// Filled by the /metrics handler.

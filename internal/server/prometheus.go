@@ -78,7 +78,7 @@ func promSimple(w io.Writer, name, typ, help string, value any) {
 // writeMetricsProm renders the full snapshot in the Prometheus text
 // format. The sample set mirrors the JSON view: request counters, the
 // query and per-stage latency histograms, the snapshot generation, the
-// durability counters, both cache tiers, and the per-shard gauges.
+// durability counters, and both cache tiers.
 func writeMetricsProm(w http.ResponseWriter, snap Snapshot) {
 	w.Header().Set("Content-Type", promContentType)
 
@@ -130,16 +130,5 @@ func writeMetricsProm(w http.ResponseWriter, snap Snapshot) {
 		promSimple(w, "lbr_bitmat_cache_stale_bypasses_total", "counter", "Builds bypassing the cache from retired snapshots.", bm.StaleBypasses)
 		promSimple(w, "lbr_bitmat_cache_entries", "gauge", "BitMat cache resident entries.", bm.Entries)
 		promSimple(w, "lbr_bitmat_cache_bytes", "gauge", "BitMat cache resident bytes.", bm.BytesUsed)
-	}
-
-	if len(snap.Shards) > 0 {
-		fmt.Fprintf(w, "# HELP lbr_shard_triples Triples resident in each shard.\n# TYPE lbr_shard_triples gauge\n")
-		for _, sh := range snap.Shards {
-			fmt.Fprintf(w, "lbr_shard_triples{shard=\"%d\"} %d\n", sh.Shard, sh.Triples)
-		}
-		fmt.Fprintf(w, "# HELP lbr_shard_generation Snapshot generation each shard's engine covers.\n# TYPE lbr_shard_generation gauge\n")
-		for _, sh := range snap.Shards {
-			fmt.Fprintf(w, "lbr_shard_generation{shard=\"%d\"} %d\n", sh.Shard, sh.Generation)
-		}
 	}
 }

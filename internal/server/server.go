@@ -178,9 +178,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	snap.BitMatCache = &bm
 	wal := s.store.WALStats()
 	snap.WAL = &wal
-	// ShardStats likewise never forces a build; shards that have not
-	// materialized a snapshot yet report their last compacted base.
-	snap.Shards = s.store.ShardStats()
 	snap.RegexCacheEntries = int64(lbr.RegexCacheSize())
 	if wantsPrometheus(r) {
 		writeMetricsProm(w, snap)

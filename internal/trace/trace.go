@@ -1,8 +1,8 @@
 // Package trace is the query-tracing backbone of the engine's
 // observability layer: a tree of timed spans recording what one query
 // execution did per phase — planner decisions, per-pattern cache
-// outcomes, per-jvar prune levels, join partitioning, shard
-// scatter-gather, and merge/modifier time.
+// outcomes, per-jvar prune levels, join partitioning, and merge/modifier
+// time.
 //
 // The design constraint is zero cost when disabled. Every method is
 // nil-safe: a nil *Tracer yields nil *Spans, Child on a nil span returns
@@ -14,7 +14,7 @@
 // even evaluate the arguments.
 //
 // Tracing never perturbs results: spans are created per phase, pattern,
-// jvar level, branch, and shard — never per row — and record timings and
+// jvar level, and branch — never per row — and record timings and
 // counts only, so traced and untraced runs of one query are
 // byte-identical (pinned by the differential test in the root package).
 package trace
@@ -28,9 +28,8 @@ import (
 )
 
 // Tracer owns one query's span tree. All spans of a tracer share its
-// mutex, so concurrent phases (parallel UNION branches, shard
-// scatter-gather, pruning waves) may append children and attributes to
-// their spans freely.
+// mutex, so concurrent phases (parallel UNION branches, pruning waves)
+// may append children and attributes to their spans freely.
 type Tracer struct {
 	mu   sync.Mutex
 	root *Span

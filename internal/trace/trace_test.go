@@ -102,15 +102,15 @@ func TestConcurrentChildren(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			for j := 0; j < 100; j++ {
-				c := root.Child("shard")
-				c.Set("shard", i)
+				c := root.Child("branch")
+				c.Set("branch", i)
 				c.End()
 			}
 		}(i)
 	}
 	wg.Wait()
 	tr.Finish()
-	if got := len(root.FindAll("shard")); got != 800 {
+	if got := len(root.FindAll("branch")); got != 800 {
 		t.Fatalf("children = %d, want 800", got)
 	}
 }

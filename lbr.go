@@ -102,16 +102,6 @@ type Options struct {
 	// cache on, off, or at any budget. 0 selects the default (64 MiB);
 	// negative values disable the cache.
 	CacheBudget int64
-	// Shards, when 2 or more, hash-partitions the graph by subject into
-	// that many in-process shards: each shard builds, overlays, compacts,
-	// and caches its own BitMat index over a shared global dictionary, and
-	// subject-star queries (every triple pattern sharing one subject
-	// variable) execute per shard concurrently, merged in deterministic
-	// shard order. Queries outside that class, and every persistence and
-	// baseline path, run against the merged view of all shards, which is
-	// byte-identical to the single index an unsharded store builds. 0 and
-	// 1 (and negative values) select today's single monolithic index.
-	Shards int
 	// CompactThreshold, when positive, starts a background compaction as
 	// soon as the store's delta overlay accumulates that many entries
 	// (inserts plus deletes versus the base index). 0 disables automatic
@@ -160,15 +150,6 @@ func (o Options) EffectiveCacheBudget() int64 {
 // Workers when positive, GOMAXPROCS when zero, and 1 for negative values.
 func (o Options) EffectiveWorkers() int { return o.engineOptions().EffectiveWorkers() }
 
-// EffectiveShards reports the shard count the options resolve to: Shards
-// when 2 or more, otherwise 1 (a single monolithic index).
-func (o Options) EffectiveShards() int {
-	if o.Shards >= 2 {
-		return o.Shards
-	}
-	return 1
-}
-
 // Store holds an RDF graph and, after Build, its BitMat index plus a delta
 // overlay of uncompacted mutations.
 //
@@ -215,13 +196,9 @@ type Store struct {
 	compacting  bool
 	compactDone chan struct{} // closed when the in-flight compaction finishes
 
-	// shards holds the subject-hash shard indexes, engines, and caches of
-	// a sharded store (Options.Shards >= 2); nil otherwise. See shards.go.
-	shards *shardState
-
 	// walCheckpointLSN records the store LSN at the last WAL checkpoint
-	// (a SaveIndex/SaveShards that proved every logged mutation folded
-	// into the persisted base, letting the log truncate to zero).
+	// (a SaveIndex that proved every logged mutation folded into the
+	// persisted base, letting the log truncate to zero).
 	walCheckpointLSN uint64
 
 	// slowMu serializes slow-query log lines so concurrent slow queries
@@ -244,12 +221,11 @@ func NewStore() *Store { return NewStoreWithOptions(Options{}) }
 // NewStoreWithOptions returns an empty store with engine options.
 func NewStoreWithOptions(opts Options) *Store {
 	return &Store{
-		graph:  rdf.NewGraph(),
-		opts:   opts,
-		cache:  engine.NewMatCache(opts.EffectiveCacheBudget()),
-		ins:    map[string]Triple{},
-		del:    map[string]Triple{},
-		shards: newShardState(opts),
+		graph: rdf.NewGraph(),
+		opts:  opts,
+		cache: engine.NewMatCache(opts.EffectiveCacheBudget()),
+		ins:   map[string]Triple{},
+		del:   map[string]Triple{},
 	}
 }
 
@@ -364,9 +340,6 @@ func (o Options) engineOptions() engine.Options {
 // goroutines; any worker count yields an identical index (see
 // bitmat.BuildParallel).
 func (s *Store) buildLocked() error {
-	if s.shards != nil {
-		return s.buildShardedLocked()
-	}
 	idx, err := bitmat.BuildParallel(s.graph, s.opts.EffectiveWorkers())
 	if err != nil {
 		return err
@@ -393,9 +366,6 @@ func (s *Store) installSourceLocked(src bitmat.Source) {
 	s.gen++
 	s.src = src
 	s.eng = engine.NewWithCache(src, s.opts.engineOptions(), s.cache.Advance(s.gen))
-	// Per-shard snapshots are generation-bound like the merged one; the
-	// next shardable query rebuilds them over the new delta.
-	s.invalidateShardsLocked()
 }
 
 // installOverlayLocked rebuilds the delta overlay over the current base
@@ -440,7 +410,7 @@ func (s *Store) CacheStats() engine.CacheStats { return s.cache.Stats() }
 
 // RegexCacheSize reports the number of compiled FILTER regex(…) patterns
 // the engine currently caches. The cache is process-wide (patterns come
-// from query text and are shared across stores and shards) and
+// from query text and are shared across stores) and
 // size-bounded; the server surfaces this on /metrics.
 func RegexCacheSize() int { return engine.RegexCacheSize() }
 
@@ -613,9 +583,7 @@ func (s *Store) Query(src string) (*Result, error) {
 
 // QueryContext is Query with cancellation: a done context aborts the
 // multi-way join and returns ctx.Err(). A query concurrent with mutation
-// runs on the most recently built index snapshot. On a sharded store,
-// subject-star queries scatter across the shards and gather in shard
-// order; everything else runs on the merged view. When the slow-query log
+// runs on the most recently built index snapshot. When the slow-query log
 // is enabled (Options.SlowQueryThreshold and SlowQueryLog), the query runs
 // traced and a slow one is logged; results are identical either way.
 func (s *Store) QueryContext(ctx context.Context, src string) (*Result, error) {
@@ -635,9 +603,9 @@ func (s *Store) QueryContext(ctx context.Context, src string) (*Result, error) {
 }
 
 // queryTracedContext is the one execution path under Query, QueryContext,
-// and QueryTrace: parse, try the sharded scatter-gather, fall back to the
-// merged engine. sp, when non-nil, receives the query's span tree; a nil
-// sp costs nothing beyond the nil checks.
+// and QueryTrace: parse, bind the current snapshot, execute. sp, when
+// non-nil, receives the query's span tree; a nil sp costs nothing beyond
+// the nil checks.
 func (s *Store) queryTracedContext(ctx context.Context, src string, sp *trace.Span) (*Result, error) {
 	q, err := sparql.Parse(src)
 	if err != nil {
@@ -646,14 +614,11 @@ func (s *Store) queryTracedContext(ctx context.Context, src string, sp *trace.Sp
 	if sp != nil {
 		sp.Set("query_hash", trace.QueryHash(src))
 	}
-	res, handled, err := s.queryShardedContext(ctx, q, sp)
-	if !handled {
-		eng, eerr := s.ensureEngineTraced(sp)
-		if eerr != nil {
-			return nil, eerr
-		}
-		res, err = eng.ExecuteTraceContext(ctx, q, sp)
+	eng, err := s.ensureEngineTraced(sp)
+	if err != nil {
+		return nil, err
 	}
+	res, err := eng.ExecuteTraceContext(ctx, q, sp)
 	if err != nil {
 		return nil, err
 	}
@@ -671,16 +636,11 @@ func (s *Store) Ask(src string) (bool, error) {
 }
 
 // AskContext is Ask with cancellation: a done context aborts the
-// existence check in any phase and returns ctx.Err(). On a sharded store
-// a subject-star ASK probes the shards one by one, stopping at the first
-// shard with a solution.
+// existence check in any phase and returns ctx.Err().
 func (s *Store) AskContext(ctx context.Context, src string) (bool, error) {
 	q, err := sparql.Parse(src)
 	if err != nil {
 		return false, err
-	}
-	if found, handled, err := s.askShardedContext(ctx, q); handled {
-		return found, err
 	}
 	eng, err := s.ensureEngine()
 	if err != nil {

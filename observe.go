@@ -18,10 +18,10 @@ import (
 // the execution's span tree: the root "query" span (attr "query_hash")
 // with children for the snapshot acquisition, each UNF branch (planner
 // decisions, per-pattern load/cache outcomes, per-jvar prune levels, the
-// partitioned join), the scatter-gather shards when the query shards, and
-// the final merge. The span tree is returned even when the query errors
-// (it then covers the work done up to the error); its Snapshot or JSON
-// rendering is what the server's ?explain=1 responds with.
+// partitioned join), and the final merge. The span tree is returned even
+// when the query errors (it then covers the work done up to the error);
+// its Snapshot or JSON rendering is what the server's ?explain=1 responds
+// with.
 //
 // Tracing never changes results: a traced run returns rows byte-identical
 // to (and in the same order as) QueryContext's.

@@ -137,9 +137,6 @@ func (s *Store) QueryStreamContext(ctx context.Context, src string, fn func(map[
 		}
 		return fn(m)
 	}
-	if handled, err := s.streamShardedContext(ctx, q, nil, emit, nil, nil); handled {
-		return err
-	}
 	eng, err := s.ensureEngine()
 	if err != nil {
 		return err
@@ -256,9 +253,6 @@ func (s *Store) queryStreamRows(ctx context.Context, src string, st *Stats, sp *
 			}
 		}
 		return fn(vars, out)
-	}
-	if handled, err := s.streamShardedContext(ctx, q, header, emit, st, sp); handled {
-		return err
 	}
 	eng, err := s.ensureEngineTraced(sp)
 	if err != nil {

@@ -1,0 +1,177 @@
+package lbr
+
+import (
+	"context"
+	"fmt"
+	"sort"
+	"testing"
+
+	"repro/internal/rdf"
+)
+
+// routeTestTriples is the dataset of the route-agreement suite: 40
+// subjects, each with a type and a link to the next subject (a ring), plus
+// an email on every second subject and a phone on every third, so
+// OPTIONAL slaves bind on some masters and stay NULL on others.
+func routeTestTriples() []Triple {
+	var ts []Triple
+	for i := 0; i < 40; i++ {
+		s := fmt.Sprintf("s%d", i)
+		ts = append(ts,
+			TripleIRI(s, "type", fmt.Sprintf("class%d", i%3)),
+			TripleIRI(s, "linked", fmt.Sprintf("s%d", (i+1)%40)))
+		if i%2 == 0 {
+			ts = append(ts, TripleIRI(s, "email", fmt.Sprintf("m%d", i)))
+		}
+		if i%3 == 0 {
+			ts = append(ts, TripleIRI(s, "phone", fmt.Sprintf("t%d", i)))
+		}
+	}
+	return ts
+}
+
+// routeProbes covers stars with and without (nested) OPTIONAL, FILTER, a
+// variable predicate, the solution modifiers, a chain join, the
+// three-variable scan, a constant subject, and UNION.
+var routeProbes = []struct {
+	id string
+	q  string
+	// sliced marks probes with LIMIT/OFFSET. The reference evaluator and
+	// the relational baseline implement neither ORDER BY nor slicing, so
+	// sliced probes are compared across the engine's own routes only.
+	sliced bool
+}{
+	{id: "star", q: `SELECT * WHERE { ?s <type> ?c . ?s <linked> ?t }`},
+	{id: "star-optional", q: `SELECT * WHERE { ?s <type> ?c . OPTIONAL { ?s <email> ?e } }`},
+	{id: "star-nested-optional", q: `SELECT * WHERE { ?s <linked> ?t . OPTIONAL { ?s <email> ?e . OPTIONAL { ?s <phone> ?p } } }`},
+	{id: "star-filter", q: `SELECT * WHERE { ?s <type> ?c . ?s <linked> ?t . FILTER (?c != <class0>) }`},
+	{id: "star-varpred", q: `SELECT * WHERE { ?s ?p <class0> }`},
+	{id: "star-distinct", q: `SELECT DISTINCT ?c WHERE { ?s <type> ?c . ?s <email> ?e }`},
+	{id: "star-orderby", q: `SELECT ?s ?e WHERE { ?s <email> ?e . ?s <type> <class0> } ORDER BY ?s ?e`},
+	{id: "star-slice", q: `SELECT ?s ?c WHERE { ?s <type> ?c } ORDER BY ?s ?c OFFSET 5 LIMIT 10`, sliced: true},
+	{id: "chain", q: `SELECT * WHERE { ?s <linked> ?t . ?t <email> ?e }`},
+	{id: "scan", q: `SELECT * WHERE { ?s ?p ?o }`},
+	{id: "const-subject", q: `SELECT * WHERE { <s0> ?p ?o }`},
+	{id: "union", q: `SELECT * WHERE { { ?s <email> ?e } UNION { ?s <phone> ?e } }`},
+}
+
+func newRouteTestStore(t *testing.T, workers int) *Store {
+	t.Helper()
+	s := NewStoreWithOptions(Options{Workers: workers})
+	s.AddAll(routeTestTriples())
+	if err := s.Build(); err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// TestRouteAgreement runs every probe through each way the store answers
+// a query and requires them to agree, at workers {1, 2, 4}:
+//
+//   - QueryStreamRows announces the header exactly once and then replays
+//     Query's rows cell for cell, in Query's order;
+//   - QueryStream yields Query's rows as a multiset of maps;
+//   - the reference evaluator and, wherever it accepts the query, the
+//     relational baseline return Query's row multiset;
+//   - Ask reports whether Query returned a row;
+//   - Query's rendered output is byte-identical to the one at workers=1.
+func TestRouteAgreement(t *testing.T) {
+	g := rdf.NewGraph()
+	g.AddAll(routeTestTriples())
+	sequential := map[string]string{}
+	baselineChecked := 0
+	for _, workers := range []int{1, 2, 4} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			s := newRouteTestStore(t, workers)
+			for _, p := range routeProbes {
+				res, err := s.Query(p.q)
+				if err != nil {
+					t.Fatalf("probe %s: %v", p.id, err)
+				}
+				if want, ok := sequential[p.id]; !ok {
+					sequential[p.id] = res.String()
+				} else if res.String() != want {
+					t.Errorf("probe %s: rows differ from workers=1\n got %s\nwant %s", p.id, res.String(), want)
+				}
+
+				checkStreamRowsRoute(t, s, p.id, p.q, res)
+
+				var streamed []string
+				if err := s.QueryStream(p.q, func(m map[string]Term) bool {
+					streamed = append(streamed, rowKey(m))
+					return true
+				}); err != nil {
+					t.Fatalf("probe %s: QueryStream: %v", p.id, err)
+				}
+				sort.Strings(streamed)
+				want := sortedQueryRows(t, s, p.q)
+				if fmt.Sprint(streamed) != fmt.Sprint(want) {
+					t.Errorf("probe %s: QueryStream multiset differs\n got %v\nwant %v", p.id, streamed, want)
+				}
+
+				if found, err := s.Ask(p.q); err != nil {
+					t.Fatalf("probe %s: Ask: %v", p.id, err)
+				} else if found != (res.Len() > 0) {
+					t.Errorf("probe %s: Ask = %v, Query returned %d rows", p.id, found, res.Len())
+				}
+
+				if p.sliced {
+					continue
+				}
+				if got := refSortedRows(t, g, p.q); fmt.Sprint(got) != fmt.Sprint(want) {
+					t.Errorf("probe %s: reference multiset differs\n ref %v\nwant %v", p.id, got, want)
+				}
+				bres, err := s.QueryBaseline(p.q, VirtuosoLike)
+				if err != nil {
+					continue // outside the baseline's supported surface
+				}
+				baselineChecked++
+				if got := sortedResultRows(bres); fmt.Sprint(got) != fmt.Sprint(want) {
+					t.Errorf("probe %s: baseline multiset differs\n got %v\nwant %v", p.id, got, want)
+				}
+			}
+		})
+	}
+	if baselineChecked == 0 {
+		t.Error("the baseline accepted no probe; its route was never compared")
+	}
+}
+
+// checkStreamRowsRoute asserts QueryStreamRows replays res exactly: one
+// header call carrying res.Vars, then res's rows cell for cell, in order.
+func checkStreamRowsRoute(t *testing.T, s *Store, id, q string, res *Result) {
+	t.Helper()
+	headers := 0
+	var rows [][]Term
+	err := s.QueryStreamRows(context.Background(), q, func(vars []string, row []Term) bool {
+		if row == nil {
+			headers++
+			if fmt.Sprint(vars) != fmt.Sprint(res.Vars) {
+				t.Errorf("probe %s: streamed header %v, Query vars %v", id, vars, res.Vars)
+			}
+			return true
+		}
+		rows = append(rows, append([]Term(nil), row...))
+		return true
+	})
+	if err != nil {
+		t.Fatalf("probe %s: QueryStreamRows: %v", id, err)
+	}
+	if headers != 1 {
+		t.Errorf("probe %s: %d header calls, want 1", id, headers)
+	}
+	if len(rows) != res.Len() {
+		t.Fatalf("probe %s: streamed %d rows, Query returned %d", id, len(rows), res.Len())
+	}
+	for i, row := range rows {
+		want := res.Row(i)
+		if len(row) != len(want) {
+			t.Fatalf("probe %s row %d: streamed width %d, Query width %d", id, i, len(row), len(want))
+		}
+		for k := range row {
+			if row[k] != want[k] {
+				t.Fatalf("probe %s row %d col %d: streamed %s, Query %s", id, i, k, row[k], want[k])
+			}
+		}
+	}
+}

@@ -14,35 +14,33 @@ import (
 
 // TestQueryTraceDifferential pins the tentpole guarantee of the tracing
 // layer: a traced execution returns rows byte-identical to (and in the
-// same order as) the untraced one, across the worker and shard matrix and
-// both execution paths (scatter-gather and merged-index fallback).
+// same order as) the untraced one, over the route-agreement probes at
+// workers {1, 4}.
 func TestQueryTraceDifferential(t *testing.T) {
-	for _, shards := range []int{1, 2} {
-		for _, workers := range []int{1, 4} {
-			t.Run(fmt.Sprintf("shards=%d/workers=%d", shards, workers), func(t *testing.T) {
-				s := newShardTestStore(t, shards, workers)
-				for _, p := range shardProbes {
-					res, err := s.Query(p.q)
-					if err != nil {
-						t.Fatalf("probe %s untraced: %v", p.id, err)
-					}
-					traced, root, err := s.QueryTrace(context.Background(), p.q)
-					if err != nil {
-						t.Fatalf("probe %s traced: %v", p.id, err)
-					}
-					if res.String() != traced.String() {
-						t.Errorf("probe %s: traced rows differ from untraced\nuntraced:\n%s\ntraced:\n%s",
-							p.id, res.String(), traced.String())
-					}
-					if root == nil || root.Name() != "query" {
-						t.Fatalf("probe %s: root span = %v", p.id, root)
-					}
-					if h, ok := root.Attr("query_hash"); !ok || h != trace.QueryHash(p.q) {
-						t.Errorf("probe %s: query_hash attr = %v, want %s", p.id, h, trace.QueryHash(p.q))
-					}
+	for _, workers := range []int{1, 4} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			s := newRouteTestStore(t, workers)
+			for _, p := range routeProbes {
+				res, err := s.Query(p.q)
+				if err != nil {
+					t.Fatalf("probe %s untraced: %v", p.id, err)
 				}
-			})
-		}
+				traced, root, err := s.QueryTrace(context.Background(), p.q)
+				if err != nil {
+					t.Fatalf("probe %s traced: %v", p.id, err)
+				}
+				if res.String() != traced.String() {
+					t.Errorf("probe %s: traced rows differ from untraced\nuntraced:\n%s\ntraced:\n%s",
+						p.id, res.String(), traced.String())
+				}
+				if root == nil || root.Name() != "query" {
+					t.Fatalf("probe %s: root span = %v", p.id, root)
+				}
+				if h, ok := root.Attr("query_hash"); !ok || h != trace.QueryHash(p.q) {
+					t.Errorf("probe %s: query_hash attr = %v, want %s", p.id, h, trace.QueryHash(p.q))
+				}
+			}
+		})
 	}
 }
 
@@ -60,13 +58,12 @@ func spanRowsSum(sps []*trace.Span) (int, int) {
 
 // TestQueryTraceSpanAccounting checks the trace's row accounting against
 // the result for join-only queries (no modifiers that drop or reorder
-// rows): the branch span's row count is the result's length, and on a
-// sharded store the per-shard row counts sum to it.
+// rows): the branch span's row count is the result's length.
 func TestQueryTraceSpanAccounting(t *testing.T) {
 	const q = `SELECT * WHERE { ?s <type> ?c . ?s <linked> ?t }`
 
 	t.Run("single-index", func(t *testing.T) {
-		s := newShardTestStore(t, 0, 1)
+		s := newRouteTestStore(t, 1)
 		res, root, err := s.QueryTrace(context.Background(), q)
 		if err != nil {
 			t.Fatal(err)
@@ -82,7 +79,7 @@ func TestQueryTraceSpanAccounting(t *testing.T) {
 		if n != 1 || sum != res.Len() {
 			t.Errorf("branch rows = %d (over %d spans), want %d", sum, n, res.Len())
 		}
-		for _, name := range []string{"init", "prune", "join", "load"} {
+		for _, name := range []string{"init", "prune", "join", "load", "merge"} {
 			if root.Find(name) == nil {
 				t.Errorf("trace lacks a %q span", name)
 			}
@@ -93,36 +90,14 @@ func TestQueryTraceSpanAccounting(t *testing.T) {
 			}
 		}
 	})
-
-	t.Run("sharded", func(t *testing.T) {
-		s := newShardTestStore(t, 2, 1)
-		res, root, err := s.QueryTrace(context.Background(), q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if v, ok := root.Attr("sharded"); !ok || v != true {
-			t.Fatalf("sharded attr = %v, %v", v, ok)
-		}
-		shardSpans := root.FindAll("shard")
-		if len(shardSpans) != 2 {
-			t.Fatalf("got %d shard spans, want 2", len(shardSpans))
-		}
-		sum, n := spanRowsSum(shardSpans)
-		if n != 2 || sum != res.Len() {
-			t.Errorf("shard rows sum = %d (over %d spans), want %d", sum, n, res.Len())
-		}
-		if root.Find("merge") == nil {
-			t.Error("trace lacks the merge span")
-		}
-	})
 }
 
 // TestQueryTraceChildDurationsNested checks the timing invariant a
-// sequential execution must satisfy: at one worker and one shard the
-// root's direct children run back to back inside it, so their durations
-// sum to at most the root's.
+// sequential execution must satisfy: at one worker the root's direct
+// children run back to back inside it, so their durations sum to at most
+// the root's.
 func TestQueryTraceChildDurationsNested(t *testing.T) {
-	s := newShardTestStore(t, 0, 1)
+	s := newRouteTestStore(t, 1)
 	_, root, err := s.QueryTrace(context.Background(), `SELECT * WHERE { ?s <type> ?c . ?s <linked> ?t }`)
 	if err != nil {
 		t.Fatal(err)
@@ -147,7 +122,7 @@ func slowLogStore(t *testing.T, buf *bytes.Buffer) *Store {
 		SlowQueryThreshold: time.Nanosecond,
 		SlowQueryLog:       buf,
 	})
-	s.AddAll(shardTestTriples())
+	s.AddAll(routeTestTriples())
 	if err := s.Build(); err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +218,7 @@ func TestSlowQueryLogThreshold(t *testing.T) {
 		SlowQueryThreshold: time.Hour,
 		SlowQueryLog:       &buf,
 	})
-	s.AddAll(shardTestTriples())
+	s.AddAll(routeTestTriples())
 	if err := s.Build(); err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +234,7 @@ func TestSlowQueryLogThreshold(t *testing.T) {
 // the span tree (covering the work up to the failure) comes back with
 // the error.
 func TestQueryTraceErrorReturnsSpan(t *testing.T) {
-	s := newShardTestStore(t, 0, 1)
+	s := newRouteTestStore(t, 1)
 	_, root, err := s.QueryTrace(context.Background(), `SELECT * WHERE { broken`)
 	if err == nil {
 		t.Fatal("expected a parse error")

@@ -14,7 +14,7 @@ import (
 // witnesslessStoreTriples seeds the store-level witnessless sweep: three
 // master subjects whose OPTIONAL alternatives respectively both match,
 // neither match, and only the witnessless one matches, plus a few decoy
-// edges so sharding by subject hash actually spreads rows.
+// edges.
 func witnesslessStoreTriples() []Triple {
 	return []Triple{
 		TripleIRI("m1", "p0", "x1"),
@@ -43,11 +43,10 @@ var witnesslessStoreQueries = []string{
 }
 
 // TestWitnesslessUnionStoreSweep pins the fixed witnessless shapes at the
-// store level across Workers ∈ {1, 2, 8} × Shards ∈ {1, 2, 4}: every run
-// must agree with the reference evaluator as a sorted multiset, and
-// within one shard count the rendered result must be byte-identical
-// across worker counts. The rendered output must also never leak the
-// synthetic witness machinery.
+// store level across Workers ∈ {1, 2, 8}: every run must agree with the
+// reference evaluator as a sorted multiset, and the rendered result must
+// be byte-identical across worker counts. The rendered output must also
+// never leak the synthetic witness machinery.
 func TestWitnesslessUnionStoreSweep(t *testing.T) {
 	triples := witnesslessStoreTriples()
 	g := rdf.NewGraph()
@@ -55,18 +54,14 @@ func TestWitnesslessUnionStoreSweep(t *testing.T) {
 		g.Add(tr)
 	}
 	workerCounts := []int{1, 2, 8}
-	shardCounts := []int{1, 2, 4}
-	type cfg struct{ shards, workers int }
-	stores := map[cfg]*Store{}
-	for _, shards := range shardCounts {
-		for _, w := range workerCounts {
-			s := NewStoreWithOptions(Options{Shards: shards, Workers: w})
-			s.AddAll(triples)
-			if err := s.Build(); err != nil {
-				t.Fatal(err)
-			}
-			stores[cfg{shards, w}] = s
+	stores := map[int]*Store{}
+	for _, w := range workerCounts {
+		s := NewStoreWithOptions(Options{Workers: w})
+		s.AddAll(triples)
+		if err := s.Build(); err != nil {
+			t.Fatal(err)
 		}
+		stores[w] = s
 	}
 	for _, src := range witnesslessStoreQueries {
 		q, err := sparql.Parse(src)
@@ -78,26 +73,24 @@ func TestWitnesslessUnionStoreSweep(t *testing.T) {
 			t.Fatalf("ref on %q: %v", src, err)
 		}
 		want := ref.SortedKeys(maps, vars)
-		for _, shards := range shardCounts {
-			first := ""
-			for _, w := range workerCounts {
-				res, err := stores[cfg{shards, w}].Query(src)
-				if err != nil {
-					t.Fatalf("shards=%d workers=%d on %q: %v", shards, w, src, err)
-				}
-				got := storeRowKeys(res, vars)
-				if fmt.Sprint(got) != fmt.Sprint(want) {
-					t.Fatalf("shards=%d workers=%d mismatch\nquery: %s\nstore: %v\nref:   %v",
-						shards, w, src, got, want)
-				}
-				exact := res.String()
-				assertNoWitnessMarkers(t, src, "Result.String()", exact)
-				if first == "" {
-					first = exact
-				} else if exact != first {
-					t.Fatalf("shards=%d workers=%d rows diverge from workers=%d\nquery: %s",
-						shards, w, workerCounts[0], src)
-				}
+		first := ""
+		for _, w := range workerCounts {
+			res, err := stores[w].Query(src)
+			if err != nil {
+				t.Fatalf("workers=%d on %q: %v", w, src, err)
+			}
+			got := storeRowKeys(res, vars)
+			if fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("workers=%d mismatch\nquery: %s\nstore: %v\nref:   %v",
+					w, src, got, want)
+			}
+			exact := res.String()
+			assertNoWitnessMarkers(t, src, "Result.String()", exact)
+			if first == "" {
+				first = exact
+			} else if exact != first {
+				t.Fatalf("workers=%d rows diverge from workers=%d\nquery: %s",
+					w, workerCounts[0], src)
 			}
 		}
 	}

@@ -212,11 +212,9 @@ func (s *Store) mutateLocked(del, ins []Triple, log bool) (int, int, error) {
 			// Never serve stale data: drop the snapshot and let the next
 			// query fall back to a full rebuild.
 			s.src, s.eng = nil, nil
-			s.invalidateShardsLocked()
 		}
 	case s.eng != nil:
 		s.src, s.eng = nil, nil
-		s.invalidateShardsLocked()
 	}
 	if s.opts.CompactThreshold > 0 && len(s.ins)+len(s.del) >= s.opts.CompactThreshold {
 		s.startCompactionLocked()
@@ -265,7 +263,7 @@ func (s *Store) Compact() error {
 		s.mu.Unlock()
 
 		t0 := time.Now()
-		bs, err := s.buildStateFromTriples(snap, workers)
+		idx, err := buildIndexFromTriples(snap, workers)
 		if err == nil {
 			s.compactions.Add(1)
 			s.compactionLastNS.Store(int64(time.Since(t0)))
@@ -278,7 +276,7 @@ func (s *Store) Compact() error {
 			s.mu.Unlock()
 			return err
 		}
-		s.finishCompactionLocked(bs, snap, startLSN)
+		s.finishCompactionLocked(idx, snap, startLSN)
 		s.mu.Unlock()
 		// Loop: a rebase during the build leaves a fresh delta to fold.
 	}
@@ -297,7 +295,7 @@ func (s *Store) startCompactionLocked() {
 	workers := s.opts.EffectiveWorkers()
 	go func() {
 		t0 := time.Now()
-		bs, err := s.buildStateFromTriples(snap, workers)
+		idx, err := buildIndexFromTriples(snap, workers)
 		if err == nil {
 			s.compactions.Add(1)
 			s.compactionLastNS.Store(int64(time.Since(t0)))
@@ -306,33 +304,15 @@ func (s *Store) startCompactionLocked() {
 		s.compacting = false
 		close(done)
 		if err == nil {
-			s.finishCompactionLocked(bs, snap, startLSN)
+			s.finishCompactionLocked(idx, snap, startLSN)
 		}
 		s.mu.Unlock()
 	}()
 }
 
-// builtState is the output of one compaction (or initial) build: the
-// merged index every fallback path queries and, for a sharded store, the
-// per-shard bases it was merged from.
-type builtState struct {
-	merged *bitmat.Index
-	bases  []*bitmat.Index // nil for an unsharded store
-}
-
-// buildStateFromTriples builds a fresh base state for a triple snapshot.
-// It reads only immutable store configuration (shard count, workers), so
-// the background compactor calls it without holding mu.
-func (s *Store) buildStateFromTriples(ts []Triple, workers int) (builtState, error) {
-	if s.shards != nil {
-		merged, bases, err := buildShardedState(ts, s.shards.n, workers)
-		return builtState{merged: merged, bases: bases}, err
-	}
-	idx, err := buildIndexFromTriples(ts, workers)
-	return builtState{merged: idx}, err
-}
-
-// buildIndexFromTriples builds a fresh index for a triple snapshot.
+// buildIndexFromTriples builds a fresh index for a triple snapshot. It
+// touches no store state, so the background compactor calls it without
+// holding mu.
 func buildIndexFromTriples(ts []Triple, workers int) (*bitmat.Index, error) {
 	g := rdf.NewGraph()
 	g.AddAll(ts)
@@ -346,14 +326,7 @@ func buildIndexFromTriples(ts []Triple, workers int) (*bitmat.Index, error) {
 // base covers, so a racing rebuild can never deposit dead delta entries —
 // every entry is derived from the two concrete triple sets, not patched
 // incrementally. The caller holds mu.
-func (s *Store) finishCompactionLocked(bs builtState, built []Triple, startLSN uint64) {
-	idx := bs.merged
-	if s.shards != nil {
-		// The fresh shard bases pair with the fresh merged index (same
-		// dictionary); stale per-shard snapshots are retired by the
-		// installSourceLocked below either way.
-		s.shards.bases = bs.bases
-	}
+func (s *Store) finishCompactionLocked(idx *bitmat.Index, built []Triple, startLSN uint64) {
 	if s.lsn == startLSN {
 		s.installIndexLocked(idx)
 		return
@@ -381,6 +354,5 @@ func (s *Store) finishCompactionLocked(bs builtState, built []Triple, startLSN u
 	s.ins, s.del = ins, del
 	if err := s.installOverlayLocked(); err != nil {
 		s.src, s.eng = nil, nil
-		s.invalidateShardsLocked()
 	}
 }

@@ -180,25 +180,37 @@ func sortedQueryRows(t *testing.T, s *Store, q string) []string {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return sortedResultRows(res)
+}
+
+// sortedResultRows renders a materialized result with the key format of
+// sortedQueryRows and sorts it.
+func sortedResultRows(res *Result) []string {
 	var rows []string
 	res.Iterate(func(row map[string]Term) bool {
-		keys := make([]string, 0, len(row))
-		for k := range row {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		var b strings.Builder
-		for i, k := range keys {
-			if i > 0 {
-				b.WriteByte('|')
-			}
-			b.WriteString(k + "=" + row[k].String())
-		}
-		rows = append(rows, b.String())
+		rows = append(rows, rowKey(row))
 		return true
 	})
 	sort.Strings(rows)
 	return rows
+}
+
+// rowKey renders one solution map (unbound variables absent) as its
+// var=term pairs in variable order, joined by '|'.
+func rowKey(row map[string]Term) string {
+	keys := make([]string, 0, len(row))
+	for k := range row {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	var b strings.Builder
+	for i, k := range keys {
+		if i > 0 {
+			b.WriteByte('|')
+		}
+		b.WriteString(k + "=" + row[k].String())
+	}
+	return b.String()
 }
 
 // refSortedRows evaluates q against the reference graph with the same

@@ -76,6 +76,12 @@ func (w *wal) close() error {
 // changed the store — replaying a log over data that already reflects it
 // is a no-op, so recovery is idempotent. Call after loading the base data
 // (LoadNTriples / OpenIndex) and before serving traffic.
+//
+// A final line without its trailing newline is the torn tail of an append
+// that crashed before its fsync returned, so it was never acknowledged:
+// OpenWAL truncates the file to the end of the last complete line, syncs
+// it, and replays only the complete lines. A malformed complete line is
+// still an error.
 func (s *Store) OpenWAL(path string) (int, error) {
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
@@ -93,12 +99,23 @@ func (s *Store) OpenWAL(path string) (int, error) {
 		t   Triple
 	}
 	var entries []entry
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
+	br := bufio.NewReaderSize(f, 64*1024)
+	var complete int64 // file offset just past the last complete line
+	torn := false
 	lineNo := 0
-	for sc.Scan() {
+	for {
+		raw, err := br.ReadString('\n')
+		if err == io.EOF {
+			torn = raw != ""
+			break
+		}
+		if err != nil {
+			f.Close()
+			return 0, fmt.Errorf("lbr: read wal: %w", err)
+		}
+		complete += int64(len(raw))
 		lineNo++
-		line := strings.TrimSpace(sc.Text())
+		line := strings.TrimSpace(raw)
 		if line == "" {
 			continue
 		}
@@ -113,9 +130,15 @@ func (s *Store) OpenWAL(path string) (int, error) {
 		}
 		entries = append(entries, entry{del: line[0] == 'D', t: tr})
 	}
-	if err := sc.Err(); err != nil {
-		f.Close()
-		return 0, fmt.Errorf("lbr: read wal: %w", err)
+	if torn {
+		if err := f.Truncate(complete); err != nil {
+			f.Close()
+			return 0, fmt.Errorf("lbr: truncate torn wal tail: %w", err)
+		}
+		if err := f.Sync(); err != nil {
+			f.Close()
+			return 0, fmt.Errorf("lbr: sync wal: %w", err)
+		}
 	}
 
 	applied := 0
@@ -124,7 +147,6 @@ func (s *Store) OpenWAL(path string) (int, error) {
 		// an overlay per line; the next query installs one overlay over the
 		// whole replayed delta.
 		s.src, s.eng = nil, nil
-		s.invalidateShardsLocked()
 		for _, e := range entries {
 			var nd, ni int
 			var err error

@@ -170,6 +170,91 @@ func TestWALSurvivesCompaction(t *testing.T) {
 	}
 }
 
+// tornWAL writes a log holding one acknowledged insert of <c> <p> <d>
+// followed by tail, the unterminated bytes of an append that crashed
+// before its fsync returned, and returns the log's path.
+func tornWAL(t *testing.T, tail string) string {
+	t.Helper()
+	walPath := filepath.Join(t.TempDir(), "updates.wal")
+	s := walStore(t)
+	if _, err := s.OpenWAL(walPath); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.ApplyUpdate(`INSERT DATA { <c> <p> <d> }`); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.CloseWAL(); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.OpenFile(walPath, os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteString(tail); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return walPath
+}
+
+// checkTornWALRecovery reopens a torn log: the store must restart with
+// exactly the acknowledged insert, the torn tail must be cut from the
+// file, and a write acknowledged after the restart must survive the next
+// restart.
+func checkTornWALRecovery(t *testing.T, walPath string) {
+	t.Helper()
+	s := walStore(t)
+	if applied, err := s.OpenWAL(walPath); err != nil || applied != 1 {
+		t.Fatalf("replay of torn log: applied=%d err=%v", applied, err)
+	}
+	data, err := os.ReadFile(walPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := string(data), "A <c> <p> <d> .\n"; got != want {
+		t.Fatalf("torn tail not truncated: log = %q, want %q", got, want)
+	}
+	if _, err := s.ApplyUpdate(`INSERT DATA { <e> <p> <f> }`); err != nil {
+		t.Fatal(err)
+	}
+	want := sortedQueryRows(t, s, `SELECT * WHERE { ?s ?p ?o }`)
+	// Crash again without CloseWAL, then restart.
+	s2 := walStore(t)
+	if applied, err := s2.OpenWAL(walPath); err != nil || applied != 2 {
+		t.Fatalf("replay after restart: applied=%d err=%v", applied, err)
+	}
+	if got := sortedQueryRows(t, s2, `SELECT * WHERE { ?s ?p ?o }`); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("recovered state differs:\n got %v\nwant %v", got, want)
+	}
+}
+
+// TestWALTornTailMidTerm: a crash mid-append can cut the final line inside
+// a term. That line was never acknowledged, so OpenWAL must drop it
+// instead of failing to parse it.
+func TestWALTornTailMidTerm(t *testing.T) {
+	checkTornWALRecovery(t, tornWAL(t, "A <x> <p> <y"))
+}
+
+// TestWALTornTailMissingNewline: a crash can also cut the final line right
+// after its object, leaving a line that parses but has no newline. It must
+// still be dropped: replaying it would apply an unacknowledged write, and
+// the next append would be glued onto it and corrupt the whole log.
+func TestWALTornTailMissingNewline(t *testing.T) {
+	checkTornWALRecovery(t, tornWAL(t, "A <x> <p> <y>"))
+}
+
+// TestWALMalformedCompleteLineRejected: only an unterminated final line is
+// forgiven; a complete line that does not parse is corruption.
+func TestWALMalformedCompleteLineRejected(t *testing.T) {
+	walPath := tornWAL(t, "A <x> <p> <y\n")
+	s := walStore(t)
+	if _, err := s.OpenWAL(walPath); err == nil {
+		t.Fatal("a malformed complete line must fail OpenWAL")
+	}
+}
+
 func TestWALDoubleOpenRejected(t *testing.T) {
 	dir := t.TempDir()
 	s := walStore(t)
