@@ -96,14 +96,14 @@ func TestEngineStreamMatchesExecute(t *testing.T) {
 	}
 	var streamed int
 	var streamVars []sparql.Var
-	if err := e.ExecuteStream(q, func(vars []sparql.Var, row Row) bool {
+	if err := e.ExecuteStream(t.Context(), q, nil, func(vars []sparql.Var, row Row) bool {
 		streamed++
 		streamVars = vars
 		if len(row) != len(vars) {
 			t.Fatalf("row width %d != vars %d", len(row), len(vars))
 		}
 		return true
-	}); err != nil {
+	}, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	if streamed != len(res.Rows) {

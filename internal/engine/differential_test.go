@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"sort"
 	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/bitmat"
@@ -405,6 +406,7 @@ func TestDifferentialUnionWorkerSweep(t *testing.T) {
 					trial, w, src, renderRows(res, vars), ref.SortedKeys(maps, vars))
 			}
 			exact := exactRows(res)
+			checkStreamed(t, e, q, exact, fmt.Sprintf("trial %d workers=%d on %q", trial, w, src))
 			if seq == nil {
 				seq = exact
 				continue
@@ -471,7 +473,8 @@ func TestDifferentialFuzzRegressions(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, w := range []int{1, 4} {
-				res, err := New(idx, Options{Workers: w}).Execute(q)
+				e := New(idx, Options{Workers: w})
+				res, err := e.Execute(q)
 				if err != nil {
 					t.Fatalf("q%d trial %d workers=%d: %v", qi, trial, w, err)
 				}
@@ -479,6 +482,7 @@ func TestDifferentialFuzzRegressions(t *testing.T) {
 					t.Fatalf("q%d trial %d workers=%d mismatch\nquery: %s\nengine: %v\nref:    %v",
 						qi, trial, w, src, renderRows(res, vars), ref.SortedKeys(maps, vars))
 				}
+				checkStreamed(t, e, q, exactRows(res), fmt.Sprintf("q%d trial %d workers=%d", qi, trial, w))
 			}
 		}
 	}
@@ -543,6 +547,7 @@ func TestDifferentialCacheRegressions(t *testing.T) {
 						qi, trial, label, src, renderRows(res, vars), ref.SortedKeys(maps, vars))
 				}
 				exact := exactRows(res)
+				checkStreamed(t, e, q, exact, fmt.Sprintf("q%d trial %d %s", qi, trial, label))
 				if first == nil {
 					first = exact
 					return
@@ -588,6 +593,7 @@ func TestDifferentialRandomWellDesigned(t *testing.T) {
 			t.Fatalf("trial %d mismatch\nquery: %s\nengine: %v\nref:    %v",
 				trial, src, renderRows(res, vars), ref.SortedKeys(maps, vars))
 		}
+		checkStreamed(t, e, q, exactRows(res), fmt.Sprintf("trial %d on %q", trial, src))
 	}
 }
 
@@ -620,6 +626,7 @@ func TestDifferentialRandomWithAblations(t *testing.T) {
 				t.Fatalf("opts %+v trial %d mismatch\nquery: %s\nengine: %v\nref:    %v",
 					opts, trial, src, renderRows(res, vars), ref.SortedKeys(maps, vars))
 			}
+			checkStreamed(t, e, q, exactRows(res), fmt.Sprintf("opts %+v trial %d on %q", opts, trial, src))
 		}
 	}
 }
@@ -638,6 +645,25 @@ func sameRows(res *Result, maps []ref.Mapping, vars []sparql.Var) bool {
 		}
 	}
 	return true
+}
+
+// checkStreamed requires the streaming entry point to deliver want — the
+// exactRows of Execute on the same engine — row for row, in the same
+// order. Every differential harness runs it, so the streamed and the
+// collected routes are compared wherever the reference judges the engine.
+func checkStreamed(t *testing.T, e *Engine, q *sparql.Query, want []string, label string) {
+	t.Helper()
+	var got []string
+	err := e.ExecuteStream(context.Background(), q, nil, func(_ []sparql.Var, row Row) bool {
+		got = append(got, exactRow(row))
+		return true
+	}, nil, nil)
+	if err != nil {
+		t.Fatalf("%s: streamed: %v", label, err)
+	}
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Fatalf("%s: streamed rows differ from Execute\nstreamed: %v\nexecute:  %v", label, got, want)
+	}
 }
 
 func renderRows(res *Result, vars []sparql.Var) []string {
@@ -702,6 +728,7 @@ func TestDifferentialCyclicQueries(t *testing.T) {
 				t.Fatalf("trial %d cyclic mismatch\nquery: %s\nengine: %v\nref:    %v",
 					trial, src, got, want)
 			}
+			checkStreamed(t, e, q, exactRows(res), fmt.Sprintf("trial %d on %q", trial, src))
 		}
 	}
 }

@@ -114,14 +114,11 @@ func (e *Engine) ExecuteContext(ctx context.Context, q *sparql.Query) (*Result, 
 // ExecuteContext: the instrumentation reduces to nil checks, allocating
 // nothing and perturbing neither timings nor results.
 func (e *Engine) ExecuteTraceContext(ctx context.Context, q *sparql.Query, sp *trace.Span) (*Result, error) {
-	res, err := e.executeQuery(ctx, q, sp)
+	p, err := e.prepare(q)
 	if err != nil {
 		return nil, err
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return res, nil
+	return e.collect(ctx, p, sp)
 }
 
 // Ask evaluates an existence check: whether the pattern has at least one
@@ -136,47 +133,139 @@ func (e *Engine) Ask(q *sparql.Query) (bool, error) {
 func (e *Engine) AskContext(ctx context.Context, q *sparql.Query) (bool, error) {
 	probe := *q
 	probe.Ask = false
-	probe.Select = nil // SELECT * so the stream path applies
+	probe.Select = nil // SELECT * so the stream sink applies
 	probe.Distinct = false
 	// Solution modifiers don't change whether the pattern has a solution,
 	// but they would change how much work the probe does: ORDER BY forces
-	// the stream path to materialize and sort, and LIMIT/OFFSET would cut
-	// the stream before its first row. Strip them so the probe really
-	// stops at the first solution.
+	// the query to collect and sort, and LIMIT/OFFSET would cut the stream
+	// before its first row. Strip them so the probe really stops at the
+	// first solution.
 	probe.OrderBy = nil
 	probe.Limit, probe.Offset = -1, -1
 	found := false
-	err := e.ExecuteStreamContext(ctx, &probe, func([]sparql.Var, Row) bool {
+	err := e.ExecuteStream(ctx, &probe, nil, func([]sparql.Var, Row) bool {
 		found = true
 		return false
-	})
+	}, nil, nil)
 	return found, err
 }
 
-// resultVars is the one place the result column order comes from: the
-// branch var union (before cheap-filter substitution), projected through
-// an explicit SELECT clause the way project() does — SELECT order wins,
-// names absent from the pattern are dropped.
-func resultVars(q *sparql.Query, branches []*algebra.Branch) []sparql.Var {
-	vars, varSet := branchVarUnion(branches)
-	if !q.SelectAll() {
-		projected := make([]sparql.Var, 0, len(q.Select))
-		for _, v := range q.Select {
-			if varSet[v] {
-				projected = append(projected, v)
+// ExecuteStream executes a query and hands each result row to fn. It is
+// the engine's one streaming entry point, and this is where its rule
+// lives: rows go from the multi-way join straight to fn when the query
+// has a single UNF branch, is SELECT * without DISTINCT or ORDER BY, and
+// needs no rule-3 minimum union (a UNION or a ?s ?p ?o pattern under an
+// OPTIONAL). OFFSET and LIMIT then apply inline, and the enumeration stops
+// at the limit. Within such a query, a branch whose plan needs best-match
+// (a cyclic plan with multi-jvar slaves, or an ablation option) or whose
+// OPTIONAL carries a FILTER collects its rows first and replays them.
+// Every other query is collected, merged, passed through the solution
+// modifiers, and replayed to fn.
+//
+// header, when non-nil, receives the result columns before any row;
+// returning false ends the call without executing and without error (the
+// streaming analogue of LIMIT 0). fn returning false stops the
+// enumeration. A done ctx stops the execution in any phase and returns
+// ctx.Err(). st, when non-nil, receives the execution's Stats: Results
+// and NullResults count the rows delivered to fn, and the Join stage of a
+// streamed branch includes fn's own time. sp, when non-nil, receives the
+// span tree exactly as ExecuteTraceContext records it.
+func (e *Engine) ExecuteStream(ctx context.Context, q *sparql.Query, header func(vars []sparql.Var) bool, fn func(vars []sparql.Var, row Row) bool, st *Stats, sp *trace.Span) error {
+	p, err := e.prepare(q)
+	if err != nil {
+		return err
+	}
+	if header != nil {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		if !header(p.resultVars()) {
+			return nil
+		}
+	}
+	var stats Stats
+	if p.streamable {
+		err = e.stream(ctx, p, fn, &stats, sp)
+	} else {
+		var res *Result
+		if res, err = e.collect(ctx, p, sp); err == nil {
+			stats = res.Stats
+			stats.Results = 0
+			for _, row := range res.Rows {
+				stats.Results++
+				if !fn(res.Vars, row) {
+					break
+				}
 			}
 		}
-		vars = projected
 	}
+	if st != nil {
+		stats.Total = time.Since(p.start)
+		*st = stats
+	}
+	return err
+}
+
+// prepared is a query normalized once for execution.
+type prepared struct {
+	q     *sparql.Query
+	start time.Time
+	// vars is the result variable universe: the sorted union of the
+	// pattern variables across all UNF branches, taken before cheap-filter
+	// substitution, so a FILTER-substituted or rewritten predicate
+	// variable keeps its column (its binding is re-injected per row).
+	vars  []sparql.Var
+	execs []execBranch
+	// streamable marks the shapes whose rows may go straight to the
+	// caller; ExecuteStream states the rule.
+	streamable bool
+}
+
+// prepare is the one normalization pass under every entry point:
+// FromQuery, the UNF rewrite, the safe-filter check, cheap-filter
+// substitution, and the full-scan expansion.
+func (e *Engine) prepare(q *sparql.Query) (*prepared, error) {
+	p := &prepared{q: q, start: time.Now()}
+	tree, err := algebra.FromQuery(q)
+	if err != nil {
+		return nil, err
+	}
+	branches, err := algebra.NormalizeUNF(tree)
+	if err != nil {
+		return nil, err
+	}
+	p.vars = branchVarUnion(branches)
+	for _, b := range branches {
+		if err := b.CheckSafeFilters(); err != nil {
+			return nil, err
+		}
+		b.SubstituteCheapFilters()
+	}
+	// Three-variable patterns expand into per-predicate branches here, so
+	// everything below sees only patterns the BitMat layout supports.
+	if p.execs, err = e.expandFullScans(branches); err != nil {
+		return nil, err
+	}
+	p.streamable = len(branches) == 1 && q.SelectAll() && !q.Distinct && len(q.OrderBy) == 0
+	for _, eb := range p.execs {
+		p.streamable = p.streamable && !eb.b.UsedRule3
+	}
+	return p, nil
+}
+
+// resultVars is the column order the caller sees: vars projected through
+// an explicit SELECT clause the way project() does.
+func (p *prepared) resultVars() []sparql.Var {
+	if p.q.SelectAll() {
+		return p.vars
+	}
+	_, vars := projection(p.q, p.vars)
 	return vars
 }
 
-// branchVarUnion computes the result variable universe of a normalized
-// query — the sorted union of the pattern variables across all UNF
-// branches, taken before cheap-filter substitution. executeQuery and
-// ResultVars both build their column order from this one function so the
-// streamed header can never disagree with the rows.
-func branchVarUnion(branches []*algebra.Branch) ([]sparql.Var, map[sparql.Var]bool) {
+// branchVarUnion is the sorted union of the pattern variables across all
+// UNF branches.
+func branchVarUnion(branches []*algebra.Branch) []sparql.Var {
 	varSet := map[sparql.Var]bool{}
 	for _, b := range branches {
 		for v := range algebra.TreeVars(b.Tree) {
@@ -188,7 +277,7 @@ func branchVarUnion(branches []*algebra.Branch) ([]sparql.Var, map[sparql.Var]bo
 		vars = append(vars, v)
 	}
 	sort.Slice(vars, func(i, j int) bool { return vars[i] < vars[j] })
-	return vars, varSet
+	return vars
 }
 
 // collectSynthVars gathers the synthetic witness variables carried by the
@@ -216,32 +305,87 @@ func collectSynthVars(execs []execBranch) []sparql.Var {
 	return out
 }
 
-func (e *Engine) executeQuery(ctx context.Context, q *sparql.Query, sp *trace.Span) (*Result, error) {
-	tree, err := algebra.FromQuery(q)
-	if err != nil {
-		return nil, err
+// stream runs a streamable query: its branches in order, each joining
+// into the stream sink, with the cheap-filter bindings, OFFSET and LIMIT
+// applied as rows reach the caller. A branch that had to collect hands
+// its rows back, and they are replayed through the same path.
+func (e *Engine) stream(ctx context.Context, p *prepared, fn func([]sparql.Var, Row) bool, st *Stats, sp *trace.Span) error {
+	if sp != nil {
+		sp.Set("branches", len(p.execs))
+		sp.Set("streamed", true)
 	}
-	branches, err := algebra.NormalizeUNF(tree)
-	if err != nil {
-		return nil, err
+	varPos := make(map[sparql.Var]int, len(p.vars))
+	for i, v := range p.vars {
+		varPos[v] = i
 	}
-	// The result variable universe spans all branches.
-	vars, _ := branchVarUnion(branches)
-
-	res := &Result{Vars: vars}
-	start := time.Now()
-	for _, b := range branches {
-		if err := b.CheckSafeFilters(); err != nil {
-			return nil, err
+	// Rows arrive in the order the collect route slices, so skipping the
+	// first Offset rows and cutting at Limit is equivalent — and a LIMIT
+	// 10 over a million-row scan stops after 10 rows.
+	skip := p.q.Offset
+	remaining := p.q.Limit // negative = unlimited
+	stopped := false
+	var substs []algebra.CheapSubst
+	deliver := func(row Row) bool {
+		if skip > 0 {
+			skip--
+			return true
 		}
-		b.SubstituteCheapFilters()
+		if remaining == 0 {
+			stopped = true
+			return false
+		}
+		applyCheapSubstsRow(substs, row, varPos)
+		st.Results++
+		if row.NullCount() > 0 {
+			st.NullResults++
+		}
+		if !fn(p.vars, row) {
+			stopped = true
+			return false
+		}
+		if remaining > 0 {
+			if remaining--; remaining == 0 {
+				stopped = true
+				return false
+			}
+		}
+		return true
 	}
-	// Three-variable patterns expand into per-predicate branches here, so
-	// everything below sees only patterns the BitMat layout supports.
-	execs, err := e.expandFullScans(branches)
-	if err != nil {
-		return nil, err
+	cache := newLoadCache(p.execs)
+	for i, eb := range p.execs {
+		substs = eb.b.Substs
+		var bsp *trace.Span
+		if sp != nil {
+			bsp = sp.Child("branch")
+			bsp.Set("branch", i)
+		}
+		br, err := e.executeBranch(ctx, eb, p.vars, e.workers(), cache, deliver, bsp)
+		bsp.End()
+		if err != nil {
+			return err
+		}
+		accumulate(st, &br.Stats)
+		for _, row := range br.Rows {
+			if !deliver(row) {
+				break
+			}
+		}
+		if stopped {
+			return nil
+		}
+		if err := ctx.Err(); err != nil {
+			return err
+		}
 	}
+	return nil
+}
+
+// collect runs every branch into the collect sink, merges the branches
+// (cross-branch minimum union included), and applies the solution
+// modifiers.
+func (e *Engine) collect(ctx context.Context, p *prepared, sp *trace.Span) (*Result, error) {
+	vars, execs := p.vars, p.execs
+	res := &Result{Vars: vars}
 	if sp != nil {
 		// vars is the public column set; synthetic witness columns (below)
 		// are an internal detail and never count here.
@@ -282,14 +426,11 @@ func (e *Engine) executeQuery(ctx context.Context, q *sparql.Query, sp *trace.Sp
 			bsp = sp.Child("branch")
 			bsp.Set("branch", i)
 		}
-		branchRes[i], branchErr[i] = e.executeBranchCtx(ctx, execs[i], allVars, budget, cache, bsp)
+		branchRes[i], branchErr[i] = e.executeBranch(ctx, execs[i], allVars, budget, cache, nil, bsp)
 		bsp.End()
 	}
 	if len(execs) > 1 && nW > 1 {
-		inner := nW / min(len(execs), nW)
-		if inner < 1 {
-			inner = 1
-		}
+		inner := max(nW/min(len(execs), nW), 1)
 		fns := make([]func(), len(execs))
 		for i := range execs {
 			fns[i] = func() { runBranch(i, inner) }
@@ -389,20 +530,20 @@ func (e *Engine) executeQuery(ctx context.Context, q *sparql.Query, sp *trace.Sp
 		}
 	}
 	res.Rows = allRows
-	res.Stats.Results = len(allRows)
-	res.Stats.NullResults = 0
 	for _, r := range allRows {
 		if r.NullCount() > 0 {
 			res.Stats.NullResults++
 		}
 	}
-	res.Stats.Total = time.Since(start)
-
-	res.applyModifiers(q)
+	res.applyModifiers(p.q)
 	res.Stats.Merge = time.Since(tMerge)
+	res.Stats.Total = time.Since(p.start)
 	if msp != nil {
 		msp.Set("rows", len(res.Rows))
 		msp.End()
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
 	}
 	return res, nil
 }
@@ -513,46 +654,89 @@ func accumulate(dst, src *Stats) {
 	dst.EmptyShortcut = dst.EmptyShortcut || src.EmptyShortcut
 }
 
-// executeBranchCtx runs one union-free branch (Algorithm 5.1). budget
-// bounds the workers the branch's own partitioned join may use — the pool
-// share the branch scheduler granted it (the full pool when branches run
-// sequentially). cache, when non-nil, shares BitMat materializations of
-// subpatterns that recur across the query's branches. sp, when non-nil,
-// is the branch's trace span: the planner's decisions and the init,
-// prune, and join phases record themselves under it.
-func (e *Engine) executeBranchCtx(ctx context.Context, eb execBranch, vars []sparql.Var, budget int, cache *loadCache, sp *trace.Span) (*Result, error) {
-	b := eb.b
-	res := &Result{Vars: vars}
-
-	// Lines 1-2: GoSN and GoJ.
+// planBranch is a branch's one plan step (Algorithm 5.1 lines 1-2 and
+// 5): GoSN, the Appendix-B transform of a non-well-designed pattern (which
+// then proceeds under null-intolerant joins), GoJ, the selectivity
+// estimates from index metadata, and the plan — Algorithm 3.1's jvar
+// orders and the best-match decision.
+func (e *Engine) planBranch(b *algebra.Branch) (*planner.Plan, []int64, error) {
 	gosn, err := algebra.BuildGoSN(b.Tree)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	// Non-well-designed patterns: transform the GoSN per Appendix B and
-	// proceed under null-intolerant joins.
 	if viols := algebra.CheckWellDesigned(b.Tree, gosn); len(viols) > 0 {
 		algebra.TransformNWD(gosn, viols)
 	}
 	goj, err := algebra.BuildGoJ(gosn.Patterns)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-
-	// Selectivity estimates from index metadata, then the plan
-	// (Algorithm 3.1) and the best-match decision (line 5).
 	counts := EstimateCounts(e.idx, gosn.Patterns)
-	res.Stats.InitialTriples = sum(counts)
 	plan := planner.BuildPlan(gosn, goj, counts)
 	if e.opts.NaiveJvarOrder && !plan.Greedy {
 		naiveOrders(plan)
 	}
+	return plan, counts, nil
+}
+
+// joinChunk is one joinRun's share of a branch's join output. The stream
+// sink has one chunk whose rows go to fn; the collect sink fills one
+// chunk per root partition, and the chunks concatenate — in partition
+// order — to exactly the sequential output.
+type joinChunk struct {
+	fn           func(Row) bool // stream sink; nil collects into rows
+	rows         []Row
+	changed      []bool
+	kept         int // rows that survived the row filters
+	fanNullified bool
+	filterIn     int // rows that reached the filter stage
+	fanNulls     int // rows whose scope a slave filter nullified
+}
+
+// executeBranch runs one union-free branch (Algorithm 5.1): plan, init
+// with active pruning, prune_triples, and the multi-way join into a sink
+// chosen after planning. With fn non-nil the join streams: one sequential
+// joinRun hands every row that passes the row filters to fn, and the
+// returned Rows stay nil. With fn nil — or when the plan needs
+// nullification/best-match, or a slave filter may nullify (FaN) — the
+// join collects: the partitioned join fills Rows, deduplicated and
+// best-matched when a binding was cleared, for the caller to merge or
+// replay.
+//
+// budget bounds the workers the branch's pruning and partitioned join may
+// use. cache, when non-nil, shares BitMat materializations of subpatterns
+// that recur across the query's branches. sp, when non-nil, is the
+// branch's trace span: the plan, init, prune, join and filter stages
+// record themselves under it.
+func (e *Engine) executeBranch(ctx context.Context, eb execBranch, vars []sparql.Var, budget int, cache *loadCache, fn func(Row) bool, sp *trace.Span) (*Result, error) {
+	res := &Result{Vars: vars}
+	var plsp *trace.Span
+	if sp != nil {
+		plsp = sp.Child("plan")
+	}
+	plan, counts, err := e.planBranch(eb.b)
+	plsp.End()
+	if err != nil {
+		return nil, err
+	}
+	gosn := plan.GoSN
+	res.Stats.InitialTriples = sum(counts)
 	if sp != nil {
 		sp.Set("patterns", len(gosn.Patterns))
 		sp.Set("initial_triples", res.Stats.InitialTriples)
 		sp.Set("cyclic", plan.Cyclic)
 		sp.Set("greedy", plan.Greedy)
 		sp.Set("best_match", plan.NeedsBestMatch)
+	}
+	// Without the full prune_triples pass (or with a non-standard jvar
+	// order) the per-pattern triple sets are not minimal, so nullification
+	// and best-match become mandatory (Lemma 3.1); they, and FaN, need the
+	// branch's rows together, so such a branch collects.
+	nulreqd := plan.NeedsBestMatch || e.opts.DisablePruning || e.opts.NaiveJvarOrder
+	placed := planner.PlaceFilters(eb.b, gosn)
+	slaveFilters, rowFilters := placed.Slave, placed.Row
+	if nulreqd || len(slaveFilters) > 0 {
+		fn = nil
 	}
 
 	// Lines 3-4: init with active pruning. A cancelled context aborts
@@ -587,23 +771,10 @@ func (e *Engine) executeBranchCtx(ctx context.Context, eb execBranch, vars []spa
 		}
 		// Simple optimization (Section 5): an empty absolute-master
 		// pattern means an empty result.
-		if gosn.IsAbsoluteMaster(st.sn) && st.count() == 0 && st.mat != nil {
+		if gosn.IsAbsoluteMaster(st.sn) && st.count() == 0 {
 			res.Stats.Init = time.Since(tInit)
-			res.Stats.EmptyShortcut = true
 			isp.End()
-			if sp != nil {
-				sp.Set("empty_shortcut", true)
-			}
-			return res, nil
-		}
-		if st.mat == nil && !st.present && gosn.IsAbsoluteMaster(st.sn) {
-			res.Stats.Init = time.Since(tInit)
-			res.Stats.EmptyShortcut = true
-			isp.End()
-			if sp != nil {
-				sp.Set("empty_shortcut", true)
-			}
-			return res, nil
+			return emptyShortcut(res, sp), nil
 		}
 	}
 	res.Stats.Init = time.Since(tInit)
@@ -633,46 +804,27 @@ func (e *Engine) executeBranchCtx(ctx context.Context, eb execBranch, vars []spa
 	}
 	// Re-check the empty-master shortcut after pruning.
 	for _, st := range tps {
-		if gosn.IsAbsoluteMaster(st.sn) && st.count() == 0 && st.mat != nil {
-			res.Stats.EmptyShortcut = true
-			if sp != nil {
-				sp.Set("empty_shortcut", true)
-			}
-			return res, nil
+		if gosn.IsAbsoluteMaster(st.sn) && st.count() == 0 {
+			return emptyShortcut(res, sp), nil
 		}
 	}
 
-	// Lines 8-13: sort patterns and run the pipelined join. Without the
-	// full prune_triples pass (or with a non-standard jvar order) the
-	// per-pattern triple sets are not minimal, so nullification and
-	// best-match become mandatory (Lemma 3.1).
+	// Lines 8-13: sort patterns and run the pipelined join.
 	tJoin := time.Now()
 	var jsp *trace.Span
 	if sp != nil {
 		jsp = sp.Child("join")
+		if fn != nil {
+			jsp.Set("streamed", true)
+		}
 	}
 	stps := sortTPs(plan, tps)
-	nulreqd := plan.NeedsBestMatch || e.opts.DisablePruning || e.opts.NaiveJvarOrder
-	placed := planner.PlaceFilters(b, gosn)
-	slaveFilters, rowFilters := placed.Slave, placed.Row
-
 	varIdx := make(map[sparql.Var]int, len(vars))
 	for i, v := range vars {
 		varIdx[v] = i
 	}
 	forcedSlots := resolveForced(eb, stps, varIdx)
 	witnessSlots := resolveWitnesses(eb, stps, varIdx)
-	// joinChunk is one worker's share of the join output. With a single
-	// worker there is exactly one chunk; with several, each worker fills
-	// its own and the chunks concatenate — in partition order — to exactly
-	// the sequential output.
-	type joinChunk struct {
-		rows         []Row
-		changed      []bool
-		fanNullified bool
-		filterIn     int // rows that reached the filter stage
-		fanNulls     int // rows whose scope a slave filter nullified
-	}
 	makeEmit := func(out *joinChunk) func(*joinRun) bool {
 		return func(r *joinRun) bool {
 			// Cancellation check, amortized over emitted rows.
@@ -763,53 +915,59 @@ func (e *Engine) executeBranchCtx(ctx context.Context, eb execBranch, vars []spa
 					return true // drop the row, keep enumerating
 				}
 			}
+			out.kept++
+			if out.fn != nil {
+				return out.fn(row)
+			}
 			out.rows = append(out.rows, row)
 			out.changed = append(out.changed, rowChanged)
 			return true
 		}
 	}
 
-	nWorkers := budget
-	if nWorkers < 1 {
-		nWorkers = 1
-	}
-	rootTP, parts := rootPartitions(plan, stps, nWorkers, e.opts.partitionFactor())
-	if jsp != nil {
-		// rootTP is -1 when the partitioner fell back to a sequential
-		// single-chunk join (small input, one worker, unsplittable root).
-		if rootTP >= 0 {
-			jsp.Set("root", stps[rootTP].idx)
-		}
-		jsp.Set("partitions", len(parts))
-	}
 	var chunks []joinChunk
-	if len(parts) > 1 {
+	if fn == nil {
 		// Partitioned multi-way join: each worker enumerates a contiguous
 		// slice of the root pattern's surviving triples with its own
 		// joinRun state over the shared (now read-only) tpStates.
-		chunks = make([]joinChunk, len(parts))
-		fns := make([]func(), len(parts))
-		for k, p := range parts {
-			fns[k] = func() {
-				run := newJoinRun(e, plan, stps, vars, nulreqd, makeEmit(&chunks[k]))
-				run.restrictRoot(rootTP, p[0], p[1])
-				run.run()
+		nWorkers := max(budget, 1)
+		rootTP, parts := rootPartitions(plan, stps, nWorkers, e.opts.partitionFactor())
+		if jsp != nil {
+			// rootTP is -1 when the partitioner fell back to a sequential
+			// single-chunk join (small input, one worker, unsplittable root).
+			if rootTP >= 0 {
+				jsp.Set("root", stps[rootTP].idx)
 			}
+			jsp.Set("partitions", len(parts))
 		}
-		runLimited(nWorkers, fns)
-	} else {
-		chunks = make([]joinChunk, 1)
-		run := newJoinRun(e, plan, stps, vars, nulreqd, makeEmit(&chunks[0]))
-		run.run()
+		if len(parts) > 1 {
+			chunks = make([]joinChunk, len(parts))
+			fns := make([]func(), len(parts))
+			for k, p := range parts {
+				fns[k] = func() {
+					run := newJoinRun(e, plan, stps, vars, nulreqd, makeEmit(&chunks[k]))
+					run.restrictRoot(rootTP, p[0], p[1])
+					run.run()
+				}
+			}
+			runLimited(nWorkers, fns)
+		}
+	}
+	if chunks == nil {
+		// One sequential joinRun: always for the stream sink, and for the
+		// collect sink when the partitioner declined to split.
+		chunks = []joinChunk{{fn: fn}}
+		newJoinRun(e, plan, stps, vars, nulreqd, makeEmit(&chunks[0])).run()
 	}
 	var rows []Row
 	var changed []bool
 	fanNullified := false
-	filterIn, fanNulls := 0, 0
+	kept, filterIn, fanNulls := 0, 0, 0
 	for i := range chunks {
 		rows = append(rows, chunks[i].rows...)
 		changed = append(changed, chunks[i].changed...)
 		fanNullified = fanNullified || chunks[i].fanNullified
+		kept += chunks[i].kept
 		filterIn += chunks[i].filterIn
 		fanNulls += chunks[i].fanNulls
 	}
@@ -817,10 +975,11 @@ func (e *Engine) executeBranchCtx(ctx context.Context, eb execBranch, vars []spa
 		// The filter stage runs inline with join emission; the span records
 		// its row accounting (rows entering the per-row post-pass vs rows
 		// surviving the row filters; FaN nullifications don't drop rows).
+		// A streamed join stopped early (LIMIT) has seen only a prefix.
 		fsp := sp.Child("filter")
 		fsp.Set("exprs", len(slaveFilters)+len(rowFilters))
 		fsp.Set("rows_in", filterIn)
-		fsp.Set("rows_out", len(rows))
+		fsp.Set("rows_out", kept)
 		if len(slaveFilters) > 0 {
 			fsp.Set("fan_nullified_rows", fanNulls)
 		}
@@ -828,211 +987,34 @@ func (e *Engine) executeBranchCtx(ctx context.Context, eb execBranch, vars []spa
 	}
 
 	if nulreqd || fanNullified {
-		rows, changed = dedupNullified(rows, changed)
+		rows, _ = dedupNullified(rows, changed)
 		rows = bestMatch(rows)
 		res.Stats.BestMatch = true
 	}
 	res.Rows = rows
+	// A streamed Join stage includes fn: serialization interleaves with
+	// enumeration, so downstream stage accounting treats serialize as the
+	// residual of the request's wall time.
 	res.Stats.Join = time.Since(tJoin)
 	if sp != nil {
-		jsp.Set("rows", len(rows))
+		n := len(rows)
+		if fn != nil {
+			n = kept // the rows the stream sink handed to fn
+		}
+		jsp.Set("rows", n)
 		jsp.End()
-		sp.Set("rows", len(rows))
+		sp.Set("rows", n)
 	}
 	return res, nil
 }
 
-// executeBranchStreamCtx runs one branch, streaming rows to fn when the
-// plan permits (no nullification/best-match pass needed). When best-match
-// is required it falls back to executeBranchCtx and returns the
-// materialized result (non-nil) for the caller to replay; a nil result
-// means rows were streamed. A cancelled context stops the enumeration; the
-// caller surfaces ctx.Err().
-//
-// st, when non-nil, receives the branch's per-stage timings (the server's
-// stage histograms read them without paying for a full trace); note the
-// Join stage of a streamed branch includes the caller's fn — row
-// serialization is interleaved with join enumeration. sp, when non-nil,
-// records the branch's span tree exactly as executeBranchCtx does.
-func (e *Engine) executeBranchStreamCtx(ctx context.Context, eb execBranch, vars []sparql.Var, cache *loadCache, fn func([]sparql.Var, Row) bool, st *Stats, sp *trace.Span) (*Result, error) {
-	b := eb.b
-	gosn, err := algebra.BuildGoSN(b.Tree)
-	if err != nil {
-		return nil, err
-	}
-	if viols := algebra.CheckWellDesigned(b.Tree, gosn); len(viols) > 0 {
-		algebra.TransformNWD(gosn, viols)
-	}
-	goj, err := algebra.BuildGoJ(gosn.Patterns)
-	if err != nil {
-		return nil, err
-	}
-	counts := EstimateCounts(e.idx, gosn.Patterns)
-	plan := planner.BuildPlan(gosn, goj, counts)
-	nulreqd := plan.NeedsBestMatch || e.opts.DisablePruning || e.opts.NaiveJvarOrder
-	placed := planner.PlaceFilters(b, gosn)
-	rowFilters := placed.Row
-	if nulreqd || len(placed.Slave) > 0 {
-		// A trailing best-match (or potential FaN nullification) makes the
-		// output non-streamable.
-		res, err := e.executeBranchCtx(ctx, eb, vars, e.workers(), cache, sp)
-		if err == nil && res != nil && st != nil {
-			accumulate(st, &res.Stats)
-		}
-		return res, err
-	}
-	if e.opts.NaiveJvarOrder && !plan.Greedy {
-		naiveOrders(plan)
-	}
-	if st != nil {
-		st.InitialTriples += sum(counts)
-	}
+// emptyShortcut marks a branch the empty-master optimization answered.
+func emptyShortcut(res *Result, sp *trace.Span) *Result {
+	res.Stats.EmptyShortcut = true
 	if sp != nil {
-		sp.Set("patterns", len(gosn.Patterns))
-		sp.Set("initial_triples", sum(counts))
-		sp.Set("cyclic", plan.Cyclic)
-		sp.Set("greedy", plan.Greedy)
-		sp.Set("best_match", plan.NeedsBestMatch)
+		sp.Set("empty_shortcut", true)
 	}
-	tInit := time.Now()
-	var isp *trace.Span
-	if sp != nil {
-		isp = sp.Child("init")
-	}
-	tps := make([]*tpState, len(gosn.Patterns))
-	for i, pat := range gosn.Patterns {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		var lsp *trace.Span
-		if isp != nil {
-			lsp = isp.Child("load")
-			lsp.Set("pattern", pat.String())
-		}
-		tst, err := e.load(pat, i, gosn.SNOfTP[i], plan, tps, cache, lsp)
-		if err != nil {
-			return nil, err
-		}
-		if !e.opts.DisableActivePruning {
-			e.activePrune(tst, tps, plan)
-		}
-		tps[i] = tst
-		if lsp != nil {
-			lsp.Set("triples", tst.count())
-			lsp.End()
-		}
-		if gosn.IsAbsoluteMaster(tst.sn) && tst.count() == 0 && (tst.mat != nil || !tst.present) {
-			if st != nil {
-				st.Init += time.Since(tInit)
-				st.EmptyShortcut = true
-			}
-			isp.End()
-			if sp != nil {
-				sp.Set("empty_shortcut", true)
-			}
-			return nil, nil // empty result, nothing to stream
-		}
-	}
-	if st != nil {
-		st.Init += time.Since(tInit)
-	}
-	isp.End()
-	tPrune := time.Now()
-	var psp *trace.Span
-	if sp != nil {
-		psp = sp.Child("prune")
-	}
-	if !e.opts.DisablePruning {
-		e.pruneTriples(ctx, plan, tps, e.workers(), psp)
-	}
-	if st != nil {
-		st.Prune += time.Since(tPrune)
-	}
-	psp.End()
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if st != nil {
-		for _, tst := range tps {
-			st.AfterPruning += tst.count()
-		}
-	}
-	for _, tst := range tps {
-		if gosn.IsAbsoluteMaster(tst.sn) && tst.count() == 0 && tst.mat != nil {
-			if st != nil {
-				st.EmptyShortcut = true
-			}
-			if sp != nil {
-				sp.Set("empty_shortcut", true)
-			}
-			return nil, nil
-		}
-	}
-	stps := sortTPs(plan, tps)
-	varIdx := make(map[sparql.Var]int, len(vars))
-	for i, v := range vars {
-		varIdx[v] = i
-	}
-	forcedSlots := resolveForced(eb, stps, varIdx)
-	tJoin := time.Now()
-	var jsp *trace.Span
-	if sp != nil {
-		jsp = sp.Child("join")
-		jsp.Set("streamed", true)
-	}
-	emitted := 0
-	filterIn := 0
-	run := newJoinRun(e, plan, stps, vars, false, func(r *joinRun) bool {
-		if r.emitted&1023 == 0 && ctx.Err() != nil {
-			return false
-		}
-		row := make(Row, len(vars))
-		for v := range r.bindings {
-			if r.state[v] == stBound {
-				if t, err := e.term(r.bindings[v]); err == nil {
-					row[v] = t
-				}
-			}
-		}
-		for _, fs := range forcedSlots {
-			if r.matched[fs.pos] == 1 {
-				row[fs.col] = fs.term
-			}
-		}
-		if len(rowFilters) > 0 {
-			filterIn++
-		}
-		for _, rf := range rowFilters {
-			if !filterHolds(rf.Expr, row, varIdx) {
-				return true
-			}
-		}
-		emitted++
-		return fn(vars, row)
-	})
-	run.run()
-	if sp != nil && len(rowFilters) > 0 {
-		// Inline row-filter accounting for the streamed join; early-stop
-		// (LIMIT) can end enumeration before all candidate rows are seen.
-		fsp := sp.Child("filter")
-		fsp.Set("exprs", len(rowFilters))
-		fsp.Set("rows_in", filterIn)
-		fsp.Set("rows_out", emitted)
-		fsp.End()
-	}
-	// The streamed Join stage includes fn: serialization interleaves with
-	// enumeration, so downstream stage accounting treats serialize as the
-	// residual of the request's wall time (documented in the server).
-	if st != nil {
-		st.Join += time.Since(tJoin)
-		st.Results += emitted
-	}
-	if sp != nil {
-		jsp.Set("rows", emitted)
-		jsp.End()
-		sp.Set("rows", emitted)
-	}
-	return nil, nil
+	return res
 }
 
 // applyCheapSubsts re-injects the bindings of whole-scope equality
@@ -1145,20 +1127,27 @@ func sum(xs []int64) int64 {
 	return s
 }
 
-// project reduces the rows to the SELECTed variables, in SELECT order.
-func (res *Result) project(q *sparql.Query) {
-	idx := make([]int, 0, len(q.Select))
-	varPos := map[sparql.Var]int{}
-	for i, v := range res.Vars {
-		varPos[v] = i
+// projection maps q's SELECT clause onto vars: the kept column positions
+// and their names, in SELECT order; names absent from vars are dropped.
+func projection(q *sparql.Query, vars []sparql.Var) ([]int, []sparql.Var) {
+	pos := make(map[sparql.Var]int, len(vars))
+	for i, v := range vars {
+		pos[v] = i
 	}
-	newVars := make([]sparql.Var, 0, len(q.Select))
+	idx := make([]int, 0, len(q.Select))
+	out := make([]sparql.Var, 0, len(q.Select))
 	for _, v := range q.Select {
-		if p, ok := varPos[v]; ok {
+		if p, ok := pos[v]; ok {
 			idx = append(idx, p)
-			newVars = append(newVars, v)
+			out = append(out, v)
 		}
 	}
+	return idx, out
+}
+
+// project reduces the rows to the SELECTed variables, in SELECT order.
+func (res *Result) project(q *sparql.Query) {
+	idx, vars := projection(q, res.Vars)
 	for i, r := range res.Rows {
 		nr := make(Row, len(idx))
 		for k, p := range idx {
@@ -1166,7 +1155,7 @@ func (res *Result) project(q *sparql.Query) {
 		}
 		res.Rows[i] = nr
 	}
-	res.Vars = newVars
+	res.Vars = vars
 }
 
 // distinct removes duplicate rows, preserving first occurrences.
@@ -1181,174 +1170,6 @@ func (res *Result) distinct() {
 		}
 	}
 	res.Rows = out
-	res.Stats.Results = len(out)
-}
-
-// ExecuteStream executes a query and hands each result row to fn as the
-// multi-way join produces it, avoiding result materialization for the
-// common streaming-friendly case (single union-free branch, no best-match,
-// SELECT *). Queries outside that case are materialized internally and
-// replayed to fn. fn returning false stops the enumeration.
-func (e *Engine) ExecuteStream(q *sparql.Query, fn func(vars []sparql.Var, row Row) bool) error {
-	return e.ExecuteStreamContext(context.Background(), q, fn)
-}
-
-// ExecuteStreamContext is ExecuteStream with cancellation: a done context
-// stops the enumeration between rows (and between the per-predicate
-// branches of an expanded three-variable pattern) and returns ctx.Err().
-func (e *Engine) ExecuteStreamContext(ctx context.Context, q *sparql.Query, fn func(vars []sparql.Var, row Row) bool) error {
-	return e.executeStream(ctx, q, nil, fn, nil, nil)
-}
-
-// ExecuteStreamHeaderContext is ExecuteStreamContext with a header
-// callback: before any row, header receives the result columns (the same
-// slice ResultVars would compute, but derived from this execution's own
-// normalization pass, so the hot path plans the query once, not twice).
-// header returning false ends the call without executing, and without
-// error — the streaming analogue of LIMIT 0.
-func (e *Engine) ExecuteStreamHeaderContext(ctx context.Context, q *sparql.Query, header func(vars []sparql.Var) bool, fn func(vars []sparql.Var, row Row) bool) error {
-	return e.executeStream(ctx, q, header, fn, nil, nil)
-}
-
-// ExecuteStreamObserved is ExecuteStreamHeaderContext with observation:
-// st, when non-nil, accumulates the execution's per-stage timings (for a
-// streamed branch the Join stage includes fn — serialization interleaves
-// with enumeration); sp, when non-nil, records the full span tree. Both
-// nil is exactly ExecuteStreamHeaderContext.
-func (e *Engine) ExecuteStreamObserved(ctx context.Context, q *sparql.Query, header func(vars []sparql.Var) bool, fn func(vars []sparql.Var, row Row) bool, st *Stats, sp *trace.Span) error {
-	return e.executeStream(ctx, q, header, fn, st, sp)
-}
-
-func (e *Engine) executeStream(ctx context.Context, q *sparql.Query, header func(vars []sparql.Var) bool, fn func(vars []sparql.Var, row Row) bool, st *Stats, sp *trace.Span) error {
-	if st != nil {
-		defer func(t0 time.Time) { st.Total = time.Since(t0) }(time.Now())
-	}
-	tree, err := algebra.FromQuery(q)
-	if err != nil {
-		return err
-	}
-	branches, err := algebra.NormalizeUNF(tree)
-	if err != nil {
-		return err
-	}
-	if header != nil {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		if !header(resultVars(q, branches)) {
-			return nil
-		}
-	}
-	// ORDER BY cannot stream (sorting needs the full result); LIMIT and
-	// OFFSET can — they are applied inline below, stopping the
-	// enumeration as soon as the limit is reached.
-	if len(branches) == 1 && q.SelectAll() && !q.Distinct && len(q.OrderBy) == 0 {
-		b := branches[0]
-		if err := b.CheckSafeFilters(); err != nil {
-			return err
-		}
-		// Variables come from the tree before cheap-filter substitution
-		// (and before full-scan expansion), exactly as executeQuery
-		// computes them: a FILTER-substituted or rewritten predicate
-		// variable keeps its result column, re-injected per row.
-		vars := algebra.SortedVars(b.Tree)
-		b.SubstituteCheapFilters()
-		execs, err := e.expandFullScans([]*algebra.Branch{b})
-		if err != nil {
-			return err
-		}
-		// A rewrite whose union needs cross-branch best-match (rule 3
-		// analogue) cannot stream; everything else streams branch by
-		// branch, which for a plain full scan is one pass per predicate.
-		streamable := true
-		for _, eb := range execs {
-			if eb.b.UsedRule3 {
-				streamable = false
-			}
-		}
-		if streamable {
-			if sp != nil {
-				sp.Set("branches", len(execs))
-				sp.Set("streamed", true)
-			}
-			cache := newLoadCache(execs)
-			varPos := make(map[sparql.Var]int, len(vars))
-			for i, v := range vars {
-				varPos[v] = i
-			}
-			// Inline OFFSET/LIMIT: rows arrive in the same deterministic
-			// order the materialized path slices, so skipping the first
-			// Offset rows and cutting at Limit is equivalent — and a
-			// LIMIT 10 over a million-row scan stops after 10 rows.
-			skip := q.Offset
-			remaining := q.Limit // negative = unlimited
-			stopped := false
-			wrapped := func(vs []sparql.Var, row Row) bool {
-				if skip > 0 {
-					skip--
-					return true
-				}
-				if remaining == 0 {
-					stopped = true
-					return false
-				}
-				applyCheapSubstsRow(b.Substs, row, varPos)
-				if !fn(vs, row) {
-					stopped = true
-					return false
-				}
-				if remaining > 0 {
-					if remaining--; remaining == 0 {
-						stopped = true
-						return false
-					}
-				}
-				return true
-			}
-			for i, eb := range execs {
-				var bsp *trace.Span
-				if sp != nil {
-					bsp = sp.Child("branch")
-					bsp.Set("branch", i)
-				}
-				res, err := e.executeBranchStreamCtx(ctx, eb, vars, cache, wrapped, st, bsp)
-				bsp.End()
-				if err != nil {
-					return err
-				}
-				if res != nil {
-					// The branch could not stream (best-match was
-					// required); replay its materialized rows.
-					for _, row := range res.Rows {
-						if !wrapped(res.Vars, row) {
-							break
-						}
-					}
-				}
-				if stopped {
-					return nil
-				}
-				if err := ctx.Err(); err != nil {
-					return err
-				}
-			}
-			return nil
-		}
-	}
-	res, err := e.ExecuteTraceContext(ctx, q, sp)
-	if err != nil {
-		return err
-	}
-	if st != nil {
-		// The deferred wall-clock assignment overwrites Total afterwards.
-		*st = res.Stats
-	}
-	for _, row := range res.Rows {
-		if !fn(res.Vars, row) {
-			return nil
-		}
-	}
-	return nil
 }
 
 // ExecuteString parses and executes a query in one step.
@@ -1360,29 +1181,21 @@ func (e *Engine) ExecuteString(src string) (*Result, error) {
 	return e.Execute(q)
 }
 
-// Describe returns a human-readable plan summary, used by the CLI.
+// Describe returns a human-readable plan summary, used by the CLI: one
+// entry per branch that executes, planned by the same step.
 func (e *Engine) Describe(q *sparql.Query) (string, error) {
-	tree, err := algebra.FromQuery(q)
-	if err != nil {
-		return "", err
-	}
-	branches, err := algebra.NormalizeUNF(tree)
+	p, err := e.prepare(q)
 	if err != nil {
 		return "", err
 	}
 	out := ""
-	for i, b := range branches {
-		gosn, err := algebra.BuildGoSN(b.Tree)
+	for i, eb := range p.execs {
+		plan, _, err := e.planBranch(eb.b)
 		if err != nil {
 			return "", err
 		}
-		goj, err := algebra.BuildGoJ(gosn.Patterns)
-		if err != nil {
-			return "", err
-		}
-		plan := planner.BuildPlan(gosn, goj, EstimateCounts(e.idx, gosn.Patterns))
 		out += fmt.Sprintf("branch %d: %s\n  GoSN: %s\n  cyclic=%v greedy=%v best-match=%v\n",
-			i, b.Tree.Serialize(), gosn, plan.Cyclic, plan.Greedy, plan.NeedsBestMatch)
+			i, eb.b.Tree.Serialize(), plan.GoSN, plan.Cyclic, plan.Greedy, plan.NeedsBestMatch)
 	}
 	return out, nil
 }

@@ -248,7 +248,7 @@ func TestCheapFilterSubstitutionBindsColumn(t *testing.T) {
 		t.Fatal(err)
 	}
 	n := 0
-	if err := e.ExecuteStream(q, func(vars []sparql.Var, row Row) bool {
+	if err := e.ExecuteStream(t.Context(), q, nil, func(vars []sparql.Var, row Row) bool {
 		n++
 		for i, v := range vars {
 			if v == "p" && (row[i].IsZero() || row[i].Value != "a") {
@@ -256,7 +256,7 @@ func TestCheapFilterSubstitutionBindsColumn(t *testing.T) {
 			}
 		}
 		return true
-	}); err != nil {
+	}, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	if n != 2 {
@@ -305,7 +305,7 @@ func TestFullScanStreamAndAsk(t *testing.T) {
 		t.Fatal(err)
 	}
 	n := 0
-	if err := e.ExecuteStream(q, func(vars []sparql.Var, row Row) bool {
+	if err := e.ExecuteStream(t.Context(), q, nil, func(vars []sparql.Var, row Row) bool {
 		for _, term := range row {
 			if term.IsZero() {
 				t.Fatalf("NULL column in streamed row %v", row)
@@ -313,7 +313,7 @@ func TestFullScanStreamAndAsk(t *testing.T) {
 		}
 		n++
 		return true
-	}); err != nil {
+	}, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	if n != g.Len() {

@@ -90,7 +90,8 @@ func isUnsupportedQuery(err error) bool {
 // evaluator: every mutated input that parses, stays well-designed, and is
 // within the engine's documented coverage must produce the same result
 // multiset at Workers 1, 2, and 8 — with the sequential and parallel runs
-// additionally byte-identical in row order. Run a short smoke with
+// additionally byte-identical in row order, and the streaming entry point
+// delivering each worker count's rows in the same order. Run a short smoke with
 //
 //	go test ./internal/engine -run='^$' -fuzz=FuzzQueryDifferential -fuzztime=10s
 //
@@ -171,6 +172,7 @@ func FuzzQueryDifferential(f *testing.F) {
 					w, src, renderRows(res, vars), ref.SortedKeys(maps, vars))
 			}
 			exact := exactRows(res)
+			checkStreamed(t, e, q, exact, fmt.Sprintf("workers=%d on %q", w, src))
 			if seq == nil {
 				seq = exact
 			} else if strings.Join(exact, "\n") != strings.Join(seq, "\n") {

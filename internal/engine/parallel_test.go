@@ -131,20 +131,24 @@ var determinismQueries = []string{
 func exactRows(res *Result) []string {
 	out := make([]string, len(res.Rows))
 	for i, r := range res.Rows {
-		s := ""
-		for k, term := range r {
-			if k > 0 {
-				s += "|"
-			}
-			if term.IsZero() {
-				s += "NULL"
-			} else {
-				s += term.String()
-			}
-		}
-		out[i] = s
+		out[i] = exactRow(r)
 	}
 	return out
+}
+
+func exactRow(r Row) string {
+	s := ""
+	for k, term := range r {
+		if k > 0 {
+			s += "|"
+		}
+		if term.IsZero() {
+			s += "NULL"
+		} else {
+			s += term.String()
+		}
+	}
+	return s
 }
 
 func TestParallelMatchesSequentialByteForByte(t *testing.T) {

@@ -133,8 +133,8 @@ func assertNoWitnessLeak(t *testing.T, res *Result) {
 	}
 }
 
-// TestWitnesslessUnionStreaming pins the streaming path: witnessless
-// shapes use rule 3, so they cannot stream, but the materialized fallback
+// TestWitnesslessUnionStreaming pins the streaming entry point: witnessless
+// shapes use rule 3, so they are collected and replayed, and the replay
 // must still hand fn only public columns — header and rows alike.
 func TestWitnesslessUnionStreaming(t *testing.T) {
 	g := witnesslessGraph()
@@ -144,7 +144,7 @@ func TestWitnesslessUnionStreaming(t *testing.T) {
 			t.Fatal(err)
 		}
 		e := engineOver(t, g, Options{})
-		err = e.ExecuteStreamHeaderContext(t.Context(), q, func(vars []sparql.Var) bool {
+		err = e.ExecuteStream(t.Context(), q, func(vars []sparql.Var) bool {
 			for _, v := range vars {
 				if algebra.IsSynthWitnessVar(v) {
 					t.Fatalf("%s: streamed header leaked witness var %q", tc.name, string(v))
@@ -161,7 +161,7 @@ func TestWitnesslessUnionStreaming(t *testing.T) {
 				}
 			}
 			return true
-		})
+		}, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -109,12 +109,11 @@ func OpenIndexWithOptions(r io.Reader, opts Options) (*Store, error) {
 	return st, nil
 }
 
-// QueryStream executes a query and calls fn for every result row as it is
-// produced by the multi-way pipelined join, without materializing the
-// result set. fn returning false stops the enumeration early. Queries that
-// require best-match (cyclic with multi-jvar slaves) cannot stream — their
-// output needs a final subsumption pass — and fall back to materializing
-// internally before replaying rows to fn.
+// QueryStream executes a query and calls fn with every result row as a
+// map from variable name to bound term. fn returning false stops the
+// enumeration early. Which queries stream straight from the multi-way join
+// and which are collected and replayed is engine.Engine.ExecuteStream's
+// rule.
 func (s *Store) QueryStream(src string, fn func(map[string]Term) bool) error {
 	return s.QueryStreamContext(context.Background(), src, fn)
 }
@@ -141,7 +140,7 @@ func (s *Store) QueryStreamContext(ctx context.Context, src string, fn func(map[
 	if err != nil {
 		return err
 	}
-	return eng.ExecuteStreamContext(ctx, q, emit)
+	return eng.ExecuteStream(ctx, q, nil, emit, nil, nil)
 }
 
 // QueryStreamRows executes a query and streams positional rows to fn: each
@@ -157,9 +156,8 @@ func (s *Store) QueryStreamContext(ctx context.Context, src string, fn func(map[
 // early without error. A done ctx aborts the query in any phase and
 // returns ctx.Err().
 //
-// Like QueryStream, queries whose output needs a final subsumption pass
-// (best-match) or cross-branch de-duplication are materialized internally
-// and replayed to fn; everything else streams with constant memory.
+// Which queries stream with constant memory and which are collected and
+// replayed is engine.Engine.ExecuteStream's rule.
 //
 // When the slow-query log is enabled (Options.SlowQueryThreshold and
 // SlowQueryLog), the query runs traced and a slow one is logged, exactly
@@ -169,9 +167,10 @@ func (s *Store) QueryStreamRows(ctx context.Context, src string, fn func(vars []
 }
 
 // QueryStreamRowsObserved is QueryStreamRows with observation: st, when
-// non-nil, accumulates the query's per-stage timings (for a streamed
-// execution the Join stage includes fn — serialization interleaves with
-// row enumeration — and Total is the end-to-end wall clock), and sp, when
+// non-nil, receives the query's Stats (Results counts the rows delivered
+// to fn; for a streamed execution the Join stage includes fn —
+// serialization interleaves with row enumeration — and Total is the
+// end-to-end wall clock), and sp, when
 // non-nil, receives the execution's span tree under it. Either may be nil
 // independently; the server's /metrics stage histograms and ?explain=1
 // both sit on this. When sp is nil and the store's slow-query log is
@@ -258,5 +257,5 @@ func (s *Store) queryStreamRows(ctx context.Context, src string, st *Stats, sp *
 	if err != nil {
 		return err
 	}
-	return eng.ExecuteStreamObserved(ctx, q, header, emit, st, sp)
+	return eng.ExecuteStream(ctx, q, header, emit, st, sp)
 }

@@ -102,9 +102,9 @@ func TestQueryStreamEarlyStop(t *testing.T) {
 }
 
 func TestQueryStreamBestMatchFallback(t *testing.T) {
-	// A cyclic query with a multi-jvar slave needs best-match, so the
-	// stream falls back to materialize-then-replay; results must match the
-	// materialized Query path.
+	// A cyclic query with a multi-jvar slave needs best-match, so its
+	// branch collects and the stream replays the rows; results must match
+	// the materialized Query path.
 	s := NewStore()
 	s.Add(TripleIRI("a1", "p", "b1"))
 	s.Add(TripleIRI("b1", "q", "c1"))

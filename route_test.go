@@ -55,6 +55,19 @@ var routeProbes = []struct {
 	{id: "union", q: `SELECT * WHERE { { ?s <email> ?e } UNION { ?s <phone> ?e } }`},
 }
 
+// countStats is Stats without its durations: the fields every route of
+// one query must report identically.
+func countStats(st Stats) Stats {
+	return Stats{
+		InitialTriples: st.InitialTriples,
+		AfterPruning:   st.AfterPruning,
+		Results:        st.Results,
+		NullResults:    st.NullResults,
+		BestMatch:      st.BestMatch,
+		EmptyShortcut:  st.EmptyShortcut,
+	}
+}
+
 func newRouteTestStore(t *testing.T, workers int) *Store {
 	t.Helper()
 	s := NewStoreWithOptions(Options{Workers: workers})
@@ -69,7 +82,8 @@ func newRouteTestStore(t *testing.T, workers int) *Store {
 // a query and requires them to agree, at workers {1, 2, 4}:
 //
 //   - QueryStreamRows announces the header exactly once and then replays
-//     Query's rows cell for cell, in Query's order;
+//     Query's rows cell for cell, in Query's order, with Query's Stats
+//     (sliced probes: Results counts the delivered rows on both routes);
 //   - QueryStream yields Query's rows as a multiset of maps;
 //   - the reference evaluator and, wherever it accepts the query, the
 //     relational baseline return Query's row multiset;
@@ -94,7 +108,7 @@ func TestRouteAgreement(t *testing.T) {
 					t.Errorf("probe %s: rows differ from workers=1\n got %s\nwant %s", p.id, res.String(), want)
 				}
 
-				checkStreamRowsRoute(t, s, p.id, p.q, res)
+				checkStreamRowsRoute(t, s, p.id, p.q, p.sliced, res)
 
 				var streamed []string
 				if err := s.QueryStream(p.q, func(m map[string]Term) bool {
@@ -137,13 +151,17 @@ func TestRouteAgreement(t *testing.T) {
 	}
 }
 
-// checkStreamRowsRoute asserts QueryStreamRows replays res exactly: one
-// header call carrying res.Vars, then res's rows cell for cell, in order.
-func checkStreamRowsRoute(t *testing.T, s *Store, id, q string, res *Result) {
+// checkStreamRowsRoute asserts QueryStreamRowsObserved replays res
+// exactly: one header call carrying res.Vars, then res's rows cell for
+// cell, in order. Its Stats must equal res.Stats in every non-duration
+// field; for a sliced probe both routes' Results must be the number of
+// rows delivered.
+func checkStreamRowsRoute(t *testing.T, s *Store, id, q string, sliced bool, res *Result) {
 	t.Helper()
 	headers := 0
 	var rows [][]Term
-	err := s.QueryStreamRows(context.Background(), q, func(vars []string, row []Term) bool {
+	var st Stats
+	err := s.QueryStreamRowsObserved(context.Background(), q, &st, nil, func(vars []string, row []Term) bool {
 		if row == nil {
 			headers++
 			if fmt.Sprint(vars) != fmt.Sprint(res.Vars) {
@@ -162,6 +180,14 @@ func checkStreamRowsRoute(t *testing.T, s *Store, id, q string, res *Result) {
 	}
 	if len(rows) != res.Len() {
 		t.Fatalf("probe %s: streamed %d rows, Query returned %d", id, len(rows), res.Len())
+	}
+	if sliced {
+		if st.Results != len(rows) || res.Stats.Results != res.Len() {
+			t.Errorf("probe %s: Results streamed %d / Query %d, want the %d delivered rows",
+				id, st.Results, res.Stats.Results, len(rows))
+		}
+	} else if got, want := countStats(st), countStats(res.Stats); got != want {
+		t.Errorf("probe %s: streamed Stats %+v, Query Stats %+v", id, got, want)
 	}
 	for i, row := range rows {
 		want := res.Row(i)

@@ -115,9 +115,9 @@ func TestQueryStreamRowsProjectionOrder(t *testing.T) {
 
 // TestQueryStreamRowsMatchesQuery pins that streaming and materialized
 // execution agree row for row — including the solution modifiers and
-// cheap FILTER substitution the streaming fast path must either apply
-// inline (LIMIT/OFFSET, FILTER) or fall back to materializing for
-// (ORDER BY), and never silently drop.
+// cheap FILTER substitution the stream route must either apply inline
+// (LIMIT/OFFSET, FILTER) or leave to the collect route (ORDER BY), and
+// never silently drop.
 func TestQueryStreamRowsMatchesQuery(t *testing.T) {
 	s := movieStore(t)
 	queries := []string{

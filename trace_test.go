@@ -84,6 +84,15 @@ func TestQueryTraceSpanAccounting(t *testing.T) {
 				t.Errorf("trace lacks a %q span", name)
 			}
 		}
+		plans := 0
+		for _, c := range branches[0].Children() {
+			if c.Name() == "plan" {
+				plans++
+			}
+		}
+		if plans != 1 {
+			t.Errorf("branch span has %d plan children, want 1", plans)
+		}
 		if ld := root.Find("load"); ld != nil {
 			if _, ok := ld.Attr("cache"); !ok {
 				t.Error("load span lacks the cache-outcome attr")
@@ -184,6 +193,57 @@ func TestSlowQueryLogRecords(t *testing.T) {
 		}
 		if rec.DurationMS < 0 || rec.Time == "" {
 			t.Errorf("line %d: duration/time missing: %s", i, line)
+		}
+	}
+}
+
+// TestSlowQueryLogStreamedRows checks that a slow-log line written by the
+// streaming route counts the rows delivered to the caller: a branch whose
+// OPTIONAL filter makes it collect for best-match before replaying, and an
+// OFFSET that skips rows before the LIMIT cuts the stream.
+func TestSlowQueryLogStreamedRows(t *testing.T) {
+	var buf bytes.Buffer
+	s := NewStoreWithOptions(Options{
+		Workers:            1,
+		SlowQueryThreshold: time.Nanosecond,
+		SlowQueryLog:       &buf,
+	})
+	s.AddAll([]Triple{
+		TripleIRI("a", "p", "b"), TripleIRI("b", "q", "c"),
+		TripleIRI("d", "p", "e"), TripleIRI("e", "q", "f"),
+		TripleIRI("g", "p", "h"),
+	})
+	if err := s.Build(); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		q    string
+		rows int
+	}{
+		{`SELECT * WHERE { ?x <p> ?y OPTIONAL { ?y <q> ?z FILTER(?z != <c>) } }`, 3},
+		{`SELECT * WHERE { ?x <p> ?y } OFFSET 1 LIMIT 1`, 1},
+	} {
+		buf.Reset()
+		delivered := 0
+		if err := s.QueryStreamRows(context.Background(), c.q, func(vars []string, row []Term) bool {
+			if row != nil {
+				delivered++
+			}
+			return true
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if delivered != c.rows {
+			t.Fatalf("%s: delivered %d rows, want %d", c.q, delivered, c.rows)
+		}
+		var rec struct {
+			Rows int `json:"rows"`
+		}
+		if err := json.Unmarshal(bytes.TrimSpace(buf.Bytes()), &rec); err != nil {
+			t.Fatalf("%s: %v\n%s", c.q, err, buf.String())
+		}
+		if rec.Rows != c.rows {
+			t.Errorf("%s: slow log rows = %d, want the %d delivered", c.q, rec.Rows, c.rows)
 		}
 	}
 }
