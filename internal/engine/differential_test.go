@@ -440,6 +440,11 @@ func TestDifferentialUnionWorkerSweep(t *testing.T) {
 //     match partially; the planner now forces nullification for it.
 //  4. A nested OPTIONAL sharing no variable with its failed master level
 //     must fail with it instead of enumerating freely.
+//  5. Rule 3 splits OPTIONAL { A . (B UNION C) } into peers A·B and A·C; a
+//     peer fails with every peer of its split, even one it shares only
+//     master variables with, and an arm with no match (an absent
+//     predicate) is a boolean guard on its class. Class 5 runs on the
+//     fuzzer's graph for every seed in [-50, 200).
 func TestDifferentialFuzzRegressions(t *testing.T) {
 	queries := []string{
 		// (1) poorer alternative shares the object var with the richer one.
@@ -483,6 +488,38 @@ func TestDifferentialFuzzRegressions(t *testing.T) {
 						qi, trial, w, src, renderRows(res, vars), ref.SortedKeys(maps, vars))
 				}
 				checkStreamed(t, e, q, exactRows(res), fmt.Sprintf("q%d trial %d workers=%d", qi, trial, w))
+			}
+		}
+	}
+	peerSplits := []string{
+		`SELECT*WHERE{$m<p0>$x OPTIONAL{{$m<p1>$0}{$0<>$0}UNION{$x<00>$1}}}`,
+		`SELECT*WHERE{$m<p0>$x OPTIONAL{{$m<p1>$0}{$0<>$0}UNION{$1<00>$1}}}`,
+		`SELECT * WHERE { ?m <p0> ?x OPTIONAL { { ?m <p1> ?z } { ?z <p2> ?v } UNION { ?x <p3> ?w } } }`,
+	}
+	for seed := int64(-50); seed < 200; seed++ {
+		g := randGraph(rand.New(rand.NewSource(seed)), 36)
+		idx, err := bitmat.Build(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for qi, src := range peerSplits {
+			q, err := sparql.Parse(src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			maps, vars, err := ref.New(g).Execute(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, w := range []int{1, 2, 8} {
+				res, err := New(idx, Options{Workers: w}).Execute(q)
+				if err != nil {
+					t.Fatalf("class 5 q%d seed %d workers=%d: %v", qi, seed, w, err)
+				}
+				if !sameRows(res, maps, vars) {
+					t.Fatalf("class 5 q%d seed %d workers=%d mismatch\nquery: %s\nengine: %v\nref:    %v",
+						qi, seed, w, src, renderRows(res, vars), ref.SortedKeys(maps, vars))
+				}
 			}
 		}
 	}

@@ -405,11 +405,15 @@ func (r *joinRun) nullification() map[int]bool {
 }
 
 // cascadeFailures extends the failed set to supernodes that consumed
-// bindings owned by failed supernodes, and down the GoSN hierarchy: a
-// slave of a failed supernode fails with it even when the two share no
-// variable (a nested OPTIONAL is only in scope within its master's
-// solutions).
+// bindings owned by failed supernodes, across peer classes, and down the
+// GoSN hierarchy. A peer of a failed slave fails with it: peers are one
+// inner join, so OPTIONAL { {A} {C} } has no solution once C has none,
+// even where A matched and shares no variable with C (a rule-3 split
+// produces exactly such peers). A slave of a failed supernode fails with
+// it even when the two share no variable (a nested OPTIONAL is only in
+// scope within its master's solutions).
 func (r *joinRun) cascadeFailures(failed map[int]bool) {
+	gosn := r.plan.GoSN
 	changed := true
 	for changed {
 		changed = false
@@ -418,7 +422,7 @@ func (r *joinRun) cascadeFailures(failed map[int]bool) {
 			if failed[sn] || r.isAbs[i] {
 				continue
 			}
-			for _, m := range r.plan.GoSN.MastersOf(sn) {
+			for _, m := range append(gosn.MastersOf(sn), gosn.Peers(sn)...) {
 				if failed[m] {
 					failed[sn] = true
 					changed = true

@@ -87,17 +87,21 @@ func JvarSelectivity(goj *algebra.GoJ, counts []int64, jvar int) int64 {
 // variable.
 //
 // One addition beyond Figure 3.1, found by the differential fuzzer: a
-// slave supernode whose patterns do not form one variable-connected
-// component can match PARTIALLY — a pattern matches while a disconnected
-// sibling fails (e.g. OPTIONAL { ?a <p> ?b . ?m <q> ?m } with ?m bound by
-// the master: the ?a/?b scan proceeds even when ?m's probe fails, because
+// slave peer class (a slave supernode together with the peers it is inner
+// joined to) whose patterns do not form one variable-connected component
+// can match PARTIALLY — a pattern matches while a disconnected sibling
+// fails (e.g. OPTIONAL { ?a <p> ?b . ?m <q> ?m } with ?m bound by the
+// master: the ?a/?b scan proceeds even when ?m's probe fails, because
 // prune_triples minimality only reaches patterns connected through join
-// variables). The pipelined join can only repair such rows through
-// nullification, so these queries take the best-match path regardless of
-// cyclicity.
+// variables). A variable-free pattern connects to nothing, so it is such
+// a sibling too: a boolean guard on its class. Rule 3 splits peers apart
+// the same way: OPTIONAL { {?m <p> ?z} {?x <q> ?w} } with ?m and ?x bound
+// by the master has two peers linked only through master variables. The
+// pipelined join can only repair such rows through nullification, so
+// these queries take the best-match path regardless of cyclicity.
 func decideBestMatch(gosn *algebra.GoSN, goj *algebra.GoJ) bool {
 	for _, sn := range gosn.SlaveSupernodes() {
-		if !supernodeConnected(gosn, sn) {
+		if !peerClassConnected(gosn, sn) {
 			return true
 		}
 	}
@@ -118,12 +122,15 @@ func decideBestMatch(gosn *algebra.GoSN, goj *algebra.GoJ) bool {
 	return false
 }
 
-// supernodeConnected reports whether the supernode's patterns form a
-// single component under the shares-a-variable relation (any variable two
-// patterns share is by definition a join variable, so this is exactly
-// jvar connectivity restricted to the supernode).
-func supernodeConnected(gosn *algebra.GoSN, sn int) bool {
-	tps := gosn.Supernodes[sn].TPs
+// peerClassConnected reports whether the patterns of sn's peer class form
+// a single component under the shares-a-variable relation (any variable
+// two patterns share is by definition a join variable, so this is exactly
+// jvar connectivity restricted to the class).
+func peerClassConnected(gosn *algebra.GoSN, sn int) bool {
+	var tps []int
+	for _, p := range gosn.Peers(sn) {
+		tps = append(tps, gosn.Supernodes[p].TPs...)
+	}
 	if len(tps) <= 1 {
 		return true
 	}
