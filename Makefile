@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet fmt-check verify test-cache test-update test-trace test-filter test-union test-benchmark serve-smoke fuzz-smoke loc bench bench-parallel bench-union bench-build bench-server bench-cache bench-trace
+.PHONY: all build test race vet fmt-check difftest-imports verify test-cache test-update test-trace test-filter test-union test-benchmark serve-smoke fuzz-smoke loc bench bench-parallel bench-union bench-build bench-server bench-cache bench-trace
 
 # The default target is the full tier-1 verification, race detector included.
 all: verify
@@ -22,10 +22,20 @@ fmt-check:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; \
 	fi
 
-# verify is the one-command gate: build, static checks, and the test suite
-# under the race detector (which includes the cross-query cache tests —
-# see test-cache for the focused subset).
-verify: build vet fmt-check race
+# difftest-imports fails if any package imports the differential-testing
+# kit (internal/difftest) from a non-test file. The kit is test support:
+# only _test.go files may use it, which is why `make loc` leaves it out.
+difftest-imports:
+	@bad=$$($(GO) list -f '{{range .Imports}}{{if eq . "repro/internal/difftest"}}{{$$.ImportPath}} {{end}}{{end}}' ./...); \
+	if [ -n "$$bad" ]; then \
+		echo "non-test code imports repro/internal/difftest: $$bad"; exit 1; \
+	fi
+
+# verify is the one-command gate: build, static checks (the difftest
+# import rule included), and the test suite under the race detector
+# (which includes the cross-query cache tests — see test-cache for the
+# focused subset).
+verify: build vet fmt-check difftest-imports race
 
 # test-cache runs just the caching test surface under -race: the MatCache
 # unit tests, the store-level concurrent differential + invalidation
@@ -101,19 +111,24 @@ serve-smoke:
 # FuzzQueryDifferential (engine vs the naive reference evaluator, across
 # worker counts and delta overlays) and FuzzUpdateDifferential (update
 # streams through the delta-overlay store vs the reference applier, across
-# compaction and cold rebuild). Local deep runs: go test ./internal/engine
-# -run='^$' -fuzz=FuzzQueryDifferential (or . -fuzz=FuzzUpdateDifferential).
-# 30s (up from 20s) since the PR 9 filter seeds grew the corpus: the
-# mutator needs the extra budget to reach the expression-shaped inputs.
+# compaction and cold rebuild). The query fuzzer draws its graphs from
+# the differential-testing kit (internal/difftest, difftest.Graph), and
+# the shapes it once found by luck are now grammar productions of the
+# kit, swept deterministically by TestDifferentialProductionSweep; the
+# fuzzers remain the net for what the grammar cannot express. Local deep
+# runs: go test ./internal/engine -run='^$' -fuzz=FuzzQueryDifferential
+# (or . -fuzz=FuzzUpdateDifferential). 30s gives the mutator room to reach
+# the expression-shaped inputs the filter seeds grow.
 FUZZTIME ?= 30s
 fuzz-smoke:
 	$(GO) test ./internal/engine -run='^$$' -fuzz=FuzzQueryDifferential -fuzztime=$(FUZZTIME)
 	$(GO) test . -run='^$$' -fuzz=FuzzUpdateDifferential -fuzztime=$(FUZZTIME)
 
-# loc prints the non-test Go line count outside the benchmark module, the
-# number a deletion is measured by.
+# loc prints the non-test Go line count outside the benchmark module and
+# the test-only differential kit (internal/difftest, held to test-only
+# use by difftest-imports), the number a deletion is measured by.
 loc:
-	@git ls-files '*.go' ':!:*_test.go' ':!:benchmark/**' | xargs wc -l | tail -n 1
+	@git ls-files '*.go' ':!:*_test.go' ':!:benchmark/**' ':!:internal/difftest/**' | xargs wc -l | tail -n 1
 
 # bench regenerates the paper's evaluation tables at the default scales.
 bench:

@@ -3,12 +3,11 @@ package baseline
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 	"testing"
 
 	"repro/internal/bitmat"
+	"repro/internal/difftest"
 	"repro/internal/rdf"
-	"repro/internal/ref"
 	"repro/internal/sparql"
 )
 
@@ -171,98 +170,30 @@ func TestBaselineProjection(t *testing.T) {
 	}
 }
 
-// Differential test against the reference evaluator, mirroring the LBR
-// engine's test generator.
-func randGraph(rng *rand.Rand, nTriples int) *rdf.Graph {
-	g := rdf.NewGraph()
-	preds := []string{"p0", "p1", "p2", "p3"}
-	for i := 0; i < nTriples; i++ {
-		g.Add(rdf.T(
-			fmt.Sprintf("e%d", rng.Intn(12)),
-			preds[rng.Intn(len(preds))],
-			fmt.Sprintf("e%d", rng.Intn(12))))
-	}
-	return g
-}
-
-func randQuery(rng *rand.Rand) string {
-	preds := []string{"p0", "p1", "p2", "p3"}
-	varCount := 0
-	newVar := func() string {
-		varCount++
-		return fmt.Sprintf("?v%d", varCount-1)
-	}
-	pat := func(s, o string) string {
-		return fmt.Sprintf("%s <%s> %s .", s, preds[rng.Intn(len(preds))], o)
-	}
-	var vars []string
-	v0 := newVar()
-	vars = append(vars, v0)
-	body := ""
-	prev := v0
-	for i := 0; i < 1+rng.Intn(3); i++ {
-		next := newVar()
-		vars = append(vars, next)
-		body += pat(prev, next) + " "
-		prev = next
-	}
-	for k := 0; k < 1+rng.Intn(2); k++ {
-		link := vars[rng.Intn(len(vars))]
-		ov := newVar()
-		body += fmt.Sprintf("OPTIONAL { %s } ", pat(link, ov))
-	}
-	return "SELECT * WHERE { " + body + "}"
-}
-
+// TestBaselineDifferentialAgainstRef runs the kit's Baseline mix — a
+// variable chain with single-pattern OPTIONALs — under both policies
+// against the reference evaluator.
 func TestBaselineDifferentialAgainstRef(t *testing.T) {
 	for _, pol := range []Policy{OriginalOrder, SelectiveMaster} {
 		rng := rand.New(rand.NewSource(11))
 		for trial := 0; trial < 60; trial++ {
-			g := randGraph(rng, 20+rng.Intn(50))
-			src := randQuery(rng)
+			g := difftest.Graph(rng, 20+rng.Intn(50))
+			src, _ := difftest.Query(rng, difftest.Baseline)
 			q, err := sparql.Parse(src)
 			if err != nil {
 				t.Fatal(err)
 			}
-			e := baselineOver(t, g, pol)
-			res, err := e.Execute(q)
+			res, err := baselineOver(t, g, pol).Execute(q)
 			if err != nil {
 				t.Fatalf("%v on %q: %v", pol, src, err)
 			}
-			maps, vars, err := ref.New(g).Execute(q)
+			want, vars, err := difftest.Ref(g, q)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := ref.SortedKeys(maps, vars)
-			got := keysOf(res, vars)
-			if fmt.Sprint(got) != fmt.Sprint(want) {
-				t.Fatalf("%v trial %d mismatch\nquery: %s\nbaseline: %v\nref:      %v",
-					pol, trial, src, got, want)
+			if v := difftest.Verdict(difftest.Keys(res.Vars, res.Rows, vars), want); v != "" {
+				t.Fatalf("%v trial %d on %s: %s", pol, trial, src, v)
 			}
 		}
 	}
-}
-
-func keysOf(res *Result, vars []sparql.Var) []string {
-	pos := map[sparql.Var]int{}
-	for i, v := range res.Vars {
-		pos[v] = i
-	}
-	out := make([]string, len(res.Rows))
-	for i, row := range res.Rows {
-		s := ""
-		for k, v := range vars {
-			if k > 0 {
-				s += "|"
-			}
-			if p, ok := pos[v]; ok && !row[p].IsZero() {
-				s += row[p].String()
-			} else {
-				s += "NULL"
-			}
-		}
-		out[i] = s
-	}
-	sort.Strings(out)
-	return out
 }

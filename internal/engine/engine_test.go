@@ -2,13 +2,11 @@ package engine
 
 import (
 	"fmt"
-	"sort"
 	"testing"
 
 	"repro/internal/bitmat"
+	"repro/internal/difftest"
 	"repro/internal/rdf"
-	"repro/internal/ref"
-	"repro/internal/sparql"
 )
 
 // figure32Graph is the sample data of Figure 3.2.
@@ -49,26 +47,8 @@ const q2 = `
 			?friend <actedIn> ?sitcom .
 			?sitcom <location> <NewYorkCity> . }}`
 
-// rowsAsStrings renders result rows canonically for comparisons.
-func rowsAsStrings(res *Result) []string {
-	out := make([]string, len(res.Rows))
-	for i, r := range res.Rows {
-		s := ""
-		for k, term := range r {
-			if k > 0 {
-				s += "|"
-			}
-			if term.IsZero() {
-				s += "NULL"
-			} else {
-				s += term.String()
-			}
-		}
-		out[i] = s
-	}
-	sort.Strings(out)
-	return out
-}
+// rowsAsStrings is the sorted multiset key of res over its own columns.
+func rowsAsStrings(res *Result) []string { return difftest.Keys(res.Vars, res.Rows, res.Vars) }
 
 func TestFigure32FinalResults(t *testing.T) {
 	// The query of Figure 3.2 has exactly two results: (Julia, Seinfeld)
@@ -422,43 +402,8 @@ func TestCyclicQueryNeedsBestMatch(t *testing.T) {
 // query over a graph.
 func diffAgainstRef(t *testing.T, g *rdf.Graph, src string) {
 	t.Helper()
-	e := engineOver(t, g, Options{})
-	res, err := e.ExecuteString(src)
-	if err != nil {
-		t.Fatalf("engine: %v", err)
-	}
-	q, err := sparql.Parse(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	maps, vars, err := ref.New(g).Execute(q)
-	if err != nil {
-		t.Fatalf("ref: %v", err)
-	}
-	wantKeys := ref.SortedKeys(maps, vars)
-	gotKeys := make([]string, len(res.Rows))
-	pos := map[sparql.Var]int{}
-	for i, v := range res.Vars {
-		pos[v] = i
-	}
-	for i, r := range res.Rows {
-		s := ""
-		for k, v := range vars {
-			if k > 0 {
-				s += "|"
-			}
-			if p, ok := pos[v]; ok && !r[p].IsZero() {
-				s += r[p].String()
-			} else {
-				s += "NULL"
-			}
-		}
-		gotKeys[i] = s
-	}
-	sort.Strings(gotKeys)
-	if fmt.Sprint(gotKeys) != fmt.Sprint(wantKeys) {
-		t.Fatalf("engine vs ref mismatch on %s\n got: %v\nwant: %v", src, gotKeys, wantKeys)
-	}
+	q, want, vars := refOf(t, g, src)
+	diffRun(t, engineOver(t, g, Options{}), q, want, vars, src)
 }
 
 func TestDifferentialSmallQueries(t *testing.T) {

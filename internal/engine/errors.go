@@ -1,13 +1,16 @@
 package engine
 
-import "errors"
+import (
+	"errors"
+
+	"repro/internal/algebra"
+)
 
 // Typed sentinels for the query classes the engine rejects by design (the
 // algebra layer contributes algebra.ErrPredicateJoin and
-// *algebra.UnsafeFilterError). Callers that need to distinguish
-// "unsupported query" from a real engine failure — the differential
-// fuzzers, the server's error mapping — match these with errors.Is
-// instead of scraping message substrings.
+// *algebra.UnsafeFilterError). Unsupported is the one classifier over
+// them, shared by the differential fuzzers and the server's error mapping,
+// so a message rewording can never silently widen what either tolerates.
 var (
 	// ErrThreeVarPattern reports a triple pattern with three variables
 	// that survived to BitMat loading un-expanded: the two-dimensional
@@ -20,3 +23,15 @@ var (
 	// maxFullScanBranches.
 	ErrExpansionTooLarge = errors.New("engine: three-variable expansion exceeds the branch cap")
 )
+
+// Unsupported reports whether err is a by-design rejection of the query
+// rather than an engine failure: a predicate join, an un-expandable or
+// oversized three-variable pattern, or a filter outside the supported
+// scope. The naive reference evaluator accepts all of these.
+func Unsupported(err error) bool {
+	var uf *algebra.UnsafeFilterError
+	return errors.Is(err, algebra.ErrPredicateJoin) ||
+		errors.Is(err, ErrThreeVarPattern) ||
+		errors.Is(err, ErrExpansionTooLarge) ||
+		errors.As(err, &uf)
+}

@@ -2,33 +2,14 @@ package engine
 
 import (
 	"errors"
-	"sort"
 	"strings"
 	"testing"
 
 	"repro/internal/algebra"
+	"repro/internal/difftest"
 	"repro/internal/rdf"
-	"repro/internal/ref"
 	"repro/internal/sparql"
 )
-
-func fullScanRows(t *testing.T, res *Result) []string {
-	t.Helper()
-	out := make([]string, 0, len(res.Rows))
-	for _, r := range res.Rows {
-		parts := make([]string, len(r))
-		for i, term := range r {
-			if term.IsZero() {
-				parts[i] = "NULL"
-			} else {
-				parts[i] = term.String()
-			}
-		}
-		out = append(out, strings.Join(parts, " "))
-	}
-	sort.Strings(out)
-	return out
-}
 
 // TestFullScanJoinsOtherPatterns exercises a three-variable pattern whose
 // subject joins a concrete pattern: the expansion must behave as a plain
@@ -42,20 +23,15 @@ func TestFullScanJoinsOtherPatterns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := fullScanRows(t, res)
+	got := rowsAsStrings(res)
 	want := []string{
-		"<D.C.> <location> <Veep>",
-		"<Jersey> <location> <NewAdvOldChristine>",
-		"<LosAngeles> <location> <CurbYourEnthu>",
-		"<NewYorkCity> <location> <Seinfeld>",
+		"<D.C.>|<location>|<Veep>",
+		"<Jersey>|<location>|<NewAdvOldChristine>",
+		"<LosAngeles>|<location>|<CurbYourEnthu>",
+		"<NewYorkCity>|<location>|<Seinfeld>",
 	}
-	if len(got) != len(want) {
-		t.Fatalf("rows = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("row %d = %q, want %q", i, got[i], want[i])
-		}
+	if v := difftest.Verdict(got, want); v != "" {
+		t.Fatal(v)
 	}
 }
 
@@ -112,10 +88,9 @@ func TestRule3UnionCollapsesNullRows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := fullScanRows(t, res)
-	want := []string{"<Julia> <Seinfeld>", "<NYC> NULL"}
-	if len(got) != 2 || got[0] != want[0] || got[1] != want[1] {
-		t.Fatalf("rows = %v, want %v", got, want)
+	got := rowsAsStrings(res)
+	if v := difftest.Verdict(got, []string{"<Julia>|<Seinfeld>", "<NYC>|NULL"}); v != "" {
+		t.Fatal(v)
 	}
 }
 
@@ -132,17 +107,13 @@ func TestRule3DedupScopedToDistributionGroup(t *testing.T) {
 		{ ?s <p> ?o . OPTIONAL { { ?o <q> ?x . } UNION { ?o <r> ?x . } } }
 		UNION
 		{ ?s <p> ?o . OPTIONAL { ?o <q> ?x . } } }`
-	q, err := sparql.Parse(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := ref.SortedKeys(refExec(t, g, q))
+	q, want, _ := refOf(t, g, src)
 	e := engineOver(t, g, Options{})
 	res, err := e.Execute(q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := fullScanRows(t, res)
+	got := rowsAsStrings(res)
 	if len(got) != len(want) {
 		t.Fatalf("engine rows %v, reference %v", got, want)
 	}
@@ -159,50 +130,6 @@ func TestRule3DedupScopedToDistributionGroup(t *testing.T) {
 	}
 }
 
-func refExec(t *testing.T, g *rdf.Graph, q *sparql.Query) ([]ref.Mapping, []sparql.Var) {
-	t.Helper()
-	maps, vars, err := ref.New(g).Execute(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return maps, vars
-}
-
-// engineMatchesRef asserts the engine's multiset of rows equals the
-// reference evaluator's on one query.
-func engineMatchesRef(t *testing.T, g *rdf.Graph, src string) {
-	t.Helper()
-	q, err := sparql.Parse(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := ref.SortedKeys(refExec(t, g, q))
-	e := engineOver(t, g, Options{})
-	res, err := e.Execute(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := make([]string, len(res.Rows))
-	for i, r := range res.Rows {
-		conv := make(ref.Mapping)
-		for k, v := range res.Vars {
-			if !r[k].IsZero() {
-				conv[v] = r[k]
-			}
-		}
-		got[i] = ref.Key(conv, res.Vars)
-	}
-	sort.Strings(got)
-	if len(got) != len(want) {
-		t.Fatalf("%s:\nengine %v\nref    %v", src, got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("%s: row %d differs:\nengine %v\nref    %v", src, i, got, want)
-		}
-	}
-}
-
 // TestIndependentSplitsMatchReference covers the case of two independent
 // rule-3 splits (or expanded three-variable patterns) in one branch where
 // only a subset fails per row: the collapse must key on the matched
@@ -213,16 +140,16 @@ func TestIndependentSplitsMatchReference(t *testing.T) {
 	g.Add(rdf.T("x", "b", "z"))
 	// Two expanded full-scan OPTIONALs: the first fails (y is not a
 	// subject), the second matches once per predicate.
-	engineMatchesRef(t, g, `SELECT * WHERE {
+	diffAgainstRef(t, g, `SELECT * WHERE {
 		?x <a> ?y . OPTIONAL { ?y ?p1 ?o1 . } OPTIONAL { ?x ?p2 ?o2 . } }`)
 	// Two independent rule-3 unions under OPTIONAL: the first fails, the
 	// second matches in one alternative.
-	engineMatchesRef(t, g, `SELECT * WHERE {
+	diffAgainstRef(t, g, `SELECT * WHERE {
 		?x <a> ?y .
 		OPTIONAL { { ?y <a> ?o1 . } UNION { ?y <b> ?o1 . } }
 		OPTIONAL { { ?x <b> ?o2 . } UNION { ?x <c> ?o2 . } } }`)
 	// Mixed: a rule-3 union plus an expanded full scan.
-	engineMatchesRef(t, g, `SELECT * WHERE {
+	diffAgainstRef(t, g, `SELECT * WHERE {
 		?x <a> ?y .
 		OPTIONAL { { ?y <a> ?o1 . } UNION { ?y <b> ?o1 . } }
 		OPTIONAL { ?x ?p2 ?o2 . } }`)
@@ -237,9 +164,9 @@ func TestCheapFilterSubstitutionBindsColumn(t *testing.T) {
 	g.Add(rdf.T("x", "a", "y1"))
 	g.Add(rdf.T("x", "a", "y2"))
 	g.Add(rdf.T("x", "b", "z"))
-	engineMatchesRef(t, g, `SELECT * WHERE { ?s ?p ?o . FILTER(?p = <a>) }`)
-	engineMatchesRef(t, g, `SELECT * WHERE { ?s <a> ?o . FILTER(?o = <y1>) }`)
-	engineMatchesRef(t, g, `SELECT * WHERE { <x> <a> ?m . <x> <a> ?n . FILTER(?m = ?n) }`)
+	diffAgainstRef(t, g, `SELECT * WHERE { ?s ?p ?o . FILTER(?p = <a>) }`)
+	diffAgainstRef(t, g, `SELECT * WHERE { ?s <a> ?o . FILTER(?o = <y1>) }`)
+	diffAgainstRef(t, g, `SELECT * WHERE { <x> <a> ?m . <x> <a> ?n . FILTER(?m = ?n) }`)
 
 	// And via the streaming path.
 	e := engineOver(t, g, Options{})
@@ -274,8 +201,8 @@ func TestFullScanSelfJoin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := fullScanRows(t, res)
-	if len(got) != 1 || got[0] != "<admires> <Narcissus>" {
+	got := rowsAsStrings(res)
+	if len(got) != 1 || got[0] != "<admires>|<Narcissus>" {
 		t.Fatalf("rows = %v, want the Narcissus diagonal", got)
 	}
 }

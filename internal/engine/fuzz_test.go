@@ -2,14 +2,13 @@ package engine
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math/rand"
-	"strings"
 	"testing"
 
 	"repro/internal/algebra"
 	"repro/internal/bitmat"
+	"repro/internal/difftest"
 	"repro/internal/rdf"
 	"repro/internal/ref"
 	"repro/internal/sparql"
@@ -72,20 +71,6 @@ var fuzzSeedQueries = []string{
 	`SELECT * WHERE { ?m <p0> ?x . OPTIONAL { { ?x <p1> ?m } UNION { ?m <p2> ?x . OPTIONAL { ?x <p3> ?n } } } }`,
 }
 
-// isUnsupportedQuery classifies engine errors the fuzzer must tolerate:
-// the engine rejects predicate joins, unsafe filters, and oversized
-// three-variable expansions by design, while the naive oracle would
-// happily evaluate them. The classification is purely typed — every
-// rejection the engine makes by design carries a sentinel (or a typed
-// error), so a message rewording can never silently widen the skip set.
-func isUnsupportedQuery(err error) bool {
-	var uf *algebra.UnsafeFilterError
-	return errors.Is(err, algebra.ErrPredicateJoin) ||
-		errors.Is(err, ErrThreeVarPattern) ||
-		errors.Is(err, ErrExpansionTooLarge) ||
-		errors.As(err, &uf)
-}
-
 // FuzzQueryDifferential fuzzes SPARQL query text against the reference
 // evaluator: every mutated input that parses, stays well-designed, and is
 // within the engine's documented coverage must produce the same result
@@ -135,22 +120,20 @@ func FuzzQueryDifferential(f *testing.F) {
 				t.Skip()
 			}
 		}
-		g := randGraph(rand.New(rand.NewSource(graphSeed)), 36)
+		g := fuzzGraph(graphSeed)
 		maps, vars, err := ref.New(g).WithBudget(50000).Execute(q)
 		if err != nil {
 			t.Skip() // budget blow-up on a pathological mutation
 		}
-		idx, err := bitmat.Build(g)
-		if err != nil {
-			t.Fatal(err)
-		}
+		want := difftest.RefKeys(maps, vars)
+		idx := indexOf(t, g)
 		var seq []string
 		for _, w := range []int{1, 2, 8} {
 			e := New(idx, Options{Workers: w})
 			if q.Ask {
 				got, err := e.AskContext(context.Background(), q)
 				if err != nil {
-					if isUnsupportedQuery(err) {
+					if Unsupported(err) {
 						t.Skip()
 					}
 					t.Fatalf("ask workers=%d on %q: %v", w, src, err)
@@ -160,23 +143,23 @@ func FuzzQueryDifferential(f *testing.F) {
 				}
 				continue
 			}
+			label := fmt.Sprintf("workers=%d on %q", w, src)
 			res, err := e.ExecuteContext(context.Background(), q)
 			if err != nil {
-				if isUnsupportedQuery(err) {
+				if Unsupported(err) {
 					t.Skip()
 				}
-				t.Fatalf("workers=%d on %q: %v", w, src, err)
+				t.Fatalf("%s: %v", label, err)
 			}
-			if !sameRows(res, maps, vars) {
-				t.Fatalf("workers=%d mismatch\nquery: %s\nengine: %v\nref:    %v",
-					w, src, renderRows(res, vars), ref.SortedKeys(maps, vars))
+			if v := difftest.Verdict(difftest.Keys(res.Vars, res.Rows, vars), want); v != "" {
+				t.Fatalf("%s: engine vs reference: %s", label, v)
 			}
-			exact := exactRows(res)
-			checkStreamed(t, e, q, exact, fmt.Sprintf("workers=%d on %q", w, src))
+			exact := difftest.Exact(res.Rows)
+			checkStreamed(t, e, q, exact, label)
 			if seq == nil {
 				seq = exact
-			} else if strings.Join(exact, "\n") != strings.Join(seq, "\n") {
-				t.Fatalf("workers=%d row order diverges from sequential\nquery: %s", w, src)
+			} else if v := difftest.Verdict(exact, seq); v != "" {
+				t.Fatalf("%s: row order diverges from sequential: %s", label, v)
 			}
 		}
 		if q.Ask || seq == nil {
@@ -196,9 +179,8 @@ func FuzzQueryDifferential(f *testing.F) {
 				// supported, so any error here is a cache bug — never skip.
 				t.Fatalf("cached pass %d on %q: %v", pass, src, err)
 			}
-			if got := exactRows(res); strings.Join(got, "\n") != strings.Join(seq, "\n") {
-				t.Fatalf("cached pass %d diverges from uncached run\nquery: %s\ncached: %v\nwant:   %v",
-					pass, src, got, seq)
+			if v := difftest.Verdict(difftest.Exact(res.Rows), seq); v != "" {
+				t.Fatalf("cached pass %d diverges from uncached run on %s: %s", pass, src, v)
 			}
 		}
 
@@ -239,10 +221,7 @@ func FuzzQueryDifferential(f *testing.F) {
 		if err != nil {
 			t.Skip()
 		}
-		idxM, err := bitmat.Build(gm)
-		if err != nil {
-			t.Fatal(err)
-		}
+		idxM := indexOf(t, gm)
 		for _, view := range []struct {
 			name string
 			src  bitmat.Source
@@ -251,7 +230,7 @@ func FuzzQueryDifferential(f *testing.F) {
 			if q.Ask {
 				got, err := e.AskContext(context.Background(), q)
 				if err != nil {
-					if isUnsupportedQuery(err) {
+					if Unsupported(err) {
 						t.Skip()
 					}
 					t.Fatalf("post-update ask on %s: %v", view.name, err)
@@ -263,14 +242,13 @@ func FuzzQueryDifferential(f *testing.F) {
 			}
 			resM, err := e.ExecuteContext(context.Background(), q)
 			if err != nil {
-				if isUnsupportedQuery(err) {
+				if Unsupported(err) {
 					t.Skip()
 				}
 				t.Fatalf("post-update query on %s: %v", view.name, err)
 			}
-			if !sameRows(resM, mapsM, varsM) {
-				t.Fatalf("post-update %s diverges from reference\nquery: %s\nengine: %v\nref:    %v",
-					view.name, src, renderRows(resM, varsM), ref.SortedKeys(mapsM, varsM))
+			if v := difftest.Verdict(difftest.Keys(resM.Vars, resM.Rows, varsM), difftest.RefKeys(mapsM, varsM)); v != "" {
+				t.Fatalf("post-update %s diverges from reference on %s: %s", view.name, src, v)
 			}
 		}
 	})

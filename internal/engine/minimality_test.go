@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/algebra"
 	"repro/internal/bitmat"
+	"repro/internal/difftest"
 	"repro/internal/planner"
 	"repro/internal/rdf"
 	"repro/internal/ref"
@@ -21,8 +22,8 @@ func TestLemma33MinimalityProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	checked := 0
 	for trial := 0; trial < 80; trial++ {
-		g := randGraph(rng, 25+rng.Intn(50))
-		src := randWellDesignedQuery(rng)
+		g := difftest.Graph(rng, 25+rng.Intn(50))
+		src, _ := difftest.Query(rng, difftest.WellDesigned)
 		q, err := sparql.Parse(src)
 		if err != nil {
 			t.Fatal(err)
@@ -172,8 +173,8 @@ func instantiate(st *tpState, pat sparql.TriplePattern, m ref.Mapping, dict *rdf
 func TestPruningNeverDropsResults(t *testing.T) {
 	rng := rand.New(rand.NewSource(123))
 	for trial := 0; trial < 50; trial++ {
-		g := randGraph(rng, 20+rng.Intn(60))
-		src := randWellDesignedQuery(rng)
+		g := difftest.Graph(rng, 20+rng.Intn(60))
+		src, _ := difftest.Query(rng, difftest.WellDesigned)
 		e1 := engineOver(t, g, Options{})
 		e2 := engineOver(t, g, Options{DisablePruning: true, DisableActivePruning: true})
 		r1, err := e1.ExecuteString(src)

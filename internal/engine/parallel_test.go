@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/difftest"
 	"repro/internal/rdf"
 	"repro/internal/sparql"
 )
@@ -126,31 +127,6 @@ var determinismQueries = []string{
 	`SELECT * WHERE { ?x <type> <Person> . OPTIONAL { ?x <mail> ?m . } }`,
 }
 
-// exactRows renders rows in result order (no sorting): parallel execution
-// must reproduce the sequential output byte for byte, including order.
-func exactRows(res *Result) []string {
-	out := make([]string, len(res.Rows))
-	for i, r := range res.Rows {
-		out[i] = exactRow(r)
-	}
-	return out
-}
-
-func exactRow(r Row) string {
-	s := ""
-	for k, term := range r {
-		if k > 0 {
-			s += "|"
-		}
-		if term.IsZero() {
-			s += "NULL"
-		} else {
-			s += term.String()
-		}
-	}
-	return s
-}
-
 func TestParallelMatchesSequentialByteForByte(t *testing.T) {
 	forceParallel(t)
 	g := chainGraph()
@@ -160,7 +136,7 @@ func TestParallelMatchesSequentialByteForByte(t *testing.T) {
 		if err != nil {
 			t.Fatalf("q%d sequential: %v", qi, err)
 		}
-		wantRows := exactRows(want)
+		wantRows := difftest.Exact(want.Rows)
 		for _, workers := range []int{2, 3, 8} {
 			parEng := engineOver(t, g, Options{Workers: workers})
 			got, err := parEng.ExecuteString(src)
@@ -170,14 +146,8 @@ func TestParallelMatchesSequentialByteForByte(t *testing.T) {
 			if len(got.Vars) != len(want.Vars) {
 				t.Fatalf("q%d workers=%d: vars %v != %v", qi, workers, got.Vars, want.Vars)
 			}
-			gotRows := exactRows(got)
-			if len(gotRows) != len(wantRows) {
-				t.Fatalf("q%d workers=%d: %d rows, want %d", qi, workers, len(gotRows), len(wantRows))
-			}
-			for i := range wantRows {
-				if gotRows[i] != wantRows[i] {
-					t.Fatalf("q%d workers=%d row %d: %q != %q", qi, workers, i, gotRows[i], wantRows[i])
-				}
+			if v := difftest.Verdict(difftest.Exact(got.Rows), wantRows); v != "" {
+				t.Fatalf("q%d workers=%d: %s", qi, workers, v)
 			}
 			if got.Stats.BestMatch != want.Stats.BestMatch {
 				t.Errorf("q%d workers=%d: BestMatch=%v, sequential=%v", qi, workers, got.Stats.BestMatch, want.Stats.BestMatch)
@@ -225,14 +195,8 @@ func TestParallelAblationsStillAgree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		w, gt := exactRows(want), exactRows(got)
-		if len(w) != len(gt) {
-			t.Fatalf("%+v: %d rows vs %d sequential", opts, len(gt), len(w))
-		}
-		for i := range w {
-			if w[i] != gt[i] {
-				t.Fatalf("%+v row %d: %q != %q", opts, i, gt[i], w[i])
-			}
+		if v := difftest.Verdict(difftest.Exact(got.Rows), difftest.Exact(want.Rows)); v != "" {
+			t.Fatalf("%+v: %s", opts, v)
 		}
 	}
 }
@@ -269,7 +233,7 @@ func TestUnionDeterminismAcrossPartitionAndWorkerCounts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantRows := exactRows(want)
+	wantRows := difftest.Exact(want.Rows)
 	nulls := 0
 	for _, r := range want.Rows {
 		if r.NullCount() > 0 {
@@ -286,15 +250,8 @@ func TestUnionDeterminismAcrossPartitionAndWorkerCounts(t *testing.T) {
 			if err != nil {
 				t.Fatalf("workers=%d factor=%d: %v", workers, factor, err)
 			}
-			gotRows := exactRows(got)
-			if len(gotRows) != len(wantRows) {
-				t.Fatalf("workers=%d factor=%d: %d rows, want %d", workers, factor, len(gotRows), len(wantRows))
-			}
-			for i := range wantRows {
-				if gotRows[i] != wantRows[i] {
-					t.Fatalf("workers=%d factor=%d row %d: %q != %q",
-						workers, factor, i, gotRows[i], wantRows[i])
-				}
+			if v := difftest.Verdict(difftest.Exact(got.Rows), wantRows); v != "" {
+				t.Fatalf("workers=%d factor=%d: %s", workers, factor, v)
 			}
 		}
 	}

@@ -1,13 +1,10 @@
 package engine
 
 import (
-	"fmt"
-	"math/rand"
 	"testing"
 
 	"repro/internal/algebra"
 	"repro/internal/rdf"
-	"repro/internal/ref"
 	"repro/internal/sparql"
 )
 
@@ -69,43 +66,11 @@ var witnesslessRegressionQueries = []struct {
 // counts, on the fixed graph and on random graphs.
 func TestDifferentialWitnesslessUnionRegressions(t *testing.T) {
 	forceParallel(t)
-	graphs := []*rdf.Graph{witnesslessGraph()}
-	rng := rand.New(rand.NewSource(4242))
-	for i := 0; i < 20; i++ {
-		graphs = append(graphs, randGraph(rng, 20+rng.Intn(60)))
-	}
+	graphs := append([]*rdf.Graph{witnesslessGraph()}, randGraphs(4242, 20, 20, 60)...)
 	for _, tc := range witnesslessRegressionQueries {
 		t.Run(tc.name, func(t *testing.T) {
-			q, err := sparql.Parse(tc.src)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for gi, g := range graphs {
-				maps, vars, err := ref.New(g).Execute(q)
-				if err != nil {
-					t.Fatal(err)
-				}
-				var base []string
-				for _, w := range []int{1, 2, 8} {
-					e := engineOver(t, g, Options{Workers: w})
-					res, err := e.Execute(q)
-					if err != nil {
-						t.Fatal(err)
-					}
-					assertNoWitnessLeak(t, res)
-					if !sameRows(res, maps, vars) {
-						t.Fatalf("graph %d workers %d mismatch\nquery: %s\nengine: %v\nref:    %v",
-							gi, w, tc.src, renderRows(res, vars), ref.SortedKeys(maps, vars))
-					}
-					rendered := renderRows(res, vars)
-					if base == nil {
-						base = rendered
-					} else if fmt.Sprint(rendered) != fmt.Sprint(base) {
-						t.Fatalf("graph %d workers %d diverges from workers 1\nquery: %s",
-							gi, w, tc.src)
-					}
-				}
-			}
+			diffGraphs(t, []string{tc.src}, graphs, []int{1, 2, 8},
+				func(res *Result) { assertNoWitnessLeak(t, res) })
 		})
 	}
 }

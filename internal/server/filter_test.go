@@ -85,6 +85,26 @@ func TestUnsupportedFilter400(t *testing.T) {
 	}
 }
 
+// TestUnsupportedQuery400 pins the rejection of the other query classes
+// the engine refuses by design (engine.Unsupported): a join on the
+// predicate position is the client's query outside the supported surface,
+// so it is a 400 unsupported_query, not a 500.
+func TestUnsupportedQuery400(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	for _, q := range []string{
+		`SELECT * WHERE { ?a ?p ?b . ?b ?p ?c . }`,
+		`ASK { ?a ?p ?b . ?b ?p ?c . }`,
+	} {
+		resp, body := get(t, ts, q, "")
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%s: status %d, want 400: %s", q, resp.StatusCode, body)
+		}
+		if code := errCode(t, body); code != "unsupported_query" {
+			t.Errorf("%s: error code = %q, want unsupported_query: %s", q, code, body)
+		}
+	}
+}
+
 func filterRows(t *testing.T, ts *httptest.Server, query string) int {
 	t.Helper()
 	resp, body := get(t, ts, query, "application/sparql-results+json")

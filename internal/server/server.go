@@ -38,6 +38,7 @@ import (
 
 	lbr "repro"
 	"repro/internal/algebra"
+	"repro/internal/engine"
 	"repro/internal/results"
 	"repro/internal/sparql"
 	"repro/internal/trace"
@@ -883,7 +884,10 @@ func (s *Server) countFailure(err error) {
 // failBeforeStream reports an execution error while the response is still
 // unwritten, mapping timeout to 504, client cancellation to a closed
 // connection, a filter outside the supported core to a structured 400
-// naming the offending expression, and anything else to 500.
+// naming the offending expression, any other by-design rejection
+// (engine.Unsupported: predicate joins, three-variable patterns the
+// engine cannot expand) to 400 unsupported_query, and anything else to
+// 500.
 func (s *Server) failBeforeStream(ctx context.Context, w http.ResponseWriter, r *http.Request, err error) {
 	s.countFailure(err)
 	var unsafeFilter *algebra.UnsafeFilterError
@@ -898,6 +902,8 @@ func (s *Server) failBeforeStream(ctx context.Context, w http.ResponseWriter, r 
 		writeError(w, perr(http.StatusBadRequest, "unsupported_filter",
 			"unsupported FILTER: ?%s is bound outside the scope of FILTER(%s)",
 			unsafeFilter.Var, unsafeFilter.Expr))
+	case engine.Unsupported(err):
+		writeError(w, perr(http.StatusBadRequest, "unsupported_query", "unsupported query: %v", err))
 	default:
 		writeError(w, perr(http.StatusInternalServerError, "query_failed", "%v", err))
 	}

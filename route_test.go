@@ -3,9 +3,9 @@ package lbr
 import (
 	"context"
 	"fmt"
-	"sort"
 	"testing"
 
+	"repro/internal/difftest"
 	"repro/internal/rdf"
 )
 
@@ -110,17 +110,20 @@ func TestRouteAgreement(t *testing.T) {
 
 				checkStreamRowsRoute(t, s, p.id, p.q, p.sliced, res)
 
-				var streamed []string
+				var streamed [][]Term
 				if err := s.QueryStream(p.q, func(m map[string]Term) bool {
-					streamed = append(streamed, rowKey(m))
+					row := make([]Term, len(res.Vars))
+					for i, v := range res.Vars {
+						row[i] = m[v]
+					}
+					streamed = append(streamed, row)
 					return true
 				}); err != nil {
 					t.Fatalf("probe %s: QueryStream: %v", p.id, err)
 				}
-				sort.Strings(streamed)
 				want := sortedQueryRows(t, s, p.q)
-				if fmt.Sprint(streamed) != fmt.Sprint(want) {
-					t.Errorf("probe %s: QueryStream multiset differs\n got %v\nwant %v", p.id, streamed, want)
+				if v := difftest.Verdict(difftest.Keys(res.Vars, streamed, res.Vars), want); v != "" {
+					t.Errorf("probe %s: QueryStream multiset differs: %s", p.id, v)
 				}
 
 				if found, err := s.Ask(p.q); err != nil {
@@ -132,7 +135,7 @@ func TestRouteAgreement(t *testing.T) {
 				if p.sliced {
 					continue
 				}
-				if got := refSortedRows(t, g, p.q); fmt.Sprint(got) != fmt.Sprint(want) {
+				if got := refQueryRows(t, g, p.q); fmt.Sprint(got) != fmt.Sprint(want) {
 					t.Errorf("probe %s: reference multiset differs\n ref %v\nwant %v", p.id, got, want)
 				}
 				bres, err := s.QueryBaseline(p.q, VirtuosoLike)
@@ -140,7 +143,7 @@ func TestRouteAgreement(t *testing.T) {
 					continue // outside the baseline's supported surface
 				}
 				baselineChecked++
-				if got := sortedResultRows(bres); fmt.Sprint(got) != fmt.Sprint(want) {
+				if got := difftest.Keys(bres.Vars, bres.Rows(), res.Vars); fmt.Sprint(got) != fmt.Sprint(want) {
 					t.Errorf("probe %s: baseline multiset differs\n got %v\nwant %v", p.id, got, want)
 				}
 			}

@@ -2,13 +2,8 @@ package lbr
 
 import (
 	"context"
-	"fmt"
 	"strings"
 	"testing"
-
-	"repro/internal/rdf"
-	"repro/internal/ref"
-	"repro/internal/sparql"
 )
 
 // witnesslessStoreTriples seeds the store-level witnessless sweep: three
@@ -48,52 +43,8 @@ var witnesslessStoreQueries = []string{
 // be byte-identical across worker counts. The rendered output must also
 // never leak the synthetic witness machinery.
 func TestWitnesslessUnionStoreSweep(t *testing.T) {
-	triples := witnesslessStoreTriples()
-	g := rdf.NewGraph()
-	for _, tr := range triples {
-		g.Add(tr)
-	}
-	workerCounts := []int{1, 2, 8}
-	stores := map[int]*Store{}
-	for _, w := range workerCounts {
-		s := NewStoreWithOptions(Options{Workers: w})
-		s.AddAll(triples)
-		if err := s.Build(); err != nil {
-			t.Fatal(err)
-		}
-		stores[w] = s
-	}
-	for _, src := range witnesslessStoreQueries {
-		q, err := sparql.Parse(src)
-		if err != nil {
-			t.Fatalf("%q: %v", src, err)
-		}
-		maps, vars, err := ref.New(g).Execute(q)
-		if err != nil {
-			t.Fatalf("ref on %q: %v", src, err)
-		}
-		want := ref.SortedKeys(maps, vars)
-		first := ""
-		for _, w := range workerCounts {
-			res, err := stores[w].Query(src)
-			if err != nil {
-				t.Fatalf("workers=%d on %q: %v", w, src, err)
-			}
-			got := storeRowKeys(res, vars)
-			if fmt.Sprint(got) != fmt.Sprint(want) {
-				t.Fatalf("workers=%d mismatch\nquery: %s\nstore: %v\nref:   %v",
-					w, src, got, want)
-			}
-			exact := res.String()
-			assertNoWitnessMarkers(t, src, "Result.String()", exact)
-			if first == "" {
-				first = exact
-			} else if exact != first {
-				t.Fatalf("workers=%d rows diverge from workers=%d\nquery: %s",
-					w, workerCounts[0], src)
-			}
-		}
-	}
+	storeSweep(t, witnesslessStoreTriples(), witnesslessStoreQueries, []int{1, 2, 8},
+		func(src, rendered string) { assertNoWitnessMarkers(t, src, "Result.String()", rendered) })
 }
 
 // TestWitnesslessUnionStoreStreaming pins the streaming surface: rows

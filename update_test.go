@@ -4,11 +4,10 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"sort"
-	"strings"
 	"sync"
 	"testing"
 
+	"repro/internal/difftest"
 	"repro/internal/rdf"
 	"repro/internal/ref"
 	"repro/internal/sparql"
@@ -172,73 +171,30 @@ func TestApplyUpdateParseErrorLeavesStoreUntouched(t *testing.T) {
 	}
 }
 
-// sortedQueryRows renders a query's rows through the reference evaluator's
-// key format and sorts them, the repo's standard multiset comparison.
+// sortedQueryRows runs q on s and returns its rows as the kit's sorted
+// multiset keys over the result's own columns.
 func sortedQueryRows(t *testing.T, s *Store, q string) []string {
 	t.Helper()
 	res, err := s.Query(q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return sortedResultRows(res)
+	return difftest.Keys(res.Vars, res.Rows(), res.Vars)
 }
 
-// sortedResultRows renders a materialized result with the key format of
-// sortedQueryRows and sorts it.
-func sortedResultRows(res *Result) []string {
-	var rows []string
-	res.Iterate(func(row map[string]Term) bool {
-		rows = append(rows, rowKey(row))
-		return true
-	})
-	sort.Strings(rows)
-	return rows
-}
-
-// rowKey renders one solution map (unbound variables absent) as its
-// var=term pairs in variable order, joined by '|'.
-func rowKey(row map[string]Term) string {
-	keys := make([]string, 0, len(row))
-	for k := range row {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	var b strings.Builder
-	for i, k := range keys {
-		if i > 0 {
-			b.WriteByte('|')
-		}
-		b.WriteString(k + "=" + row[k].String())
-	}
-	return b.String()
-}
-
-// refSortedRows evaluates q against the reference graph with the same
-// rendering as sortedQueryRows.
-func refSortedRows(t *testing.T, g *rdf.Graph, q string) []string {
+// refQueryRows evaluates q on g with the reference evaluator, in the key
+// format of sortedQueryRows.
+func refQueryRows(t *testing.T, g *rdf.Graph, q string) []string {
 	t.Helper()
 	pq, err := sparql.Parse(q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	maps, _, err := ref.New(g).Execute(pq)
+	keys, _, err := difftest.Ref(g, pq)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var rows []string
-	for _, m := range maps {
-		keys := make([]string, 0, len(m))
-		for k, v := range m {
-			if v.IsZero() {
-				continue
-			}
-			keys = append(keys, string(k)+"="+v.String())
-		}
-		sort.Strings(keys)
-		rows = append(rows, strings.Join(keys, "|"))
-	}
-	sort.Strings(rows)
-	return rows
+	return keys
 }
 
 // TestUpdateDifferentialOracle replays one random update stream into native
@@ -277,7 +233,7 @@ func TestUpdateDifferentialOracle(t *testing.T) {
 	check := func(step string) {
 		t.Helper()
 		for _, q := range probes {
-			want := refSortedRows(t, g, q)
+			want := refQueryRows(t, g, q)
 			for name, s := range map[string]*Store{"w1": s1, "w3": s3} {
 				got := sortedQueryRows(t, s, q)
 				if fmt.Sprint(got) != fmt.Sprint(want) {
