@@ -91,8 +91,8 @@ func Keys[R ~[]rdf.Term, C, V ~string](cols []C, rows []R, vars []V) []string {
 	for i, r := range rows {
 		for k, v := range vars {
 			parts[k] = "NULL"
-			if p, ok := pos[string(v)]; ok && !r[p].IsZero() {
-				parts[k] = r[p].String()
+			if p, ok := pos[string(v)]; ok {
+				parts[k] = cell(r[p])
 			}
 		}
 		out[i] = strings.Join(parts, "|")
@@ -109,14 +109,19 @@ func Exact[R ~[]rdf.Term](rows []R) []string {
 	for i, r := range rows {
 		parts := make([]string, len(r))
 		for k, t := range r {
-			parts[k] = "NULL"
-			if !t.IsZero() {
-				parts[k] = t.String()
-			}
+			parts[k] = cell(t)
 		}
 		out[i] = strings.Join(parts, "|")
 	}
 	return out
+}
+
+// cell renders one term of a key: NULL for an unbound (zero) term.
+func cell(t rdf.Term) string {
+	if t.IsZero() {
+		return "NULL"
+	}
+	return t.String()
 }
 
 // Verdict compares two key lists and describes their first difference;

@@ -92,8 +92,8 @@ func fuzzGraph(seed int64) *rdf.Graph {
 // diffGraphs runs every query on every graph at each worker count: each
 // run must agree with the reference and replay through the streaming
 // route, and render byte-identically to the first worker count. check,
-// when non-nil, inspects every result.
-func diffGraphs(t *testing.T, queries []string, graphs []*rdf.Graph, workers []int, check func(*Result)) {
+// when non-nil, inspects every result; name prefixes failure messages.
+func diffGraphs(t *testing.T, name string, queries []string, graphs []*rdf.Graph, workers []int, check func(*Result)) {
 	t.Helper()
 	for gi, g := range graphs {
 		idx := indexOf(t, g)
@@ -101,7 +101,7 @@ func diffGraphs(t *testing.T, queries []string, graphs []*rdf.Graph, workers []i
 			q, want, vars := refOf(t, g, src)
 			var first []string
 			for _, w := range workers {
-				label := fmt.Sprintf("graph %d q%d workers=%d on %s", gi, qi, w, src)
+				label := fmt.Sprintf("%s graph %d q%d workers=%d on %s", name, gi, qi, w, src)
 				res, exact := diffRun(t, New(idx, Options{Workers: w}), q, want, vars, label)
 				if check != nil {
 					check(res)
@@ -129,7 +129,7 @@ func sweepWorkers(t *testing.T, seed int64, trials int, w difftest.Weights) {
 	for trial := 0; trial < trials; trial++ {
 		g := difftest.Graph(rng, 24+rng.Intn(40))
 		src, _ := difftest.Query(rng, w)
-		diffGraphs(t, []string{src}, []*rdf.Graph{g}, []int{1, 2, 8}, nil)
+		diffGraphs(t, fmt.Sprintf("trial %d", trial), []string{src}, []*rdf.Graph{g}, []int{1, 2, 8}, nil)
 	}
 }
 
@@ -192,7 +192,7 @@ func TestDifferentialFuzzRegressions(t *testing.T) {
 		`SELECT * WHERE { ?x <p0> ?y .
 			OPTIONAL { ?x <p1> ?z . OPTIONAL { ?a <p0> ?b . } } }`,
 	}
-	diffGraphs(t, queries, randGraphs(7042, 60, 16, 24), []int{1, 4}, nil)
+	diffGraphs(t, "classes 1-4", queries, randGraphs(7042, 60, 16, 24), []int{1, 4}, nil)
 	peerSplits := []string{
 		`SELECT*WHERE{$m<p0>$x OPTIONAL{{$m<p1>$0}{$0<>$0}UNION{$x<00>$1}}}`,
 		`SELECT*WHERE{$m<p0>$x OPTIONAL{{$m<p1>$0}{$0<>$0}UNION{$1<00>$1}}}`,
@@ -202,7 +202,7 @@ func TestDifferentialFuzzRegressions(t *testing.T) {
 	for seed := int64(-50); seed < 200; seed++ {
 		fuzzGraphs = append(fuzzGraphs, fuzzGraph(seed))
 	}
-	diffGraphs(t, peerSplits, fuzzGraphs, []int{1, 2, 8}, nil)
+	diffGraphs(t, "class 5 (graph i is seed i-50)", peerSplits, fuzzGraphs, []int{1, 2, 8}, nil)
 }
 
 // TestDifferentialCacheRegressions pins, deterministically and across

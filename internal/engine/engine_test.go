@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"testing"
 
-	"repro/internal/bitmat"
 	"repro/internal/difftest"
 	"repro/internal/rdf"
 )
@@ -32,11 +31,7 @@ func figure32Graph() *rdf.Graph {
 
 func engineOver(t *testing.T, g *rdf.Graph, opts Options) *Engine {
 	t.Helper()
-	idx, err := bitmat.Build(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return New(idx, opts)
+	return New(indexOf(t, g), opts)
 }
 
 const q2 = `

@@ -69,7 +69,7 @@ func TestDifferentialWitnesslessUnionRegressions(t *testing.T) {
 	graphs := append([]*rdf.Graph{witnesslessGraph()}, randGraphs(4242, 20, 20, 60)...)
 	for _, tc := range witnesslessRegressionQueries {
 		t.Run(tc.name, func(t *testing.T) {
-			diffGraphs(t, []string{tc.src}, graphs, []int{1, 2, 8},
+			diffGraphs(t, tc.name, []string{tc.src}, graphs, []int{1, 2, 8},
 				func(res *Result) { assertNoWitnessLeak(t, res) })
 		})
 	}
