@@ -1,6 +1,7 @@
 package lbr
 
 import (
+	"maps"
 	"math/rand"
 	"testing"
 
@@ -27,14 +28,7 @@ func storeSweep(t *testing.T, triples []Triple, queries []string, workers []int,
 		}
 	}
 	for qi, src := range queries {
-		q, err := sparql.Parse(src)
-		if err != nil {
-			t.Fatalf("query does not parse: %q: %v", src, err)
-		}
-		want, vars, err := difftest.Ref(g, q)
-		if err != nil {
-			t.Fatalf("ref on %q: %v", src, err)
-		}
+		_, want, vars := difftest.RefSrc(t, g, src)
 		first := ""
 		for i, s := range stores {
 			res, err := s.Query(src)
@@ -61,7 +55,8 @@ func storeSweep(t *testing.T, triples []Triple, queries []string, workers []int,
 // TestDifferentialFilterWorkerSweep is the store-level harness of the
 // filter evaluator: ~300 queries of the kit's Filter mix (comparisons
 // with numeric promotion, arithmetic, regex, bound(), bare-EBV atoms,
-// ill-typed mixes, nowhere-vars, and FaN filters inside OPTIONAL) through
+// ill-typed mixes, nowhere-vars, operands only an OPTIONAL binds, and FaN
+// filters inside OPTIONAL) through
 // storeSweep at Workers ∈ {1, 2, 4, 8} — filters may not perturb row
 // order or NULL cells. Runs under -race in CI (make test-filter), where
 // the worker fan-out actually interleaves.
@@ -73,24 +68,42 @@ func TestDifferentialFilterWorkerSweep(t *testing.T) {
 		trials = 40
 	}
 	queries := make([]string, trials)
-	filtered := 0
+	filtered, overOpt := 0, 0
 	for i := range queries {
 		queries[i], _ = difftest.Query(rng, difftest.Filter)
 		q, err := sparql.Parse(queries[i])
 		if err != nil {
 			t.Fatalf("generated query does not parse: %q: %v", queries[i], err)
 		}
+		master, opt, used := map[sparql.Var]bool{}, map[sparql.Var]bool{}, map[sparql.Var]bool{}
+		hasFilter := false
 		for _, el := range q.Where.Elements {
-			if _, ok := el.(sparql.Filter); ok {
-				filtered++
+			switch el := el.(type) {
+			case sparql.TriplesBlock:
+				maps.Copy(master, sparql.GroupVars(sparql.Group{Elements: []sparql.Element{el}}))
+			case sparql.Optional:
+				maps.Copy(opt, sparql.GroupVars(el.Group))
+			case sparql.Filter:
+				hasFilter = true
+				maps.Copy(used, sparql.ExprVars(el.Expr))
+			}
+		}
+		if hasFilter {
+			filtered++
+		}
+		for v := range used {
+			if opt[v] && !master[v] {
+				overOpt++
 				break
 			}
 		}
 	}
 	// The generator must actually exercise filters: at least half the
-	// trials carry a group-level FILTER (OPTIONAL-local ones not counted).
-	if filtered < trials/2 {
-		t.Fatalf("only %d/%d generated queries carried a top-level FILTER", filtered, trials)
+	// trials carry a group-level FILTER (OPTIONAL-local ones not counted),
+	// and some of those test a variable only an OPTIONAL binds.
+	if filtered < trials/2 || overOpt < trials/10 {
+		t.Fatalf("of %d generated queries %d carried a top-level FILTER, %d over an OPTIONAL's variable",
+			trials, filtered, overOpt)
 	}
 	storeSweep(t, g.Triples(), queries, []int{1, 2, 4, 8}, nil)
 }

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/difftest"
 	"repro/internal/engine"
 	"repro/internal/rdf"
 	"repro/internal/ref"
@@ -106,7 +107,7 @@ func compareProbes(t *testing.T, s *Store, g *rdf.Graph, step string) {
 	t.Helper()
 	for _, q := range fuzzUpdateProbes {
 		got := sortedQueryRows(t, s, q)
-		want := refQueryRows(t, g, q)
+		_, want, _ := difftest.RefSrc(t, g, q)
 		if fmt.Sprint(got) != fmt.Sprint(want) {
 			t.Fatalf("%s, probe %s:\n got %v\nwant %v", step, q, got, want)
 		}

@@ -8,7 +8,6 @@ import (
 	"repro/internal/bitmat"
 	"repro/internal/difftest"
 	"repro/internal/rdf"
-	"repro/internal/sparql"
 )
 
 func figure32Graph() *rdf.Graph {
@@ -179,17 +178,10 @@ func TestBaselineDifferentialAgainstRef(t *testing.T) {
 		for trial := 0; trial < 60; trial++ {
 			g := difftest.Graph(rng, 20+rng.Intn(50))
 			src, _ := difftest.Query(rng, difftest.Baseline)
-			q, err := sparql.Parse(src)
-			if err != nil {
-				t.Fatal(err)
-			}
+			q, want, vars := difftest.RefSrc(t, g, src)
 			res, err := baselineOver(t, g, pol).Execute(q)
 			if err != nil {
 				t.Fatalf("%v on %q: %v", pol, src, err)
-			}
-			want, vars, err := difftest.Ref(g, q)
-			if err != nil {
-				t.Fatal(err)
 			}
 			if v := difftest.Verdict(difftest.Keys(res.Vars, res.Rows, vars), want); v != "" {
 				t.Fatalf("%v trial %d on %s: %s", pol, trial, src, v)

@@ -9,9 +9,11 @@ package difftest
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
+	"testing"
 
 	"repro/internal/rdf"
 	"repro/internal/ref"
@@ -53,14 +55,31 @@ func Graph(rng *rand.Rand, n int) *rdf.Graph {
 	return g
 }
 
-// Ref evaluates q on g with the reference evaluator and returns its
-// sorted keys (RefKeys) and its variable order.
-func Ref(g *rdf.Graph, q *sparql.Query) ([]string, []sparql.Var, error) {
+// RefSrc parses src and evaluates it on g with the reference evaluator,
+// failing tb on either error. It returns the query, the reference's
+// sorted keys (RefKeys) and their columns: the result variables ordered
+// by name, so keys of results that order their columns differently still
+// compare value for value under each variable's name.
+func RefSrc(tb testing.TB, g *rdf.Graph, src string) (*sparql.Query, []string, []sparql.Var) {
+	tb.Helper()
+	q, err := sparql.Parse(src)
+	if err != nil {
+		tb.Fatalf("query does not parse: %q: %v", src, err)
+	}
 	maps, vars, err := ref.New(g).Execute(q)
 	if err != nil {
-		return nil, nil, err
+		tb.Fatalf("ref on %q: %v", src, err)
 	}
-	return RefKeys(maps, vars), vars, nil
+	vars = ByName(vars)
+	return q, RefKeys(maps, vars), vars
+}
+
+// ByName returns a copy of vars sorted by name: the column order of keys
+// that compare results by variable name rather than by position.
+func ByName[V ~string](vars []V) []V {
+	out := slices.Clone(vars)
+	slices.Sort(out)
+	return out
 }
 
 // RefKeys renders reference mappings as Keys over vars. A zero term — the
@@ -80,7 +99,7 @@ func RefKeys(maps []ref.Mapping, vars []sparql.Var) []string {
 // Keys is the sorted-multiset key: rows, laid out over cols, rendered
 // over vars in ref.Key's format (terms joined by '|', NULL for a variable
 // unbound in the row or absent from cols) and sorted, so engine,
-// baseline and store results compare directly with Ref and RefKeys.
+// baseline and store results compare directly with RefSrc and RefKeys.
 func Keys[R ~[]rdf.Term, C, V ~string](cols []C, rows []R, vars []V) []string {
 	pos := make(map[string]int, len(cols))
 	for i, c := range cols {

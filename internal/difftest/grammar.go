@@ -3,6 +3,7 @@ package difftest
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 )
 
@@ -32,6 +33,10 @@ type Weights struct {
 
 	Filter      int // % a block carries a FILTER over its master variables
 	FilterDepth int // &&/||/! nesting levels of that FILTER: up to 1..FilterDepth
+	// OptOperands lets that FILTER also test the object and literal
+	// variables of the block's plain OPTIONALs, which are unbound on rows
+	// where the OPTIONAL failed or was nullified.
+	OptOperands bool
 
 	// The productions the query fuzzer once reached only by luck.
 	AbsentPred int // % a pattern under OPTIONAL uses a predicate absent from Graph
@@ -55,7 +60,7 @@ var (
 		OptChain: 50, OptFilter: 33, Nested: 33, Filter: 50, FilterDepth: 2}
 	// Filter: one block per query, mostly filtered, over literal edges.
 	Filter = Weights{Chain: 2, Literal: 60, MaxOpt: 1, OptPlain: 1,
-		OptFilter: 66, Filter: 75, FilterDepth: 1}
+		OptFilter: 66, Filter: 75, FilterDepth: 1, OptOperands: true}
 	// Default is Union plus every production the fuzzer found by luck.
 	Default = func() Weights {
 		w := Union
@@ -213,30 +218,40 @@ func (g *gen) block() string {
 		fmt.Fprintf(&b, "%s %s %s . ", g.pick(vars), g.newPredVar(), o)
 		vars = append(vars, o)
 	}
-	var num, str []string
-	for len(num)+len(str) < 2 && g.pct(g.w.Literal) {
+	ops := operands{iri: slices.Clone(vars)}
+	for len(ops.num)+len(ops.str) < 2 && g.pct(g.w.Literal) {
 		p, v, numeric := g.litPat(g.pick(vars))
 		b.WriteString(p + " ")
-		if numeric {
-			num = append(num, v)
-		} else {
-			str = append(str, v)
-		}
+		ops.add(v, numeric)
 	}
 	for k, n := 0, g.w.MinOpt+g.rng.Intn(g.w.MaxOpt-g.w.MinOpt+1); k < n; k++ {
-		b.WriteString(g.optional(vars))
+		b.WriteString(g.optional(vars, &ops))
 	}
-	// The FILTER sees every variable of the block (top-level filter scope
-	// covers the OPTIONALs too), so unbound cells hit the error path.
+	// A top-level FILTER's scope covers the block's OPTIONALs too; with
+	// OptOperands its operands include their variables, so cells the
+	// OPTIONAL left unbound hit the per-row type-error path.
 	if g.pct(g.w.Filter) {
-		fmt.Fprintf(&b, "FILTER (%s) ", g.filterExpr(num, str, vars, g.upTo(g.w.FilterDepth)))
+		fmt.Fprintf(&b, "FILTER (%s) ", g.filterExpr(ops, g.upTo(g.w.FilterDepth)))
 	}
 	return b.String()
 }
 
+// operands are the FILTER operands of a block by class: num (typed
+// integers via <pa>), str (plain strings via <pn>), iri (IRI-valued).
+type operands struct{ num, str, iri []string }
+
+func (o *operands) add(v string, numeric bool) {
+	if numeric {
+		o.num = append(o.num, v)
+	} else {
+		o.str = append(o.str, v)
+	}
+}
+
 // optional emits one OPTIONAL linked to the block through master
-// variables.
-func (g *gen) optional(vars []string) string {
+// variables. With OptOperands a plain OPTIONAL adds the variables it
+// binds to the block's FILTER operands ops.
+func (g *gen) optional(vars []string, ops *operands) string {
 	link := g.pick(vars)
 	switch g.choose(g.w.OptPlain, g.w.OptUnion, g.w.OptScan, g.w.OptGroupUnion) {
 	case 1:
@@ -259,6 +274,9 @@ func (g *gen) optional(vars []string) string {
 		return fmt.Sprintf("OPTIONAL { { %s } %s } ", group, g.union([][2]string{{a, g.newVar()}, c}))
 	}
 	ov := g.newVar()
+	if g.w.OptOperands {
+		ops.iri = append(ops.iri, ov)
+	}
 	body := g.optPat(link, ov) + " "
 	if g.pct(g.w.OptChain) {
 		body += g.optPat(ov, g.newVar()) + " "
@@ -272,6 +290,9 @@ func (g *gen) optional(vars []string) string {
 		// binds; a filter over master variables would be unsafe by scope.
 		p, lv, numeric := g.litPat(ov)
 		body += p + " "
+		if g.w.OptOperands {
+			ops.add(lv, numeric)
+		}
 		if numeric {
 			body += fmt.Sprintf("FILTER (%s > %d) ", lv, g.rng.Intn(30))
 		} else {
@@ -321,24 +342,23 @@ func (g *gen) union(arms [][2]string) string {
 	return "{ " + strings.Join(parts, " } UNION { ") + " }"
 }
 
-// filterExpr builds a random FILTER body over the variable classes the
-// block bound: num (typed integers via <pa>), str (plain strings via
-// <pn>), iri (chain endpoints). Shapes cover the supported core —
+// filterExpr builds a random FILTER body over the block's operands.
+// Shapes cover the supported core —
 // comparisons, arithmetic, regex, bound(), bare-EBV atoms, nowhere-vars
 // (unbound everywhere) and nested &&/||/! — including ill-typed mixes so
 // the type-error drop rows get differential coverage.
-func (g *gen) filterExpr(num, str, iri []string, depth int) string {
-	rng := g.rng
+func (g *gen) filterExpr(ops operands, depth int) string {
+	rng, num, str, iri := g.rng, ops.num, ops.str, ops.iri
 	if depth > 0 && rng.Intn(3) == 0 {
 		op := "&&"
 		if rng.Intn(2) == 0 {
 			op = "||"
 		}
 		return fmt.Sprintf("(%s %s %s)",
-			g.filterExpr(num, str, iri, depth-1), op, g.filterExpr(num, str, iri, depth-1))
+			g.filterExpr(ops, depth-1), op, g.filterExpr(ops, depth-1))
 	}
 	if depth > 0 && rng.Intn(8) == 0 {
-		return fmt.Sprintf("!(%s)", g.filterExpr(num, str, iri, depth-1))
+		return fmt.Sprintf("!(%s)", g.filterExpr(ops, depth-1))
 	}
 	cmp := []string{"=", "!=", "<", "<=", ">", ">="}[rng.Intn(6)]
 	var choices []func() string

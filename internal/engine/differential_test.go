@@ -13,21 +13,6 @@ import (
 	"repro/internal/sparql"
 )
 
-// refOf parses src and evaluates it on g with the reference evaluator,
-// returning the query, the reference's sorted keys and its variables.
-func refOf(t *testing.T, g *rdf.Graph, src string) (*sparql.Query, []string, []sparql.Var) {
-	t.Helper()
-	q, err := sparql.Parse(src)
-	if err != nil {
-		t.Fatalf("query does not parse: %q: %v", src, err)
-	}
-	want, vars, err := difftest.Ref(g, q)
-	if err != nil {
-		t.Fatalf("ref on %q: %v", src, err)
-	}
-	return q, want, vars
-}
-
 // diffRun executes q on e and requires its rows to equal the reference
 // keys want (over vars) as a multiset, and the streaming entry point to
 // replay them row for row. It returns the result and its exact in-order
@@ -98,7 +83,7 @@ func diffGraphs(t *testing.T, name string, queries []string, graphs []*rdf.Graph
 	for gi, g := range graphs {
 		idx := indexOf(t, g)
 		for qi, src := range queries {
-			q, want, vars := refOf(t, g, src)
+			q, want, vars := difftest.RefSrc(t, g, src)
 			var first []string
 			for _, w := range workers {
 				label := fmt.Sprintf("%s graph %d q%d workers=%d on %s", name, gi, qi, w, src)
@@ -238,7 +223,7 @@ func TestDifferentialCacheRegressions(t *testing.T) {
 	for trial, g := range randGraphs(5042, 40, 20, 40) {
 		idx := indexOf(t, g)
 		for qi, src := range queries {
-			q, want, vars := refOf(t, g, src)
+			q, want, vars := difftest.RefSrc(t, g, src)
 			mc := NewMatCache(1 << 22)
 			view := mc.Advance(1)
 			var first []string
@@ -271,7 +256,7 @@ func TestDifferentialRandomWellDesigned(t *testing.T) {
 	for trial := 0; trial < 120; trial++ {
 		g := difftest.Graph(rng, 20+rng.Intn(60))
 		src, _ := difftest.Query(rng, difftest.WellDesigned)
-		q, want, vars := refOf(t, g, src)
+		q, want, vars := difftest.RefSrc(t, g, src)
 		diffRun(t, engineOver(t, g, Options{}), q, want, vars, fmt.Sprintf("trial %d on %s", trial, src))
 	}
 }
@@ -288,7 +273,7 @@ func TestDifferentialRandomWithAblations(t *testing.T) {
 		for trial := 0; trial < 40; trial++ {
 			g := difftest.Graph(rng, 20+rng.Intn(40))
 			src, _ := difftest.Query(rng, difftest.WellDesigned)
-			q, want, vars := refOf(t, g, src)
+			q, want, vars := difftest.RefSrc(t, g, src)
 			diffRun(t, engineOver(t, g, opts), q, want, vars, fmt.Sprintf("opts %+v trial %d on %s", opts, trial, src))
 		}
 	}
@@ -311,7 +296,7 @@ func TestDifferentialCyclicQueries(t *testing.T) {
 	}
 	for trial, g := range randGraphs(99, 25, 30, 60) {
 		for _, src := range queries {
-			q, want, vars := refOf(t, g, src)
+			q, want, vars := difftest.RefSrc(t, g, src)
 			e := engineOver(t, g, Options{})
 			res, err := e.Execute(q)
 			if err != nil {

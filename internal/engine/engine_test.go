@@ -397,7 +397,7 @@ func TestCyclicQueryNeedsBestMatch(t *testing.T) {
 // query over a graph.
 func diffAgainstRef(t *testing.T, g *rdf.Graph, src string) {
 	t.Helper()
-	q, want, vars := refOf(t, g, src)
+	q, want, vars := difftest.RefSrc(t, g, src)
 	diffRun(t, engineOver(t, g, Options{}), q, want, vars, src)
 }
 

@@ -107,7 +107,7 @@ func TestRule3DedupScopedToDistributionGroup(t *testing.T) {
 		{ ?s <p> ?o . OPTIONAL { { ?o <q> ?x . } UNION { ?o <r> ?x . } } }
 		UNION
 		{ ?s <p> ?o . OPTIONAL { ?o <q> ?x . } } }`
-	q, want, _ := refOf(t, g, src)
+	q, want, _ := difftest.RefSrc(t, g, src)
 	e := engineOver(t, g, Options{})
 	res, err := e.Execute(q)
 	if err != nil {

@@ -122,7 +122,7 @@ func TestRouteAgreement(t *testing.T) {
 					t.Fatalf("probe %s: QueryStream: %v", p.id, err)
 				}
 				want := sortedQueryRows(t, s, p.q)
-				if v := difftest.Verdict(difftest.Keys(res.Vars, streamed, res.Vars), want); v != "" {
+				if v := difftest.Verdict(difftest.Keys(res.Vars, streamed, difftest.ByName(res.Vars)), want); v != "" {
 					t.Errorf("probe %s: QueryStream multiset differs: %s", p.id, v)
 				}
 
@@ -135,7 +135,7 @@ func TestRouteAgreement(t *testing.T) {
 				if p.sliced {
 					continue
 				}
-				if got := refQueryRows(t, g, p.q); fmt.Sprint(got) != fmt.Sprint(want) {
+				if _, got, _ := difftest.RefSrc(t, g, p.q); fmt.Sprint(got) != fmt.Sprint(want) {
 					t.Errorf("probe %s: reference multiset differs\n ref %v\nwant %v", p.id, got, want)
 				}
 				bres, err := s.QueryBaseline(p.q, VirtuosoLike)
@@ -143,7 +143,7 @@ func TestRouteAgreement(t *testing.T) {
 					continue // outside the baseline's supported surface
 				}
 				baselineChecked++
-				if got := difftest.Keys(bres.Vars, bres.Rows(), res.Vars); fmt.Sprint(got) != fmt.Sprint(want) {
+				if got := difftest.Keys(bres.Vars, bres.Rows(), difftest.ByName(res.Vars)); fmt.Sprint(got) != fmt.Sprint(want) {
 					t.Errorf("probe %s: baseline multiset differs\n got %v\nwant %v", p.id, got, want)
 				}
 			}

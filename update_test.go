@@ -10,7 +10,6 @@ import (
 	"repro/internal/difftest"
 	"repro/internal/rdf"
 	"repro/internal/ref"
-	"repro/internal/sparql"
 )
 
 // updateStore builds and indexes a small movie graph for the update tests.
@@ -172,29 +171,15 @@ func TestApplyUpdateParseErrorLeavesStoreUntouched(t *testing.T) {
 }
 
 // sortedQueryRows runs q on s and returns its rows as the kit's sorted
-// multiset keys over the result's own columns.
+// multiset keys over the result's variables ordered by name, the column
+// order of difftest.RefSrc's keys.
 func sortedQueryRows(t *testing.T, s *Store, q string) []string {
 	t.Helper()
 	res, err := s.Query(q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return difftest.Keys(res.Vars, res.Rows(), res.Vars)
-}
-
-// refQueryRows evaluates q on g with the reference evaluator, in the key
-// format of sortedQueryRows.
-func refQueryRows(t *testing.T, g *rdf.Graph, q string) []string {
-	t.Helper()
-	pq, err := sparql.Parse(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	keys, _, err := difftest.Ref(g, pq)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return keys
+	return difftest.Keys(res.Vars, res.Rows(), difftest.ByName(res.Vars))
 }
 
 // TestUpdateDifferentialOracle replays one random update stream into native
@@ -233,7 +218,7 @@ func TestUpdateDifferentialOracle(t *testing.T) {
 	check := func(step string) {
 		t.Helper()
 		for _, q := range probes {
-			want := refQueryRows(t, g, q)
+			_, want, _ := difftest.RefSrc(t, g, q)
 			for name, s := range map[string]*Store{"w1": s1, "w3": s3} {
 				got := sortedQueryRows(t, s, q)
 				if fmt.Sprint(got) != fmt.Sprint(want) {
