@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet fmt-check difftest-imports verify test-cache test-update test-trace test-filter test-union test-benchmark serve-smoke fuzz-smoke loc bench bench-parallel bench-union bench-build bench-server bench-cache bench-trace
+.PHONY: all build test race vet fmt-check difftest-imports verify test-cache test-update test-trace test-filter test-union test-benchmark serve-smoke fuzz-smoke loc bench bench-smoke
 
 # The default target is the full tier-1 verification, race detector included.
 all: verify
@@ -44,8 +44,8 @@ verify: build vet fmt-check difftest-imports race
 # target is the fast loop while working on the cache layers.
 test-cache:
 	$(GO) test -race -count=1 \
-		-run 'TestMatCache|TestCrossQueryCache|TestCacheInvalidation|TestEffectiveCacheBudget|TestDifferentialCacheRegressions|TestCacheTable|TestCacheReport|TestResultCache|TestGzip' \
-		./internal/engine ./internal/bench ./internal/server .
+		-run 'TestMatCache|TestCrossQueryCache|TestCacheInvalidation|TestEffectiveCacheBudget|TestDifferentialCacheRegressions|TestResultCache|TestGzip' \
+		./internal/engine ./internal/server .
 
 # test-update runs the write-path test surface under -race: SPARQL Update
 # semantics and the differential update oracle, WAL crash recovery, MVCC
@@ -134,38 +134,9 @@ loc:
 bench:
 	$(GO) run ./cmd/lbrbench -table all
 
-# bench-parallel refreshes the checked-in sequential-vs-parallel baseline.
-# Workers is pinned to 4 (not GOMAXPROCS) so the parallel arm exercises the
-# concurrent code paths — and its byte-identity check means something —
-# even when the recording runner has a single CPU.
-bench-parallel:
-	$(GO) run ./cmd/lbrbench -table parallel -lubm-univ 32 -runs 15 -workers 4 -json BENCH_parallel.json
-
-# bench-union refreshes the checked-in sequential-vs-concurrent UNION
-# branch-scheduling baseline (workers pinned to 4, as in bench-parallel).
-bench-union:
-	$(GO) run ./cmd/lbrbench -table union -lubm-univ 32 -runs 7 -workers 4 -json BENCH_union.json
-
-# bench-build refreshes the checked-in sequential-vs-parallel build
-# (load pipeline) baseline (workers pinned to 4, as in bench-parallel).
-bench-build:
-	$(GO) run ./cmd/lbrbench -table build -lubm-univ 32 -runs 7 -workers 4 -json BENCH_build.json
-
-# bench-server refreshes the checked-in end-to-end HTTP latency/throughput
-# baseline of the SPARQL Protocol server.
-bench-server:
-	$(GO) run ./cmd/lbrbench -table server -lubm-univ 32 -runs 7 -workers 0 -json BENCH_server.json
-
-# bench-trace refreshes the checked-in tracing-overhead baseline:
-# untraced vs traced medians per query (byte-identity asserted), the
-# micro-measured nil-span site cost, and the derived disabled-tracing
-# overhead bound the 1% budget is pinned against (workers pinned to 4,
-# as in bench-parallel).
-bench-trace:
-	$(GO) run ./cmd/lbrbench -table trace -lubm-univ 32 -runs 7 -workers 4 -json BENCH_trace.json
-
-# bench-cache refreshes the checked-in warm-vs-cold baseline of the
-# store-level cross-query BitMat materialization cache (workers pinned to
-# 4, as in bench-parallel; byte-identity asserted per query).
-bench-cache:
-	$(GO) run ./cmd/lbrbench -table cache -lubm-univ 32 -runs 15 -workers 4 -json BENCH_cache.json
+# bench-smoke runs every paper table (6.1-6.4, index sizes, ablations,
+# the selectivity crossover) at the smallest scales, once. lbrbench
+# cross-checks LBR against both baselines on every query and exits
+# non-zero, naming the dataset and query, if any two disagree.
+bench-smoke:
+	$(GO) run ./cmd/lbrbench -table all -lubm-univ 1 -uniprot-proteins 200 -dbpedia-entities 400 -runs 1

@@ -1,14 +1,14 @@
 package lbr_test
 
 // The root benchmarks regenerate every table of the paper's evaluation
-// section (see DESIGN.md section 4 for the experiment index):
+// section (README.md, "The paper's evaluation", lists the experiments):
 //
 //	BenchmarkTable61_*        dataset characteristics (Table 6.1)
 //	BenchmarkTable62_LUBM     per-query times, LBR vs baselines (Table 6.2)
 //	BenchmarkTable63_UniProt  (Table 6.3)
 //	BenchmarkTable64_DBPedia  (Table 6.4)
 //	BenchmarkIndexSize        on-disk index size, hybrid vs pure RLE
-//	BenchmarkAblation*        design-choice ablations (DESIGN.md section 5)
+//	BenchmarkAblation*        design-choice ablations
 //
 // Scales are laptop-sized; absolute numbers differ from the paper but the
 // comparative shape (who wins where) is the reproduction target. Custom

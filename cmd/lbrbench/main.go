@@ -1,6 +1,7 @@
 // Command lbrbench regenerates the paper's evaluation tables on the
-// synthetic datasets (see DESIGN.md for the substitution rationale and
-// EXPERIMENTS.md for recorded outputs).
+// synthetic datasets (see README.md, "The paper's evaluation", for the
+// substitution rationale). With -verify (the default) it exits non-zero,
+// naming the dataset and query, when LBR and a baseline disagree.
 //
 // Usage:
 //
@@ -8,13 +9,13 @@
 //	lbrbench -table 6.2 -lubm-univ 8
 //	lbrbench -table index-sizes
 //	lbrbench -table ablations
-//	lbrbench -table parallel -workers 8 -json BENCH_parallel.json
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 	"time"
 
 	"repro/internal/bench"
@@ -25,14 +26,12 @@ import (
 
 func main() {
 	var (
-		table    = flag.String("table", "all", "which experiment: 6.1|6.2|6.3|6.4|index-sizes|ablations|crossover|parallel|union|build|server|cache|trace|all")
+		table    = flag.String("table", "all", "which experiment: 6.1|6.2|6.3|6.4|index-sizes|ablations|crossover|all")
 		lubmU    = flag.Int("lubm-univ", 16, "LUBM scale: universities")
 		uniprotP = flag.Int("uniprot-proteins", 20000, "UniProt scale: proteins")
 		dbpediaE = flag.Int("dbpedia-entities", 40000, "DBPedia scale: entities")
 		runs     = flag.Int("runs", 3, "timed repetitions per query (after one warm-up)")
-		verify   = flag.Bool("verify", true, "cross-check engines' results")
-		workers  = flag.Int("workers", 0, "worker goroutines for -table parallel (0 = GOMAXPROCS)")
-		jsonPath = flag.String("json", "", "write the -table parallel comparison to this JSON file")
+		verify   = flag.Bool("verify", true, "cross-check engines' results; exit non-zero on a disagreement")
 	)
 	flag.Parse()
 	opts := bench.RunOptions{Runs: *runs, Verify: *verify}
@@ -49,7 +48,7 @@ func main() {
 	var lubm, uniprot, dbpedia *bench.Dataset
 	build := func() {
 		var err error
-		if lubm == nil && want("6.1", "6.2", "index-sizes", "ablations", "parallel", "union", "build", "server", "cache", "trace") {
+		if lubm == nil && want("6.1", "6.2", "index-sizes", "ablations") {
 			step("generating LUBM-like dataset (%d universities)", *lubmU)
 			lubm, err = bench.BuildLUBM(*lubmU)
 			check(err)
@@ -84,11 +83,17 @@ func main() {
 		bench.FprintTable61(os.Stdout, stats)
 		fmt.Println()
 	}
+	var disagree []string
 	runTable := func(ds *bench.Dataset, title string) {
 		step("running %s", title)
 		ms, err := bench.RunTable(ds, opts)
 		check(err)
 		bench.FprintTable(os.Stdout, title, ms)
+		for _, m := range ms {
+			if !m.Consistent {
+				disagree = append(disagree, ds.Name+"/"+m.Query)
+			}
+		}
 		gm := func(pick func(bench.Measurement) time.Duration) float64 {
 			return bench.GeometricMeanMillis(ms, pick)
 		}
@@ -125,127 +130,6 @@ func main() {
 		runAblations(lubm, *runs)
 	}
 
-	if want("parallel") && lubm != nil {
-		w := engine.Options{Workers: *workers}.EffectiveWorkers()
-		step("running sequential-vs-parallel comparison (workers=%d)", w)
-		ms, err := bench.RunParallelTable(lubm, w, *runs)
-		check(err)
-		bench.FprintParallelTable(os.Stdout,
-			fmt.Sprintf("Parallel join: LUBM (%d triples), %d workers", lubm.Graph.Len(), w), ms)
-		fmt.Println()
-		if *jsonPath != "" {
-			rep := bench.NewParallelReport(w, *runs, ms)
-			f, err := os.Create(*jsonPath)
-			check(err)
-			check(bench.WriteParallelJSON(f, rep))
-			check(f.Close())
-			step("wrote %s", *jsonPath)
-		}
-	}
-
-	if want("union") && lubm != nil {
-		w := engine.Options{Workers: *workers}.EffectiveWorkers()
-		step("running UNION branch-scheduling comparison (workers=%d)", w)
-		ms, err := bench.RunUnionTable(lubm, w, *runs)
-		check(err)
-		bench.FprintUnionTable(os.Stdout,
-			fmt.Sprintf("Parallel UNION branches: LUBM (%d triples), %d workers", lubm.Graph.Len(), w), ms)
-		fmt.Println()
-		// -json is shared with the other tables; write the union report
-		// only when this run is specifically the union table.
-		if *jsonPath != "" && *table == "union" {
-			rep := bench.NewUnionReport(w, *runs, ms)
-			f, err := os.Create(*jsonPath)
-			check(err)
-			check(bench.WriteUnionJSON(f, rep))
-			check(f.Close())
-			step("wrote %s", *jsonPath)
-		}
-	}
-
-	if want("build") && lubm != nil {
-		w := engine.Options{Workers: *workers}.EffectiveWorkers()
-		step("running sequential-vs-parallel build comparison (workers=%d)", w)
-		ms, err := bench.RunBuildTable([]*bench.Dataset{lubm}, w, *runs)
-		check(err)
-		bench.FprintBuildTable(os.Stdout,
-			fmt.Sprintf("Parallel build: LUBM (%d triples), %d workers", lubm.Graph.Len(), w), ms)
-		fmt.Println()
-		// -json is shared with -table parallel; write the build report only
-		// when this run is specifically the build table.
-		if *jsonPath != "" && *table == "build" {
-			rep := bench.NewBuildReport(w, *runs, ms)
-			f, err := os.Create(*jsonPath)
-			check(err)
-			check(bench.WriteBuildJSON(f, rep))
-			check(f.Close())
-			step("wrote %s", *jsonPath)
-		}
-	}
-
-	if want("server") && lubm != nil {
-		w := engine.Options{Workers: *workers}.EffectiveWorkers()
-		maxConc := 4 * w // the server's own default, recorded in the report
-		step("running SPARQL Protocol server bench (workers=%d, max-concurrent=%d)", w, maxConc)
-		ms, tp, err := bench.RunServerTable(lubm, w, maxConc, *runs)
-		check(err)
-		bench.FprintServerTable(os.Stdout,
-			fmt.Sprintf("SPARQL server: LUBM (%d triples) over HTTP, %d workers", lubm.Graph.Len(), w), ms, tp)
-		fmt.Println()
-		// -json is shared with the other tables; write the server report
-		// only when this run is specifically the server table.
-		if *jsonPath != "" && *table == "server" {
-			rep := bench.NewServerReport(w, maxConc, *runs, ms, tp)
-			f, err := os.Create(*jsonPath)
-			check(err)
-			check(bench.WriteServerJSON(f, rep))
-			check(f.Close())
-			step("wrote %s", *jsonPath)
-		}
-	}
-
-	if want("cache") && lubm != nil {
-		w := engine.Options{Workers: *workers}.EffectiveWorkers()
-		step("running cross-query BitMat cache comparison (workers=%d)", w)
-		ms, totals, err := bench.RunCacheTable(lubm, *workers, *runs)
-		check(err)
-		bench.FprintCacheTable(os.Stdout,
-			fmt.Sprintf("Cross-query BitMat cache: LUBM (%d triples), %d workers", lubm.Graph.Len(), w), ms, totals)
-		fmt.Println()
-		// -json is shared with the other tables; write the cache report
-		// only when this run is specifically the cache table.
-		if *jsonPath != "" && *table == "cache" {
-			// The budget recorded is the one the benchmarked store ran
-			// with, taken from its own counters rather than re-derived.
-			rep := bench.NewCacheReport(w, *runs, totals.Budget, ms, totals)
-			f, err := os.Create(*jsonPath)
-			check(err)
-			check(bench.WriteCacheJSON(f, rep))
-			check(f.Close())
-			step("wrote %s", *jsonPath)
-		}
-	}
-
-	if want("trace") && lubm != nil {
-		w := engine.Options{Workers: *workers}.EffectiveWorkers()
-		step("running tracing-overhead comparison (workers=%d)", w)
-		ms, nilNs, err := bench.RunTraceTable(lubm, *workers, *runs)
-		check(err)
-		bench.FprintTraceTable(os.Stdout,
-			fmt.Sprintf("Query tracing: LUBM (%d triples), %d workers", lubm.Graph.Len(), w), ms, nilNs)
-		fmt.Println()
-		// -json is shared with the other tables; write the trace report
-		// only when this run is specifically the trace table.
-		if *jsonPath != "" && *table == "trace" {
-			rep := bench.NewTraceReport(w, *runs, nilNs, ms)
-			f, err := os.Create(*jsonPath)
-			check(err)
-			check(bench.WriteTraceJSON(f, rep))
-			check(f.Close())
-			step("wrote %s", *jsonPath)
-		}
-	}
-
 	if want("crossover") {
 		step("running selectivity crossover sweep")
 		pts, err := bench.RunCrossover([]int{0, 1000, 5000, 20000, 80000}, *runs)
@@ -253,10 +137,14 @@ func main() {
 		bench.FprintCrossover(os.Stdout, pts)
 		fmt.Println()
 	}
+
+	if len(disagree) > 0 {
+		check(fmt.Errorf("LBR and a baseline disagree on %s", strings.Join(disagree, ", ")))
+	}
 }
 
-// runAblations measures the design-choice ablations of DESIGN.md section 5
-// on the LUBM workload.
+// runAblations measures the design-choice ablations (README.md, "The
+// paper's evaluation") on the LUBM workload.
 func runAblations(ds *bench.Dataset, runs int) {
 	fmt.Println("Ablations (LUBM Q1-Q3): total time per engine configuration")
 	// Workers pinned to 1 throughout: the ablations isolate the paper's

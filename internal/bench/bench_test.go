@@ -2,13 +2,18 @@ package bench
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/bitmat"
 	"repro/internal/datagen"
+	"repro/internal/difftest"
+	"repro/internal/engine"
 	"repro/internal/rdf"
+	"repro/internal/sparql"
+	"repro/internal/trace"
 )
 
 // Tiny scales keep unit tests fast; the real tables run from cmd/lbrbench
@@ -61,6 +66,72 @@ func TestLUBMAllQueriesRunAndAgree(t *testing.T) {
 				m.Query, m.InitialTriples, m.AfterPruning)
 		}
 	}
+
+	// Workers {2,4} must return Q1-Q6 (Q4/Q5 under best-match) and the
+	// UNION set byte-identical to workers=1, in the same order, on a
+	// dataset big enough that the parallel paths engage.
+	big, err := BuildLUBM(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seq := engine.New(big.Index, engine.Options{Workers: 1})
+	for i, spec := range append(big.Queries[:len(big.Queries):len(big.Queries)], unionQueries...) {
+		q, err := sparql.Parse(spec.SPARQL)
+		if err != nil {
+			t.Fatalf("%s: %v", spec.ID, err)
+		}
+		root := trace.New("query").Root()
+		res, err := seq.ExecuteTraceContext(context.Background(), q, root)
+		if err != nil {
+			t.Fatalf("%s workers=1: %v", spec.ID, err)
+		}
+		want := difftest.Exact(res.Rows)
+		if i >= len(big.Queries) {
+			// Every UNION query runs several UNF branches (the ?s ?p ?o
+			// expansion counts one per predicate) and returns rows.
+			if n := len(root.FindAll("branch")); n < 2 {
+				t.Errorf("%s: %d branches, want a multi-branch query", spec.ID, n)
+			}
+			if len(want) == 0 {
+				t.Errorf("%s: no results, want a non-empty workload", spec.ID)
+			}
+		}
+		for _, workers := range []int{2, 4} {
+			got, err := engine.New(big.Index, engine.Options{Workers: workers}).Execute(q)
+			if err != nil {
+				t.Fatalf("%s workers=%d: %v", spec.ID, workers, err)
+			}
+			if d := difftest.Verdict(difftest.Exact(got.Rows), want); d != "" {
+				t.Errorf("%s workers=%d: rows differ from workers=1: %s", spec.ID, workers, d)
+			}
+		}
+	}
+}
+
+// unionQueries are multi-branch UNION queries over the LUBM vocabulary,
+// including the per-predicate branches of a ?s ?p ?o expansion, chosen so
+// that branch scheduling, the shared-subpattern load cache and the
+// adaptive partitioner all engage at workers > 1.
+var unionQueries = []QuerySpec{
+	{ID: "U1", Note: "three UNION branches with per-branch OPTIONALs", SPARQL: lubmPrefixes + `
+		SELECT * WHERE {
+			{ ?st ub:takesCourse ?course . OPTIONAL { ?st ub:emailAddress ?e . } }
+			UNION { ?prof ub:teacherOf ?course . OPTIONAL { ?prof ub:researchInterest ?r . } }
+			UNION { ?st ub:teachingAssistantOf ?course . }
+		}`},
+	{ID: "U2", Note: "branches share the ?st ub:memberOf ?dept subpattern", SPARQL: lubmPrefixes + `
+		SELECT * WHERE {
+			{ ?st ub:memberOf ?dept . ?st ub:emailAddress ?e . }
+			UNION { ?st ub:memberOf ?dept . ?st ub:telephone ?t . }
+			UNION { ?st ub:memberOf ?dept . ?st ub:undergraduateDegreeFrom ?u . }
+		}`},
+	{ID: "U3", Note: "full scan: one branch per predicate", SPARQL: `
+		SELECT * WHERE { ?s ?p ?o . }`},
+	{ID: "U4", Note: "full scan joined with a type constraint, OPTIONAL riding along", SPARQL: lubmPrefixes + `
+		SELECT * WHERE {
+			?s ?p ?o . ?s rdf:type ub:GraduateStudent .
+			OPTIONAL { ?s ub:emailAddress ?e . }
+		}`},
 }
 
 func TestUniProtAllQueriesRunAndAgree(t *testing.T) {

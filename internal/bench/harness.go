@@ -92,7 +92,7 @@ func RunQuery(ds *Dataset, spec QuerySpec, opts RunOptions) (Measurement, error)
 		return m, fmt.Errorf("%s/%s: %w", ds.Name, spec.ID, err)
 	}
 	// Workers pinned to 1: the 6.x tables reproduce the paper's sequential
-	// algorithm; only the explicit parallel comparison opts into fan-out.
+	// algorithm, not the parallel layer.
 	lbr := engine.New(ds.Index, engine.Options{Workers: 1})
 	virt := baseline.New(ds.Index, baseline.SelectiveMaster)
 	monet := baseline.New(ds.Index, baseline.OriginalOrder)

@@ -1,8 +1,8 @@
 // Package bench is the experiment harness that regenerates the paper's
 // evaluation tables (6.1-6.4 plus the index-size comparison of Section
-// 6.2). Each query set below is the Appendix E workload translated to the
+// 6.2) and the selectivity crossover of Sections 1 and 6. Each query set below is the Appendix E workload translated to the
 // vocabulary of the corresponding synthetic generator; adaptations are
-// noted per query and in EXPERIMENTS.md.
+// noted per query.
 package bench
 
 import (

@@ -2,9 +2,10 @@
 // for the three evaluation datasets of Section 6 (Table 6.1): a LUBM-like
 // university network, a UniProt-like protein network, and a DBPedia-like
 // heterogeneous graph with a long tail of rare predicates. The generators
-// stand in for the original billion-triple datasets (see DESIGN.md): they
-// reproduce the predicates used by the Appendix E queries and the
-// optional-attribute sparsity that drives OPTIONAL-pattern selectivity.
+// stand in for the original billion-triple datasets (see README.md, "The
+// paper's evaluation"): they reproduce the predicates used by the
+// Appendix E queries and the optional-attribute sparsity that drives
+// OPTIONAL-pattern selectivity.
 package datagen
 
 import (

@@ -5,10 +5,12 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/bench"
 	"repro/internal/trace"
 )
 
@@ -99,6 +101,71 @@ func TestQueryTraceSpanAccounting(t *testing.T) {
 			}
 		}
 	})
+}
+
+// nilSpanSink keeps measureNilSpanNs's loop from being optimized away.
+var nilSpanSink int
+
+// measureNilSpanNs times one disabled instrumentation site (Child, Set,
+// End on a nil span) the way engine call sites execute it when no tracer
+// is attached.
+func measureNilSpanNs() float64 {
+	sp := (*trace.Tracer)(nil).Root()
+	const iters = 1 << 21
+	start := time.Now()
+	n := 0
+	for i := 0; i < iters; i++ {
+		c := sp.Child("op")
+		if c != nil {
+			c.Set("i", i)
+		}
+		c.End()
+		n += c.Count()
+	}
+	nilSpanSink = n
+	return float64(time.Since(start).Nanoseconds()) / iters
+}
+
+// TestDisabledTracingOverheadBound bounds what an untraced query pays for
+// the instrumentation. A query passes about as many guarded sites as its
+// traced run records spans, and each costs one nil-span site, so
+// spans x nil-span ns must stay under 1% of the untraced median wall time
+// for every query of the LUBM suite.
+func TestDisabledTracingOverheadBound(t *testing.T) {
+	ds, err := bench.BuildLUBM(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := NewStoreWithOptions(Options{Workers: 2})
+	s.LoadGraph(ds.Graph)
+	if err := s.Build(); err != nil {
+		t.Fatal(err)
+	}
+	nilNs := measureNilSpanNs()
+	for _, spec := range ds.Queries {
+		// One discarded warm-up settles the BitMat cache.
+		if _, err := s.Query(spec.SPARQL); err != nil {
+			t.Fatalf("%s: %v", spec.ID, err)
+		}
+		off := make([]time.Duration, 3)
+		for i := range off {
+			start := time.Now()
+			if _, err := s.Query(spec.SPARQL); err != nil {
+				t.Fatalf("%s: %v", spec.ID, err)
+			}
+			off[i] = time.Since(start)
+		}
+		slices.Sort(off)
+		_, root, err := s.QueryTrace(context.Background(), spec.SPARQL)
+		if err != nil {
+			t.Fatalf("%s traced: %v", spec.ID, err)
+		}
+		pct := float64(root.Count()) * nilNs / float64(off[1].Nanoseconds()) * 100
+		t.Logf("%s: %d spans x %.1f ns over %v = %.4f%%", spec.ID, root.Count(), nilNs, off[1], pct)
+		if pct >= 1 {
+			t.Errorf("%s: disabled-tracing overhead bound %.4f%% exceeds the 1%% budget", spec.ID, pct)
+		}
+	}
 }
 
 // TestQueryTraceChildDurationsNested checks the timing invariant a
