@@ -15,6 +15,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
@@ -24,9 +25,12 @@ import (
 	"repro/internal/sparql"
 )
 
+// tables are the -table values: the paper's experiments, or all of them.
+var tables = []string{"6.1", "6.2", "6.3", "6.4", "index-sizes", "ablations", "crossover", "all"}
+
 func main() {
 	var (
-		table    = flag.String("table", "all", "which experiment: 6.1|6.2|6.3|6.4|index-sizes|ablations|crossover|all")
+		table    = flag.String("table", "all", "which experiment: "+strings.Join(tables, "|"))
 		lubmU    = flag.Int("lubm-univ", 16, "LUBM scale: universities")
 		uniprotP = flag.Int("uniprot-proteins", 20000, "UniProt scale: proteins")
 		dbpediaE = flag.Int("dbpedia-entities", 40000, "DBPedia scale: entities")
@@ -34,6 +38,9 @@ func main() {
 		verify   = flag.Bool("verify", true, "cross-check engines' results; exit non-zero on a disagreement")
 	)
 	flag.Parse()
+	if !slices.Contains(tables, *table) {
+		check(fmt.Errorf("unknown -table %q; want one of %s", *table, strings.Join(tables, "|")))
+	}
 	opts := bench.RunOptions{Runs: *runs, Verify: *verify}
 
 	want := func(names ...string) bool {

@@ -3,6 +3,7 @@ package bench
 import (
 	"bytes"
 	"context"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -75,7 +76,7 @@ func TestLUBMAllQueriesRunAndAgree(t *testing.T) {
 		t.Fatal(err)
 	}
 	seq := engine.New(big.Index, engine.Options{Workers: 1})
-	for i, spec := range append(big.Queries[:len(big.Queries):len(big.Queries)], unionQueries...) {
+	for i, spec := range slices.Concat(big.Queries, unionQueries) {
 		q, err := sparql.Parse(spec.SPARQL)
 		if err != nil {
 			t.Fatalf("%s: %v", spec.ID, err)

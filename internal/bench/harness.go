@@ -81,9 +81,6 @@ type RunOptions struct {
 	Verify bool
 }
 
-// DefaultRunOptions mirrors the paper's methodology at laptop scale.
-func DefaultRunOptions() RunOptions { return RunOptions{Runs: 3, Verify: true} }
-
 // RunQuery measures one query on all engines.
 func RunQuery(ds *Dataset, spec QuerySpec, opts RunOptions) (Measurement, error) {
 	m := Measurement{Query: spec.ID, Consistent: true}
