@@ -3,7 +3,6 @@ package bench
 import (
 	"bytes"
 	"context"
-	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -67,16 +66,37 @@ func TestLUBMAllQueriesRunAndAgree(t *testing.T) {
 				m.Query, m.InitialTriples, m.AfterPruning)
 		}
 	}
+}
 
-	// Workers {2,4} must return Q1-Q6 (Q4/Q5 under best-match) and the
-	// UNION set byte-identical to workers=1, in the same order, on a
-	// dataset big enough that the parallel paths engage.
+// TestParallelMatchesSequentialOnSuite runs LUBM Q1-Q6 (Q4/Q5 under
+// best-match) at workers {2,4} and demands the workers=1 rows, byte for
+// byte and in order.
+func TestParallelMatchesSequentialOnSuite(t *testing.T) {
 	big, err := BuildLUBM(4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq := engine.New(big.Index, engine.Options{Workers: 1})
-	for i, spec := range slices.Concat(big.Queries, unionQueries) {
+	checkWorkersMatchSequential(t, big, big.Queries, false)
+}
+
+// TestUnionTableMatchesSequential does the same for the UNION set, which
+// must also run several UNF branches per query and return rows.
+func TestUnionTableMatchesSequential(t *testing.T) {
+	big, err := BuildLUBM(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkWorkersMatchSequential(t, big, unionQueries, true)
+}
+
+// checkWorkersMatchSequential runs each query at workers 1, 2 and 4 on a
+// dataset big enough that the parallel paths engage, and compares the
+// rows through difftest.Exact. With multiBranch it also asserts that the
+// sequential run traced >= 2 "branch" spans and returned rows.
+func checkWorkersMatchSequential(t *testing.T, ds *Dataset, specs []QuerySpec, multiBranch bool) {
+	t.Helper()
+	seq := engine.New(ds.Index, engine.Options{Workers: 1})
+	for _, spec := range specs {
 		q, err := sparql.Parse(spec.SPARQL)
 		if err != nil {
 			t.Fatalf("%s: %v", spec.ID, err)
@@ -87,9 +107,8 @@ func TestLUBMAllQueriesRunAndAgree(t *testing.T) {
 			t.Fatalf("%s workers=1: %v", spec.ID, err)
 		}
 		want := difftest.Exact(res.Rows)
-		if i >= len(big.Queries) {
-			// Every UNION query runs several UNF branches (the ?s ?p ?o
-			// expansion counts one per predicate) and returns rows.
+		if multiBranch {
+			// The ?s ?p ?o expansion counts one branch per predicate.
 			if n := len(root.FindAll("branch")); n < 2 {
 				t.Errorf("%s: %d branches, want a multi-branch query", spec.ID, n)
 			}
@@ -98,7 +117,7 @@ func TestLUBMAllQueriesRunAndAgree(t *testing.T) {
 			}
 		}
 		for _, workers := range []int{2, 4} {
-			got, err := engine.New(big.Index, engine.Options{Workers: workers}).Execute(q)
+			got, err := engine.New(ds.Index, engine.Options{Workers: workers}).Execute(q)
 			if err != nil {
 				t.Fatalf("%s workers=%d: %v", spec.ID, workers, err)
 			}
