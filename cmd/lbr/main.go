@@ -93,7 +93,10 @@ func main() {
 	}
 
 	if *stats {
-		st := store.Stats()
+		st, err := store.Stats()
+		if err != nil {
+			fatal(err)
+		}
 		fmt.Printf("triples=%d subjects=%d predicates=%d objects=%d shared=%d\n",
 			st.Triples, st.Subjects, st.Predicates, st.Objects, st.Shared)
 		return

@@ -20,7 +20,10 @@ func main() {
 	if err := store.Build(); err != nil {
 		log.Fatal(err)
 	}
-	st := store.Stats()
+	st, err := store.Stats()
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("UniProt-like graph: %d triples, %d predicates\n\n", st.Triples, st.Predicates)
 
 	res, err := store.Query(`

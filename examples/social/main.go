@@ -22,7 +22,10 @@ func main() {
 	if err := store.Build(); err != nil {
 		log.Fatal(err)
 	}
-	st := store.Stats()
+	st, err := store.Stats()
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("graph: %d triples, %d subjects, %d predicates, %d objects\n",
 		st.Triples, st.Subjects, st.Predicates, st.Objects)
 

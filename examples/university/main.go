@@ -22,7 +22,10 @@ func main() {
 	if err := store.Build(); err != nil {
 		log.Fatal(err)
 	}
-	st := store.Stats()
+	st, err := store.Stats()
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("LUBM-like graph: %d triples, %d predicates\n\n", st.Triples, st.Predicates)
 
 	const prefixes = `

@@ -1,6 +1,7 @@
 package lbr
 
 import (
+	"bytes"
 	"fmt"
 	"strings"
 	"testing"
@@ -32,18 +33,28 @@ var fuzzUpdateProbes = []string{
 }
 
 // diffUpdateStream applies one update stream (ops separated by '\n') to a
-// native store and the naive reference, comparing effective counts and
-// probe query results after every op, then across a compaction and
-// against a cold rebuild. Unparseable or unsupported streams are skipped,
-// but only when BOTH implementations reject them — one-sided rejection is
-// a finding.
+// native store and the naive reference, comparing effective counts, probe
+// query results and the derived views (Len, WriteNTriples, Stats) after
+// every op, then across a compaction, against a cold rebuild, and across a
+// SaveIndex → OpenIndex round trip followed by one more update.
+// Unparseable or unsupported streams are skipped, but only when BOTH
+// implementations reject them — one-sided rejection is a finding.
+//
+// Stats folds the delta into a fresh base, so checking it on the main
+// store would keep that store's delta from ever spanning more than one
+// op. A twin store receives the same ops and folds after each of them
+// through its Stats check, while the main store's delta accumulates.
 func diffUpdateStream(t *testing.T, stream string) {
 	t.Helper()
-	s := NewStoreWithOptions(Options{Workers: 2})
-	s.AddAll(fuzzUpdateBase())
-	if err := s.Build(); err != nil {
-		t.Fatal(err)
+	newStore := func() *Store {
+		s := NewStoreWithOptions(Options{Workers: 2})
+		s.AddAll(fuzzUpdateBase())
+		if err := s.Build(); err != nil {
+			t.Fatal(err)
+		}
+		return s
 	}
+	s, folded := newStore(), newStore()
 	g := rdf.NewGraph()
 	g.AddAll(fuzzUpdateBase())
 
@@ -74,13 +85,19 @@ func diffUpdateStream(t *testing.T, stream string) {
 		if res.Inserted != ri || res.Deleted != rd {
 			t.Fatalf("op %d %q: native +%d/-%d, reference +%d/-%d", i, op, res.Inserted, res.Deleted, ri, rd)
 		}
-		compareProbes(t, s, g, fmt.Sprintf("op %d %q", i, op))
+		step := fmt.Sprintf("op %d %q", i, op)
+		compareProbes(t, s, g, step, false)
+		fres, err := folded.ApplyUpdate(op)
+		if err != nil || fres.Inserted != ri || fres.Deleted != rd {
+			t.Fatalf("%s on the folded twin: +%d/-%d err=%v, reference +%d/-%d", step, fres.Inserted, fres.Deleted, err, ri, rd)
+		}
+		compareProbes(t, folded, g, step+" (folded twin)", true)
 	}
 
 	if err := s.Compact(); err != nil {
 		t.Fatal(err)
 	}
-	compareProbes(t, s, g, "post-compact")
+	compareProbes(t, s, g, "post-compact", true)
 	// Row-for-row identity with a cold rebuild pins determinism across
 	// independent builds of the same logical state.
 	cold := NewStore()
@@ -101,9 +118,33 @@ func diffUpdateStream(t *testing.T, stream string) {
 			t.Fatalf("compacted store differs from cold rebuild on %s:\n%s\nvs\n%s", q, rn.String(), rc.String())
 		}
 	}
+
+	// The reopened store serves its views straight from the loaded index,
+	// then from a delta over it.
+	var snap bytes.Buffer
+	if err := s.SaveIndex(&snap); err != nil {
+		t.Fatal(err)
+	}
+	reopened, err := OpenIndexWithOptions(&snap, Options{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	compareProbes(t, reopened, g, "reopened", false)
+	const after = "DELETE WHERE { ?s <p1> ?o } ; INSERT DATA { <rt> <p0> <e0> }"
+	ri, rd, err := ref.ApplyUpdate(g, after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := reopened.ApplyUpdate(after)
+	if err != nil || res.Inserted != ri || res.Deleted != rd {
+		t.Fatalf("update after reopen: +%d/-%d err=%v, reference +%d/-%d", res.Inserted, res.Deleted, err, ri, rd)
+	}
+	compareProbes(t, reopened, g, "reopened, then updated", true)
 }
 
-func compareProbes(t *testing.T, s *Store, g *rdf.Graph, step string) {
+// compareProbes checks the store against the reference graph: every probe
+// query, then the derived views (see compareViews).
+func compareProbes(t *testing.T, s *Store, g *rdf.Graph, step string, stats bool) {
 	t.Helper()
 	for _, q := range fuzzUpdateProbes {
 		got := sortedQueryRows(t, s, q)
@@ -111,6 +152,33 @@ func compareProbes(t *testing.T, s *Store, g *rdf.Graph, step string) {
 		if fmt.Sprint(got) != fmt.Sprint(want) {
 			t.Fatalf("%s, probe %s:\n got %v\nwant %v", step, q, got, want)
 		}
+	}
+	compareViews(t, s, g, step, stats)
+}
+
+// compareViews checks the store's derived views against the reference
+// graph: Len, the set of WriteNTriples lines and, when stats is set, Stats
+// (which folds the store's delta into a fresh base).
+func compareViews(t *testing.T, s *Store, g *rdf.Graph, step string, stats bool) {
+	t.Helper()
+	if s.Len() != g.Len() {
+		t.Fatalf("%s: Len %d, want %d", step, s.Len(), g.Len())
+	}
+	var got, want bytes.Buffer
+	if err := s.WriteNTriples(&got); err != nil {
+		t.Fatal(err)
+	}
+	if err := rdf.WriteNTriples(&want, g); err != nil {
+		t.Fatal(err)
+	}
+	if a, b := sortedLines(got.String()), sortedLines(want.String()); a != b {
+		t.Fatalf("%s: WriteNTriples lines\n%s\nwant\n%s", step, a, b)
+	}
+	if !stats {
+		return
+	}
+	if st, err := s.Stats(); err != nil || st != g.Stats() {
+		t.Fatalf("%s: Stats %+v (err %v), want %+v", step, st, err, g.Stats())
 	}
 }
 

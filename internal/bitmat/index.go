@@ -31,50 +31,9 @@ type Index struct {
 	nTriples int64
 }
 
-// Build constructs the index for a graph. The dictionary is built from the
-// same graph, so every triple encodes.
-func Build(g *rdf.Graph) (*Index, error) {
-	dict := g.Dictionary()
-	return BuildWithDictionary(g, dict)
-}
-
-// BuildWithDictionary constructs the index using a pre-built dictionary.
-func BuildWithDictionary(g *rdf.Graph, dict *rdf.Dictionary) (*Index, error) {
-	idx := &Index{
-		dict:      dict,
-		soPairs:   make([][]Pair, dict.NumPredicates()),
-		osPairs:   make([][]Pair, dict.NumPredicates()),
-		bySubject: make([][]Pair, dict.NumSubjects()),
-		byObject:  make([][]Pair, dict.NumObjects()),
-	}
-	for _, tr := range g.Triples() {
-		it, err := dict.Encode(tr)
-		if err != nil {
-			return nil, fmt.Errorf("bitmat: %w", err)
-		}
-		p, s, o := it.P-1, uint32(it.S), uint32(it.O)
-		idx.soPairs[p] = append(idx.soPairs[p], Pair{A: s, B: o})
-		idx.osPairs[p] = append(idx.osPairs[p], Pair{A: o, B: s})
-		idx.bySubject[it.S-1] = append(idx.bySubject[it.S-1], Pair{A: uint32(it.P), B: o})
-		idx.byObject[it.O-1] = append(idx.byObject[it.O-1], Pair{A: uint32(it.P), B: s})
-		idx.nTriples++
-	}
-	sortPairs := func(lists [][]Pair) {
-		for _, l := range lists {
-			sort.Slice(l, func(i, j int) bool {
-				if l[i].A != l[j].A {
-					return l[i].A < l[j].A
-				}
-				return l[i].B < l[j].B
-			})
-		}
-	}
-	sortPairs(idx.soPairs)
-	sortPairs(idx.osPairs)
-	sortPairs(idx.bySubject)
-	sortPairs(idx.byObject)
-	return idx, nil
-}
+// Build constructs the index for a graph sequentially: BuildParallel
+// with one worker.
+func Build(g *rdf.Graph) (*Index, error) { return BuildTriples(g.Triples(), 1) }
 
 // Dictionary returns the index's term dictionary.
 func (idx *Index) Dictionary() *rdf.Dictionary { return idx.dict }
@@ -115,6 +74,34 @@ func (idx *Index) Validate() error {
 
 // NumTriples reports the number of indexed triples.
 func (idx *Index) NumTriples() int64 { return idx.nTriples }
+
+// ForEachTriple calls fn with every indexed triple, as its coordinates
+// and decoded back into terms, in index order: by predicate ID, then by
+// (S,O). It stops early when fn returns false.
+func (idx *Index) ForEachTriple(fn func(rdf.IDTriple, rdf.Triple) bool) error {
+	for p, pairs := range idx.soPairs {
+		pid := rdf.ID(p + 1)
+		pred, err := idx.dict.Predicate(pid)
+		if err != nil {
+			return err
+		}
+		for _, pr := range pairs {
+			it := rdf.IDTriple{S: rdf.ID(pr.A), P: pid, O: rdf.ID(pr.B)}
+			s, err := idx.dict.Subject(it.S)
+			if err != nil {
+				return err
+			}
+			o, err := idx.dict.Object(it.O)
+			if err != nil {
+				return err
+			}
+			if !fn(it, rdf.Triple{S: s, P: pred, O: o}) {
+				return nil
+			}
+		}
+	}
+	return nil
+}
 
 // PredicateCardinality returns the number of triples with predicate p,
 // which is the selectivity statistic of a (?a :p ?b) pattern.

@@ -23,7 +23,9 @@ func overlayFixture(t *testing.T, base []rdf.Triple, ins, del []rdf.Triple) (*Ov
 		t.Fatal(err)
 	}
 	gm := g.Clone()
-	gm.RemoveAll(del)
+	for _, tr := range del {
+		gm.Remove(tr)
+	}
 	gm.AddAll(ins)
 	rebuilt, err := Build(gm)
 	if err != nil {

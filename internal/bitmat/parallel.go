@@ -18,19 +18,23 @@ var parallelBuildMinTriples = 4096
 // dictionary via the sharded builder, then the four pair-table families
 // with a count/scatter/sort pipeline that writes every slot exactly once.
 // 0 workers means GOMAXPROCS, negative is treated as 1. Any worker count
-// produces an index identical to Build's — the dictionary assignment is a
-// pure function of the term set, the scatter fills each per-ID bucket with
-// exactly the pairs the sequential appends would, and the final per-bucket
-// sort makes the (unique) pair order canonical — so the persist format is
-// byte-identical too.
+// produces the same index — the dictionary assignment is a pure function
+// of the term set, the scatter fills each per-ID bucket with the same
+// pairs whatever the interleaving, and the final per-bucket sort makes the
+// (unique) pair order canonical — so the persist format is byte-identical
+// too.
 func BuildParallel(g *rdf.Graph, workers int) (*Index, error) {
+	return BuildTriples(g.Triples(), workers)
+}
+
+// BuildTriples is BuildParallel over a slice of distinct triples, for
+// callers that hold the triples without a deduplicating rdf.Graph.
+func BuildTriples(triples []rdf.Triple, workers int) (*Index, error) {
 	workers = rdf.EffectiveWorkers(workers)
-	triples := g.Triples()
-	if workers == 1 || len(triples) < parallelBuildMinTriples {
-		return Build(g)
+	if len(triples) < parallelBuildMinTriples {
+		workers = 1
 	}
-	dict := rdf.BuildDictionaryParallel(triples, workers)
-	return BuildParallelWithDictionary(triples, dict, workers)
+	return BuildParallelWithDictionary(triples, rdf.BuildDictionaryParallel(triples, workers), workers)
 }
 
 // BuildParallelWithDictionary is the indexing half of BuildParallel over a

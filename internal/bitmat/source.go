@@ -25,6 +25,10 @@ type Source interface {
 	RowPO(p, s rdf.ID) *Matrix
 	RowP(s, o rdf.ID) *Matrix
 	Contains(s, p, o rdf.ID) bool
+	SOPairs(p rdf.ID) []Pair
+	OSPairs(p rdf.ID) []Pair
+	SubjectPairs(s rdf.ID) []Pair
+	ObjectPairs(o rdf.ID) []Pair
 }
 
 var (

@@ -34,14 +34,6 @@ type Options struct {
 	// (see EffectiveWorkers). Parallel execution returns the same rows in
 	// the same order as sequential execution.
 	Workers int
-	// PartitionFactor oversubscribes the adaptive root partitioner of the
-	// multi-way join: with w effective workers the partitioner aims for
-	// PartitionFactor*w weight-balanced partitions so that skewed
-	// partitions rebalance across the pool. 0 selects the default (4);
-	// negative values mean one partition per worker. Any factor produces
-	// the same rows in the same order — partitions concatenate in scan
-	// order — so this is a performance knob, never a correctness one.
-	PartitionFactor int
 }
 
 // Engine executes queries against one BitMat source: a compacted index or
@@ -931,7 +923,7 @@ func (e *Engine) executeBranch(ctx context.Context, eb execBranch, vars []sparql
 		// slice of the root pattern's surviving triples with its own
 		// joinRun state over the shared (now read-only) tpStates.
 		nWorkers := max(budget, 1)
-		rootTP, parts := rootPartitions(plan, stps, nWorkers, e.opts.partitionFactor())
+		rootTP, parts := rootPartitions(plan, stps, nWorkers, partitionFactor)
 		if jsp != nil {
 			// rootTP is -1 when the partitioner fell back to a sequential
 			// single-chunk join (small input, one worker, unsplittable root).

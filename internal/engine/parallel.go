@@ -23,25 +23,13 @@ var parallelMinTriples int64 = 1024
 // cannot drift between them.
 func (o Options) EffectiveWorkers() int { return rdf.EffectiveWorkers(o.Workers) }
 
-// defaultPartitionFactor is the oversubscription of the adaptive root
+// partitionFactor is the oversubscription of the adaptive root
 // partitioner: with w workers the partitioner aims for factor*w
 // weight-balanced partitions, so that when a partition still turns out
 // heavier than estimated (weights count root triples, not join fan-out)
-// the pool rebalances around it instead of idling.
-const defaultPartitionFactor = 4
-
-// partitionFactor resolves Options.PartitionFactor: positive values pass
-// through, zero selects the default, negative values mean one partition
-// per worker (the pre-adaptive behavior).
-func (o Options) partitionFactor() int {
-	switch {
-	case o.PartitionFactor > 0:
-		return o.PartitionFactor
-	case o.PartitionFactor < 0:
-		return 1
-	}
-	return defaultPartitionFactor
-}
+// the pool rebalances around it instead of idling. Any factor yields the
+// same rows in the same order: partitions concatenate in scan order.
+const partitionFactor = 4
 
 // workers resolves the effective worker-pool size. A result of 1 selects
 // the sequential code paths everywhere.

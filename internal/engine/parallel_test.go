@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/bitvec"
 	"repro/internal/difftest"
 	"repro/internal/rdf"
 	"repro/internal/sparql"
@@ -223,9 +224,11 @@ const unionDeterminismQuery = `SELECT * WHERE {
 
 // TestUnionDeterminismAcrossPartitionAndWorkerCounts pins the merge
 // determinism of the branch scheduler and the adaptive partitioner: the
-// same UNION query, executed at every combination of worker count and
-// partition factor, must produce byte-identical Result rows — order and
-// OPTIONAL unbound (NULL) cells included.
+// same UNION query, executed at every worker count, must produce
+// byte-identical Result rows — order and OPTIONAL unbound (NULL) cells
+// included — and at every partition factor the partitioner's ranges must
+// tile the root pattern's rows in scan order, which is what lets the
+// partitions' results concatenate to the sequential output.
 func TestUnionDeterminismAcrossPartitionAndWorkerCounts(t *testing.T) {
 	forceParallel(t)
 	g := chainGraph()
@@ -244,14 +247,57 @@ func TestUnionDeterminismAcrossPartitionAndWorkerCounts(t *testing.T) {
 		t.Fatalf("weak fixture: %d rows, %d with NULLs", len(wantRows), nulls)
 	}
 	for _, workers := range []int{1, 2, 3, 8} {
-		for _, factor := range []int{-1, 0, 1, 2, 8} {
-			got, err := engineOver(t, g, Options{Workers: workers, PartitionFactor: factor}).
-				ExecuteString(unionDeterminismQuery)
-			if err != nil {
-				t.Fatalf("workers=%d factor=%d: %v", workers, factor, err)
+		got, err := engineOver(t, g, Options{Workers: workers}).ExecuteString(unionDeterminismQuery)
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		if v := difftest.Verdict(difftest.Exact(got.Rows), wantRows); v != "" {
+			t.Fatalf("workers=%d: %s", workers, v)
+		}
+	}
+
+	e := engineOver(t, g, Options{})
+	q, err := sparql.Parse(`SELECT * WHERE { ?x <knows> ?y . }`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := e.prepare(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, _, err := e.planBranch(p.execs[0].b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tps := make([]*tpState, len(plan.GoSN.Patterns))
+	for i, pat := range plan.GoSN.Patterns {
+		if tps[i], err = e.load(pat, i, plan.GoSN.SNOfTP[i], plan, tps, nil, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stps := sortTPs(plan, tps)
+	for _, factor := range []int{1, 2, 4, 8} {
+		root, parts := rootPartitions(plan, stps, 2, factor)
+		if root < 0 || len(parts) < 2 || len(parts) > 2*factor {
+			t.Fatalf("factor=%d: root %d, %d partitions, want 2..%d", factor, root, len(parts), 2*factor)
+		}
+		// Every non-empty root row lies in exactly one partition, the
+		// partitions follow each other in scan order, and none is empty.
+		rows := make([]int, len(parts))
+		k := 0
+		stps[root].mat.ForEachRow(func(r int, _ *bitvec.Row) bool {
+			for k < len(parts) && r >= parts[k][1] {
+				k++
 			}
-			if v := difftest.Verdict(difftest.Exact(got.Rows), wantRows); v != "" {
-				t.Fatalf("workers=%d factor=%d: %s", workers, factor, v)
+			if k == len(parts) || r < parts[k][0] {
+				t.Fatalf("factor=%d: row %d outside the partitions %v", factor, r, parts)
+			}
+			rows[k]++
+			return true
+		})
+		for i, n := range rows {
+			if n == 0 || (i > 0 && parts[i][0] < parts[i-1][1]) {
+				t.Fatalf("factor=%d: partitions %v do not tile the rows (%v per partition)", factor, parts, rows)
 			}
 		}
 	}

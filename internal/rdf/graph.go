@@ -62,32 +62,6 @@ func (g *Graph) Remove(tr Triple) bool {
 	return true
 }
 
-// RemoveAll deletes every triple of trs that is present and returns the
-// number removed. Like Remove, it never mutates the previous backing slice.
-func (g *Graph) RemoveAll(trs []Triple) int {
-	drop := make(map[tripleKey]struct{}, len(trs))
-	for _, tr := range trs {
-		k := tripleKey{tr.S.Key(), tr.P.Key(), tr.O.Key()}
-		if _, ok := g.seen[k]; ok {
-			drop[k] = struct{}{}
-		}
-	}
-	if len(drop) == 0 {
-		return 0
-	}
-	out := make([]Triple, 0, len(g.triples)-len(drop))
-	for _, t := range g.triples {
-		k := tripleKey{t.S.Key(), t.P.Key(), t.O.Key()}
-		if _, ok := drop[k]; ok {
-			delete(g.seen, k)
-			continue
-		}
-		out = append(out, t)
-	}
-	g.triples = out
-	return len(drop)
-}
-
 // Clone returns an independent copy of the graph.
 func (g *Graph) Clone() *Graph {
 	ng := &Graph{
@@ -124,11 +98,7 @@ type Stats struct {
 
 // Stats computes dataset characteristics.
 func (g *Graph) Stats() Stats {
-	b := NewDictionaryBuilder()
-	for _, tr := range g.triples {
-		b.Add(tr)
-	}
-	d := b.Build()
+	d := g.Dictionary()
 	return Stats{
 		Triples:    len(g.triples),
 		Subjects:   d.NumSubjects(),
@@ -140,13 +110,7 @@ func (g *Graph) Stats() Stats {
 
 // Dictionary builds the Appendix-D dictionary for the graph's current
 // contents.
-func (g *Graph) Dictionary() *Dictionary {
-	b := NewDictionaryBuilder()
-	for _, tr := range g.triples {
-		b.Add(tr)
-	}
-	return b.Build()
-}
+func (g *Graph) Dictionary() *Dictionary { return BuildDictionaryParallel(g.triples, 1) }
 
 // Predicates returns the distinct predicate terms sorted by their
 // N-Triples rendering, useful for generators and diagnostics.

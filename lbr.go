@@ -25,8 +25,10 @@
 package lbr
 
 import (
+	"bufio"
 	"context"
 	"io"
+	"maps"
 	"sort"
 	"strings"
 	"sync"
@@ -85,14 +87,6 @@ type Options struct {
 	// execution, and a parallel Build produces a dictionary, index, and
 	// SaveIndex snapshot byte-identical to a sequential build's.
 	Workers int
-	// PartitionFactor oversubscribes the engine's adaptive join
-	// partitioner: with w effective workers each multi-way join is split
-	// into up to PartitionFactor*w partitions sized by the root pattern's
-	// per-row triple counts, so a skewed predicate cannot serialize the
-	// join behind one straggler partition. 0 selects the default (4);
-	// negative values mean one partition per worker. Purely a performance
-	// knob: every factor yields byte-identical rows in the same order.
-	PartitionFactor int
 	// CacheBudget bounds, in bytes, the store's cross-query BitMat
 	// materialization cache: a cost-weighted LRU of pristine (unmasked,
 	// unpruned) per-pattern matrices shared by all queries running against
@@ -106,8 +100,8 @@ type Options struct {
 	// soon as the store's delta overlay accumulates that many entries
 	// (inserts plus deletes versus the base index). 0 disables automatic
 	// compaction: deltas accumulate until Compact is called explicitly or
-	// an operation that needs a compacted index (SaveIndex, QueryBaseline,
-	// IndexSizes) forces one. Compaction never changes query results —
+	// an operation that needs a compacted index (SaveIndex, IndexSizes,
+	// Stats) forces one. Compaction never changes query results —
 	// in-flight queries keep their snapshot, and the folded index answers
 	// exactly like the overlay it replaces.
 	CompactThreshold int
@@ -150,8 +144,11 @@ func (o Options) EffectiveCacheBudget() int64 {
 // Workers when positive, GOMAXPROCS when zero, and 1 for negative values.
 func (o Options) EffectiveWorkers() int { return o.engineOptions().EffectiveWorkers() }
 
-// Store holds an RDF graph and, after Build, its BitMat index plus a delta
-// overlay of uncompacted mutations.
+// Store holds an RDF graph as a BitMat index (the last compacted base)
+// plus the net delta of mutations since: the triples inserted and the base
+// triples deleted. That is the only record of the data — no triple list
+// is kept beside the index. Before the first Build every triple waits in
+// the delta.
 //
 // A Store is safe for concurrent use: any number of goroutines may call
 // Query, QueryContext, Ask, Explain, and the other read methods while
@@ -162,8 +159,7 @@ func (o Options) EffectiveWorkers() int { return o.engineOptions().EffectiveWork
 // mixture, and a query started before an update finishes with its original
 // view even while later generations are installed.
 type Store struct {
-	mu    sync.RWMutex
-	graph *rdf.Graph
+	mu sync.RWMutex
 	// base is the last compacted index; src is what queries actually run
 	// against: base itself when the delta is empty, or an overlay merging
 	// the net delta over it. Both are immutable once installed.
@@ -179,11 +175,12 @@ type Store struct {
 	cache *engine.MatCache
 	gen   uint64
 
-	// ins and del are the net delta versus base, keyed by the triple's
-	// N-Triples rendering: ins holds triples present in the graph but not
-	// the base, del triples present in the base but removed since. An
-	// insert of a deleted triple (or vice versa) cancels, so the two maps
-	// are always disjoint and minimal.
+	// ins and del are the net delta versus base (an empty base before the
+	// first Build), keyed by the triple's N-Triples rendering: ins holds
+	// triples present in the store but not the base, del triples present
+	// in the base but removed since. An insert of a deleted triple (or vice
+	// versa) cancels, so the two maps are always disjoint and minimal, and
+	// the store holds exactly base − del + ins.
 	ins map[string]Triple
 	del map[string]Triple
 
@@ -193,8 +190,9 @@ type Store struct {
 	lsn uint64
 	wal *wal
 
-	compacting  bool
-	compactDone chan struct{} // closed when the in-flight compaction finishes
+	// compactDone is non-nil while a compaction is in flight and is closed
+	// when it finishes.
+	compactDone chan struct{}
 
 	// walCheckpointLSN records the store LSN at the last WAL checkpoint
 	// (a SaveIndex that proved every logged mutation folded into the
@@ -221,7 +219,6 @@ func NewStore() *Store { return NewStoreWithOptions(Options{}) }
 // NewStoreWithOptions returns an empty store with engine options.
 func NewStoreWithOptions(opts Options) *Store {
 	return &Store{
-		graph: rdf.NewGraph(),
 		opts:  opts,
 		cache: engine.NewMatCache(opts.EffectiveCacheBudget()),
 		ins:   map[string]Triple{},
@@ -280,7 +277,8 @@ func (s *Store) RemoveAll(ts []Triple) int {
 // LoadNTriples reads N-Triples into the store, returning the number of
 // statements added. With Options.Workers other than 1 the parse runs as a
 // pipeline (reader, parallel line parsing, in-order merge), producing the
-// same triples, order, and first error as a sequential parse.
+// same triples, order, and first error as a sequential parse. A failed
+// WAL append is returned, and then nothing is added.
 func (s *Store) LoadNTriples(r io.Reader) (int, error) {
 	// opts is immutable after construction, so reading it without the
 	// store lock is safe here.
@@ -288,7 +286,10 @@ func (s *Store) LoadNTriples(r io.Reader) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	return s.AddAll(g.Triples()), nil
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	_, n, err := s.mutateLocked(nil, g.Triples(), true)
+	return n, err
 }
 
 // LoadGraph bulk-adds another graph's triples.
@@ -298,27 +299,44 @@ func (s *Store) LoadGraph(g *rdf.Graph) int { return s.AddAll(g.Triples()) }
 func (s *Store) Len() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return s.graph.Len()
+	n := len(s.ins) - len(s.del)
+	if s.base != nil {
+		n += int(s.base.NumTriples())
+	}
+	return n
 }
 
 // GraphStats summarizes the data the way Table 6.1 does.
 type GraphStats = rdf.Stats
 
-// Stats computes dataset characteristics.
-func (s *Store) Stats() GraphStats {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.graph.Stats()
+// Stats reports dataset characteristics, read from the dictionary of a
+// compacted index: like SaveIndex, it folds any outstanding delta first.
+func (s *Store) Stats() (GraphStats, error) {
+	idx, err := s.ensureIndex()
+	if err != nil {
+		return GraphStats{}, err
+	}
+	d := idx.Dictionary()
+	return GraphStats{
+		Triples:    int(idx.NumTriples()),
+		Subjects:   d.NumSubjects(),
+		Predicates: d.NumPredicates(),
+		Objects:    d.NumObjects(),
+		Shared:     d.NumShared(),
+	}, nil
 }
 
-// Build constructs the dictionary and the BitMat index. It must be called
-// before Query, and again after any mutation — or left to the first query,
-// which builds lazily (single-flight: concurrent queries on an unbuilt
-// store trigger exactly one build).
+// Build indexes the triples added so far, or, on a built store, folds the
+// delta of later mutations into a fresh index (see Compact), and installs
+// the query snapshot. Queries do not need it: the first query builds
+// lazily (single-flight), and later mutations reach queries through the
+// delta overlay without a rebuild.
 func (s *Store) Build() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.buildLocked()
+	if err := s.Compact(); err != nil {
+		return err
+	}
+	_, _, err := s.ensureSnapshot()
+	return err
 }
 
 // engineOptions maps the public options onto the engine's. Both build
@@ -330,17 +348,16 @@ func (o Options) engineOptions() engine.Options {
 		DisableActivePruning: o.DisableActivePruning,
 		NaiveJvarOrder:       o.NaiveJvarOrder,
 		Workers:              o.Workers,
-		PartitionFactor:      o.PartitionFactor,
 	}
 }
 
-// buildLocked rebuilds the index snapshot from the full graph, folding any
-// accumulated delta; the caller holds mu. The build fans the dictionary
-// encode and the per-predicate table construction across Options.Workers
-// goroutines; any worker count yields an identical index (see
-// bitmat.BuildParallel).
+// buildLocked performs the first build: it indexes the triples waiting in
+// the delta and installs the index as the base. The caller holds mu and
+// guarantees base is nil. The build fans the dictionary encode and the
+// per-predicate table construction across Options.Workers goroutines; any
+// worker count yields an identical index (see bitmat.BuildParallel).
 func (s *Store) buildLocked() error {
-	idx, err := bitmat.BuildParallel(s.graph, s.opts.EffectiveWorkers())
+	idx, err := buildIndex(nil, s.ins, nil, s.opts.EffectiveWorkers())
 	if err != nil {
 		return err
 	}
@@ -349,8 +366,8 @@ func (s *Store) buildLocked() error {
 }
 
 // installIndexLocked adopts idx as the new compacted base covering the
-// graph exactly: the delta empties and queries run straight against the
-// index. The caller holds mu.
+// store's triples exactly: the delta empties and queries run straight
+// against the index. The caller holds mu.
 func (s *Store) installIndexLocked(idx *bitmat.Index) {
 	s.base = idx
 	s.ins = map[string]Triple{}
@@ -486,9 +503,9 @@ func (s *Store) ensureEngine() (*engine.Engine, error) {
 }
 
 // ensureIndex returns a compacted index covering every mutation so far,
-// folding any outstanding delta first. SaveIndex, QueryBaseline, and
-// IndexSizes route through it: extended overlay dictionaries are never
-// persisted or handed to the relational baseline.
+// folding any outstanding delta first. SaveIndex, IndexSizes, and Stats
+// route through it: extended overlay dictionaries are never persisted or
+// counted.
 func (s *Store) ensureIndex() (*bitmat.Index, error) {
 	if err := s.Compact(); err != nil {
 		return nil, err
@@ -684,22 +701,11 @@ func (s *Store) QueryBaseline(src string, policy BaselinePolicy) (*Result, error
 	if err != nil {
 		return nil, err
 	}
-	bsrc, ok := snap.(baseline.Source)
-	if !ok {
-		// Every store-installed snapshot (index or overlay) satisfies
-		// baseline.Source; an exotic composition falls back to a compacted
-		// index.
-		idx, ierr := s.ensureIndex()
-		if ierr != nil {
-			return nil, ierr
-		}
-		bsrc = idx
-	}
 	pol := baseline.OriginalOrder
 	if policy == VirtuosoLike {
 		pol = baseline.SelectiveMaster
 	}
-	res, err := baseline.New(bsrc, pol).ExecuteString(src)
+	res, err := baseline.New(snap, pol).ExecuteString(src)
 	if err != nil {
 		return nil, err
 	}
@@ -724,12 +730,30 @@ func (s *Store) IndexSizes() (bitmat.SizeReport, error) {
 	return idx.Sizes(), nil
 }
 
-// WriteNTriples serializes the store's graph. It holds the store read lock
-// for the duration of the write, blocking mutation but not queries.
+// WriteNTriples serializes the store's triples, one statement per line:
+// the base index's triples in index order (by predicate, then subject and
+// object ID), skipping deleted ones, then the inserted triples in N-Triples
+// order. It copies the delta under the read lock and writes without
+// holding it, so neither mutation nor queries wait for the writer.
 func (s *Store) WriteNTriples(w io.Writer) error {
 	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return rdf.WriteNTriples(w, s.graph)
+	base, del, ins := s.base, maps.Clone(s.del), sortedTriples(s.ins)
+	s.mu.RUnlock()
+	bw := bufio.NewWriter(w)
+	// A bufio.Writer's first error sticks: later writes fail fast and
+	// Flush reports it.
+	write := func(t Triple) bool {
+		bw.WriteString(t.String())
+		_, err := bw.WriteString(" .\n")
+		return err == nil
+	}
+	if err := forEachBaseTriple(base, del, write); err != nil {
+		return err
+	}
+	for _, t := range ins {
+		write(t)
+	}
+	return bw.Flush()
 }
 
 // Version identifies the library release.

@@ -122,7 +122,10 @@ func TestStoreNTriplesRoundTrip(t *testing.T) {
 }
 
 func TestStoreStats(t *testing.T) {
-	st := movieStore(t).Stats()
+	st, err := movieStore(t).Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if st.Triples != 11 || st.Predicates != 3 {
 		t.Errorf("stats = %+v", st)
 	}

@@ -16,7 +16,7 @@ import (
 
 // Store snapshot format: a small header, the dictionary, then the index
 // pair tables. The raw triples are not stored; the index is the canonical
-// representation and the graph can be reconstructed from it on demand.
+// representation.
 var storeMagic = []byte("LBRSTOR1")
 
 // SaveIndex writes the built dictionary and index so a later process can
@@ -61,8 +61,9 @@ func (s *Store) SaveIndex(w io.Writer) error {
 }
 
 // OpenIndex loads a snapshot written by SaveIndex into a queryable store.
-// The in-memory graph is reconstructed from the index so that Stats and
-// WriteNTriples keep working; mutation after loading re-indexes as usual.
+// The loaded index becomes the store's base as it is, without decoding a
+// triple: Len, Stats, and WriteNTriples read it, and later mutations form a
+// delta overlay over it like on any built store.
 func OpenIndex(r io.Reader) (*Store, error) {
 	return OpenIndexWithOptions(r, Options{})
 }
@@ -87,24 +88,6 @@ func OpenIndexWithOptions(r io.Reader, opts Options) (*Store, error) {
 		return nil, fmt.Errorf("lbr: index: %w", err)
 	}
 	st := NewStoreWithOptions(opts)
-	// Rebuild the graph from the per-predicate tables.
-	for p := 1; p <= dict.NumPredicates(); p++ {
-		pred, err := dict.Predicate(rdf.ID(p))
-		if err != nil {
-			return nil, err
-		}
-		for _, pair := range idx.SOPairs(rdf.ID(p)) {
-			sTerm, err := dict.Subject(rdf.ID(pair.A))
-			if err != nil {
-				return nil, err
-			}
-			oTerm, err := dict.Object(rdf.ID(pair.B))
-			if err != nil {
-				return nil, err
-			}
-			st.graph.Add(rdf.Triple{S: sTerm, P: pred, O: oTerm})
-		}
-	}
 	st.installIndexLocked(idx)
 	return st, nil
 }

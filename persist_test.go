@@ -25,9 +25,9 @@ func TestSaveOpenIndexRoundTrip(t *testing.T) {
 	if res.Len() != 2 {
 		t.Fatalf("reloaded store gives %d results, want 2", res.Len())
 	}
-	// Stats still work after reconstruction.
-	if st := s2.Stats(); st.Predicates != 3 {
-		t.Errorf("reloaded stats = %+v", st)
+	// Stats read the loaded index's dictionary.
+	if st, err := s2.Stats(); err != nil || st.Predicates != 3 {
+		t.Errorf("reloaded stats = %+v, %v", st, err)
 	}
 }
 

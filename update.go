@@ -3,6 +3,8 @@ package lbr
 import (
 	"context"
 	"fmt"
+	"maps"
+	"slices"
 	"time"
 
 	"repro/internal/bitmat"
@@ -148,15 +150,15 @@ func instantiateTemplates(tmpl []sparql.TriplePattern, vars []sparql.Var, rows [
 // It normalizes the batch to its effective operations (a delete of an
 // absent triple or an insert of a present one is dropped; duplicates
 // within the batch collapse), appends them to the WAL when log is set,
-// applies them to the graph and the net-delta sets, and installs a fresh
-// overlay snapshot when the store is built. It returns the effective
-// delete and insert counts. The caller holds mu.
+// applies them to the net-delta sets, and installs a fresh overlay
+// snapshot when the store is built. It returns the effective delete and
+// insert counts. The caller holds mu.
 func (s *Store) mutateLocked(del, ins []Triple, log bool) (int, int, error) {
 	effDel := make([]Triple, 0, len(del))
 	delKeys := map[string]bool{}
 	for _, t := range del {
 		k := t.String()
-		if delKeys[k] || !s.graph.Contains(t) {
+		if delKeys[k] || !s.containsLocked(k, t) {
 			continue
 		}
 		delKeys[k] = true
@@ -171,7 +173,7 @@ func (s *Store) mutateLocked(del, ins []Triple, log bool) (int, int, error) {
 		}
 		// Deletes apply first, so a triple deleted by this very batch can
 		// be re-inserted by it.
-		if s.graph.Contains(t) && !delKeys[k] {
+		if s.containsLocked(k, t) && !delKeys[k] {
 			continue
 		}
 		insKeys[k] = true
@@ -187,8 +189,6 @@ func (s *Store) mutateLocked(del, ins []Triple, log bool) (int, int, error) {
 		}
 		s.walAppends.Add(1)
 	}
-	s.graph.RemoveAll(effDel)
-	s.graph.AddAll(effIns)
 	for _, t := range effDel {
 		k := t.String()
 		if _, ok := s.ins[k]; ok {
@@ -206,20 +206,35 @@ func (s *Store) mutateLocked(del, ins []Triple, log bool) (int, int, error) {
 		}
 	}
 	s.lsn++
-	switch {
-	case s.base != nil && s.eng != nil:
+	// A snapshot exists only over a base, so the overlay has one to merge
+	// over.
+	if s.eng != nil {
 		if err := s.installOverlayLocked(); err != nil {
 			// Never serve stale data: drop the snapshot and let the next
-			// query fall back to a full rebuild.
+			// query install the overlay again.
 			s.src, s.eng = nil, nil
 		}
-	case s.eng != nil:
-		s.src, s.eng = nil, nil
 	}
 	if s.opts.CompactThreshold > 0 && len(s.ins)+len(s.del) >= s.opts.CompactThreshold {
 		s.startCompactionLocked()
 	}
 	return len(effDel), len(effIns), nil
+}
+
+// containsLocked reports whether the store holds t, whose N-Triples key is
+// k: an insert in the delta, or a base triple the delta has not deleted.
+// The caller holds mu.
+func (s *Store) containsLocked(k string, t Triple) bool {
+	if _, ok := s.ins[k]; ok {
+		return true
+	}
+	if _, ok := s.del[k]; ok || s.base == nil {
+		return false
+	}
+	// A term the base dictionary does not know has ID 0, which the index
+	// never contains.
+	d := s.base.Dictionary()
+	return s.base.Contains(d.SubjectID(t.S), d.PredicateID(t.P), d.ObjectID(t.O))
 }
 
 // DeltaSize reports the current number of delta entries (inserts plus
@@ -230,6 +245,15 @@ func (s *Store) DeltaSize() int {
 	return len(s.ins) + len(s.del)
 }
 
+// compaction is what a compaction captures under mu, in O(delta): the base
+// it folds into, copies of the net delta over that base, and the store LSN
+// they reflect.
+type compaction struct {
+	base     *bitmat.Index
+	ins, del map[string]Triple
+	lsn      uint64
+}
+
 // Compact folds every accumulated delta into a freshly built base index
 // and installs it as the new snapshot generation. It returns once the
 // delta is empty (looping if mutations land during a build) and is safe to
@@ -238,7 +262,7 @@ func (s *Store) DeltaSize() int {
 func (s *Store) Compact() error {
 	for {
 		s.mu.Lock()
-		if s.compacting {
+		if s.compactDone != nil {
 			// A background compaction is in flight; wait for it and
 			// re-examine the delta it leaves behind.
 			ch := s.compactDone
@@ -255,29 +279,11 @@ func (s *Store) Compact() error {
 			s.mu.Unlock()
 			return nil
 		}
-		snap := append([]Triple(nil), s.graph.Triples()...)
-		startLSN := s.lsn
-		done := make(chan struct{})
-		s.compacting, s.compactDone = true, done
-		workers := s.opts.EffectiveWorkers()
+		c := s.beginCompactionLocked()
 		s.mu.Unlock()
-
-		t0 := time.Now()
-		idx, err := buildIndexFromTriples(snap, workers)
-		if err == nil {
-			s.compactions.Add(1)
-			s.compactionLastNS.Store(int64(time.Since(t0)))
-		}
-
-		s.mu.Lock()
-		s.compacting = false
-		close(done)
-		if err != nil {
-			s.mu.Unlock()
+		if err := s.runCompaction(c); err != nil {
 			return err
 		}
-		s.finishCompactionLocked(idx, snap, startLSN)
-		s.mu.Unlock()
 		// Loop: a rebase during the build leaves a fresh delta to fold.
 	}
 }
@@ -285,74 +291,108 @@ func (s *Store) Compact() error {
 // startCompactionLocked launches the background compactor for the current
 // delta, if none is running. The caller holds mu.
 func (s *Store) startCompactionLocked() {
-	if s.compacting || s.base == nil || (len(s.ins) == 0 && len(s.del) == 0) {
+	if s.compactDone != nil || s.base == nil || (len(s.ins) == 0 && len(s.del) == 0) {
 		return
 	}
-	snap := append([]Triple(nil), s.graph.Triples()...)
-	startLSN := s.lsn
-	done := make(chan struct{})
-	s.compacting, s.compactDone = true, done
-	workers := s.opts.EffectiveWorkers()
-	go func() {
-		t0 := time.Now()
-		idx, err := buildIndexFromTriples(snap, workers)
-		if err == nil {
-			s.compactions.Add(1)
-			s.compactionLastNS.Store(int64(time.Since(t0)))
-		}
-		s.mu.Lock()
-		s.compacting = false
-		close(done)
-		if err == nil {
-			s.finishCompactionLocked(idx, snap, startLSN)
-		}
-		s.mu.Unlock()
-	}()
+	go s.runCompaction(s.beginCompactionLocked())
 }
 
-// buildIndexFromTriples builds a fresh index for a triple snapshot. It
-// touches no store state, so the background compactor calls it without
-// holding mu.
-func buildIndexFromTriples(ts []Triple, workers int) (*bitmat.Index, error) {
-	g := rdf.NewGraph()
-	g.AddAll(ts)
-	return bitmat.BuildParallel(g, workers)
+// beginCompactionLocked marks a compaction in flight and captures its
+// input. The caller holds mu.
+func (s *Store) beginCompactionLocked() compaction {
+	s.compactDone = make(chan struct{})
+	return compaction{base: s.base, ins: maps.Clone(s.ins), del: maps.Clone(s.del), lsn: s.lsn}
 }
 
-// finishCompactionLocked installs a freshly built index. If no mutation
-// landed during the build it becomes the exact new base (empty delta);
-// otherwise the store rebases: the net delta is recomputed from scratch as
-// the set difference between the current graph and the triples the new
-// base covers, so a racing rebuild can never deposit dead delta entries —
-// every entry is derived from the two concrete triple sets, not patched
-// incrementally. The caller holds mu.
-func (s *Store) finishCompactionLocked(idx *bitmat.Index, built []Triple, startLSN uint64) {
-	if s.lsn == startLSN {
+// runCompaction builds the folded index without holding mu, then marks
+// the compaction finished and installs the index under mu. If no mutation
+// landed during the build the index becomes the exact new base (empty
+// delta); otherwise the store rebases its delta onto it (see rebaseDelta).
+func (s *Store) runCompaction(c compaction) error {
+	t0 := time.Now()
+	idx, err := buildIndex(c.base, c.ins, c.del, s.opts.EffectiveWorkers())
+	if err == nil {
+		s.compactions.Add(1)
+		s.compactionLastNS.Store(int64(time.Since(t0)))
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	close(s.compactDone)
+	s.compactDone = nil
+	switch {
+	case err != nil:
+		return err
+	case s.lsn == c.lsn:
 		s.installIndexLocked(idx)
-		return
-	}
-	builtSet := make(map[string]Triple, len(built))
-	for _, t := range built {
-		builtSet[t.String()] = t
-	}
-	ins := map[string]Triple{}
-	cur := make(map[string]bool, s.graph.Len())
-	for _, t := range s.graph.Triples() {
-		k := t.String()
-		cur[k] = true
-		if _, ok := builtSet[k]; !ok {
-			ins[k] = t
-		}
-	}
-	del := map[string]Triple{}
-	for k, t := range builtSet {
-		if !cur[k] {
-			del[k] = t
-		}
+		return nil
 	}
 	s.base = idx
-	s.ins, s.del = ins, del
+	s.ins, s.del = rebaseDelta(c.ins, c.del, s.ins, s.del)
 	if err := s.installOverlayLocked(); err != nil {
 		s.src, s.eng = nil, nil
 	}
+	return nil
+}
+
+// buildIndex builds a fresh index of the triples base − del + ins (a nil
+// base holds none). It touches no store state, so the compactor calls it
+// without holding mu.
+func buildIndex(base *bitmat.Index, ins, del map[string]Triple, workers int) (*bitmat.Index, error) {
+	n := len(ins)
+	if base != nil {
+		n += int(base.NumTriples()) - len(del)
+	}
+	ts := make([]Triple, 0, n)
+	err := forEachBaseTriple(base, del, func(t Triple) bool {
+		ts = append(ts, t)
+		return true
+	})
+	if err != nil {
+		return nil, err
+	}
+	return bitmat.BuildTriples(slices.AppendSeq(ts, maps.Values(ins)), workers)
+}
+
+// forEachBaseTriple calls fn with every triple of base − del, decoded from
+// the index in index order, until fn returns false. A nil base holds no
+// triples. Every triple of del is a base triple, so each encodes in the
+// base dictionary and is skipped by its coordinates.
+func forEachBaseTriple(base *bitmat.Index, del map[string]Triple, fn func(Triple) bool) error {
+	if base == nil {
+		return nil
+	}
+	d := base.Dictionary()
+	gone := make(map[rdf.IDTriple]bool, len(del))
+	for _, t := range del {
+		it, err := d.Encode(t)
+		if err != nil {
+			return err
+		}
+		gone[it] = true
+	}
+	return base.ForEachTriple(func(it rdf.IDTriple, t Triple) bool {
+		return gone[it] || fn(t)
+	})
+}
+
+// rebaseDelta re-expresses the current net delta (curIns, curDel) over an
+// index that folded the compaction's snapshot delta (snapIns, snapDel).
+// Both deltas are relative to the same old base, so the store's triples
+// minus the new index's are (curIns − snapIns) ∪ (snapDel − curDel), and
+// the new index's minus the store's are (snapIns − curIns) ∪
+// (curDel − snapDel). It is O(delta) and never looks at the base.
+func rebaseDelta(snapIns, snapDel, curIns, curDel map[string]Triple) (ins, del map[string]Triple) {
+	ins, del = map[string]Triple{}, map[string]Triple{}
+	addMissing := func(dst, src, not map[string]Triple) {
+		for k, t := range src {
+			if _, ok := not[k]; !ok {
+				dst[k] = t
+			}
+		}
+	}
+	addMissing(ins, curIns, snapIns)
+	addMissing(ins, snapDel, curDel)
+	addMissing(del, snapIns, curIns)
+	addMissing(del, curDel, snapDel)
+	return ins, del
 }

@@ -3,6 +3,7 @@ package lbr
 import (
 	"context"
 	"fmt"
+	"maps"
 	"math/rand"
 	"sync"
 	"testing"
@@ -373,9 +374,11 @@ func TestUpdateMVCCSnapshotIsolation(t *testing.T) {
 }
 
 // TestUpdateConcurrentWritersAndCompaction races writers against the
-// background compactor and checks the end state carries no dead delta
-// entries: after a final Compact the delta is empty and the store equals a
-// cold rebuild. Run under -race this also pins the locking discipline.
+// background compactor. Len and WriteNTriples track the mirror throughout,
+// and the end state carries no dead delta entries: after a final Compact
+// the delta is empty, the views (Stats included) match the mirror, and the
+// store equals a cold rebuild. Run under -race this also pins the locking
+// discipline.
 func TestUpdateConcurrentWritersAndCompaction(t *testing.T) {
 	s := NewStoreWithOptions(Options{Workers: 2})
 	g := rdf.NewGraph()
@@ -419,7 +422,25 @@ func TestUpdateConcurrentWritersAndCompaction(t *testing.T) {
 			}
 		}
 	}()
-	wg.Wait()
+	writersDone := make(chan struct{})
+	go func() {
+		wg.Wait()
+		close(writersDone)
+	}()
+	// While writers and compactions race, Len and WriteNTriples must match
+	// the mirror whenever the mirror's lock pins the two together.
+	for racing := true; racing; {
+		select {
+		case <-writersDone:
+			racing = false
+		default:
+		}
+		func() {
+			mu.Lock()
+			defer mu.Unlock()
+			compareViews(t, s, g, "mid-race", false)
+		}()
+	}
 	<-compDone
 	if err := s.Compact(); err != nil {
 		t.Fatal(err)
@@ -427,6 +448,7 @@ func TestUpdateConcurrentWritersAndCompaction(t *testing.T) {
 	if ds := s.DeltaSize(); ds != 0 {
 		t.Fatalf("dead delta entries after quiescent Compact: %d", ds)
 	}
+	compareViews(t, s, g, "quiescent", true)
 	cold := NewStore()
 	cold.LoadGraph(g)
 	if err := cold.Build(); err != nil {
@@ -464,5 +486,45 @@ func TestAutoCompactThreshold(t *testing.T) {
 	}
 	if s.Len() != 7 {
 		t.Fatalf("want 7 triples, got %d", s.Len())
+	}
+}
+
+// TestUpdateRebaseDeltaModel checks the compaction rebase against its
+// definition over random small states. A compaction folds a snapshot delta
+// into a new index (built = base − snapDel + snapIns) while mutations move
+// the store on to cur = base − curDel + curIns; the rebased delta must be
+// exactly cur − built (ins) and built − cur (del).
+func TestUpdateRebaseDeltaModel(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	universe := map[string]Triple{}
+	for i := 0; i < 10; i++ {
+		tr := TripleIRI(fmt.Sprintf("s%d", i%4), "p", fmt.Sprintf("o%d", i))
+		universe[tr.String()] = tr
+	}
+	subset := func() map[string]Triple {
+		m := map[string]Triple{}
+		for k, tr := range universe {
+			if rng.Intn(2) == 0 {
+				m[k] = tr
+			}
+		}
+		return m
+	}
+	minus := func(a, b map[string]Triple) map[string]Triple {
+		m := map[string]Triple{}
+		for k, tr := range a {
+			if _, ok := b[k]; !ok {
+				m[k] = tr
+			}
+		}
+		return m
+	}
+	for i := 0; i < 2000; i++ {
+		base, built, cur := subset(), subset(), subset()
+		ins, del := rebaseDelta(minus(built, base), minus(base, built), minus(cur, base), minus(base, cur))
+		wantIns, wantDel := minus(cur, built), minus(built, cur)
+		if !maps.Equal(ins, wantIns) || !maps.Equal(del, wantDel) {
+			t.Fatalf("case %d: rebased ins %v del %v, want ins %v del %v", i, ins, del, wantIns, wantDel)
+		}
 	}
 }

@@ -362,3 +362,25 @@ func TestWALCheckpointSkippedWhileDeltaDirty(t *testing.T) {
 		t.Fatalf("checkpoint with a dirty delta must leave the WAL intact: size=%v err=%v", fi, err)
 	}
 }
+
+// TestWALAppendFailureFailsLoadNTriples pins that a bulk load reports a
+// failed WAL append instead of a silent zero: the load returns the error,
+// and the triples it carried are neither counted nor queryable.
+func TestWALAppendFailureFailsLoadNTriples(t *testing.T) {
+	s := walStore(t)
+	if _, err := s.OpenWAL(filepath.Join(t.TempDir(), "updates.wal")); err != nil {
+		t.Fatal(err)
+	}
+	s.wal.f.Close() // every later append fails
+	before := s.Len()
+	n, err := s.LoadNTriples(strings.NewReader("<x> <p> <y> .\n"))
+	if err == nil || !strings.Contains(err.Error(), "wal append") {
+		t.Fatalf("LoadNTriples with a failing WAL: n=%d err=%v, want a wal append error", n, err)
+	}
+	if n != 0 || s.Len() != before {
+		t.Fatalf("failed load added %d triples (Len %d, was %d)", n, s.Len(), before)
+	}
+	if ok, err := s.Ask(`ASK { <x> <p> <y> }`); err != nil || ok {
+		t.Fatalf("triple of the failed load is queryable: ask=%v err=%v", ok, err)
+	}
+}
