@@ -49,31 +49,18 @@ func (p Policy) String() string {
 // pushes bindings sideways into inner scans.
 const pushdownThreshold = 4096
 
-// Source is the read surface the baseline scans over: the merged,
-// (A,B)-sorted pair tables plus exact cardinalities. Both a compacted
-// *bitmat.Index and a delta *bitmat.Overlay satisfy it, so the comparator
-// can evaluate a store's live snapshot without forcing a compaction.
-type Source interface {
-	Dictionary() *rdf.Dictionary
-	SOPairs(p rdf.ID) []bitmat.Pair
-	OSPairs(p rdf.ID) []bitmat.Pair
-	SubjectPairs(s rdf.ID) []bitmat.Pair
-	ObjectPairs(o rdf.ID) []bitmat.Pair
-	Contains(s, p, o rdf.ID) bool
-	PredicateCardinality(p rdf.ID) int
-	SubjectCardinality(s rdf.ID) int
-	ObjectCardinality(o rdf.ID) int
-}
-
 // Engine is a baseline query engine over the shared predicate tables.
 type Engine struct {
-	idx    Source
+	idx    bitmat.Source
 	dict   *rdf.Dictionary
 	policy Policy
 }
 
-// New returns a baseline engine.
-func New(idx Source, policy Policy) *Engine {
+// New returns a baseline engine over the merged, (A,B)-sorted pair tables
+// of a snapshot. Both a compacted *bitmat.Index and a delta
+// *bitmat.Overlay are a bitmat.Source, so the comparator can evaluate a
+// store's live snapshot without forcing a compaction.
+func New(idx bitmat.Source, policy Policy) *Engine {
 	return &Engine{idx: idx, dict: idx.Dictionary(), policy: policy}
 }
 
@@ -357,37 +344,9 @@ func (e *Engine) evalBGP(pats []sparql.TriplePattern, c ctx) (*relation, error) 
 
 // estimate returns the exact number of index triples matching tp.
 func (e *Engine) estimate(tp sparql.TriplePattern) int64 {
-	var s, p, o rdf.ID
-	if !tp.S.IsVar {
-		if s = e.dict.SubjectID(tp.S.Term); s == 0 {
-			return 0
-		}
-	}
-	if !tp.P.IsVar {
-		if p = e.dict.PredicateID(tp.P.Term); p == 0 {
-			return 0
-		}
-	}
-	if !tp.O.IsVar {
-		if o = e.dict.ObjectID(tp.O.Term); o == 0 {
-			return 0
-		}
-	}
-	switch {
-	case p != 0 && s == 0 && o == 0:
-		return int64(e.idx.PredicateCardinality(p))
-	case p != 0 && s != 0 && o == 0:
-		return int64(len(bitmat.PairRange(e.idx.SubjectPairs(s), uint32(p))))
-	case p != 0 && s == 0 && o != 0:
-		return int64(len(bitmat.PairRange(e.idx.ObjectPairs(o), uint32(p))))
-	case s != 0 && p == 0:
-		return int64(e.idx.SubjectCardinality(s))
-	case o != 0 && p == 0:
-		return int64(e.idx.ObjectCardinality(o))
-	default:
-		if e.idx.Contains(s, p, o) {
-			return 1
-		}
+	s, p, o, ok := tp.IDs(e.dict)
+	if !ok {
 		return 0
 	}
+	return bitmat.Count(e.idx, s, p, o)
 }

@@ -9,23 +9,7 @@ import (
 // scan materializes the relation of one triple pattern, filtered by the
 // sideways context when present.
 func (e *Engine) scan(tp sparql.TriplePattern, c ctx) (*relation, error) {
-	var s, p, o rdf.ID
-	unknown := false
-	if !tp.S.IsVar {
-		if s = e.dict.SubjectID(tp.S.Term); s == 0 {
-			unknown = true
-		}
-	}
-	if !tp.P.IsVar {
-		if p = e.dict.PredicateID(tp.P.Term); p == 0 {
-			unknown = true
-		}
-	}
-	if !tp.O.IsVar {
-		if o = e.dict.ObjectID(tp.O.Term); o == 0 {
-			unknown = true
-		}
-	}
+	s, p, o, known := tp.IDs(e.dict)
 
 	// Collect the variable schema. A repeated variable (?x p ?x) keeps one
 	// column and the scan filters on equality.
@@ -38,7 +22,7 @@ func (e *Engine) scan(tp sparql.TriplePattern, c ctx) (*relation, error) {
 		}
 	}
 	rel := newRelation(vars)
-	if unknown {
+	if !known {
 		return rel, nil
 	}
 

@@ -83,24 +83,27 @@ func TestIndexCardinalities(t *testing.T) {
 	idx, dict := buildSample(t)
 	cases := []struct {
 		pred string
-		want int
+		want int64
 	}{{"actedIn", 5}, {"hasFriend", 2}, {"location", 4}}
 	for _, c := range cases {
 		p := dict.PredicateID(rdf.NewIRI(c.pred))
-		if got := idx.PredicateCardinality(p); got != c.want {
-			t.Errorf("PredicateCardinality(%s) = %d, want %d", c.pred, got, c.want)
+		if got := Count(idx, 0, p, 0); got != c.want {
+			t.Errorf("Count(?s %s ?o) = %d, want %d", c.pred, got, c.want)
 		}
 	}
 	julia := dict.SubjectID(rdf.NewIRI("Julia"))
-	if got := idx.SubjectCardinality(julia); got != 4 {
-		t.Errorf("SubjectCardinality(Julia) = %d, want 4", got)
+	if got := Count(idx, julia, 0, 0); got != 4 {
+		t.Errorf("Count(Julia ?p ?o) = %d, want 4", got)
 	}
 	curb := dict.ObjectID(rdf.NewIRI("CurbYourEnthu"))
-	if got := idx.ObjectCardinality(curb); got != 2 {
-		t.Errorf("ObjectCardinality(CurbYourEnthu) = %d, want 2", got)
+	if got := Count(idx, 0, 0, curb); got != 2 {
+		t.Errorf("Count(?s ?p CurbYourEnthu) = %d, want 2", got)
 	}
-	if idx.PredicateCardinality(0) != 0 || idx.SubjectCardinality(999) != 0 {
-		t.Error("out-of-range cardinalities must be 0")
+	if Count(idx, 999, 0, 0) != 0 || Count(idx, 0, 999, 0) != 0 || Count(idx, 0, 0, 999) != 0 {
+		t.Error("out-of-range counts must be 0")
+	}
+	if got := Count(idx, 0, 0, 0); got != idx.NumTriples() {
+		t.Errorf("Count(?s ?p ?o) = %d, want %d", got, idx.NumTriples())
 	}
 }
 
@@ -109,7 +112,7 @@ func TestRowPSAndRowPO(t *testing.T) {
 	// (?who actedIn CurbYourEnthu) -> Julia and Larry.
 	p := dict.PredicateID(rdf.NewIRI("actedIn"))
 	o := dict.ObjectID(rdf.NewIRI("CurbYourEnthu"))
-	m := idx.RowPS(p, o)
+	m := RowPS(idx, p, o)
 	if m.Count() != 2 {
 		t.Fatalf("RowPS count = %d, want 2", m.Count())
 	}
@@ -122,12 +125,12 @@ func TestRowPSAndRowPO(t *testing.T) {
 	// (Jerry hasFriend ?x) -> Julia and Larry.
 	hf := dict.PredicateID(rdf.NewIRI("hasFriend"))
 	jerry := dict.SubjectID(rdf.NewIRI("Jerry"))
-	m2 := idx.RowPO(hf, jerry)
+	m2 := RowPO(idx, hf, jerry)
 	if m2.Count() != 2 {
 		t.Fatalf("RowPO count = %d, want 2", m2.Count())
 	}
 	// Unknown key gives an empty matrix, not a panic.
-	if idx.RowPO(hf, 0).Count() != 0 || idx.RowPS(0, o).Count() != 0 {
+	if RowPO(idx, hf, 0).Count() != 0 || RowPS(idx, 0, o).Count() != 0 {
 		t.Error("zero IDs must give empty matrices")
 	}
 }
@@ -151,7 +154,7 @@ func TestMatPSMatPOFamilies(t *testing.T) {
 	idx, dict := buildSample(t)
 	// P-O BitMat of Julia: rows over predicates, one row (actedIn) with 4 bits.
 	julia := dict.SubjectID(rdf.NewIRI("Julia"))
-	po := idx.MatPO(julia)
+	po := MatPO(idx, julia)
 	if po.NRows() != dict.NumPredicates() || po.Count() != 4 {
 		t.Fatalf("MatPO(Julia): rows=%d count=%d", po.NRows(), po.Count())
 	}
@@ -162,7 +165,7 @@ func TestMatPSMatPOFamilies(t *testing.T) {
 	// P-S BitMat of Seinfeld: actedIn row has Julia; location row is empty
 	// (Seinfeld is the subject of location, not the object).
 	seinfeld := dict.ObjectID(rdf.NewIRI("Seinfeld"))
-	ps := idx.MatPS(seinfeld)
+	ps := MatPS(idx, seinfeld)
 	if ps.Count() != 1 {
 		t.Fatalf("MatPS(Seinfeld) count = %d, want 1", ps.Count())
 	}
@@ -337,7 +340,7 @@ func TestIndexSerializationRoundTrip(t *testing.T) {
 		}
 	}
 	for s := 1; s <= dict.NumSubjects(); s++ {
-		if !back.MatPO(rdf.ID(s)).Equal(idx.MatPO(rdf.ID(s))) {
+		if !MatPO(back, rdf.ID(s)).Equal(MatPO(idx, rdf.ID(s))) {
 			t.Errorf("subject %d P-O mismatch", s)
 		}
 	}

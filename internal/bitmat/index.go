@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 
-	"repro/internal/bitvec"
 	"repro/internal/rdf"
 )
 
@@ -103,118 +102,13 @@ func (idx *Index) ForEachTriple(fn func(rdf.IDTriple, rdf.Triple) bool) error {
 	return nil
 }
 
-// PredicateCardinality returns the number of triples with predicate p,
-// which is the selectivity statistic of a (?a :p ?b) pattern.
-func (idx *Index) PredicateCardinality(p rdf.ID) int {
-	if p == 0 || int(p) > len(idx.soPairs) {
-		return 0
-	}
-	return len(idx.soPairs[p-1])
-}
+// MatSO is MatSO(idx, p, nil, nil). It and MatOS remain as methods only
+// for the benchmark module's BitMat probes; everything else calls the
+// package loaders over a Source.
+func (idx *Index) MatSO(p rdf.ID) *Matrix { return MatSO(idx, p, nil, nil) }
 
-// SubjectCardinality returns the number of triples with subject s.
-func (idx *Index) SubjectCardinality(s rdf.ID) int {
-	if s == 0 || int(s) > len(idx.bySubject) {
-		return 0
-	}
-	return len(idx.bySubject[s-1])
-}
-
-// ObjectCardinality returns the number of triples with object o.
-func (idx *Index) ObjectCardinality(o rdf.ID) int {
-	if o == 0 || int(o) > len(idx.byObject) {
-		return 0
-	}
-	return len(idx.byObject[o-1])
-}
-
-// MatSO materializes the S-O BitMat of predicate p: rows are subject IDs,
-// columns object IDs.
-func (idx *Index) MatSO(p rdf.ID) *Matrix {
-	return idx.MatSOFiltered(p, nil, nil)
-}
-
-// MatSOFiltered materializes the S-O BitMat of predicate p keeping only
-// pairs whose row (subject) and column (object) bits are set in the
-// respective masks; a nil mask means no restriction. This is the paper's
-// "active pruning while loading": selective bindings from already-loaded
-// patterns skip most of the BitMat before it is ever built.
-func (idx *Index) MatSOFiltered(p rdf.ID, rowMask, colMask *bitvec.Bits) *Matrix {
-	if p == 0 || int(p) > len(idx.soPairs) {
-		return NewMatrix(idx.dict.NumSubjects(), idx.dict.NumObjects())
-	}
-	return matrixFromSortedPairsFiltered(idx.dict.NumSubjects(), idx.dict.NumObjects(), idx.soPairs[p-1], rowMask, colMask)
-}
-
-// MatOS materializes the O-S BitMat of predicate p (the transpose of
-// MatSO): rows are object IDs, columns subject IDs.
-func (idx *Index) MatOS(p rdf.ID) *Matrix {
-	return idx.MatOSFiltered(p, nil, nil)
-}
-
-// MatOSFiltered is MatOS with load-time row/column masks.
-func (idx *Index) MatOSFiltered(p rdf.ID, rowMask, colMask *bitvec.Bits) *Matrix {
-	if p == 0 || int(p) > len(idx.osPairs) {
-		return NewMatrix(idx.dict.NumObjects(), idx.dict.NumSubjects())
-	}
-	return matrixFromSortedPairsFiltered(idx.dict.NumObjects(), idx.dict.NumSubjects(), idx.osPairs[p-1], rowMask, colMask)
-}
-
-// MatPS materializes the P-S BitMat of object o: rows are predicate IDs,
-// columns subject IDs.
-func (idx *Index) MatPS(o rdf.ID) *Matrix {
-	if o == 0 || int(o) > len(idx.byObject) {
-		return NewMatrix(idx.dict.NumPredicates(), idx.dict.NumSubjects())
-	}
-	return matrixFromSortedPairs(idx.dict.NumPredicates(), idx.dict.NumSubjects(), idx.byObject[o-1])
-}
-
-// MatPO materializes the P-O BitMat of subject s: rows are predicate IDs,
-// columns object IDs.
-func (idx *Index) MatPO(s rdf.ID) *Matrix {
-	if s == 0 || int(s) > len(idx.bySubject) {
-		return NewMatrix(idx.dict.NumPredicates(), idx.dict.NumObjects())
-	}
-	return matrixFromSortedPairs(idx.dict.NumPredicates(), idx.dict.NumObjects(), idx.bySubject[s-1])
-}
-
-// RowPS returns the single row of the P-S BitMat of object o for predicate
-// p: the subjects S with (S p o), as a 1 x |Vs| matrix. This is the load
-// path for triple patterns of the form (?var :p :o).
-func (idx *Index) RowPS(p, o rdf.ID) *Matrix {
-	m := NewMatrix(1, idx.dict.NumSubjects())
-	if o == 0 || int(o) > len(idx.byObject) || p == 0 {
-		return m
-	}
-	var pos []uint32
-	for _, pr := range pairRange(idx.byObject[o-1], uint32(p)) {
-		pos = append(pos, pr.B-1)
-	}
-	if len(pos) > 0 {
-		// pairRange walks the (A,B)-sorted postings, so B is ascending.
-		m.SetRow(0, bitvec.RowFromSortedPositions(idx.dict.NumSubjects(), pos))
-	}
-	return m
-}
-
-// RowPO returns the single row of the P-O BitMat of subject s for predicate
-// p: the objects O with (s p O), as a 1 x |Vo| matrix. This is the load path
-// for triple patterns of the form (:s :p ?var).
-func (idx *Index) RowPO(p, s rdf.ID) *Matrix {
-	m := NewMatrix(1, idx.dict.NumObjects())
-	if s == 0 || int(s) > len(idx.bySubject) || p == 0 {
-		return m
-	}
-	var pos []uint32
-	for _, pr := range pairRange(idx.bySubject[s-1], uint32(p)) {
-		pos = append(pos, pr.B-1)
-	}
-	if len(pos) > 0 {
-		// pairRange walks the (A,B)-sorted postings, so B is ascending.
-		m.SetRow(0, bitvec.RowFromSortedPositions(idx.dict.NumObjects(), pos))
-	}
-	return m
-}
+// MatOS is MatOS(idx, p, nil, nil).
+func (idx *Index) MatOS(p rdf.ID) *Matrix { return MatOS(idx, p, nil, nil) }
 
 // SOPairs returns predicate p's (subject, object) pairs sorted by (S,O).
 // The slice is shared; callers must not mutate it. This is the "predicate
@@ -253,40 +147,13 @@ func (idx *Index) ObjectPairs(o rdf.ID) []Pair {
 	return idx.byObject[o-1]
 }
 
-// PairRange returns the sub-slice of pairs whose A field equals key,
-// relying on the (A,B) sort order.
-func PairRange(pairs []Pair, key uint32) []Pair {
-	return pairRange(pairs, key)
-}
-
-// RowP returns the predicates linking subject s to object o as a 1 x |Vp|
-// matrix, the load path for triple patterns of the form (:s ?var :o).
-func (idx *Index) RowP(s, o rdf.ID) *Matrix {
-	m := NewMatrix(1, idx.dict.NumPredicates())
-	if s == 0 || int(s) > len(idx.bySubject) || o == 0 {
-		return m
-	}
-	var pos []uint32
-	for _, pr := range idx.bySubject[s-1] {
-		if pr.B == uint32(o) {
-			pos = append(pos, pr.A-1)
-		}
-	}
-	if len(pos) > 0 {
-		// bySubject is (P,O)-sorted and duplicate-free: filtering on one
-		// object keeps the predicate positions strictly ascending.
-		m.SetRow(0, bitvec.RowFromSortedPositions(idx.dict.NumPredicates(), pos))
-	}
-	return m
-}
-
 // Contains reports whether the exact triple (s p o) is indexed, the load
 // path for triple patterns with no variables.
 func (idx *Index) Contains(s, p, o rdf.ID) bool {
 	if s == 0 || p == 0 || o == 0 || int(s) > len(idx.bySubject) {
 		return false
 	}
-	for _, pr := range pairRange(idx.bySubject[s-1], uint32(p)) {
+	for _, pr := range PairRange(idx.bySubject[s-1], uint32(p)) {
 		if pr.B == uint32(o) {
 			return true
 		}
@@ -294,9 +161,9 @@ func (idx *Index) Contains(s, p, o rdf.ID) bool {
 	return false
 }
 
-// pairRange returns the slice of pairs whose A field equals key, relying on
-// the (A,B) sort order.
-func pairRange(pairs []Pair, key uint32) []Pair {
+// PairRange returns the sub-slice of pairs whose A field equals key,
+// relying on the (A,B) sort order.
+func PairRange(pairs []Pair, key uint32) []Pair {
 	lo := sort.Search(len(pairs), func(i int) bool { return pairs[i].A >= key })
 	hi := lo
 	for hi < len(pairs) && pairs[hi].A == key {

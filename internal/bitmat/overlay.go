@@ -5,22 +5,22 @@ import (
 	"sort"
 	"sync"
 
-	"repro/internal/bitvec"
 	"repro/internal/rdf"
 )
 
 // Overlay is a delta layer over a base Index: a normalized set of inserted
-// and deleted triples applied at materialization time. The engine queries
-// it through the same Source surface as a compacted index, and every
-// matrix, row, and cardinality it produces is identical to what a freshly
-// rebuilt index over base ⊎ delta would produce — modulo the coordinate
-// system, which keeps the base dictionary's IDs and appends new terms past
-// the end of each dimension (see rdf.Dictionary.Extend).
+// and deleted triples applied at read time. It only merges pair lists: each
+// Source accessor returns the base list with the delta folded in, and the
+// package loaders build every matrix, row and count from those lists
+// exactly as they do for a compacted index. The results are identical to
+// what a freshly rebuilt index over base ⊎ delta would produce — modulo
+// the coordinate system, which keeps the base dictionary's IDs and appends
+// new terms past the end of each dimension (see rdf.Dictionary.Extend).
 //
 // Invariants established by NewOverlay and relied on everywhere else:
 // every inserted triple is absent from the base, every deleted triple is
-// present in it, and the two sets are disjoint. That is what makes exact
-// cardinalities a matter of counting list lengths.
+// present in it, and the two sets are disjoint. That is what lets one
+// linear merge produce each list.
 type Overlay struct {
 	base *Index
 	dict *rdf.Dictionary // base dict extended with the delta's new terms
@@ -111,9 +111,6 @@ func NewOverlay(base *Index, ins, del []rdf.Triple) (*Overlay, error) {
 	return ov, nil
 }
 
-// Base returns the underlying compacted index.
-func (ov *Overlay) Base() *Index { return ov.base }
-
 // DeltaSize reports the number of delta entries (inserts plus deletes).
 func (ov *Overlay) DeltaSize() int { return len(ov.insSet) + len(ov.delSet) }
 
@@ -122,21 +119,6 @@ func (ov *Overlay) Dictionary() *rdf.Dictionary { return ov.dict }
 
 // NumTriples reports the merged triple count.
 func (ov *Overlay) NumTriples() int64 { return ov.nTriples }
-
-// PredicateCardinality returns the merged triple count of predicate p.
-func (ov *Overlay) PredicateCardinality(p rdf.ID) int {
-	return ov.base.PredicateCardinality(p) + len(ov.insSO[p]) - len(ov.delSO[p])
-}
-
-// SubjectCardinality returns the merged triple count of subject s.
-func (ov *Overlay) SubjectCardinality(s rdf.ID) int {
-	return ov.base.SubjectCardinality(s) + len(ov.insPO[s]) - len(ov.delPO[s])
-}
-
-// ObjectCardinality returns the merged triple count of object o.
-func (ov *Overlay) ObjectCardinality(o rdf.ID) int {
-	return ov.base.ObjectCardinality(o) + len(ov.insPS[o]) - len(ov.delPS[o])
-}
 
 // mergePairs produces (base − del) ∪ ins in (A,B) order. All three inputs
 // are (A,B)-sorted; del ⊆ base and ins ∩ base = ∅, which a single linear
@@ -185,29 +167,13 @@ func (ov *Overlay) merged(cache *map[rdf.ID][]Pair, key rdf.ID, base []Pair, del
 	return l
 }
 
-func (ov *Overlay) soMerged(p rdf.ID) []Pair {
-	return ov.merged(&ov.mergedSO, p, ov.base.SOPairs(p), ov.delSO, ov.insSO)
-}
-
-func (ov *Overlay) osMerged(p rdf.ID) []Pair {
-	return ov.merged(&ov.mergedOS, p, ov.base.OSPairs(p), ov.delOS, ov.insOS)
-}
-
-func (ov *Overlay) subjectMerged(s rdf.ID) []Pair {
-	return ov.merged(&ov.mergedPO, s, ov.base.SubjectPairs(s), ov.delPO, ov.insPO)
-}
-
-func (ov *Overlay) objectMerged(o rdf.ID) []Pair {
-	return ov.merged(&ov.mergedPS, o, ov.base.ObjectPairs(o), ov.delPS, ov.insPS)
-}
-
 // SOPairs returns the merged (S,O) pairs of predicate p, matching
 // Index.SOPairs. The slice is shared; do not mutate it.
 func (ov *Overlay) SOPairs(p rdf.ID) []Pair {
 	if p == 0 || int(p) > ov.dict.NumPredicates() {
 		return nil
 	}
-	return ov.soMerged(p)
+	return ov.merged(&ov.mergedSO, p, ov.base.SOPairs(p), ov.delSO, ov.insSO)
 }
 
 // OSPairs returns the merged (O,S) pairs of predicate p, matching
@@ -216,7 +182,7 @@ func (ov *Overlay) OSPairs(p rdf.ID) []Pair {
 	if p == 0 || int(p) > ov.dict.NumPredicates() {
 		return nil
 	}
-	return ov.osMerged(p)
+	return ov.merged(&ov.mergedOS, p, ov.base.OSPairs(p), ov.delOS, ov.insOS)
 }
 
 // SubjectPairs returns the merged (P,O) pairs of subject s, matching
@@ -225,7 +191,7 @@ func (ov *Overlay) SubjectPairs(s rdf.ID) []Pair {
 	if s == 0 || int(s) > ov.dict.NumSubjects() {
 		return nil
 	}
-	return ov.subjectMerged(s)
+	return ov.merged(&ov.mergedPO, s, ov.base.SubjectPairs(s), ov.delPO, ov.insPO)
 }
 
 // ObjectPairs returns the merged (P,S) pairs of object o, matching
@@ -234,99 +200,7 @@ func (ov *Overlay) ObjectPairs(o rdf.ID) []Pair {
 	if o == 0 || int(o) > ov.dict.NumObjects() {
 		return nil
 	}
-	return ov.objectMerged(o)
-}
-
-// MatSO materializes the merged S-O BitMat of predicate p at the extended
-// dictionary's dimensions.
-func (ov *Overlay) MatSO(p rdf.ID) *Matrix { return ov.MatSOFiltered(p, nil, nil) }
-
-// MatSOFiltered is MatSO with load-time row/column masks. Masks sized for
-// the base dimensions are fine: bits beyond a mask's length read as clear,
-// which correctly excludes appended terms the caller never bound.
-func (ov *Overlay) MatSOFiltered(p rdf.ID, rowMask, colMask *bitvec.Bits) *Matrix {
-	if p == 0 || int(p) > ov.dict.NumPredicates() {
-		return NewMatrix(ov.dict.NumSubjects(), ov.dict.NumObjects())
-	}
-	return matrixFromSortedPairsFiltered(ov.dict.NumSubjects(), ov.dict.NumObjects(), ov.soMerged(p), rowMask, colMask)
-}
-
-// MatOS materializes the merged O-S BitMat of predicate p.
-func (ov *Overlay) MatOS(p rdf.ID) *Matrix { return ov.MatOSFiltered(p, nil, nil) }
-
-// MatOSFiltered is MatOS with load-time row/column masks.
-func (ov *Overlay) MatOSFiltered(p rdf.ID, rowMask, colMask *bitvec.Bits) *Matrix {
-	if p == 0 || int(p) > ov.dict.NumPredicates() {
-		return NewMatrix(ov.dict.NumObjects(), ov.dict.NumSubjects())
-	}
-	return matrixFromSortedPairsFiltered(ov.dict.NumObjects(), ov.dict.NumSubjects(), ov.osMerged(p), rowMask, colMask)
-}
-
-// MatPS materializes the merged P-S BitMat of object o.
-func (ov *Overlay) MatPS(o rdf.ID) *Matrix {
-	if o == 0 || int(o) > ov.dict.NumObjects() {
-		return NewMatrix(ov.dict.NumPredicates(), ov.dict.NumSubjects())
-	}
-	return matrixFromSortedPairs(ov.dict.NumPredicates(), ov.dict.NumSubjects(), ov.objectMerged(o))
-}
-
-// MatPO materializes the merged P-O BitMat of subject s.
-func (ov *Overlay) MatPO(s rdf.ID) *Matrix {
-	if s == 0 || int(s) > ov.dict.NumSubjects() {
-		return NewMatrix(ov.dict.NumPredicates(), ov.dict.NumObjects())
-	}
-	return matrixFromSortedPairs(ov.dict.NumPredicates(), ov.dict.NumObjects(), ov.subjectMerged(s))
-}
-
-// RowPS returns the merged subjects S with (S p o) as a 1 x |Vs| matrix.
-func (ov *Overlay) RowPS(p, o rdf.ID) *Matrix {
-	m := NewMatrix(1, ov.dict.NumSubjects())
-	if o == 0 || int(o) > ov.dict.NumObjects() || p == 0 {
-		return m
-	}
-	var pos []uint32
-	for _, pr := range pairRange(ov.objectMerged(o), uint32(p)) {
-		pos = append(pos, pr.B-1)
-	}
-	if len(pos) > 0 {
-		m.SetRow(0, bitvec.RowFromSortedPositions(ov.dict.NumSubjects(), pos))
-	}
-	return m
-}
-
-// RowPO returns the merged objects O with (s p O) as a 1 x |Vo| matrix.
-func (ov *Overlay) RowPO(p, s rdf.ID) *Matrix {
-	m := NewMatrix(1, ov.dict.NumObjects())
-	if s == 0 || int(s) > ov.dict.NumSubjects() || p == 0 {
-		return m
-	}
-	var pos []uint32
-	for _, pr := range pairRange(ov.subjectMerged(s), uint32(p)) {
-		pos = append(pos, pr.B-1)
-	}
-	if len(pos) > 0 {
-		m.SetRow(0, bitvec.RowFromSortedPositions(ov.dict.NumObjects(), pos))
-	}
-	return m
-}
-
-// RowP returns the merged predicates linking subject s to object o as a
-// 1 x |Vp| matrix.
-func (ov *Overlay) RowP(s, o rdf.ID) *Matrix {
-	m := NewMatrix(1, ov.dict.NumPredicates())
-	if s == 0 || int(s) > ov.dict.NumSubjects() || o == 0 {
-		return m
-	}
-	var pos []uint32
-	for _, pr := range ov.subjectMerged(s) {
-		if pr.B == uint32(o) {
-			pos = append(pos, pr.A-1)
-		}
-	}
-	if len(pos) > 0 {
-		m.SetRow(0, bitvec.RowFromSortedPositions(ov.dict.NumPredicates(), pos))
-	}
-	return m
+	return ov.merged(&ov.mergedPS, o, ov.base.ObjectPairs(o), ov.delPS, ov.insPS)
 }
 
 // Contains reports whether the merged view holds the exact triple (s p o).

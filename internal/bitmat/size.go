@@ -39,16 +39,16 @@ func (idx *Index) Sizes() SizeReport {
 		rep.RLEInts += m.RLEWireSize()
 	}
 	for p := 1; p <= idx.dict.NumPredicates(); p++ {
-		so := idx.MatSO(rdf.ID(p))
+		so := MatSO(idx, rdf.ID(p), nil, nil)
 		rep.TriplesStored += so.Count()
 		addMat(so)
-		addMat(idx.MatOS(rdf.ID(p)))
+		addMat(MatOS(idx, rdf.ID(p), nil, nil))
 	}
 	for s := 1; s <= idx.dict.NumSubjects(); s++ {
-		addMat(idx.MatPO(rdf.ID(s)))
+		addMat(MatPO(idx, rdf.ID(s)))
 	}
 	for o := 1; o <= idx.dict.NumObjects(); o++ {
-		addMat(idx.MatPS(rdf.ID(o)))
+		addMat(MatPS(idx, rdf.ID(o)))
 	}
 	return rep
 }

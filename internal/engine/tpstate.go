@@ -7,7 +7,6 @@ import (
 	"repro/internal/bitmat"
 	"repro/internal/bitvec"
 	"repro/internal/planner"
-	"repro/internal/rdf"
 	"repro/internal/sparql"
 	"repro/internal/trace"
 )
@@ -69,70 +68,16 @@ func (t *tpState) vars() []sparql.Var {
 	return out
 }
 
-// node returns the concrete ID of a pattern position, or 0 for variables
-// and for terms unknown to the dictionary.
-func (e *Engine) nodeID(n sparql.Node, space Space) rdf.ID {
-	if n.IsVar {
-		return 0
-	}
-	switch space {
-	case SpaceS:
-		return e.dict.SubjectID(n.Term)
-	case SpaceO:
-		return e.dict.ObjectID(n.Term)
-	case SpaceP:
-		return e.dict.PredicateID(n.Term)
-	}
-	return 0
-}
-
 // EstimateCounts returns the exact number of index triples matching each
-// pattern, computed from index metadata without materializing BitMats
-// (Section 4: the condensed per-BitMat metadata makes selectivity cheap).
+// pattern, counted from the index's pair lists without materializing
+// BitMats (Section 4: the condensed per-BitMat metadata makes selectivity
+// cheap). A pattern naming a term the dictionary lacks matches nothing.
 func EstimateCounts(idx bitmat.Source, patterns []sparql.TriplePattern) []int64 {
 	dict := idx.Dictionary()
 	counts := make([]int64, len(patterns))
 	for i, tp := range patterns {
-		var s, p, o rdf.ID
-		known := true
-		if !tp.S.IsVar {
-			if s = dict.SubjectID(tp.S.Term); s == 0 {
-				known = false
-			}
-		}
-		if !tp.P.IsVar {
-			if p = dict.PredicateID(tp.P.Term); p == 0 {
-				known = false
-			}
-		}
-		if !tp.O.IsVar {
-			if o = dict.ObjectID(tp.O.Term); o == 0 {
-				known = false
-			}
-		}
-		if !known {
-			counts[i] = 0
-			continue
-		}
-		switch {
-		case s == 0 && p != 0 && o == 0:
-			counts[i] = int64(idx.PredicateCardinality(p))
-		case s != 0 && p != 0 && o == 0:
-			counts[i] = int64(idx.RowPO(p, s).Count())
-		case s == 0 && p != 0 && o != 0:
-			counts[i] = int64(idx.RowPS(p, o).Count())
-		case s != 0 && p == 0 && o == 0:
-			counts[i] = int64(idx.SubjectCardinality(s))
-		case s == 0 && p == 0 && o != 0:
-			counts[i] = int64(idx.ObjectCardinality(o))
-		case s != 0 && p != 0 && o != 0:
-			if idx.Contains(s, p, o) {
-				counts[i] = 1
-			}
-		case s != 0 && p == 0 && o != 0:
-			counts[i] = int64(idx.RowP(s, o).Count())
-		default: // all three variable
-			counts[i] = idx.NumTriples()
+		if s, p, o, ok := tp.IDs(dict); ok {
+			counts[i] = bitmat.Count(idx, s, p, o)
 		}
 	}
 	return counts
@@ -203,23 +148,7 @@ func (e *Engine) load(tp sparql.TriplePattern, idx int, sn int, plan *planner.Pl
 	cacheSrc := "none"
 
 	// Resolve fixed positions; unknown terms mean an empty pattern.
-	var s, p, o rdf.ID
-	unknown := false
-	if !sVar {
-		if s = dict.SubjectID(tp.S.Term); s == 0 {
-			unknown = true
-		}
-	}
-	if !pVar {
-		if p = dict.PredicateID(tp.P.Term); p == 0 {
-			unknown = true
-		}
-	}
-	if !oVar {
-		if o = dict.ObjectID(tp.O.Term); o == 0 {
-			unknown = true
-		}
-	}
+	s, p, o, known := tp.IDs(dict)
 
 	switch {
 	case sVar && !pVar && oVar:
@@ -231,8 +160,8 @@ func (e *Engine) load(tp sparql.TriplePattern, idx int, sn int, plan *planner.Pl
 			st.rowSpace = SpaceNone
 			st.mat, cacheSrc = e.cachedOr(cache, patKey, orientSO, func() *bitmat.Matrix {
 				diag := bitmat.NewMatrix(1, dict.NumSubjects())
-				if !unknown {
-					so := e.idx.MatSO(p)
+				if known {
+					so := bitmat.MatSO(e.idx, p, nil, nil)
 					var pos []uint32
 					for i := 1; i <= dict.NumShared(); i++ {
 						if so.Test(i-1, i-1) {
@@ -263,7 +192,7 @@ func (e *Engine) load(tp sparql.TriplePattern, idx int, sn int, plan *planner.Pl
 			st.rowVar, st.rowSpace = tp.O.Var, SpaceO
 			st.colVar, st.colSpace = tp.S.Var, SpaceS
 		}
-		if unknown {
+		if !known {
 			if rowVar == tp.S.Var {
 				st.mat = bitmat.NewMatrix(dict.NumSubjects(), dict.NumObjects())
 			} else {
@@ -277,9 +206,9 @@ func (e *Engine) load(tp sparql.TriplePattern, idx int, sn int, plan *planner.Pl
 			rowMask = e.loadMask(st.rowVar, st.rowSpace, idx, loaded, plan)
 			colMask = e.loadMask(st.colVar, st.colSpace, idx, loaded, plan)
 		}
-		orient, build := orientSO, func() *bitmat.Matrix { return e.idx.MatSO(p) }
+		orient, build := orientSO, func() *bitmat.Matrix { return bitmat.MatSO(e.idx, p, nil, nil) }
 		if rowVar != tp.S.Var {
-			orient, build = orientOS, func() *bitmat.Matrix { return e.idx.MatOS(p) }
+			orient, build = orientOS, func() *bitmat.Matrix { return bitmat.MatOS(e.idx, p, nil, nil) }
 		}
 		base, src := e.cachedPristine(cache, patKey, orient, rowMask != nil || colMask != nil, build)
 		cacheSrc = src
@@ -292,27 +221,27 @@ func (e *Engine) load(tp sparql.TriplePattern, idx int, sn int, plan *planner.Pl
 				st.mat.UnfoldCols(colMask)
 			}
 		} else if rowVar == tp.S.Var {
-			st.mat = e.idx.MatSOFiltered(p, rowMask, colMask)
+			st.mat = bitmat.MatSO(e.idx, p, rowMask, colMask)
 		} else {
-			st.mat = e.idx.MatOSFiltered(p, rowMask, colMask)
+			st.mat = bitmat.MatOS(e.idx, p, rowMask, colMask)
 		}
 	case sVar && !pVar && !oVar:
 		// (?var :p :o): one row of the P-S BitMat of o (Section 5).
 		st.mat, cacheSrc = e.cachedOr(cache, patKey, orientSO, func() *bitmat.Matrix {
-			if unknown {
+			if !known {
 				return bitmat.NewMatrix(1, dict.NumSubjects())
 			}
-			return e.idx.RowPS(p, o)
+			return bitmat.RowPS(e.idx, p, o)
 		})
 		st.colVar, st.colSpace = tp.S.Var, SpaceS
 		st.rowSpace = SpaceNone
 	case !sVar && !pVar && oVar:
 		// (:s :p ?var): one row of the P-O BitMat of s.
 		st.mat, cacheSrc = e.cachedOr(cache, patKey, orientSO, func() *bitmat.Matrix {
-			if unknown {
+			if !known {
 				return bitmat.NewMatrix(1, dict.NumObjects())
 			}
-			return e.idx.RowPO(p, s)
+			return bitmat.RowPO(e.idx, p, s)
 		})
 		st.colVar, st.colSpace = tp.O.Var, SpaceO
 		st.rowSpace = SpaceNone
@@ -320,35 +249,35 @@ func (e *Engine) load(tp sparql.TriplePattern, idx int, sn int, plan *planner.Pl
 		// (:s ?p ?o): the P-O BitMat of s; the predicate variable rides the
 		// row axis (never a join variable, enforced by the GoJ).
 		st.mat, cacheSrc = e.cachedOr(cache, patKey, orientSO, func() *bitmat.Matrix {
-			if unknown {
+			if !known {
 				return bitmat.NewMatrix(dict.NumPredicates(), dict.NumObjects())
 			}
-			return e.idx.MatPO(s)
+			return bitmat.MatPO(e.idx, s)
 		})
 		st.rowVar, st.rowSpace = tp.P.Var, SpaceP
 		st.colVar, st.colSpace = tp.O.Var, SpaceO
 	case sVar && pVar && !oVar:
 		// (?s ?p :o): the P-S BitMat of o.
 		st.mat, cacheSrc = e.cachedOr(cache, patKey, orientSO, func() *bitmat.Matrix {
-			if unknown {
+			if !known {
 				return bitmat.NewMatrix(dict.NumPredicates(), dict.NumSubjects())
 			}
-			return e.idx.MatPS(o)
+			return bitmat.MatPS(e.idx, o)
 		})
 		st.rowVar, st.rowSpace = tp.P.Var, SpaceP
 		st.colVar, st.colSpace = tp.S.Var, SpaceS
 	case !sVar && pVar && !oVar:
 		// (:s ?p :o): the predicates linking s to o.
 		st.mat, cacheSrc = e.cachedOr(cache, patKey, orientSO, func() *bitmat.Matrix {
-			if unknown {
+			if !known {
 				return bitmat.NewMatrix(1, dict.NumPredicates())
 			}
-			return e.idx.RowP(s, o)
+			return bitmat.RowP(e.idx, s, o)
 		})
 		st.colVar, st.colSpace = tp.P.Var, SpaceP
 		st.rowSpace = SpaceNone
 	case !sVar && !pVar && !oVar:
-		st.present = !unknown && e.idx.Contains(s, p, o)
+		st.present = known && e.idx.Contains(s, p, o)
 	default:
 		return nil, fmt.Errorf("%w: %s", ErrThreeVarPattern, tp)
 	}

@@ -59,6 +59,28 @@ func (tp TriplePattern) Vars() []Var {
 	return out
 }
 
+// IDs resolves the pattern's positions in d: 0 for a variable, the term's
+// ID for a fixed term. ok is false when a fixed term is not in d, so the
+// pattern matches nothing. The IDs are the (s, p, o) that bitmat.Count and
+// the BitMat loaders take.
+func (tp TriplePattern) IDs(d *rdf.Dictionary) (s, p, o rdf.ID, ok bool) {
+	ok = true
+	resolve := func(n Node, lookup func(rdf.Term) rdf.ID) rdf.ID {
+		if n.IsVar {
+			return 0
+		}
+		id := lookup(n.Term)
+		if id == 0 {
+			ok = false
+		}
+		return id
+	}
+	s = resolve(tp.S, d.SubjectID)
+	p = resolve(tp.P, d.PredicateID)
+	o = resolve(tp.O, d.ObjectID)
+	return s, p, o, ok
+}
+
 // HasVar reports whether the pattern mentions v.
 func (tp TriplePattern) HasVar(v Var) bool {
 	return (tp.S.IsVar && tp.S.Var == v) || (tp.P.IsVar && tp.P.Var == v) || (tp.O.IsVar && tp.O.Var == v)
