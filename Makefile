@@ -57,16 +57,19 @@ test-update:
 		-run 'TestApplyUpdate|TestUpdate|TestAutoCompact|TestWAL|TestOverlay|TestExtend|TestParseUpdate|TestETag|TestMetricsSnapshotGeneration|TestStoreMutation' \
 		./internal/rdf ./internal/bitmat ./internal/sparql ./internal/server .
 
-# test-trace runs the observability test surface under -race: the span
-# tree unit tests and the nil-tracer allocation pin, the store-level
+# test-trace runs the observability test surface under -race: every test
+# of internal/trace (the span tree, nil safety, the nil-tracer allocation
+# pin, concurrent children, the query hash), the store-level
 # traced-vs-untraced differential suite (byte identity across worker
-# counts, span row-count accounting, slow-query log), and the
-# server's explain/metrics/Prometheus tests. The full `make` covers all
-# of these too; this target is the fast loop while working on tracing.
+# counts, span row-count accounting, the disabled-tracing overhead bound,
+# slow-query log), and the server's explain/metrics/Prometheus tests. The
+# full `make` covers all of these too; this target is the fast loop while
+# working on tracing.
 test-trace:
+	$(GO) test -race -count=1 ./internal/trace
 	$(GO) test -race -count=1 \
-		-run 'TestTrace|TestSpan|TestNilTracer|TestQueryHash|TestQueryTrace|TestSlowQuery|TestExplain|TestMetrics|TestPrometheus' \
-		./internal/trace ./internal/server .
+		-run 'TestQueryTrace|TestDisabledTracing|TestSlowQuery|TestExplain|TestMetrics|TestPrometheus' \
+		./internal/server .
 
 # test-filter runs the FILTER-expression test surface under -race: the
 # golden operator-semantics table (asserted against the engine evaluator

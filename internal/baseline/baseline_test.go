@@ -8,6 +8,7 @@ import (
 	"repro/internal/bitmat"
 	"repro/internal/difftest"
 	"repro/internal/rdf"
+	"repro/internal/sparql"
 )
 
 func figure32Graph() *rdf.Graph {
@@ -186,6 +187,50 @@ func TestBaselineDifferentialAgainstRef(t *testing.T) {
 			if v := difftest.Verdict(difftest.Keys(res.Vars, res.Rows, vars), want); v != "" {
 				t.Fatalf("%v trial %d on %s: %s", pol, trial, src, v)
 			}
+		}
+	}
+}
+
+// TestBaselineEstimateExact pins the selectivity estimate to the exact
+// number of matching triples on every pattern shape, the full scan
+// (?s ?p ?o) and the predicate lookup (:s ?p :o) included.
+func TestBaselineEstimateExact(t *testing.T) {
+	g := figure32Graph()
+	g.Add(rdf.T("Julia", "livesIn", "Seinfeld")) // a second Julia -> Seinfeld link
+	e := baselineOver(t, g, SelectiveMaster)
+	node := func(name, v string) sparql.Node {
+		if name == "" {
+			return sparql.V(v)
+		}
+		return sparql.IRINode(name)
+	}
+	for _, c := range []struct {
+		s, p, o string
+		want    int64
+	}{
+		{"", "", "", 12},
+		{"Julia", "", "Seinfeld", 2},
+		{"Julia", "", "", 5},
+		{"", "", "CurbYourEnthu", 2},
+		{"", "actedIn", "", 5},
+		{"Julia", "actedIn", "", 4},
+		{"", "actedIn", "CurbYourEnthu", 2},
+		{"Julia", "actedIn", "Seinfeld", 1},
+		{"Larry", "actedIn", "Seinfeld", 0},
+		{"Nobody", "", "", 0},
+	} {
+		tp := sparql.TriplePattern{S: node(c.s, "s"), P: node(c.p, "p"), O: node(c.o, "o")}
+		var brute int64
+		for _, tr := range g.Triples() {
+			if (c.s == "" || tr.S == rdf.NewIRI(c.s)) && (c.p == "" || tr.P == rdf.NewIRI(c.p)) && (c.o == "" || tr.O == rdf.NewIRI(c.o)) {
+				brute++
+			}
+		}
+		if brute != c.want {
+			t.Fatalf("%s: table says %d, graph has %d", tp, c.want, brute)
+		}
+		if got := e.estimate(tp); got != c.want {
+			t.Errorf("estimate(%s) = %d, want %d", tp, got, c.want)
 		}
 	}
 }

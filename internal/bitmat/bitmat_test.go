@@ -48,7 +48,7 @@ func TestFigure41Bitcube(t *testing.T) {
 	idx, dict := buildSample(t)
 	g := figure32Graph()
 	for p := 1; p <= dict.NumPredicates(); p++ {
-		so := idx.MatSO(rdf.ID(p))
+		so := MatSO(idx, rdf.ID(p), nil, nil)
 		pred, _ := dict.Predicate(rdf.ID(p))
 		wantCount := 0
 		for _, tr := range g.Triples() {
@@ -66,7 +66,7 @@ func TestFigure41Bitcube(t *testing.T) {
 			t.Errorf("S-O BitMat of %s has %d bits, want %d", pred, so.Count(), wantCount)
 		}
 		// The O-S BitMat is the transpose.
-		os := idx.MatOS(rdf.ID(p))
+		os := MatOS(idx, rdf.ID(p), nil, nil)
 		if !os.Equal(so.Transpose()) {
 			t.Errorf("O-S BitMat of %s is not the transpose of S-O", pred)
 		}
@@ -74,7 +74,7 @@ func TestFigure41Bitcube(t *testing.T) {
 	// hasFriend has exactly two set bits (Jerry->Julia, Jerry->Larry), as
 	// in the figure.
 	hf := dict.PredicateID(rdf.NewIRI("hasFriend"))
-	if got := idx.MatSO(hf).Count(); got != 2 {
+	if got := MatSO(idx, hf, nil, nil).Count(); got != 2 {
 		t.Errorf("hasFriend slice has %d bits, want 2", got)
 	}
 }
@@ -332,10 +332,10 @@ func TestIndexSerializationRoundTrip(t *testing.T) {
 		t.Fatalf("round trip triples %d, want %d", back.NumTriples(), idx.NumTriples())
 	}
 	for p := 1; p <= dict.NumPredicates(); p++ {
-		if !back.MatSO(rdf.ID(p)).Equal(idx.MatSO(rdf.ID(p))) {
+		if !MatSO(back, rdf.ID(p), nil, nil).Equal(MatSO(idx, rdf.ID(p), nil, nil)) {
 			t.Errorf("predicate %d S-O mismatch after round trip", p)
 		}
-		if !back.MatOS(rdf.ID(p)).Equal(idx.MatOS(rdf.ID(p))) {
+		if !MatOS(back, rdf.ID(p), nil, nil).Equal(MatOS(idx, rdf.ID(p), nil, nil)) {
 			t.Errorf("predicate %d O-S mismatch after round trip", p)
 		}
 	}

@@ -163,47 +163,57 @@ func TestOverlayRejectsInvalidDelta(t *testing.T) {
 	}
 }
 
-func TestOverlayRandomizedAgainstRebuild(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
+// randomDelta draws a 20-triple base graph over 14 entities and 3
+// predicates and applies six random adds or removes to a copy. It returns
+// the overlay of that delta on the base index, the index rebuilt from the
+// mutated graph, and the mutated graph itself.
+func randomDelta(t *testing.T, rng *rand.Rand) (*Overlay, *Index, *rdf.Graph) {
+	t.Helper()
 	ent := func() string { return fmt.Sprintf("e%d", rng.Intn(14)) }
 	pred := func() string { return fmt.Sprintf("p%d", rng.Intn(3)) }
+	g := rdf.NewGraph()
+	for i := 0; i < 20; i++ {
+		g.Add(rdf.T(ent(), pred(), ent()))
+	}
+	gm := g.Clone()
+	for i := 0; i < 6; i++ {
+		if rng.Intn(2) == 0 && gm.Len() > 0 {
+			ts := gm.Triples()
+			gm.Remove(ts[rng.Intn(len(ts))])
+		} else {
+			gm.Add(rdf.T(ent(), pred(), ent()))
+		}
+	}
+	var ins, del []rdf.Triple
+	for _, tr := range gm.Triples() {
+		if !g.Contains(tr) {
+			ins = append(ins, tr)
+		}
+	}
+	for _, tr := range g.Triples() {
+		if !gm.Contains(tr) {
+			del = append(del, tr)
+		}
+	}
+	idx, err := Build(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ov, err := NewOverlay(idx, ins, del)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rebuilt, err := Build(gm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ov, rebuilt, gm
+}
+
+func TestOverlayRandomizedAgainstRebuild(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
 	for round := 0; round < 25; round++ {
-		g := rdf.NewGraph()
-		for i := 0; i < 20; i++ {
-			g.Add(rdf.T(ent(), pred(), ent()))
-		}
-		gm := g.Clone()
-		for i := 0; i < 6; i++ {
-			if rng.Intn(2) == 0 && gm.Len() > 0 {
-				ts := gm.Triples()
-				gm.Remove(ts[rng.Intn(len(ts))])
-			} else {
-				gm.Add(rdf.T(ent(), pred(), ent()))
-			}
-		}
-		var ins, del []rdf.Triple
-		for _, tr := range gm.Triples() {
-			if !g.Contains(tr) {
-				ins = append(ins, tr)
-			}
-		}
-		for _, tr := range g.Triples() {
-			if !gm.Contains(tr) {
-				del = append(del, tr)
-			}
-		}
-		idx, err := Build(g)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ov, err := NewOverlay(idx, ins, del)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rebuilt, err := Build(gm)
-		if err != nil {
-			t.Fatal(err)
-		}
+		ov, rebuilt, _ := randomDelta(t, rng)
 		got := triplesOf(t, ov.Dictionary(), ov.SOPairs)
 		want := triplesOf(t, rebuilt.Dictionary(), rebuilt.SOPairs)
 		if len(got) != len(want) {
@@ -223,6 +233,88 @@ func TestOverlayRandomizedAgainstRebuild(t *testing.T) {
 		}
 		if so != os || int64(so) != ov.NumTriples() {
 			t.Fatalf("round %d: SO=%d OS=%d NumTriples=%d", round, so, os, ov.NumTriples())
+		}
+	}
+}
+
+// TestCountModel checks the shared read layer against a model: on every
+// pattern shape, with every in-range ID plus one past the end of each
+// dimension in every bound position, Count over the overlay, Count over
+// the rebuilt index and the number of matching triples in the reference
+// graph agree, and the shape's loader materializes exactly that many bits.
+func TestCountModel(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for round := 0; round < 25; round++ {
+		ov, rebuilt, gm := randomDelta(t, rng)
+		od, rd := ov.Dictionary(), rebuilt.Dictionary()
+		// term decodes an overlay ID of one position (0 = variable) and
+		// maps it into the rebuilt index, where a term it lacks becomes
+		// one past the end. in reports whether the ID names a term.
+		term := func(id rdf.ID, n int, decode func(rdf.ID) (rdf.Term, error),
+			lookup func(rdf.Term) rdf.ID, rn int) (tm rdf.Term, rid rdf.ID, in bool) {
+			if id == 0 {
+				return rdf.Term{}, 0, true
+			}
+			if int(id) > n {
+				return rdf.Term{}, rdf.ID(rn + 1), false
+			}
+			tm, err := decode(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rid = lookup(tm); rid == 0 {
+				rid = rdf.ID(rn + 1)
+			}
+			return tm, rid, true
+		}
+		for s := 0; s <= od.NumSubjects()+1; s++ {
+			st, rs, sIn := term(rdf.ID(s), od.NumSubjects(), od.Subject, rd.SubjectID, rd.NumSubjects())
+			for p := 0; p <= od.NumPredicates()+1; p++ {
+				pt, rp, pIn := term(rdf.ID(p), od.NumPredicates(), od.Predicate, rd.PredicateID, rd.NumPredicates())
+				for o := 0; o <= od.NumObjects()+1; o++ {
+					ot, ro, oIn := term(rdf.ID(o), od.NumObjects(), od.Object, rd.ObjectID, rd.NumObjects())
+					var want int64
+					if sIn && pIn && oIn {
+						for _, tr := range gm.Triples() {
+							if (s == 0 || tr.S == st) && (p == 0 || tr.P == pt) && (o == 0 || tr.O == ot) {
+								want++
+							}
+						}
+					}
+					got := Count(ov, rdf.ID(s), rdf.ID(p), rdf.ID(o))
+					if rc := Count(rebuilt, rs, rp, ro); got != want || rc != want {
+						t.Fatalf("round %d (%d %d %d): overlay %d, rebuilt %d, graph %d", round, s, p, o, got, rc, want)
+					}
+					checkLoaders(t, ov, rdf.ID(s), rdf.ID(p), rdf.ID(o), want)
+					checkLoaders(t, rebuilt, rs, rp, ro, want)
+				}
+			}
+		}
+	}
+}
+
+// checkLoaders asserts that the loaders of the pattern shape (s p o), 0
+// marking a variable, materialize want bits.
+func checkLoaders(t *testing.T, src Source, s, p, o rdf.ID, want int64) {
+	t.Helper()
+	var mats []*Matrix
+	switch {
+	case s == 0 && o == 0 && p != 0:
+		mats = []*Matrix{MatSO(src, p, nil, nil), MatOS(src, p, nil, nil)}
+	case s == 0 && p == 0 && o != 0:
+		mats = []*Matrix{MatPS(src, o)}
+	case p == 0 && o == 0 && s != 0:
+		mats = []*Matrix{MatPO(src, s)}
+	case s == 0 && p != 0 && o != 0:
+		mats = []*Matrix{RowPS(src, p, o)}
+	case o == 0 && s != 0 && p != 0:
+		mats = []*Matrix{RowPO(src, p, s)}
+	case p == 0 && s != 0 && o != 0:
+		mats = []*Matrix{RowP(src, s, o)}
+	}
+	for _, m := range mats {
+		if m.Count() != want {
+			t.Fatalf("(%d %d %d): loader holds %d bits, Count says %d", s, p, o, m.Count(), want)
 		}
 	}
 }

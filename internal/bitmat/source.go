@@ -26,7 +26,8 @@ type Source interface {
 	SubjectPairs(s rdf.ID) []Pair
 	// ObjectPairs returns object o's (P,S) pairs sorted by (P,S).
 	ObjectPairs(o rdf.ID) []Pair
-	// Contains reports whether the exact triple (s p o) is present.
+	// Contains reports whether the exact triple (s p o) is present; it is
+	// false when any ID is 0.
 	Contains(s, p, o rdf.ID) bool
 }
 
@@ -34,6 +35,10 @@ var (
 	_ Source = (*Index)(nil)
 	_ Source = (*Overlay)(nil)
 )
+
+// The loaders below take the IDs of a pattern's fixed positions. An ID of
+// 0 (a term the dictionary lacks) or past the end of its dimension selects
+// no pairs, so the loader returns an empty matrix of its shape.
 
 // MatSO materializes the S-O BitMat of predicate p: rows are subject IDs,
 // columns object IDs. Only pairs whose row (subject) and column (object)

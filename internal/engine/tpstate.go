@@ -147,7 +147,8 @@ func (e *Engine) load(tp sparql.TriplePattern, idx int, sn int, plan *planner.Pl
 	}
 	cacheSrc := "none"
 
-	// Resolve fixed positions; unknown terms mean an empty pattern.
+	// Resolve fixed positions. An unknown term resolves to ID 0, for which
+	// every loader returns an empty matrix: the pattern matches nothing.
 	s, p, o, known := tp.IDs(dict)
 
 	switch {
@@ -160,24 +161,22 @@ func (e *Engine) load(tp sparql.TriplePattern, idx int, sn int, plan *planner.Pl
 			st.rowSpace = SpaceNone
 			st.mat, cacheSrc = e.cachedOr(cache, patKey, orientSO, func() *bitmat.Matrix {
 				diag := bitmat.NewMatrix(1, dict.NumSubjects())
-				if known {
-					so := bitmat.MatSO(e.idx, p, nil, nil)
-					var pos []uint32
-					for i := 1; i <= dict.NumShared(); i++ {
-						if so.Test(i-1, i-1) {
-							pos = append(pos, uint32(i-1))
-						}
+				so := bitmat.MatSO(e.idx, p, nil, nil)
+				var pos []uint32
+				for i := 1; i <= dict.NumShared(); i++ {
+					if so.Test(i-1, i-1) {
+						pos = append(pos, uint32(i-1))
 					}
-					// Terms shared through an overlay's extension pairs sit
-					// off the band diagonal but are self-joins all the same.
-					for _, pr := range dict.ExtSharedPairs() {
-						if so.Test(int(pr.S)-1, int(pr.O)-1) {
-							pos = append(pos, uint32(pr.S-1))
-						}
+				}
+				// Terms shared through an overlay's extension pairs sit off
+				// the band diagonal but are self-joins all the same.
+				for _, pr := range dict.ExtSharedPairs() {
+					if so.Test(int(pr.S)-1, int(pr.O)-1) {
+						pos = append(pos, uint32(pr.S-1))
 					}
-					if len(pos) > 0 {
-						diag.SetRow(0, bitvec.RowFromPositions(dict.NumSubjects(), pos))
-					}
+				}
+				if len(pos) > 0 {
+					diag.SetRow(0, bitvec.RowFromPositions(dict.NumSubjects(), pos))
 				}
 				return diag
 			})
@@ -193,6 +192,7 @@ func (e *Engine) load(tp sparql.TriplePattern, idx int, sn int, plan *planner.Pl
 			st.colVar, st.colSpace = tp.S.Var, SpaceS
 		}
 		if !known {
+			// Empty without computing masks or touching the caches.
 			if rowVar == tp.S.Var {
 				st.mat = bitmat.NewMatrix(dict.NumSubjects(), dict.NumObjects())
 			} else {
@@ -228,9 +228,6 @@ func (e *Engine) load(tp sparql.TriplePattern, idx int, sn int, plan *planner.Pl
 	case sVar && !pVar && !oVar:
 		// (?var :p :o): one row of the P-S BitMat of o (Section 5).
 		st.mat, cacheSrc = e.cachedOr(cache, patKey, orientSO, func() *bitmat.Matrix {
-			if !known {
-				return bitmat.NewMatrix(1, dict.NumSubjects())
-			}
 			return bitmat.RowPS(e.idx, p, o)
 		})
 		st.colVar, st.colSpace = tp.S.Var, SpaceS
@@ -238,9 +235,6 @@ func (e *Engine) load(tp sparql.TriplePattern, idx int, sn int, plan *planner.Pl
 	case !sVar && !pVar && oVar:
 		// (:s :p ?var): one row of the P-O BitMat of s.
 		st.mat, cacheSrc = e.cachedOr(cache, patKey, orientSO, func() *bitmat.Matrix {
-			if !known {
-				return bitmat.NewMatrix(1, dict.NumObjects())
-			}
 			return bitmat.RowPO(e.idx, p, s)
 		})
 		st.colVar, st.colSpace = tp.O.Var, SpaceO
@@ -249,9 +243,6 @@ func (e *Engine) load(tp sparql.TriplePattern, idx int, sn int, plan *planner.Pl
 		// (:s ?p ?o): the P-O BitMat of s; the predicate variable rides the
 		// row axis (never a join variable, enforced by the GoJ).
 		st.mat, cacheSrc = e.cachedOr(cache, patKey, orientSO, func() *bitmat.Matrix {
-			if !known {
-				return bitmat.NewMatrix(dict.NumPredicates(), dict.NumObjects())
-			}
 			return bitmat.MatPO(e.idx, s)
 		})
 		st.rowVar, st.rowSpace = tp.P.Var, SpaceP
@@ -259,9 +250,6 @@ func (e *Engine) load(tp sparql.TriplePattern, idx int, sn int, plan *planner.Pl
 	case sVar && pVar && !oVar:
 		// (?s ?p :o): the P-S BitMat of o.
 		st.mat, cacheSrc = e.cachedOr(cache, patKey, orientSO, func() *bitmat.Matrix {
-			if !known {
-				return bitmat.NewMatrix(dict.NumPredicates(), dict.NumSubjects())
-			}
 			return bitmat.MatPS(e.idx, o)
 		})
 		st.rowVar, st.rowSpace = tp.P.Var, SpaceP
@@ -269,15 +257,12 @@ func (e *Engine) load(tp sparql.TriplePattern, idx int, sn int, plan *planner.Pl
 	case !sVar && pVar && !oVar:
 		// (:s ?p :o): the predicates linking s to o.
 		st.mat, cacheSrc = e.cachedOr(cache, patKey, orientSO, func() *bitmat.Matrix {
-			if !known {
-				return bitmat.NewMatrix(1, dict.NumPredicates())
-			}
 			return bitmat.RowP(e.idx, s, o)
 		})
 		st.colVar, st.colSpace = tp.P.Var, SpaceP
 		st.rowSpace = SpaceNone
 	case !sVar && !pVar && !oVar:
-		st.present = known && e.idx.Contains(s, p, o)
+		st.present = e.idx.Contains(s, p, o)
 	default:
 		return nil, fmt.Errorf("%w: %s", ErrThreeVarPattern, tp)
 	}

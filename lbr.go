@@ -71,12 +71,10 @@ func TripleIRI(s, p, o string) Triple { return rdf.T(s, p, o) }
 // TripleLit builds a triple with a literal object.
 func TripleLit(s, p, lit string) Triple { return rdf.TL(s, p, lit) }
 
-// Options tune the engine; the zero value is the paper's configuration.
-// The Disable* switches exist for the ablation benchmarks.
+// Options tune the store; the zero value is the paper's configuration.
+// The engine's ablation switches (engine.Options) are not exposed here:
+// the ablation benchmarks set them on the engine directly.
 type Options struct {
-	DisablePruning       bool
-	DisableActivePruning bool
-	NaiveJvarOrder       bool
 	// Workers bounds the goroutines used by the parallel phases of the
 	// store: the pruning and multi-way join of each query, the concurrent
 	// execution of a query's UNION branches, and the build pipeline
@@ -343,12 +341,7 @@ func (s *Store) Build() error {
 // paths (Build and OpenIndexWithOptions) go through this, so a new field
 // cannot be threaded through one and forgotten in the other.
 func (o Options) engineOptions() engine.Options {
-	return engine.Options{
-		DisablePruning:       o.DisablePruning,
-		DisableActivePruning: o.DisableActivePruning,
-		NaiveJvarOrder:       o.NaiveJvarOrder,
-		Workers:              o.Workers,
-	}
+	return engine.Options{Workers: o.Workers}
 }
 
 // buildLocked performs the first build: it indexes the triples waiting in

@@ -197,23 +197,3 @@ func TestStatsExposed(t *testing.T) {
 		t.Error("acyclic query should not need best-match")
 	}
 }
-
-func TestOptionsAblations(t *testing.T) {
-	for _, opts := range []Options{
-		{DisablePruning: true},
-		{DisableActivePruning: true},
-		{NaiveJvarOrder: true},
-	} {
-		s := NewStoreWithOptions(opts)
-		s.Add(TripleIRI("Jerry", "hasFriend", "Julia"))
-		s.Add(TripleIRI("Julia", "actedIn", "Seinfeld"))
-		s.Add(TripleIRI("Seinfeld", "location", "NewYorkCity"))
-		res, err := s.Query(movieQ2)
-		if err != nil {
-			t.Fatalf("%+v: %v", opts, err)
-		}
-		if res.Len() != 1 {
-			t.Errorf("%+v: rows = %d, want 1", opts, res.Len())
-		}
-	}
-}
