@@ -109,12 +109,13 @@ test-benchmark:
 serve-smoke:
 	GO=$(GO) sh scripts/serve_smoke.sh
 
-# fuzz-smoke runs the two differential fuzzers briefly — long enough to
-# replay the seed corpora and mutate around them, short enough for CI:
+# fuzz-smoke runs the three fuzzers briefly — long enough to replay the
+# seed corpora and mutate around them, short enough for CI:
 # FuzzQueryDifferential (engine vs the naive reference evaluator, across
-# worker counts and delta overlays) and FuzzUpdateDifferential (update
+# worker counts and delta overlays), FuzzUpdateDifferential (update
 # streams through the delta-overlay store vs the reference applier, across
-# compaction and cold rebuild). The query fuzzer draws its graphs from
+# compaction and cold rebuild) and FuzzMatrixOps (op streams over the
+# condensed BitMat vs a map of its set bits). The query fuzzer draws its graphs from
 # the differential-testing kit (internal/difftest, difftest.Graph), and
 # the shapes it once found by luck are now grammar productions of the
 # kit, swept deterministically by TestDifferentialProductionSweep; the
@@ -126,6 +127,7 @@ FUZZTIME ?= 30s
 fuzz-smoke:
 	$(GO) test ./internal/engine -run='^$$' -fuzz=FuzzQueryDifferential -fuzztime=$(FUZZTIME)
 	$(GO) test . -run='^$$' -fuzz=FuzzUpdateDifferential -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/bitmat -run='^$$' -fuzz=FuzzMatrixOps -fuzztime=$(FUZZTIME)
 
 # loc prints the non-test Go line count outside the benchmark module and
 # the test-only differential kit (internal/difftest, held to test-only

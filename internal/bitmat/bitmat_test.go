@@ -305,19 +305,6 @@ func TestMatrixTransposeInvolution(t *testing.T) {
 	}
 }
 
-func TestMatrixColumnRow(t *testing.T) {
-	m := NewMatrix(5, 5)
-	m.SetRow(1, bitvec.RowFromPositions(5, []uint32{2, 3}))
-	m.SetRow(4, bitvec.RowFromPositions(5, []uint32{2}))
-	col := m.ColumnRow(2)
-	if col.Count() != 2 || !col.Test(1) || !col.Test(4) {
-		t.Errorf("ColumnRow(2) wrong: %v", col)
-	}
-	if m.ColumnRow(0).Count() != 0 {
-		t.Error("ColumnRow of empty column must be empty")
-	}
-}
-
 func TestIndexSerializationRoundTrip(t *testing.T) {
 	idx, dict := buildSample(t)
 	var buf bytes.Buffer

@@ -9,6 +9,7 @@ package bitmat
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/bitvec"
 )
@@ -17,9 +18,15 @@ import (
 // 0-indexed here; dimension IDs (which start at 1) are mapped by the caller.
 // A Matrix is the query-time representation of the triples matching one
 // triple pattern; unfold mutates it in place.
+//
+// Like the paper's condensed BitMat, it stores only its non-empty rows: an
+// ascending directory of live row ids and, in parallel, their compressed
+// rows. No field is sized by the dimensions, so every whole-matrix
+// operation costs O(live rows), not O(nRows).
 type Matrix struct {
 	nRows, nCols int
-	rows         []*bitvec.Row // nil means empty row
+	ids          []uint32      // ascending ids of the non-empty rows
+	rows         []*bitvec.Row // rows[i] is row ids[i]; never empty
 	count        int64
 }
 
@@ -28,7 +35,7 @@ func NewMatrix(nRows, nCols int) *Matrix {
 	if nRows < 0 || nCols < 0 {
 		panic("bitmat: negative dimension")
 	}
-	return &Matrix{nRows: nRows, nCols: nCols, rows: make([]*bitvec.Row, nRows)}
+	return &Matrix{nRows: nRows, nCols: nCols}
 }
 
 // NRows reports the number of rows.
@@ -43,20 +50,48 @@ func (m *Matrix) Count() int64 { return m.count }
 // Empty reports whether no bit is set.
 func (m *Matrix) Empty() bool { return m.count == 0 }
 
-// SetRow installs a compressed row at index r, replacing any previous row.
-// The row length must equal NCols.
+// LiveRows reports the number of non-empty rows.
+func (m *Matrix) LiveRows() int { return len(m.ids) }
+
+// find returns the directory slot of row r and whether r is live; when it
+// is not, the slot is where r would be inserted.
+func (m *Matrix) find(r int) (int, bool) {
+	return slices.BinarySearch(m.ids, uint32(r))
+}
+
+// SetRow installs a compressed row at index r, replacing any previous row;
+// a nil or empty row clears it. The row length must equal NCols. Rows set
+// in ascending order, as every loader does, append in O(1).
 func (m *Matrix) SetRow(r int, row *bitvec.Row) {
+	if r < 0 || r >= m.nRows {
+		panic(fmt.Sprintf("bitmat: row %d out of range [0, %d)", r, m.nRows))
+	}
 	if row != nil && row.Len() != m.nCols {
 		panic(fmt.Sprintf("bitmat: row length %d != %d cols", row.Len(), m.nCols))
-	}
-	if old := m.rows[r]; old != nil {
-		m.count -= int64(old.Count())
 	}
 	if row != nil && row.Count() == 0 {
 		row = nil
 	}
-	m.rows[r] = row
-	if row != nil {
+	if n := len(m.ids); n == 0 || m.ids[n-1] < uint32(r) {
+		if row != nil {
+			m.ids = append(m.ids, uint32(r))
+			m.rows = append(m.rows, row)
+			m.count += int64(row.Count())
+		}
+		return
+	}
+	i, found := m.find(r)
+	switch {
+	case found && row == nil:
+		m.count -= int64(m.rows[i].Count())
+		m.ids = slices.Delete(m.ids, i, i+1)
+		m.rows = slices.Delete(m.rows, i, i+1)
+	case found:
+		m.count += int64(row.Count() - m.rows[i].Count())
+		m.rows[i] = row
+	case row != nil:
+		m.ids = slices.Insert(m.ids, i, uint32(r))
+		m.rows = slices.Insert(m.rows, i, row)
 		m.count += int64(row.Count())
 	}
 }
@@ -66,7 +101,10 @@ func (m *Matrix) Row(r int) *bitvec.Row {
 	if r < 0 || r >= m.nRows {
 		return nil
 	}
-	return m.rows[r]
+	if i, found := m.find(r); found {
+		return m.rows[i]
+	}
+	return nil
 }
 
 // Test reports whether bit (r, c) is set.
@@ -76,13 +114,15 @@ func (m *Matrix) Test(r, c int) bool {
 }
 
 // Clone returns a deep-enough copy: rows are immutable so sharing them is
-// safe; the row table itself is copied so unfold on the clone leaves the
-// original untouched.
+// safe; the live-row directory (ids and row pointers) is copied, so unfold
+// on the clone, which compacts the directory in place, leaves the original
+// untouched.
 func (m *Matrix) Clone() *Matrix {
-	c := &Matrix{nRows: m.nRows, nCols: m.nCols, count: m.count}
-	c.rows = make([]*bitvec.Row, len(m.rows))
-	copy(c.rows, m.rows)
-	return c
+	return &Matrix{
+		nRows: m.nRows, nCols: m.nCols, count: m.count,
+		ids:  slices.Clone(m.ids),
+		rows: slices.Clone(m.rows),
+	}
 }
 
 // FoldCols implements fold(BM, colDim): the projection of the column
@@ -91,9 +131,7 @@ func (m *Matrix) Clone() *Matrix {
 func (m *Matrix) FoldCols() *bitvec.Bits {
 	acc := bitvec.NewBits(m.nCols)
 	for _, row := range m.rows {
-		if row != nil {
-			row.OrInto(acc)
-		}
+		row.OrInto(acc)
 	}
 	return acc
 }
@@ -102,44 +140,48 @@ func (m *Matrix) FoldCols() *bitvec.Bits {
 // every non-empty row.
 func (m *Matrix) FoldRows() *bitvec.Bits {
 	acc := bitvec.NewBits(m.nRows)
-	for r, row := range m.rows {
-		if row != nil && row.Count() > 0 {
-			acc.Set(r)
-		}
+	for _, r := range m.ids {
+		acc.Set(int(r))
 	}
 	return acc
 }
 
 // UnfoldCols implements unfold(BM, mask, colDim): clears every column whose
-// mask bit is 0, by ANDing each compressed row with the mask.
+// mask bit is 0, by ANDing each compressed row with the mask. Rows left
+// empty leave the directory.
 func (m *Matrix) UnfoldCols(mask *bitvec.Bits) {
-	for r, row := range m.rows {
-		if row == nil {
-			continue
-		}
-		newRow := row.And(mask)
-		m.count -= int64(row.Count())
-		if newRow.Count() == 0 {
-			m.rows[r] = nil
-			continue
-		}
-		m.rows[r] = newRow
-		m.count += int64(newRow.Count())
-	}
+	m.compact(func(_ uint32, row *bitvec.Row) *bitvec.Row {
+		return row.And(mask)
+	})
 }
 
 // UnfoldRows implements unfold(BM, mask, rowDim): drops every row whose
 // mask bit is 0.
 func (m *Matrix) UnfoldRows(mask *bitvec.Bits) {
-	for r, row := range m.rows {
-		if row == nil {
+	m.compact(func(r uint32, row *bitvec.Row) *bitvec.Row {
+		if mask.Test(int(r)) {
+			return row
+		}
+		return nil
+	})
+}
+
+// compact replaces every live row by keep's result and drops the rows
+// keep empties, compacting the directory in place.
+func (m *Matrix) compact(keep func(r uint32, row *bitvec.Row) *bitvec.Row) {
+	w := 0
+	var count int64
+	for i, row := range m.rows {
+		row = keep(m.ids[i], row)
+		if row == nil || row.Count() == 0 {
 			continue
 		}
-		if !mask.Test(r) {
-			m.count -= int64(row.Count())
-			m.rows[r] = nil
-		}
+		m.ids[w], m.rows[w] = m.ids[i], row
+		count += int64(row.Count())
+		w++
 	}
+	clear(m.rows[w:]) // release the dropped rows to the collector
+	m.ids, m.rows, m.count = m.ids[:w], m.rows[:w], count
 }
 
 // Fold projects the requested axis: Rows or Cols.
@@ -186,11 +228,22 @@ func (a Axis) Other() Axis {
 
 // ForEachRow calls fn for every non-empty row in ascending row order.
 func (m *Matrix) ForEachRow(fn func(r int, row *bitvec.Row) bool) {
-	for r, row := range m.rows {
-		if row == nil {
-			continue
+	for i, row := range m.rows {
+		if !fn(int(m.ids[i]), row) {
+			return
 		}
-		if !fn(r, row) {
+	}
+}
+
+// ForEachRowRange calls fn for every non-empty row r with lo <= r < hi, in
+// ascending row order, seeking to lo instead of walking the rows below it.
+func (m *Matrix) ForEachRowRange(lo, hi int, fn func(r int, row *bitvec.Row) bool) {
+	i := 0
+	if lo > 0 {
+		i, _ = m.find(lo)
+	}
+	for ; i < len(m.ids) && int(m.ids[i]) < hi; i++ {
+		if !fn(int(m.ids[i]), m.rows[i]) {
 			return
 		}
 	}
@@ -210,52 +263,43 @@ func (m *Matrix) ForEach(fn func(r, c int) bool) {
 	})
 }
 
-// ColumnRow materializes column c as a compressed row over the row
-// dimension. This is the slow path used when a join probes the matrix by a
-// bound column value; the planner's BitMat orientation choice keeps it off
-// hot paths.
-func (m *Matrix) ColumnRow(c int) *bitvec.Row {
-	var pos []uint32
-	m.ForEachRow(func(r int, row *bitvec.Row) bool {
-		if row.Test(c) {
-			pos = append(pos, uint32(r))
-		}
-		return true
-	})
-	// Row-major walk yields strictly ascending positions.
-	return bitvec.RowFromSortedPositions(m.nRows, pos)
-}
-
-// Transpose returns a new matrix with rows and columns swapped.
+// Transpose returns a new matrix with rows and columns swapped. It sorts
+// the set bits by column rather than bucketing them in a table over the
+// column dimension, so it costs O(set bits) whatever the shape.
 func (m *Matrix) Transpose() *Matrix {
-	cols := make([][]uint32, m.nCols)
+	keys := make([]uint64, 0, m.count)
 	m.ForEach(func(r, c int) bool {
-		cols[c] = append(cols[c], uint32(r))
+		keys = append(keys, uint64(c)<<32|uint64(r))
 		return true
 	})
+	slices.Sort(keys)
 	t := NewMatrix(m.nCols, m.nRows)
-	for c, pos := range cols {
-		if len(pos) > 0 {
-			// The row-major ForEach appends rows to each column in
-			// ascending order.
-			t.SetRow(c, bitvec.RowFromSortedPositions(m.nRows, pos))
+	for i := 0; i < len(keys); {
+		c := keys[i] >> 32
+		j := i + 1
+		for j < len(keys) && keys[j]>>32 == c {
+			j++
 		}
+		pos := make([]uint32, j-i)
+		for k := range pos {
+			pos[k] = uint32(keys[i+k])
+		}
+		// Sorting (c, r) keys leaves each column's rows strictly ascending,
+		// and the columns arrive ascending, so SetRow appends.
+		t.SetRow(int(c), bitvec.RowFromSortedPositions(m.nRows, pos))
+		i = j
 	}
 	return t
 }
 
 // Equal reports whether two matrices have the same shape and set bits.
 func (m *Matrix) Equal(other *Matrix) bool {
-	if m.nRows != other.nRows || m.nCols != other.nCols || m.count != other.count {
+	if m.nRows != other.nRows || m.nCols != other.nCols || m.count != other.count ||
+		!slices.Equal(m.ids, other.ids) {
 		return false
 	}
-	for r := 0; r < m.nRows; r++ {
-		a, b := m.rows[r], other.rows[r]
-		switch {
-		case a == nil && b == nil:
-		case a == nil || b == nil:
-			return false
-		case !a.Equal(b):
+	for i, row := range m.rows {
+		if !row.Equal(other.rows[i]) {
 			return false
 		}
 	}
@@ -267,9 +311,7 @@ func (m *Matrix) Equal(other *Matrix) bool {
 func (m *Matrix) WireSize() int64 {
 	var total int64
 	for _, row := range m.rows {
-		if row != nil {
-			total += int64(row.WireSize())
-		}
+		total += int64(row.WireSize())
 	}
 	return total
 }
@@ -279,9 +321,7 @@ func (m *Matrix) WireSize() int64 {
 func (m *Matrix) RLEWireSize() int64 {
 	var total int64
 	for _, row := range m.rows {
-		if row != nil {
-			total += int64(row.RLESize())
-		}
+		total += int64(row.RLESize())
 	}
 	return total
 }

@@ -22,7 +22,7 @@ const (
 // per-predicate branch would otherwise rebuild from the pair tables. The
 // cache holds the pristine (unmasked, unpruned) matrix per normalized
 // pattern; every branch clones it (cheap: compressed rows are immutable
-// and shared, only the row table is copied) and applies its own
+// and shared, only the live-row directory is copied) and applies its own
 // active-pruning masks and semi-join pruning to the clone, so branches
 // never observe each other's pruning.
 //

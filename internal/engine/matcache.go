@@ -295,13 +295,15 @@ func (c *MatCache) evictLocked(keep *matEntry) {
 	}
 }
 
-// matCost estimates the resident bytes of a cached matrix: the row table
-// (one pointer per row), the compressed row payloads (4-byte words in the
-// hybrid encoding), and a fixed header. It only weighs the LRU — a rough
-// but monotone estimate is enough for eviction order.
+// matCost estimates the resident bytes of a cached matrix: a fixed
+// header, 12 B per live row (its 4-byte id and 8-byte row pointer in the
+// directory), and the compressed row payloads (4-byte words in the hybrid
+// encoding). It follows what the matrix holds, not its dimensions, so a
+// budget measures real bytes. It only weighs the LRU — a rough but
+// monotone estimate is enough for eviction order.
 func matCost(mat *bitmat.Matrix) int64 {
 	if mat == nil {
 		return 64
 	}
-	return 64 + int64(mat.NRows())*8 + mat.WireSize()*4
+	return 64 + int64(mat.LiveRows())*12 + mat.WireSize()*4
 }

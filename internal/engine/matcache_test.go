@@ -125,7 +125,7 @@ func TestMatCacheOrientationsAreDistinct(t *testing.T) {
 }
 
 func TestMatCacheLRUEviction(t *testing.T) {
-	// Each testMat(2) entry costs 64 + 2*8 + WireSize*4; budget fits two
+	// Every testMat(2) entry has the same matCost; the budget fits two
 	// entries but not three, so inserting a third evicts the least
 	// recently used.
 	cost := matCost(testMat(2))
@@ -285,5 +285,84 @@ func TestMatCacheConcurrentAdvance(t *testing.T) {
 	}
 	if s.BytesUsed > (1 << 16) {
 		t.Fatalf("budget exceeded at rest: %+v", s)
+	}
+}
+
+// TestMatCostFollowsLiveRows pins matCost to what a matrix holds: the same
+// live rows cost the same over a 10^3-row and a 10^6-row dimension, and
+// every added live row costs more.
+func TestMatCostFollowsLiveRows(t *testing.T) {
+	oneRow := func(nRows int) *bitmat.Matrix {
+		m := bitmat.NewMatrix(nRows, 8)
+		m.SetRow(7, bitvec.RowFromPositions(8, []uint32{2, 5}))
+		return m
+	}
+	small, big := matCost(oneRow(1_000)), matCost(oneRow(1_000_000))
+	if small != big {
+		t.Fatalf("matCost of one live row: %d over 10^3 rows, %d over 10^6", small, big)
+	}
+	if prev, next := matCost(testMat(2)), matCost(testMat(3)); next <= prev {
+		t.Fatalf("matCost not monotone in live rows: %d rows=2, %d rows=3", prev, next)
+	}
+}
+
+// TestCachedPristineCloneIsolation shares one MatCache entry among 16
+// goroutines, each of which unfolds and rewrites its own clone. The cached
+// original must stay equal to its snapshot: unfold compacts a matrix's row
+// directory in place, so a clone that shared the directory's backing
+// arrays would corrupt the cache. Run under -race.
+func TestCachedPristineCloneIsolation(t *testing.T) {
+	const nRows, nCols = 64, 96
+	build := func() *bitmat.Matrix {
+		m := bitmat.NewMatrix(nRows, nCols)
+		for r := 0; r < nRows; r += 2 {
+			m.SetRow(r, bitvec.RowFromPositions(nCols, []uint32{uint32(r), uint32(r + 1), uint32(nCols - 1)}))
+		}
+		return m
+	}
+	snapshot := build()
+	mc := NewMatCache(1 << 20)
+	e := &Engine{mc: mc.Advance(1)}
+	var wg sync.WaitGroup
+	for g := 0; g < 16; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			m, src := e.cachedPristine(nil, "pat", orientSO, false, build)
+			if m == nil {
+				t.Errorf("goroutine %d: cache declined (%s)", g, src)
+				return
+			}
+			rowMask, colMask := bitvec.NewBits(nRows), bitvec.NewBits(nCols)
+			for r := g % 4; r < nRows; r += 1 + g%3 {
+				rowMask.Set(r)
+			}
+			for c := g; c < nCols; c += 2 {
+				colMask.Set(c)
+			}
+			m.UnfoldRows(rowMask)
+			m.UnfoldCols(colMask)
+			m.SetRow(1, bitvec.RowFromPositions(nCols, []uint32{uint32(g)}))
+			m.SetRow(nRows-2, nil)
+			want := snapshot.Clone()
+			want.UnfoldRows(rowMask)
+			want.UnfoldCols(colMask)
+			want.SetRow(1, bitvec.RowFromPositions(nCols, []uint32{uint32(g)}))
+			want.SetRow(nRows-2, nil)
+			if !m.Equal(want) {
+				t.Errorf("goroutine %d: pruned clone differs from the pruned snapshot", g)
+			}
+		}(g)
+	}
+	wg.Wait()
+	cached, out := e.mc.get("pat", orientSO, false, build)
+	if out != outcomeHit {
+		t.Fatalf("shared entry not served from the cache: %s", out)
+	}
+	if !cached.Equal(snapshot) {
+		t.Fatal("pruning clones changed the cached matrix")
+	}
+	if s := mc.Stats(); s.Misses != 1 {
+		t.Fatalf("stats = %+v, want one build", s)
 	}
 }

@@ -3,6 +3,7 @@ package engine
 import (
 	"sort"
 
+	"repro/internal/bitvec"
 	"repro/internal/planner"
 	"repro/internal/rdf"
 	"repro/internal/sparql"
@@ -371,13 +372,10 @@ func (r *joinRun) enumerate(i int, st *tpState) bool {
 		col.ForEach(func(rr int) bool { return visit(rr, colBoundIdx) })
 	default:
 		if i == r.rootTP {
-			for rr := r.rootLo; rr < r.rootHi && !r.stopped; rr++ {
-				row := st.mat.Row(rr)
-				if row == nil {
-					continue
-				}
+			st.mat.ForEachRowRange(r.rootLo, r.rootHi, func(rr int, row *bitvec.Row) bool {
 				row.ForEach(func(c int) bool { return visit(rr, c) })
-			}
+				return !r.stopped
+			})
 			return any
 		}
 		st.mat.ForEach(func(rr, c int) bool { return visit(rr, c) })

@@ -163,11 +163,12 @@ func (e *Engine) load(tp sparql.TriplePattern, idx int, sn int, plan *planner.Pl
 				diag := bitmat.NewMatrix(1, dict.NumSubjects())
 				so := bitmat.MatSO(e.idx, p, nil, nil)
 				var pos []uint32
-				for i := 1; i <= dict.NumShared(); i++ {
-					if so.Test(i-1, i-1) {
-						pos = append(pos, uint32(i-1))
+				so.ForEachRowRange(0, dict.NumShared(), func(r int, row *bitvec.Row) bool {
+					if row.Test(r) {
+						pos = append(pos, uint32(r))
 					}
-				}
+					return true
+				})
 				// Terms shared through an overlay's extension pairs sit off
 				// the band diagonal but are self-joins all the same.
 				for _, pr := range dict.ExtSharedPairs() {
@@ -271,14 +272,18 @@ func (e *Engine) load(tp sparql.TriplePattern, idx int, sn int, plan *planner.Pl
 }
 
 // setLoadAttrs records a pattern load's cache outcome on its trace span:
-// which tier served it (or why every tier declined) and, for tier-served
-// loads — which clone the shared pristine matrix — the approximate bytes
-// cloned. No-op (and no argument evaluation) on a nil span.
+// which tier served it (or why every tier declined), the live rows of the
+// loaded BitMat and, for tier-served loads — which clone the shared
+// pristine matrix — the approximate bytes cloned. No-op (and no argument
+// evaluation) on a nil span.
 func setLoadAttrs(sp *trace.Span, st *tpState, src string) {
 	if sp == nil {
 		return
 	}
 	sp.Set("cache", src)
+	if st.mat != nil {
+		sp.Set("live_rows", st.mat.LiveRows())
+	}
 	switch src {
 	case "query-shared", string(outcomeHit), string(outcomeMiss):
 		if st.mat != nil {

@@ -95,9 +95,18 @@ func TestQueryTraceSpanAccounting(t *testing.T) {
 		if plans != 1 {
 			t.Errorf("branch span has %d plan children, want 1", plans)
 		}
-		if ld := root.Find("load"); ld != nil {
+		for _, ld := range root.FindAll("load") {
 			if _, ok := ld.Attr("cache"); !ok {
 				t.Error("load span lacks the cache-outcome attr")
+			}
+			// Every live row holds at least one triple, and every triple
+			// sits in a live row.
+			lr, _ := ld.Attr("live_rows")
+			tr, _ := ld.Attr("triples")
+			rows, ok1 := lr.(int)
+			triples, ok2 := tr.(int64)
+			if !ok1 || !ok2 || rows > int(triples) || (rows == 0) != (triples == 0) {
+				t.Errorf("load span live_rows = %v for %v triples", lr, tr)
 			}
 		}
 	})
