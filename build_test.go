@@ -3,29 +3,41 @@ package lbr
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"sort"
 	"strings"
 	"testing"
 
 	"repro/internal/datagen"
+	"repro/internal/rdf"
 )
 
-// buildFixtureTriples is large enough (> the parallel-build gate) that
-// Workers>1 exercises the sharded dictionary and the parallel pair-table
-// scatter, with literals that stress the escaping rules.
-func buildFixtureTriples() []Triple {
-	var out []Triple
-	for i := 0; i < 6000; i++ {
-		s := fmt.Sprintf("s%03d", i%523)
-		o := fmt.Sprintf("s%03d", (i*3+1)%523)
-		out = append(out, TripleIRI(s, fmt.Sprintf("p%d", i%17), o))
-		if i%7 == 0 {
-			out = append(out, TripleLit(s, "note", fmt.Sprintf("say \"%d\"\tand \\%d\\\nend", i, i)))
-		}
+// goldenIndexSHA256 is the SHA-256 of the SaveIndex bytes of
+// goldenFixture. The snapshot is a pure function of the triple set, so
+// any change to the build, the dictionary layout or the persist format
+// that moves one byte shows here; a deliberate format change updates it
+// together with storeMagic.
+const goldenIndexSHA256 = "fe300606eb8c4c4abfc0c0a2061410aa072c714934220df91aad2aebd570abc6"
+
+// goldenFixture is MovieGraph(200) plus literals that exercise every
+// N-Triples escape, language tags, datatypes and blank nodes.
+func goldenFixture() []Triple {
+	triples := append([]Triple(nil), datagen.MovieGraph(200).Triples()...)
+	for i := 0; i < 40; i++ {
+		s := fmt.Sprintf("doc%d", i%9)
+		triples = append(triples,
+			TripleLit(s, "note", fmt.Sprintf("say \"%d\"\tand \\%d\\\nend\r", i, i)),
+			Triple{S: IRI(s), P: IRI("title"), O: Term{Kind: rdf.Literal, Value: fmt.Sprintf("t%d", i%5), Lang: "en"}},
+			Triple{S: rdf.NewBlank(fmt.Sprintf("b%d", i%7)), P: IRI("size"),
+				O: Term{Kind: rdf.Literal, Value: fmt.Sprint(i), Datatype: "http://www.w3.org/2001/XMLSchema#integer"}},
+			TripleIRI(s, "ref", fmt.Sprintf("doc%d", (i+1)%9)))
 	}
-	return out
+	return triples
 }
 
 func sortedLines(s string) string {
@@ -43,76 +55,62 @@ func snapshot(t *testing.T, s *Store) []byte {
 	return buf.Bytes()
 }
 
-// TestParallelBuildSnapshotByteIdentical is the acceptance-criteria pin:
-// a store built with any worker count persists to exactly the bytes of
-// the sequential build.
-func TestParallelBuildSnapshotByteIdentical(t *testing.T) {
-	triples := buildFixtureTriples()
-	seq := NewStoreWithOptions(Options{Workers: 1})
-	seq.AddAll(triples)
-	if err := seq.Build(); err != nil {
+// TestSaveIndexGoldenDigest pins the snapshot of a fixed input to a
+// constant, with the triples reaching the store both through AddAll and
+// through LoadNTriples.
+func TestSaveIndexGoldenDigest(t *testing.T) {
+	triples := goldenFixture()
+	added := NewStore()
+	added.AddAll(triples)
+	g := rdf.NewGraph()
+	g.AddAll(triples)
+	var nt bytes.Buffer
+	if err := rdf.WriteNTriples(&nt, g); err != nil {
 		t.Fatal(err)
 	}
-	want := snapshot(t, seq)
-	for _, workers := range []int{0, 2, 3, 8} {
-		s := NewStoreWithOptions(Options{Workers: workers})
-		s.AddAll(triples)
-		if err := s.Build(); err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if got := snapshot(t, s); !bytes.Equal(got, want) {
-			t.Fatalf("workers=%d: snapshot differs from sequential build (%d vs %d bytes)",
-				workers, len(got), len(want))
+	loaded := NewStore()
+	if _, err := loaded.LoadNTriples(&nt); err != nil {
+		t.Fatal(err)
+	}
+	for name, s := range map[string]*Store{"AddAll": added, "LoadNTriples": loaded} {
+		sum := sha256.Sum256(snapshot(t, s))
+		if got := hex.EncodeToString(sum[:]); got != goldenIndexSHA256 {
+			t.Errorf("%s: SaveIndex digest %s, want %s", name, got, goldenIndexSHA256)
 		}
 	}
 }
 
-// TestLoadNTriplesParallelPipeline checks the parse pipeline end to end:
-// same triples, same serialization, same first error as sequential.
-func TestLoadNTriplesParallelPipeline(t *testing.T) {
-	var sb strings.Builder
-	sb.WriteString("# fixture\n")
-	for i := 0; i < 3000; i++ {
-		fmt.Fprintf(&sb, "<http://x/s%d> <http://x/p%d> <http://x/o%d> .\n", i%301, i%9, (i+5)%301)
-		if i%13 == 0 {
-			fmt.Fprintf(&sb, "<http://x/s%d> <http://x/note> \"q \\\"x\\\" \\\\ %d\"@en .\n", i%301, i)
+// TestLoadNTriplesParseError pins the failure path of a load: a malformed
+// line k fails the whole load with an error naming line k (blank and
+// comment lines count), adds nothing, and writes nothing to an open WAL.
+func TestLoadNTriplesParseError(t *testing.T) {
+	for _, n := range []int{3, 3000} {
+		var sb strings.Builder
+		sb.WriteString("# fixture\n\n")
+		for i := 0; i < n; i++ {
+			fmt.Fprintf(&sb, "<http://x/s%d> <http://x/p%d> \"v \\\"%d\\\"\"@en .\n", i%301, i%9, i)
 		}
-	}
-	src := sb.String()
+		badLine := n + 3
+		sb.WriteString("not a triple\n<http://x/a> <http://x/p> <http://x/b> .\n")
 
-	seq := NewStoreWithOptions(Options{Workers: 1})
-	nSeq, err := seq.LoadNTriples(strings.NewReader(src))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wantNT bytes.Buffer
-	if err := seq.WriteNTriples(&wantNT); err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{0, 4} {
-		s := NewStoreWithOptions(Options{Workers: workers})
-		n, err := s.LoadNTriples(strings.NewReader(src))
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if n != nSeq {
-			t.Fatalf("workers=%d: loaded %d, want %d", workers, n, nSeq)
-		}
-		var got bytes.Buffer
-		if err := s.WriteNTriples(&got); err != nil {
+		s := NewStore()
+		walPath := filepath.Join(t.TempDir(), "updates.wal")
+		if _, err := s.OpenWAL(walPath); err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(got.Bytes(), wantNT.Bytes()) {
-			t.Fatalf("workers=%d: serialized graph differs from sequential load", workers)
+		added, err := s.LoadNTriples(strings.NewReader(sb.String()))
+		if want := fmt.Sprintf("line %d:", badLine); err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("%d lines: err = %v, want one naming %q", n, err, want)
 		}
-	}
-
-	// Error parity on a malformed line.
-	bad := src + "not a triple\n"
-	_, seqErr := NewStoreWithOptions(Options{Workers: 1}).LoadNTriples(strings.NewReader(bad))
-	_, parErr := NewStoreWithOptions(Options{Workers: 4}).LoadNTriples(strings.NewReader(bad))
-	if seqErr == nil || parErr == nil || seqErr.Error() != parErr.Error() {
-		t.Fatalf("error parity: sequential %v vs parallel %v", seqErr, parErr)
+		if added != 0 || s.Len() != 0 {
+			t.Fatalf("%d lines: failed load added %d triples (Len %d)", n, added, s.Len())
+		}
+		if fi, err := os.Stat(walPath); err != nil || fi.Size() != 0 {
+			t.Fatalf("%d lines: WAL after a failed load: %v, err %v", n, fi, err)
+		}
+		if err := s.CloseWAL(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

@@ -142,6 +142,49 @@ func TestBaselineFilters(t *testing.T) {
 	}
 }
 
+// TestBaselineFilterArithmetic pins that the baseline evaluates FILTER
+// expressions with the engine's evaluator, arithmetic included: of 20
+// subjects with ?v cycling 0..9, only the two with ?v = 3 fail
+// ?v + 2 != 5.
+func TestBaselineFilterArithmetic(t *testing.T) {
+	g := rdf.NewGraph()
+	for i := 0; i < 20; i++ {
+		g.Add(rdf.Triple{S: rdf.NewIRI(fmt.Sprintf("http://x/s%d", i)), P: rdf.NewIRI("http://x/v"),
+			O: rdf.Term{Kind: rdf.Literal, Value: fmt.Sprint(i % 10), Datatype: "http://www.w3.org/2001/XMLSchema#integer"}})
+	}
+	for _, pol := range []Policy{OriginalOrder, SelectiveMaster} {
+		res, err := baselineOver(t, g, pol).ExecuteString(
+			`SELECT ?s ?v WHERE { ?s <http://x/v> ?v . FILTER (?v + 2 != 5) }`)
+		if err != nil {
+			t.Fatalf("%v: %v", pol, err)
+		}
+		if len(res.Rows) != 18 {
+			t.Fatalf("%v: %d rows, want 18: %v", pol, len(res.Rows), res.SortedRowStrings())
+		}
+	}
+}
+
+// TestBaselineDifferentialFilterMix runs the differential kit's FILTER
+// mix (operand-heavy filters inside and outside OPTIONALs) against the
+// reference evaluator.
+func TestBaselineDifferentialFilterMix(t *testing.T) {
+	for _, pol := range []Policy{OriginalOrder, SelectiveMaster} {
+		rng := rand.New(rand.NewSource(12))
+		for trial := 0; trial < 60; trial++ {
+			g := difftest.Graph(rng, 20+rng.Intn(50))
+			src, _ := difftest.Query(rng, difftest.Filter)
+			q, want, vars := difftest.RefSrc(t, g, src)
+			res, err := baselineOver(t, g, pol).Execute(q)
+			if err != nil {
+				t.Fatalf("%v on %q: %v", pol, src, err)
+			}
+			if v := difftest.Verdict(difftest.Keys(res.Vars, res.Rows, vars), want); v != "" {
+				t.Fatalf("%v trial %d on %s: %s", pol, trial, src, v)
+			}
+		}
+	}
+}
+
 func TestBaselineUnion(t *testing.T) {
 	e := baselineOver(t, figure32Graph(), OriginalOrder)
 	res, err := e.ExecuteString(`

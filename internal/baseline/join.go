@@ -1,6 +1,8 @@
 package baseline
 
 import (
+	"repro/internal/engine"
+	"repro/internal/rdf"
 	"repro/internal/sparql"
 )
 
@@ -160,11 +162,20 @@ func mergeCtx(a, b ctx) ctx {
 	return out
 }
 
-// filterRel keeps the rows satisfying the expression.
+// filterRel keeps the rows satisfying the expression, evaluated with the
+// LBR engine's FILTER semantics (engine.EvalFilter) so that both engines
+// answer every filtered query alike.
 func (e *Engine) filterRel(rel *relation, expr sparql.Expr) *relation {
 	out := newRelation(rel.vars)
-	for _, row := range rel.rows {
-		if e.exprHolds(expr, rel, row) {
+	var row []val // the row lookup reads: the loop's current one
+	lookup := func(v sparql.Var) rdf.Term {
+		if p, ok := rel.pos[v]; ok && row[p] != 0 {
+			return e.valTerm(row[p])
+		}
+		return rdf.Term{}
+	}
+	for _, row = range rel.rows {
+		if engine.EvalFilter(expr, lookup) {
 			out.rows = append(out.rows, row)
 		}
 	}

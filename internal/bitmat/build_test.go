@@ -9,7 +9,7 @@ import (
 	"repro/internal/rdf"
 )
 
-func parallelFixture(n int) *rdf.Graph {
+func buildFixture(n int) *rdf.Graph {
 	g := rdf.NewGraph()
 	for i := 0; i < n; i++ {
 		s := fmt.Sprintf("n%03d", i%151)
@@ -31,9 +31,9 @@ func indexBytes(t *testing.T, idx *Index) []byte {
 	return buf.Bytes()
 }
 
-// referenceBuild is the naive sequential build the pipeline is checked
-// against: encode each triple in order, append its pairs to their
-// buckets, then sort every bucket. It fails on the first triple, in
+// referenceBuild is the naive build Build is checked against: encode
+// each triple in order, append its pairs to unsized buckets, then sort
+// every bucket with sort.Slice. It fails on the first triple, in
 // order, that dict cannot encode.
 func referenceBuild(triples []rdf.Triple, dict *rdf.Dictionary) (*Index, error) {
 	idx := &Index{
@@ -68,56 +68,58 @@ func referenceBuild(triples []rdf.Triple, dict *rdf.Dictionary) (*Index, error) 
 	return idx, nil
 }
 
-// TestBuildParallelByteIdentical forces the parallel path on a small
-// fixture and pins that every worker count persists to exactly the
-// reference build's bytes — the property SaveIndex snapshots rely on.
+// TestBuildParallelByteIdentical pins that Build persists to exactly the
+// reference build's bytes and dictionary — the property SaveIndex
+// snapshots rely on — and that the BuildParallel wrapper, whatever its
+// worker argument, is the same build.
 func TestBuildParallelByteIdentical(t *testing.T) {
-	oldGate := parallelBuildMinTriples
-	parallelBuildMinTriples = 1
-	defer func() { parallelBuildMinTriples = oldGate }()
-
-	g := parallelFixture(2500)
-	seq, err := referenceBuild(g.Triples(), g.Dictionary())
+	g := buildFixture(2500)
+	ref, err := referenceBuild(g.Triples(), g.Dictionary())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := seq.Validate(); err != nil {
+	if err := ref.Validate(); err != nil {
 		t.Fatalf("reference index invalid: %v", err)
 	}
-	want := indexBytes(t, seq)
+	want := indexBytes(t, ref)
 	var wantDict bytes.Buffer
-	if _, err := seq.Dictionary().WriteTo(&wantDict); err != nil {
+	if _, err := ref.Dictionary().WriteTo(&wantDict); err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{0, 1, 2, 3, 8, -2} {
-		par, err := BuildParallel(g, workers)
+	builds := map[string]func() (*Index, error){
+		"Build":             func() (*Index, error) { return Build(g) },
+		"BuildParallel(8)":  func() (*Index, error) { return BuildParallel(g, 8) },
+		"BuildParallel(-2)": func() (*Index, error) { return BuildParallel(g, -2) },
+	}
+	for name, build := range builds {
+		idx, err := build()
 		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
+			t.Fatalf("%s: %v", name, err)
 		}
-		if err := par.Validate(); err != nil {
-			t.Fatalf("workers=%d: invalid index: %v", workers, err)
+		if err := idx.Validate(); err != nil {
+			t.Fatalf("%s: invalid index: %v", name, err)
 		}
-		if got := indexBytes(t, par); !bytes.Equal(got, want) {
-			t.Fatalf("workers=%d: index bytes differ from the reference build", workers)
+		if got := indexBytes(t, idx); !bytes.Equal(got, want) {
+			t.Fatalf("%s: index bytes differ from the reference build", name)
 		}
 		var gotDict bytes.Buffer
-		if _, err := par.Dictionary().WriteTo(&gotDict); err != nil {
+		if _, err := idx.Dictionary().WriteTo(&gotDict); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(gotDict.Bytes(), wantDict.Bytes()) {
-			t.Fatalf("workers=%d: dictionary bytes differ from the reference build", workers)
+			t.Fatalf("%s: dictionary bytes differ from the reference build", name)
 		}
-		if par.NumTriples() != seq.NumTriples() {
-			t.Fatalf("workers=%d: %d triples, want %d", workers, par.NumTriples(), seq.NumTriples())
+		if idx.NumTriples() != ref.NumTriples() {
+			t.Fatalf("%s: %d triples, want %d", name, idx.NumTriples(), ref.NumTriples())
 		}
 	}
 }
 
 // TestBuildParallelEncodeError pins that a dictionary that cannot encode
-// the triples fails the build, at any worker count, with the reference
-// build's error (the first failing triple in graph order).
+// the triples fails the build with the reference build's error: the
+// first failing triple in graph order.
 func TestBuildParallelEncodeError(t *testing.T) {
-	g := parallelFixture(300)
+	g := buildFixture(300)
 	// A dictionary over a strict subset of the graph cannot encode it.
 	small := rdf.NewGraph()
 	small.Add(g.Triples()[0])
@@ -127,17 +129,14 @@ func TestBuildParallelEncodeError(t *testing.T) {
 	if want == nil {
 		t.Fatal("reference build must fail")
 	}
-	for _, workers := range []int{1, 4} {
-		_, err := BuildParallelWithDictionary(g.Triples(), dict, workers)
-		if err == nil || err.Error() != want.Error() {
-			t.Fatalf("workers=%d: error %v, want %q", workers, err, want)
-		}
+	if _, err := buildWithDictionary(g.Triples(), dict); err == nil || err.Error() != want.Error() {
+		t.Fatalf("error %v, want %q", err, want)
 	}
 }
 
 // TestValidateCatchesShapeDrift covers the SaveIndex assertion.
 func TestValidateCatchesShapeDrift(t *testing.T) {
-	g := parallelFixture(100)
+	g := buildFixture(100)
 	idx, err := Build(g)
 	if err != nil {
 		t.Fatal(err)

@@ -30,18 +30,14 @@ type Index struct {
 	nTriples int64
 }
 
-// Build constructs the index for a graph sequentially: BuildParallel
-// with one worker.
-func Build(g *rdf.Graph) (*Index, error) { return BuildTriples(g.Triples(), 1) }
-
 // Dictionary returns the index's term dictionary.
 func (idx *Index) Dictionary() *rdf.Dictionary { return idx.dict }
 
 // Validate checks the structural invariants the persist format relies on:
 // the pair-table shapes match the dictionary dimensions and the per-
-// predicate tables account for exactly NumTriples pairs. Both the
-// sequential and the parallel build must satisfy it; SaveIndex asserts it
-// before writing so a build-path bug cannot silently corrupt a snapshot.
+// predicate tables account for exactly NumTriples pairs. Build and
+// ReadIndex must satisfy it; SaveIndex asserts it before writing so a
+// build-path bug cannot silently corrupt a snapshot.
 func (idx *Index) Validate() error {
 	if idx.dict == nil {
 		return fmt.Errorf("bitmat: index has no dictionary")

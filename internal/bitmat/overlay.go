@@ -2,7 +2,6 @@ package bitmat
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 
 	"repro/internal/rdf"
@@ -99,12 +98,7 @@ func NewOverlay(base *Index, ins, del []rdf.Triple) (*Overlay, error) {
 	}
 	for _, m := range []map[rdf.ID][]Pair{ov.insSO, ov.delSO, ov.insOS, ov.delOS, ov.insPO, ov.delPO, ov.insPS, ov.delPS} {
 		for _, l := range m {
-			sort.Slice(l, func(i, j int) bool {
-				if l[i].A != l[j].A {
-					return l[i].A < l[j].A
-				}
-				return l[i].B < l[j].B
-			})
+			sortPairs(l)
 		}
 	}
 	ov.nTriples = base.NumTriples() + int64(len(ins)) - int64(len(del))

@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"sort"
 
 	"repro/internal/rdf"
 )
@@ -131,21 +130,9 @@ func ReadIndex(r io.Reader, dict *rdf.Dictionary) (*Index, error) {
 }
 
 func sortDerived(idx *Index) {
-	sortOne := func(l []Pair) {
-		sort.Slice(l, func(i, j int) bool {
-			if l[i].A != l[j].A {
-				return l[i].A < l[j].A
-			}
-			return l[i].B < l[j].B
-		})
-	}
-	for _, l := range idx.osPairs {
-		sortOne(l)
-	}
-	for _, l := range idx.bySubject {
-		sortOne(l)
-	}
-	for _, l := range idx.byObject {
-		sortOne(l)
+	for _, fam := range [][][]Pair{idx.osPairs, idx.bySubject, idx.byObject} {
+		for _, l := range fam {
+			sortPairs(l)
+		}
 	}
 }

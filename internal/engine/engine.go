@@ -1070,12 +1070,12 @@ func (e *Engine) activePrune(st *tpState, loaded []*tpState, plan *planner.Plan)
 }
 
 func filterHolds(expr sparql.Expr, row Row, varIdx map[sparql.Var]int) bool {
-	return evalFilter(expr, func(v sparql.Var) rdf.Term {
+	return EvalFilter(expr, func(v sparql.Var) rdf.Term {
 		if i, ok := varIdx[v]; ok {
 			return row[i]
 		}
 		return rdf.Term{}
-	}) == tvTrue
+	})
 }
 
 // nullifyScope nulls the variables owned by the given supernodes and

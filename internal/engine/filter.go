@@ -181,6 +181,16 @@ func evalFilter(e sparql.Expr, lookup func(sparql.Var) rdf.Term) tv {
 	return filterEBV(evalValue(e, lookup))
 }
 
+// EvalFilter reports whether a filter expression holds — evaluates to a
+// definite true — against one row. lookup maps a variable to its term; a
+// zero term means NULL/unbound. It is the one FILTER evaluator of the
+// module's engines: the relational baseline calls it too, and only the
+// reference evaluator (internal/ref) keeps its own, as the independent
+// oracle.
+func EvalFilter(e sparql.Expr, lookup func(sparql.Var) rdf.Term) bool {
+	return evalFilter(e, lookup) == tvTrue
+}
+
 // filterEBV applies the W3C effective-boolean-value rules to a value:
 // booleans are themselves; numbers are true unless zero or NaN;
 // xsd:boolean literals by (valid) lexical value, with invalid forms false;

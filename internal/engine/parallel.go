@@ -2,11 +2,11 @@ package engine
 
 import (
 	"context"
+	"runtime"
 	"sync"
 
 	"repro/internal/bitvec"
 	"repro/internal/planner"
-	"repro/internal/rdf"
 )
 
 // parallelMinTriples gates the parallel code paths: a pruning level or a
@@ -18,10 +18,18 @@ var parallelMinTriples int64 = 1024
 
 // EffectiveWorkers resolves the worker-pool size an Options selects:
 // Workers when positive, GOMAXPROCS when zero, and 1 (sequential) for
-// negative values. One shared resolution (rdf.EffectiveWorkers) backs
-// every layer — engine, build pipeline, benchmarks — so the semantics
-// cannot drift between them.
-func (o Options) EffectiveWorkers() int { return rdf.EffectiveWorkers(o.Workers) }
+// negative values — a negative count is a configuration mistake, not a
+// request for unbounded fan-out. The store's Options.EffectiveWorkers
+// resolves through it too.
+func (o Options) EffectiveWorkers() int {
+	switch {
+	case o.Workers > 0:
+		return o.Workers
+	case o.Workers < 0:
+		return 1
+	}
+	return runtime.GOMAXPROCS(0)
+}
 
 // partitionFactor is the oversubscription of the adaptive root
 // partitioner: with w workers the partitioner aims for factor*w

@@ -94,6 +94,16 @@ func (d *Dictionary) SharedID(s, o ID) bool {
 	return s != 0 && d.SubjectToObject(s) == o
 }
 
+// BuildDictionary returns the Appendix-D dictionary of a triple slice:
+// every triple added to one DictionaryBuilder, then Build.
+func BuildDictionary(triples []Triple) *Dictionary {
+	b := NewDictionaryBuilder()
+	for _, tr := range triples {
+		b.Add(tr)
+	}
+	return b.Build()
+}
+
 // DictionaryBuilder accumulates the term universe of a graph and assigns
 // the Appendix-D coordinate layout on Build.
 type DictionaryBuilder struct {

@@ -110,7 +110,7 @@ func (g *Graph) Stats() Stats {
 
 // Dictionary builds the Appendix-D dictionary for the graph's current
 // contents.
-func (g *Graph) Dictionary() *Dictionary { return BuildDictionaryParallel(g.triples, 1) }
+func (g *Graph) Dictionary() *Dictionary { return BuildDictionary(g.triples) }
 
 // Predicates returns the distinct predicate terms sorted by their
 // N-Triples rendering, useful for generators and diagnostics.

@@ -19,13 +19,15 @@ func ReadNTriples(r io.Reader) (*Graph, error) {
 	lineNo := 0
 	for sc.Scan() {
 		lineNo++
-		tr, ok, err := parseNTLine(sc.Text())
+		line := strings.TrimSpace(sc.Text())
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		tr, err := ParseTripleLine(line)
 		if err != nil {
 			return nil, fmt.Errorf("rdf: line %d: %w", lineNo, err)
 		}
-		if ok {
-			g.Add(tr)
-		}
+		g.Add(tr)
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err
@@ -33,21 +35,12 @@ func ReadNTriples(r io.Reader) (*Graph, error) {
 	return g, nil
 }
 
-// parseNTLine is the per-line handling both the sequential and the
-// parallel reader share — one definition, so their "identical to
-// sequential" guarantee cannot drift: trim, skip blanks and comments
-// (ok=false), parse otherwise.
-func parseNTLine(raw string) (Triple, bool, error) {
-	line := strings.TrimSpace(raw)
-	if line == "" || strings.HasPrefix(line, "#") {
-		return Triple{}, false, nil
-	}
-	tr, err := ParseTripleLine(line)
-	if err != nil {
-		return Triple{}, false, err
-	}
-	return tr, true, nil
-}
+// ReadNTriplesParallel is ReadNTriples; the worker argument is ignored.
+// It exists only for the benchmark module's parse probe
+// (benchmark/probes.go): ROADMAP item 12's benchmark-only change moves
+// that probe to ReadNTriples, and the change after it deletes this
+// wrapper.
+func ReadNTriplesParallel(r io.Reader, _ int) (*Graph, error) { return ReadNTriples(r) }
 
 // ParseTripleLine parses one N-Triples statement, with or without the
 // trailing dot.

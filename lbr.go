@@ -75,15 +75,12 @@ func TripleLit(s, p, lit string) Triple { return rdf.TL(s, p, lit) }
 // The engine's ablation switches (engine.Options) are not exposed here:
 // the ablation benchmarks set them on the engine directly.
 type Options struct {
-	// Workers bounds the goroutines used by the parallel phases of the
-	// store: the pruning and multi-way join of each query, the concurrent
-	// execution of a query's UNION branches, and the build pipeline
-	// (N-Triples parsing, dictionary sharding, and per-predicate BitMat
-	// table construction). 0 means GOMAXPROCS; 1 forces sequential
-	// execution; negative values are treated as 1. Parallel execution
-	// returns rows identical to (and in the same order as) sequential
-	// execution, and a parallel Build produces a dictionary, index, and
-	// SaveIndex snapshot byte-identical to a sequential build's.
+	// Workers bounds the goroutines of the engine's parallel phases: the
+	// pruning and multi-way join of each query, and the concurrent
+	// execution of a query's UNION branches. 0 means GOMAXPROCS; 1 forces
+	// sequential execution; negative values are treated as 1. Parallel
+	// execution returns rows identical to (and in the same order as)
+	// sequential execution.
 	Workers int
 	// CacheBudget bounds, in bytes, the store's cross-query BitMat
 	// materialization cache: a cost-weighted LRU of pristine (unmasked,
@@ -273,14 +270,12 @@ func (s *Store) RemoveAll(ts []Triple) int {
 }
 
 // LoadNTriples reads N-Triples into the store, returning the number of
-// statements added. With Options.Workers other than 1 the parse runs as a
-// pipeline (reader, parallel line parsing, in-order merge), producing the
-// same triples, order, and first error as a sequential parse. A failed
-// WAL append is returned, and then nothing is added.
+// statements added. The whole input is parsed before anything is added:
+// a malformed line fails the load with an error naming its line number,
+// and then nothing is added or logged. A failed WAL append is returned
+// too, and then nothing is added either.
 func (s *Store) LoadNTriples(r io.Reader) (int, error) {
-	// opts is immutable after construction, so reading it without the
-	// store lock is safe here.
-	g, err := rdf.ReadNTriplesParallel(r, s.opts.EffectiveWorkers())
+	g, err := rdf.ReadNTriples(r)
 	if err != nil {
 		return 0, err
 	}
@@ -346,11 +341,9 @@ func (o Options) engineOptions() engine.Options {
 
 // buildLocked performs the first build: it indexes the triples waiting in
 // the delta and installs the index as the base. The caller holds mu and
-// guarantees base is nil. The build fans the dictionary encode and the
-// per-predicate table construction across Options.Workers goroutines; any
-// worker count yields an identical index (see bitmat.BuildParallel).
+// guarantees base is nil.
 func (s *Store) buildLocked() error {
-	idx, err := buildIndex(nil, s.ins, nil, s.opts.EffectiveWorkers())
+	idx, err := buildIndex(nil, s.ins, nil)
 	if err != nil {
 		return err
 	}
@@ -382,7 +375,7 @@ func (s *Store) installSourceLocked(src bitmat.Source) {
 // from the net ins/del sets and installs it as the query snapshot (or the
 // bare base when the delta is empty). Delta triples are fed to the overlay
 // in key order, so reconstructing the same logical state — on WAL replay,
-// or with any Workers count — assigns identical extended-dictionary IDs.
+// say — assigns identical extended-dictionary IDs.
 // The caller holds mu and guarantees base is non-nil.
 func (s *Store) installOverlayLocked() error {
 	if len(s.ins) == 0 && len(s.del) == 0 {

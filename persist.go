@@ -23,8 +23,8 @@ var storeMagic = []byte("LBRSTOR1")
 // query without re-parsing N-Triples. Build is invoked first if needed.
 // The snapshot depends only on the graph's triple set — the dictionary
 // layout is a pure function of the term set and the pair tables are
-// canonically sorted — so sequential and parallel builds (any
-// Options.Workers) write byte-identical snapshots.
+// canonically sorted — so the same triples always write the same bytes,
+// whatever order they arrived in (TestSaveIndexGoldenDigest pins them).
 func (s *Store) SaveIndex(w io.Writer) error {
 	idx, err := s.ensureIndex()
 	if err != nil {
@@ -68,8 +68,8 @@ func OpenIndex(r io.Reader) (*Store, error) {
 	return OpenIndexWithOptions(r, Options{})
 }
 
-// OpenIndexWithOptions is OpenIndex with engine options (ablation switches
-// and the parallel Workers setting) applied to the loaded store.
+// OpenIndexWithOptions is OpenIndex with options applied to the loaded
+// store.
 func OpenIndexWithOptions(r io.Reader, opts Options) (*Store, error) {
 	br := bufio.NewReader(r)
 	magic := make([]byte, len(storeMagic))

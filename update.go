@@ -310,7 +310,7 @@ func (s *Store) beginCompactionLocked() compaction {
 // delta); otherwise the store rebases its delta onto it (see rebaseDelta).
 func (s *Store) runCompaction(c compaction) error {
 	t0 := time.Now()
-	idx, err := buildIndex(c.base, c.ins, c.del, s.opts.EffectiveWorkers())
+	idx, err := buildIndex(c.base, c.ins, c.del)
 	if err == nil {
 		s.compactions.Add(1)
 		s.compactionLastNS.Store(int64(time.Since(t0)))
@@ -337,7 +337,7 @@ func (s *Store) runCompaction(c compaction) error {
 // buildIndex builds a fresh index of the triples base − del + ins (a nil
 // base holds none). It touches no store state, so the compactor calls it
 // without holding mu.
-func buildIndex(base *bitmat.Index, ins, del map[string]Triple, workers int) (*bitmat.Index, error) {
+func buildIndex(base *bitmat.Index, ins, del map[string]Triple) (*bitmat.Index, error) {
 	n := len(ins)
 	if base != nil {
 		n += int(base.NumTriples()) - len(del)
@@ -350,7 +350,7 @@ func buildIndex(base *bitmat.Index, ins, del map[string]Triple, workers int) (*b
 	if err != nil {
 		return nil, err
 	}
-	return bitmat.BuildTriples(slices.AppendSeq(ts, maps.Values(ins)), workers)
+	return bitmat.BuildTriples(slices.AppendSeq(ts, maps.Values(ins)))
 }
 
 // forEachBaseTriple calls fn with every triple of base − del, decoded from
