@@ -50,11 +50,13 @@ test-cache:
 # test-update runs the write-path test surface under -race: SPARQL Update
 # semantics and the differential update oracle, WAL crash recovery, MVCC
 # snapshot isolation, overlay-vs-rebuild equivalence, the update parser,
-# and the server's update endpoint/ETag tests. The full `make` covers all
-# of these too; this target is the fast loop while working on writes.
+# the server's update endpoint/ETag tests, and the bulk load (its
+# equivalence to AddAll-then-Build, its races with Add/Query/Build, and
+# the golden snapshot digest). The full `make` covers all of these too;
+# this target is the fast loop while working on writes.
 test-update:
 	$(GO) test -race -count=1 \
-		-run 'TestApplyUpdate|TestUpdate|TestAutoCompact|TestWAL|TestOverlay|TestExtend|TestParseUpdate|TestETag|TestMetricsSnapshotGeneration|TestStoreMutation' \
+		-run 'TestApplyUpdate|TestUpdate|TestAutoCompact|TestWAL|TestOverlay|TestExtend|TestParseUpdate|TestETag|TestMetricsSnapshotGeneration|TestStoreMutation|TestLoadNTriples|TestSaveIndexGoldenDigest' \
 		./internal/rdf ./internal/bitmat ./internal/sparql ./internal/server .
 
 # test-trace runs the observability test surface under -race: every test

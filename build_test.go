@@ -11,6 +11,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/datagen"
@@ -276,5 +277,179 @@ func TestQueryStreamContextCancelled(t *testing.T) {
 	}
 	if err == nil && n >= s.Len() {
 		t.Fatalf("stream ran to completion (%d rows) despite cancellation", n)
+	}
+}
+
+// loadFixtureText renders triples as N-Triples input for LoadNTriples,
+// with a comment, blank lines and irregular spacing between statements.
+func loadFixtureText(triples []Triple) string {
+	var sb strings.Builder
+	sb.WriteString("# load fixture\n\n")
+	for i, t := range triples {
+		if i%11 == 0 {
+			sb.WriteString("  ")
+		}
+		sb.WriteString(t.String())
+		sb.WriteString(" .\n")
+	}
+	return sb.String()
+}
+
+// TestLoadNTriplesBulkEquivalence pins the first-build load against the
+// AddAll-then-Build path on an unbuilt store that already holds a few
+// added triples: the load input repeats lines, repeats the earlier adds,
+// and carries escaped, language-tagged and typed literals and blank
+// nodes. The returned count, Len, the SaveIndex bytes and the WAL record
+// set must agree, and replaying the load's WAL into a fresh store must
+// give the same snapshot.
+func TestLoadNTriplesBulkEquivalence(t *testing.T) {
+	all := goldenFixture()
+	pre := append([]Triple{TripleIRI("only-added", "p", "o")}, all[:6]...)
+	input := append(append(append([]Triple(nil), all...), all[:50]...), all[3:4]...)
+
+	dir := t.TempDir()
+	open := func(name string) *Store {
+		s := NewStore()
+		if _, err := s.OpenWAL(filepath.Join(dir, name)); err != nil {
+			t.Fatal(err)
+		}
+		for _, tr := range pre {
+			s.Add(tr)
+		}
+		return s
+	}
+	loaded := open("load.wal")
+	n, err := loaded.LoadNTriples(strings.NewReader(loadFixtureText(input)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	added := open("add.wal")
+	want := added.AddAll(input)
+	if err := added.Build(); err != nil {
+		t.Fatal(err)
+	}
+	if n != want || loaded.Len() != added.Len() {
+		t.Fatalf("load added %d (Len %d), AddAll added %d (Len %d)", n, loaded.Len(), want, added.Len())
+	}
+	if loaded.Built() {
+		t.Fatal("the load must leave the query snapshot to the next Build or query")
+	}
+	// Detach the logs first: SaveIndex checkpoints (empties) an attached
+	// WAL.
+	for _, s := range []*Store{loaded, added} {
+		if err := s.CloseWAL(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	walOf := func(name string) string {
+		b, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sortedLines(string(b))
+	}
+	if got, want := walOf("load.wal"), walOf("add.wal"); got != want {
+		t.Fatalf("WAL record sets differ:\nload:\n%s\nAddAll:\n%s", got, want)
+	}
+	if got := strings.Count(walOf("load.wal"), "\n") + 1; got != len(pre)+n {
+		t.Fatalf("load WAL holds %d records, want %d", got, len(pre)+n)
+	}
+	wantSnap := snapshot(t, added)
+	if !bytes.Equal(snapshot(t, loaded), wantSnap) {
+		t.Fatal("SaveIndex bytes of the loaded store differ from the AddAll-then-Build store")
+	}
+	replayed := NewStore()
+	if _, err := replayed.OpenWAL(filepath.Join(dir, "load.wal")); err != nil {
+		t.Fatal(err)
+	}
+	defer replayed.CloseWAL()
+	if !bytes.Equal(snapshot(t, replayed), wantSnap) {
+		t.Fatal("replaying the load's WAL gives a different snapshot")
+	}
+	if got := replayed.WALStats().Replayed; got != int64(len(pre)+n) {
+		t.Fatalf("replayed %d WAL entries, want %d", got, len(pre)+n)
+	}
+	if loaded.WALStats().LoadLastMS <= 0 {
+		t.Fatal("LoadLastMS not recorded")
+	}
+}
+
+// TestLoadNTriplesConcurrent races a first-build load against Add, a
+// lazily building Query and Build on an unbuilt store. The iterations
+// cycle through three orders — all at once; the load after half the adds
+// and before any build; the load after Build — with the remaining calls
+// racing each time. Whichever goroutine builds first, no triple is lost:
+// the final Len and a full-scan result equal a sequential oracle's.
+func TestLoadNTriplesConcurrent(t *testing.T) {
+	all := goldenFixture()
+	text := loadFixtureText(all[:300])
+	extra := all[250:]
+	oracle := NewStore()
+	oracle.AddAll(all)
+	const dump = `SELECT * WHERE { ?s ?p ?o . }`
+	wantRes, err := oracle.Query(dump)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := sortedLines(wantRes.String())
+	for iter := 0; iter < 9; iter++ {
+		s := NewStore()
+		start, halfAdded, loaded, built := make(chan struct{}), make(chan struct{}), make(chan struct{}), make(chan struct{})
+		loadGate, buildGate := start, start
+		switch iter % 3 {
+		case 1:
+			loadGate, buildGate = halfAdded, loaded
+		case 2:
+			loadGate = built
+		}
+		var wg sync.WaitGroup
+		errs := make(chan error, 4)
+		run := func(gate, done chan struct{}, f func() error) {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-gate
+				if err := f(); err != nil {
+					errs <- err
+				}
+				if done != nil {
+					close(done)
+				}
+			}()
+		}
+		run(loadGate, loaded, func() error {
+			_, err := s.LoadNTriples(strings.NewReader(text))
+			return err
+		})
+		run(start, nil, func() error {
+			for i, tr := range extra {
+				if i == len(extra)/2 {
+					close(halfAdded)
+				}
+				s.Add(tr)
+			}
+			return nil
+		})
+		run(buildGate, nil, func() error {
+			_, err := s.Query(`SELECT * WHERE { ?s <title> ?o . }`)
+			return err
+		})
+		run(buildGate, built, s.Build)
+		close(start)
+		wg.Wait()
+		close(errs)
+		for err := range errs {
+			t.Fatalf("iteration %d: %v", iter, err)
+		}
+		if s.Len() != oracle.Len() {
+			t.Fatalf("iteration %d: Len %d, want %d", iter, s.Len(), oracle.Len())
+		}
+		res, err := s.Query(dump)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := sortedLines(res.String()); got != want {
+			t.Fatalf("iteration %d: full scan differs from the sequential oracle", iter)
+		}
 	}
 }

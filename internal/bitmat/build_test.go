@@ -115,22 +115,45 @@ func TestBuildParallelByteIdentical(t *testing.T) {
 	}
 }
 
-// TestBuildParallelEncodeError pins that a dictionary that cannot encode
-// the triples fails the build with the reference build's error: the
-// first failing triple in graph order.
-func TestBuildParallelEncodeError(t *testing.T) {
-	g := buildFixture(300)
-	// A dictionary over a strict subset of the graph cannot encode it.
-	small := rdf.NewGraph()
-	small.Add(g.Triples()[0])
-	dict := small.Dictionary()
-
-	_, want := referenceBuild(g.Triples(), dict)
-	if want == nil {
-		t.Fatal("reference build must fail")
+// TestBuildDuplicatesCollapse pins that the builder takes duplicate
+// triples: the index of a slice with every triple repeated, in reverse
+// order, is byte-identical to the reference build of the distinct set.
+func TestBuildDuplicatesCollapse(t *testing.T) {
+	g := buildFixture(600)
+	ref, err := referenceBuild(g.Triples(), g.Dictionary())
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := buildWithDictionary(g.Triples(), dict); err == nil || err.Error() != want.Error() {
-		t.Fatalf("error %v, want %q", err, want)
+	ts := append([]rdf.Triple(nil), g.Triples()...)
+	for i := len(g.Triples()) - 1; i >= 0; i-- {
+		ts = append(ts, g.Triples()[i])
+	}
+	idx, err := BuildTriples(ts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := idx.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if idx.NumTriples() != int64(g.Len()) {
+		t.Fatalf("%d triples, want %d", idx.NumTriples(), g.Len())
+	}
+	if !bytes.Equal(indexBytes(t, idx), indexBytes(t, ref)) {
+		t.Fatal("index bytes differ from the reference build of the distinct triples")
+	}
+
+	b := NewBuilder()
+	for _, tr := range ts {
+		b.Add(tr)
+	}
+	got := b.Triples()
+	if len(got) != len(ts) {
+		t.Fatalf("Builder.Triples: %d triples, want %d", len(got), len(ts))
+	}
+	for i, tr := range got {
+		if tr != ts[i] {
+			t.Fatalf("Builder.Triples[%d] = %v, want %v (Add order)", i, tr, ts[i])
+		}
 	}
 }
 

@@ -133,7 +133,8 @@ func bandDict() *rdf.Dictionary {
 			O: rdf.NewIRI(fmt.Sprintf("o%02d", i)),
 		})
 	}
-	return b.Build()
+	d, _ := b.Build()
+	return d
 }
 
 func TestCanonicalBinding(t *testing.T) {

@@ -2,7 +2,8 @@ package rdf
 
 import (
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 )
 
 // ID is an integer coordinate in one dimension of the bitcube. IDs start at
@@ -94,41 +95,65 @@ func (d *Dictionary) SharedID(s, o ID) bool {
 	return s != 0 && d.SubjectToObject(s) == o
 }
 
-// BuildDictionary returns the Appendix-D dictionary of a triple slice:
-// every triple added to one DictionaryBuilder, then Build.
-func BuildDictionary(triples []Triple) *Dictionary {
-	b := NewDictionaryBuilder()
-	for _, tr := range triples {
-		b.Add(tr)
-	}
-	return b.Build()
-}
+// Role bits of an interned term: the dimensions it occurs in.
+const (
+	roleS uint8 = 1 << iota
+	roleP
+	roleO
+)
 
-// DictionaryBuilder accumulates the term universe of a graph and assigns
-// the Appendix-D coordinate layout on Build.
+// DictionaryBuilder interns the terms of a graph as its triples arrive and
+// assigns the Appendix-D coordinate layout on Build. Its one term table is
+// keyed by the comparable Term value, so an occurrence costs a map lookup
+// and no allocation. A term's strings are copied the first time it is
+// seen, so the builder never keeps a caller's larger string (a scanned
+// input line, say) alive.
 type DictionaryBuilder struct {
-	subjects   map[string]Term
-	objects    map[string]Term
-	predicates map[string]Term
+	ids   map[Term]ID // term -> provisional ID
+	terms []Term      // terms[id-1] is the term with provisional ID id
+	roles []uint8     // roles[id-1] is its role bits
 }
 
 // NewDictionaryBuilder returns an empty builder.
 func NewDictionaryBuilder() *DictionaryBuilder {
-	return &DictionaryBuilder{
-		subjects:   map[string]Term{},
-		objects:    map[string]Term{},
-		predicates: map[string]Term{},
+	return &DictionaryBuilder{ids: map[Term]ID{}}
+}
+
+// Add interns the terms of one triple and returns it in provisional IDs:
+// one ID space shared by all three roles, numbered from 1 in first-seen
+// order. The Remap that Build returns turns them into coordinates.
+func (b *DictionaryBuilder) Add(tr Triple) IDTriple {
+	return IDTriple{S: b.intern(tr.S, roleS), P: b.intern(tr.P, roleP), O: b.intern(tr.O, roleO)}
+}
+
+func (b *DictionaryBuilder) intern(t Term, role uint8) ID {
+	id, ok := b.ids[t]
+	if !ok {
+		t = Term{Kind: t.Kind, Value: strings.Clone(t.Value), Datatype: strings.Clone(t.Datatype), Lang: strings.Clone(t.Lang)}
+		b.terms = append(b.terms, t)
+		b.roles = append(b.roles, 0)
+		id = ID(len(b.terms))
+		b.ids[t] = id
 	}
+	b.roles[id-1] |= role
+	return id
 }
 
-// Add records the terms of one triple.
-func (b *DictionaryBuilder) Add(tr Triple) {
-	b.subjects[tr.S.Key()] = tr.S
-	b.predicates[tr.P.Key()] = tr.P
-	b.objects[tr.O.Key()] = tr.O
+// Term returns the term with provisional ID id.
+func (b *DictionaryBuilder) Term(id ID) Term { return b.terms[id-1] }
+
+// Remap maps a DictionaryBuilder's provisional IDs to the coordinates of
+// the Dictionary its Build returned, one table per dimension.
+type Remap struct {
+	s, p, o []ID // indexed by provisional ID; 0 where the term lacks the role
 }
 
-// Build assigns IDs:
+// Triple returns a provisional triple of the builder in coordinates.
+func (r *Remap) Triple(pt IDTriple) IDTriple {
+	return IDTriple{S: r.s[pt.S], P: r.p[pt.P], O: r.o[pt.O]}
+}
+
+// Build assigns IDs once per distinct term:
 //
 //	Vso (terms in both Vs and Vo) -> 1..|Vso| on both dimensions,
 //	Vs-Vso -> |Vso|+1..|Vs| on the S dimension,
@@ -136,71 +161,92 @@ func (b *DictionaryBuilder) Add(tr Triple) {
 //	Vp -> 1..|Vp| on the P dimension.
 //
 // Within each band terms are ordered lexicographically by key so the
-// assignment is deterministic.
-func (b *DictionaryBuilder) Build() *Dictionary {
-	shared := make([]string, 0)
-	sOnly := make([]string, 0)
-	for k := range b.subjects {
-		if _, ok := b.objects[k]; ok {
-			shared = append(shared, k)
-		} else {
-			sOnly = append(sOnly, k)
-		}
+// assignment depends only on the term set. Terms with equal keys (Term
+// values that differ only in fields their kind ignores) share one ID, as
+// every key-based lookup would treat them. Build returns the dictionary
+// and the provisional-to-final Remap.
+func (b *DictionaryBuilder) Build() (*Dictionary, *Remap) {
+	n := len(b.terms)
+	keys := make([]string, n+1)
+	order := make([]ID, n)
+	for i, t := range b.terms {
+		keys[i+1] = t.Key()
+		order[i] = ID(i + 1)
 	}
-	oOnly := make([]string, 0)
-	for k := range b.objects {
-		if _, ok := b.subjects[k]; !ok {
-			oOnly = append(oOnly, k)
-		}
-	}
-	preds := make([]string, 0, len(b.predicates))
-	for k := range b.predicates {
-		preds = append(preds, k)
-	}
-	sort.Strings(shared)
-	sort.Strings(sOnly)
-	sort.Strings(oOnly)
-	sort.Strings(preds)
+	slices.SortStableFunc(order, func(x, y ID) int { return strings.Compare(keys[x], keys[y]) })
 
+	// canon[id] is the first provisional ID in key order with id's key,
+	// and roles gathers each key's role bits on that canonical ID.
+	canon := make([]ID, n+1)
+	roles := make([]uint8, n+1)
+	for i, id := range order {
+		canon[id] = id
+		if i > 0 && keys[id] == keys[order[i-1]] {
+			canon[id] = canon[order[i-1]]
+		}
+		roles[canon[id]] |= b.roles[id-1]
+	}
+	// The bands, each in key order.
+	var shared, sOnly, oOnly, preds []ID
+	for _, id := range order {
+		if canon[id] != id {
+			continue
+		}
+		switch roles[id] & (roleS | roleO) {
+		case roleS | roleO:
+			shared = append(shared, id)
+		case roleS:
+			sOnly = append(sOnly, id)
+		case roleO:
+			oOnly = append(oOnly, id)
+		}
+		if roles[id]&roleP != 0 {
+			preds = append(preds, id)
+		}
+	}
+
+	nS, nO := len(shared)+len(sOnly), len(shared)+len(oOnly)
 	d := &Dictionary{
-		subjects:    make([]Term, 0, len(shared)+len(sOnly)),
-		objects:     make([]Term, 0, len(shared)+len(oOnly)),
+		subjects:    make([]Term, 0, nS),
+		objects:     make([]Term, 0, nO),
 		predicates:  make([]Term, 0, len(preds)),
-		subjectID:   make(map[string]ID, len(shared)+len(sOnly)),
-		objectID:    make(map[string]ID, len(shared)+len(oOnly)),
+		subjectID:   make(map[string]ID, nS),
+		objectID:    make(map[string]ID, nO),
 		predicateID: make(map[string]ID, len(preds)),
 		numSO:       len(shared),
 	}
-	termOf := func(k string) Term {
-		if t, ok := b.subjects[k]; ok {
-			return t
+	rm := &Remap{s: make([]ID, n+1), p: make([]ID, n+1), o: make([]ID, n+1)}
+	addS := func(id ID) {
+		d.subjects = append(d.subjects, b.terms[id-1])
+		rm.s[id] = ID(len(d.subjects))
+		d.subjectID[keys[id]] = rm.s[id]
+	}
+	addO := func(id ID) {
+		d.objects = append(d.objects, b.terms[id-1])
+		rm.o[id] = ID(len(d.objects))
+		d.objectID[keys[id]] = rm.o[id]
+	}
+	for _, id := range shared {
+		addS(id)
+		addO(id)
+	}
+	for _, id := range sOnly {
+		addS(id)
+	}
+	for _, id := range oOnly {
+		addO(id)
+	}
+	for _, id := range preds {
+		d.predicates = append(d.predicates, b.terms[id-1])
+		rm.p[id] = ID(len(d.predicates))
+		d.predicateID[keys[id]] = rm.p[id]
+	}
+	for id := ID(1); int(id) <= n; id++ {
+		if c := canon[id]; c != id {
+			rm.s[id], rm.p[id], rm.o[id] = rm.s[c], rm.p[c], rm.o[c]
 		}
-		if t, ok := b.objects[k]; ok {
-			return t
-		}
-		return b.predicates[k]
 	}
-	for _, k := range shared {
-		t := termOf(k)
-		d.subjects = append(d.subjects, t)
-		d.objects = append(d.objects, t)
-		id := ID(len(d.subjects))
-		d.subjectID[k] = id
-		d.objectID[k] = id
-	}
-	for _, k := range sOnly {
-		d.subjects = append(d.subjects, termOf(k))
-		d.subjectID[k] = ID(len(d.subjects))
-	}
-	for _, k := range oOnly {
-		d.objects = append(d.objects, termOf(k))
-		d.objectID[k] = ID(len(d.objects))
-	}
-	for _, k := range preds {
-		d.predicates = append(d.predicates, b.predicates[k])
-		d.predicateID[k] = ID(len(d.predicates))
-	}
-	return d
+	return d, rm
 }
 
 // IDTriple is a triple in coordinate form.

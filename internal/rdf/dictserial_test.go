@@ -73,7 +73,7 @@ func TestReadDictionaryRejectsCorrupt(t *testing.T) {
 }
 
 func TestDictionarySerializationEmpty(t *testing.T) {
-	d := NewDictionaryBuilder().Build()
+	d, _ := NewDictionaryBuilder().Build()
 	var buf bytes.Buffer
 	if _, err := d.WriteTo(&buf); err != nil {
 		t.Fatal(err)

@@ -9,7 +9,8 @@ func extendBase(t *testing.T) *Dictionary {
 	b := NewDictionaryBuilder()
 	b.Add(T("s0", "p0", "b"))
 	b.Add(T("b", "p0", "o0"))
-	return b.Build()
+	d, _ := b.Build()
+	return d
 }
 
 func TestExtendPreservesBaseIDs(t *testing.T) {
@@ -70,7 +71,7 @@ func TestExtendCrossDimensionPairs(t *testing.T) {
 	// A term with no object role maps to 0.
 	b2 := NewDictionaryBuilder()
 	b2.Add(T("x", "p", "y"))
-	d2 := b2.Build()
+	d2, _ := b2.Build()
 	if got := d2.SubjectToObject(d2.SubjectID(NewIRI("x"))); got != 0 {
 		t.Errorf("S-only term must map to 0, got %d", got)
 	}

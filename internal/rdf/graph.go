@@ -110,7 +110,14 @@ func (g *Graph) Stats() Stats {
 
 // Dictionary builds the Appendix-D dictionary for the graph's current
 // contents.
-func (g *Graph) Dictionary() *Dictionary { return BuildDictionary(g.triples) }
+func (g *Graph) Dictionary() *Dictionary {
+	b := NewDictionaryBuilder()
+	for _, tr := range g.triples {
+		b.Add(tr)
+	}
+	d, _ := b.Build()
+	return d
+}
 
 // Predicates returns the distinct predicate terms sorted by their
 // N-Triples rendering, useful for generators and diagnostics.

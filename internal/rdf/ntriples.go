@@ -7,13 +7,24 @@ import (
 	"strings"
 )
 
-// ReadNTriples parses N-Triples from r into a new Graph. Lines that are
-// empty or start with '#' are skipped. The parser covers the subset of the
-// N-Triples grammar the generators emit: IRIs, blank nodes, and literals
-// with optional datatype or language tag, with the common backslash
-// escapes.
+// ReadNTriples parses N-Triples from r into a new Graph (see
+// ScanNTriples for the grammar).
 func ReadNTriples(r io.Reader) (*Graph, error) {
 	g := NewGraph()
+	if err := ScanNTriples(r, func(tr Triple) { g.Add(tr) }); err != nil {
+		return nil, err
+	}
+	return g, nil
+}
+
+// ScanNTriples parses N-Triples from r and calls fn with each statement,
+// in input order and duplicates included. Lines that are empty or start
+// with '#' are skipped. The parser covers the subset of the N-Triples
+// grammar the generators emit: IRIs, blank nodes, and literals with
+// optional datatype or language tag, with the common backslash escapes.
+// A malformed line stops the scan with an error naming its line number;
+// fn has then already seen the statements before it.
+func ScanNTriples(r io.Reader, fn func(Triple)) error {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
 	lineNo := 0
@@ -25,14 +36,11 @@ func ReadNTriples(r io.Reader) (*Graph, error) {
 		}
 		tr, err := ParseTripleLine(line)
 		if err != nil {
-			return nil, fmt.Errorf("rdf: line %d: %w", lineNo, err)
+			return fmt.Errorf("rdf: line %d: %w", lineNo, err)
 		}
-		g.Add(tr)
+		fn(tr)
 	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	return g, nil
+	return sc.Err()
 }
 
 // ReadNTriplesParallel is ReadNTriples; the worker argument is ignored.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -283,5 +284,107 @@ func TestQuickDictionaryBijective(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestDictionaryBuilderMatchesKeyLayout pins the interning builder to the
+// Appendix-D layout written out by hand: each band holds its terms sorted
+// by Key, and the Remap of every provisional triple equals Encode of the
+// triple. The fixture mixes kinds, language tags, datatypes, terms in
+// several roles, and an IRI carrying a stray datatype, whose Key equals
+// the plain IRI's, so both must get one ID.
+func TestDictionaryBuilderMatchesKeyLayout(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	terms := []Term{
+		NewIRI("a"), NewIRI("b"), NewIRI("p"), NewBlank("a"), NewBlank("z"),
+		NewLiteral("a"), NewLangLiteral("a", "en"), NewTypedLiteral("a", "http://dt"),
+		{Kind: IRI, Value: "b", Datatype: "http://stray"},
+	}
+	preds := []Term{NewIRI("p"), NewIRI("q"), NewIRI("a")}
+	var trs []Triple
+	for i := 0; i < 300; i++ {
+		s := terms[rng.Intn(5)]
+		if s.Kind == Literal {
+			s = NewIRI("s")
+		}
+		trs = append(trs, Triple{S: s, P: preds[rng.Intn(len(preds))], O: terms[rng.Intn(len(terms))]})
+	}
+	b := NewDictionaryBuilder()
+	prov := make([]IDTriple, len(trs))
+	for i, tr := range trs {
+		prov[i] = b.Add(tr)
+	}
+	d, remap := b.Build()
+
+	subj, obj, pred := map[string]bool{}, map[string]bool{}, map[string]bool{}
+	for _, tr := range trs {
+		subj[tr.S.Key()], obj[tr.O.Key()], pred[tr.P.Key()] = true, true, true
+	}
+	var shared, sOnly, oOnly, ps []string
+	for k := range subj {
+		if obj[k] {
+			shared = append(shared, k)
+		} else {
+			sOnly = append(sOnly, k)
+		}
+	}
+	for k := range obj {
+		if !subj[k] {
+			oOnly = append(oOnly, k)
+		}
+	}
+	for k := range pred {
+		ps = append(ps, k)
+	}
+	for _, l := range [][]string{shared, sOnly, oOnly, ps} {
+		sort.Strings(l)
+	}
+	check := func(dim string, want []string, n int, at func(ID) (Term, error)) {
+		t.Helper()
+		if n != len(want) {
+			t.Fatalf("%s: %d terms, want %d", dim, n, len(want))
+		}
+		for i, k := range want {
+			got, err := at(ID(i + 1))
+			if err != nil || got.Key() != k {
+				t.Fatalf("%s ID %d = %v (%v), want key %q", dim, i+1, got, err, k)
+			}
+		}
+	}
+	if d.NumShared() != len(shared) {
+		t.Fatalf("NumShared = %d, want %d", d.NumShared(), len(shared))
+	}
+	check("S", append(append([]string(nil), shared...), sOnly...), d.NumSubjects(), d.Subject)
+	check("O", append(append([]string(nil), shared...), oOnly...), d.NumObjects(), d.Object)
+	check("P", ps, d.NumPredicates(), d.Predicate)
+	for i, tr := range trs {
+		want, err := d.Encode(tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := remap.Triple(prov[i]); got != want {
+			t.Fatalf("triple %d %v: remapped %v, Encode %v", i, tr, got, want)
+		}
+	}
+}
+
+// TestScanNTriplesStreams pins the streaming reader: statements arrive in
+// input order with duplicates kept, and a malformed line stops the scan
+// with its line number after the statements before it.
+func TestScanNTriplesStreams(t *testing.T) {
+	in := "<a> <p> <b> .\n# c\n<a> <p> <b> .\n_:x <p> \"v\"@en .\nbad\n<z> <p> <z> .\n"
+	var got []Triple
+	err := ScanNTriples(strings.NewReader(in), func(tr Triple) { got = append(got, tr) })
+	if err == nil || !strings.Contains(err.Error(), "line 5:") {
+		t.Fatalf("err = %v, want one naming line 5", err)
+	}
+	want := []Triple{T("a", "p", "b"), T("a", "p", "b"), {S: NewBlank("x"), P: NewIRI("p"), O: NewLangLiteral("v", "en")}}
+	if len(got) != len(want) {
+		t.Fatalf("got %v, want %v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("statement %d = %v, want %v", i, got[i], want[i])
+		}
 	}
 }

@@ -2,14 +2,17 @@ package server
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"net/url"
 	"regexp"
 	"strconv"
 	"strings"
 	"testing"
 
+	lbr "repro"
 	"repro/internal/trace"
 )
 
@@ -198,6 +201,46 @@ func TestPrometheusMetricsView(t *testing.T) {
 		if !strings.Contains(body, name+" ") {
 			t.Errorf("%s missing", name)
 		}
+	}
+	// The movie store was built from Add calls, never loaded.
+	if !strings.Contains(body, "\nlbr_load_last_duration_seconds 0\n") {
+		t.Errorf("lbr_load_last_duration_seconds missing or non-zero before any load:\n%s", body)
+	}
+
+	// A store filled by LoadNTriples reports the load's wall time, in the
+	// gauge and in the JSON wal section.
+	st := lbr.NewStore()
+	var nt strings.Builder
+	for i := 0; i < 2000; i++ {
+		fmt.Fprintf(&nt, "<http://x/s%d> <http://x/p%d> \"v%d\" .\n", i%97, i%5, i)
+	}
+	if _, err := st.LoadNTriples(strings.NewReader(nt.String())); err != nil {
+		t.Fatal(err)
+	}
+	loaded := httptest.NewServer(New(st, Config{Log: func(string, ...any) {}}).Handler())
+	defer loaded.Close()
+	resp, err = loaded.Client().Get(loaded.URL + "/metrics?format=prometheus")
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, _ = io.ReadAll(resp.Body)
+	resp.Body.Close()
+	m := regexp.MustCompile(`(?m)^lbr_load_last_duration_seconds ([-+0-9.eE]+)$`).FindStringSubmatch(string(raw))
+	if m == nil {
+		t.Fatalf("lbr_load_last_duration_seconds missing after a load:\n%s", raw)
+	}
+	if v, err := strconv.ParseFloat(m[1], 64); err != nil || v <= 0 {
+		t.Errorf("lbr_load_last_duration_seconds = %s after a load, want > 0", m[1])
+	}
+	resp, err = loaded.Client().Get(loaded.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snap Snapshot
+	err = json.NewDecoder(resp.Body).Decode(&snap)
+	resp.Body.Close()
+	if err != nil || snap.WAL == nil || snap.WAL.LoadLastMS <= 0 {
+		t.Errorf("JSON wal section after a load: %+v (err %v), want load_last_duration_ms > 0", snap.WAL, err)
 	}
 }
 

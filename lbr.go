@@ -27,6 +27,7 @@ package lbr
 import (
 	"bufio"
 	"context"
+	"fmt"
 	"io"
 	"maps"
 	"sort"
@@ -142,8 +143,9 @@ func (o Options) EffectiveWorkers() int { return o.engineOptions().EffectiveWork
 // Store holds an RDF graph as a BitMat index (the last compacted base)
 // plus the net delta of mutations since: the triples inserted and the base
 // triples deleted. That is the only record of the data — no triple list
-// is kept beside the index. Before the first Build every triple waits in
-// the delta.
+// is kept beside the index. The first LoadNTriples builds the base
+// straight from the parse; triples added one by one before any build wait
+// in the delta until the first Build or query indexes them.
 //
 // A Store is safe for concurrent use: any number of goroutines may call
 // Query, QueryContext, Ask, Explain, and the other read methods while
@@ -170,12 +172,14 @@ type Store struct {
 	cache *engine.MatCache
 	gen   uint64
 
-	// ins and del are the net delta versus base (an empty base before the
-	// first Build), keyed by the triple's N-Triples rendering: ins holds
-	// triples present in the store but not the base, del triples present
-	// in the base but removed since. An insert of a deleted triple (or vice
-	// versa) cancels, so the two maps are always disjoint and minimal, and
-	// the store holds exactly base − del + ins.
+	// ins and del are the net delta versus base, keyed by the triple's
+	// N-Triples rendering: ins holds triples present in the store but not
+	// the base, del triples present in the base but removed since. An
+	// insert of a deleted triple (or vice versa) cancels, so the two maps
+	// are always disjoint and minimal, and the store holds exactly
+	// base − del + ins. Before the first build (bulkLoadLocked or
+	// buildLocked) the base is empty: del is empty and ins holds every
+	// triple added, and a first-build load folds ins into the new base.
 	ins map[string]Triple
 	del map[string]Triple
 
@@ -206,6 +210,7 @@ type Store struct {
 	walCheckpoints   atomic.Int64
 	compactions      atomic.Int64
 	compactionLastNS atomic.Int64
+	loadLastNS       atomic.Int64
 }
 
 // NewStore returns an empty store.
@@ -270,19 +275,75 @@ func (s *Store) RemoveAll(ts []Triple) int {
 }
 
 // LoadNTriples reads N-Triples into the store, returning the number of
-// statements added. The whole input is parsed before anything is added:
-// a malformed line fails the load with an error naming its line number,
-// and then nothing is added or logged. A failed WAL append is returned
-// too, and then nothing is added either.
+// distinct statements added. The whole input is parsed, its terms
+// interned into an index builder, before anything is added: a malformed
+// line fails the load with an error naming its line number, and then
+// nothing is added or logged. A failed WAL append is returned too, and
+// then nothing is added either.
+//
+// On a store that was never built, the load is the first build: the
+// triples already waiting in the delta join the parsed ones, and the index
+// built from them becomes the base at once, with an empty delta. The
+// query snapshot is installed by the next Build or query, as before. On a
+// built store the parsed triples are an ordinary mutation batch through
+// the delta overlay, which drops the duplicates.
 func (s *Store) LoadNTriples(r io.Reader) (int, error) {
-	g, err := rdf.ReadNTriples(r)
-	if err != nil {
+	t0 := time.Now()
+	b := bitmat.NewBuilder()
+	if err := rdf.ScanNTriples(r, b.Add); err != nil {
 		return 0, err
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	_, n, err := s.mutateLocked(nil, g.Triples(), true)
+	var n int
+	var err error
+	if s.base == nil {
+		n, err = s.bulkLoadLocked(b)
+	} else {
+		_, n, err = s.mutateLocked(nil, b.Triples(), true)
+	}
+	if err == nil {
+		s.loadLastNS.Store(int64(time.Since(t0)))
+	}
 	return n, err
+}
+
+// bulkLoadLocked performs the first build from a load's builder: it adds
+// the triples waiting in the delta, builds, logs the effective inserts
+// (the index's triples that were not already waiting) when a WAL is open,
+// and installs the index as the base with an empty delta and no snapshot.
+// It returns the number of triples the load added. The caller holds mu
+// and guarantees base is nil, so the delta holds inserts only.
+func (s *Store) bulkLoadLocked(b *bitmat.Builder) (int, error) {
+	for _, t := range s.ins {
+		b.Add(t)
+	}
+	idx := b.Build()
+	n := int(idx.NumTriples()) - len(s.ins)
+	if n == 0 {
+		return 0, nil
+	}
+	// WAL before state: if logging fails, nothing is applied.
+	if s.wal != nil {
+		effIns := make([]Triple, 0, n)
+		err := idx.ForEachTriple(func(_ rdf.IDTriple, t Triple) bool {
+			if _, ok := s.ins[t.String()]; !ok {
+				effIns = append(effIns, t)
+			}
+			return true
+		})
+		if err != nil {
+			return 0, err
+		}
+		if err := s.wal.append(nil, effIns); err != nil {
+			return 0, fmt.Errorf("lbr: wal append: %w", err)
+		}
+		s.walAppends.Add(1)
+	}
+	s.lsn++
+	s.base = idx
+	s.ins = map[string]Triple{}
+	return n, nil
 }
 
 // LoadGraph bulk-adds another graph's triples.
@@ -339,8 +400,9 @@ func (o Options) engineOptions() engine.Options {
 	return engine.Options{Workers: o.Workers}
 }
 
-// buildLocked performs the first build: it indexes the triples waiting in
-// the delta and installs the index as the base. The caller holds mu and
+// buildLocked performs the first build when no LoadNTriples did: it
+// indexes the triples waiting in the delta, installs the index as the
+// base and installs the query snapshot over it. The caller holds mu and
 // guarantees base is nil.
 func (s *Store) buildLocked() error {
 	idx, err := buildIndex(nil, s.ins, nil)

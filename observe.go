@@ -133,11 +133,17 @@ type WALStats struct {
 	// CompactionLastMS is the build time of the most recent successful
 	// compaction, in milliseconds; 0 before the first one.
 	CompactionLastMS float64 `json:"compaction_last_duration_ms"`
+	// LoadLastMS is the wall time of the most recent successful
+	// LoadNTriples, from the start of the parse to the index install (or
+	// the delta apply on a built store), in milliseconds; 0 before the
+	// first one.
+	LoadLastMS float64 `json:"load_last_duration_ms"`
 }
 
 // WALStats snapshots the durability counters. Safe to call concurrently
 // with queries and mutation; the values are monotone except
-// CompactionLastMS, which tracks the latest compaction.
+// CompactionLastMS and LoadLastMS, which track the latest compaction and
+// load.
 func (s *Store) WALStats() WALStats {
 	return WALStats{
 		Appends:          s.walAppends.Load(),
@@ -145,5 +151,6 @@ func (s *Store) WALStats() WALStats {
 		Checkpoints:      s.walCheckpoints.Load(),
 		Compactions:      s.compactions.Load(),
 		CompactionLastMS: float64(s.compactionLastNS.Load()) / 1e6,
+		LoadLastMS:       float64(s.loadLastNS.Load()) / 1e6,
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"maps"
-	"slices"
 	"time"
 
 	"repro/internal/bitmat"
@@ -338,19 +337,18 @@ func (s *Store) runCompaction(c compaction) error {
 // base holds none). It touches no store state, so the compactor calls it
 // without holding mu.
 func buildIndex(base *bitmat.Index, ins, del map[string]Triple) (*bitmat.Index, error) {
-	n := len(ins)
-	if base != nil {
-		n += int(base.NumTriples()) - len(del)
-	}
-	ts := make([]Triple, 0, n)
+	b := bitmat.NewBuilder()
 	err := forEachBaseTriple(base, del, func(t Triple) bool {
-		ts = append(ts, t)
+		b.Add(t)
 		return true
 	})
 	if err != nil {
 		return nil, err
 	}
-	return bitmat.BuildTriples(slices.AppendSeq(ts, maps.Values(ins)))
+	for _, t := range ins {
+		b.Add(t)
+	}
+	return b.Build(), nil
 }
 
 // forEachBaseTriple calls fn with every triple of base − del, decoded from
