@@ -90,12 +90,14 @@ test-filter:
 # regression tables (engine-level and store-level worker sweeps, both
 # vs the reference evaluator) and their
 # no-leak pins (synthetic witness columns must never surface in results,
-# streams, or EXPLAIN), and the random union worker sweep. The full
-# `make` covers all of these too; this target is the fast loop while
-# working on the rule-3 rewrite or the collapse passes.
+# streams, or EXPLAIN), the random union worker sweep, and the in-order
+# branch loop: its per-branch cancellation and the sharing of a recurring
+# pattern across branches through the MatCache (TestUnionBranch*). The
+# full `make` covers all of these too; this target is the fast loop while
+# working on the rule-3 rewrite, the collapse passes or the branch loop.
 test-union:
 	$(GO) test -race -count=1 \
-		-run 'TestBestMatch|TestDedupNull|TestWitnesslessUnion|TestDifferentialWitnesslessUnionRegressions|TestDifferentialUnionWorkerSweep' \
+		-run 'TestBestMatch|TestDedupNull|TestWitnesslessUnion|TestDifferentialWitnesslessUnionRegressions|TestDifferentialUnionWorkerSweep|TestUnionBranch' \
 		./internal/engine ./internal/algebra .
 
 # test-benchmark vets and tests the benchmark module (benchmark/, its own

@@ -1,6 +1,7 @@
 package lbr
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -281,6 +282,68 @@ func TestCacheInvalidationConcurrentWriters(t *testing.T) {
 		}
 		if g, ok := legal[res.String()]; !ok || g != batches-1 {
 			t.Fatalf("pass %d: final result is not the full dataset (prefix %d, ok=%v)", pass, g, ok)
+		}
+	}
+}
+
+// TestUnionBranchesShareThroughMatCache pins that the MatCache is what
+// shares a pattern recurring across the UNF branches of one query. The
+// ?s ?p ?o scan expands into one branch per predicate, each carrying its
+// own clone of ?s <name> ?n. The branches run in order, so the first
+// load of the shared pattern may be a first touch (a masked load) and the
+// next one a store miss; every later branch must then hit the entry.
+// Rows stay byte-identical with the cache disabled and at every worker
+// count.
+func TestUnionBranchesShareThroughMatCache(t *testing.T) {
+	const q = `SELECT * WHERE { ?s ?p ?o . ?s <name> ?n }`
+	const shared = "?s <name> ?n"
+	build := func(opts Options) *Store {
+		s := NewStoreWithOptions(opts)
+		for i := 0; i < 40; i++ {
+			subj := fmt.Sprintf("s%02d", i)
+			s.Add(TripleLit(subj, "name", "n-"+subj))
+			for p := 0; p < 8; p++ {
+				if (i+p)%3 != 0 {
+					s.Add(TripleIRI(subj, fmt.Sprintf("p%d", p), fmt.Sprintf("o%02d", (i*p+1)%40)))
+				}
+			}
+		}
+		return s
+	}
+	cold, err := build(Options{Workers: 1, CacheBudget: -1}).Query(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(cold.Rows()) == 0 {
+		t.Fatal("weak fixture: no rows")
+	}
+	for _, workers := range []int{1, 8} {
+		s := build(Options{Workers: workers})
+		res, root, err := s.QueryTrace(context.Background(), q)
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		if res.String() != cold.String() {
+			t.Fatalf("workers=%d: rows differ from the cache-disabled run\ngot:\n%s\nwant:\n%s", workers, res, cold)
+		}
+		if n := len(root.FindAll("branch")); n < 9 {
+			t.Fatalf("workers=%d: %d branches, want one per predicate (9)", workers, n)
+		}
+		outcomes := map[string]int{}
+		for _, ld := range root.FindAll("load") {
+			if pat, _ := ld.Attr("pattern"); pat == shared {
+				src, _ := ld.Attr("cache")
+				outcomes[src.(string)]++
+			}
+		}
+		loads := 0
+		for _, n := range outcomes {
+			loads += n
+		}
+		if loads < 9 || outcomes["store-miss"] > 1 || outcomes["first-touch"] > 1 ||
+			outcomes["store-hit"] != loads-outcomes["store-miss"]-outcomes["first-touch"] {
+			t.Fatalf("workers=%d: %d loads of %s, outcomes %v; want at most one store-miss and one first-touch, the rest store-hit",
+				workers, loads, shared, outcomes)
 		}
 	}
 }

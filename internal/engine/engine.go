@@ -27,12 +27,13 @@ type Options struct {
 	// it keeps correctness but loses the selectivity-driven pruning order.
 	NaiveJvarOrder bool
 	// Workers bounds the goroutines the engine uses for the parallel
-	// phases: the pruning waves, the partitioned multi-way join, and the
-	// concurrent execution of UNF branches (UNION alternatives and the
-	// per-predicate branches of a ?s ?p ?o expansion). 0 means GOMAXPROCS;
-	// 1 forces the sequential code paths; negative values are treated as 1
-	// (see EffectiveWorkers). Parallel execution returns the same rows in
-	// the same order as sequential execution.
+	// phases of each UNF branch: the pruning waves and the partitioned
+	// multi-way join. A query's branches (UNION alternatives and the
+	// per-predicate branches of a ?s ?p ?o expansion) run one after
+	// another, each with the whole pool. 0 means GOMAXPROCS; 1 forces the
+	// sequential code paths; negative values are treated as 1 (see
+	// EffectiveWorkers). Parallel execution returns the same rows in the
+	// same order as sequential execution.
 	Workers int
 }
 
@@ -343,16 +344,9 @@ func (e *Engine) stream(ctx context.Context, p *prepared, fn func([]sparql.Var, 
 		}
 		return true
 	}
-	cache := newLoadCache(p.execs)
 	for i, eb := range p.execs {
 		substs = eb.b.Substs
-		var bsp *trace.Span
-		if sp != nil {
-			bsp = sp.Child("branch")
-			bsp.Set("branch", i)
-		}
-		br, err := e.executeBranch(ctx, eb, p.vars, e.workers(), cache, deliver, bsp)
-		bsp.End()
+		br, err := e.executeBranch(ctx, i, eb, p.vars, deliver, sp)
 		if err != nil {
 			return err
 		}
@@ -399,45 +393,22 @@ func (e *Engine) collect(ctx context.Context, p *prepared, sp *trace.Span) (*Res
 	for i, v := range allVars {
 		varPos[v] = i
 	}
-	// Branch scheduling: with several UNF branches and a multi-worker
-	// pool, the branches execute concurrently — each gets an equal slice
-	// of the pool for its own partitioned join, and the branch-level
-	// fan-out itself is bounded by the pool size. Results merge in branch
-	// order below, so the output is byte-identical to sequential branch
-	// execution. Identical subpatterns across branches share their BitMat
-	// materialization through a single-flight load cache.
-	nW := e.workers()
-	cache := newLoadCache(execs)
+	// The branches run in order, each with the whole worker pool for its
+	// own pruning and partitioned join. A subpattern recurring across
+	// branches shares its BitMat materialization through the MatCache,
+	// as it would across queries. The context is checked before every
+	// branch, so a per-request timeout cancels a many-branch union
+	// between branches instead of running it to the end.
 	branchRes := make([]*Result, len(execs))
-	branchErr := make([]error, len(execs))
-	// runBranch wraps one branch execution in its own span (created at
-	// dispatch, so a sequential run's spans don't accumulate queue wait).
-	runBranch := func(i, budget int) {
-		var bsp *trace.Span
-		if sp != nil {
-			bsp = sp.Child("branch")
-			bsp.Set("branch", i)
+	for i := range execs {
+		if err := ctx.Err(); err != nil {
+			return nil, err
 		}
-		branchRes[i], branchErr[i] = e.executeBranch(ctx, execs[i], allVars, budget, cache, nil, bsp)
-		bsp.End()
-	}
-	if len(execs) > 1 && nW > 1 {
-		inner := max(nW/min(len(execs), nW), 1)
-		fns := make([]func(), len(execs))
-		for i := range execs {
-			fns[i] = func() { runBranch(i, inner) }
+		br, err := e.executeBranch(ctx, i, execs[i], allVars, nil, sp)
+		if err != nil {
+			return nil, err
 		}
-		// runLimitedCtx re-checks the context between branch dispatches, so
-		// a per-request timeout cancels the whole union instead of being
-		// noticed only inside whichever branches already started.
-		runLimitedCtx(ctx, nW, fns)
-	} else {
-		for i := range execs {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			runBranch(i, nW)
-		}
+		branchRes[i] = br
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -462,9 +433,6 @@ func (e *Engine) collect(ctx context.Context, p *prepared, sp *trace.Span) (*Res
 	var groupNeed []bool
 	var groupBranches []int
 	for i, eb := range execs {
-		if branchErr[i] != nil {
-			return nil, branchErr[i]
-		}
 		br := branchRes[i]
 		applyCheapSubsts(eb.b.Substs, br.Rows, varPos)
 		if meta := dupMetaFor(eb, varPos); meta != nil || metas != nil {
@@ -695,12 +663,17 @@ type joinChunk struct {
 // best-matched when a binding was cleared, for the caller to merge or
 // replay.
 //
-// budget bounds the workers the branch's pruning and partitioned join may
-// use. cache, when non-nil, shares BitMat materializations of subpatterns
-// that recur across the query's branches. sp, when non-nil, is the
-// branch's trace span: the plan, init, prune, join and filter stages
-// record themselves under it.
-func (e *Engine) executeBranch(ctx context.Context, eb execBranch, vars []sparql.Var, budget int, cache *loadCache, fn func(Row) bool, sp *trace.Span) (*Result, error) {
+// The branch's pruning and partitioned join use the whole worker pool
+// (e.workers()). qsp, when non-nil, is the query's trace span: the
+// branch records itself in a "branch" child numbered branch, with the
+// plan, init, prune, join and filter stages under that.
+func (e *Engine) executeBranch(ctx context.Context, branch int, eb execBranch, vars []sparql.Var, fn func(Row) bool, qsp *trace.Span) (*Result, error) {
+	var sp *trace.Span
+	if qsp != nil {
+		sp = qsp.Child("branch")
+		sp.Set("branch", branch)
+		defer sp.End()
+	}
 	res := &Result{Vars: vars}
 	var plsp *trace.Span
 	if sp != nil {
@@ -749,7 +722,7 @@ func (e *Engine) executeBranch(ctx context.Context, eb execBranch, vars []sparql
 			lsp = isp.Child("load")
 			lsp.Set("pattern", pat.String())
 		}
-		st, err := e.load(pat, i, gosn.SNOfTP[i], plan, tps, cache, lsp)
+		st, err := e.load(pat, i, gosn.SNOfTP[i], plan, tps, lsp)
 		if err != nil {
 			return nil, err
 		}
@@ -781,7 +754,7 @@ func (e *Engine) executeBranch(ctx context.Context, eb execBranch, vars []sparql
 		psp = sp.Child("prune")
 	}
 	if !e.opts.DisablePruning {
-		e.pruneTriples(ctx, plan, tps, budget, psp)
+		e.pruneTriples(ctx, plan, tps, e.workers(), psp)
 	}
 	res.Stats.Prune = time.Since(tPrune)
 	psp.End()
@@ -922,7 +895,7 @@ func (e *Engine) executeBranch(ctx context.Context, eb execBranch, vars []sparql
 		// Partitioned multi-way join: each worker enumerates a contiguous
 		// slice of the root pattern's surviving triples with its own
 		// joinRun state over the shared (now read-only) tpStates.
-		nWorkers := max(budget, 1)
+		nWorkers := e.workers()
 		rootTP, parts := rootPartitions(plan, stps, nWorkers, partitionFactor)
 		if jsp != nil {
 			// rootTP is -1 when the partitioner fell back to a sequential

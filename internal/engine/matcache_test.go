@@ -328,7 +328,7 @@ func TestCachedPristineCloneIsolation(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			m, src := e.cachedPristine(nil, "pat", orientSO, false, build)
+			m, src := e.cachedPristine("pat", orientSO, false, build)
 			if m == nil {
 				t.Errorf("goroutine %d: cache declined (%s)", g, src)
 				return

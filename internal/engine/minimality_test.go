@@ -56,7 +56,7 @@ func TestLemma33MinimalityProperty(t *testing.T) {
 		tps := make([]*tpState, len(gosn.Patterns))
 		abort := false
 		for i, pat := range gosn.Patterns {
-			st, err := e.load(pat, i, gosn.SNOfTP[i], plan, tps, nil, nil)
+			st, err := e.load(pat, i, gosn.SNOfTP[i], plan, tps, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -47,21 +47,8 @@ func (e *Engine) workers() int { return e.opts.EffectiveWorkers() }
 // limit <= 1 (or a single function) it degenerates to an in-order
 // sequential loop, so callers need no separate sequential path.
 func runLimited(limit int, fns []func()) {
-	runLimitedCtx(context.Background(), limit, fns)
-}
-
-// runLimitedCtx is runLimited with cancellation between dispatches: once
-// ctx is done, no further fn starts — sequentially that is between
-// consecutive fns, in parallel between goroutine launches (blocked slot
-// acquisitions included). In-flight fns always finish, so shared state is
-// never abandoned mid-mutation; the caller decides whether the partial
-// work is usable by checking ctx.Err() afterwards.
-func runLimitedCtx(ctx context.Context, limit int, fns []func()) {
 	if limit <= 1 || len(fns) <= 1 {
 		for _, fn := range fns {
-			if ctx.Err() != nil {
-				return
-			}
 			fn()
 		}
 		return
@@ -72,22 +59,7 @@ func runLimitedCtx(ctx context.Context, limit int, fns []func()) {
 	sem := make(chan struct{}, limit)
 	var wg sync.WaitGroup
 	for _, fn := range fns {
-		if ctx.Err() != nil {
-			break
-		}
-		// Acquire a slot or observe cancellation, whichever comes first: a
-		// dispatcher blocked on a full semaphore must not launch one more
-		// fn after the context fires. (A Done-less context — nil channel —
-		// degrades to the plain acquire plus the Err() check above.)
-		acquired := false
-		select {
-		case sem <- struct{}{}:
-			acquired = true
-		case <-ctx.Done():
-		}
-		if !acquired {
-			break
-		}
+		sem <- struct{}{}
 		wg.Add(1)
 		go func(f func()) {
 			defer wg.Done()

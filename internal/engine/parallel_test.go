@@ -215,15 +215,14 @@ func TestRootPartitionsCoverScan(t *testing.T) {
 }
 
 // unionDeterminismQuery mixes genuine UNION branches, OPTIONAL NULLs, and
-// a shared subpattern (?x <knows> ?y appears in two branches, exercising
-// the single-flight load cache).
+// a shared subpattern (?x <knows> ?y appears in two branches).
 const unionDeterminismQuery = `SELECT * WHERE {
 	{ ?x <knows> ?y . OPTIONAL { ?x <mail> ?m . } }
 	UNION { ?x <type> <Person> . OPTIONAL { ?x <tel> ?t . } }
 	UNION { ?pub <author> ?x . ?x <knows> ?y . } }`
 
 // TestUnionDeterminismAcrossPartitionAndWorkerCounts pins the merge
-// determinism of the branch scheduler and the adaptive partitioner: the
+// determinism of the branch loop and the adaptive partitioner: the
 // same UNION query, executed at every worker count, must produce
 // byte-identical Result rows — order and OPTIONAL unbound (NULL) cells
 // included — and at every partition factor the partitioner's ranges must
@@ -271,7 +270,7 @@ func TestUnionDeterminismAcrossPartitionAndWorkerCounts(t *testing.T) {
 	}
 	tps := make([]*tpState, len(plan.GoSN.Patterns))
 	for i, pat := range plan.GoSN.Patterns {
-		if tps[i], err = e.load(pat, i, plan.GoSN.SNOfTP[i], plan, tps, nil, nil); err != nil {
+		if tps[i], err = e.load(pat, i, plan.GoSN.SNOfTP[i], plan, tps, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -300,33 +299,6 @@ func TestUnionDeterminismAcrossPartitionAndWorkerCounts(t *testing.T) {
 				t.Fatalf("factor=%d: partitions %v do not tile the rows (%v per partition)", factor, parts, rows)
 			}
 		}
-	}
-}
-
-func TestRunLimitedCtxStopsBetweenDispatches(t *testing.T) {
-	// Sequential path: a cancellation inside fn 0 stops fns 1+.
-	ctx, cancel := context.WithCancel(context.Background())
-	count := 0
-	runLimitedCtx(ctx, 1, []func(){
-		func() { count++; cancel() },
-		func() { count++ },
-		func() { count++ },
-	})
-	if count != 1 {
-		t.Fatalf("sequential: ran %d fns after cancel, want 1", count)
-	}
-	// Pre-cancelled context: nothing runs, either path.
-	done, cancel2 := context.WithCancel(context.Background())
-	cancel2()
-	var n atomic.Int64
-	fns := make([]func(), 16)
-	for i := range fns {
-		fns[i] = func() { n.Add(1) }
-	}
-	runLimitedCtx(done, 1, fns)
-	runLimitedCtx(done, 4, fns)
-	if n.Load() != 0 {
-		t.Fatalf("pre-cancelled ctx ran %d fns, want 0", n.Load())
 	}
 }
 

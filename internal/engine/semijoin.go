@@ -196,20 +196,16 @@ func (e *Engine) maskForSpace(mask *bitvec.Bits, maskSpace, axisSpace Space) *bi
 // produces the same pruned matrices as — the sequential loop. A cancelled
 // context stops the passes between jvar levels (and between waves); the
 // caller checks ctx.Err() afterwards, so a partial prune is never treated
-// as a complete one. budget bounds this branch's fan-out — the pool share
-// the branch scheduler granted it, so concurrent UNION branches cannot
-// oversubscribe the pool with their pruning waves.
+// as a complete one. workers bounds the fan-out of the waves; the branch
+// executor passes the whole pool, since a query's branches run one after
+// another.
 //
 // sp, when non-nil, is the branch's prune span: each jvar level becomes a
 // "level" child recording the pass (bu/td), the variable, the triples
 // held by its patterns before and after the level's semi-joins, and the
 // level's wall time. The before/after counts cost a matrix count per
 // holder, so they are computed only when tracing is on.
-func (e *Engine) pruneTriples(ctx context.Context, plan *planner.Plan, tps []*tpState, budget int, sp *trace.Span) {
-	limit := budget
-	if limit < 1 {
-		limit = 1
-	}
+func (e *Engine) pruneTriples(ctx context.Context, plan *planner.Plan, tps []*tpState, workers int, sp *trace.Span) {
 	holderCount := func(holders []int) int64 {
 		var n int64
 		for _, t := range holders {
@@ -223,7 +219,7 @@ func (e *Engine) pruneTriples(ctx context.Context, plan *planner.Plan, tps []*tp
 				return
 			}
 			holders := plan.GoJ.TPsOfVar[jIdx]
-			lvlLimit := limit
+			lvlLimit := workers
 			if lvlLimit > 1 {
 				// Fan-out only pays off when the level folds/unfolds a
 				// meaningful number of triples.

@@ -44,7 +44,7 @@ func setupTPs(t *testing.T, g *rdf.Graph, src string) (*Engine, *planner.Plan, [
 	plan := planner.BuildPlan(gosn, goj, EstimateCounts(idx, gosn.Patterns))
 	tps := make([]*tpState, len(gosn.Patterns))
 	for i, pat := range gosn.Patterns {
-		st, err := e.load(pat, i, gosn.SNOfTP[i], plan, tps, nil, nil)
+		st, err := e.load(pat, i, gosn.SNOfTP[i], plan, tps, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -173,7 +173,7 @@ func TestActivePruneMasksNewPattern(t *testing.T) {
 	gosn := plan.GoSN
 	tps := make([]*tpState, len(gosn.Patterns))
 	load := func(i int) {
-		st, err := e.load(gosn.Patterns[i], i, gosn.SNOfTP[i], plan, tps, nil, nil)
+		st, err := e.load(gosn.Patterns[i], i, gosn.SNOfTP[i], plan, tps, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

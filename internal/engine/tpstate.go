@@ -125,24 +125,22 @@ func (e *Engine) loadMask(v sparql.Var, axisSpace Space, idx int, loaded []*tpSt
 // from the already loaded patterns. It returns an error for patterns with
 // three variables, which the paper's system does not handle either.
 //
-// cache, when non-nil, shares the pristine materialization of patterns
-// that recur across the query's UNF branches: the shared matrix is built
-// single-flight, cloned per branch, and the branch's masks are applied to
-// the clone — bit-identical to building the filtered matrix directly,
-// since both paths read out-of-range mask bits as 0. Below that per-query
-// tier sits the engine's store-level MatCache view (e.mc), which shares
-// the same pristine materializations across concurrent queries of one
-// index snapshot under the identical clone-then-mask discipline.
+// The engine's store-level MatCache view (e.mc), when non-nil, shares
+// the pristine materialization of patterns across the queries of one
+// index snapshot and across the UNF branches of one query: the shared
+// matrix is built single-flight, cloned per load, and the load's masks
+// are applied to the clone — bit-identical to building the filtered
+// matrix directly, since both paths read out-of-range mask bits as 0.
 //
 // sp, when non-nil, is this pattern's load span: the cache outcome and
-// (for tier-served loads) the approximate bytes cloned are recorded on
+// (for cache-served loads) the approximate bytes cloned are recorded on
 // it. A nil sp costs only the final nil check.
-func (e *Engine) load(tp sparql.TriplePattern, idx int, sn int, plan *planner.Plan, loaded []*tpState, cache *loadCache, sp *trace.Span) (*tpState, error) {
+func (e *Engine) load(tp sparql.TriplePattern, idx int, sn int, plan *planner.Plan, loaded []*tpState, sp *trace.Span) (*tpState, error) {
 	st := &tpState{idx: idx, pat: tp, sn: sn}
 	dict := e.dict
 	sVar, pVar, oVar := tp.S.IsVar, tp.P.IsVar, tp.O.IsVar
 	patKey := ""
-	if cache != nil || e.mc != nil {
+	if e.mc != nil {
 		patKey = tp.String()
 	}
 	cacheSrc := "none"
@@ -159,7 +157,7 @@ func (e *Engine) load(tp sparql.TriplePattern, idx int, sn int, plan *planner.Pl
 			// reduced to a single row over the subject dimension.
 			st.colVar, st.colSpace = tp.S.Var, SpaceS
 			st.rowSpace = SpaceNone
-			st.mat, cacheSrc = e.cachedOr(cache, patKey, orientSO, func() *bitmat.Matrix {
+			st.mat, cacheSrc = e.cachedOr(patKey, orientSO, func() *bitmat.Matrix {
 				diag := bitmat.NewMatrix(1, dict.NumSubjects())
 				so := bitmat.MatSO(e.idx, p, nil, nil)
 				var pos []uint32
@@ -193,7 +191,7 @@ func (e *Engine) load(tp sparql.TriplePattern, idx int, sn int, plan *planner.Pl
 			st.colVar, st.colSpace = tp.S.Var, SpaceS
 		}
 		if !known {
-			// Empty without computing masks or touching the caches.
+			// Empty without computing masks or touching the cache.
 			if rowVar == tp.S.Var {
 				st.mat = bitmat.NewMatrix(dict.NumSubjects(), dict.NumObjects())
 			} else {
@@ -211,7 +209,7 @@ func (e *Engine) load(tp sparql.TriplePattern, idx int, sn int, plan *planner.Pl
 		if rowVar != tp.S.Var {
 			orient, build = orientOS, func() *bitmat.Matrix { return bitmat.MatOS(e.idx, p, nil, nil) }
 		}
-		base, src := e.cachedPristine(cache, patKey, orient, rowMask != nil || colMask != nil, build)
+		base, src := e.cachedPristine(patKey, orient, rowMask != nil || colMask != nil, build)
 		cacheSrc = src
 		if base != nil {
 			st.mat = base
@@ -228,14 +226,14 @@ func (e *Engine) load(tp sparql.TriplePattern, idx int, sn int, plan *planner.Pl
 		}
 	case sVar && !pVar && !oVar:
 		// (?var :p :o): one row of the P-S BitMat of o (Section 5).
-		st.mat, cacheSrc = e.cachedOr(cache, patKey, orientSO, func() *bitmat.Matrix {
+		st.mat, cacheSrc = e.cachedOr(patKey, orientSO, func() *bitmat.Matrix {
 			return bitmat.RowPS(e.idx, p, o)
 		})
 		st.colVar, st.colSpace = tp.S.Var, SpaceS
 		st.rowSpace = SpaceNone
 	case !sVar && !pVar && oVar:
 		// (:s :p ?var): one row of the P-O BitMat of s.
-		st.mat, cacheSrc = e.cachedOr(cache, patKey, orientSO, func() *bitmat.Matrix {
+		st.mat, cacheSrc = e.cachedOr(patKey, orientSO, func() *bitmat.Matrix {
 			return bitmat.RowPO(e.idx, p, s)
 		})
 		st.colVar, st.colSpace = tp.O.Var, SpaceO
@@ -243,21 +241,21 @@ func (e *Engine) load(tp sparql.TriplePattern, idx int, sn int, plan *planner.Pl
 	case !sVar && pVar && oVar:
 		// (:s ?p ?o): the P-O BitMat of s; the predicate variable rides the
 		// row axis (never a join variable, enforced by the GoJ).
-		st.mat, cacheSrc = e.cachedOr(cache, patKey, orientSO, func() *bitmat.Matrix {
+		st.mat, cacheSrc = e.cachedOr(patKey, orientSO, func() *bitmat.Matrix {
 			return bitmat.MatPO(e.idx, s)
 		})
 		st.rowVar, st.rowSpace = tp.P.Var, SpaceP
 		st.colVar, st.colSpace = tp.O.Var, SpaceO
 	case sVar && pVar && !oVar:
 		// (?s ?p :o): the P-S BitMat of o.
-		st.mat, cacheSrc = e.cachedOr(cache, patKey, orientSO, func() *bitmat.Matrix {
+		st.mat, cacheSrc = e.cachedOr(patKey, orientSO, func() *bitmat.Matrix {
 			return bitmat.MatPS(e.idx, o)
 		})
 		st.rowVar, st.rowSpace = tp.P.Var, SpaceP
 		st.colVar, st.colSpace = tp.S.Var, SpaceS
 	case !sVar && pVar && !oVar:
 		// (:s ?p :o): the predicates linking s to o.
-		st.mat, cacheSrc = e.cachedOr(cache, patKey, orientSO, func() *bitmat.Matrix {
+		st.mat, cacheSrc = e.cachedOr(patKey, orientSO, func() *bitmat.Matrix {
 			return bitmat.RowP(e.idx, s, o)
 		})
 		st.colVar, st.colSpace = tp.P.Var, SpaceP
@@ -272,8 +270,8 @@ func (e *Engine) load(tp sparql.TriplePattern, idx int, sn int, plan *planner.Pl
 }
 
 // setLoadAttrs records a pattern load's cache outcome on its trace span:
-// which tier served it (or why every tier declined), the live rows of the
-// loaded BitMat and, for tier-served loads — which clone the shared
+// whether the MatCache served it (or why it declined), the live rows of
+// the loaded BitMat and, for cache-served loads — which clone the shared
 // pristine matrix — the approximate bytes cloned. No-op (and no argument
 // evaluation) on a nil span.
 func setLoadAttrs(sp *trace.Span, st *tpState, src string) {
@@ -285,7 +283,7 @@ func setLoadAttrs(sp *trace.Span, st *tpState, src string) {
 		sp.Set("live_rows", st.mat.LiveRows())
 	}
 	switch src {
-	case "query-shared", string(outcomeHit), string(outcomeMiss):
+	case string(outcomeHit), string(outcomeMiss):
 		if st.mat != nil {
 			sp.Set("clone_bytes", matCost(st.mat))
 		}

@@ -28,8 +28,8 @@ import (
 )
 
 // Tracer owns one query's span tree. All spans of a tracer share its
-// mutex, so concurrent phases (parallel UNION branches, pruning waves)
-// may append children and attributes to their spans freely.
+// mutex, so any goroutine may append children and attributes to its
+// spans, or snapshot the tree, while others do the same.
 type Tracer struct {
 	mu   sync.Mutex
 	root *Span

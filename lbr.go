@@ -77,11 +77,11 @@ func TripleLit(s, p, lit string) Triple { return rdf.TL(s, p, lit) }
 // the ablation benchmarks set them on the engine directly.
 type Options struct {
 	// Workers bounds the goroutines of the engine's parallel phases: the
-	// pruning and multi-way join of each query, and the concurrent
-	// execution of a query's UNION branches. 0 means GOMAXPROCS; 1 forces
-	// sequential execution; negative values are treated as 1. Parallel
-	// execution returns rows identical to (and in the same order as)
-	// sequential execution.
+	// pruning and multi-way join of each query branch. A query's UNION
+	// branches run one after another, each with the whole pool. 0 means
+	// GOMAXPROCS; 1 forces sequential execution; negative values are
+	// treated as 1. Parallel execution returns rows identical to (and in
+	// the same order as) sequential execution.
 	Workers int
 	// CacheBudget bounds, in bytes, the store's cross-query BitMat
 	// materialization cache: a cost-weighted LRU of pristine (unmasked,
