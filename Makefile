@@ -50,13 +50,16 @@ test-cache:
 # test-update runs the write-path test surface under -race: SPARQL Update
 # semantics and the differential update oracle, WAL crash recovery, MVCC
 # snapshot isolation, overlay-vs-rebuild equivalence, the update parser,
-# the server's update endpoint/ETag tests, and the bulk load (its
+# the server's update endpoint/ETag tests, the bulk load (its
 # equivalence to AddAll-then-Build, its races with Add/Query/Build, and
-# the golden snapshot digest). The full `make` covers all of these too;
-# this target is the fast loop while working on writes.
+# the golden snapshot digest), and the lock-free read path (every read
+# returns while a writer holds the store lock, read-your-writes, and the
+# snapshot span describing the snapshot a query ran on). The full `make`
+# covers all of these too; this target is the fast loop while working on
+# writes.
 test-update:
 	$(GO) test -race -count=1 \
-		-run 'TestApplyUpdate|TestUpdate|TestAutoCompact|TestWAL|TestOverlay|TestExtend|TestParseUpdate|TestETag|TestMetricsSnapshotGeneration|TestStoreMutation|TestLoadNTriples|TestSaveIndexGoldenDigest' \
+		-run 'TestApplyUpdate|TestUpdate|TestAutoCompact|TestWAL|TestOverlay|TestExtend|TestParseUpdate|TestETag|TestMetricsSnapshotGeneration|TestStoreMutation|TestLoadNTriples|TestSaveIndexGoldenDigest|TestReadsDoNotWaitForWriter|TestSnapshotSpanMatchesQueryView' \
 		./internal/rdf ./internal/bitmat ./internal/sparql ./internal/server .
 
 # test-trace runs the observability test surface under -race: every test

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	lbr "repro"
+	"repro/internal/results"
 )
 
 // rawGet issues a GET with full control over the request headers: the
@@ -220,6 +221,59 @@ func TestResultCacheReplayAndInvalidation(t *testing.T) {
 	// And the new generation caches in its own right.
 	if r6, again := rawGet(t, ts, optionalQ, accept); r6.Header.Get("X-Cache") != "hit" || string(again) != string(fresh) {
 		t.Errorf("new generation did not cache: X-Cache=%q", r6.Header.Get("X-Cache"))
+	}
+}
+
+// TestResultCacheDropsRetiredGenerations pins the generation rule of the
+// result cache: the first put of a newer generation drops every entry of
+// the older ones (they can never match again) and counts them as
+// invalidations, not evictions; a put of an older generation is refused.
+// Over HTTP, a write followed by a re-query shows the same counter on
+// /metrics and in the Prometheus view.
+func TestResultCacheDropsRetiredGenerations(t *testing.T) {
+	c := newQueryCache(1 << 20)
+	c.put(1, "q1", results.JSON, []byte("gen-1 body, q1"), 1)
+	c.put(1, "q2", results.JSON, []byte("gen-1 body, q2"), 1)
+	body := []byte("gen-2 body")
+	c.put(2, "q1", results.JSON, body, 1)
+	rc := c.stats()
+	if rc.Entries != 1 || rc.BytesUsed != int64(len(body)) {
+		t.Fatalf("after the gen-2 put: entries=%d bytes_used=%d, want 1 and %d", rc.Entries, rc.BytesUsed, len(body))
+	}
+	if rc.Invalidations != 2 || rc.Evictions != 0 {
+		t.Fatalf("invalidations=%d evictions=%d, want 2 and 0", rc.Invalidations, rc.Evictions)
+	}
+	c.put(1, "q3", results.JSON, []byte("late gen-1 body"), 1)
+	if got, _ := c.get(1, "q3", results.JSON); got != nil {
+		t.Fatalf("a put at a retired generation was retained: %q", got)
+	}
+	if got, _ := c.get(1, "q1", results.JSON); got != nil {
+		t.Fatalf("a get at a retired generation hit: %q", got)
+	}
+	if got, _ := c.get(2, "q1", results.JSON); string(got) != string(body) {
+		t.Fatalf("gen-2 entry lost: %q", got)
+	}
+	if rc := c.stats(); rc.Entries != 1 || rc.Invalidations != 2 {
+		t.Fatalf("refused put changed the cache: %+v", rc)
+	}
+
+	srv, ts := newTestServer(t, Config{})
+	accept := map[string]string{"Accept": "application/sparql-results+json"}
+	rawGet(t, ts, optionalQ, accept)
+	srv.store.Add(lbr.TripleIRI("Jerry", "hasFriend", "Wanda"))
+	rawGet(t, ts, optionalQ, accept)
+	if rc := resultCacheSnap(t, ts); rc.Invalidations != 1 || rc.Entries != 1 || rc.Evictions != 0 {
+		t.Fatalf("/metrics after a write: %+v, want 1 invalidation, 1 entry, 0 evictions", rc)
+	}
+	req, _ := http.NewRequest(http.MethodGet, ts.URL+"/metrics?format=prometheus", nil)
+	resp, err := ts.Client().Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prom, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if !strings.Contains(string(prom), "lbr_result_cache_invalidations_total 1\n") {
+		t.Errorf("Prometheus view lacks lbr_result_cache_invalidations_total 1:\n%s", prom)
 	}
 }
 

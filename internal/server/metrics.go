@@ -116,13 +116,16 @@ type StageLatency struct {
 
 // ResultCacheSnapshot is the /metrics view of the server's result cache:
 // serialized documents replayed for repeat queries of one index snapshot.
+// Evictions count documents dropped under budget pressure; Invalidations
+// count those dropped because a newer snapshot generation retired them.
 type ResultCacheSnapshot struct {
-	Hits      int64 `json:"hits"`
-	Misses    int64 `json:"misses"`
-	Evictions int64 `json:"evictions"`
-	Entries   int64 `json:"entries"`
-	BytesUsed int64 `json:"bytes_used"`
-	Budget    int64 `json:"budget"`
+	Hits          int64 `json:"hits"`
+	Misses        int64 `json:"misses"`
+	Evictions     int64 `json:"evictions"`
+	Invalidations int64 `json:"invalidations"`
+	Entries       int64 `json:"entries"`
+	BytesUsed     int64 `json:"bytes_used"`
+	Budget        int64 `json:"budget"`
 }
 
 // Snapshot is a point-in-time copy of the metrics, shaped for JSON. The

@@ -119,6 +119,7 @@ func writeMetricsProm(w http.ResponseWriter, snap Snapshot) {
 		promSimple(w, "lbr_result_cache_hits_total", "counter", "Result cache hits.", rc.Hits)
 		promSimple(w, "lbr_result_cache_misses_total", "counter", "Result cache misses.", rc.Misses)
 		promSimple(w, "lbr_result_cache_evictions_total", "counter", "Result cache evictions.", rc.Evictions)
+		promSimple(w, "lbr_result_cache_invalidations_total", "counter", "Result cache entries retired by generation advances.", rc.Invalidations)
 		promSimple(w, "lbr_result_cache_entries", "gauge", "Result cache resident entries.", rc.Entries)
 		promSimple(w, "lbr_result_cache_bytes", "gauge", "Result cache resident bytes.", rc.BytesUsed)
 	}

@@ -11,9 +11,12 @@ import (
 // queryCache is the server-side result cache for hot dashboards: a
 // bounded LRU of fully serialized result documents keyed on (index
 // snapshot generation, whitespace-normalized query text, result format).
-// The generation component makes invalidation free — a write that
-// rebuilds the index bumps the store's generation, so every entry of the
-// previous snapshot simply stops matching and ages out of the LRU.
+// The generation component makes invalidation cheap — a write bumps the
+// store's generation, so every entry of the previous snapshot stops
+// matching. Generations only grow, so the cache remembers the newest one
+// it has seen: the first put of a newer generation drops every retired
+// entry at once (counted as invalidations, apart from the budget's
+// evictions), and a put of an older one is refused.
 //
 // Entries hold the uncompressed serialized body; content coding (gzip) is
 // applied per response at replay time, so one cached document serves
@@ -25,8 +28,11 @@ type queryCache struct {
 	used     int64
 	m        map[qcKey]*qcEntry
 	lru      *list.List // *qcEntry; front = most recently used
+	// gen is the newest snapshot generation a put carried; every resident
+	// entry belongs to it.
+	gen uint64
 
-	hits, misses, evictions int64
+	hits, misses, evictions, invalidations int64
 }
 
 type qcKey struct {
@@ -102,8 +108,10 @@ func (c *queryCache) get(gen uint64, query string, format results.Format) ([]byt
 }
 
 // put retains a successfully serialized document, evicting LRU entries
-// over budget. Oversized documents are dropped silently; body must not be
-// mutated after the call.
+// over budget. A document of a newer generation than the resident ones
+// first drops them all (they can never match again); one of an older
+// generation is refused. Oversized documents are dropped silently;
+// body must not be mutated after the call.
 func (c *queryCache) put(gen uint64, query string, format results.Format, body []byte, rows int64) {
 	if c == nil || int64(len(body)) > c.maxEntry {
 		return
@@ -111,6 +119,16 @@ func (c *queryCache) put(gen uint64, query string, format results.Format, body [
 	key := qcKey{gen: gen, query: query, format: format}
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	switch {
+	case gen < c.gen:
+		return
+	case gen > c.gen:
+		c.invalidations += int64(len(c.m))
+		clear(c.m)
+		c.lru.Init()
+		c.used = 0
+		c.gen = gen
+	}
 	if old, ok := c.m[key]; ok {
 		// A concurrent miss of the same query raced us here; the bodies
 		// are byte-identical (same snapshot, same serializer), keep the
@@ -148,14 +166,19 @@ func (c *queryCache) entryCap() int64 {
 	return c.maxEntry
 }
 
-// stats reports (hits, misses, evictions, entries, bytes used).
-func (c *queryCache) stats() (hits, misses, evictions, entries, used int64) {
+// stats reports the cache's counters and residency; all zeroes when the
+// cache is disabled. The budget is the caller's to fill.
+func (c *queryCache) stats() ResultCacheSnapshot {
 	if c == nil {
-		return 0, 0, 0, 0, 0
+		return ResultCacheSnapshot{}
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.hits, c.misses, c.evictions, int64(len(c.m)), c.used
+	return ResultCacheSnapshot{
+		Hits: c.hits, Misses: c.misses,
+		Evictions: c.evictions, Invalidations: c.invalidations,
+		Entries: int64(len(c.m)), BytesUsed: c.used,
+	}
 }
 
 // capWriter tees everything written through it into an in-memory buffer

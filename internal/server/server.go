@@ -167,14 +167,12 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	// Generation() reads the store's current MVCC generation without
 	// forcing a build — /metrics must never trigger index construction.
 	snap.SnapshotGeneration = s.store.Generation()
-	hits, misses, evictions, entries, used := s.qcache.stats()
-	snap.ResultCache = &ResultCacheSnapshot{
-		Hits: hits, Misses: misses, Evictions: evictions,
-		Entries: entries, BytesUsed: used, Budget: max(s.cfg.ResultCacheBudget, 0),
-	}
-	// The BitMat cache section keeps LRU evictions and generation-advance
+	// Both cache sections keep LRU evictions and generation-advance
 	// invalidations as distinct counters: evictions mean the budget is too
 	// small, invalidations mean writes are churning snapshots.
+	rc := s.qcache.stats()
+	rc.Budget = max(s.cfg.ResultCacheBudget, 0)
+	snap.ResultCache = &rc
 	bm := s.store.CacheStats()
 	snap.BitMatCache = &bm
 	wal := s.store.WALStats()

@@ -154,21 +154,26 @@ func (o Options) EffectiveWorkers() int { return o.engineOptions().EffectiveWork
 // compacted index, or the base index plus a delta overlay), so a query
 // racing a mutation sees either the pre- or post-mutation data, never a
 // mixture, and a query started before an update finishes with its original
-// view even while later generations are installed.
+// view even while later generations are installed. Writers serialize on
+// the store lock; reads load the published snapshot and do not wait for
+// them.
 type Store struct {
+	// mu serializes writers and guards every field but snap and the
+	// atomic counters. Reads take no lock: they load snap.
 	mu sync.RWMutex
-	// base is the last compacted index; src is what queries actually run
-	// against: base itself when the delta is empty, or an overlay merging
-	// the net delta over it. Both are immutable once installed.
+	// snap is the published query snapshot, replaced whole by every
+	// install and nil while none is installed (never built, or a failed
+	// overlay install); only then does a read take mu to install one.
+	snap atomic.Pointer[querySnapshot]
+	// base is the last compacted index. Immutable once installed.
 	base *bitmat.Index
-	src  bitmat.Source
-	eng  *engine.Engine
 	opts Options
 	// cache is the cross-query BitMat materialization cache (nil when
 	// Options.CacheBudget is negative). gen counts source snapshots: every
 	// install — rebuild, overlay, or compaction — bumps it and retires the
 	// previous generation's cache entries, so a query can never read a
-	// matrix from a snapshot other than the one it runs against.
+	// matrix from a snapshot other than the one it runs against. gen is
+	// the writers' counter; reads take theirs from snap.
 	cache *engine.MatCache
 	gen   uint64
 
@@ -211,6 +216,19 @@ type Store struct {
 	compactions      atomic.Int64
 	compactionLastNS atomic.Int64
 	loadLastNS       atomic.Int64
+}
+
+// querySnapshot is one immutable query view of the store, published whole
+// through Store.snap: src is what queries run against (the base itself
+// when the delta is empty, or an overlay merging the net delta over it),
+// eng the engine bound to src and to generation gen's cache view, and
+// delta the number of delta entries src merges over the base (so src is
+// an overlay exactly when delta is positive).
+type querySnapshot struct {
+	gen   uint64
+	src   bitmat.Source
+	eng   *engine.Engine
+	delta int
 }
 
 // NewStore returns an empty store.
@@ -389,7 +407,7 @@ func (s *Store) Build() error {
 	if err := s.Compact(); err != nil {
 		return err
 	}
-	_, _, err := s.ensureSnapshot()
+	_, err := s.ensureSnapshot()
 	return err
 }
 
@@ -425,12 +443,17 @@ func (s *Store) installIndexLocked(idx *bitmat.Index) {
 
 // installSourceLocked adopts src as the new immutable query snapshot: it
 // starts the next snapshot generation, retires the previous generation's
-// cached materializations atomically, and binds a fresh engine to the new
-// generation's cache view. The caller holds mu.
+// cached materializations atomically, binds a fresh engine to the new
+// generation's cache view, and publishes the snapshot. The caller holds
+// mu.
 func (s *Store) installSourceLocked(src bitmat.Source) {
 	s.gen++
-	s.src = src
-	s.eng = engine.NewWithCache(src, s.opts.engineOptions(), s.cache.Advance(s.gen))
+	s.snap.Store(&querySnapshot{
+		gen:   s.gen,
+		src:   src,
+		eng:   engine.NewWithCache(src, s.opts.engineOptions(), s.cache.Advance(s.gen)),
+		delta: len(s.ins) + len(s.del),
+	})
 }
 
 // installOverlayLocked rebuilds the delta overlay over the current base
@@ -485,14 +508,14 @@ func RegexCacheSize() int { return engine.RegexCacheSize() }
 // bracket an unchanged index — the key layers above use to cache derived
 // artifacts (the HTTP server's result cache keys on it). Under concurrent
 // mutation the value is a snapshot in time, exactly like the data a
-// concurrent query sees.
+// concurrent query sees; it is at least the generation a completed
+// ApplyUpdate reported.
 func (s *Store) SnapshotGeneration() (uint64, error) {
-	if _, _, err := s.ensureSnapshot(); err != nil {
+	snap, err := s.ensureSnapshot()
+	if err != nil {
 		return 0, err
 	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.gen, nil
+	return snap.gen, nil
 }
 
 // Built reports whether a query snapshot covering every mutation so far
@@ -500,31 +523,28 @@ func (s *Store) SnapshotGeneration() (uint64, error) {
 // at the instant of the call but another goroutine's Add may invalidate it
 // before the caller acts on it. Queries do not need Built — they build on
 // demand.
-func (s *Store) Built() bool {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.eng != nil
-}
+func (s *Store) Built() bool { return s.snap.Load() != nil }
 
 // Generation reports the current snapshot generation without building
 // anything: 0 until the first snapshot exists. Metrics endpoints use this
 // in preference to SnapshotGeneration, which would force a build.
 func (s *Store) Generation() uint64 {
+	if snap := s.snap.Load(); snap != nil {
+		return snap.gen
+	}
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return s.gen
 }
 
-// ensureSnapshot returns the current engine and its BitMat source,
-// building them (single-flight) when the store was never built. Both are
-// immutable snapshots: using them is safe while other goroutines mutate
-// the store.
-func (s *Store) ensureSnapshot() (*engine.Engine, bitmat.Source, error) {
-	s.mu.RLock()
-	eng, src := s.eng, s.src
-	s.mu.RUnlock()
-	if eng != nil && src != nil {
-		return eng, src, nil
+// ensureSnapshot returns the published query snapshot, installing it
+// (single-flight, under mu) when none is: the store was never built, or
+// a mutation's overlay install failed. The snapshot is immutable: using
+// it is safe while other goroutines mutate the store, and the fast path
+// takes no lock a writer holds.
+func (s *Store) ensureSnapshot() (*querySnapshot, error) {
+	if snap := s.snap.Load(); snap != nil {
+		return snap, nil
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -532,22 +552,26 @@ func (s *Store) ensureSnapshot() (*engine.Engine, bitmat.Source, error) {
 }
 
 // ensureSnapshotLocked is ensureSnapshot for callers already holding mu.
-func (s *Store) ensureSnapshotLocked() (*engine.Engine, bitmat.Source, error) {
-	if s.eng == nil || s.src == nil {
-		if s.base != nil {
-			if err := s.installOverlayLocked(); err != nil {
-				return nil, nil, err
-			}
-		} else if err := s.buildLocked(); err != nil {
-			return nil, nil, err
-		}
+func (s *Store) ensureSnapshotLocked() (*querySnapshot, error) {
+	if snap := s.snap.Load(); snap != nil {
+		return snap, nil
 	}
-	return s.eng, s.src, nil
+	if s.base != nil {
+		if err := s.installOverlayLocked(); err != nil {
+			return nil, err
+		}
+	} else if err := s.buildLocked(); err != nil {
+		return nil, err
+	}
+	return s.snap.Load(), nil
 }
 
 func (s *Store) ensureEngine() (*engine.Engine, error) {
-	eng, _, err := s.ensureSnapshot()
-	return eng, err
+	snap, err := s.ensureSnapshot()
+	if err != nil {
+		return nil, err
+	}
+	return snap.eng, nil
 }
 
 // ensureIndex returns a compacted index covering every mutation so far,
@@ -745,7 +769,7 @@ const (
 // directly — base plus delta overlay — so comparing against a store with
 // uncompacted updates no longer forces a full compaction first.
 func (s *Store) QueryBaseline(src string, policy BaselinePolicy) (*Result, error) {
-	_, snap, err := s.ensureSnapshot()
+	snap, err := s.ensureSnapshot()
 	if err != nil {
 		return nil, err
 	}
@@ -753,7 +777,7 @@ func (s *Store) QueryBaseline(src string, policy BaselinePolicy) (*Result, error
 	if policy == VirtuosoLike {
 		pol = baseline.SelectiveMaster
 	}
-	res, err := baseline.New(snap, pol).ExecuteString(src)
+	res, err := baseline.New(snap.src, pol).ExecuteString(src)
 	if err != nil {
 		return nil, err
 	}

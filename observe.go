@@ -90,29 +90,26 @@ func (s *Store) logSlowQuery(src string, d time.Duration, rows int, root *trace.
 // ensureEngineTraced is ensureEngine with an optional "snapshot" span
 // recording which snapshot the query bound to: the generation, the delta
 // size, and whether the snapshot is an overlay (base plus uncompacted
-// delta) rather than a compacted index. The span's duration is the
-// snapshot acquisition cost — near zero on the fast path, a full build
-// when the store was never built or a mutation dropped the snapshot.
+// delta) rather than a compacted index. The attributes come from the
+// published snapshot itself, so they describe exactly the view the query
+// runs on. The span's duration is the snapshot acquisition cost — near
+// zero on the fast path, a full build when the store was never built or
+// a mutation dropped the snapshot.
 func (s *Store) ensureEngineTraced(sp *trace.Span) (*engine.Engine, error) {
 	if sp == nil {
 		return s.ensureEngine()
 	}
 	ssp := sp.Child("snapshot")
-	eng, src, err := s.ensureSnapshot()
+	snap, err := s.ensureSnapshot()
 	if err != nil {
 		ssp.End()
 		return nil, err
 	}
-	s.mu.RLock()
-	gen := s.gen
-	delta := len(s.ins) + len(s.del)
-	overlay := s.base != nil && src != nil && src != any(s.base)
-	s.mu.RUnlock()
-	ssp.Set("generation", gen)
-	ssp.Set("delta", delta)
-	ssp.Set("overlay", overlay)
+	ssp.Set("generation", snap.gen)
+	ssp.Set("delta", snap.delta)
+	ssp.Set("overlay", snap.delta > 0)
 	ssp.End()
-	return eng, nil
+	return snap.eng, nil
 }
 
 // WALStats is a point-in-time snapshot of the store's durability and

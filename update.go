@@ -83,12 +83,12 @@ func (s *Store) ApplyUpdateContext(ctx context.Context, src string) (UpdateResul
 // pre-operation snapshot and instantiates its templates. The caller holds
 // mu.
 func (s *Store) evalModifyLocked(ctx context.Context, up *sparql.Update, op *sparql.UpdateOp) (del, ins []Triple, err error) {
-	eng, _, err := s.ensureSnapshotLocked()
+	snap, err := s.ensureSnapshotLocked()
 	if err != nil {
 		return nil, nil, err
 	}
 	q := &sparql.Query{Prefixes: up.Prefixes, Where: op.Where, Limit: -1, Offset: -1}
-	r, err := eng.ExecuteContext(ctx, q)
+	r, err := snap.eng.ExecuteContext(ctx, q)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -207,11 +207,11 @@ func (s *Store) mutateLocked(del, ins []Triple, log bool) (int, int, error) {
 	s.lsn++
 	// A snapshot exists only over a base, so the overlay has one to merge
 	// over.
-	if s.eng != nil {
+	if s.snap.Load() != nil {
 		if err := s.installOverlayLocked(); err != nil {
 			// Never serve stale data: drop the snapshot and let the next
 			// query install the overlay again.
-			s.src, s.eng = nil, nil
+			s.snap.Store(nil)
 		}
 	}
 	if s.opts.CompactThreshold > 0 && len(s.ins)+len(s.del) >= s.opts.CompactThreshold {
@@ -328,7 +328,7 @@ func (s *Store) runCompaction(c compaction) error {
 	s.base = idx
 	s.ins, s.del = rebaseDelta(c.ins, c.del, s.ins, s.del)
 	if err := s.installOverlayLocked(); err != nil {
-		s.src, s.eng = nil, nil
+		s.snap.Store(nil)
 	}
 	return nil
 }

@@ -146,7 +146,7 @@ func (s *Store) OpenWAL(path string) (int, error) {
 		// Drop the live snapshot first so per-entry replay does not rebuild
 		// an overlay per line; the next query installs one overlay over the
 		// whole replayed delta.
-		s.src, s.eng = nil, nil
+		s.snap.Store(nil)
 		for _, e := range entries {
 			var nd, ni int
 			var err error
