@@ -48,7 +48,9 @@ test-cache:
 		./internal/engine ./internal/server .
 
 # test-update runs the write-path test surface under -race: SPARQL Update
-# semantics and the differential update oracle, WAL crash recovery, MVCC
+# semantics and the differential update oracle, an S-O join through a
+# term that an uncompacted insert gave its second role (engine and
+# baseline), WAL crash recovery, MVCC
 # snapshot isolation, overlay-vs-rebuild equivalence, the update parser,
 # the server's update endpoint/ETag tests, the bulk load (its
 # equivalence to AddAll-then-Build, its races with Add/Query/Build, and
@@ -59,7 +61,7 @@ test-cache:
 # writes.
 test-update:
 	$(GO) test -race -count=1 \
-		-run 'TestApplyUpdate|TestUpdate|TestAutoCompact|TestWAL|TestOverlay|TestExtend|TestParseUpdate|TestETag|TestMetricsSnapshotGeneration|TestStoreMutation|TestLoadNTriples|TestSaveIndexGoldenDigest|TestReadsDoNotWaitForWriter|TestSnapshotSpanMatchesQueryView' \
+		-run 'TestApplyUpdate|TestUpdate|TestSecondRoleJoin|TestAutoCompact|TestWAL|TestOverlay|TestExtend|TestParseUpdate|TestETag|TestMetricsSnapshotGeneration|TestStoreMutation|TestLoadNTriples|TestSaveIndexGoldenDigest|TestReadsDoNotWaitForWriter|TestSnapshotSpanMatchesQueryView' \
 		./internal/rdf ./internal/bitmat ./internal/sparql ./internal/server .
 
 # test-trace runs the observability test surface under -race: every test

@@ -1,8 +1,10 @@
 package lbr
 
 import (
+	"fmt"
 	"maps"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/difftest"
@@ -15,7 +17,15 @@ import (
 // evaluator as a sorted multiset, and the rendered result must be
 // byte-identical to the first worker count's. check, when non-nil,
 // inspects each rendering.
-func storeSweep(t *testing.T, triples []Triple, queries []string, workers []int, check func(src, rendered string)) {
+//
+// One more store is built over the first half of the triples and gets
+// the rest through ApplyUpdate, never compacted, so base terms gain their
+// second role in the delta overlay; its rows must agree with the
+// reference too. On every query in the baseline's domain
+// (difftest.BaselineDomain) the baseline is the third opinion, under both
+// policies, on the first built store and on the delta store; at least
+// minDomain percent of the queries must be in that domain.
+func storeSweep(t *testing.T, triples []Triple, queries []string, workers []int, minDomain int, check func(src, rendered string)) {
 	t.Helper()
 	g := rdf.NewGraph()
 	g.AddAll(triples)
@@ -27,8 +37,27 @@ func storeSweep(t *testing.T, triples []Triple, queries []string, workers []int,
 			t.Fatal(err)
 		}
 	}
+	delta := NewStoreWithOptions(Options{Workers: workers[0]})
+	half := len(triples) / 2
+	delta.AddAll(triples[:half])
+	if err := delta.Build(); err != nil {
+		t.Fatal(err)
+	}
+	var up strings.Builder
+	up.WriteString("INSERT DATA {")
+	for _, tr := range triples[half:] {
+		fmt.Fprintf(&up, " %s %s %s .", tr.S, tr.P, tr.O)
+	}
+	up.WriteString(" }")
+	if _, err := delta.ApplyUpdate(up.String()); err != nil {
+		t.Fatal(err)
+	}
+	if delta.DeltaSize() == 0 && half < len(triples) {
+		t.Fatal("the delta store compacted its update")
+	}
+	inDomain := 0
 	for qi, src := range queries {
-		_, want, vars := difftest.RefSrc(t, g, src)
+		q, want, vars := difftest.RefSrc(t, g, src)
 		first := ""
 		for i, s := range stores {
 			res, err := s.Query(src)
@@ -49,6 +78,32 @@ func storeSweep(t *testing.T, triples []Triple, queries []string, workers []int,
 					qi, workers[i], workers[0], src)
 			}
 		}
+		res, err := delta.Query(src)
+		if err != nil {
+			t.Fatalf("query %d on the delta store, %q: %v", qi, src, err)
+		}
+		if v := difftest.Verdict(difftest.Keys(res.Vars, res.Rows(), vars), want); v != "" {
+			t.Fatalf("query %d on the delta store, %s: store vs reference: %s", qi, src, v)
+		}
+		if !difftest.BaselineDomain(q) {
+			continue
+		}
+		inDomain++
+		for _, s := range []*Store{stores[0], delta} {
+			for _, pol := range []BaselinePolicy{MonetDBLike, VirtuosoLike} {
+				res, err := s.QueryBaseline(src, pol)
+				if err != nil {
+					t.Fatalf("query %d baseline %d on %q: %v", qi, pol, src, err)
+				}
+				if v := difftest.Verdict(difftest.Keys(res.Vars, res.Rows(), vars), want); v != "" {
+					t.Fatalf("query %d baseline %d (delta store: %v) on %s: baseline vs reference: %s",
+						qi, pol, s == delta, src, v)
+				}
+			}
+		}
+	}
+	if inDomain*100 < minDomain*len(queries) {
+		t.Fatalf("only %d of %d queries lie in the baseline's domain, want at least %d %%", inDomain, len(queries), minDomain)
 	}
 }
 
@@ -105,5 +160,5 @@ func TestDifferentialFilterWorkerSweep(t *testing.T) {
 		t.Fatalf("of %d generated queries %d carried a top-level FILTER, %d over an OPTIONAL's variable",
 			trials, filtered, overOpt)
 	}
-	storeSweep(t, g.Triples(), queries, []int{1, 2, 4, 8}, nil)
+	storeSweep(t, g.Triples(), queries, []int{1, 2, 4, 8}, 90, nil)
 }

@@ -71,22 +71,16 @@ type Result struct {
 	Elapsed time.Duration
 }
 
-// val encodes a binding as space<<32|id; 0 is NULL. The shared S/O band is
-// canonicalized to the subject space so S-O joins compare equal.
+// val encodes a binding as space<<32|id; 0 is NULL. Subjects and objects
+// share one ID space, so an S-O join compares equal values.
 type val uint64
 
 const (
-	spcS uint64 = 1
-	spcO uint64 = 2
-	spcP uint64 = 3
+	spcSO uint64 = 1
+	spcP  uint64 = 2
 )
 
-func (e *Engine) mkVal(space uint64, id rdf.ID) val {
-	if space == spcO && int(id) <= e.dict.NumShared() {
-		space = spcS
-	}
-	return val(space<<32 | uint64(id))
-}
+func mkVal(space uint64, id rdf.ID) val { return val(space<<32 | uint64(id)) }
 
 func (e *Engine) valTerm(v val) rdf.Term {
 	if v == 0 {
@@ -95,33 +89,12 @@ func (e *Engine) valTerm(v val) rdf.Term {
 	id := rdf.ID(v & 0xffffffff)
 	var t rdf.Term
 	switch uint64(v) >> 32 {
-	case spcS:
-		t, _ = e.dict.Subject(id)
-	case spcO:
-		t, _ = e.dict.Object(id)
+	case spcSO:
+		t, _ = e.dict.SOTerm(id)
 	case spcP:
 		t, _ = e.dict.Predicate(id)
 	}
 	return t
-}
-
-// asSpace converts a value to the ID it denotes on the given axis space, if
-// representable there.
-func (e *Engine) asSpace(v val, space uint64) (rdf.ID, bool) {
-	if v == 0 {
-		return 0, false
-	}
-	vs := uint64(v) >> 32
-	id := rdf.ID(v & 0xffffffff)
-	if vs == space {
-		return id, true
-	}
-	if (vs == spcS && space == spcO) || (vs == spcO && space == spcS) {
-		if int(id) <= e.dict.NumShared() {
-			return id, true
-		}
-	}
-	return 0, false
 }
 
 // relation is a materialized intermediate result.

@@ -69,37 +69,37 @@ func (e *Engine) scan(tp sparql.TriplePattern, c ctx) (*relation, error) {
 		// Predicate table scan, optionally via the O-S index when the
 		// subject is unconstrained but the object is in context.
 		for _, pr := range e.idx.SOPairs(p) {
-			emit(e.mkVal(spcS, rdf.ID(pr.A)), e.mkVal(spcP, p), e.mkVal(spcO, rdf.ID(pr.B)))
+			emit(mkVal(spcSO, rdf.ID(pr.A)), mkVal(spcP, p), mkVal(spcSO, rdf.ID(pr.B)))
 		}
 	case p != 0 && s != 0 && o == 0:
 		for _, pr := range bitmat.PairRange(e.idx.SubjectPairs(s), uint32(p)) {
-			emit(e.mkVal(spcS, s), e.mkVal(spcP, p), e.mkVal(spcO, rdf.ID(pr.B)))
+			emit(mkVal(spcSO, s), mkVal(spcP, p), mkVal(spcSO, rdf.ID(pr.B)))
 		}
 	case p != 0 && s == 0 && o != 0:
 		for _, pr := range bitmat.PairRange(e.idx.OSPairs(p), uint32(o)) {
-			emit(e.mkVal(spcS, rdf.ID(pr.B)), e.mkVal(spcP, p), e.mkVal(spcO, o))
+			emit(mkVal(spcSO, rdf.ID(pr.B)), mkVal(spcP, p), mkVal(spcSO, o))
 		}
 	case s != 0 && p == 0:
 		for _, pr := range e.idx.SubjectPairs(s) {
 			if o != 0 && pr.B != uint32(o) {
 				continue
 			}
-			emit(e.mkVal(spcS, s), e.mkVal(spcP, rdf.ID(pr.A)), e.mkVal(spcO, rdf.ID(pr.B)))
+			emit(mkVal(spcSO, s), mkVal(spcP, rdf.ID(pr.A)), mkVal(spcSO, rdf.ID(pr.B)))
 		}
 	case o != 0 && p == 0:
 		for _, pr := range e.idx.ObjectPairs(o) {
-			emit(e.mkVal(spcS, rdf.ID(pr.B)), e.mkVal(spcP, rdf.ID(pr.A)), e.mkVal(spcO, o))
+			emit(mkVal(spcSO, rdf.ID(pr.B)), mkVal(spcP, rdf.ID(pr.A)), mkVal(spcSO, o))
 		}
 	case s != 0 && p != 0 && o != 0:
 		if e.idx.Contains(s, p, o) {
-			emit(e.mkVal(spcS, s), e.mkVal(spcP, p), e.mkVal(spcO, o))
+			emit(mkVal(spcSO, s), mkVal(spcP, p), mkVal(spcSO, o))
 		}
 	default:
 		// Three variables: the full-table dump as a union of per-predicate
 		// scans, mirroring the LBR engine's rewrite of (?s ?p ?o).
 		for pid := 1; pid <= e.dict.NumPredicates(); pid++ {
 			for _, pr := range e.idx.SOPairs(rdf.ID(pid)) {
-				emit(e.mkVal(spcS, rdf.ID(pr.A)), e.mkVal(spcP, rdf.ID(pid)), e.mkVal(spcO, rdf.ID(pr.B)))
+				emit(mkVal(spcSO, rdf.ID(pr.A)), mkVal(spcP, rdf.ID(pid)), mkVal(spcSO, rdf.ID(pr.B)))
 			}
 		}
 	}

@@ -56,8 +56,8 @@ func TestFigure41Bitcube(t *testing.T) {
 				continue
 			}
 			wantCount++
-			s := dict.SubjectID(tr.S)
-			o := dict.ObjectID(tr.O)
+			s := dict.SOID(tr.S)
+			o := dict.SOID(tr.O)
 			if !so.Test(int(s-1), int(o-1)) {
 				t.Errorf("S-O BitMat of %s missing (%s,%s)", pred, tr.S, tr.O)
 			}
@@ -91,11 +91,11 @@ func TestIndexCardinalities(t *testing.T) {
 			t.Errorf("Count(?s %s ?o) = %d, want %d", c.pred, got, c.want)
 		}
 	}
-	julia := dict.SubjectID(rdf.NewIRI("Julia"))
+	julia := dict.SOID(rdf.NewIRI("Julia"))
 	if got := Count(idx, julia, 0, 0); got != 4 {
 		t.Errorf("Count(Julia ?p ?o) = %d, want 4", got)
 	}
-	curb := dict.ObjectID(rdf.NewIRI("CurbYourEnthu"))
+	curb := dict.SOID(rdf.NewIRI("CurbYourEnthu"))
 	if got := Count(idx, 0, 0, curb); got != 2 {
 		t.Errorf("Count(?s ?p CurbYourEnthu) = %d, want 2", got)
 	}
@@ -111,20 +111,20 @@ func TestRowPSAndRowPO(t *testing.T) {
 	idx, dict := buildSample(t)
 	// (?who actedIn CurbYourEnthu) -> Julia and Larry.
 	p := dict.PredicateID(rdf.NewIRI("actedIn"))
-	o := dict.ObjectID(rdf.NewIRI("CurbYourEnthu"))
+	o := dict.SOID(rdf.NewIRI("CurbYourEnthu"))
 	m := RowPS(idx, p, o)
 	if m.Count() != 2 {
 		t.Fatalf("RowPS count = %d, want 2", m.Count())
 	}
 	for _, name := range []string{"Julia", "Larry"} {
-		s := dict.SubjectID(rdf.NewIRI(name))
+		s := dict.SOID(rdf.NewIRI(name))
 		if !m.Test(0, int(s-1)) {
 			t.Errorf("RowPS missing %s", name)
 		}
 	}
 	// (Jerry hasFriend ?x) -> Julia and Larry.
 	hf := dict.PredicateID(rdf.NewIRI("hasFriend"))
-	jerry := dict.SubjectID(rdf.NewIRI("Jerry"))
+	jerry := dict.SOID(rdf.NewIRI("Jerry"))
 	m2 := RowPO(idx, hf, jerry)
 	if m2.Count() != 2 {
 		t.Fatalf("RowPO count = %d, want 2", m2.Count())
@@ -138,7 +138,7 @@ func TestRowPSAndRowPO(t *testing.T) {
 func TestContains(t *testing.T) {
 	idx, dict := buildSample(t)
 	enc := func(s, p, o string) (rdf.ID, rdf.ID, rdf.ID) {
-		return dict.SubjectID(rdf.NewIRI(s)), dict.PredicateID(rdf.NewIRI(p)), dict.ObjectID(rdf.NewIRI(o))
+		return dict.SOID(rdf.NewIRI(s)), dict.PredicateID(rdf.NewIRI(p)), dict.SOID(rdf.NewIRI(o))
 	}
 	s, p, o := enc("Julia", "actedIn", "Seinfeld")
 	if !idx.Contains(s, p, o) {
@@ -153,7 +153,7 @@ func TestContains(t *testing.T) {
 func TestMatPSMatPOFamilies(t *testing.T) {
 	idx, dict := buildSample(t)
 	// P-O BitMat of Julia: rows over predicates, one row (actedIn) with 4 bits.
-	julia := dict.SubjectID(rdf.NewIRI("Julia"))
+	julia := dict.SOID(rdf.NewIRI("Julia"))
 	po := MatPO(idx, julia)
 	if po.NRows() != dict.NumPredicates() || po.Count() != 4 {
 		t.Fatalf("MatPO(Julia): rows=%d count=%d", po.NRows(), po.Count())
@@ -164,7 +164,7 @@ func TestMatPSMatPOFamilies(t *testing.T) {
 	}
 	// P-S BitMat of Seinfeld: actedIn row has Julia; location row is empty
 	// (Seinfeld is the subject of location, not the object).
-	seinfeld := dict.ObjectID(rdf.NewIRI("Seinfeld"))
+	seinfeld := dict.SOID(rdf.NewIRI("Seinfeld"))
 	ps := MatPS(idx, seinfeld)
 	if ps.Count() != 1 {
 		t.Fatalf("MatPS(Seinfeld) count = %d, want 1", ps.Count())
@@ -326,7 +326,7 @@ func TestIndexSerializationRoundTrip(t *testing.T) {
 			t.Errorf("predicate %d O-S mismatch after round trip", p)
 		}
 	}
-	for s := 1; s <= dict.NumSubjects(); s++ {
+	for s := 1; s <= dict.NumSO(); s++ {
 		if !MatPO(back, rdf.ID(s)).Equal(MatPO(idx, rdf.ID(s))) {
 			t.Errorf("subject %d P-O mismatch", s)
 		}
@@ -349,7 +349,8 @@ func TestIndexSerializationRejectsCorrupt(t *testing.T) {
 func TestSizes(t *testing.T) {
 	idx, dict := buildSample(t)
 	rep := idx.Sizes()
-	wantMats := 2*dict.NumPredicates() + dict.NumSubjects() + dict.NumObjects()
+	st := idx.Stats()
+	wantMats := 2*dict.NumPredicates() + st.Subjects + st.Objects
 	if rep.BitMats != wantMats {
 		t.Errorf("BitMats = %d, want %d (2|Vp|+|Vs|+|Vo|)", rep.BitMats, wantMats)
 	}

@@ -30,8 +30,8 @@ func BuildParallel(g *rdf.Graph, _ int) (*Index, error) { return Build(g) }
 // Builder accumulates the triples of one index. Add interns each triple's
 // terms in an rdf.DictionaryBuilder and keeps the triple as provisional
 // IDs, so a term occurrence costs one map lookup; Build assigns the
-// Appendix-D layout once per distinct term and indexes the remapped
-// triples. Duplicate triples may be added: they collapse on Build.
+// key-ordered S/O and P spaces once per distinct term and indexes the
+// remapped triples. Duplicate triples may be added: they collapse on Build.
 type Builder struct {
 	dict *rdf.DictionaryBuilder
 	ids  []rdf.IDTriple // provisional, in Add order
@@ -79,10 +79,9 @@ func (b *Builder) Build() *Index {
 	})
 	ids = slices.Compact(ids)
 
-	nP, nS, nO := dict.NumPredicates(), dict.NumSubjects(), dict.NumObjects()
-	predCnt := make([]int, nP)
-	subCnt := make([]int, nS)
-	objCnt := make([]int, nO)
+	predCnt := make([]int, dict.NumPredicates())
+	subCnt := make([]int, dict.NumSO())
+	objCnt := make([]int, dict.NumSO())
 	for _, it := range ids {
 		predCnt[it.P-1]++
 		subCnt[it.S-1]++

@@ -40,8 +40,8 @@ func referenceBuild(triples []rdf.Triple, dict *rdf.Dictionary) (*Index, error) 
 		dict:      dict,
 		soPairs:   make([][]Pair, dict.NumPredicates()),
 		osPairs:   make([][]Pair, dict.NumPredicates()),
-		bySubject: make([][]Pair, dict.NumSubjects()),
-		byObject:  make([][]Pair, dict.NumObjects()),
+		bySubject: make([][]Pair, dict.NumSO()),
+		byObject:  make([][]Pair, dict.NumSO()),
 	}
 	for _, tr := range triples {
 		it, err := dict.Encode(tr)

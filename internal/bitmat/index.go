@@ -23,7 +23,8 @@ type Index struct {
 	osPairs [][]Pair
 
 	// bySubject[s-1] holds (P,O) pairs sorted by (P,O); byObject[o-1] holds
-	// (P,S) pairs sorted by (P,S).
+	// (P,S) pairs sorted by (P,S). Both span the whole S/O space, so a
+	// term without the role has an empty list.
 	bySubject [][]Pair
 	byObject  [][]Pair
 
@@ -46,13 +47,9 @@ func (idx *Index) Validate() error {
 		return fmt.Errorf("bitmat: predicate tables (%d,%d) do not match dictionary (%d predicates)",
 			len(idx.soPairs), len(idx.osPairs), idx.dict.NumPredicates())
 	}
-	if len(idx.bySubject) != idx.dict.NumSubjects() {
-		return fmt.Errorf("bitmat: subject postings (%d) do not match dictionary (%d subjects)",
-			len(idx.bySubject), idx.dict.NumSubjects())
-	}
-	if len(idx.byObject) != idx.dict.NumObjects() {
-		return fmt.Errorf("bitmat: object postings (%d) do not match dictionary (%d objects)",
-			len(idx.byObject), idx.dict.NumObjects())
+	if len(idx.bySubject) != idx.dict.NumSO() || len(idx.byObject) != idx.dict.NumSO() {
+		return fmt.Errorf("bitmat: postings (%d subjects, %d objects) do not match dictionary (%d S/O terms)",
+			len(idx.bySubject), len(idx.byObject), idx.dict.NumSO())
 	}
 	var total int64
 	for p, pairs := range idx.soPairs {
@@ -70,6 +67,26 @@ func (idx *Index) Validate() error {
 // NumTriples reports the number of indexed triples.
 func (idx *Index) NumTriples() int64 { return idx.nTriples }
 
+// Stats counts the index the way Table 6.1 does. A term's roles are read
+// off its postings: it is a subject when it has subject pairs and an
+// object when it has object pairs.
+func (idx *Index) Stats() rdf.Stats {
+	st := rdf.Stats{Triples: int(idx.nTriples), Predicates: idx.dict.NumPredicates()}
+	for i := range idx.bySubject {
+		s, o := len(idx.bySubject[i]) > 0, len(idx.byObject[i]) > 0
+		if s {
+			st.Subjects++
+		}
+		if o {
+			st.Objects++
+		}
+		if s && o {
+			st.Shared++
+		}
+	}
+	return st
+}
+
 // ForEachTriple calls fn with every indexed triple, as its coordinates
 // and decoded back into terms, in index order: by predicate ID, then by
 // (S,O). It stops early when fn returns false.
@@ -82,11 +99,11 @@ func (idx *Index) ForEachTriple(fn func(rdf.IDTriple, rdf.Triple) bool) error {
 		}
 		for _, pr := range pairs {
 			it := rdf.IDTriple{S: rdf.ID(pr.A), P: pid, O: rdf.ID(pr.B)}
-			s, err := idx.dict.Subject(it.S)
+			s, err := idx.dict.SOTerm(it.S)
 			if err != nil {
 				return err
 			}
-			o, err := idx.dict.Object(it.O)
+			o, err := idx.dict.SOTerm(it.O)
 			if err != nil {
 				return err
 			}

@@ -1,8 +1,9 @@
 // Package bitmat implements the BitMat index of Section 4 of the paper: the
 // RDF graph as a 3D bitcube of dimensions Vs x Vp x Vo, sliced into 2D
-// bit matrices. Four families exist: S-O and O-S BitMats per predicate, P-S
-// BitMats per object, and P-O BitMats per subject (2|Vp| + |Vs| + |Vo| in
-// total). Rows are compressed with the hybrid run-length/sparse codec of
+// bit matrices. The S and O dimensions both span the one subject/object
+// ID space of rdf.Dictionary. Four families exist: S-O and O-S BitMats per
+// predicate, P-S BitMats per object, and P-O BitMats per subject
+// (2|Vp| + |Vs| + |Vo| in total). Rows are compressed with the hybrid run-length/sparse codec of
 // internal/bitvec, and the fold and unfold primitives work directly on the
 // compressed rows.
 package bitmat
@@ -127,9 +128,18 @@ func (m *Matrix) Clone() *Matrix {
 
 // FoldCols implements fold(BM, colDim): the projection of the column
 // dimension, i.e. a bit array over columns with a 1 wherever any row has a
-// set bit. It is a bitwise OR over the compressed rows.
+// set bit. It is a bitwise OR over the compressed rows, into a Bits that
+// stores only the columns between the first and the last set bit.
 func (m *Matrix) FoldCols() *bitvec.Bits {
-	acc := bitvec.NewBits(m.nCols)
+	if len(m.rows) == 0 {
+		return bitvec.NewBitsSpan(m.nCols, 0, 0)
+	}
+	lo, hi := m.rows[0].Span()
+	for _, row := range m.rows[1:] {
+		rlo, rhi := row.Span()
+		lo, hi = min(lo, rlo), max(hi, rhi)
+	}
+	acc := bitvec.NewBitsSpan(m.nCols, lo, hi)
 	for _, row := range m.rows {
 		row.OrInto(acc)
 	}
@@ -137,9 +147,13 @@ func (m *Matrix) FoldCols() *bitvec.Bits {
 }
 
 // FoldRows implements fold(BM, rowDim): a bit array over rows with a 1 for
-// every non-empty row.
+// every non-empty row, storing only the rows between the first and the
+// last live one.
 func (m *Matrix) FoldRows() *bitvec.Bits {
-	acc := bitvec.NewBits(m.nRows)
+	if len(m.ids) == 0 {
+		return bitvec.NewBitsSpan(m.nRows, 0, 0)
+	}
+	acc := bitvec.NewBitsSpan(m.nRows, int(m.ids[0]), int(m.ids[len(m.ids)-1])+1)
 	for _, r := range m.ids {
 		acc.Set(int(r))
 	}

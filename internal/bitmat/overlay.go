@@ -14,7 +14,9 @@ import (
 // exactly as they do for a compacted index. The results are identical to
 // what a freshly rebuilt index over base ⊎ delta would produce — modulo
 // the coordinate system, which keeps the base dictionary's IDs and appends
-// new terms past the end of each dimension (see rdf.Dictionary.Extend).
+// new terms past the end of each space (see rdf.Dictionary.Extend). A base
+// term that the delta gives its second role keeps its one S/O ID, so an
+// S-O join through it needs no translation.
 //
 // Invariants established by NewOverlay and relied on everywhere else:
 // every inserted triple is absent from the base, every deleted triple is
@@ -182,7 +184,7 @@ func (ov *Overlay) OSPairs(p rdf.ID) []Pair {
 // SubjectPairs returns the merged (P,O) pairs of subject s, matching
 // Index.SubjectPairs. The slice is shared; do not mutate it.
 func (ov *Overlay) SubjectPairs(s rdf.ID) []Pair {
-	if s == 0 || int(s) > ov.dict.NumSubjects() {
+	if s == 0 || int(s) > ov.dict.NumSO() {
 		return nil
 	}
 	return ov.merged(&ov.mergedPO, s, ov.base.SubjectPairs(s), ov.delPO, ov.insPO)
@@ -191,7 +193,7 @@ func (ov *Overlay) SubjectPairs(s rdf.ID) []Pair {
 // ObjectPairs returns the merged (P,S) pairs of object o, matching
 // Index.ObjectPairs. The slice is shared; do not mutate it.
 func (ov *Overlay) ObjectPairs(o rdf.ID) []Pair {
-	if o == 0 || int(o) > ov.dict.NumObjects() {
+	if o == 0 || int(o) > ov.dict.NumSO() {
 		return nil
 	}
 	return ov.merged(&ov.mergedPS, o, ov.base.ObjectPairs(o), ov.delPS, ov.insPS)

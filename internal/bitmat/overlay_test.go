@@ -120,7 +120,7 @@ func TestOverlayCardinalities(t *testing.T) {
 func countTerms(src Source, pat [3]string) int64 {
 	d := src.Dictionary()
 	var id [3]rdf.ID
-	for i, lookup := range []func(rdf.Term) rdf.ID{d.SubjectID, d.PredicateID, d.ObjectID} {
+	for i, lookup := range []func(rdf.Term) rdf.ID{d.SOID, d.PredicateID, d.SOID} {
 		if pat[i] == "" {
 			continue
 		}
@@ -267,12 +267,12 @@ func TestCountModel(t *testing.T) {
 			}
 			return tm, rid, true
 		}
-		for s := 0; s <= od.NumSubjects()+1; s++ {
-			st, rs, sIn := term(rdf.ID(s), od.NumSubjects(), od.Subject, rd.SubjectID, rd.NumSubjects())
+		for s := 0; s <= od.NumSO()+1; s++ {
+			st, rs, sIn := term(rdf.ID(s), od.NumSO(), od.SOTerm, rd.SOID, rd.NumSO())
 			for p := 0; p <= od.NumPredicates()+1; p++ {
 				pt, rp, pIn := term(rdf.ID(p), od.NumPredicates(), od.Predicate, rd.PredicateID, rd.NumPredicates())
-				for o := 0; o <= od.NumObjects()+1; o++ {
-					ot, ro, oIn := term(rdf.ID(o), od.NumObjects(), od.Object, rd.ObjectID, rd.NumObjects())
+				for o := 0; o <= od.NumSO()+1; o++ {
+					ot, ro, oIn := term(rdf.ID(o), od.NumSO(), od.SOTerm, rd.SOID, rd.NumSO())
 					var want int64
 					if sIn && pIn && oIn {
 						for _, tr := range gm.Triples() {

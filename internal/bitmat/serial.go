@@ -12,15 +12,16 @@ import (
 // The Index persists as its pair tables (the canonical form from which all
 // BitMats materialize). Layout, all little-endian:
 //
-//	magic "LBRIDX1\n"
-//	u32 numPredicates, u32 numSubjects, u32 numObjects, u64 numTriples
+//	magic "LBRIDX2\n"
+//	u32 numPredicates, u32 numSO, u64 numTriples
 //	per predicate: u32 pairCount, pairCount x (u32 S, u32 O)
 //
 // The OS order and the per-subject / per-object postings are rebuilt on
 // load; they are derived data. The dictionary is persisted separately by
-// the caller (it owns the term strings).
+// the caller (it owns the term strings). "LBRIDX1\n" sized the S and O
+// dimensions apart; it is not read.
 
-var indexMagic = []byte("LBRIDX1\n")
+var indexMagic = []byte("LBRIDX2\n")
 
 // WriteTo serializes the index pair tables.
 func (idx *Index) WriteTo(w io.Writer) (int64, error) {
@@ -31,11 +32,10 @@ func (idx *Index) WriteTo(w io.Writer) (int64, error) {
 	if err != nil {
 		return n, err
 	}
-	hdr := make([]byte, 4*3+8)
+	hdr := make([]byte, 4*2+8)
 	binary.LittleEndian.PutUint32(hdr[0:], uint32(len(idx.soPairs)))
 	binary.LittleEndian.PutUint32(hdr[4:], uint32(len(idx.bySubject)))
-	binary.LittleEndian.PutUint32(hdr[8:], uint32(len(idx.byObject)))
-	binary.LittleEndian.PutUint64(hdr[12:], uint64(idx.nTriples))
+	binary.LittleEndian.PutUint64(hdr[8:], uint64(idx.nTriples))
 	m, err = bw.Write(hdr)
 	n += int64(m)
 	if err != nil {
@@ -73,19 +73,18 @@ func ReadIndex(r io.Reader, dict *rdf.Dictionary) (*Index, error) {
 	if string(magic) != string(indexMagic) {
 		return nil, fmt.Errorf("bitmat: bad magic %q", magic)
 	}
-	hdr := make([]byte, 4*3+8)
+	hdr := make([]byte, 4*2+8)
 	if _, err := io.ReadFull(br, hdr); err != nil {
 		return nil, err
 	}
 	nP := int(binary.LittleEndian.Uint32(hdr[0:]))
-	nS := int(binary.LittleEndian.Uint32(hdr[4:]))
-	nO := int(binary.LittleEndian.Uint32(hdr[8:]))
-	nT := int64(binary.LittleEndian.Uint64(hdr[12:]))
+	nSO := int(binary.LittleEndian.Uint32(hdr[4:]))
+	nT := int64(binary.LittleEndian.Uint64(hdr[8:]))
 
 	if dict != nil {
-		if dict.NumPredicates() != nP || dict.NumSubjects() != nS || dict.NumObjects() != nO {
-			return nil, fmt.Errorf("bitmat: dictionary shape (%d,%d,%d) does not match index (%d,%d,%d)",
-				dict.NumPredicates(), dict.NumSubjects(), dict.NumObjects(), nP, nS, nO)
+		if dict.NumPredicates() != nP || dict.NumSO() != nSO {
+			return nil, fmt.Errorf("bitmat: dictionary shape (%d,%d) does not match index (%d,%d)",
+				dict.NumPredicates(), dict.NumSO(), nP, nSO)
 		}
 	}
 
@@ -93,8 +92,8 @@ func ReadIndex(r io.Reader, dict *rdf.Dictionary) (*Index, error) {
 		dict:      dict,
 		soPairs:   make([][]Pair, nP),
 		osPairs:   make([][]Pair, nP),
-		bySubject: make([][]Pair, nS),
-		byObject:  make([][]Pair, nO),
+		bySubject: make([][]Pair, nSO),
+		byObject:  make([][]Pair, nSO),
 		nTriples:  nT,
 	}
 	var buf [8]byte
@@ -111,7 +110,7 @@ func ReadIndex(r io.Reader, dict *rdf.Dictionary) (*Index, error) {
 			}
 			s := binary.LittleEndian.Uint32(buf[0:])
 			o := binary.LittleEndian.Uint32(buf[4:])
-			if s == 0 || int(s) > nS || o == 0 || int(o) > nO {
+			if s == 0 || int(s) > nSO || o == 0 || int(o) > nSO {
 				return nil, fmt.Errorf("bitmat: pair (%d,%d) out of range", s, o)
 			}
 			pairs[i] = Pair{A: s, B: o}

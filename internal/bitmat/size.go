@@ -44,11 +44,15 @@ func (idx *Index) Sizes() SizeReport {
 		addMat(so)
 		addMat(MatOS(idx, rdf.ID(p), nil, nil))
 	}
-	for s := 1; s <= idx.dict.NumSubjects(); s++ {
-		addMat(MatPO(idx, rdf.ID(s)))
-	}
-	for o := 1; o <= idx.dict.NumObjects(); o++ {
-		addMat(MatPS(idx, rdf.ID(o)))
+	// One P-O BitMat per subject and one P-S BitMat per object: a term
+	// without the role has no BitMat of that family.
+	for id := 1; id <= idx.dict.NumSO(); id++ {
+		if len(idx.bySubject[id-1]) > 0 {
+			addMat(MatPO(idx, rdf.ID(id)))
+		}
+		if len(idx.byObject[id-1]) > 0 {
+			addMat(MatPS(idx, rdf.ID(id)))
+		}
 	}
 	return rep
 }

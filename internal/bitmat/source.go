@@ -50,42 +50,42 @@ var (
 // appended that the caller never bound.
 func MatSO(src Source, p rdf.ID, rowMask, colMask *bitvec.Bits) *Matrix {
 	d := src.Dictionary()
-	return matrixFromSortedPairsFiltered(d.NumSubjects(), d.NumObjects(), src.SOPairs(p), rowMask, colMask)
+	return matrixFromSortedPairsFiltered(d.NumSO(), d.NumSO(), src.SOPairs(p), rowMask, colMask)
 }
 
 // MatOS materializes the O-S BitMat of predicate p (the transpose of
 // MatSO): rows are object IDs, columns subject IDs. Masks are as in MatSO.
 func MatOS(src Source, p rdf.ID, rowMask, colMask *bitvec.Bits) *Matrix {
 	d := src.Dictionary()
-	return matrixFromSortedPairsFiltered(d.NumObjects(), d.NumSubjects(), src.OSPairs(p), rowMask, colMask)
+	return matrixFromSortedPairsFiltered(d.NumSO(), d.NumSO(), src.OSPairs(p), rowMask, colMask)
 }
 
 // MatPS materializes the P-S BitMat of object o: rows are predicate IDs,
 // columns subject IDs.
 func MatPS(src Source, o rdf.ID) *Matrix {
 	d := src.Dictionary()
-	return matrixFromSortedPairs(d.NumPredicates(), d.NumSubjects(), src.ObjectPairs(o))
+	return matrixFromSortedPairs(d.NumPredicates(), d.NumSO(), src.ObjectPairs(o))
 }
 
 // MatPO materializes the P-O BitMat of subject s: rows are predicate IDs,
 // columns object IDs.
 func MatPO(src Source, s rdf.ID) *Matrix {
 	d := src.Dictionary()
-	return matrixFromSortedPairs(d.NumPredicates(), d.NumObjects(), src.SubjectPairs(s))
+	return matrixFromSortedPairs(d.NumPredicates(), d.NumSO(), src.SubjectPairs(s))
 }
 
 // RowPS returns the single row of the P-S BitMat of object o for predicate
-// p: the subjects S with (S p o), as a 1 x |Vs| matrix. This is the load
+// p: the subjects S with (S p o), as a 1 x |Vso| matrix. This is the load
 // path for triple patterns of the form (?var :p :o).
 func RowPS(src Source, p, o rdf.ID) *Matrix {
-	return rowOf(src.Dictionary().NumSubjects(), PairRange(src.ObjectPairs(o), uint32(p)))
+	return rowOf(src.Dictionary().NumSO(), PairRange(src.ObjectPairs(o), uint32(p)))
 }
 
 // RowPO returns the single row of the P-O BitMat of subject s for predicate
-// p: the objects O with (s p O), as a 1 x |Vo| matrix. This is the load path
+// p: the objects O with (s p O), as a 1 x |Vso| matrix. This is the load path
 // for triple patterns of the form (:s :p ?var).
 func RowPO(src Source, p, s rdf.ID) *Matrix {
-	return rowOf(src.Dictionary().NumObjects(), PairRange(src.SubjectPairs(s), uint32(p)))
+	return rowOf(src.Dictionary().NumSO(), PairRange(src.SubjectPairs(s), uint32(p)))
 }
 
 // RowP returns the predicates linking subject s to object o as a 1 x |Vp|

@@ -10,15 +10,21 @@ package bitvec
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"strings"
 )
 
 const wordBits = 64
 
-// Bits is an uncompressed fixed-length bit array. The zero value is an empty
-// array of length 0; use NewBits to allocate one of a given length.
+// Bits is an uncompressed fixed-length bit array. It stores a window of
+// its words, from word off on, and every bit outside the window is clear.
+// NewBits stores every word; NewBitsSpan stores only the words a known
+// range of bits spans, so a fold over IDs that cluster costs what the
+// cluster spans, not what the axis does. The zero value is an empty array
+// of length 0; use NewBits to allocate one of a given length.
 type Bits struct {
-	words []uint64
+	words []uint64 // words[k] holds bits [(off+k)*64, (off+k+1)*64)
+	off   int      // index of the first stored word
 	n     int
 }
 
@@ -28,6 +34,20 @@ func NewBits(n int) *Bits {
 		panic("bitvec: negative length")
 	}
 	return &Bits{words: make([]uint64, (n+wordBits-1)/wordBits), n: n}
+}
+
+// NewBitsSpan returns a Bits of length n with all bits clear that stores
+// only the words spanning bits [lo, hi), where 0 <= lo <= hi <= n. Set
+// may touch only bits in that range; Or widens the window as needed.
+func NewBitsSpan(n, lo, hi int) *Bits {
+	if lo < 0 || lo > hi || hi > n {
+		panic(fmt.Sprintf("bitvec: span [%d,%d) outside length %d", lo, hi, n))
+	}
+	if lo == hi {
+		return &Bits{n: n}
+	}
+	off := lo / wordBits
+	return &Bits{words: make([]uint64, (hi+wordBits-1)/wordBits-off), off: off, n: n}
 }
 
 // NewBitsSet returns a Bits of length n with all bits set.
@@ -40,27 +60,41 @@ func NewBitsSet(n int) *Bits {
 // Len reports the number of bits in b.
 func (b *Bits) Len() int { return b.n }
 
-// Set sets bit i to 1.
+// word returns word gi of the whole array: 0 outside the stored window.
+func (b *Bits) word(gi int) uint64 {
+	if k := uint(gi - b.off); k < uint(len(b.words)) {
+		return b.words[k]
+	}
+	return 0
+}
+
+// end returns the index one past the last stored word.
+func (b *Bits) end() int { return b.off + len(b.words) }
+
+// Set sets bit i to 1. The bit must lie in the stored window.
 func (b *Bits) Set(i int) {
-	b.words[i/wordBits] |= 1 << (uint(i) % wordBits)
+	b.words[i/wordBits-b.off] |= 1 << (uint(i) % wordBits)
 }
 
 // Clear sets bit i to 0.
 func (b *Bits) Clear(i int) {
-	b.words[i/wordBits] &^= 1 << (uint(i) % wordBits)
+	if k := i/wordBits - b.off; k >= 0 && k < len(b.words) {
+		b.words[k] &^= 1 << (uint(i) % wordBits)
+	}
 }
 
 // Test reports whether bit i is set. Out-of-range indexes report false so
 // that masks shorter than a row behave like zero-extended masks.
 func (b *Bits) Test(i int) bool {
-	if i < 0 || i >= b.n {
+	if uint(i) >= uint(b.n) {
 		return false
 	}
-	return b.words[i/wordBits]&(1<<(uint(i)%wordBits)) != 0
+	return b.word(i/wordBits)&(1<<(uint(i)%wordBits)) != 0
 }
 
-// SetAll sets every bit.
+// SetAll sets every bit, storing every word.
 func (b *Bits) SetAll() {
+	b.widen(0, (b.n+wordBits-1)/wordBits)
 	for i := range b.words {
 		b.words[i] = ^uint64(0)
 	}
@@ -69,15 +103,28 @@ func (b *Bits) SetAll() {
 
 // ClearAll clears every bit.
 func (b *Bits) ClearAll() {
-	for i := range b.words {
-		b.words[i] = 0
+	clear(b.words)
+}
+
+// widen grows the stored window to cover words [lo, hi).
+func (b *Bits) widen(lo, hi int) {
+	if lo >= hi || (lo >= b.off && hi <= b.end()) {
+		return
 	}
+	if len(b.words) == 0 {
+		b.words, b.off = make([]uint64, hi-lo), lo
+		return
+	}
+	lo, hi = min(lo, b.off), max(hi, b.end())
+	words := make([]uint64, hi-lo)
+	copy(words[b.off-lo:], b.words)
+	b.words, b.off = words, lo
 }
 
 // trim clears the unused high bits of the last word so that Count and
 // equality work on whole words.
 func (b *Bits) trim() {
-	if r := b.n % wordBits; r != 0 && len(b.words) > 0 {
+	if r := b.n % wordBits; r != 0 && len(b.words) > 0 && b.end() == (b.n+wordBits-1)/wordBits {
 		b.words[len(b.words)-1] &= (1 << uint(r)) - 1
 	}
 }
@@ -106,9 +153,7 @@ func (b *Bits) And(other *Bits) {
 	if b.n != other.n {
 		panic(fmt.Sprintf("bitvec: And length mismatch %d != %d", b.n, other.n))
 	}
-	for i := range b.words {
-		b.words[i] &= other.words[i]
-	}
+	b.AndCompat(other)
 }
 
 // Or replaces b with b OR other. The two must have the same length.
@@ -116,24 +161,18 @@ func (b *Bits) Or(other *Bits) {
 	if b.n != other.n {
 		panic(fmt.Sprintf("bitvec: Or length mismatch %d != %d", b.n, other.n))
 	}
-	for i := range b.words {
-		b.words[i] |= other.words[i]
+	b.widen(other.off, other.end())
+	for k, w := range other.words {
+		b.words[other.off+k-b.off] |= w
 	}
 }
 
 // AndCompat replaces b with b AND other, treating bits beyond other's
-// length as 0. It is the intersection step for folds over dimensions of
-// different sizes (an S-dimension projection against an O-dimension one:
-// only the shared ID prefix can match).
+// length, or outside its stored window, as 0, so vectors of different
+// lengths intersect without a length check.
 func (b *Bits) AndCompat(other *Bits) {
-	// Bits beyond a vector's length are zero by construction, so word-wise
-	// AND with missing words treated as zero is exact.
-	for i := range b.words {
-		if i < len(other.words) {
-			b.words[i] &= other.words[i]
-		} else {
-			b.words[i] = 0
-		}
+	for k := range b.words {
+		b.words[k] &= other.word(b.off + k)
 	}
 }
 
@@ -142,8 +181,8 @@ func (b *Bits) AndNot(other *Bits) {
 	if b.n != other.n {
 		panic(fmt.Sprintf("bitvec: AndNot length mismatch %d != %d", b.n, other.n))
 	}
-	for i := range b.words {
-		b.words[i] &^= other.words[i]
+	for k := range b.words {
+		b.words[k] &^= other.word(b.off + k)
 	}
 }
 
@@ -152,28 +191,26 @@ func (b *Bits) Equal(other *Bits) bool {
 	if b.n != other.n {
 		return false
 	}
-	for i := range b.words {
-		if b.words[i] != other.words[i] {
+	for gi := min(b.off, other.off); gi < max(b.end(), other.end()); gi++ {
+		if b.word(gi) != other.word(gi) {
 			return false
 		}
 	}
 	return true
 }
 
-// Clone returns an independent copy of b.
+// Clone returns an independent copy of b, with the same stored window.
 func (b *Bits) Clone() *Bits {
-	c := NewBits(b.n)
-	copy(c.words, b.words)
-	return c
+	return &Bits{words: slices.Clone(b.words), off: b.off, n: b.n}
 }
 
 // ForEach calls fn with the index of every set bit in ascending order. If fn
 // returns false the iteration stops early.
 func (b *Bits) ForEach(fn func(i int) bool) {
-	for wi, w := range b.words {
+	for k, w := range b.words {
 		for w != 0 {
 			tz := bits.TrailingZeros64(w)
-			if !fn(wi*wordBits + tz) {
+			if !fn((b.off+k)*wordBits + tz) {
 				return
 			}
 			w &= w - 1
@@ -184,20 +221,17 @@ func (b *Bits) ForEach(fn func(i int) bool) {
 // NextSet returns the index of the first set bit at or after i, or -1 if
 // there is none.
 func (b *Bits) NextSet(i int) int {
-	if i < 0 {
-		i = 0
-	}
+	i = max(i, b.off*wordBits)
 	if i >= b.n {
 		return -1
 	}
-	wi := i / wordBits
-	w := b.words[wi] >> (uint(i) % wordBits)
-	if w != 0 {
+	gi := i / wordBits
+	if w := b.word(gi) >> (uint(i) % wordBits); w != 0 {
 		return i + bits.TrailingZeros64(w)
 	}
-	for wi++; wi < len(b.words); wi++ {
-		if b.words[wi] != 0 {
-			return wi*wordBits + bits.TrailingZeros64(b.words[wi])
+	for gi++; gi < b.end(); gi++ {
+		if w := b.word(gi); w != 0 {
+			return gi*wordBits + bits.TrailingZeros64(w)
 		}
 	}
 	return -1

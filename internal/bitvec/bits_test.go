@@ -214,3 +214,83 @@ func TestSetRangeAllSpans(t *testing.T) {
 		}
 	}
 }
+
+// spanBits returns a Bits of length n storing only the words of [lo, hi),
+// with bits of that range set at density d, and the same bits in a Bits
+// that stores every word.
+func spanBits(rng *rand.Rand, n, lo, hi int, d float64) (span, full *Bits) {
+	span, full = NewBitsSpan(n, lo, hi), NewBits(n)
+	for i := lo; i < hi; i++ {
+		if rng.Float64() < d {
+			span.Set(i)
+			full.Set(i)
+		}
+	}
+	return span, full
+}
+
+// TestBitsSpanAgainstFull checks every operation on a Bits that stores a
+// window of its words against the same bits stored whole, windows on word
+// boundaries and off them, empty ones included.
+func TestBitsSpanAgainstFull(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 300; trial++ {
+		n := 1 + rng.Intn(400)
+		lo := rng.Intn(n + 1)
+		hi := lo + rng.Intn(n-lo+1)
+		a, fa := spanBits(rng, n, lo, hi, 0.4)
+		lo2 := rng.Intn(n + 1)
+		hi2 := lo2 + rng.Intn(n-lo2+1)
+		b, fb := spanBits(rng, n, lo2, hi2, 0.6)
+
+		if a.Count() != fa.Count() || a.Any() != fa.Any() || !a.Equal(fa) || !fa.Equal(a) {
+			t.Fatalf("trial %d: span %v != full %v", trial, a, fa)
+		}
+		if a.String() != fa.String() || len(a.Positions()) != fa.Count() {
+			t.Fatalf("trial %d: rendering %s != %s", trial, a, fa)
+		}
+		for i := -1; i <= n; i++ {
+			if a.Test(i) != fa.Test(i) || a.NextSet(i) != fa.NextSet(i) {
+				t.Fatalf("trial %d: bit %d: Test %v/%v NextSet %d/%d", trial, i, a.Test(i), fa.Test(i), a.NextSet(i), fa.NextSet(i))
+			}
+		}
+		for name, op := range map[string]func(x, y *Bits){
+			"And": (*Bits).And, "AndCompat": (*Bits).AndCompat, "AndNot": (*Bits).AndNot, "Or": (*Bits).Or,
+		} {
+			got, want := a.Clone(), fa.Clone()
+			op(got, b)
+			op(want, fb)
+			if !got.Equal(want) {
+				t.Fatalf("trial %d: %s: span %v, full %v", trial, name, got, want)
+			}
+		}
+		c := a.Clone()
+		c.SetAll()
+		if c.Count() != n {
+			t.Fatalf("trial %d: SetAll set %d of %d bits", trial, c.Count(), n)
+		}
+		c.ClearAll()
+		if c.Any() {
+			t.Fatalf("trial %d: ClearAll left bits set", trial)
+		}
+
+		// A row masked by the window behaves as masked by the whole, and
+		// OrInto a window of the row's span loses no bit: for a scattered
+		// (sparse) row and for one run (RLE).
+		run := NewBits(n)
+		for i := lo2; i < hi2; i++ {
+			run.Set(i)
+		}
+		for _, row := range []*Row{RowFromBits(randomBits(rng, n, 0.3)), RowFromBits(run)} {
+			if !row.And(a).Equal(row.And(fa)) {
+				t.Fatalf("trial %d: Row.And differs under a windowed mask", trial)
+			}
+			slo, shi := row.Span()
+			dst := NewBitsSpan(n, slo, shi)
+			row.OrInto(dst)
+			if !dst.Equal(row.Bits()) {
+				t.Fatalf("trial %d: OrInto a window of the row's span: %v, want %v", trial, dst, row.Bits())
+			}
+		}
+	}
+}

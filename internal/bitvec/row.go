@@ -394,8 +394,31 @@ func (r *Row) Runs(fn func(start, length int) bool) {
 	}
 }
 
-// OrInto sets in dst every bit set in r. dst must be at least r.Len() long.
-// This is the inner step of the fold operation.
+// Span returns the range [lo, hi) from the row's first set bit to one past
+// its last; lo == hi when the row is empty.
+func (r *Row) Span() (lo, hi int) {
+	switch r.enc {
+	case EncSparse:
+		return int(r.pos[0]), int(r.pos[len(r.pos)-1]) + 1
+	case EncRLE:
+		// Runs alternate, starting with value first, and are all non-empty:
+		// a leading clear run ends at the first set bit, and a trailing
+		// clear run starts past the last one.
+		lo, hi = 0, r.n
+		if !r.first {
+			lo = int(r.runs[0])
+		}
+		if last := len(r.runs) - 1; r.first != (last%2 == 0) {
+			hi -= int(r.runs[last])
+		}
+		return lo, hi
+	}
+	return 0, 0
+}
+
+// OrInto sets in dst every bit set in r. dst must be at least r.Len() long
+// and store the words of r's Span. This is the inner step of the fold
+// operation.
 func (r *Row) OrInto(dst *Bits) {
 	if dst.Len() < r.n {
 		panic(fmt.Sprintf("bitvec: OrInto destination too short: %d < %d", dst.Len(), r.n))
@@ -429,7 +452,7 @@ func setRange(dst *Bits, start, length int) {
 		} else {
 			mask = ((1 << uint(span)) - 1) << bit
 		}
-		dst.words[wi] |= mask
+		dst.words[wi-dst.off] |= mask
 		i += span
 	}
 }
@@ -458,19 +481,17 @@ func (r *Row) And(mask *Bits) *Row {
 		// Walk set runs and intersect each with the mask words, gathering
 		// surviving positions; then re-encode hybrid.
 		var out []uint32
+		lo, hi := mask.off*wordBits, min(mask.end()*wordBits, mask.n)
 		r.Runs(func(start, length int) bool {
-			end := start + length
-			for i := start; i < end; {
+			end := min(start+length, hi)
+			for i := max(start, lo); i < end; {
 				wi := i / wordBits
-				if wi >= len(mask.words) {
-					return true
-				}
 				bit := uint(i) % wordBits
 				span := wordBits - int(bit)
 				if span > end-i {
 					span = end - i
 				}
-				w := mask.words[wi] >> bit
+				w := mask.word(wi) >> bit
 				if span < wordBits {
 					w &= (1 << uint(span)) - 1
 				}

@@ -8,6 +8,7 @@ package difftest
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
 	"slices"
 	"sort"
@@ -158,4 +159,38 @@ func Verdict(got, want []string) string {
 		return fmt.Sprintf("%d rows, want %d: missing %s", len(got), len(want), want[len(got)])
 	}
 	return ""
+}
+
+// BaselineDomain reports whether q lies in the relational baseline's
+// domain: no UNION under an OPTIONAL whose alternatives bind different
+// variables. The baseline's hash join is null-intolerant by design, so a
+// left outer join whose right side carries NULLs from unequal union arms
+// may drop rows SPARQL keeps; everything else the grammar emits, the
+// baseline answers exactly.
+func BaselineDomain(q *sparql.Query) bool { return baselineDomain(q.Where, false) }
+
+func baselineDomain(g sparql.Group, underOpt bool) bool {
+	for _, el := range g.Elements {
+		switch el := el.(type) {
+		case sparql.Optional:
+			if !baselineDomain(el.Group, true) {
+				return false
+			}
+		case sparql.SubGroup:
+			if !baselineDomain(el.Group, underOpt) {
+				return false
+			}
+		case sparql.Union:
+			first := sparql.GroupVars(el.Alternatives[0])
+			for _, alt := range el.Alternatives {
+				if underOpt && !maps.Equal(sparql.GroupVars(alt), first) {
+					return false
+				}
+				if !baselineDomain(alt, underOpt) {
+					return false
+				}
+			}
+		}
+	}
+	return true
 }

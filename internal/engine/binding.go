@@ -10,83 +10,50 @@ import (
 	"repro/internal/rdf"
 )
 
-// Space identifies the ID space of a matrix axis or a binding: the subject,
-// object, or predicate dimension of the bitcube.
+// Space identifies the ID space of a matrix axis or a binding: the one
+// subject/object space of the bitcube, or the predicate dimension.
 type Space uint8
 
 const (
 	// SpaceNone marks an absent axis (one-variable patterns use a single
 	// row; the row axis carries no variable).
 	SpaceNone Space = iota
-	// SpaceS is the subject dimension.
-	SpaceS
-	// SpaceO is the object dimension.
-	SpaceO
+	// SpaceSO is the subject/object space, shared by the S and O
+	// dimensions.
+	SpaceSO
 	// SpaceP is the predicate dimension.
 	SpaceP
 )
 
 func (s Space) String() string {
 	switch s {
-	case SpaceS:
-		return "S"
-	case SpaceO:
-		return "O"
+	case SpaceSO:
+		return "SO"
 	case SpaceP:
 		return "P"
 	}
 	return "-"
 }
 
-// Binding is one variable binding in coordinate form. Bindings are
-// canonicalized against the shared subject/object prefix: an object ID
-// within the shared band is stored as SpaceS, so equal canonical bindings
-// denote equal terms.
+// Binding is one variable binding in coordinate form. A term has one ID
+// in its space, so equal bindings denote equal terms.
 type Binding struct {
 	Space Space
 	ID    rdf.ID
 }
 
-// canonical maps a raw (space, id) pair to canonical form under the given
-// dictionary: an object ID whose term also has a subject role (shared band
-// or extension pair) is stored under that subject ID in SpaceS, so equal
-// canonical bindings denote equal terms.
-func canonical(space Space, id rdf.ID, d *rdf.Dictionary) Binding {
-	if space == SpaceO {
-		if s := d.ObjectToSubject(id); s != 0 {
-			return Binding{Space: SpaceS, ID: s}
-		}
-	}
-	return Binding{Space: space, ID: id}
-}
-
-// axisIndex converts a canonical binding to a 0-based index on an axis of
-// the given space. ok is false when the bound term cannot occur on that
-// axis (e.g. a subject-only ID probed against an object axis).
-func axisIndex(b Binding, axis Space, d *rdf.Dictionary) (int, bool) {
-	if b.Space == axis {
-		return int(b.ID) - 1, true
-	}
-	if b.Space == SpaceS && axis == SpaceO {
-		if o := d.SubjectToObject(b.ID); o != 0 {
-			return int(o) - 1, true
-		}
-	}
-	if b.Space == SpaceO && axis == SpaceS {
-		if s := d.ObjectToSubject(b.ID); s != 0 {
-			return int(s) - 1, true
-		}
-	}
-	return 0, false
+// axisIndex converts a binding to a 0-based index on an axis of the given
+// space. ok is false when the bound term cannot occur on that axis (a
+// predicate probed against an S/O axis, or the reverse).
+func axisIndex(b Binding, axis Space) (int, bool) {
+	return int(b.ID) - 1, b.Space == axis
 }
 
 // term resolves a binding to its RDF term.
 func (e *Engine) term(b Binding) (rdf.Term, error) {
 	switch b.Space {
-	case SpaceS:
-		return e.dict.Subject(b.ID)
-	case SpaceO:
-		return e.dict.Object(b.ID)
+	case SpaceSO:
+		return e.dict.SOTerm(b.ID)
 	case SpaceP:
 		return e.dict.Predicate(b.ID)
 	}

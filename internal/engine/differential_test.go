@@ -101,20 +101,42 @@ func diffGraphs(t *testing.T, name string, queries []string, graphs []*rdf.Graph
 	}
 }
 
+// BaselineOpinion runs the relational baseline, under both of its
+// policies, on q over idx and describes its first disagreement with the
+// reference keys want (over vars); "" means it agrees. The baseline
+// imports this package, so the external test package installs it
+// (baseline_opinion_test.go).
+var BaselineOpinion func(idx bitmat.Source, q *sparql.Query, want []string, vars []sparql.Var) string
+
 // sweepWorkers runs trials grammar queries at weights w, each on a fresh
 // random graph, at Workers ∈ {1, 2, 8} with the parallel thresholds
 // forced down so branch scheduling and adaptive partitioning really
 // engage. Every execution must agree with the reference evaluator as a
 // sorted multiset, and the parallel runs must be byte-identical — order
-// and NULL cells included — to the sequential run.
-func sweepWorkers(t *testing.T, seed int64, trials int, w difftest.Weights) {
+// and NULL cells included — to the sequential run. The baseline is the
+// third opinion on every query in its domain (difftest.BaselineDomain),
+// and at least minDomain percent of the trials must be.
+func sweepWorkers(t *testing.T, seed int64, trials int, w difftest.Weights, minDomain int) {
 	t.Helper()
 	forceParallel(t)
 	rng := rand.New(rand.NewSource(seed))
+	inDomain := 0
 	for trial := 0; trial < trials; trial++ {
 		g := difftest.Graph(rng, 24+rng.Intn(40))
 		src, _ := difftest.Query(rng, w)
-		diffGraphs(t, fmt.Sprintf("trial %d", trial), []string{src}, []*rdf.Graph{g}, []int{1, 2, 8}, nil)
+		label := fmt.Sprintf("trial %d", trial)
+		diffGraphs(t, label, []string{src}, []*rdf.Graph{g}, []int{1, 2, 8}, nil)
+		if q, err := sparql.Parse(src); BaselineOpinion == nil || err != nil || !difftest.BaselineDomain(q) {
+			continue
+		}
+		inDomain++
+		q, want, vars := difftest.RefSrc(t, g, src)
+		if v := BaselineOpinion(indexOf(t, g), q, want, vars); v != "" {
+			t.Fatalf("%s on %s: baseline vs reference: %s", label, src, v)
+		}
+	}
+	if BaselineOpinion != nil && inDomain*100 < minDomain*trials {
+		t.Fatalf("only %d of %d trials lie in the baseline's domain, want at least %d %%", inDomain, trials, minDomain)
 	}
 }
 
@@ -126,7 +148,7 @@ func TestDifferentialUnionWorkerSweep(t *testing.T) {
 	if testing.Short() {
 		trials = 60
 	}
-	sweepWorkers(t, 2026, trials, difftest.Union)
+	sweepWorkers(t, 2026, trials, difftest.Union, 50)
 }
 
 // TestDifferentialProductionSweep runs the grammar's Default mix, which
@@ -139,7 +161,7 @@ func TestDifferentialProductionSweep(t *testing.T) {
 	if testing.Short() {
 		trials = 60
 	}
-	sweepWorkers(t, 2027, trials, difftest.Default)
+	sweepWorkers(t, 2027, trials, difftest.Default, 15)
 }
 
 // TestDifferentialFuzzRegressions pins, deterministically and across many

@@ -117,64 +117,21 @@ func TestCompareTermsNumericVsString(t *testing.T) {
 	}
 }
 
-// bandDict builds a base dictionary with a 10-term shared band and five
-// S-only / O-only terms each (IDs 11..15 on both dimensions).
-func bandDict() *rdf.Dictionary {
-	b := rdf.NewDictionaryBuilder()
-	p := rdf.NewIRI("p")
-	for i := 0; i < 10; i++ {
-		tm := rdf.NewIRI(fmt.Sprintf("c%02d", i))
-		b.Add(rdf.Triple{S: tm, P: p, O: tm})
-	}
-	for i := 10; i < 15; i++ {
-		b.Add(rdf.Triple{
-			S: rdf.NewIRI(fmt.Sprintf("s%02d", i)),
-			P: p,
-			O: rdf.NewIRI(fmt.Sprintf("o%02d", i)),
-		})
-	}
-	d, _ := b.Build()
-	return d
-}
-
-func TestCanonicalBinding(t *testing.T) {
-	// Shared-band object IDs canonicalize to the subject space.
-	dict := bandDict()
-	b := canonical(SpaceO, 5, dict)
-	if b.Space != SpaceS || b.ID != 5 {
-		t.Errorf("canonical(O,5) = %+v, want {S 5}", b)
-	}
-	b2 := canonical(SpaceO, 15, dict)
-	if b2.Space != SpaceO || b2.ID != 15 {
-		t.Errorf("canonical(O,15) = %+v, want {O 15}", b2)
-	}
-	b3 := canonical(SpaceS, 15, dict)
-	if b3.Space != SpaceS {
-		t.Errorf("canonical(S,15) = %+v", b3)
-	}
-	if canonical(SpaceP, 3, dict).Space != SpaceP {
-		t.Error("predicate space must pass through")
-	}
-}
-
 func TestAxisIndex(t *testing.T) {
-	dict := bandDict()
 	cases := []struct {
 		b     Binding
 		axis  Space
 		want  int
 		valid bool
 	}{
-		{Binding{SpaceS, 5}, SpaceS, 4, true},
-		{Binding{SpaceS, 5}, SpaceO, 4, true},   // shared band crosses
-		{Binding{SpaceS, 15}, SpaceO, 0, false}, // subject-only ID on O axis
-		{Binding{SpaceO, 15}, SpaceO, 14, true},
-		{Binding{SpaceO, 15}, SpaceS, 0, false},
+		{Binding{SpaceSO, 5}, SpaceSO, 4, true},
+		{Binding{SpaceSO, 15}, SpaceSO, 14, true},
 		{Binding{SpaceP, 2}, SpaceP, 1, true},
-		{Binding{SpaceP, 2}, SpaceS, 0, false},
+		{Binding{SpaceP, 2}, SpaceSO, 0, false},
+		{Binding{SpaceSO, 2}, SpaceP, 0, false},
 	}
 	for i, c := range cases {
-		got, ok := axisIndex(c.b, c.axis, dict)
+		got, ok := axisIndex(c.b, c.axis)
 		if ok != c.valid || (ok && got != c.want) {
 			t.Errorf("case %d: axisIndex(%+v, %v) = (%d,%v), want (%d,%v)",
 				i, c.b, c.axis, got, ok, c.want, c.valid)
@@ -183,7 +140,7 @@ func TestAxisIndex(t *testing.T) {
 }
 
 func TestSpaceString(t *testing.T) {
-	if SpaceS.String() != "S" || SpaceO.String() != "O" || SpaceP.String() != "P" || SpaceNone.String() != "-" {
+	if SpaceSO.String() != "SO" || SpaceP.String() != "P" || SpaceNone.String() != "-" {
 		t.Error("Space stringers broken")
 	}
 }

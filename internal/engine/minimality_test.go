@@ -136,10 +136,8 @@ func instantiate(st *tpState, pat sparql.TriplePattern, m ref.Mapping, dict *rdf
 		}
 		var id rdf.ID
 		switch space {
-		case SpaceS:
-			id = dict.SubjectID(term)
-		case SpaceO:
-			id = dict.ObjectID(term)
+		case SpaceSO:
+			id = dict.SOID(term)
 		case SpaceP:
 			id = dict.PredicateID(term)
 		}

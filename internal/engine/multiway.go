@@ -270,7 +270,6 @@ func (r *joinRun) failSlave(i int) {
 // bindings, recursing per triple. It reports whether any triple matched.
 // NULL-bound variables match nothing (null-intolerant probing).
 func (r *joinRun) enumerate(i int, st *tpState) bool {
-	dict := r.eng.dict
 	rowBoundIdx, rowBound := -1, false
 	colBoundIdx, colBound := -1, false
 	rv, cv := r.rowVarID[i], r.colVarID[i]
@@ -281,7 +280,7 @@ func (r *joinRun) enumerate(i int, st *tpState) bool {
 		case stNull:
 			return false
 		case stBound:
-			idx, ok := axisIndex(r.bindings[rv], st.rowSpace, dict)
+			idx, ok := axisIndex(r.bindings[rv], st.rowSpace)
 			if !ok {
 				return false
 			}
@@ -293,7 +292,7 @@ func (r *joinRun) enumerate(i int, st *tpState) bool {
 		case stNull:
 			return false
 		case stBound:
-			idx, ok := axisIndex(r.bindings[cv], st.colSpace, dict)
+			idx, ok := axisIndex(r.bindings[cv], st.colSpace)
 			if !ok {
 				return false
 			}
@@ -307,13 +306,13 @@ func (r *joinRun) enumerate(i int, st *tpState) bool {
 		any = true
 		bound0, bound1 := -1, -1
 		if !oneVar && rv >= 0 && r.state[rv] == stUnbound {
-			r.bindings[rv] = canonical(st.rowSpace, rdf.ID(rowIdx+1), dict)
+			r.bindings[rv] = Binding{Space: st.rowSpace, ID: rdf.ID(rowIdx + 1)}
 			r.state[rv] = stBound
 			r.ownerSN[rv] = r.snOf[i]
 			bound0 = rv
 		}
 		if cv >= 0 && r.state[cv] == stUnbound {
-			r.bindings[cv] = canonical(st.colSpace, rdf.ID(colIdx+1), dict)
+			r.bindings[cv] = Binding{Space: st.colSpace, ID: rdf.ID(colIdx + 1)}
 			r.state[cv] = stBound
 			r.ownerSN[cv] = r.snOf[i]
 			bound1 = cv

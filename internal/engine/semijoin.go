@@ -9,63 +9,16 @@ import (
 	"repro/internal/trace"
 )
 
-// intersectFolds ANDs two fold projections that may live in different ID
-// spaces. Folds over the same space intersect bit-wise; an S-dimension fold
-// against an O-dimension fold can only match on terms with both roles —
-// the shared band, where Appendix D's common S-O identifier assignment
-// makes that a prefix AND, plus any extension pairs an overlay dictionary
-// carries. The mixed result is always expressed in the S dimension.
-func (e *Engine) intersectFolds(a *bitvec.Bits, aSpace Space, b *bitvec.Bits, bSpace Space) *bitvec.Bits {
-	if aSpace == bSpace {
-		out := a.Clone()
-		out.AndCompat(b)
-		return out
-	}
-	mixedSO := (aSpace == SpaceS && bSpace == SpaceO) || (aSpace == SpaceO && bSpace == SpaceS)
-	if !mixedSO {
-		// P never joins S or O (enforced by the GoJ); empty intersection.
+// intersectFolds ANDs two fold projections. Folds over the same space
+// intersect bit-wise: subjects and objects share one ID space, so an S-O
+// join needs no translation. P never joins S or O (enforced by the GoJ),
+// so mixing it with the S/O space gives an empty intersection.
+func intersectFolds(a *bitvec.Bits, aSpace Space, b *bitvec.Bits, bSpace Space) *bitvec.Bits {
+	if aSpace != bSpace {
 		return bitvec.NewBits(0)
 	}
-	if len(e.dict.ExtSharedPairs()) == 0 {
-		shared := e.dict.NumShared()
-		out := bitvec.NewBits(shared)
-		out.SetAll()
-		out.AndCompat(a)
-		out.AndCompat(b)
-		return out
-	}
-	out := e.foldToSubjects(a, aSpace)
-	out.AndCompat(e.foldToSubjects(b, bSpace))
-	return out
-}
-
-// foldToSubjects re-expresses an S- or O-dimension fold on the S dimension,
-// keeping only terms that have a subject role: an S fold is zero-extended
-// to |Vs|, an O fold keeps its shared-band prefix in place and scatters
-// extension-pair bits to their subject positions. Bits for terms without a
-// subject role are dropped, which is exactly what a mixed S/O intersection
-// requires.
-func (e *Engine) foldToSubjects(f *bitvec.Bits, space Space) *bitvec.Bits {
-	ns := e.dict.NumSubjects()
-	out := bitvec.NewBits(ns)
-	if space == SpaceS {
-		out.SetAll()
-		out.AndCompat(f)
-		return out
-	}
-	shared := e.dict.NumShared()
-	f.ForEach(func(i int) bool {
-		if i >= shared {
-			return false
-		}
-		out.Set(i)
-		return true
-	})
-	for _, pr := range e.dict.ExtSharedPairs() {
-		if f.Test(int(pr.O) - 1) {
-			out.Set(int(pr.S) - 1)
-		}
-	}
+	out := a.Clone()
+	out.AndCompat(b)
 	return out
 }
 
@@ -81,20 +34,13 @@ func (e *Engine) semiJoin(j sparql.Var, slave, master *tpState) {
 	if !ok {
 		return
 	}
-	beta := e.intersectFolds(fm, ms, fs, ss)
-	betaSpace := ms
-	if ms != ss {
-		betaSpace = SpaceS // mixed S/O intersections are expressed on the S dimension
-	}
+	beta := intersectFolds(fm, ms, fs, ss)
 	// beta is a subset of the slave's own projection; an equal population
 	// means the semi-join removes nothing, so the unfold can be skipped.
 	if beta.Count() == fs.Count() {
 		return
 	}
-	// Express the mask in the slave's axis space: masks shorter than the
-	// axis clear everything beyond them, which is exactly right for
-	// shared-band intersections.
-	slave.unfoldVar(j, e.maskForSpace(beta, betaSpace, ss))
+	slave.unfoldVar(j, maskForSpace(beta, ms, ss))
 }
 
 // clusteredSemiJoin implements Algorithm 5.3 over the patterns sharing ?j:
@@ -116,10 +62,7 @@ func (e *Engine) clusteredSemiJoin(j sparql.Var, tps []*tpState) {
 			beta, betaSpace = f.Clone(), space
 			continue
 		}
-		beta = e.intersectFolds(beta, betaSpace, f, space)
-		if betaSpace != space {
-			betaSpace = SpaceS // shared band indexes live in the S prefix
-		}
+		beta = intersectFolds(beta, betaSpace, f, space)
 	}
 	if beta == nil {
 		return
@@ -135,55 +78,16 @@ func (e *Engine) clusteredSemiJoin(j sparql.Var, tps []*tpState) {
 		if folds[i] != nil && folds[i].Count() == betaCount {
 			continue
 		}
-		st.unfoldVar(j, e.maskForSpace(beta, betaSpace, space))
+		st.unfoldVar(j, maskForSpace(beta, betaSpace, space))
 	}
 }
 
 // maskForSpace adapts a mask computed in maskSpace for unfolding an axis in
-// axisSpace. Same space (or a shared-band mask) passes through; a genuinely
-// incompatible pairing yields an empty mask.
-func (e *Engine) maskForSpace(mask *bitvec.Bits, maskSpace, axisSpace Space) *bitvec.Bits {
+// axisSpace: the same space passes through, and a mask from the other
+// space yields an empty mask.
+func maskForSpace(mask *bitvec.Bits, maskSpace, axisSpace Space) *bitvec.Bits {
 	if maskSpace == axisSpace {
 		return mask
-	}
-	soPair := (maskSpace == SpaceS && axisSpace == SpaceO) || (maskSpace == SpaceO && axisSpace == SpaceS)
-	if soPair {
-		shared := e.dict.NumShared()
-		if len(e.dict.ExtSharedPairs()) == 0 {
-			// Restrict to the shared band: bits beyond it cannot denote
-			// the same term in the other dimension.
-			if mask.Len() <= shared {
-				return mask
-			}
-			out := bitvec.NewBits(shared)
-			out.SetAll()
-			out.AndCompat(mask)
-			return out
-		}
-		// Overlay dictionary: translate through the shared band (identity)
-		// and the extension pairs into the axis dimension.
-		n := e.dict.NumObjects()
-		if axisSpace == SpaceS {
-			n = e.dict.NumSubjects()
-		}
-		out := bitvec.NewBits(n)
-		mask.ForEach(func(i int) bool {
-			if i >= shared {
-				return false
-			}
-			out.Set(i)
-			return true
-		})
-		for _, pr := range e.dict.ExtSharedPairs() {
-			from, to := int(pr.S)-1, int(pr.O)-1
-			if maskSpace == SpaceO {
-				from, to = to, from
-			}
-			if mask.Test(from) {
-				out.Set(to)
-			}
-		}
-		return out
 	}
 	return bitvec.NewBits(0)
 }

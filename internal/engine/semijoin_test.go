@@ -54,8 +54,9 @@ func setupTPs(t *testing.T, g *rdf.Graph, src string) (*Engine, *planner.Plan, [
 }
 
 func TestSemiJoinMixedSOSpaces(t *testing.T) {
-	// ?x appears as OBJECT in tp1 and SUBJECT in tp2: the semi-join must
-	// intersect within the shared S/O band only.
+	// ?x appears as OBJECT in tp1 and SUBJECT in tp2. Subjects and objects
+	// share one ID space, so the semi-join intersects the two folds bit for
+	// bit, and zz, never an object, drops out.
 	g := rdf.NewGraph()
 	g.Add(rdf.T("a", "p", "x1")) // x1 is an object here
 	g.Add(rdf.T("a", "p", "x2"))
@@ -114,10 +115,10 @@ func TestPruneTriplesExample1(t *testing.T) {
 	if tps[2].count() != 1 {
 		t.Errorf("tp3 = %d, want 1", tps[2].count())
 	}
-	// Verify it is the right triple: Julia (shared-band subject) x Seinfeld.
+	// Verify it is the right triple: Julia x Seinfeld.
 	dict := e.dict
-	julia := dict.SubjectID(rdf.NewIRI("Julia"))
-	seinfeld := dict.ObjectID(rdf.NewIRI("Seinfeld"))
+	julia := dict.SOID(rdf.NewIRI("Julia"))
+	seinfeld := dict.SOID(rdf.NewIRI("Seinfeld"))
 	found := false
 	tps[1].mat.ForEach(func(r, c int) bool {
 		rowIsJulia := tps[1].rowVar == "friend" && r == int(julia-1)
@@ -204,32 +205,23 @@ func TestLoadOrientationFollowsPlan(t *testing.T) {
 	g := figure32Graph()
 	_, _, tps := setupTPs(t, g, q2)
 	tp2 := tps[1]
-	if tp2.rowVar != "friend" || tp2.rowSpace != SpaceS {
-		t.Errorf("tp2 orientation: rowVar=%s rowSpace=%v, want friend/S", tp2.rowVar, tp2.rowSpace)
+	if tp2.rowVar != "friend" || tp2.rowSpace != SpaceSO {
+		t.Errorf("tp2 orientation: rowVar=%s rowSpace=%v, want friend/SO", tp2.rowVar, tp2.rowSpace)
 	}
-	if tp2.colVar != "sitcom" || tp2.colSpace != SpaceO {
+	if tp2.colVar != "sitcom" || tp2.colSpace != SpaceSO {
 		t.Errorf("tp2 colVar=%s colSpace=%v", tp2.colVar, tp2.colSpace)
 	}
 }
 
-func TestMaskForSpaceSharedBand(t *testing.T) {
-	g := figure32Graph()
-	idx, _ := bitmat.Build(g)
-	e := New(idx, Options{})
-	shared := e.dict.NumShared()
-	// A long S-space mask adapted for an O axis must be truncated to the
-	// shared band.
-	mask := bitvecAll(e.dict.NumSubjects())
-	out := e.maskForSpace(mask, SpaceS, SpaceO)
-	if out.Len() != shared {
-		t.Errorf("adapted mask length = %d, want shared band %d", out.Len(), shared)
-	}
-	// Same-space masks pass through untouched.
-	if e.maskForSpace(mask, SpaceS, SpaceS) != mask {
+func TestMaskForSpace(t *testing.T) {
+	mask := bitvecAll(10)
+	// Subjects and objects share one space: the mask passes through
+	// untouched whichever position the variable holds.
+	if maskForSpace(mask, SpaceSO, SpaceSO) != mask {
 		t.Error("same-space mask must pass through")
 	}
-	// P against S is impossible.
-	if e.maskForSpace(mask, SpaceP, SpaceS).Len() != 0 {
-		t.Error("P/S pairing must give an empty mask")
+	// P against S/O is impossible.
+	if maskForSpace(mask, SpaceP, SpaceSO).Len() != 0 || maskForSpace(mask, SpaceSO, SpaceP).Len() != 0 {
+		t.Error("P/SO pairing must give an empty mask")
 	}
 }

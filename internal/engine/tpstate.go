@@ -109,15 +109,12 @@ func (e *Engine) loadMask(v sparql.Var, axisSpace Space, idx int, loaded []*tpSt
 			acc, accSpace = f.Clone(), space
 			continue
 		}
-		acc = e.intersectFolds(acc, accSpace, f, space)
-		if accSpace != space {
-			accSpace = SpaceS
-		}
+		acc = intersectFolds(acc, accSpace, f, space)
 	}
 	if acc == nil {
 		return nil
 	}
-	return e.maskForSpace(acc, accSpace, axisSpace)
+	return maskForSpace(acc, accSpace, axisSpace)
 }
 
 // load materializes the BitMat for one pattern, choosing the orientation
@@ -153,29 +150,21 @@ func (e *Engine) load(tp sparql.TriplePattern, idx int, sn int, plan *planner.Pl
 	case sVar && !pVar && oVar:
 		// (?a :p ?b): S-O or O-S BitMat of p, oriented by orderbu.
 		if tp.S.Var == tp.O.Var {
-			// Self join (?x :p ?x): the diagonal within the shared band,
-			// reduced to a single row over the subject dimension.
-			st.colVar, st.colSpace = tp.S.Var, SpaceS
+			// Self join (?x :p ?x): the diagonal of the S-O BitMat,
+			// reduced to a single row over the S/O space.
+			st.colVar, st.colSpace = tp.S.Var, SpaceSO
 			st.rowSpace = SpaceNone
 			st.mat, cacheSrc = e.cachedOr(patKey, orientSO, func() *bitmat.Matrix {
-				diag := bitmat.NewMatrix(1, dict.NumSubjects())
-				so := bitmat.MatSO(e.idx, p, nil, nil)
+				diag := bitmat.NewMatrix(1, dict.NumSO())
 				var pos []uint32
-				so.ForEachRowRange(0, dict.NumShared(), func(r int, row *bitvec.Row) bool {
+				bitmat.MatSO(e.idx, p, nil, nil).ForEachRow(func(r int, row *bitvec.Row) bool {
 					if row.Test(r) {
 						pos = append(pos, uint32(r))
 					}
 					return true
 				})
-				// Terms shared through an overlay's extension pairs sit off
-				// the band diagonal but are self-joins all the same.
-				for _, pr := range dict.ExtSharedPairs() {
-					if so.Test(int(pr.S)-1, int(pr.O)-1) {
-						pos = append(pos, uint32(pr.S-1))
-					}
-				}
 				if len(pos) > 0 {
-					diag.SetRow(0, bitvec.RowFromPositions(dict.NumSubjects(), pos))
+					diag.SetRow(0, bitvec.RowFromSortedPositions(dict.NumSO(), pos))
 				}
 				return diag
 			})
@@ -183,20 +172,14 @@ func (e *Engine) load(tp sparql.TriplePattern, idx int, sn int, plan *planner.Pl
 			return st, nil
 		}
 		rowVar, _ := plan.RowVar(tp)
-		if rowVar == tp.S.Var {
-			st.rowVar, st.rowSpace = tp.S.Var, SpaceS
-			st.colVar, st.colSpace = tp.O.Var, SpaceO
-		} else {
-			st.rowVar, st.rowSpace = tp.O.Var, SpaceO
-			st.colVar, st.colSpace = tp.S.Var, SpaceS
+		st.rowVar, st.rowSpace = tp.S.Var, SpaceSO
+		st.colVar, st.colSpace = tp.O.Var, SpaceSO
+		if rowVar != tp.S.Var {
+			st.rowVar, st.colVar = tp.O.Var, tp.S.Var
 		}
 		if !known {
 			// Empty without computing masks or touching the cache.
-			if rowVar == tp.S.Var {
-				st.mat = bitmat.NewMatrix(dict.NumSubjects(), dict.NumObjects())
-			} else {
-				st.mat = bitmat.NewMatrix(dict.NumObjects(), dict.NumSubjects())
-			}
+			st.mat = bitmat.NewMatrix(dict.NumSO(), dict.NumSO())
 			setLoadAttrs(sp, st, cacheSrc)
 			return st, nil
 		}
@@ -229,14 +212,14 @@ func (e *Engine) load(tp sparql.TriplePattern, idx int, sn int, plan *planner.Pl
 		st.mat, cacheSrc = e.cachedOr(patKey, orientSO, func() *bitmat.Matrix {
 			return bitmat.RowPS(e.idx, p, o)
 		})
-		st.colVar, st.colSpace = tp.S.Var, SpaceS
+		st.colVar, st.colSpace = tp.S.Var, SpaceSO
 		st.rowSpace = SpaceNone
 	case !sVar && !pVar && oVar:
 		// (:s :p ?var): one row of the P-O BitMat of s.
 		st.mat, cacheSrc = e.cachedOr(patKey, orientSO, func() *bitmat.Matrix {
 			return bitmat.RowPO(e.idx, p, s)
 		})
-		st.colVar, st.colSpace = tp.O.Var, SpaceO
+		st.colVar, st.colSpace = tp.O.Var, SpaceSO
 		st.rowSpace = SpaceNone
 	case !sVar && pVar && oVar:
 		// (:s ?p ?o): the P-O BitMat of s; the predicate variable rides the
@@ -245,14 +228,14 @@ func (e *Engine) load(tp sparql.TriplePattern, idx int, sn int, plan *planner.Pl
 			return bitmat.MatPO(e.idx, s)
 		})
 		st.rowVar, st.rowSpace = tp.P.Var, SpaceP
-		st.colVar, st.colSpace = tp.O.Var, SpaceO
+		st.colVar, st.colSpace = tp.O.Var, SpaceSO
 	case sVar && pVar && !oVar:
 		// (?s ?p :o): the P-S BitMat of o.
 		st.mat, cacheSrc = e.cachedOr(patKey, orientSO, func() *bitmat.Matrix {
 			return bitmat.MatPS(e.idx, o)
 		})
 		st.rowVar, st.rowSpace = tp.P.Var, SpaceP
-		st.colVar, st.colSpace = tp.S.Var, SpaceS
+		st.colVar, st.colSpace = tp.S.Var, SpaceSO
 	case !sVar && pVar && !oVar:
 		// (:s ?p :o): the predicates linking s to o.
 		st.mat, cacheSrc = e.cachedOr(patKey, orientSO, func() *bitmat.Matrix {
@@ -311,8 +294,8 @@ func (t *tpState) foldVar(v sparql.Var) (*bitvec.Bits, Space, bool) {
 }
 
 // unfoldVar masks the bindings of v in the pattern's matrix. The mask may
-// be shorter than the axis (a shared-band intersection); missing bits are
-// treated as 0.
+// be shorter than the axis (the empty intersection of two spaces); missing
+// bits are treated as 0.
 func (t *tpState) unfoldVar(v sparql.Var, mask *bitvec.Bits) {
 	axis, _, ok := t.axisOf(v)
 	if !ok || t.mat == nil {

@@ -9,16 +9,15 @@ import (
 
 // Dictionary wire format, little-endian:
 //
-//	magic "LBRDICT1"
-//	u32 numShared, u32 numSubjects, u32 numObjects, u32 numPredicates
-//	then the terms: the shared band once, subject-only terms, object-only
-//	terms, predicates — each as u8 kind, u32 lens + bytes for value,
-//	datatype, lang.
+//	magic "LBRDICT2"
+//	u32 numSO, u32 numPredicates
+//	then the terms: the S/O space in ID order, then the predicates — each
+//	as u8 kind, u32 lens + bytes for value, datatype, lang.
 //
-// The Appendix-D layout is reconstructed exactly: shared terms take IDs
-// 1..numShared on both dimensions.
+// "LBRDICT1" was the Appendix-D layout of separate S and O spaces; it is
+// not read.
 
-var dictMagic = []byte("LBRDICT1")
+var dictMagic = []byte("LBRDICT2")
 
 func writeTerm(w *bufio.Writer, t Term) error {
 	if err := w.WriteByte(byte(t.Kind)); err != nil {
@@ -70,33 +69,17 @@ func (d *Dictionary) WriteTo(w io.Writer) (int64, error) {
 	if _, err := bw.Write(dictMagic); err != nil {
 		return 0, err
 	}
-	hdr := make([]byte, 16)
-	binary.LittleEndian.PutUint32(hdr[0:], uint32(d.numSO))
-	binary.LittleEndian.PutUint32(hdr[4:], uint32(len(d.subjects)))
-	binary.LittleEndian.PutUint32(hdr[8:], uint32(len(d.objects)))
-	binary.LittleEndian.PutUint32(hdr[12:], uint32(len(d.predicates)))
+	hdr := make([]byte, 8)
+	binary.LittleEndian.PutUint32(hdr[0:], uint32(len(d.so)))
+	binary.LittleEndian.PutUint32(hdr[4:], uint32(len(d.predicates)))
 	if _, err := bw.Write(hdr); err != nil {
 		return 0, err
 	}
-	// Shared band once, then the dimension-specific tails.
-	for i := 0; i < d.numSO; i++ {
-		if err := writeTerm(bw, d.subjects[i]); err != nil {
-			return 0, err
-		}
-	}
-	for i := d.numSO; i < len(d.subjects); i++ {
-		if err := writeTerm(bw, d.subjects[i]); err != nil {
-			return 0, err
-		}
-	}
-	for i := d.numSO; i < len(d.objects); i++ {
-		if err := writeTerm(bw, d.objects[i]); err != nil {
-			return 0, err
-		}
-	}
-	for _, t := range d.predicates {
-		if err := writeTerm(bw, t); err != nil {
-			return 0, err
+	for _, terms := range [][]Term{d.so, d.predicates} {
+		for _, t := range terms {
+			if err := writeTerm(bw, t); err != nil {
+				return 0, err
+			}
 		}
 	}
 	return 0, bw.Flush()
@@ -112,60 +95,36 @@ func ReadDictionary(r io.Reader) (*Dictionary, error) {
 	if string(magic) != string(dictMagic) {
 		return nil, fmt.Errorf("rdf: bad dictionary magic %q", magic)
 	}
-	hdr := make([]byte, 16)
+	hdr := make([]byte, 8)
 	if _, err := io.ReadFull(br, hdr); err != nil {
 		return nil, err
 	}
-	nShared := int(binary.LittleEndian.Uint32(hdr[0:]))
-	nSubj := int(binary.LittleEndian.Uint32(hdr[4:]))
-	nObj := int(binary.LittleEndian.Uint32(hdr[8:]))
-	nPred := int(binary.LittleEndian.Uint32(hdr[12:]))
-	if nShared > nSubj || nShared > nObj {
-		return nil, fmt.Errorf("rdf: corrupt dictionary header (%d shared > %d/%d)", nShared, nSubj, nObj)
-	}
+	nSO := int(binary.LittleEndian.Uint32(hdr[0:]))
+	nPred := int(binary.LittleEndian.Uint32(hdr[4:]))
+	// The header sizes the tables, capped so a corrupt header cannot
+	// demand a huge allocation before the terms run out.
 	d := &Dictionary{
-		subjects:    make([]Term, 0, nSubj),
-		objects:     make([]Term, 0, nObj),
-		predicates:  make([]Term, 0, nPred),
-		subjectID:   make(map[string]ID, nSubj),
-		objectID:    make(map[string]ID, nObj),
-		predicateID: make(map[string]ID, nPred),
-		numSO:       nShared,
+		so:          make([]Term, 0, min(nSO, 1<<20)),
+		predicates:  make([]Term, 0, min(nPred, 1<<20)),
+		soID:        make(map[string]ID, min(nSO, 1<<20)),
+		predicateID: make(map[string]ID, min(nPred, 1<<20)),
 	}
-	for i := 0; i < nShared; i++ {
-		t, err := readTerm(br)
-		if err != nil {
-			return nil, err
+	read := func(n int, terms *[]Term, ids map[string]ID) error {
+		for i := 0; i < n; i++ {
+			t, err := readTerm(br)
+			if err != nil {
+				return err
+			}
+			*terms = append(*terms, t)
+			ids[t.Key()] = ID(len(*terms))
 		}
-		d.subjects = append(d.subjects, t)
-		d.objects = append(d.objects, t)
-		id := ID(len(d.subjects))
-		d.subjectID[t.Key()] = id
-		d.objectID[t.Key()] = id
+		return nil
 	}
-	for i := nShared; i < nSubj; i++ {
-		t, err := readTerm(br)
-		if err != nil {
-			return nil, err
-		}
-		d.subjects = append(d.subjects, t)
-		d.subjectID[t.Key()] = ID(len(d.subjects))
+	if err := read(nSO, &d.so, d.soID); err != nil {
+		return nil, err
 	}
-	for i := nShared; i < nObj; i++ {
-		t, err := readTerm(br)
-		if err != nil {
-			return nil, err
-		}
-		d.objects = append(d.objects, t)
-		d.objectID[t.Key()] = ID(len(d.objects))
-	}
-	for i := 0; i < nPred; i++ {
-		t, err := readTerm(br)
-		if err != nil {
-			return nil, err
-		}
-		d.predicates = append(d.predicates, t)
-		d.predicateID[t.Key()] = ID(len(d.predicates))
+	if err := read(nPred, &d.predicates, d.predicateID); err != nil {
+		return nil, err
 	}
 	return d, nil
 }

@@ -20,11 +20,9 @@ func TestDictionarySerializationRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back.NumShared() != d.NumShared() || back.NumSubjects() != d.NumSubjects() ||
-		back.NumObjects() != d.NumObjects() || back.NumPredicates() != d.NumPredicates() {
-		t.Fatalf("shape mismatch: %d/%d/%d/%d vs %d/%d/%d/%d",
-			back.NumShared(), back.NumSubjects(), back.NumObjects(), back.NumPredicates(),
-			d.NumShared(), d.NumSubjects(), d.NumObjects(), d.NumPredicates())
+	if back.NumSO() != d.NumSO() || back.NumPredicates() != d.NumPredicates() {
+		t.Fatalf("shape mismatch: %d/%d vs %d/%d",
+			back.NumSO(), back.NumPredicates(), d.NumSO(), d.NumPredicates())
 	}
 	// Every triple must encode to identical coordinates.
 	for _, tr := range g.Triples() {
@@ -35,11 +33,11 @@ func TestDictionarySerializationRoundTrip(t *testing.T) {
 		}
 	}
 	// And decode back to identical terms.
-	for id := 1; id <= d.NumSubjects(); id++ {
-		a, _ := d.Subject(ID(id))
-		b, _ := back.Subject(ID(id))
+	for id := 1; id <= d.NumSO(); id++ {
+		a, _ := d.SOTerm(ID(id))
+		b, _ := back.SOTerm(ID(id))
 		if a != b {
-			t.Fatalf("subject %d differs: %v vs %v", id, a, b)
+			t.Fatalf("S/O term %d differs: %v vs %v", id, a, b)
 		}
 	}
 }
@@ -63,12 +61,18 @@ func TestReadDictionaryRejectsCorrupt(t *testing.T) {
 		t.Error("truncated dictionary must be rejected")
 	}
 
-	// Corrupt header: shared > subjects.
+	// Corrupt header: more S/O terms than the stream holds.
 	bad2 := append([]byte(nil), raw...)
 	bad2[8] = 0xff
 	bad2[9] = 0xff
 	if _, err := ReadDictionary(bytes.NewReader(bad2)); err == nil {
 		t.Error("implausible header must be rejected")
+	}
+
+	// The Appendix-D layout of separate S and O spaces is not read.
+	old := append([]byte("LBRDICT1"), raw[len(dictMagic):]...)
+	if _, err := ReadDictionary(bytes.NewReader(old)); err == nil {
+		t.Error("an LBRDICT1 dictionary must be rejected")
 	}
 }
 
@@ -82,7 +86,7 @@ func TestDictionarySerializationEmpty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back.NumSubjects() != 0 || back.NumPredicates() != 0 {
+	if back.NumSO() != 0 || back.NumPredicates() != 0 {
 		t.Error("empty dictionary round trip broken")
 	}
 }

@@ -1,128 +1,33 @@
 package rdf
 
-import "sort"
-
-// ExtPair records one subject/object ID pair beyond the shared band that
-// denotes the same term: a delta insert can give an existing S-only term an
-// object role (or vice versa), and the Appendix-D invariant — shared terms
-// occupy the equal-ID prefix of both dimensions — cannot be restored
-// without renumbering the whole dictionary. Extended dictionaries instead
-// carry these cross-dimension equalities explicitly; the engine consults
-// them wherever it used to rely on the band prefix alone.
-type ExtPair struct {
-	S, O ID
-}
-
-// Extended reports whether the dictionary carries extension bands beyond
-// the base Appendix-D layout (i.e. it was produced by Extend with at least
-// one new cross-dimension pairing).
-func (d *Dictionary) Extended() bool { return len(d.extPairs) > 0 }
-
-// SubjectToObject maps a subject ID to the object ID denoting the same
-// term, or 0 when the term never occurs as an object. Within the shared
-// band the mapping is the identity; beyond it, the extension pairs decide.
-func (d *Dictionary) SubjectToObject(s ID) ID {
-	if s == 0 {
-		return 0
-	}
-	if int(s) <= d.numSO {
-		return s
-	}
-	return d.extSO[s]
-}
-
-// ObjectToSubject maps an object ID to the subject ID denoting the same
-// term, or 0 when the term never occurs as a subject.
-func (d *Dictionary) ObjectToSubject(o ID) ID {
-	if o == 0 {
-		return 0
-	}
-	if int(o) <= d.numSO {
-		return o
-	}
-	return d.extOS[o]
-}
-
-// ExtSharedPairs returns the cross-dimension equalities beyond the shared
-// band, sorted by subject ID. The slice is shared; do not mutate it. Base
-// dictionaries return nil.
-func (d *Dictionary) ExtSharedPairs() []ExtPair { return d.extPairs }
+import "maps"
 
 // Extend returns a new dictionary covering the base term universe plus
 // every term of triples, preserving all existing IDs: unseen terms are
-// appended past the end of their dimension in first-occurrence order, and
-// any term that thereby gains both a subject and an object role outside
-// the shared band is recorded as an extension pair. The receiver is not
-// modified, so snapshots holding it stay valid. The assignment is a pure
-// function of (receiver, triples sequence), which is what lets a replayed
-// delta reproduce the exact coordinates of the original run.
+// appended past the end of their space in first-occurrence order. A base
+// term that gains its second role (an object becoming a subject, say)
+// keeps its one S/O ID. The receiver is not modified, so snapshots
+// holding it stay valid. The assignment is a pure function of (receiver,
+// triples sequence), which is what lets a replayed delta reproduce the
+// exact coordinates of the original run.
 func (d *Dictionary) Extend(triples []Triple) *Dictionary {
 	nd := &Dictionary{
-		subjects:    append(make([]Term, 0, len(d.subjects)), d.subjects...),
-		objects:     append(make([]Term, 0, len(d.objects)), d.objects...),
+		so:          append(make([]Term, 0, len(d.so)), d.so...),
 		predicates:  append(make([]Term, 0, len(d.predicates)), d.predicates...),
-		subjectID:   make(map[string]ID, len(d.subjectID)),
-		objectID:    make(map[string]ID, len(d.objectID)),
-		predicateID: make(map[string]ID, len(d.predicateID)),
-		numSO:       d.numSO,
+		soID:        maps.Clone(d.soID),
+		predicateID: maps.Clone(d.predicateID),
 	}
-	for k, v := range d.subjectID {
-		nd.subjectID[k] = v
-	}
-	for k, v := range d.objectID {
-		nd.objectID[k] = v
-	}
-	for k, v := range d.predicateID {
-		nd.predicateID[k] = v
-	}
-	if len(d.extSO) > 0 {
-		nd.extSO = make(map[ID]ID, len(d.extSO))
-		nd.extOS = make(map[ID]ID, len(d.extOS))
-		for k, v := range d.extSO {
-			nd.extSO[k] = v
+	add := func(terms *[]Term, ids map[string]ID, t Term) {
+		k := t.Key()
+		if _, ok := ids[k]; !ok {
+			*terms = append(*terms, t)
+			ids[k] = ID(len(*terms))
 		}
-		for k, v := range d.extOS {
-			nd.extOS[k] = v
-		}
-		nd.extPairs = append(make([]ExtPair, 0, len(d.extPairs)), d.extPairs...)
-	}
-	addPair := func(s, o ID) {
-		if int(s) <= nd.numSO && s == o {
-			return // inside the shared band: the prefix invariant covers it
-		}
-		if nd.extSO == nil {
-			nd.extSO = map[ID]ID{}
-			nd.extOS = map[ID]ID{}
-		}
-		nd.extSO[s] = o
-		nd.extOS[o] = s
-		nd.extPairs = append(nd.extPairs, ExtPair{S: s, O: o})
 	}
 	for _, tr := range triples {
-		sk := tr.S.Key()
-		if _, ok := nd.subjectID[sk]; !ok {
-			nd.subjects = append(nd.subjects, tr.S)
-			sid := ID(len(nd.subjects))
-			nd.subjectID[sk] = sid
-			if oid, ok := nd.objectID[sk]; ok {
-				addPair(sid, oid)
-			}
-		}
-		pk := tr.P.Key()
-		if _, ok := nd.predicateID[pk]; !ok {
-			nd.predicates = append(nd.predicates, tr.P)
-			nd.predicateID[pk] = ID(len(nd.predicates))
-		}
-		ok := tr.O.Key()
-		if _, dup := nd.objectID[ok]; !dup {
-			nd.objects = append(nd.objects, tr.O)
-			oid := ID(len(nd.objects))
-			nd.objectID[ok] = oid
-			if sid, ok2 := nd.subjectID[ok]; ok2 {
-				addPair(sid, oid)
-			}
-		}
+		add(&nd.so, nd.soID, tr.S)
+		add(&nd.predicates, nd.predicateID, tr.P)
+		add(&nd.so, nd.soID, tr.O)
 	}
-	sort.Slice(nd.extPairs, func(i, j int) bool { return nd.extPairs[i].S < nd.extPairs[j].S })
 	return nd
 }

@@ -2,8 +2,8 @@ package rdf
 
 import "testing"
 
-// extendBase builds a dictionary whose shared band is {b} (subject and
-// object), with s0 as an S-only term and o0 as an O-only term.
+// extendBase builds a dictionary where b is both a subject and an object,
+// s0 only a subject and o0 only an object.
 func extendBase(t *testing.T) *Dictionary {
 	t.Helper()
 	b := NewDictionaryBuilder()
@@ -21,59 +21,46 @@ func TestExtendPreservesBaseIDs(t *testing.T) {
 		base ID
 		ext  ID
 	}{
-		{"s0 subject", d.SubjectID(NewIRI("s0")), nd.SubjectID(NewIRI("s0"))},
-		{"b subject", d.SubjectID(NewIRI("b")), nd.SubjectID(NewIRI("b"))},
-		{"b object", d.ObjectID(NewIRI("b")), nd.ObjectID(NewIRI("b"))},
-		{"o0 object", d.ObjectID(NewIRI("o0")), nd.ObjectID(NewIRI("o0"))},
+		{"s0", d.SOID(NewIRI("s0")), nd.SOID(NewIRI("s0"))},
+		{"b", d.SOID(NewIRI("b")), nd.SOID(NewIRI("b"))},
+		{"o0", d.SOID(NewIRI("o0")), nd.SOID(NewIRI("o0"))},
 		{"p0 predicate", d.PredicateID(NewIRI("p0")), nd.PredicateID(NewIRI("p0"))},
 	} {
 		if term.base == 0 || term.base != term.ext {
 			t.Errorf("%s: base ID %d, extended ID %d", term.name, term.base, term.ext)
 		}
 	}
-	if d.Extended() {
-		t.Error("base dictionary must not report Extended")
-	}
-	if !nd.Extended() {
-		t.Error("extension that cross-pairs terms must report Extended")
+	if nd.NumSO() != d.NumSO()+2 || nd.NumPredicates() != d.NumPredicates()+1 {
+		t.Errorf("extension holds %d S/O and %d P terms, want %d and %d",
+			nd.NumSO(), nd.NumPredicates(), d.NumSO()+2, d.NumPredicates()+1)
 	}
 	// The receiver must be untouched: new terms invisible through d.
-	if d.SubjectID(NewIRI("s1")) != 0 || d.ObjectID(NewIRI("o1")) != 0 {
+	if d.SOID(NewIRI("s1")) != 0 || d.SOID(NewIRI("o1")) != 0 {
 		t.Error("Extend mutated its receiver")
 	}
 }
 
+// TestExtendCrossDimensionPairs gives o0 (only an object in the base) a
+// subject role and s0 (only a subject) an object role: each term's
+// subject and object coordinates stay one ID, its base ID, and the
+// extension appends nothing to the S/O space.
 func TestExtendCrossDimensionPairs(t *testing.T) {
 	d := extendBase(t)
-	// o0 (O-only in the base) gains a subject role; s0 (S-only) gains an
-	// object role. Both land outside the shared band, so they must appear
-	// as extension pairs with the ext maps agreeing in both directions.
 	nd := d.Extend([]Triple{T("o0", "p0", "s0")})
-	pairs := nd.ExtSharedPairs()
-	if len(pairs) != 2 {
-		t.Fatalf("want 2 ext pairs, got %v", pairs)
+	if nd.NumSO() != d.NumSO() {
+		t.Fatalf("NumSO %d, want %d: a term gaining its second role got a new ID", nd.NumSO(), d.NumSO())
 	}
 	for _, name := range []string{"s0", "o0"} {
-		s, o := nd.SubjectID(NewIRI(name)), nd.ObjectID(NewIRI(name))
-		if s == 0 || o == 0 {
-			t.Fatalf("%s missing a role: s=%d o=%d", name, s, o)
-		}
-		if nd.SubjectToObject(s) != o || nd.ObjectToSubject(o) != s {
-			t.Errorf("%s: ext maps disagree (s=%d o=%d, SubjectToObject=%d ObjectToSubject=%d)",
-				name, s, o, nd.SubjectToObject(s), nd.ObjectToSubject(o))
+		if nd.SOID(NewIRI(name)) != d.SOID(NewIRI(name)) {
+			t.Errorf("%s: ID %d, base ID %d", name, nd.SOID(NewIRI(name)), d.SOID(NewIRI(name)))
 		}
 	}
-	// Shared-band terms keep the identity mapping.
-	b := nd.SubjectID(NewIRI("b"))
-	if nd.SubjectToObject(b) != b {
-		t.Errorf("shared-band term must map to itself, got %d", nd.SubjectToObject(b))
+	it, err := nd.Encode(T("o0", "p0", "s0"))
+	if err != nil {
+		t.Fatal(err)
 	}
-	// A term with no object role maps to 0.
-	b2 := NewDictionaryBuilder()
-	b2.Add(T("x", "p", "y"))
-	d2, _ := b2.Build()
-	if got := d2.SubjectToObject(d2.SubjectID(NewIRI("x"))); got != 0 {
-		t.Errorf("S-only term must map to 0, got %d", got)
+	if it.S != d.SOID(NewIRI("o0")) || it.O != d.SOID(NewIRI("s0")) {
+		t.Errorf("Encode = %+v, want the base IDs of o0 and s0", it)
 	}
 }
 
@@ -82,15 +69,14 @@ func TestExtendDeterministicFirstOccurrence(t *testing.T) {
 	ts := []Triple{T("n1", "p1", "n2"), T("n2", "p1", "n1"), T("n1", "p0", "n3")}
 	a, b := d.Extend(ts), d.Extend(ts)
 	for _, name := range []string{"n1", "n2", "n3"} {
-		if a.SubjectID(NewIRI(name)) != b.SubjectID(NewIRI(name)) ||
-			a.ObjectID(NewIRI(name)) != b.ObjectID(NewIRI(name)) {
+		if a.SOID(NewIRI(name)) != b.SOID(NewIRI(name)) {
 			t.Errorf("%s: two Extend runs over the same sequence assigned different IDs", name)
 		}
 	}
-	// First occurrence order decides the appended IDs: n1 before n2.
-	if !(a.SubjectID(NewIRI("n1")) < a.SubjectID(NewIRI("n2"))) {
-		t.Errorf("append order must follow first occurrence: n1=%d n2=%d",
-			a.SubjectID(NewIRI("n1")), a.SubjectID(NewIRI("n2")))
+	// First occurrence order decides the appended IDs: n1, n2, n3.
+	n1, n2, n3 := a.SOID(NewIRI("n1")), a.SOID(NewIRI("n2")), a.SOID(NewIRI("n3"))
+	if int(n1) != d.NumSO()+1 || n2 != n1+1 || n3 != n2+1 {
+		t.Errorf("append order must follow first occurrence: n1=%d n2=%d n3=%d", n1, n2, n3)
 	}
 }
 
@@ -99,15 +85,18 @@ func TestExtendIsChainable(t *testing.T) {
 	// Two single-step extensions must agree with one two-step chain on
 	// every ID (same overall first-occurrence sequence).
 	step1 := []Triple{T("n1", "p0", "b")}
-	step2 := []Triple{T("b", "p0", "n1")} // gives n1 an object role → ext pair
+	step2 := []Triple{T("b", "p0", "n1"), T("n2", "p2", "n1")} // n1 gains its object role
 	chained := d.Extend(step1).Extend(step2)
 	direct := d.Extend(append(append([]Triple{}, step1...), step2...))
-	if chained.SubjectID(NewIRI("n1")) != direct.SubjectID(NewIRI("n1")) ||
-		chained.ObjectID(NewIRI("n1")) != direct.ObjectID(NewIRI("n1")) {
-		t.Fatal("chained Extend diverged from single-shot Extend")
+	for _, name := range []string{"n1", "n2"} {
+		if chained.SOID(NewIRI(name)) != direct.SOID(NewIRI(name)) {
+			t.Fatalf("%s: chained Extend diverged from single-shot Extend", name)
+		}
 	}
-	if len(chained.ExtSharedPairs()) != 1 || len(direct.ExtSharedPairs()) != 1 {
-		t.Fatalf("want one ext pair from both paths, got %v / %v",
-			chained.ExtSharedPairs(), direct.ExtSharedPairs())
+	if chained.PredicateID(NewIRI("p2")) != direct.PredicateID(NewIRI("p2")) {
+		t.Fatal("p2: chained Extend diverged from single-shot Extend")
+	}
+	if chained.NumSO() != d.NumSO()+2 || direct.NumSO() != d.NumSO()+2 {
+		t.Fatalf("NumSO %d / %d, want %d", chained.NumSO(), direct.NumSO(), d.NumSO()+2)
 	}
 }

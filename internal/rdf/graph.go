@@ -96,20 +96,33 @@ type Stats struct {
 	Shared     int // |Vs ∩ Vo|
 }
 
-// Stats computes dataset characteristics.
+// Stats computes dataset characteristics, counting each term's roles
+// from the triples.
 func (g *Graph) Stats() Stats {
-	d := g.Dictionary()
-	return Stats{
-		Triples:    len(g.triples),
-		Subjects:   d.NumSubjects(),
-		Predicates: d.NumPredicates(),
-		Objects:    d.NumObjects(),
-		Shared:     d.NumShared(),
+	const subj, obj = 1, 2
+	roles := map[string]uint8{}
+	preds := map[string]bool{}
+	for _, tr := range g.triples {
+		roles[tr.S.Key()] |= subj
+		roles[tr.O.Key()] |= obj
+		preds[tr.P.Key()] = true
 	}
+	st := Stats{Triples: len(g.triples), Predicates: len(preds)}
+	for _, r := range roles {
+		if r&subj != 0 {
+			st.Subjects++
+		}
+		if r&obj != 0 {
+			st.Objects++
+		}
+		if r == subj|obj {
+			st.Shared++
+		}
+	}
+	return st
 }
 
-// Dictionary builds the Appendix-D dictionary for the graph's current
-// contents.
+// Dictionary builds the dictionary for the graph's current contents.
 func (g *Graph) Dictionary() *Dictionary {
 	b := NewDictionaryBuilder()
 	for _, tr := range g.triples {

@@ -61,37 +61,29 @@ func TestGraphStatsSample(t *testing.T) {
 	}
 }
 
-func TestDictionaryAppendixDLayout(t *testing.T) {
+// TestDictionarySOLayout pins the one S/O space: every term that occurs
+// as a subject or an object has one ID, in key order over the whole
+// space, whichever roles it has; predicates have their own space.
+func TestDictionarySOLayout(t *testing.T) {
 	d := sampleGraph().Dictionary()
-	if d.NumShared() != 6 {
-		t.Fatalf("NumShared = %d, want 6", d.NumShared())
+	want := []string{"CurbYourEnthu", "D.C.", "Jerry", "Jersey", "Julia", "Larry",
+		"LosAngeles", "NewAdvOldChristine", "NewYorkCity", "Seinfeld", "Veep"}
+	if d.NumSO() != len(want) {
+		t.Fatalf("NumSO = %d, want %d", d.NumSO(), len(want))
 	}
-	// Every shared term must have equal S and O IDs within 1..|Vso|.
-	for _, name := range []string{"Julia", "Larry", "Seinfeld", "Veep", "CurbYourEnthu", "NewAdvOldChristine"} {
-		term := NewIRI(name)
-		s, o := d.SubjectID(term), d.ObjectID(term)
-		if s == 0 || o == 0 || s != o || int(s) > d.NumShared() {
-			t.Errorf("%s: S=%d O=%d shared=%d", name, s, o, d.NumShared())
+	for i, name := range want {
+		if id := d.SOID(NewIRI(name)); id != ID(i+1) {
+			t.Errorf("%s: ID %d, want %d", name, id, i+1)
 		}
-		if !d.SharedID(s, o) {
-			t.Errorf("SharedID(%d,%d) should be true for %s", s, o, name)
+		if term, err := d.SOTerm(ID(i + 1)); err != nil || term != NewIRI(name) {
+			t.Errorf("SOTerm(%d) = %v, %v, want %s", i+1, term, err, name)
 		}
 	}
-	// Subject-only terms get IDs above the shared band.
-	jerry := d.SubjectID(NewIRI("Jerry"))
-	if int(jerry) <= d.NumShared() {
-		t.Errorf("Jerry ID %d must be above shared band %d", jerry, d.NumShared())
+	if d.SOID(NewIRI("actedIn")) != 0 || d.PredicateID(NewIRI("actedIn")) != 1 {
+		t.Error("a predicate-only term must have a P ID and no S/O ID")
 	}
-	if d.ObjectID(NewIRI("Jerry")) != 0 {
-		t.Error("Jerry never occurs as object")
-	}
-	// Object-only terms likewise.
-	nyc := d.ObjectID(NewIRI("NewYorkCity"))
-	if int(nyc) <= d.NumShared() {
-		t.Errorf("NewYorkCity ID %d must be above shared band", nyc)
-	}
-	if d.SubjectID(NewIRI("NewYorkCity")) != 0 {
-		t.Error("NewYorkCity never occurs as subject")
+	if d.NumSubjects() != d.NumSO() || d.NumObjects() != d.NumSO() || d.NumShared() != d.NumSO() {
+		t.Error("NumSubjects, NumObjects and NumShared must all be NumSO")
 	}
 }
 
@@ -124,7 +116,7 @@ func TestDictionaryUnknownTerms(t *testing.T) {
 	if _, err := d.Decode(IDTriple{S: 999, P: 1, O: 1}); err == nil {
 		t.Error("out-of-range decode must fail")
 	}
-	if _, err := d.Subject(0); err == nil {
+	if _, err := d.SOTerm(0); err == nil {
 		t.Error("ID 0 is reserved")
 	}
 }
@@ -150,9 +142,9 @@ func TestDictionaryDistinguishesKinds(t *testing.T) {
 	d := g.Dictionary()
 	ids := map[ID]bool{}
 	for _, o := range []Term{NewIRI("v"), NewLiteral("v"), NewTypedLiteral("v", "dt"), NewLangLiteral("v", "en")} {
-		id := d.ObjectID(o)
+		id := d.SOID(o)
 		if id == 0 {
-			t.Fatalf("missing object ID for %s", o)
+			t.Fatalf("missing S/O ID for %s", o)
 		}
 		if ids[id] {
 			t.Fatalf("ID collision between term kinds at %d", id)
@@ -271,12 +263,10 @@ func TestQuickDictionaryBijective(t *testing.T) {
 				return false
 			}
 		}
-		// Shared prefix property: for every ID in 1..NumShared, the S and O
-		// dimensions must resolve to the same term.
-		for id := 1; id <= d.NumShared(); id++ {
-			s, _ := d.Subject(ID(id))
-			o, _ := d.Object(ID(id))
-			if s != o {
+		// One space: every S/O ID resolves to a term whose ID it is.
+		for id := 1; id <= d.NumSO(); id++ {
+			term, err := d.SOTerm(ID(id))
+			if err != nil || d.SOID(term) != ID(id) {
 				return false
 			}
 		}
@@ -288,11 +278,12 @@ func TestQuickDictionaryBijective(t *testing.T) {
 }
 
 // TestDictionaryBuilderMatchesKeyLayout pins the interning builder to the
-// Appendix-D layout written out by hand: each band holds its terms sorted
-// by Key, and the Remap of every provisional triple equals Encode of the
-// triple. The fixture mixes kinds, language tags, datatypes, terms in
-// several roles, and an IRI carrying a stray datatype, whose Key equals
-// the plain IRI's, so both must get one ID.
+// layout written out by hand: the S/O space holds every subject and
+// object term sorted by Key, the P space every predicate sorted by Key,
+// and the Remap of every provisional triple equals Encode of the triple.
+// The fixture mixes kinds, language tags, datatypes, terms in several
+// roles, and an IRI carrying a stray datatype, whose Key equals the plain
+// IRI's, so both must get one ID.
 func TestDictionaryBuilderMatchesKeyLayout(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	terms := []Term{
@@ -316,28 +307,17 @@ func TestDictionaryBuilderMatchesKeyLayout(t *testing.T) {
 	}
 	d, remap := b.Build()
 
-	subj, obj, pred := map[string]bool{}, map[string]bool{}, map[string]bool{}
+	so, pred := map[string]bool{}, map[string]bool{}
 	for _, tr := range trs {
-		subj[tr.S.Key()], obj[tr.O.Key()], pred[tr.P.Key()] = true, true, true
+		so[tr.S.Key()], so[tr.O.Key()], pred[tr.P.Key()] = true, true, true
 	}
-	var shared, sOnly, oOnly, ps []string
-	for k := range subj {
-		if obj[k] {
-			shared = append(shared, k)
-		} else {
-			sOnly = append(sOnly, k)
+	sorted := func(m map[string]bool) []string {
+		var l []string
+		for k := range m {
+			l = append(l, k)
 		}
-	}
-	for k := range obj {
-		if !subj[k] {
-			oOnly = append(oOnly, k)
-		}
-	}
-	for k := range pred {
-		ps = append(ps, k)
-	}
-	for _, l := range [][]string{shared, sOnly, oOnly, ps} {
 		sort.Strings(l)
+		return l
 	}
 	check := func(dim string, want []string, n int, at func(ID) (Term, error)) {
 		t.Helper()
@@ -351,12 +331,8 @@ func TestDictionaryBuilderMatchesKeyLayout(t *testing.T) {
 			}
 		}
 	}
-	if d.NumShared() != len(shared) {
-		t.Fatalf("NumShared = %d, want %d", d.NumShared(), len(shared))
-	}
-	check("S", append(append([]string(nil), shared...), sOnly...), d.NumSubjects(), d.Subject)
-	check("O", append(append([]string(nil), shared...), oOnly...), d.NumObjects(), d.Object)
-	check("P", ps, d.NumPredicates(), d.Predicate)
+	check("S/O", sorted(so), d.NumSO(), d.SOTerm)
+	check("P", sorted(pred), d.NumPredicates(), d.Predicate)
 	for i, tr := range trs {
 		want, err := d.Encode(tr)
 		if err != nil {

@@ -1,8 +1,9 @@
 // Package rdf provides the RDF data model underneath LBR: terms, triples,
 // an N-Triples reader/writer, an in-memory graph, and the dictionary that
-// maps terms to the integer coordinates of the 3D bitcube (Appendix D of
-// the paper). Subjects and objects that denote the same entity share an ID
-// so that S-O joins are bit-position joins.
+// maps terms to the integer coordinates of the 3D bitcube. Subjects and
+// objects share one ID space, so that S-O joins are bit-position joins
+// (the paper's Appendix D gets there with a shared prefix instead; see
+// Dictionary).
 package rdf
 
 import (

@@ -202,9 +202,11 @@ func TestPrometheusMetricsView(t *testing.T) {
 			t.Errorf("%s missing", name)
 		}
 	}
-	// The movie store was built from Add calls, never loaded.
-	if !strings.Contains(body, "\nlbr_load_last_duration_seconds 0\n") {
-		t.Errorf("lbr_load_last_duration_seconds missing or non-zero before any load:\n%s", body)
+	// The movie store was built from Add calls, never loaded or written.
+	for _, name := range []string{"lbr_load_last_duration_seconds", "lbr_overlay_install_last_duration_seconds"} {
+		if !strings.Contains(body, "\n"+name+" 0\n") {
+			t.Errorf("%s missing or non-zero before any load or write:\n%s", name, body)
+		}
 	}
 
 	// A store filled by LoadNTriples reports the load's wall time, in the
@@ -217,6 +219,13 @@ func TestPrometheusMetricsView(t *testing.T) {
 	if _, err := st.LoadNTriples(strings.NewReader(nt.String())); err != nil {
 		t.Fatal(err)
 	}
+	// A write on the built store installs a delta overlay.
+	if err := st.Build(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.ApplyUpdate(`INSERT DATA { <http://x/s1> <http://x/p9> <http://x/s2> }`); err != nil {
+		t.Fatal(err)
+	}
 	loaded := httptest.NewServer(New(st, Config{Log: func(string, ...any) {}}).Handler())
 	defer loaded.Close()
 	resp, err = loaded.Client().Get(loaded.URL + "/metrics?format=prometheus")
@@ -225,12 +234,14 @@ func TestPrometheusMetricsView(t *testing.T) {
 	}
 	raw, _ = io.ReadAll(resp.Body)
 	resp.Body.Close()
-	m := regexp.MustCompile(`(?m)^lbr_load_last_duration_seconds ([-+0-9.eE]+)$`).FindStringSubmatch(string(raw))
-	if m == nil {
-		t.Fatalf("lbr_load_last_duration_seconds missing after a load:\n%s", raw)
-	}
-	if v, err := strconv.ParseFloat(m[1], 64); err != nil || v <= 0 {
-		t.Errorf("lbr_load_last_duration_seconds = %s after a load, want > 0", m[1])
+	for _, name := range []string{"lbr_load_last_duration_seconds", "lbr_overlay_install_last_duration_seconds"} {
+		m := regexp.MustCompile(`(?m)^` + name + ` ([-+0-9.eE]+)$`).FindStringSubmatch(string(raw))
+		if m == nil {
+			t.Fatalf("%s missing after a load and a write:\n%s", name, raw)
+		}
+		if v, err := strconv.ParseFloat(m[1], 64); err != nil || v <= 0 {
+			t.Errorf("%s = %s after a load and a write, want > 0", name, m[1])
+		}
 	}
 	resp, err = loaded.Client().Get(loaded.URL + "/metrics")
 	if err != nil {
@@ -239,8 +250,8 @@ func TestPrometheusMetricsView(t *testing.T) {
 	var snap Snapshot
 	err = json.NewDecoder(resp.Body).Decode(&snap)
 	resp.Body.Close()
-	if err != nil || snap.WAL == nil || snap.WAL.LoadLastMS <= 0 {
-		t.Errorf("JSON wal section after a load: %+v (err %v), want load_last_duration_ms > 0", snap.WAL, err)
+	if err != nil || snap.WAL == nil || snap.WAL.LoadLastMS <= 0 || snap.WAL.OverlayInstallLastMS <= 0 {
+		t.Errorf("JSON wal section after a load and a write: %+v (err %v), want load_last_duration_ms and overlay_install_last_duration_ms > 0", snap.WAL, err)
 	}
 }
 

@@ -113,6 +113,7 @@ func writeMetricsProm(w http.ResponseWriter, snap Snapshot) {
 		promSimple(w, "lbr_compactions_total", "counter", "Completed delta-folding compactions.", snap.WAL.Compactions)
 		promSimple(w, "lbr_compaction_last_duration_seconds", "gauge", "Build time of the most recent compaction.", snap.WAL.CompactionLastMS/1000.0)
 		promSimple(w, "lbr_load_last_duration_seconds", "gauge", "Wall time of the most recent N-Triples load, parse to index install.", snap.WAL.LoadLastMS/1000.0)
+		promSimple(w, "lbr_overlay_install_last_duration_seconds", "gauge", "Wall time of the most recent delta overlay install after a write.", snap.WAL.OverlayInstallLastMS/1000.0)
 	}
 
 	if rc := snap.ResultCache; rc != nil {

@@ -75,9 +75,9 @@ func (tp TriplePattern) IDs(d *rdf.Dictionary) (s, p, o rdf.ID, ok bool) {
 		}
 		return id
 	}
-	s = resolve(tp.S, d.SubjectID)
+	s = resolve(tp.S, d.SOID)
 	p = resolve(tp.P, d.PredicateID)
-	o = resolve(tp.O, d.ObjectID)
+	o = resolve(tp.O, d.SOID)
 	return s, p, o, ok
 }
 

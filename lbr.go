@@ -216,6 +216,7 @@ type Store struct {
 	compactions      atomic.Int64
 	compactionLastNS atomic.Int64
 	loadLastNS       atomic.Int64
+	overlayLastNS    atomic.Int64
 }
 
 // querySnapshot is one immutable query view of the store, published whole
@@ -381,21 +382,14 @@ func (s *Store) Len() int {
 // GraphStats summarizes the data the way Table 6.1 does.
 type GraphStats = rdf.Stats
 
-// Stats reports dataset characteristics, read from the dictionary of a
+// Stats reports dataset characteristics, counted from the postings of a
 // compacted index: like SaveIndex, it folds any outstanding delta first.
 func (s *Store) Stats() (GraphStats, error) {
 	idx, err := s.ensureIndex()
 	if err != nil {
 		return GraphStats{}, err
 	}
-	d := idx.Dictionary()
-	return GraphStats{
-		Triples:    int(idx.NumTriples()),
-		Subjects:   d.NumSubjects(),
-		Predicates: d.NumPredicates(),
-		Objects:    d.NumObjects(),
-		Shared:     d.NumShared(),
-	}, nil
+	return idx.Stats(), nil
 }
 
 // Build indexes the triples added so far, or, on a built store, folds the
@@ -458,11 +452,16 @@ func (s *Store) installSourceLocked(src bitmat.Source) {
 
 // installOverlayLocked rebuilds the delta overlay over the current base
 // from the net ins/del sets and installs it as the query snapshot (or the
-// bare base when the delta is empty). Delta triples are fed to the overlay
-// in key order, so reconstructing the same logical state — on WAL replay,
-// say — assigns identical extended-dictionary IDs.
+// bare base when the delta is empty). The overlay's dictionary extends
+// the base's: a delta term new to the base is appended to its space, and
+// a base term the delta gives its second role keeps its one S/O ID. Delta
+// triples are fed to the overlay in key order, so reconstructing the same
+// logical state — on WAL replay, say — assigns identical IDs. Its wall
+// time is WALStats.OverlayInstallLastMS.
 // The caller holds mu and guarantees base is non-nil.
 func (s *Store) installOverlayLocked() error {
+	t0 := time.Now()
+	defer func() { s.overlayLastNS.Store(int64(time.Since(t0))) }()
 	if len(s.ins) == 0 && len(s.del) == 0 {
 		s.installSourceLocked(s.base)
 		return nil

@@ -135,19 +135,25 @@ type WALStats struct {
 	// the delta apply on a built store), in milliseconds; 0 before the
 	// first one.
 	LoadLastMS float64 `json:"load_last_duration_ms"`
+	// OverlayInstallLastMS is the wall time of the most recent delta
+	// overlay install after a write: extending the dictionary, building
+	// the overlay and publishing the snapshot, in milliseconds; 0 before
+	// the first one.
+	OverlayInstallLastMS float64 `json:"overlay_install_last_duration_ms"`
 }
 
 // WALStats snapshots the durability counters. Safe to call concurrently
 // with queries and mutation; the values are monotone except
-// CompactionLastMS and LoadLastMS, which track the latest compaction and
-// load.
+// CompactionLastMS, LoadLastMS and OverlayInstallLastMS, which track the
+// latest compaction, load and overlay install.
 func (s *Store) WALStats() WALStats {
 	return WALStats{
-		Appends:          s.walAppends.Load(),
-		Replayed:         s.walReplayed.Load(),
-		Checkpoints:      s.walCheckpoints.Load(),
-		Compactions:      s.compactions.Load(),
-		CompactionLastMS: float64(s.compactionLastNS.Load()) / 1e6,
-		LoadLastMS:       float64(s.loadLastNS.Load()) / 1e6,
+		Appends:              s.walAppends.Load(),
+		Replayed:             s.walReplayed.Load(),
+		Checkpoints:          s.walCheckpoints.Load(),
+		Compactions:          s.compactions.Load(),
+		CompactionLastMS:     float64(s.compactionLastNS.Load()) / 1e6,
+		LoadLastMS:           float64(s.loadLastNS.Load()) / 1e6,
+		OverlayInstallLastMS: float64(s.overlayLastNS.Load()) / 1e6,
 	}
 }

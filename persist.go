@@ -3,6 +3,7 @@ package lbr
 import (
 	"bufio"
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"time"
@@ -16,8 +17,14 @@ import (
 
 // Store snapshot format: a small header, the dictionary, then the index
 // pair tables. The raw triples are not stored; the index is the canonical
-// representation.
-var storeMagic = []byte("LBRSTOR1")
+// representation. "LBRSTOR1" snapshots numbered subjects and objects in
+// two spaces; OpenIndex rejects them with ErrSnapshotVersion.
+var storeMagic = []byte("LBRSTOR2")
+
+// ErrSnapshotVersion is returned, wrapped, by OpenIndex for a snapshot
+// that an earlier format of SaveIndex wrote. Rebuild the store from its
+// triples and save it again.
+var ErrSnapshotVersion = errors.New("lbr: snapshot format no longer supported")
 
 // SaveIndex writes the built dictionary and index so a later process can
 // query without re-parsing N-Triples. Build is invoked first if needed.
@@ -77,6 +84,9 @@ func OpenIndexWithOptions(r io.Reader, opts Options) (*Store, error) {
 		return nil, err
 	}
 	if string(magic) != string(storeMagic) {
+		if string(magic) == "LBRSTOR1" {
+			return nil, fmt.Errorf("%w: %q", ErrSnapshotVersion, magic)
+		}
 		return nil, fmt.Errorf("lbr: bad store magic %q", magic)
 	}
 	dict, err := rdf.ReadDictionary(br)

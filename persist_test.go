@@ -2,6 +2,8 @@ package lbr
 
 import (
 	"bytes"
+	"errors"
+	"strings"
 	"testing"
 )
 
@@ -55,6 +57,26 @@ func TestOpenIndexRejectsGarbage(t *testing.T) {
 	}
 	if _, err := OpenIndex(bytes.NewReader(buf.Bytes()[:buf.Len()/3])); err == nil {
 		t.Error("truncated snapshot must be rejected")
+	}
+}
+
+// TestOpenIndexRejectsOldFormat feeds OpenIndex the snapshot an empty
+// store saved in the earlier format, with separate S and O spaces: the
+// store magic "LBRSTOR1", dictionary magic "LBRDICT1" and four u32
+// counts, index magic "LBRIDX1\n" and three u32 dimensions plus a u64
+// triple count. It must fail with ErrSnapshotVersion, not be misread.
+func TestOpenIndexRejectsOldFormat(t *testing.T) {
+	var old bytes.Buffer
+	old.WriteString("LBRSTOR1LBRDICT1")
+	old.Write(make([]byte, 16))
+	old.WriteString("LBRIDX1\n")
+	old.Write(make([]byte, 20))
+	_, err := OpenIndex(&old)
+	if !errors.Is(err, ErrSnapshotVersion) {
+		t.Fatalf("OpenIndex of an LBRSTOR1 snapshot: err = %v, want ErrSnapshotVersion", err)
+	}
+	if _, err := OpenIndex(strings.NewReader("LBRSTORX")); err == nil || errors.Is(err, ErrSnapshotVersion) {
+		t.Errorf("an unknown magic: err = %v, want a bad-magic error", err)
 	}
 }
 

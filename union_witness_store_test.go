@@ -43,7 +43,7 @@ var witnesslessStoreQueries = []string{
 // be byte-identical across worker counts. The rendered output must also
 // never leak the synthetic witness machinery.
 func TestWitnesslessUnionStoreSweep(t *testing.T) {
-	storeSweep(t, witnesslessStoreTriples(), witnesslessStoreQueries, []int{1, 2, 8},
+	storeSweep(t, witnesslessStoreTriples(), witnesslessStoreQueries, []int{1, 2, 8}, 25,
 		func(src, rendered string) { assertNoWitnessMarkers(t, src, "Result.String()", rendered) })
 }
 

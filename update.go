@@ -233,7 +233,7 @@ func (s *Store) containsLocked(k string, t Triple) bool {
 	// A term the base dictionary does not know has ID 0, which the index
 	// never contains.
 	d := s.base.Dictionary()
-	return s.base.Contains(d.SubjectID(t.S), d.PredicateID(t.P), d.ObjectID(t.O))
+	return s.base.Contains(d.SOID(t.S), d.PredicateID(t.P), d.SOID(t.O))
 }
 
 // DeltaSize reports the current number of delta entries (inserts plus

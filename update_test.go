@@ -29,6 +29,43 @@ func updateStore(t *testing.T) *Store {
 	return s
 }
 
+// TestSecondRoleJoinAfterBuild joins through a term that an
+// uncompacted insert gave its second role: <b> is only an object in the
+// built base, and the delta makes it a subject. The engine and the
+// baseline, under both policies, must find the one S-O join row.
+func TestSecondRoleJoinAfterBuild(t *testing.T) {
+	s := NewStore()
+	if _, err := s.ApplyUpdate(`INSERT DATA { <a> <p> <b> . <c> <q> <d> }`); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Build(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.ApplyUpdate(`INSERT DATA { <b> <r> <e> }`); err != nil {
+		t.Fatal(err)
+	}
+	if s.DeltaSize() != 1 {
+		t.Fatalf("delta size %d, want the insert left uncompacted", s.DeltaSize())
+	}
+	const q = `SELECT * WHERE { ?x <p> ?y . ?y <r> ?z }`
+	res, err := s.Query(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Len() != 1 {
+		t.Errorf("Query: %d rows, want 1", res.Len())
+	}
+	for _, pol := range []BaselinePolicy{MonetDBLike, VirtuosoLike} {
+		res, err := s.QueryBaseline(q, pol)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Len() != 1 {
+			t.Errorf("QueryBaseline(%d): %d rows, want 1", pol, res.Len())
+		}
+	}
+}
+
 func TestApplyUpdateInsertData(t *testing.T) {
 	s := updateStore(t)
 	gen := s.Generation()
