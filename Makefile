@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet fmt-check difftest-imports verify test-cache test-update test-trace test-filter test-union test-benchmark serve-smoke fuzz-smoke loc bench bench-smoke
+.PHONY: all build test race vet fmt-check difftest-imports verify test-cache test-update test-trace test-filter test-union test-benchmark serve-smoke fuzz-smoke loc bench bench-smoke bench-join
 
 # The default target is the full tier-1 verification, race detector included.
 all: verify
@@ -154,3 +154,14 @@ bench:
 # non-zero, naming the dataset and query, if any two disagree.
 bench-smoke:
 	$(GO) run ./cmd/lbrbench -table all -lubm-univ 1 -uniprot-proteins 200 -dbpedia-entities 400 -runs 1
+
+# bench-join runs the join's Go benchmarks with -benchmem: the collected
+# star-with-OPTIONAL query (BenchmarkJoinCollect, its time and its
+# allocations per query), the directory cursor against Row's binary search
+# (BenchmarkMatrixSeek), and the compressed-row kernels (BenchmarkRow*).
+# CI runs it with BENCHTIME=1x, once each, so they keep compiling and
+# running.
+BENCHTIME ?= 1s
+bench-join:
+	$(GO) test -run='^$$' -bench='^Benchmark(JoinCollect|MatrixSeek|Row)' -benchmem -benchtime=$(BENCHTIME) \
+		./internal/engine ./internal/bitmat ./internal/bitvec

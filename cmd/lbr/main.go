@@ -12,36 +12,72 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
+	"strings"
 	"time"
 
 	"repro"
 )
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdin, os.Stdout, os.Stderr))
+}
+
+// errUsage reports a usage error that has already been printed.
+var errUsage = errors.New("usage")
+
+// run is the command with its arguments and streams passed in. It returns
+// the exit status: 0 on success, 2 on a usage error, and 1 on any other
+// error, which it prints as one line under one "lbr: " prefix (the
+// library's own errors already carry it).
+func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
+	err := execute(args, stdin, stdout, stderr)
+	switch {
+	case err == nil:
+		return 0
+	case errors.Is(err, errUsage):
+		return 2
+	}
+	msg := err.Error()
+	if !strings.HasPrefix(msg, "lbr: ") {
+		msg = "lbr: " + msg
+	}
+	fmt.Fprintln(stderr, msg)
+	return 1
+}
+
+// execute parses args, loads or opens the store, and runs the command.
+func execute(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("lbr", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		dataPath  = flag.String("data", "", "N-Triples file to load")
-		indexPath = flag.String("index", "", "binary index snapshot to open (alternative to -data)")
-		saveIndex = flag.String("saveindex", "", "write the built index snapshot to this file and exit")
-		query     = flag.String("query", "", "SPARQL query text")
-		queryFile = flag.String("queryfile", "", "file containing the SPARQL query")
-		explain   = flag.Bool("explain", false, "print the static plan, execute the query traced, and print the span-tree JSON instead of rows")
-		stats     = flag.Bool("stats", false, "print dataset characteristics and exit")
-		timing    = flag.Bool("timing", false, "print Tinit/Tprune/Ttotal after the results")
-		base      = flag.String("baseline", "", "run on a baseline engine instead: monetdb|virtuoso")
-		maxRows   = flag.Int("maxrows", 0, "print at most this many rows (0 = all)")
-		workers   = flag.Int("workers", 0, "engine worker goroutines (0 = GOMAXPROCS, 1 = sequential)")
-		timeout   = flag.Duration("timeout", 0, "abort the query after this long, e.g. 30s (0 = no bound)")
+		dataPath  = fs.String("data", "", "N-Triples file to load")
+		indexPath = fs.String("index", "", "binary index snapshot to open (alternative to -data)")
+		saveIndex = fs.String("saveindex", "", "write the built index snapshot to this file and exit")
+		query     = fs.String("query", "", "SPARQL query text")
+		queryFile = fs.String("queryfile", "", "file containing the SPARQL query")
+		explain   = fs.Bool("explain", false, "print the static plan, execute the query traced, and print the span-tree JSON instead of rows")
+		stats     = fs.Bool("stats", false, "print dataset characteristics and exit")
+		timing    = fs.Bool("timing", false, "print Tinit/Tprune/Ttotal after the results")
+		base      = fs.String("baseline", "", "run on a baseline engine instead: monetdb|virtuoso")
+		maxRows   = fs.Int("maxrows", 0, "print at most this many rows (0 = all)")
+		workers   = fs.Int("workers", 0, "engine worker goroutines (0 = GOMAXPROCS, 1 = sequential)")
+		timeout   = fs.Duration("timeout", 0, "abort the query after this long, e.g. 30s (0 = no bound)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); errors.Is(err, flag.ErrHelp) {
+		return nil
+	} else if err != nil {
+		return errUsage
+	}
 
 	if *dataPath == "" && *indexPath == "" {
-		fmt.Fprintln(os.Stderr, "lbr: -data or -index is required")
-		flag.Usage()
-		os.Exit(2)
+		fmt.Fprintln(stderr, "lbr: -data or -index is required")
+		fs.Usage()
+		return errUsage
 	}
 
 	var store *lbr.Store
@@ -49,77 +85,78 @@ func main() {
 	if *indexPath != "" {
 		f, err := os.Open(*indexPath)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		store, err = lbr.OpenIndexWithOptions(f, lbr.Options{Workers: *workers})
 		f.Close()
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		fmt.Fprintf(os.Stderr, "opened index with %d triples in %s\n",
+		fmt.Fprintf(stderr, "opened index with %d triples in %s\n",
 			store.Len(), time.Since(loadStart).Round(time.Millisecond))
 	} else {
 		f, err := os.Open(*dataPath)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		store = lbr.NewStoreWithOptions(lbr.Options{Workers: *workers})
 		n, err := store.LoadNTriples(f)
 		f.Close()
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		if err := store.Build(); err != nil {
-			fatal(err)
+			return err
 		}
-		fmt.Fprintf(os.Stderr, "loaded %d triples and built index in %s\n",
+		fmt.Fprintf(stderr, "loaded %d triples and built index in %s\n",
 			n, time.Since(loadStart).Round(time.Millisecond))
 	}
 
 	if *saveIndex != "" {
 		out, err := os.Create(*saveIndex)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		if err := store.SaveIndex(out); err != nil {
-			fatal(err)
+			out.Close() // the save error is the one to report
+			return err
 		}
 		if err := out.Close(); err != nil {
-			fatal(err)
+			return err
 		}
 		info, _ := os.Stat(*saveIndex)
-		fmt.Fprintf(os.Stderr, "wrote index snapshot %s (%d bytes)\n", *saveIndex, info.Size())
-		return
+		fmt.Fprintf(stderr, "wrote index snapshot %s (%d bytes)\n", *saveIndex, info.Size())
+		return nil
 	}
 
 	if *stats {
 		st, err := store.Stats()
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		fmt.Printf("triples=%d subjects=%d predicates=%d objects=%d shared=%d\n",
+		fmt.Fprintf(stdout, "triples=%d subjects=%d predicates=%d objects=%d shared=%d\n",
 			st.Triples, st.Subjects, st.Predicates, st.Objects, st.Shared)
-		return
+		return nil
 	}
 
 	src := *query
 	if src == "" && *queryFile != "" {
 		raw, err := os.ReadFile(*queryFile)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		src = string(raw)
 	}
 	if src == "" {
-		raw, err := io.ReadAll(os.Stdin)
+		raw, err := io.ReadAll(stdin)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		src = string(raw)
 	}
 	if src == "" {
-		fmt.Fprintln(os.Stderr, "lbr: no query given")
-		os.Exit(2)
+		fmt.Fprintln(stderr, "lbr: no query given")
+		return errUsage
 	}
 
 	// A runaway query is bounded through the engine's context plumbing:
@@ -134,23 +171,23 @@ func main() {
 	if *explain {
 		plan, err := store.Explain(src)
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		fmt.Print(plan)
+		fmt.Fprint(stdout, plan)
 		// The static plan answers "what would run"; the traced execution
 		// answers "what did it cost": per-branch planner decisions, cache
 		// outcomes, prune levels, and the join, as a span tree.
 		res, root, err := store.QueryTrace(ctx, src)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		out, err := json.MarshalIndent(root.Snapshot(), "", "  ")
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		fmt.Println(string(out))
-		fmt.Fprintf(os.Stderr, "%d rows in %s\n", res.Len(), res.Stats.Total.Round(time.Microsecond))
-		return
+		fmt.Fprintln(stdout, string(out))
+		fmt.Fprintf(stderr, "%d rows in %s\n", res.Len(), res.Stats.Total.Round(time.Microsecond))
+		return nil
 	}
 
 	var res *lbr.Result
@@ -163,48 +200,44 @@ func main() {
 	case "virtuoso":
 		res, err = store.QueryBaseline(src, lbr.VirtuosoLike)
 	default:
-		fatal(fmt.Errorf("unknown baseline %q", *base))
+		return fmt.Errorf("unknown baseline %q", *base)
 	}
 	if err != nil {
-		fatal(err)
+		return err
 	}
 
 	printed := 0
 	for i, v := range res.Vars {
 		if i > 0 {
-			fmt.Print("\t")
+			fmt.Fprint(stdout, "\t")
 		}
-		fmt.Print("?" + v)
+		fmt.Fprint(stdout, "?"+v)
 	}
-	fmt.Println()
+	fmt.Fprintln(stdout)
 	for i := 0; i < res.Len(); i++ {
 		if *maxRows > 0 && printed >= *maxRows {
-			fmt.Printf("... (%d more rows)\n", res.Len()-printed)
+			fmt.Fprintf(stdout, "... (%d more rows)\n", res.Len()-printed)
 			break
 		}
 		row := res.Row(i)
 		for k, t := range row {
 			if k > 0 {
-				fmt.Print("\t")
+				fmt.Fprint(stdout, "\t")
 			}
 			if t.IsZero() {
-				fmt.Print("NULL")
+				fmt.Fprint(stdout, "NULL")
 			} else {
-				fmt.Print(t.String())
+				fmt.Fprint(stdout, t.String())
 			}
 		}
-		fmt.Println()
+		fmt.Fprintln(stdout)
 		printed++
 	}
-	fmt.Fprintf(os.Stderr, "%d rows\n", res.Len())
+	fmt.Fprintf(stderr, "%d rows\n", res.Len())
 	if *timing && *base == "" {
 		st := res.Stats
-		fmt.Fprintf(os.Stderr, "Tinit=%s Tprune=%s Ttotal=%s initial=%d pruned=%d bestmatch=%v\n",
+		fmt.Fprintf(stderr, "Tinit=%s Tprune=%s Ttotal=%s initial=%d pruned=%d bestmatch=%v\n",
 			st.Init, st.Prune, st.Total, st.InitialTriples, st.AfterPruning, st.BestMatch)
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "lbr:", err)
-	os.Exit(1)
+	return nil
 }

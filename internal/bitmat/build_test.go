@@ -31,6 +31,16 @@ func indexBytes(t *testing.T, idx *Index) []byte {
 	return buf.Bytes()
 }
 
+// dictionaryOf builds the dictionary of g's triples.
+func dictionaryOf(g *rdf.Graph) *rdf.Dictionary {
+	b := rdf.NewDictionaryBuilder()
+	for _, tr := range g.Triples() {
+		b.Add(tr)
+	}
+	d, _ := b.Build()
+	return d
+}
+
 // referenceBuild is the naive build Build is checked against: encode
 // each triple in order, append its pairs to unsized buckets, then sort
 // every bucket with sort.Slice. It fails on the first triple, in
@@ -74,7 +84,7 @@ func referenceBuild(triples []rdf.Triple, dict *rdf.Dictionary) (*Index, error) 
 // worker argument, is the same build.
 func TestBuildParallelByteIdentical(t *testing.T) {
 	g := buildFixture(2500)
-	ref, err := referenceBuild(g.Triples(), g.Dictionary())
+	ref, err := referenceBuild(g.Triples(), dictionaryOf(g))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +130,7 @@ func TestBuildParallelByteIdentical(t *testing.T) {
 // order, is byte-identical to the reference build of the distinct set.
 func TestBuildDuplicatesCollapse(t *testing.T) {
 	g := buildFixture(600)
-	ref, err := referenceBuild(g.Triples(), g.Dictionary())
+	ref, err := referenceBuild(g.Triples(), dictionaryOf(g))
 	if err != nil {
 		t.Fatal(err)
 	}

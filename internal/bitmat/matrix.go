@@ -108,10 +108,42 @@ func (m *Matrix) Row(r int) *bitvec.Row {
 	return nil
 }
 
-// Test reports whether bit (r, c) is set.
-func (m *Matrix) Test(r, c int) bool {
-	row := m.Row(r)
-	return row != nil && row.Test(c)
+// Seek is Row for a caller that probes many rows in mostly ascending
+// order, such as the multi-way join's bound-row probes. It returns row
+// r, or nil if it is empty, and the hint for the next call.
+//
+// A hint is a slot of the live-row directory: where the previous Seek
+// ended. From a hint at or below r's slot, Seek gallops forward (steps 1,
+// 2, 4, ... slots) and binary-searches the last step, so an ascending
+// sequence of probes costs O(log distance) each instead of O(log live
+// rows); a target below the hint is binary-searched below it. Any hint is
+// correct, however stale or out of range: it only chooses where the
+// search starts, and each side of it is compared with r before being
+// trusted. Start a sequence with hint 0.
+func (m *Matrix) Seek(r, hint int) (*bitvec.Row, int) {
+	n := len(m.ids)
+	if r < 0 || r >= m.nRows || n == 0 {
+		return nil, hint
+	}
+	hint = min(max(hint, 0), n-1)
+	t := uint32(r)
+	lo, hi := 0, hint
+	if m.ids[hint] <= t {
+		// Gallop: ids[lo] <= t, and on exit ids[hi] > t or hi == n.
+		lo = hint
+		step := 1
+		for lo+step < n && m.ids[lo+step] <= t {
+			lo += step
+			step <<= 1
+		}
+		hi = min(lo+step, n)
+	}
+	i, found := slices.BinarySearch(m.ids[lo:hi], t)
+	i += lo
+	if found {
+		return m.rows[i], i
+	}
+	return nil, i
 }
 
 // Clone returns a deep-enough copy: rows are immutable so sharing them is

@@ -119,9 +119,6 @@ func checkModel(t *testing.T, step string, m *Matrix, md *matModel) {
 	if m.WireSize() != fresh.WireSize() || m.RLEWireSize() != fresh.RLEWireSize() {
 		fail("WireSize = %d/%d, fresh build %d/%d", m.WireSize(), m.RLEWireSize(), fresh.WireSize(), fresh.RLEWireSize())
 	}
-	if m.Test(-1, 0) || m.Test(md.nRows, 0) {
-		fail("a bit outside [0, %d) rows is set", md.nRows)
-	}
 	for r := -1; r <= md.nRows; r++ {
 		row := m.Row(r)
 		var got []uint32
@@ -133,12 +130,6 @@ func checkModel(t *testing.T, step string, m *Matrix, md *matModel) {
 		}
 		if !slices.Equal(got, rc[r]) {
 			fail("Row(%d) = %v, want %v", r, got, rc[r])
-		}
-		for _, c := range rc[r] {
-			next := int(c) + 1
-			if !m.Test(r, int(c)) || m.Test(r, next) != md.bits[[2]int{r, next}] {
-				fail("Test around (%d,%d) disagrees with the model", r, c)
-			}
 		}
 	}
 	fr, fc := m.Fold(Rows), m.Fold(Cols)
@@ -204,9 +195,9 @@ func (o *opReader) row(nCols int) (*bitvec.Row, []uint32) {
 			cols = append(cols, uint32(c))
 		}
 	}
-	row := bitvec.RowFromPositions(nCols, cols)
 	slices.Sort(cols)
-	return row, slices.Compact(cols)
+	cols = slices.Compact(cols)
+	return bitvec.RowFromSortedPositions(nCols, slices.Clone(cols)), cols
 }
 
 // mask draws a mask over an axis of length n. Its length may be shorter
@@ -255,7 +246,7 @@ func runMatrixOps(t *testing.T, data []byte) {
 	m, md := NewMatrix(nRows, nCols), newMatModel(nRows, nCols)
 	checkModel(t, "NewMatrix", m, md)
 	for step := 0; !o.done() && step < 100; step++ {
-		switch op := o.next() % 6; op {
+		switch op := o.next() % 7; op {
 		case 0, 1, 2:
 			name := mutate(m, md, o)
 			checkModel(t, fmt.Sprintf("step %d %s", step, name), m, md)
@@ -298,14 +289,37 @@ func runMatrixOps(t *testing.T, data []byte) {
 			if !slices.Equal(got, want) {
 				t.Fatalf("step %d: ForEachRowRange(%d, %d) stop %d = %v, want %v", step, lo, hi, stopAfter, got, want)
 			}
+		case 6:
+			// A Seek sequence: ascending, descending or scattered targets,
+			// some out of range, each hint the last result or, now and
+			// then, a stale or out-of-range one.
+			fresh := md.build()
+			order, hint := o.next()%3, o.next()%(nRows+4)-2
+			for k := 1 + o.next()%8; k > 0; k-- {
+				r := o.next()%(nRows+4) - 2
+				switch order {
+				case 0:
+					r = nRows/2 + k
+				case 1:
+					r = nRows/2 - k
+				}
+				if o.next()%4 == 0 {
+					hint = o.next()%(nRows+4) - 2
+				}
+				var row *bitvec.Row
+				row, hint = m.Seek(r, hint)
+				if want := fresh.Row(r); (row == nil) != (want == nil) || row != nil && !row.Equal(want) {
+					t.Fatalf("step %d: Seek(%d) = %v, want %v", step, r, row, want)
+				}
+			}
 		}
 	}
 }
 
 // TestMatrixModel runs random op streams against the map model: SetRow in
 // any row order (replacing and clearing rows with nil or empty rows),
-// unfolds on both axes with masks up to the axis length, clones, transposes
-// and row ranges, checking every observable after every op.
+// unfolds on both axes with masks up to the axis length, clones, transposes,
+// row ranges and Seek sequences, checking every observable after every op.
 func TestMatrixModel(t *testing.T) {
 	for seed := int64(0); seed < 300; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -345,7 +359,7 @@ func TestMatrixAllocsIndependentOfDimension(t *testing.T) {
 		rowMask, colMask := bitvec.NewBits(n), bitvec.NewBits(n)
 		for i := 0; i < live; i++ {
 			r := i * 19
-			m.SetRow(r, bitvec.RowFromPositions(n, []uint32{uint32(r), uint32(r + 3), uint32(r + 7)}))
+			m.SetRow(r, bitvec.RowFromSortedPositions(n, []uint32{uint32(r), uint32(r + 3), uint32(r + 7)}))
 			if i%3 != 0 {
 				rowMask.Set(r)
 			}
@@ -387,4 +401,87 @@ func TestMatrixAllocsIndependentOfDimension(t *testing.T) {
 	if b := bytesPerRun(newBig); b > 128 {
 		t.Errorf("NewMatrix(10^6, 10^6) allocated %d bytes, want O(1)", b)
 	}
+}
+
+// randomMatrix fills about density of the rows of an nRows x nCols matrix,
+// each with a few set bits.
+func randomMatrix(rng *rand.Rand, nRows, nCols int, density float64) *Matrix {
+	m := NewMatrix(nRows, nCols)
+	for r := 0; r < nRows; r++ {
+		if rng.Float64() >= density {
+			continue
+		}
+		var pos []uint32
+		for c := 0; c < nCols; c++ {
+			if rng.Intn(4) == 0 {
+				pos = append(pos, uint32(c))
+			}
+		}
+		m.SetRow(r, bitvec.RowFromSortedPositions(nCols, pos))
+	}
+	return m
+}
+
+// TestMatrixSeekMatchesRow checks Seek against Row on random matrices:
+// ascending, descending and scattered target sequences with targets out
+// of range on both sides, each probed with the hint the previous Seek
+// returned and, separately, with stale and out-of-range hints.
+func TestMatrixSeekMatchesRow(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 200; trial++ {
+		nRows := 1 + rng.Intn(200)
+		m := randomMatrix(rng, nRows, 1+rng.Intn(20), []float64{0, 0.05, 0.5, 1}[trial%4])
+		targets := make([]int, 1+rng.Intn(3*nRows))
+		for k := range targets {
+			targets[k] = rng.Intn(nRows+6) - 3
+		}
+		switch trial % 3 {
+		case 0:
+			slices.Sort(targets)
+		case 1:
+			slices.Sort(targets)
+			slices.Reverse(targets)
+		}
+		hint := 0
+		for _, r := range targets {
+			want := m.Row(r)
+			var got *bitvec.Row
+			got, hint = m.Seek(r, hint)
+			if got != want {
+				t.Fatalf("trial %d: Seek(%d) with the returned hint = %v, Row = %v", trial, r, got, want)
+			}
+			for _, h := range []int{-5, -1, 0, rng.Intn(nRows + 1), m.LiveRows() - 1, m.LiveRows(), m.LiveRows() + 7} {
+				if got, _ := m.Seek(r, h); got != want {
+					t.Fatalf("trial %d: Seek(%d, hint %d) = %v, Row = %v", trial, r, h, got, want)
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkMatrixSeek probes every live row of a 10^5-row matrix in
+// ascending order, the join's bound-row pattern, through Seek with the
+// running hint and through Row's whole-directory binary search.
+func BenchmarkMatrixSeek(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	m := randomMatrix(rng, 100_000, 8, 0.3)
+	var ids []int
+	m.ForEachRow(func(r int, _ *bitvec.Row) bool { ids = append(ids, r); return true })
+	b.Run("seek", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			hint := 0
+			for _, r := range ids {
+				var row *bitvec.Row
+				row, hint = m.Seek(r, hint)
+				allocSink += row.Count()
+			}
+		}
+	})
+	b.Run("row", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			for _, r := range ids {
+				allocSink += m.Row(r).Count()
+			}
+		}
+	})
 }

@@ -131,37 +131,11 @@ func RowFromBits(b *Bits) *Row {
 	return &Row{enc: EncRLE, n: n, first: firstVal, runs: runs, count: c}
 }
 
-// RowFromPositions builds a row of length n from a list of set-bit
-// positions. Positions must be in range; duplicates are coalesced.
-func RowFromPositions(n int, positions []uint32) *Row {
-	if len(positions) == 0 {
-		return EmptyRow(n)
-	}
-	pos := make([]uint32, len(positions))
-	copy(pos, positions)
-	sort.Slice(pos, func(i, j int) bool { return pos[i] < pos[j] })
-	// Dedup in place.
-	w := 1
-	for i := 1; i < len(pos); i++ {
-		if pos[i] != pos[i-1] {
-			pos[w] = pos[i]
-			w++
-		}
-	}
-	pos = pos[:w]
-	if int(pos[len(pos)-1]) >= n {
-		panic(fmt.Sprintf("bitvec: position %d out of range %d", pos[len(pos)-1], n))
-	}
-	r := &Row{enc: EncSparse, n: n, pos: pos, count: len(pos)}
-	return r.normalize()
-}
-
 // RowFromSortedPositions builds a row of length n from strictly ascending,
-// duplicate-free set-bit positions, taking ownership of pos. It skips the
-// defensive copy, sort, and dedup of RowFromPositions, which makes it the
-// row-append fast path for index materialization: pair tables and
-// row-major matrix walks already produce positions in order. Unsorted or
-// duplicated input panics, as would silently corrupt the row.
+// duplicate-free set-bit positions, taking ownership of pos: no copy, sort
+// or dedup, because pair tables and row-major matrix walks already produce
+// positions in order. Unsorted or duplicated input panics, as it would
+// silently corrupt the row.
 func RowFromSortedPositions(n int, pos []uint32) *Row {
 	if len(pos) == 0 {
 		return EmptyRow(n)
@@ -308,58 +282,15 @@ func (r *Row) ForEach(fn func(i int) bool) {
 	}
 }
 
-// ForEachRange calls fn with the index of every set bit in [lo, hi) in
-// ascending order, seeking past the prefix instead of decoding it: a
-// binary search for sparse rows, run skipping for RLE rows. Iteration
-// stops if fn returns false.
-func (r *Row) ForEachRange(lo, hi int, fn func(i int) bool) {
-	if lo < 0 {
-		lo = 0
-	}
-	if hi > r.n {
-		hi = r.n
-	}
-	if lo >= hi {
-		return
-	}
-	switch r.enc {
-	case EncEmpty:
-	case EncSparse:
-		k := sort.Search(len(r.pos), func(j int) bool { return r.pos[j] >= uint32(lo) })
-		for _, p := range r.pos[k:] {
-			if int(p) >= hi {
-				return
-			}
-			if !fn(int(p)) {
-				return
-			}
-		}
-	case EncRLE:
-		v := r.first
-		at := 0
-		for _, rl := range r.runs {
-			next := at + int(rl)
-			if v && next > lo {
-				start := at
-				if start < lo {
-					start = lo
-				}
-				for i := start; i < next; i++ {
-					if i >= hi {
-						return
-					}
-					if !fn(i) {
-						return
-					}
-				}
-			}
-			at = next
-			if at >= hi {
-				return
-			}
-			v = !v
-		}
-	}
+// Raw exposes the compressed form for loops that cannot afford a closure
+// call per set bit, such as the multi-way join. A sparse row returns its
+// ascending set-bit positions in pos and nil runs; an RLE row returns nil
+// pos and its run lengths, alternating between set and clear and starting
+// with a run whose value is first, all non-zero and summing to Len(); an
+// empty row returns nil runs and no positions. The slices are the row's
+// own storage: the caller reads them and never writes.
+func (r *Row) Raw() (pos, runs []uint32, first bool) {
+	return r.pos, r.runs, r.first
 }
 
 // Runs calls fn with every maximal run [start, start+length) of set bits in

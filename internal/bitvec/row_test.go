@@ -3,6 +3,7 @@ package bitvec
 import (
 	"bytes"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -109,28 +110,28 @@ func TestRowHybridInvariant(t *testing.T) {
 	}
 }
 
-func TestRowFromPositions(t *testing.T) {
-	r := RowFromPositions(10, []uint32{5, 2, 5, 2, 9})
+func TestRowFromSortedPositions(t *testing.T) {
+	r := RowFromSortedPositions(10, []uint32{2, 5, 9})
 	if r.Count() != 3 {
-		t.Fatalf("Count = %d, want 3 after dedup", r.Count())
+		t.Fatalf("Count = %d, want 3", r.Count())
 	}
 	for _, p := range []int{2, 5, 9} {
 		if !r.Test(p) {
 			t.Errorf("bit %d should be set", p)
 		}
 	}
-	if RowFromPositions(10, nil).Count() != 0 {
+	if RowFromSortedPositions(10, nil).Count() != 0 {
 		t.Error("nil positions must give empty row")
 	}
 }
 
-func TestRowFromPositionsOutOfRange(t *testing.T) {
+func TestRowFromSortedPositionsOutOfRange(t *testing.T) {
 	defer func() {
 		if recover() == nil {
 			t.Error("out-of-range position must panic")
 		}
 	}()
-	RowFromPositions(4, []uint32{4})
+	RowFromSortedPositions(4, []uint32{4})
 }
 
 func TestRowAndAgainstNaive(t *testing.T) {
@@ -154,7 +155,7 @@ func TestRowAndAgainstNaive(t *testing.T) {
 
 func TestRowAndShortMask(t *testing.T) {
 	// Mask shorter than the row: missing bits behave as zero.
-	row := RowFromPositions(100, []uint32{1, 50, 99})
+	row := RowFromSortedPositions(100, []uint32{1, 50, 99})
 	mask := NewBits(60)
 	mask.Set(1)
 	mask.Set(50)
@@ -346,48 +347,51 @@ func BenchmarkRowOrInto(b *testing.B) {
 	}
 }
 
-func TestRowForEachRangeAgainstForEach(t *testing.T) {
+// TestRowRawAgainstForEach decodes the storage Raw exposes, the way the
+// join's inline loops do, and checks it yields exactly ForEach's bits for
+// every encoding.
+func TestRowRawAgainstForEach(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 60; trial++ {
+	for trial := 0; trial < 90; trial++ {
 		n := 1 + rng.Intn(300)
-		density := []float64{0.02, 0.5, 0.95}[trial%3]
+		density := []float64{0, 0.02, 0.5, 0.95, 1}[trial%5]
 		r := RowFromBits(randomBits(rng, n, density))
-		lo, hi := rng.Intn(n+2)-1, rng.Intn(n+2)-1
 		var want []int
 		r.ForEach(func(i int) bool {
-			if i >= lo && i < hi {
-				want = append(want, i)
-			}
+			want = append(want, i)
 			return true
 		})
+		pos, runs, first := r.Raw()
 		var got []int
-		r.ForEachRange(lo, hi, func(i int) bool {
-			got = append(got, i)
-			return true
-		})
-		if len(got) != len(want) {
-			t.Fatalf("enc=%v n=%d [%d,%d): got %d bits, want %d", r.Encoding(), n, lo, hi, len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("enc=%v n=%d [%d,%d) pos %d: got %d, want %d", r.Encoding(), n, lo, hi, i, got[i], want[i])
+		switch r.Encoding() {
+		case EncRLE:
+			if pos != nil {
+				t.Fatalf("RLE row exposes positions %v", pos)
+			}
+			v, at := first, 0
+			for _, rl := range runs {
+				if rl == 0 {
+					t.Fatalf("RLE row exposes an empty run: %v", runs)
+				}
+				for i := at; v && i < at+int(rl); i++ {
+					got = append(got, i)
+				}
+				at += int(rl)
+				v = !v
+			}
+			if at != n {
+				t.Fatalf("runs sum to %d, want %d", at, n)
+			}
+		default:
+			if runs != nil {
+				t.Fatalf("%v row exposes runs %v", r.Encoding(), runs)
+			}
+			for _, p := range pos {
+				got = append(got, int(p))
 			}
 		}
-	}
-}
-
-func TestRowForEachRangeEarlyStop(t *testing.T) {
-	b, err := FromString("1110011110")
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := RowFromBits(b)
-	var got []int
-	r.ForEachRange(1, 9, func(i int) bool {
-		got = append(got, i)
-		return len(got) < 2
-	})
-	if len(got) != 2 || got[0] != 1 || got[1] != 2 {
-		t.Fatalf("early stop got %v, want [1 2]", got)
+		if !slices.Equal(got, want) {
+			t.Fatalf("enc=%v n=%d: Raw decodes to %v, ForEach gives %v", r.Encoding(), n, got, want)
+		}
 	}
 }

@@ -50,7 +50,7 @@ func checkStreamed(t *testing.T, e *Engine, q *sparql.Query, want []string, labe
 	}
 }
 
-func indexOf(t *testing.T, g *rdf.Graph) *bitmat.Index {
+func indexOf(t testing.TB, g *rdf.Graph) *bitmat.Index {
 	t.Helper()
 	idx, err := bitmat.Build(g)
 	if err != nil {

@@ -420,24 +420,39 @@ func (e *Engine) collect(ctx context.Context, p *prepared, sp *trace.Span) (*Res
 	if sp != nil {
 		msp = sp.Child("merge")
 	}
-	var allRows []Row
 	// metas stays nil until some branch actually carries rule-3 collapse
 	// scope; a plain query never pays the per-row pointer. rowGroup tracks
 	// each row's distribution group so the cross-branch minimum union
 	// below stays scoped to the branches rule 3 actually split — genuine
 	// UNION alternatives have distinct groups and must keep their rows
-	// even when one subsumes another (bag-union semantics).
+	// even when one subsumes another (bag-union semantics). Both serve
+	// only that cross-branch pass, so a single branch builds neither and
+	// hands its rows through; several concatenate into slices sized once.
+	var allRows []Row
 	var metas []*dupMeta
 	var rowGroup []int32
+	if len(execs) == 1 {
+		allRows = branchRes[0].Rows
+	} else {
+		total := 0
+		for _, br := range branchRes {
+			total += len(br.Rows)
+		}
+		allRows, rowGroup = make([]Row, 0, total), make([]int32, 0, total)
+	}
 	groupID := map[string]int32{}
 	var groupNeed []bool
 	var groupBranches []int
 	for i, eb := range execs {
 		br := branchRes[i]
 		applyCheapSubsts(eb.b.Substs, br.Rows, varPos)
+		accumulate(&res.Stats, &br.Stats)
+		if len(execs) == 1 {
+			break // its rows are allRows already, and nothing crosses branches
+		}
 		if meta := dupMetaFor(eb, varPos); meta != nil || metas != nil {
 			if metas == nil {
-				metas = make([]*dupMeta, len(allRows))
+				metas = make([]*dupMeta, len(allRows), cap(allRows))
 			}
 			for range br.Rows {
 				metas = append(metas, meta)
@@ -458,7 +473,6 @@ func (e *Engine) collect(ctx context.Context, p *prepared, sp *trace.Span) (*Res
 			rowGroup = append(rowGroup, gid)
 		}
 		allRows = append(allRows, br.Rows...)
-		accumulate(&res.Stats, &br.Stats)
 	}
 	crossBM := false
 	for gid := range groupNeed {
@@ -647,10 +661,40 @@ type joinChunk struct {
 	fn           func(Row) bool // stream sink; nil collects into rows
 	rows         []Row
 	changed      []bool
-	kept         int // rows that survived the row filters
+	slab         []rdf.Term // unclaimed tail of the current row block
+	slabRows     int        // rows in the last block allocated
+	kept         int        // rows that survived the row filters
 	fanNullified bool
 	filterIn     int // rows that reached the filter stage
 	fanNulls     int // rows whose scope a slave filter nullified
+}
+
+// Row blocks start small, so a selective query that emits one row does not
+// allocate a large block, and double up to a bound that keeps the unused
+// tail of the last block small.
+const (
+	slabMinRows = 16
+	slabMaxRows = 256
+)
+
+// nextRow returns the chunk's next free row slot of width w, cleared. The
+// slot stays free until claimRow takes it, so a row the filters reject is
+// overwritten by the next one instead of costing an allocation. (The nil
+// check serves width 0: its rows take no room but must not be nil.)
+func (c *joinChunk) nextRow(w int) Row {
+	if c.slab == nil || len(c.slab) < w {
+		c.slabRows = min(max(2*c.slabRows, slabMinRows), slabMaxRows)
+		c.slab = make([]rdf.Term, c.slabRows*w)
+	}
+	row := Row(c.slab[:w:w])
+	clear(row)
+	return row
+}
+
+// claimRow takes the slot nextRow returned: the row keeps its terms for
+// good, and the next row is carved from the rest of the block.
+func (c *joinChunk) claimRow(w int) {
+	c.slab = c.slab[w:]
 }
 
 // executeBranch runs one union-free branch (Algorithm 5.1): plan, init
@@ -796,7 +840,7 @@ func (e *Engine) executeBranch(ctx context.Context, branch int, eb execBranch, v
 			if r.emitted&1023 == 0 && ctx.Err() != nil {
 				return false
 			}
-			row := make(Row, len(vars))
+			row := out.nextRow(len(vars))
 			for v := range r.bindings {
 				if r.state[v] == stBound {
 					if t, err := e.term(r.bindings[v]); err == nil {
@@ -881,6 +925,7 @@ func (e *Engine) executeBranch(ctx context.Context, branch int, eb execBranch, v
 				}
 			}
 			out.kept++
+			out.claimRow(len(vars))
 			if out.fn != nil {
 				return out.fn(row)
 			}
@@ -924,13 +969,23 @@ func (e *Engine) executeBranch(ctx context.Context, branch int, eb execBranch, v
 		chunks = []joinChunk{{fn: fn}}
 		newJoinRun(e, plan, stps, vars, nulreqd, makeEmit(&chunks[0])).run()
 	}
-	var rows []Row
-	var changed []bool
+	// One chunk hands its rows through; several concatenate into slices
+	// sized once.
+	rows, changed := chunks[0].rows, chunks[0].changed
+	if len(chunks) > 1 {
+		total := 0
+		for i := range chunks {
+			total += len(chunks[i].rows)
+		}
+		rows, changed = make([]Row, 0, total), make([]bool, 0, total)
+		for i := range chunks {
+			rows = append(rows, chunks[i].rows...)
+			changed = append(changed, chunks[i].changed...)
+		}
+	}
 	fanNullified := false
 	kept, filterIn, fanNulls := 0, 0, 0
 	for i := range chunks {
-		rows = append(rows, chunks[i].rows...)
-		changed = append(changed, chunks[i].changed...)
 		fanNullified = fanNullified || chunks[i].fanNullified
 		kept += chunks[i].kept
 		filterIn += chunks[i].filterIn

@@ -14,7 +14,7 @@ import (
 func testMat(nRows int) *bitmat.Matrix {
 	m := bitmat.NewMatrix(nRows, 8)
 	for r := 0; r < nRows; r++ {
-		m.SetRow(r, bitvec.RowFromPositions(8, []uint32{uint32(r % 8)}))
+		m.SetRow(r, bitvec.RowFromSortedPositions(8, []uint32{uint32(r % 8)}))
 	}
 	return m
 }
@@ -294,7 +294,7 @@ func TestMatCacheConcurrentAdvance(t *testing.T) {
 func TestMatCostFollowsLiveRows(t *testing.T) {
 	oneRow := func(nRows int) *bitmat.Matrix {
 		m := bitmat.NewMatrix(nRows, 8)
-		m.SetRow(7, bitvec.RowFromPositions(8, []uint32{2, 5}))
+		m.SetRow(7, bitvec.RowFromSortedPositions(8, []uint32{2, 5}))
 		return m
 	}
 	small, big := matCost(oneRow(1_000)), matCost(oneRow(1_000_000))
@@ -316,7 +316,7 @@ func TestCachedPristineCloneIsolation(t *testing.T) {
 	build := func() *bitmat.Matrix {
 		m := bitmat.NewMatrix(nRows, nCols)
 		for r := 0; r < nRows; r += 2 {
-			m.SetRow(r, bitvec.RowFromPositions(nCols, []uint32{uint32(r), uint32(r + 1), uint32(nCols - 1)}))
+			m.SetRow(r, bitvec.RowFromSortedPositions(nCols, []uint32{uint32(r), uint32(r + 1), uint32(nCols - 1)}))
 		}
 		return m
 	}
@@ -342,12 +342,12 @@ func TestCachedPristineCloneIsolation(t *testing.T) {
 			}
 			m.UnfoldRows(rowMask)
 			m.UnfoldCols(colMask)
-			m.SetRow(1, bitvec.RowFromPositions(nCols, []uint32{uint32(g)}))
+			m.SetRow(1, bitvec.RowFromSortedPositions(nCols, []uint32{uint32(g)}))
 			m.SetRow(nRows-2, nil)
 			want := snapshot.Clone()
 			want.UnfoldRows(rowMask)
 			want.UnfoldCols(colMask)
-			want.SetRow(1, bitvec.RowFromPositions(nCols, []uint32{uint32(g)}))
+			want.SetRow(1, bitvec.RowFromSortedPositions(nCols, []uint32{uint32(g)}))
 			want.SetRow(nRows-2, nil)
 			if !m.Equal(want) {
 				t.Errorf("goroutine %d: pruned clone differs from the pruned snapshot", g)

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"slices"
 	"sort"
 
 	"repro/internal/bitvec"
@@ -74,6 +75,10 @@ type joinRun struct {
 	matched  []uint8 // 0 unknown, 1 matched, 2 nulled
 	nVisited int
 
+	// Directory cursors, per pattern: the Matrix.Seek hints of the
+	// bound-row probe and of the bound-column probe through the transpose.
+	rowHint, colHint []int
+
 	nulreqd bool
 	emit    func(*joinRun) bool // returns false to stop enumeration
 	stopped bool
@@ -141,6 +146,8 @@ func newJoinRun(e *Engine, plan *planner.Plan, stps []*tpState, vars []sparql.Va
 	}
 	r.visited = make([]bool, n)
 	r.matched = make([]uint8, n)
+	r.rowHint = make([]int, n)
+	r.colHint = make([]int, n)
 	r.rootTP = -1
 	return r
 }
@@ -248,26 +255,30 @@ func (r *joinRun) recurse() {
 
 // failSlave marks slave pattern i as unmatched for the current context:
 // its unbound variables bind to NULL for the rest of the recursion
-// (Algorithm 5.4 lines 29-32) and are restored on backtrack.
+// (Algorithm 5.4 lines 29-32) and are restored on backtrack. A pattern
+// has at most two variables, so the nulled ones fit on the stack.
 func (r *joinRun) failSlave(i int) {
-	var nulled []int
+	var nulled [2]int
+	n := 0
 	for _, v := range r.tpVars[i] {
 		if r.state[v] == stUnbound {
 			r.state[v] = stNull
 			r.ownerSN[v] = r.snOf[i]
-			nulled = append(nulled, v)
+			nulled[n] = v
+			n++
 		}
 	}
 	r.matched[i] = 2
 	r.recurse()
-	for _, v := range nulled {
+	for _, v := range nulled[:n] {
 		r.state[v] = stUnbound
 		r.ownerSN[v] = -1
 	}
 }
 
 // enumerate iterates the triples of pattern i consistent with the current
-// bindings, recursing per triple. It reports whether any triple matched.
+// bindings, recursing per triple. It reports whether any triple matched:
+// visit marks matched[i], which nothing below this frame resets.
 // NULL-bound variables match nothing (null-intolerant probing).
 func (r *joinRun) enumerate(i int, st *tpState) bool {
 	rowBoundIdx, rowBound := -1, false
@@ -299,87 +310,132 @@ func (r *joinRun) enumerate(i int, st *tpState) bool {
 			colBoundIdx, colBound = idx, true
 		}
 	}
-	oneVar := st.rowVar == "" // single-row matrix: only the column axis binds
-
-	any := false
-	visit := func(rowIdx, colIdx int) bool {
-		any = true
-		bound0, bound1 := -1, -1
-		if !oneVar && rv >= 0 && r.state[rv] == stUnbound {
-			r.bindings[rv] = Binding{Space: st.rowSpace, ID: rdf.ID(rowIdx + 1)}
-			r.state[rv] = stBound
-			r.ownerSN[rv] = r.snOf[i]
-			bound0 = rv
-		}
-		if cv >= 0 && r.state[cv] == stUnbound {
-			r.bindings[cv] = Binding{Space: st.colSpace, ID: rdf.ID(colIdx + 1)}
-			r.state[cv] = stBound
-			r.ownerSN[cv] = r.snOf[i]
-			bound1 = cv
-		}
-		r.matched[i] = 1
-		r.recurse()
-		if bound0 >= 0 {
-			r.state[bound0] = stUnbound
-			r.ownerSN[bound0] = -1
-		}
-		if bound1 >= 0 {
-			r.state[bound1] = stUnbound
-			r.ownerSN[bound1] = -1
-		}
-		return !r.stopped
-	}
 
 	switch {
-	case oneVar:
+	case st.rowVar == "": // single-row matrix: only the column axis binds
 		row := st.mat.Row(0)
-		if row == nil {
-			return false
-		}
-		if colBound {
+		switch {
+		case row == nil:
+		case colBound:
 			if row.Test(colBoundIdx) {
-				visit(0, colBoundIdx)
+				r.visit(i, 0, colBoundIdx)
 			}
-			return any
-		}
-		if i == r.rootTP {
-			row.ForEachRange(r.rootLo, r.rootHi, func(c int) bool { return visit(0, c) })
-			return any
-		}
-		row.ForEach(func(c int) bool { return visit(0, c) })
-	case rowBound && (colBound || selfJoin):
-		target := colBoundIdx
-		if selfJoin {
-			target = rowBoundIdx
-		}
-		if st.mat.Test(rowBoundIdx, target) {
-			visit(rowBoundIdx, target)
+		case i == r.rootTP:
+			r.scan(i, 0, row, r.rootLo, r.rootHi, false)
+		default:
+			r.scan(i, 0, row, 0, row.Len(), false)
 		}
 	case rowBound:
-		row := st.mat.Row(rowBoundIdx)
-		if row == nil {
-			return false
+		var row *bitvec.Row
+		row, r.rowHint[i] = st.mat.Seek(rowBoundIdx, r.rowHint[i])
+		switch {
+		case row == nil:
+		case colBound || selfJoin:
+			target := colBoundIdx
+			if selfJoin {
+				target = rowBoundIdx
+			}
+			if row.Test(target) {
+				r.visit(i, rowBoundIdx, target)
+			}
+		default:
+			r.scan(i, rowBoundIdx, row, 0, row.Len(), false)
 		}
-		row.ForEach(func(c int) bool { return visit(rowBoundIdx, c) })
 	case colBound:
 		// Column probe through the cached transpose (built once per
 		// execution, after pruning has shrunk the matrix).
-		col := st.transpose().Row(colBoundIdx)
-		if col == nil {
-			return false
+		var col *bitvec.Row
+		col, r.colHint[i] = st.transpose().Seek(colBoundIdx, r.colHint[i])
+		if col != nil {
+			r.scan(i, colBoundIdx, col, 0, col.Len(), true)
 		}
-		col.ForEach(func(rr int) bool { return visit(rr, colBoundIdx) })
+	case i == r.rootTP:
+		st.mat.ForEachRowRange(r.rootLo, r.rootHi, func(rr int, row *bitvec.Row) bool {
+			return r.scan(i, rr, row, 0, row.Len(), false)
+		})
 	default:
-		if i == r.rootTP {
-			st.mat.ForEachRowRange(r.rootLo, r.rootHi, func(rr int, row *bitvec.Row) bool {
-				row.ForEach(func(c int) bool { return visit(rr, c) })
-				return !r.stopped
-			})
-			return any
-		}
-		st.mat.ForEach(func(rr, c int) bool { return visit(rr, c) })
+		st.mat.ForEachRow(func(rr int, row *bitvec.Row) bool {
+			return r.scan(i, rr, row, 0, row.Len(), false)
+		})
 	}
-	return any
+	return r.matched[i] == 1
+}
+
+// scan visits the set bits of row that lie in [lo, hi): each bit c is
+// the triple (fixed, c), or (c, fixed) when row is a column of the
+// transpose. It loops over the row's compressed form inline, with no
+// call per bit but the visit itself, and reports whether the join goes on.
+func (r *joinRun) scan(i, fixed int, row *bitvec.Row, lo, hi int, col bool) bool {
+	pos, runs, first := row.Raw()
+	if runs == nil {
+		k := 0
+		if lo > 0 {
+			k, _ = slices.BinarySearch(pos, uint32(lo))
+		}
+		for _, p := range pos[k:] {
+			if int(p) >= hi {
+				break
+			}
+			if !r.visitAt(i, fixed, int(p), col) {
+				return false
+			}
+		}
+		return true
+	}
+	set, at := first, 0
+	for _, rl := range runs {
+		end := min(at+int(rl), hi)
+		for c := max(at, lo); set && c < end; c++ {
+			if !r.visitAt(i, fixed, c, col) {
+				return false
+			}
+		}
+		if at += int(rl); at >= hi {
+			break
+		}
+		set = !set
+	}
+	return true
+}
+
+// visitAt is visit with the axes of a transposed row swapped back.
+func (r *joinRun) visitAt(i, fixed, c int, col bool) bool {
+	if col {
+		return r.visit(i, c, fixed)
+	}
+	return r.visit(i, fixed, c)
+}
+
+// visit extends the current context by the triple (rowIdx, colIdx) of
+// pattern i: it binds the pattern's unbound variables, recurses, and
+// unbinds them. It reports whether the join goes on.
+func (r *joinRun) visit(i, rowIdx, colIdx int) bool {
+	st := r.stps[i]
+	rv, cv := r.rowVarID[i], r.colVarID[i]
+	bound0, bound1 := -1, -1
+	if rv >= 0 && r.state[rv] == stUnbound {
+		r.bindings[rv] = Binding{Space: st.rowSpace, ID: rdf.ID(rowIdx + 1)}
+		r.state[rv] = stBound
+		r.ownerSN[rv] = r.snOf[i]
+		bound0 = rv
+	}
+	if cv >= 0 && r.state[cv] == stUnbound {
+		r.bindings[cv] = Binding{Space: st.colSpace, ID: rdf.ID(colIdx + 1)}
+		r.state[cv] = stBound
+		r.ownerSN[cv] = r.snOf[i]
+		bound1 = cv
+	}
+	r.matched[i] = 1
+	r.recurse()
+	if bound0 >= 0 {
+		r.state[bound0] = stUnbound
+		r.ownerSN[bound0] = -1
+	}
+	if bound1 >= 0 {
+		r.state[bound1] = stUnbound
+		r.ownerSN[bound1] = -1
+	}
+	return !r.stopped
 }
 
 // nullification (Section 3.1 / Algorithm 5.4 line 3) restores consistency

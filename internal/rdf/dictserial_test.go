@@ -10,7 +10,7 @@ func TestDictionarySerializationRoundTrip(t *testing.T) {
 	g.Add(Triple{S: NewIRI("s1"), P: NewIRI("p1"), O: NewLangLiteral("bonjour", "fr")})
 	g.Add(Triple{S: NewIRI("s1"), P: NewIRI("p2"), O: NewTypedLiteral("42", "http://xsd/int")})
 	g.Add(Triple{S: NewBlank("bn"), P: NewIRI("p1"), O: NewLiteral("plain")})
-	d := g.Dictionary()
+	d := dictionaryOf(g)
 
 	var buf bytes.Buffer
 	if _, err := d.WriteTo(&buf); err != nil {
@@ -43,7 +43,7 @@ func TestDictionarySerializationRoundTrip(t *testing.T) {
 }
 
 func TestReadDictionaryRejectsCorrupt(t *testing.T) {
-	d := sampleGraph().Dictionary()
+	d := dictionaryOf(sampleGraph())
 	var buf bytes.Buffer
 	if _, err := d.WriteTo(&buf); err != nil {
 		t.Fatal(err)

@@ -122,16 +122,6 @@ func (g *Graph) Stats() Stats {
 	return st
 }
 
-// Dictionary builds the dictionary for the graph's current contents.
-func (g *Graph) Dictionary() *Dictionary {
-	b := NewDictionaryBuilder()
-	for _, tr := range g.triples {
-		b.Add(tr)
-	}
-	d, _ := b.Build()
-	return d
-}
-
 // Predicates returns the distinct predicate terms sorted by their
 // N-Triples rendering, useful for generators and diagnostics.
 func (g *Graph) Predicates() []Term {

@@ -10,6 +10,16 @@ import (
 	"testing/quick"
 )
 
+// dictionaryOf builds the dictionary of g's triples.
+func dictionaryOf(g *Graph) *Dictionary {
+	b := NewDictionaryBuilder()
+	for _, tr := range g.Triples() {
+		b.Add(tr)
+	}
+	d, _ := b.Build()
+	return d
+}
+
 // sampleGraph returns the data of Figure 3.2 of the paper, which is also
 // the basis of the Figure 4.1 bitcube test in internal/bitmat.
 func sampleGraph() *Graph {
@@ -65,7 +75,7 @@ func TestGraphStatsSample(t *testing.T) {
 // as a subject or an object has one ID, in key order over the whole
 // space, whichever roles it has; predicates have their own space.
 func TestDictionarySOLayout(t *testing.T) {
-	d := sampleGraph().Dictionary()
+	d := dictionaryOf(sampleGraph())
 	want := []string{"CurbYourEnthu", "D.C.", "Jerry", "Jersey", "Julia", "Larry",
 		"LosAngeles", "NewAdvOldChristine", "NewYorkCity", "Seinfeld", "Veep"}
 	if d.NumSO() != len(want) {
@@ -89,7 +99,7 @@ func TestDictionarySOLayout(t *testing.T) {
 
 func TestDictionaryRoundTrip(t *testing.T) {
 	g := sampleGraph()
-	d := g.Dictionary()
+	d := dictionaryOf(g)
 	for _, tr := range g.Triples() {
 		enc, err := d.Encode(tr)
 		if err != nil {
@@ -106,7 +116,7 @@ func TestDictionaryRoundTrip(t *testing.T) {
 }
 
 func TestDictionaryUnknownTerms(t *testing.T) {
-	d := sampleGraph().Dictionary()
+	d := dictionaryOf(sampleGraph())
 	if _, err := d.Encode(T("nobody", "actedIn", "Seinfeld")); err == nil {
 		t.Error("unknown subject must fail")
 	}
@@ -123,7 +133,7 @@ func TestDictionaryUnknownTerms(t *testing.T) {
 
 func TestDictionaryDeterministic(t *testing.T) {
 	g := sampleGraph()
-	d1, d2 := g.Dictionary(), g.Dictionary()
+	d1, d2 := dictionaryOf(g), dictionaryOf(g)
 	for _, tr := range g.Triples() {
 		e1, _ := d1.Encode(tr)
 		e2, _ := d2.Encode(tr)
@@ -139,7 +149,7 @@ func TestDictionaryDistinguishesKinds(t *testing.T) {
 	g.Add(Triple{S: NewIRI("x"), P: NewIRI("p"), O: NewLiteral("v")})
 	g.Add(Triple{S: NewIRI("x"), P: NewIRI("p"), O: NewTypedLiteral("v", "dt")})
 	g.Add(Triple{S: NewIRI("x"), P: NewIRI("p"), O: NewLangLiteral("v", "en")})
-	d := g.Dictionary()
+	d := dictionaryOf(g)
 	ids := map[ID]bool{}
 	for _, o := range []Term{NewIRI("v"), NewLiteral("v"), NewTypedLiteral("v", "dt"), NewLangLiteral("v", "en")} {
 		id := d.SOID(o)
@@ -252,7 +262,7 @@ func TestQuickDictionaryBijective(t *testing.T) {
 				fmt.Sprintf("p%d", rng.Intn(5)),
 				fmt.Sprintf("o%d", rng.Intn(20))))
 		}
-		d := g.Dictionary()
+		d := dictionaryOf(g)
 		for _, tr := range g.Triples() {
 			enc, err := d.Encode(tr)
 			if err != nil {
