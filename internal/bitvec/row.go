@@ -282,6 +282,61 @@ func (r *Row) ForEach(fn func(i int) bool) {
 	}
 }
 
+// ForEachRange calls fn with the index of every set bit in [lo, hi) in
+// ascending order, seeking past the prefix instead of decoding it: a
+// binary search for sparse rows, run skipping for RLE rows. Iteration
+// stops if fn returns false. It is the closure form, for cold callers, of
+// the range scan the multi-way join runs inline over Raw.
+func (r *Row) ForEachRange(lo, hi int, fn func(i int) bool) {
+	if lo < 0 {
+		lo = 0
+	}
+	if hi > r.n {
+		hi = r.n
+	}
+	if lo >= hi {
+		return
+	}
+	switch r.enc {
+	case EncEmpty:
+	case EncSparse:
+		k := sort.Search(len(r.pos), func(j int) bool { return r.pos[j] >= uint32(lo) })
+		for _, p := range r.pos[k:] {
+			if int(p) >= hi {
+				return
+			}
+			if !fn(int(p)) {
+				return
+			}
+		}
+	case EncRLE:
+		v := r.first
+		at := 0
+		for _, rl := range r.runs {
+			next := at + int(rl)
+			if v && next > lo {
+				start := at
+				if start < lo {
+					start = lo
+				}
+				for i := start; i < next; i++ {
+					if i >= hi {
+						return
+					}
+					if !fn(i) {
+						return
+					}
+				}
+			}
+			at = next
+			if at >= hi {
+				return
+			}
+			v = !v
+		}
+	}
+}
+
 // Raw exposes the compressed form for loops that cannot afford a closure
 // call per set bit, such as the multi-way join. A sparse row returns its
 // ascending set-bit positions in pos and nil runs; an RLE row returns nil

@@ -395,3 +395,49 @@ func TestRowRawAgainstForEach(t *testing.T) {
 		}
 	}
 }
+
+func TestRowForEachRangeAgainstForEach(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 60; trial++ {
+		n := 1 + rng.Intn(300)
+		density := []float64{0.02, 0.5, 0.95}[trial%3]
+		r := RowFromBits(randomBits(rng, n, density))
+		lo, hi := rng.Intn(n+2)-1, rng.Intn(n+2)-1
+		var want []int
+		r.ForEach(func(i int) bool {
+			if i >= lo && i < hi {
+				want = append(want, i)
+			}
+			return true
+		})
+		var got []int
+		r.ForEachRange(lo, hi, func(i int) bool {
+			got = append(got, i)
+			return true
+		})
+		if len(got) != len(want) {
+			t.Fatalf("enc=%v n=%d [%d,%d): got %d bits, want %d", r.Encoding(), n, lo, hi, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("enc=%v n=%d [%d,%d) pos %d: got %d, want %d", r.Encoding(), n, lo, hi, i, got[i], want[i])
+			}
+		}
+	}
+}
+
+func TestRowForEachRangeEarlyStop(t *testing.T) {
+	b, err := FromString("1110011110")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := RowFromBits(b)
+	var got []int
+	r.ForEachRange(1, 9, func(i int) bool {
+		got = append(got, i)
+		return len(got) < 2
+	})
+	if len(got) != 2 || got[0] != 1 || got[1] != 2 {
+		t.Fatalf("early stop got %v, want [1 2]", got)
+	}
+}
