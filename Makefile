@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet fmt-check difftest-imports verify test-cache test-update test-trace test-filter test-union test-benchmark serve-smoke fuzz-smoke loc bench bench-smoke bench-join
+.PHONY: all build test race vet fmt-check difftest-imports verify test-cache test-update test-trace test-filter test-union test-benchmark serve-smoke examples fuzz-smoke loc bench bench-smoke bench-join
 
 # The default target is the full tier-1 verification, race detector included.
 all: verify
@@ -117,6 +117,15 @@ test-benchmark:
 # body (see scripts/serve_smoke.sh).
 serve-smoke:
 	GO=$(GO) sh scripts/serve_smoke.sh
+
+# examples runs every program under examples/ once; `go build ./...`
+# only compiles them. A non-zero exit of any of them fails the target.
+EXAMPLES = pipeline proteins quickstart social university
+examples:
+	@for e in $(EXAMPLES); do \
+		echo "== examples/$$e"; \
+		$(GO) run ./examples/$$e > /dev/null || { echo "examples/$$e failed"; exit 1; }; \
+	done
 
 # fuzz-smoke runs the three fuzzers briefly — long enough to replay the
 # seed corpora and mutate around them, short enough for CI:

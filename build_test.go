@@ -254,7 +254,7 @@ func TestQueryStreamContextCancelled(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	err := s.QueryStreamContext(ctx, `SELECT * WHERE { ?s ?p ?o . }`, func(map[string]Term) bool {
+	err := streamMaps(ctx, s, `SELECT * WHERE { ?s ?p ?o . }`, func(map[string]Term) bool {
 		return true
 	})
 	if !errors.Is(err, context.Canceled) {
@@ -264,7 +264,7 @@ func TestQueryStreamContextCancelled(t *testing.T) {
 	// expect the error once the next check fires.
 	ctx2, cancel2 := context.WithCancel(context.Background())
 	n := 0
-	err = s.QueryStreamContext(ctx2, `SELECT * WHERE { ?s ?p ?o . }`, func(map[string]Term) bool {
+	err = streamMaps(ctx2, s, `SELECT * WHERE { ?s ?p ?o . }`, func(map[string]Term) bool {
 		n++
 		if n == 3 {
 			cancel2()

@@ -9,6 +9,7 @@ import (
 	"context"
 	"fmt"
 	"log"
+	"slices"
 	"time"
 
 	"repro"
@@ -60,12 +61,17 @@ func main() {
 		}`
 	fmt.Println("first 5 settlements (streamed, early stop):")
 	n := 0
-	err = reopened.QueryStream(query, func(row map[string]lbr.Term) bool {
-		home := "no homepage listed"
-		if h, ok := row["home"]; ok {
-			home = h.Value
+	var name, home int
+	err = reopened.QueryStreamRowsObserved(context.Background(), query, nil, nil, func(vars []string, row []lbr.Term) bool {
+		if row == nil { // the header call: locate the columns once
+			name, home = slices.Index(vars, "name"), slices.Index(vars, "home")
+			return true
 		}
-		fmt.Printf("  %-12s %s\n", row["name"].Value, home)
+		page := "no homepage listed"
+		if !row[home].IsZero() { // a zero Term is an unbound OPTIONAL variable
+			page = row[home].Value
+		}
+		fmt.Printf("  %-12s %s\n", row[name].Value, page)
 		n++
 		return n < 5
 	})

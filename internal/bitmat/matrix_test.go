@@ -293,7 +293,7 @@ func runMatrixOps(t *testing.T, data []byte) {
 			// A Seek sequence: ascending, descending or scattered targets,
 			// some out of range, each hint the last result or, now and
 			// then, a stale or out-of-range one.
-			fresh := md.build()
+			rc := md.rowCols()
 			order, hint := o.next()%3, o.next()%(nRows+4)-2
 			for k := 1 + o.next()%8; k > 0; k-- {
 				r := o.next()%(nRows+4) - 2
@@ -306,14 +306,25 @@ func runMatrixOps(t *testing.T, data []byte) {
 				if o.next()%4 == 0 {
 					hint = o.next()%(nRows+4) - 2
 				}
-				var row *bitvec.Row
-				row, hint = m.Seek(r, hint)
-				if want := fresh.Row(r); (row == nil) != (want == nil) || row != nil && !row.Equal(want) {
-					t.Fatalf("step %d: Seek(%d) = %v, want %v", step, r, row, want)
-				}
+				hint = checkSeek(t, fmt.Sprintf("step %d", step), m, rc, r, hint)
 			}
 		}
 	}
+}
+
+// checkSeek seeks row r from hint and compares the row against the model's
+// columns rc[r]; it returns the hint Seek hands back.
+func checkSeek(t *testing.T, step string, m *Matrix, rc map[int][]uint32, r, hint int) int {
+	t.Helper()
+	row, next := m.Seek(r, hint)
+	var got []uint32
+	if row != nil {
+		row.ForEach(func(c int) bool { got = append(got, uint32(c)); return true })
+	}
+	if !slices.Equal(got, rc[r]) {
+		t.Fatalf("%s: Seek(%d, hint %d) = %v, want %v", step, r, hint, got, rc[r])
+	}
+	return next
 }
 
 // TestMatrixModel runs random op streams against the map model: SetRow in
@@ -327,6 +338,38 @@ func TestMatrixModel(t *testing.T) {
 		rng.Read(data)
 		t.Run(fmt.Sprint(seed), func(t *testing.T) { runMatrixOps(t, data) })
 	}
+	// The op streams shape at most 40 rows, where a Seek seldom gallops
+	// past two steps. This Seek case runs over 3 000 rows, 2 000 of them
+	// live, jumping up to 1 000 rows ahead of the last result's hint (a
+	// gallop of up to ten steps), with now and then a random target or a
+	// stale hint.
+	t.Run("seek-gallop", func(t *testing.T) {
+		const nRows, nCols = 3000, 16
+		m, md := NewMatrix(nRows, nCols), newMatModel(nRows, nCols)
+		for r := 0; r < nRows; r++ {
+			if r%3 != 0 {
+				m.SetRow(r, bitvec.RowFromSortedPositions(nCols, []uint32{uint32(r % nCols)}))
+				md.bits[[2]int{r, r % nCols}] = true
+			}
+		}
+		checkModel(t, "build", m, md)
+		rc := md.rowCols()
+		rng := rand.New(rand.NewSource(1))
+		r, hint := -2, 0
+		for k := 0; k < 5000; k++ {
+			switch rng.Intn(8) {
+			case 0:
+				r = rng.Intn(nRows+4) - 2
+			case 1:
+				hint = rng.Intn(m.LiveRows()+4) - 2
+			default:
+				if r += 1 + rng.Intn(1000); r > nRows+1 {
+					r, hint = -2, 0
+				}
+			}
+			hint = checkSeek(t, fmt.Sprintf("seek %d", k), m, rc, r, hint)
+		}
+	})
 }
 
 // FuzzMatrixOps is TestMatrixModel under the fuzzer's byte mutations.

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -90,7 +91,7 @@ func TestEngineStreamMatchesExecute(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := e.Execute(q)
+	res, err := e.Execute(context.Background(), q, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

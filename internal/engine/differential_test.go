@@ -19,7 +19,7 @@ import (
 // rows, for the caller's byte-identity checks.
 func diffRun(t *testing.T, e *Engine, q *sparql.Query, want []string, vars []sparql.Var, label string) (*Result, []string) {
 	t.Helper()
-	res, err := e.ExecuteContext(context.Background(), q)
+	res, err := e.Execute(context.Background(), q, nil)
 	if err != nil {
 		t.Fatalf("%s: %v", label, err)
 	}
@@ -320,7 +320,7 @@ func TestDifferentialCyclicQueries(t *testing.T) {
 		for _, src := range queries {
 			q, want, vars := difftest.RefSrc(t, g, src)
 			e := engineOver(t, g, Options{})
-			res, err := e.Execute(q)
+			res, err := e.Execute(context.Background(), q, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

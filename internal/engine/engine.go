@@ -87,26 +87,16 @@ type Result struct {
 	Stats Stats
 }
 
-// Execute runs a parsed query end to end: UNF rewrite, per-branch
-// well-designedness handling, planning, pruning, multi-way join, and the
-// union of branch results.
-func (e *Engine) Execute(q *sparql.Query) (*Result, error) {
-	return e.ExecuteContext(context.Background(), q)
-}
-
-// ExecuteContext is Execute with cancellation: the multi-way join checks
-// the context periodically and aborts with ctx.Err() when it is done.
-func (e *Engine) ExecuteContext(ctx context.Context, q *sparql.Query) (*Result, error) {
-	return e.ExecuteTraceContext(ctx, q, nil)
-}
-
-// ExecuteTraceContext is ExecuteContext with tracing: when sp is non-nil,
-// the execution records its span tree — per-branch planner decisions,
-// per-pattern load/cache outcomes, per-jvar prune levels, the partitioned
-// join, and the merge — as children of sp. A nil sp is exactly
-// ExecuteContext: the instrumentation reduces to nil checks, allocating
-// nothing and perturbing neither timings nor results.
-func (e *Engine) ExecuteTraceContext(ctx context.Context, q *sparql.Query, sp *trace.Span) (*Result, error) {
+// Execute runs a parsed query end to end on the collect route: UNF
+// rewrite, per-branch well-designedness handling, planning, pruning,
+// partitioned multi-way join, the union of branch results, and the
+// solution modifiers. A done ctx aborts the execution in any phase and
+// returns ctx.Err(). When sp is non-nil, the execution records its span
+// tree — per-branch planner decisions, per-pattern load/cache outcomes,
+// per-jvar prune levels, the partitioned join, and the merge — as
+// children of sp; a nil sp reduces the instrumentation to nil checks,
+// allocating nothing and perturbing neither timings nor results.
+func (e *Engine) Execute(ctx context.Context, q *sparql.Query, sp *trace.Span) (*Result, error) {
 	p, err := e.prepare(q)
 	if err != nil {
 		return nil, err
@@ -114,16 +104,12 @@ func (e *Engine) ExecuteTraceContext(ctx context.Context, q *sparql.Query, sp *t
 	return e.collect(ctx, p, sp)
 }
 
-// Ask evaluates an existence check: whether the pattern has at least one
-// solution. It streams through the pipelined join and stops at the first
-// row.
-func (e *Engine) Ask(q *sparql.Query) (bool, error) {
-	return e.AskContext(context.Background(), q)
-}
-
-// AskContext is Ask with cancellation: a done context aborts the
-// existence check in any phase and returns ctx.Err().
-func (e *Engine) AskContext(ctx context.Context, q *sparql.Query) (bool, error) {
+// AskContext evaluates an existence check: whether the pattern has at
+// least one solution. It streams through the pipelined join and stops at
+// the first row. A done context aborts the check in any phase and returns
+// ctx.Err(). sp, when non-nil, receives the probe's span tree as
+// ExecuteStream records it.
+func (e *Engine) AskContext(ctx context.Context, q *sparql.Query, sp *trace.Span) (bool, error) {
 	probe := *q
 	probe.Ask = false
 	probe.Select = nil // SELECT * so the stream sink applies
@@ -139,7 +125,7 @@ func (e *Engine) AskContext(ctx context.Context, q *sparql.Query) (bool, error) 
 	err := e.ExecuteStream(ctx, &probe, nil, func([]sparql.Var, Row) bool {
 		found = true
 		return false
-	}, nil, nil)
+	}, nil, sp)
 	return found, err
 }
 
@@ -162,7 +148,7 @@ func (e *Engine) AskContext(ctx context.Context, q *sparql.Query) (bool, error) 
 // ctx.Err(). st, when non-nil, receives the execution's Stats: Results
 // and NullResults count the rows delivered to fn, and the Join stage of a
 // streamed branch includes fn's own time. sp, when non-nil, receives the
-// span tree exactly as ExecuteTraceContext records it.
+// span tree exactly as Execute records it.
 func (e *Engine) ExecuteStream(ctx context.Context, q *sparql.Query, header func(vars []sparql.Var) bool, fn func(vars []sparql.Var, row Row) bool, st *Stats, sp *trace.Span) error {
 	p, err := e.prepare(q)
 	if err != nil {
@@ -660,7 +646,7 @@ func (e *Engine) planBranch(b *algebra.Branch) (*planner.Plan, []int64, error) {
 type joinChunk struct {
 	fn           func(Row) bool // stream sink; nil collects into rows
 	rows         []Row
-	changed      []bool
+	changed      []bool     // per collected row: a binding was cleared; only when tracked
 	slab         []rdf.Term // unclaimed tail of the current row block
 	slabRows     int        // rows in the last block allocated
 	kept         int        // rows that survived the row filters
@@ -744,7 +730,11 @@ func (e *Engine) executeBranch(ctx context.Context, branch int, eb execBranch, v
 	nulreqd := plan.NeedsBestMatch || e.opts.DisablePruning || e.opts.NaiveJvarOrder
 	placed := planner.PlaceFilters(eb.b, gosn)
 	slaveFilters, rowFilters := placed.Slave, placed.Row
-	if nulreqd || len(slaveFilters) > 0 {
+	// Only nullification or a slave filter can clear a binding of an
+	// emitted row, so only then does the sink record which rows changed,
+	// for dedupNullified.
+	trackChanged := nulreqd || len(slaveFilters) > 0
+	if trackChanged {
 		fn = nil
 	}
 
@@ -930,7 +920,9 @@ func (e *Engine) executeBranch(ctx context.Context, branch int, eb execBranch, v
 				return out.fn(row)
 			}
 			out.rows = append(out.rows, row)
-			out.changed = append(out.changed, rowChanged)
+			if trackChanged {
+				out.changed = append(out.changed, rowChanged)
+			}
 			return true
 		}
 	}
@@ -977,7 +969,10 @@ func (e *Engine) executeBranch(ctx context.Context, branch int, eb execBranch, v
 		for i := range chunks {
 			total += len(chunks[i].rows)
 		}
-		rows, changed = make([]Row, 0, total), make([]bool, 0, total)
+		rows = make([]Row, 0, total)
+		if trackChanged {
+			changed = make([]bool, 0, total)
+		}
 		for i := range chunks {
 			rows = append(rows, chunks[i].rows...)
 			changed = append(changed, chunks[i].changed...)
@@ -1198,7 +1193,7 @@ func (e *Engine) ExecuteString(src string) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return e.Execute(q)
+	return e.Execute(context.Background(), q, nil)
 }
 
 // Describe returns a human-readable plan summary, used by the CLI: one

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"errors"
 	"strings"
 	"testing"
@@ -109,7 +110,7 @@ func TestRule3DedupScopedToDistributionGroup(t *testing.T) {
 		{ ?s <p> ?o . OPTIONAL { ?o <q> ?x . } } }`
 	q, want, _ := difftest.RefSrc(t, g, src)
 	e := engineOver(t, g, Options{})
-	res, err := e.Execute(q)
+	res, err := e.Execute(context.Background(), q, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,12 +252,12 @@ func TestFullScanStreamAndAsk(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ok, err := e.Ask(aq)
+	ok, err := e.AskContext(context.Background(), aq, nil)
 	if err != nil || !ok {
 		t.Fatalf("ASK dump = %v/%v, want true", ok, err)
 	}
 	empty := engineOver(t, rdf.NewGraph(), Options{})
-	ok, err = empty.Ask(aq)
+	ok, err = empty.AskContext(context.Background(), aq, nil)
 	if err != nil || ok {
 		t.Fatalf("ASK on empty store = %v/%v, want false", ok, err)
 	}

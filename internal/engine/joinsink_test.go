@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -43,7 +44,7 @@ func starEngine(tb testing.TB, n int) (*Engine, *sparql.Query) {
 	}
 	e := NewWithCache(indexOf(tb, starGraph(n)), Options{Workers: 1}, NewMatCache(1<<30).Advance(1))
 	for range 2 { // the second touch admits a masked load's pristine matrix
-		res, err := e.Execute(q)
+		res, err := e.Execute(context.Background(), q, nil)
 		if err != nil {
 			tb.Fatal(err)
 		}
@@ -64,7 +65,7 @@ func TestJoinRowSinkAllocs(t *testing.T) {
 	allocs := func(n int) float64 {
 		e, q := starEngine(t, n)
 		return testing.AllocsPerRun(20, func() {
-			if _, err := e.Execute(q); err != nil {
+			if _, err := e.Execute(context.Background(), q, nil); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -73,10 +74,57 @@ func TestJoinRowSinkAllocs(t *testing.T) {
 	t.Logf("allocations per query: %v for %d rows, %v for %d rows", small, n, big, 8*n)
 	// 7n more rows: 7n/slabMaxRows more blocks; append grows a long slice
 	// by at least 1.25x a step, and 1.25^10 > 8, so at most ten more
-	// steps each for the rows and changed slices; a few allocations of
-	// slack. An allocation per row would add 7n.
+	// steps each for two per-row slices; a few allocations of slack. An
+	// allocation per row would add 7n.
 	if limit := small + 7*n/slabMaxRows + 2*10 + 4; big > limit {
 		t.Errorf("allocations: %v for %d rows, %v for %d rows; want at most %v", small, n, big, 8*n, limit)
+	}
+}
+
+// appendSink keeps appendGrowth's slices on the heap.
+var appendSink any
+
+// appendGrowth is how many more allocations appending 8n values of T one
+// by one to a nil slice takes than appending n: the growth steps of one
+// per-row slice of the collect sink.
+func appendGrowth[T any](n int) float64 {
+	steps := func(k int) float64 {
+		return testing.AllocsPerRun(5, func() {
+			var s []T
+			for range k {
+				s = append(s, *new(T))
+			}
+			appendSink = s
+		})
+	}
+	return steps(8*n) - steps(n)
+}
+
+// TestCollectBranchCarriesNoChangedFlags checks that a plain collect
+// branch — no nullification, no slave filter, so no binding of an emitted
+// row is ever cleared — records no per-row changed flags. Growing the star
+// from n to 8n rows adds the row blocks and the growth steps of the rows
+// slice; a flags slice would add its own growth steps on top.
+func TestCollectBranchCarriesNoChangedFlags(t *testing.T) {
+	const n = 512
+	allocs := func(n int) float64 {
+		e, q := starEngine(t, n)
+		return testing.AllocsPerRun(20, func() {
+			if _, err := e.Execute(context.Background(), q, nil); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	grew := allocs(8*n) - allocs(n)
+	rows, flags := appendGrowth[Row](n), appendGrowth[bool](n)
+	if flags < 2 {
+		t.Fatalf("a flags slice grows by %v allocations from %d to %d rows; too few to tell", flags, n, 8*n)
+	}
+	// Half the flags' steps of slack: a sink that kept the flags exceeds
+	// the bound by the other half.
+	if limit := float64(7*n/slabMaxRows) + rows + flags/2; grew > limit {
+		t.Errorf("the star's allocations grow by %v from %d to %d rows; blocks and the rows slice account for %v, flags for %v more",
+			grew, n, 8*n, limit-flags/2, flags)
 	}
 }
 
@@ -88,7 +136,7 @@ func BenchmarkJoinCollect(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := e.Execute(q); err != nil {
+		if _, err := e.Execute(context.Background(), q, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

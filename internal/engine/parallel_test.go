@@ -320,7 +320,7 @@ func (c errAfterCtx) Err() error {
 // TestUnionBranchCancellationMidFlight executes a many-branch UNION (a
 // ?s ?p ?o full scan expands per predicate) under a context that cancels
 // after a few checks: the branch scheduler must observe it between branch
-// dispatches and ExecuteContext must surface the error instead of a
+// dispatches and Execute must surface the error instead of a
 // result.
 func TestUnionBranchCancellationMidFlight(t *testing.T) {
 	g := rdf.NewGraph()
@@ -339,7 +339,7 @@ func TestUnionBranchCancellationMidFlight(t *testing.T) {
 			var b atomic.Int64
 			b.Store(budget)
 			ctx := errAfterCtx{Context: context.Background(), budget: &b}
-			if _, err := e.ExecuteContext(ctx, q); err != context.Canceled {
+			if _, err := e.Execute(ctx, q, nil); err != context.Canceled {
 				t.Fatalf("workers=%d budget=%d: err = %v, want context.Canceled", workers, budget, err)
 			}
 		}

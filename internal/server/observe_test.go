@@ -89,6 +89,33 @@ func TestExplainEndpoint(t *testing.T) {
 	}
 }
 
+// TestExplainTracesServedRoute checks that EXPLAIN traces the route the
+// endpoint serves: optionalQ streams from the multi-way join on the
+// SELECT path, so its explain root says streamed, and the row count and
+// header are the ones the query returns.
+func TestExplainTracesServedRoute(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	resp, err := ts.Client().Get(ts.URL + "/sparql?explain=1&query=" + url.QueryEscape(optionalQ))
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != 200 {
+		t.Fatalf("explain: %d %s", resp.StatusCode, raw)
+	}
+	var doc explainDoc
+	if err := json.Unmarshal(raw, &doc); err != nil {
+		t.Fatalf("explain JSON: %v\n%s", err, raw)
+	}
+	if doc.Trace.Attrs["streamed"] != true {
+		t.Errorf("explain root attrs %v, want streamed: true\n%s", doc.Trace.Attrs, raw)
+	}
+	if doc.Rows != 2 || fmt.Sprint(doc.Vars) != "[friend sitcom]" {
+		t.Errorf("rows=%d vars=%v, want 2 rows over [friend sitcom]", doc.Rows, doc.Vars)
+	}
+}
+
 func TestExplainParseError(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	resp, err := ts.Client().Get(ts.URL + "/sparql?explain=1&query=" + url.QueryEscape("SELECT * WHERE { broken"))

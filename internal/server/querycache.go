@@ -2,6 +2,7 @@ package server
 
 import (
 	"container/list"
+	"io"
 	"strings"
 	"sync"
 
@@ -156,16 +157,6 @@ func (c *queryCache) put(gen uint64, query string, format results.Format, body [
 	}
 }
 
-// entryCap reports the per-document retention bound, 0 when the cache is
-// disabled (so a recorder capped by it overflows immediately and records
-// nothing).
-func (c *queryCache) entryCap() int64 {
-	if c == nil {
-		return 0
-	}
-	return c.maxEntry
-}
-
 // stats reports the cache's counters and residency; all zeroes when the
 // cache is disabled. The budget is the caller's to fill.
 func (c *queryCache) stats() ResultCacheSnapshot {
@@ -181,24 +172,30 @@ func (c *queryCache) stats() ResultCacheSnapshot {
 	}
 }
 
-// capWriter tees everything written through it into an in-memory buffer
-// until the cap is exceeded, at which point it stops recording (the
-// response itself is unaffected). It is how the server captures a result
-// document for the cache while streaming it to the client.
-type capWriter struct {
+// resultTee forwards writes to w and records the forwarded bytes for the
+// result cache, under the key a cache miss looked up, until they exceed
+// max; then it stops recording (the response itself is unaffected). It
+// sits upstream of any content coding, so it records the uncompressed
+// document.
+type resultTee struct {
+	w      io.Writer
+	gen    uint64
+	norm   string
+	format results.Format
+
 	buf      []byte
 	max      int64
 	overflow bool
 }
 
-func (c *capWriter) record(p []byte) {
-	if c.overflow {
-		return
+func (t *resultTee) Write(p []byte) (int, error) {
+	n, err := t.w.Write(p)
+	switch {
+	case t.overflow:
+	case int64(len(t.buf)+n) > t.max:
+		t.overflow, t.buf = true, nil
+	default:
+		t.buf = append(t.buf, p[:n]...)
 	}
-	if int64(len(c.buf)+len(p)) > c.max {
-		c.overflow = true
-		c.buf = nil
-		return
-	}
-	c.buf = append(c.buf, p...)
+	return n, err
 }

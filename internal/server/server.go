@@ -4,7 +4,7 @@
 // streaming SELECT rows to the socket as the engine's pipelined join
 // produces them — constant memory however large the result — with a
 // bounded admission semaphore layered over the store's worker pool, a
-// per-request timeout wired into QueryStreamRows' context, structured
+// per-request timeout wired into QueryStreamRowsObserved's context, structured
 // JSON errors, gzip content coding (streaming-safe), a result cache
 // keyed on (index snapshot generation, normalized query, format) for
 // hot dashboards, a /healthz probe, and expvar-style /metrics covering
@@ -387,24 +387,40 @@ func (s *Server) handleSPARQL(w http.ResponseWriter, r *http.Request) {
 }
 
 // serveExplain answers an ?explain=1 request: the query executes traced
-// (bypassing the result cache — an EXPLAIN wants this execution's real
-// spans, not a replay) and the response is a JSON document with the
-// stable query hash, the result shape, and the full span tree. The rows
-// themselves are not serialized; run the query without explain for them.
+// on the route serveSelect serves it by (QueryStreamRowsObserved, so a
+// streamable query shows its sequential streamed join) but bypassing the
+// result cache — an EXPLAIN wants this execution's real spans, not a
+// replay — and the response is a JSON document with the stable query
+// hash, the result shape, and the full span tree. The rows are counted,
+// not serialized; run the query without explain for them.
 func (s *Server) serveExplain(ctx context.Context, w http.ResponseWriter, r *http.Request, src string, start time.Time) {
-	res, root, err := s.store.QueryTrace(ctx, src)
+	t := trace.New("query")
+	var (
+		st   lbr.Stats
+		vars []string
+		rows int
+	)
+	err := s.store.QueryStreamRowsObserved(ctx, src, &st, t.Root(), func(vs []string, row []lbr.Term) bool {
+		if row == nil {
+			vars = vs
+		} else {
+			rows++
+		}
+		return true
+	})
+	t.Finish()
 	if err != nil {
 		s.failBeforeStream(ctx, w, r, err)
 		return
 	}
 	wall := time.Since(start)
-	s.metrics.observeStages(&res.Stats, wall)
+	s.metrics.observeStages(&st, wall)
 	doc := map[string]any{
 		"query_hash": trace.QueryHash(src),
-		"vars":       res.Vars,
-		"rows":       res.Len(),
+		"vars":       vars,
+		"rows":       rows,
 		"total_ms":   float64(wall.Microseconds()) / 1000.0,
-		"trace":      root.Snapshot(),
+		"trace":      t.Root().Snapshot(),
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("X-Content-Type-Options", "nosniff")
@@ -611,32 +627,62 @@ func (s *Server) replayCached(w http.ResponseWriter, r *http.Request, format res
 	return true
 }
 
+// serveResultCache is the result-cache prologue of serveAsk and
+// serveSelect: it normalizes the query, reads the snapshot generation,
+// answers 304 when the client holds the current document, and replays a
+// cached one without touching the engine. done reports that the response
+// is complete (or failed); otherwise miss, nil with the cache disabled,
+// records the document the caller serves for retain. With the cache
+// disabled none of its machinery runs (normalization, generation lookup,
+// the tee), so the path stays the pre-cache one.
+func (s *Server) serveResultCache(ctx context.Context, w http.ResponseWriter, r *http.Request, format results.Format, src string, start time.Time) (miss *resultTee, done bool) {
+	if s.qcache == nil {
+		return nil, false
+	}
+	norm := normalizeQuery(src)
+	gen, err := s.store.SnapshotGeneration()
+	if err != nil {
+		s.failBeforeStream(ctx, w, r, err)
+		return nil, true
+	}
+	if s.checkNotModified(w, r, gen, norm, format, start) {
+		return nil, true
+	}
+	body, rows := s.qcache.get(gen, norm, format)
+	if body == nil {
+		return &resultTee{gen: gen, norm: norm, format: format, max: s.qcache.maxEntry}, false
+	}
+	if !s.replayCached(w, r, format, body) {
+		s.metrics.errors.Add(1)
+		s.cfg.Log("sparql: [%s] cached replay aborted", reqID(w))
+		panic(http.ErrAbortHandler)
+	}
+	s.metrics.rowsStreamed.Add(rows)
+	s.metrics.queries.Add(1)
+	s.metrics.observeLatency(time.Since(start))
+	return nil, true
+}
+
+// retain files the document miss recorded, once it was serialized in
+// full, so the cache never holds a truncated body; rows is the row count
+// a replay credits. The generation is read again first: a rebuild racing
+// this query may have run it against a newer snapshot, and filing that
+// body under the old generation would deposit a dead entry that only
+// wastes budget (generations are monotonic, so it could never be served
+// stale — just uselessly).
+func (s *Server) retain(miss *resultTee, rows int64) {
+	if miss == nil || miss.overflow {
+		return
+	}
+	if gen, err := s.store.SnapshotGeneration(); err == nil && gen == miss.gen {
+		s.qcache.put(miss.gen, miss.norm, miss.format, miss.buf, rows)
+	}
+}
+
 func (s *Server) serveAsk(ctx context.Context, w http.ResponseWriter, r *http.Request, format results.Format, src string, start time.Time) {
-	// With the result cache disabled, skip its machinery wholesale
-	// (normalization, generation lookup, the tee) — the path must stay
-	// the pre-cache one, which the server bench baseline measures.
-	var (
-		norm string
-		gen  uint64
-	)
-	if s.qcache != nil {
-		var ok bool
-		norm = normalizeQuery(src)
-		if gen, ok = s.snapshotGen(ctx, w, r); !ok {
-			return
-		}
-		if s.checkNotModified(w, r, gen, norm, format, start) {
-			return
-		}
-		if body, _ := s.qcache.get(gen, norm, format); body != nil {
-			if !s.replayCached(w, r, format, body) {
-				s.metrics.errors.Add(1)
-				panic(http.ErrAbortHandler)
-			}
-			s.metrics.queries.Add(1)
-			s.metrics.observeLatency(time.Since(start))
-			return
-		}
+	miss, done := s.serveResultCache(ctx, w, r, format, src, start)
+	if done {
+		return
 	}
 	b, err := s.store.AskContext(ctx, src)
 	if err != nil {
@@ -651,10 +697,8 @@ func (s *Server) serveAsk(ctx context.Context, w http.ResponseWriter, r *http.Re
 		gz = gzip.NewWriter(w)
 		out = gz
 	}
-	var rec *capWriter
-	if s.qcache != nil {
-		rec = &capWriter{max: s.qcache.entryCap()}
-		out = &teeWriter{w: out, rec: rec}
+	if miss != nil {
+		miss.w, out = out, miss
 	}
 	err = results.NewWriter(format, out).Boolean(b)
 	if err == nil && gz != nil {
@@ -664,76 +708,15 @@ func (s *Server) serveAsk(ctx context.Context, w http.ResponseWriter, r *http.Re
 		s.metrics.errors.Add(1)
 		return
 	}
-	// As in serveSelect: retain only when the snapshot generation is
-	// still the one the key carries.
-	if rec != nil && !rec.overflow {
-		if gen2, err := s.store.SnapshotGeneration(); err == nil && gen2 == gen {
-			s.qcache.put(gen, norm, format, rec.buf, 0)
-		}
-	}
+	s.retain(miss, 0)
 	s.metrics.queries.Add(1)
 	s.metrics.observeLatency(time.Since(start))
 }
 
-// snapshotGen resolves the store's current snapshot generation (building
-// the index on demand), reporting failure through the protocol error path.
-// The boolean is false when an error response was already written.
-func (s *Server) snapshotGen(ctx context.Context, w http.ResponseWriter, r *http.Request) (uint64, bool) {
-	gen, err := s.store.SnapshotGeneration()
-	if err != nil {
-		s.failBeforeStream(ctx, w, r, err)
-		return 0, false
-	}
-	return gen, true
-}
-
-// teeWriter forwards writes and records the forwarded bytes for the
-// result cache. Recording is applied to the serialized (uncompressed)
-// document, upstream of any content coding.
-type teeWriter struct {
-	w   io.Writer
-	rec *capWriter
-}
-
-func (t *teeWriter) Write(p []byte) (int, error) {
-	n, err := t.w.Write(p)
-	if n > 0 {
-		t.rec.record(p[:n])
-	}
-	return n, err
-}
-
 func (s *Server) serveSelect(ctx context.Context, w http.ResponseWriter, r *http.Request, format results.Format, src string, start time.Time) {
-	// With the result cache disabled, skip its machinery wholesale
-	// (normalization, generation lookup, the per-row tee) — the path must
-	// stay the pre-cache one, which the server bench baseline measures.
-	var (
-		norm string
-		gen  uint64
-	)
-	if s.qcache != nil {
-		var ok bool
-		norm = normalizeQuery(src)
-		if gen, ok = s.snapshotGen(ctx, w, r); !ok {
-			return
-		}
-		if s.checkNotModified(w, r, gen, norm, format, start) {
-			return
-		}
-		// Result cache: an identical query against an unchanged index
-		// snapshot replays the serialized document without touching the
-		// engine.
-		if body, cachedRows := s.qcache.get(gen, norm, format); body != nil {
-			if !s.replayCached(w, r, format, body) {
-				s.metrics.errors.Add(1)
-				s.cfg.Log("sparql: [%s] cached replay aborted", reqID(w))
-				panic(http.ErrAbortHandler)
-			}
-			s.metrics.rowsStreamed.Add(cachedRows)
-			s.metrics.queries.Add(1)
-			s.metrics.observeLatency(time.Since(start))
-			return
-		}
+	miss, done := s.serveResultCache(ctx, w, r, format, src, start)
+	if done {
+		return
 	}
 
 	useGzip := acceptsGzip(r)
@@ -751,10 +734,8 @@ func (s *Server) serveSelect(ctx context.Context, w http.ResponseWriter, r *http
 	}
 	bw := bufio.NewWriterSize(sink, 32<<10)
 	var rowSink io.Writer = bw
-	var rec *capWriter
-	if s.qcache != nil {
-		rec = &capWriter{max: s.qcache.entryCap()}
-		rowSink = &teeWriter{w: bw, rec: rec}
+	if miss != nil {
+		miss.w, rowSink = bw, miss
 	}
 	sw := results.NewWriter(format, rowSink)
 	var (
@@ -852,19 +833,7 @@ func (s *Server) serveSelect(ctx context.Context, w http.ResponseWriter, r *http
 		s.metrics.errors.Add(1)
 		panic(http.ErrAbortHandler)
 	}
-	// Retain the complete document for repeat queries of this snapshot.
-	// Only a fully successful serialization gets here, so the cache can
-	// never hold a truncated body — and only if the store's generation
-	// still matches the one read before execution: a rebuild racing this
-	// query may have run it against a newer snapshot, and filing that
-	// body under the old generation would deposit a dead entry that only
-	// wastes budget (generations are monotonic, so it could never be
-	// served stale — just uselessly).
-	if rec != nil && !rec.overflow {
-		if gen2, err := s.store.SnapshotGeneration(); err == nil && gen2 == gen {
-			s.qcache.put(gen, norm, format, rec.buf, rows)
-		}
-	}
+	s.retain(miss, rows)
 	s.metrics.queries.Add(1)
 	wall := time.Since(start)
 	s.metrics.observeLatency(wall)

@@ -102,8 +102,9 @@ type Options struct {
 	// exactly like the overlay it replaces.
 	CompactThreshold int
 	// SlowQueryThreshold, when positive together with SlowQueryLog,
-	// enables the slow-query log: QueryContext and QueryStreamRows then
-	// run every query with a tracer attached, and a query whose wall time
+	// enables the slow-query log: Query, QueryContext, Ask, AskContext and
+	// QueryStreamRowsObserved (given no span of the caller's) then run
+	// every query with a tracer attached, and a query whose wall time
 	// reaches the threshold appends one JSON line — timestamp, stable
 	// query hash (trace.QueryHash), duration, row count, the (truncated)
 	// query text, and the full span tree — to SlowQueryLog. Queries under
@@ -565,14 +566,6 @@ func (s *Store) ensureSnapshotLocked() (*querySnapshot, error) {
 	return s.snap.Load(), nil
 }
 
-func (s *Store) ensureEngine() (*engine.Engine, error) {
-	snap, err := s.ensureSnapshot()
-	if err != nil {
-		return nil, err
-	}
-	return snap.eng, nil
-}
-
 // ensureIndex returns a compacted index covering every mutation so far,
 // folding any outstanding delta first. SaveIndex, IndexSizes, and Stats
 // route through it: extended overlay dictionaries are never persisted or
@@ -670,51 +663,69 @@ func (s *Store) Query(src string) (*Result, error) {
 }
 
 // QueryContext is Query with cancellation: a done context aborts the
-// multi-way join and returns ctx.Err(). A query concurrent with mutation
-// runs on the most recently built index snapshot. When the slow-query log
-// is enabled (Options.SlowQueryThreshold and SlowQueryLog), the query runs
-// traced and a slow one is logged; results are identical either way.
+// query in any phase and returns ctx.Err(). A query concurrent with
+// mutation runs on the most recently published snapshot. It takes the
+// engine's collect route (engine.Engine.Execute): the partitioned join,
+// the branch merge and the solution modifiers, materialized. When the
+// slow-query log is enabled (Options.SlowQueryThreshold and
+// SlowQueryLog), the query runs traced and a slow one is logged; results
+// are identical either way.
 func (s *Store) QueryContext(ctx context.Context, src string) (*Result, error) {
-	if !s.slowLogging() {
-		return s.queryTracedContext(ctx, src, nil)
-	}
-	t := trace.New("query")
-	start := time.Now()
-	res, err := s.queryTracedContext(ctx, src, t.Root())
-	t.Finish()
-	rows := -1
-	if res != nil {
-		rows = res.Len()
-	}
-	s.logSlowQuery(src, time.Since(start), rows, t.Root(), err)
+	return s.collect(ctx, src, nil)
+}
+
+// collect is the collect route under QueryContext and QueryTrace.
+func (s *Store) collect(ctx context.Context, src string, sp *trace.Span) (res *Result, err error) {
+	err = s.read(src, sp, func(eng *engine.Engine, q *sparql.Query, sp *trace.Span) (int, error) {
+		r, err := eng.Execute(ctx, q, sp)
+		if err != nil {
+			return -1, err
+		}
+		res = &Result{Vars: varNames(r.Vars), rows: r.Rows, Stats: r.Stats}
+		return res.Len(), nil
+	})
 	return res, err
 }
 
-// queryTracedContext is the one execution path under Query, QueryContext,
-// and QueryTrace: parse, bind the current snapshot, execute. sp, when
-// non-nil, receives the query's span tree; a nil sp costs nothing beyond
-// the nil checks.
-func (s *Store) queryTracedContext(ctx context.Context, src string, sp *trace.Span) (*Result, error) {
-	q, err := sparql.Parse(src)
-	if err != nil {
-		return nil, err
+// QueryStreamRowsObserved executes a query and streams positional rows to
+// fn: each row is aligned with vars, and an unbound OPTIONAL variable is a
+// zero Term cell. (Result.Iterate is the map view, where an unbound
+// variable is a missing key.) It takes the engine's stream route
+// (engine.Engine.ExecuteStream), whose rule says which queries stream
+// from the multi-way join with constant memory and which are collected
+// and replayed.
+//
+// fn is called once with a nil row before any result rows, carrying the
+// variable header, so a consumer can emit its header (or its complete
+// zero-row document) even when the query has no solutions. Returning
+// false — from the header call or any row call — stops the enumeration
+// early without error. A done ctx aborts the query in any phase and
+// returns ctx.Err().
+//
+// st, when non-nil, receives the query's Stats: Results counts the rows
+// delivered to fn, for a streamed execution the Join stage includes fn
+// (serialization interleaves with row enumeration), and Total is the
+// engine's time, as on every route. sp, when non-nil,
+// receives the execution's span tree under it. Either may be nil
+// independently; the server's /metrics stage histograms and ?explain=1
+// both sit on this. When sp is nil and the slow-query log is enabled, the
+// query runs traced and a slow one is logged, exactly like QueryContext.
+func (s *Store) QueryStreamRowsObserved(ctx context.Context, src string, st *Stats, sp *trace.Span, fn func(vars []string, row []Term) bool) error {
+	if st == nil {
+		st = new(Stats)
 	}
-	if sp != nil {
-		sp.Set("query_hash", trace.QueryHash(src))
-	}
-	eng, err := s.ensureEngineTraced(sp)
-	if err != nil {
-		return nil, err
-	}
-	res, err := eng.ExecuteTraceContext(ctx, q, sp)
-	if err != nil {
-		return nil, err
-	}
-	vars := make([]string, len(res.Vars))
-	for i, v := range res.Vars {
-		vars[i] = string(v)
-	}
-	return &Result{Vars: vars, rows: res.Rows, Stats: res.Stats}, nil
+	return s.read(src, sp, func(eng *engine.Engine, q *sparql.Query, sp *trace.Span) (int, error) {
+		var vars []string
+		header := func(vs []sparql.Var) bool {
+			vars = varNames(vs)
+			return fn(vars, nil)
+		}
+		// The header and every row come from one normalization pass, so a
+		// row is already in the header's column order.
+		emit := func(_ []sparql.Var, row engine.Row) bool { return fn(vars, row) }
+		err := eng.ExecuteStream(ctx, q, header, emit, st, sp)
+		return st.Results, err
+	})
 }
 
 // Ask evaluates an ASK query (or the WHERE pattern of any query) as an
@@ -724,23 +735,68 @@ func (s *Store) Ask(src string) (bool, error) {
 }
 
 // AskContext is Ask with cancellation: a done context aborts the
-// existence check in any phase and returns ctx.Err().
-func (s *Store) AskContext(ctx context.Context, src string) (bool, error) {
+// existence check in any phase and returns ctx.Err(). It streams like
+// QueryStreamRowsObserved and is slow-query logged like it.
+func (s *Store) AskContext(ctx context.Context, src string) (found bool, err error) {
+	err = s.read(src, nil, func(eng *engine.Engine, q *sparql.Query, sp *trace.Span) (int, error) {
+		var err error
+		found, err = eng.AskContext(ctx, q, sp)
+		if found {
+			return 1, err
+		}
+		return 0, err
+	})
+	return found, err
+}
+
+// read is the one prologue under every query entry point: parse, stamp
+// the query hash on sp, bind the published snapshot (under a "snapshot"
+// span when traced), and hand the engine to route, which returns the row
+// count it delivered. When sp is nil and the slow-query log is enabled,
+// the read runs under its own tracer and a slow one is logged.
+func (s *Store) read(src string, sp *trace.Span, route func(*engine.Engine, *sparql.Query, *trace.Span) (int, error)) error {
+	if sp != nil || !s.slowLogging() {
+		_, err := s.readOn(src, sp, route)
+		return err
+	}
+	t := trace.New("query")
+	start := time.Now()
+	rows, err := s.readOn(src, t.Root(), route)
+	t.Finish()
+	s.logSlowQuery(src, time.Since(start), rows, t.Root(), err)
+	return err
+}
+
+// readOn is read on a given span: it returns the route's row count, or
+// -1 when the read failed before the route ran.
+func (s *Store) readOn(src string, sp *trace.Span, route func(*engine.Engine, *sparql.Query, *trace.Span) (int, error)) (int, error) {
 	q, err := sparql.Parse(src)
 	if err != nil {
-		return false, err
+		return -1, err
 	}
-	eng, err := s.ensureEngine()
+	if sp != nil {
+		sp.Set("query_hash", trace.QueryHash(src))
+	}
+	snap, err := s.snapshotTraced(sp)
 	if err != nil {
-		return false, err
+		return -1, err
 	}
-	return eng.AskContext(ctx, q)
+	return route(snap.eng, q, sp)
+}
+
+// varNames renders engine variables as the public column names.
+func varNames(vs []sparql.Var) []string {
+	names := make([]string, len(vs))
+	for i, v := range vs {
+		names[i] = string(v)
+	}
+	return names
 }
 
 // Explain returns a plan summary: the serialized tree, the GoSN edges, and
 // the classification flags of each union-free branch.
 func (s *Store) Explain(src string) (string, error) {
-	eng, err := s.ensureEngine()
+	snap, err := s.ensureSnapshot()
 	if err != nil {
 		return "", err
 	}
@@ -748,7 +804,7 @@ func (s *Store) Explain(src string) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	return eng.Describe(q)
+	return snap.eng.Describe(q)
 }
 
 // BaselinePolicy selects a comparator engine for QueryBaseline.
@@ -780,15 +836,11 @@ func (s *Store) QueryBaseline(src string, policy BaselinePolicy) (*Result, error
 	if err != nil {
 		return nil, err
 	}
-	vars := make([]string, len(res.Vars))
-	for i, v := range res.Vars {
-		vars[i] = string(v)
-	}
 	rows := make([]engine.Row, len(res.Rows))
 	for i, r := range res.Rows {
 		rows[i] = engine.Row(r)
 	}
-	return &Result{Vars: vars, rows: rows}, nil
+	return &Result{Vars: varNames(res.Vars), rows: rows}, nil
 }
 
 // IndexSizes reports the on-disk footprint of the full BitMat family under

@@ -5,13 +5,12 @@ import (
 	"encoding/json"
 	"time"
 
-	"repro/internal/engine"
 	"repro/internal/trace"
 )
 
 // Observability surface of the store: the EXPLAIN-style traced execution
-// (QueryTrace), the slow-query log QueryContext and QueryStreamRows feed
-// when Options enable it, and the durability counters /metrics exposes
+// (QueryTrace), the slow-query log every query entry point feeds when
+// Options enable it, and the durability counters /metrics exposes
 // (WALStats).
 
 // QueryTrace executes a query like QueryContext and additionally returns
@@ -27,7 +26,7 @@ import (
 // to (and in the same order as) QueryContext's.
 func (s *Store) QueryTrace(ctx context.Context, src string) (*Result, *trace.Span, error) {
 	t := trace.New("query")
-	res, err := s.queryTracedContext(ctx, src, t.Root())
+	res, err := s.collect(ctx, src, t.Root())
 	t.Finish()
 	return res, t.Root(), err
 }
@@ -87,7 +86,7 @@ func (s *Store) logSlowQuery(src string, d time.Duration, rows int, root *trace.
 	s.opts.SlowQueryLog.Write(b)
 }
 
-// ensureEngineTraced is ensureEngine with an optional "snapshot" span
+// snapshotTraced is ensureSnapshot with an optional "snapshot" span
 // recording which snapshot the query bound to: the generation, the delta
 // size, and whether the snapshot is an overlay (base plus uncompacted
 // delta) rather than a compacted index. The attributes come from the
@@ -95,21 +94,20 @@ func (s *Store) logSlowQuery(src string, d time.Duration, rows int, root *trace.
 // runs on. The span's duration is the snapshot acquisition cost — near
 // zero on the fast path, a full build when the store was never built or
 // a mutation dropped the snapshot.
-func (s *Store) ensureEngineTraced(sp *trace.Span) (*engine.Engine, error) {
+func (s *Store) snapshotTraced(sp *trace.Span) (*querySnapshot, error) {
 	if sp == nil {
-		return s.ensureEngine()
+		return s.ensureSnapshot()
 	}
 	ssp := sp.Child("snapshot")
+	defer ssp.End()
 	snap, err := s.ensureSnapshot()
 	if err != nil {
-		ssp.End()
 		return nil, err
 	}
 	ssp.Set("generation", snap.gen)
 	ssp.Set("delta", snap.delta)
 	ssp.Set("overlay", snap.delta > 0)
-	ssp.End()
-	return snap.eng, nil
+	return snap, nil
 }
 
 // WALStats is a point-in-time snapshot of the store's durability and

@@ -2,6 +2,7 @@ package lbr
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"strings"
 	"testing"
@@ -80,10 +81,28 @@ func TestOpenIndexRejectsOldFormat(t *testing.T) {
 	}
 }
 
+// streamMaps streams src through QueryStreamRowsObserved and hands fn each
+// row as the map Result.Iterate builds: a variable per bound cell, an
+// unbound OPTIONAL cell left out.
+func streamMaps(ctx context.Context, s *Store, src string, fn func(map[string]Term) bool) error {
+	return s.QueryStreamRowsObserved(ctx, src, nil, nil, func(vars []string, row []Term) bool {
+		if row == nil {
+			return true // the header call
+		}
+		m := make(map[string]Term, len(vars))
+		for i, v := range vars {
+			if !row[i].IsZero() {
+				m[v] = row[i]
+			}
+		}
+		return fn(m)
+	})
+}
+
 func TestQueryStream(t *testing.T) {
 	s := movieStore(t)
 	var rows []map[string]Term
-	err := s.QueryStream(movieQ2, func(m map[string]Term) bool {
+	err := streamMaps(context.Background(), s, movieQ2, func(m map[string]Term) bool {
 		rows = append(rows, m)
 		return true
 	})
@@ -111,7 +130,7 @@ func TestQueryStream(t *testing.T) {
 func TestQueryStreamEarlyStop(t *testing.T) {
 	s := movieStore(t)
 	n := 0
-	err := s.QueryStream(`SELECT * WHERE { ?a <actedIn> ?b . }`, func(map[string]Term) bool {
+	err := streamMaps(context.Background(), s, `SELECT * WHERE { ?a <actedIn> ?b . }`, func(map[string]Term) bool {
 		n++
 		return false // stop after the first row
 	})
@@ -140,7 +159,7 @@ func TestQueryStreamBestMatchFallback(t *testing.T) {
 		t.Fatal(err)
 	}
 	var streamed int
-	if err := s.QueryStream(q, func(map[string]Term) bool {
+	if err := streamMaps(context.Background(), s, q, func(map[string]Term) bool {
 		streamed++
 		return true
 	}); err != nil {
@@ -154,7 +173,7 @@ func TestQueryStreamBestMatchFallback(t *testing.T) {
 func TestQueryStreamUnionFallback(t *testing.T) {
 	s := movieStore(t)
 	var n int
-	err := s.QueryStream(`
+	err := streamMaps(context.Background(), s, `
 		SELECT * WHERE {
 			{ <Jerry> <hasFriend> ?x . } UNION { ?x <location> <NewYorkCity> . } }`,
 		func(map[string]Term) bool { n++; return true })
@@ -169,7 +188,7 @@ func TestQueryStreamUnionFallback(t *testing.T) {
 func TestQueryStreamEmptyMaster(t *testing.T) {
 	s := movieStore(t)
 	n := 0
-	err := s.QueryStream(`SELECT * WHERE { <Nobody> <hasFriend> ?x . }`,
+	err := streamMaps(context.Background(), s, `SELECT * WHERE { <Nobody> <hasFriend> ?x . }`,
 		func(map[string]Term) bool { n++; return true })
 	if err != nil || n != 0 {
 		t.Fatalf("err=%v n=%d", err, n)

@@ -5,7 +5,7 @@ import (
 	"testing"
 )
 
-// TestQueryStreamRowsHeaderAndAlignment pins the QueryStreamRows contract:
+// TestQueryStreamRowsHeaderAndAlignment pins the QueryStreamRowsObserved contract:
 // fn is first called with a nil row carrying the header, then once per
 // solution with the row aligned to vars — unbound OPTIONAL variables as
 // zero Terms, never shorter rows.
@@ -14,7 +14,7 @@ func TestQueryStreamRowsHeaderAndAlignment(t *testing.T) {
 	var headerVars []string
 	var rows [][]Term
 	calls := 0
-	err := s.QueryStreamRows(context.Background(), movieQ2, func(vars []string, row []Term) bool {
+	err := s.QueryStreamRowsObserved(context.Background(), movieQ2, nil, nil, func(vars []string, row []Term) bool {
 		calls++
 		if row == nil {
 			if calls != 1 {
@@ -59,8 +59,8 @@ func TestQueryStreamRowsZeroRows(t *testing.T) {
 	s := movieStore(t)
 	headerSeen := false
 	rows := 0
-	err := s.QueryStreamRows(context.Background(),
-		`SELECT * WHERE { <Nobody> <hasFriend> ?x . }`,
+	err := s.QueryStreamRowsObserved(context.Background(),
+		`SELECT * WHERE { <Nobody> <hasFriend> ?x . }`, nil, nil,
 		func(vars []string, row []Term) bool {
 			if row == nil {
 				headerSeen = true
@@ -91,7 +91,7 @@ func TestQueryStreamRowsProjectionOrder(t *testing.T) {
 			?sitcom <location> <NewYorkCity> . } }`
 	var headerVars []string
 	rows := 0
-	err := s.QueryStreamRows(context.Background(), q, func(vars []string, row []Term) bool {
+	err := s.QueryStreamRowsObserved(context.Background(), q, nil, nil, func(vars []string, row []Term) bool {
 		if row == nil {
 			headerVars = append([]string(nil), vars...)
 			return true
@@ -145,7 +145,7 @@ func TestQueryStreamRowsMatchesQuery(t *testing.T) {
 			want += "\n"
 		}
 		got := ""
-		err = s.QueryStreamRows(context.Background(), q, func(vars []string, row []Term) bool {
+		err = s.QueryStreamRowsObserved(context.Background(), q, nil, nil, func(vars []string, row []Term) bool {
 			if row == nil {
 				if len(vars) != len(res.Vars) {
 					t.Errorf("%s: streamed vars %v, want %v", q, vars, res.Vars)
@@ -172,7 +172,7 @@ func TestQueryStreamRowsMatchesQuery(t *testing.T) {
 func TestQueryStreamRowsEarlyStop(t *testing.T) {
 	s := movieStore(t)
 	calls := 0
-	err := s.QueryStreamRows(context.Background(), movieQ2, func(_ []string, _ []Term) bool {
+	err := s.QueryStreamRowsObserved(context.Background(), movieQ2, nil, nil, func(_ []string, _ []Term) bool {
 		calls++
 		return false
 	})
@@ -188,7 +188,7 @@ func TestQueryStreamRowsCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	called := false
-	err := s.QueryStreamRows(ctx, movieQ2, func([]string, []Term) bool {
+	err := s.QueryStreamRowsObserved(ctx, movieQ2, nil, nil, func([]string, []Term) bool {
 		called = true
 		return true
 	})

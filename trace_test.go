@@ -227,7 +227,7 @@ func TestSlowQueryLogRecords(t *testing.T) {
 		t.Fatal(err)
 	}
 	streamed := 0
-	if err := s.QueryStreamRows(context.Background(), q, func(vars []string, row []Term) bool {
+	if err := s.QueryStreamRowsObserved(context.Background(), q, nil, nil, func(vars []string, row []Term) bool {
 		if row != nil { // the first callback is the header
 			streamed++
 		}
@@ -301,7 +301,7 @@ func TestSlowQueryLogStreamedRows(t *testing.T) {
 	} {
 		buf.Reset()
 		delivered := 0
-		if err := s.QueryStreamRows(context.Background(), c.q, func(vars []string, row []Term) bool {
+		if err := s.QueryStreamRowsObserved(context.Background(), c.q, nil, nil, func(vars []string, row []Term) bool {
 			if row != nil {
 				delivered++
 			}
@@ -322,6 +322,57 @@ func TestSlowQueryLogStreamedRows(t *testing.T) {
 			t.Errorf("%s: slow log rows = %d, want the %d delivered", c.q, rec.Rows, c.rows)
 		}
 	}
+}
+
+// TestSlowQueryLogAsk checks that AskContext feeds the slow-query log
+// like the row routes: exactly one line, carrying the query hash, one row
+// for a pattern with a solution, and the probe's trace.
+func TestSlowQueryLogAsk(t *testing.T) {
+	var buf bytes.Buffer
+	s := slowLogStore(t, &buf)
+	const q = `ASK { ?s <type> <class0> }`
+	if found, err := s.AskContext(context.Background(), q); err != nil || !found {
+		t.Fatalf("AskContext = %v, %v; want true", found, err)
+	}
+	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
+	if len(lines) != 1 {
+		t.Fatalf("got %d slow-log lines, want 1:\n%s", len(lines), buf.String())
+	}
+	var rec struct {
+		QueryHash string          `json:"query_hash"`
+		Rows      int             `json:"rows"`
+		Trace     *trace.SpanJSON `json:"trace"`
+	}
+	if err := json.Unmarshal([]byte(lines[0]), &rec); err != nil {
+		t.Fatalf("%v\n%s", err, lines[0])
+	}
+	if rec.QueryHash != trace.QueryHash(q) {
+		t.Errorf("query_hash = %q, want %q", rec.QueryHash, trace.QueryHash(q))
+	}
+	if rec.Rows != 1 {
+		t.Errorf("rows = %d, want 1", rec.Rows)
+	}
+	if rec.Trace == nil || rec.Trace.Name != "query" || rec.Trace.Attrs["query_hash"] != rec.QueryHash {
+		t.Fatalf("trace = %+v, want the query root carrying the hash", rec.Trace)
+	}
+	for _, name := range []string{"snapshot", "branch"} {
+		if !hasSpan(rec.Trace, name) {
+			t.Errorf("trace lacks a %q span: %s", name, lines[0])
+		}
+	}
+}
+
+// hasSpan reports whether the span tree under s holds a span named name.
+func hasSpan(s *trace.SpanJSON, name string) bool {
+	if s.Name == name {
+		return true
+	}
+	for i := range s.Children {
+		if hasSpan(&s.Children[i], name) {
+			return true
+		}
+	}
+	return false
 }
 
 // TestSlowQueryLogErrorLine checks that a failing query still logs, with

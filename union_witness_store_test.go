@@ -48,7 +48,7 @@ func TestWitnesslessUnionStoreSweep(t *testing.T) {
 }
 
 // TestWitnesslessUnionStoreStreaming pins the streaming surface: rows
-// handed to QueryStreamRows are exactly as wide as the header, and
+// handed to QueryStreamRowsObserved are exactly as wide as the header, and
 // neither header nor cells carry the witness machinery.
 func TestWitnesslessUnionStoreStreaming(t *testing.T) {
 	s := NewStoreWithOptions(Options{Workers: 2})
@@ -57,7 +57,7 @@ func TestWitnesslessUnionStoreStreaming(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, src := range witnesslessStoreQueries {
-		err := s.QueryStreamRows(context.Background(), src, func(vars []string, row []Term) bool {
+		err := s.QueryStreamRowsObserved(context.Background(), src, nil, nil, func(vars []string, row []Term) bool {
 			for _, v := range vars {
 				assertNoWitnessMarkers(t, src, "streamed header", v)
 			}

@@ -371,7 +371,7 @@ func TestUpdateMVCCSnapshotIsolation(t *testing.T) {
 	var rows int
 	go func() {
 		first := true
-		done <- s.QueryStreamRows(context.Background(), `SELECT * WHERE { ?a <acted_in> <seinfeld> }`,
+		done <- s.QueryStreamRowsObserved(context.Background(), `SELECT * WHERE { ?a <acted_in> <seinfeld> }`, nil, nil,
 			func(vars []string, row []Term) bool {
 				if row == nil {
 					return true // header call
