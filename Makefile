@@ -39,12 +39,14 @@ verify: build vet fmt-check difftest-imports race
 
 # test-cache runs just the caching test surface under -race: the MatCache
 # unit tests, the store-level concurrent differential + invalidation
-# harness, the cache-stressing differential regressions, and the server's
+# harness, the cache-stressing differential regressions, the sharing of a
+# pattern across UNION branches through first-touch admission
+# (TestUnionBranchesShareThroughMatCache), and the server's
 # result-cache/gzip tests. The full `make` covers all of these too; this
 # target is the fast loop while working on the cache layers.
 test-cache:
 	$(GO) test -race -count=1 \
-		-run 'TestMatCache|TestCrossQueryCache|TestCacheInvalidation|TestEffectiveCacheBudget|TestDifferentialCacheRegressions|TestResultCache|TestGzip' \
+		-run 'TestMatCache|TestCrossQueryCache|TestCacheInvalidation|TestEffectiveCacheBudget|TestDifferentialCacheRegressions|TestUnionBranchesShareThroughMatCache|TestResultCache|TestGzip' \
 		./internal/engine ./internal/server .
 
 # test-update runs the write-path test surface under -race: SPARQL Update

@@ -26,14 +26,14 @@ type Options struct {
 	// bottom-up/top-down pass rooted arbitrarily (the jvar-order ablation);
 	// it keeps correctness but loses the selectivity-driven pruning order.
 	NaiveJvarOrder bool
-	// Workers bounds the goroutines the engine uses for the parallel
-	// phases of each UNF branch: the pruning waves and the partitioned
-	// multi-way join. A query's branches (UNION alternatives and the
-	// per-predicate branches of a ?s ?p ?o expansion) run one after
-	// another, each with the whole pool. 0 means GOMAXPROCS; 1 forces the
-	// sequential code paths; negative values are treated as 1 (see
-	// EffectiveWorkers). Parallel execution returns the same rows in the
-	// same order as sequential execution.
+	// Workers bounds the goroutines of the partitioned multi-way join of
+	// each UNF branch, the engine's one parallel phase; init and
+	// prune_triples run on the calling goroutine. A query's branches
+	// (UNION alternatives and the per-predicate branches of a ?s ?p ?o
+	// expansion) run one after another, each with the whole pool. 0
+	// means GOMAXPROCS; 1 forces the sequential code paths; negative
+	// values are treated as 1 (see EffectiveWorkers). Parallel execution
+	// returns the same rows in the same order as sequential execution.
 	Workers int
 }
 
@@ -693,7 +693,7 @@ func (c *joinChunk) claimRow(w int) {
 // best-matched when a binding was cleared, for the caller to merge or
 // replay.
 //
-// The branch's pruning and partitioned join use the whole worker pool
+// The branch's partitioned join uses the whole worker pool
 // (e.workers()). qsp, when non-nil, is the query's trace span: the
 // branch records itself in a "branch" child numbered branch, with the
 // plan, init, prune, join and filter stages under that.
@@ -780,15 +780,15 @@ func (e *Engine) executeBranch(ctx context.Context, branch int, eb execBranch, v
 	isp.End()
 
 	// Line 7: prune_triples (Algorithm 3.2). The context threads into the
-	// pruning passes, which bail between jvar levels (and between waves of
-	// the parallel scheduler) when the query is cancelled.
+	// pruning passes, which bail between jvar levels when the query is
+	// cancelled.
 	tPrune := time.Now()
 	var psp *trace.Span
 	if sp != nil {
 		psp = sp.Child("prune")
 	}
 	if !e.opts.DisablePruning {
-		e.pruneTriples(ctx, plan, tps, e.workers(), psp)
+		e.pruneTriples(ctx, plan, tps, psp)
 	}
 	res.Stats.Prune = time.Since(tPrune)
 	psp.End()

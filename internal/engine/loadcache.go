@@ -14,20 +14,19 @@ const (
 )
 
 // cachedPristine returns a private pristine materialization of the pattern
-// through the store-level MatCache, or nil when the cache declines, in
-// which case the caller builds directly (with its masks folded into the
-// build, exactly as before caching existed). The cached matrix is shared
-// and therefore cloned here, so the caller may prune the returned matrix
-// freely. masked tells the cache whether the caller has load-time masks
-// to fold into a direct build; it then admits the pattern only on
-// repeated touches (see MatCacheView.get). A pattern recurring across the
-// UNF branches of one query is shared this way too: the branches run in
-// order, so a later branch finds the entry an earlier one admitted.
+// through the store-level MatCache, or nil when the cache declines (no
+// cache view, or a retired generation), in which case the caller builds
+// directly with its masks folded into the build. The cached matrix is
+// shared and therefore cloned here, so the caller may prune the returned
+// matrix freely. Every load admits the pattern on its first touch, so a
+// pattern recurring across the UNF branches of one query is built once:
+// the branches run in order, and a later branch finds the entry an
+// earlier one admitted.
 //
 // The second return names the cache outcome — a string constant attached
 // to the pattern's trace span, free when no tracer is attached.
-func (e *Engine) cachedPristine(patKey string, orient uint8, masked bool, build func() *bitmat.Matrix) (*bitmat.Matrix, string) {
-	mat, outcome := e.mc.get(patKey, orient, masked, build)
+func (e *Engine) cachedPristine(patKey string, orient uint8, build func() *bitmat.Matrix) (*bitmat.Matrix, string) {
+	mat, outcome := e.mc.get(patKey, orient, build)
 	if mat != nil {
 		mat = mat.Clone()
 	}
@@ -37,11 +36,10 @@ func (e *Engine) cachedPristine(patKey string, orient uint8, masked bool, build 
 // cachedOr returns a private copy of the cached materialization of the
 // pattern — a clone, so the caller may prune it freely — or build()'s
 // result directly when the cache declines. Callers here have no load-time
-// masks (build() already is the final matrix), so the cache admits on
-// first touch. The second return is the cache outcome for the pattern's
-// trace span.
+// masks: build() already is the final matrix. The second return is the
+// cache outcome for the pattern's trace span.
 func (e *Engine) cachedOr(patKey string, orient uint8, build func() *bitmat.Matrix) (*bitmat.Matrix, string) {
-	m, src := e.cachedPristine(patKey, orient, false, build)
+	m, src := e.cachedPristine(patKey, orient, build)
 	if m != nil {
 		return m, src
 	}

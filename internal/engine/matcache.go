@@ -39,14 +39,6 @@ type MatCache struct {
 	gen    uint64
 	m      map[matKey]*matEntry
 	lru    *list.List // *matEntry; front = most recently used
-	// touched records (pattern, orientation) keys whose masked load was
-	// seen once this generation: masked loads are admitted to the cache
-	// on their second touch only, so a one-off selective query keeps its
-	// cheaper filtered build instead of materializing the full pristine
-	// matrix for a cache nobody will read. Cleared on Advance and when it
-	// grows past touchedCap (an epoch reset, so a hostile stream of
-	// distinct patterns cannot grow it without bound).
-	touched map[matKey]bool
 
 	// Counters, guarded by mu (every path that updates them holds it).
 	hits          int64
@@ -54,12 +46,8 @@ type MatCache struct {
 	evictions     int64
 	invalidations int64
 	staleBypasses int64
-	firstTouches  int64
 	oversize      int64
 }
-
-// touchedCap bounds the masked first-touch set per generation.
-const touchedCap = 1 << 14
 
 type matKey struct {
 	pat    string
@@ -85,10 +73,9 @@ func NewMatCache(budget int64) *MatCache {
 		return nil
 	}
 	return &MatCache{
-		budget:  budget,
-		m:       map[matKey]*matEntry{},
-		touched: map[matKey]bool{},
-		lru:     list.New(),
+		budget: budget,
+		m:      map[matKey]*matEntry{},
+		lru:    list.New(),
 	}
 }
 
@@ -106,7 +93,6 @@ func (c *MatCache) Advance(g uint64) *MatCacheView {
 	c.gen = g
 	c.invalidations += int64(len(c.m))
 	c.m = map[matKey]*matEntry{}
-	c.touched = map[matKey]bool{}
 	c.lru.Init()
 	c.used = 0
 	return &MatCacheView{c: c, gen: g}
@@ -128,15 +114,20 @@ type CacheStats struct {
 	// StaleBypasses counts builds done outside the cache by queries still
 	// running against a retired snapshot generation.
 	StaleBypasses int64 `json:"stale_bypasses"`
-	// FirstTouches counts masked loads declined because their pattern had
-	// not been seen before this generation (they kept the cheaper
-	// filtered build; a second touch admits the pattern).
+	// FirstTouches is always 0: every load admits on its first touch.
+	// The field stays because the benchmark reports it as
+	// engine.cache_first_touches; it goes once that metric does.
 	FirstTouches int64 `json:"first_touches"`
 	// Oversize counts built matrices larger than the whole budget, which
 	// are returned to their query but never retained.
 	Oversize int64 `json:"oversize"`
 	// Entries and BytesUsed describe the current residency; Budget and
 	// Generation the configuration and the live snapshot generation.
+	// BytesUsed is the sum of matCost, which leaves out each live row's
+	// bitvec.Row header (about 80 B), so it understates the heap the
+	// cache pins: on the benchmark's analytic-scan workload it reads
+	// 16 MB while disabling the cache lowers the live heap by about
+	// 73 MB.
 	Entries    int    `json:"entries"`
 	BytesUsed  int64  `json:"bytes_used"`
 	Budget     int64  `json:"budget"`
@@ -156,7 +147,6 @@ func (c *MatCache) Stats() CacheStats {
 		Evictions:     c.evictions,
 		Invalidations: c.invalidations,
 		StaleBypasses: c.staleBypasses,
-		FirstTouches:  c.firstTouches,
 		Oversize:      c.oversize,
 		Entries:       len(c.m),
 		BytesUsed:     c.used,
@@ -172,11 +162,10 @@ func (c *MatCache) Stats() CacheStats {
 type cacheOutcome string
 
 const (
-	outcomeUncached   cacheOutcome = "uncached"     // no cache view (disabled store tier)
-	outcomeHit        cacheOutcome = "store-hit"    // served from an existing entry
-	outcomeMiss       cacheOutcome = "store-miss"   // entry created, matrix built and admitted
-	outcomeFirstTouch cacheOutcome = "first-touch"  // masked load declined on first touch
-	outcomeStale      cacheOutcome = "stale-bypass" // query runs against a retired generation
+	outcomeUncached cacheOutcome = "uncached"     // no cache view (disabled store tier)
+	outcomeHit      cacheOutcome = "store-hit"    // served from an existing entry
+	outcomeMiss     cacheOutcome = "store-miss"   // entry created, matrix built and admitted
+	outcomeStale    cacheOutcome = "stale-bypass" // query runs against a retired generation
 )
 
 // MatCacheView is one snapshot generation's read/write handle on the
@@ -198,13 +187,10 @@ func (v *MatCacheView) Generation() uint64 {
 
 // get returns the shared pristine matrix for the pattern, or a nil
 // matrix when the cache declines and the caller should build directly —
-// with its load-time masks folded in, which is cheaper than the pristine
-// materialization the cache would have wanted. The cache declines for a
-// nil view, for a retired snapshot generation (the query must neither
-// read a new-generation matrix nor resurrect an old one), and for a
-// masked load whose pattern is on its first touch this generation
-// (admission-on-repeat: a one-off selective query keeps its filtered
-// build; the second touch admits the pattern). All checks and the
+// with its load-time masks folded in. The cache declines only for a nil
+// view and for a retired snapshot generation (the query must neither
+// read a new-generation matrix nor resurrect an old one); every other
+// load admits the pattern on its first touch. The checks and the
 // hit/miss bookkeeping happen under one lock acquisition; the returned
 // outcome names which of these paths was taken.
 //
@@ -217,7 +203,7 @@ func (v *MatCacheView) Generation() uint64 {
 // lock held; concurrent getters for the same key block on the entry, not
 // on the cache, so a slow materialization never serializes unrelated
 // loads.
-func (v *MatCacheView) get(pat string, orient uint8, masked bool, build func() *bitmat.Matrix) (*bitmat.Matrix, cacheOutcome) {
+func (v *MatCacheView) get(pat string, orient uint8, build func() *bitmat.Matrix) (*bitmat.Matrix, cacheOutcome) {
 	if v == nil {
 		return nil, outcomeUncached
 	}
@@ -236,15 +222,6 @@ func (v *MatCacheView) get(pat string, orient uint8, masked bool, build func() *
 		c.lru.MoveToFront(e.elem)
 		outcome = outcomeHit
 	} else {
-		if masked && !c.touched[key] {
-			if len(c.touched) >= touchedCap {
-				c.touched = map[matKey]bool{}
-			}
-			c.touched[key] = true
-			c.firstTouches++
-			c.mu.Unlock()
-			return nil, outcomeFirstTouch
-		}
 		e = &matEntry{key: key}
 		e.elem = c.lru.PushFront(e)
 		c.m[key] = e
@@ -299,8 +276,10 @@ func (c *MatCache) evictLocked(keep *matEntry) {
 // header, 12 B per live row (its 4-byte id and 8-byte row pointer in the
 // directory), and the compressed row payloads (4-byte words in the hybrid
 // encoding). It follows what the matrix holds, not its dimensions, so a
-// budget measures real bytes. It only weighs the LRU — a rough but
-// monotone estimate is enough for eviction order.
+// budget scales with the data the matrices carry. It only weighs the LRU
+// — a rough but monotone estimate is enough for eviction order. Row
+// headers are left out (see CacheStats.BytesUsed): counting them makes a
+// budget-sized sweep evict its own working set.
 func matCost(mat *bitmat.Matrix) int64 {
 	if mat == nil {
 		return 64

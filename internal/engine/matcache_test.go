@@ -1,12 +1,16 @@
 package engine
 
 import (
+	"context"
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"repro/internal/bitmat"
 	"repro/internal/bitvec"
+	"repro/internal/sparql"
+	"repro/internal/trace"
 )
 
 // testMat builds a small matrix with nRows rows and one set bit per row,
@@ -32,7 +36,7 @@ func TestMatCacheNilSafety(t *testing.T) {
 		t.Fatalf("nil view generation != 0")
 	}
 	built := 0
-	mat, out := v.get("p", orientSO, false, func() *bitmat.Matrix { built++; return testMat(1) })
+	mat, out := v.get("p", orientSO, func() *bitmat.Matrix { built++; return testMat(1) })
 	if mat != nil || out != outcomeUncached || built != 0 {
 		t.Fatalf("nil view must decline without building: mat=%v out=%v built=%d", mat, out, built)
 	}
@@ -41,38 +45,60 @@ func TestMatCacheNilSafety(t *testing.T) {
 	}
 }
 
-// TestMatCacheMaskedAdmissionOnRepeat pins the admission heuristic: a
-// masked load declines on its first touch (the caller keeps the cheaper
-// filtered build) and is admitted from the second touch on; unmasked
-// loads cache immediately.
-func TestMatCacheMaskedAdmissionOnRepeat(t *testing.T) {
-	c := NewMatCache(1 << 20)
-	view := c.Advance(1)
-	builds := 0
-	build := func() *bitmat.Matrix { builds++; return testMat(2) }
-	if mat, out := view.get("m", orientSO, true, build); mat != nil || out != outcomeFirstTouch {
-		t.Fatalf("masked first touch must decline")
+// TestMatCacheAdmitsOnFirstTouch pins the admission rule through the
+// engine's load path: a load admits its pattern on first touch whether
+// or not it carries active-pruning masks, and concurrent first touches
+// share one build per pattern. The query's two patterns join on ?x, so
+// the tel load is masked by the mail subjects.
+func TestMatCacheAdmitsOnFirstTouch(t *testing.T) {
+	q, err := sparql.Parse(`SELECT * WHERE { ?x <mail> ?m . ?x <tel> ?t . }`)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if builds != 0 {
-		t.Fatalf("declined get ran the build")
+	idx := indexOf(t, chainGraph())
+	want, err := New(idx, Options{Workers: 1}).Execute(context.Background(), q, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if s := c.Stats(); s.FirstTouches != 1 || s.Entries != 0 {
-		t.Fatalf("first-touch stats = %+v", s)
+	mc := NewMatCache(1 << 20)
+	e := NewWithCache(idx, Options{Workers: 1}, mc.Advance(1))
+	const n = 8
+	roots := make([]*trace.Span, n)
+	var wg sync.WaitGroup
+	for i := range roots {
+		roots[i] = trace.New("query").Root()
+		wg.Add(1)
+		go func(sp *trace.Span) {
+			defer wg.Done()
+			res, err := e.Execute(context.Background(), q, sp)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if fmt.Sprint(res.Rows) != fmt.Sprint(want.Rows) {
+				t.Error("cached rows differ from the uncached engine")
+			}
+		}(roots[i])
 	}
-	if mat, _ := view.get("m", orientSO, true, build); mat == nil || builds != 1 {
-		t.Fatalf("masked second touch must admit and build (builds=%d)", builds)
+	wg.Wait()
+	if s := mc.Stats(); s.Misses != 2 || s.Hits != 2*(n-1) || s.Entries != 2 || s.FirstTouches != 0 {
+		t.Fatalf("stats = %+v, want one build per pattern and every other load a hit", s)
 	}
-	if mat, out := view.get("m", orientSO, true, build); mat == nil || out != outcomeHit || builds != 1 {
-		t.Fatalf("masked third touch must hit (builds=%d)", builds)
+	masked := false
+	for _, root := range roots {
+		for _, ld := range root.FindAll("load") {
+			if src, _ := ld.Attr("cache"); src != string(outcomeMiss) && src != string(outcomeHit) {
+				t.Fatalf("load of %v came from %v, want the cache", ld, src)
+			}
+			// chainGraph gives 240 subjects a tel; the mail mask keeps 80.
+			pat, _ := ld.Attr("pattern")
+			if rows, _ := ld.Attr("live_rows"); pat == "?x <tel> ?t" && rows.(int) < 240 {
+				masked = true
+			}
+		}
 	}
-	// Unmasked loads admit on first touch.
-	if mat, _ := view.get("u", orientSO, false, build); mat == nil || builds != 2 {
-		t.Fatalf("unmasked first touch must cache (builds=%d)", builds)
-	}
-	// Advance resets the touch memory along with the entries.
-	v2 := c.Advance(2)
-	if mat, out := v2.get("m", orientSO, true, build); mat != nil || out != outcomeFirstTouch {
-		t.Fatalf("new generation must re-learn touches")
+	if !masked {
+		t.Fatal("weak fixture: no load was narrowed by its masks")
 	}
 }
 
@@ -86,7 +112,7 @@ func TestMatCacheSingleFlight(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			mat, _ := view.get("pat", orientSO, false, func() *bitmat.Matrix {
+			mat, _ := view.get("pat", orientSO, func() *bitmat.Matrix {
 				builds.Add(1)
 				return testMat(4)
 			})
@@ -114,8 +140,8 @@ func TestMatCacheSingleFlight(t *testing.T) {
 func TestMatCacheOrientationsAreDistinct(t *testing.T) {
 	c := NewMatCache(1 << 20)
 	view := c.Advance(1)
-	a, _ := view.get("pat", orientSO, false, func() *bitmat.Matrix { return testMat(2) })
-	b, _ := view.get("pat", orientOS, false, func() *bitmat.Matrix { return testMat(3) })
+	a, _ := view.get("pat", orientSO, func() *bitmat.Matrix { return testMat(2) })
+	b, _ := view.get("pat", orientOS, func() *bitmat.Matrix { return testMat(3) })
 	if a == b {
 		t.Fatalf("orientations shared one entry")
 	}
@@ -133,7 +159,7 @@ func TestMatCacheLRUEviction(t *testing.T) {
 	view := c.Advance(1)
 	builds := map[string]int{}
 	load := func(pat string) {
-		view.get(pat, orientSO, false, func() *bitmat.Matrix {
+		view.get(pat, orientSO, func() *bitmat.Matrix {
 			builds[pat]++
 			return testMat(2)
 		})
@@ -163,7 +189,7 @@ func TestMatCacheOversizeNotRetained(t *testing.T) {
 	if matCost(big) <= small {
 		t.Fatalf("fixture: big not bigger than budget")
 	}
-	mat, shared := view.get("big", orientSO, false, func() *bitmat.Matrix { return big })
+	mat, shared := view.get("big", orientSO, func() *bitmat.Matrix { return big })
 	if mat != big || shared != outcomeMiss {
 		t.Fatalf("oversize build not returned to caller")
 	}
@@ -178,7 +204,7 @@ func TestMatCacheAdvanceRetiresEntries(t *testing.T) {
 	v1 := c.Advance(1)
 	builds := 0
 	get := func(v *MatCacheView) (*bitmat.Matrix, cacheOutcome) {
-		return v.get("pat", orientSO, false, func() *bitmat.Matrix {
+		return v.get("pat", orientSO, func() *bitmat.Matrix {
 			builds++
 			return testMat(2)
 		})
@@ -221,7 +247,7 @@ func TestMatCacheAdvanceDuringBuild(t *testing.T) {
 	release := make(chan struct{})
 	done := make(chan *bitmat.Matrix)
 	go func() {
-		mat, _ := v1.get("pat", orientSO, false, func() *bitmat.Matrix {
+		mat, _ := v1.get("pat", orientSO, func() *bitmat.Matrix {
 			close(enter)
 			<-release
 			return testMat(2)
@@ -262,7 +288,7 @@ func TestMatCacheConcurrentAdvance(t *testing.T) {
 				}
 				v := <-views
 				views <- v
-				mat, out := v.get(pats[(i+n)%len(pats)], orientSO, false, func() *bitmat.Matrix {
+				mat, out := v.get(pats[(i+n)%len(pats)], orientSO, func() *bitmat.Matrix {
 					return testMat(1 + n%4)
 				})
 				if (out == outcomeHit || out == outcomeMiss) && mat == nil {
@@ -328,7 +354,7 @@ func TestCachedPristineCloneIsolation(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			m, src := e.cachedPristine("pat", orientSO, false, build)
+			m, src := e.cachedPristine("pat", orientSO, build)
 			if m == nil {
 				t.Errorf("goroutine %d: cache declined (%s)", g, src)
 				return
@@ -355,7 +381,7 @@ func TestCachedPristineCloneIsolation(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	cached, out := e.mc.get("pat", orientSO, false, build)
+	cached, out := e.mc.get("pat", orientSO, build)
 	if out != outcomeHit {
 		t.Fatalf("shared entry not served from the cache: %s", out)
 	}

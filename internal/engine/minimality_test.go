@@ -69,7 +69,7 @@ func TestLemma33MinimalityProperty(t *testing.T) {
 		if abort {
 			continue
 		}
-		e.pruneTriples(context.Background(), plan, tps, 1, nil)
+		e.pruneTriples(context.Background(), plan, tps, nil)
 
 		// Reference results give the ground-truth projections.
 		maps, _, err := ref.New(g).Execute(q)

@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"context"
 	"runtime"
 	"sync"
 
@@ -9,11 +8,10 @@ import (
 	"repro/internal/planner"
 )
 
-// parallelMinTriples gates the parallel code paths: a pruning level or a
-// multi-way join whose patterns hold fewer surviving triples than this
-// runs sequentially, since goroutine fan-out would cost more than the work
-// itself. A var (not const) so tests can force the parallel paths on small
-// fixtures.
+// parallelMinTriples gates the partitioned join: a multi-way join whose
+// patterns hold fewer surviving triples than this runs sequentially,
+// since goroutine fan-out would cost more than the work itself. A var
+// (not const) so tests can force the parallel path on small fixtures.
 var parallelMinTriples int64 = 1024
 
 // EffectiveWorkers resolves the worker-pool size an Options selects:
@@ -68,92 +66,6 @@ func runLimited(limit int, fns []func()) {
 		}(fn)
 	}
 	wg.Wait()
-}
-
-// pruneOp is one semi-join or clustered-semi-join of a jvar level, with
-// the triple-pattern state it reads and mutates. reads includes writes.
-type pruneOp struct {
-	run    func()
-	reads  []int // tp indices whose matrices the op folds
-	writes []int // tp indices whose matrices the op unfolds
-}
-
-// conflicts reports whether two ops of the same level may not run
-// concurrently: one writes state the other reads or writes.
-func (a *pruneOp) conflicts(b *pruneOp) bool {
-	touches := func(set []int, i int) bool {
-		for _, x := range set {
-			if x == i {
-				return true
-			}
-		}
-		return false
-	}
-	for _, w := range a.writes {
-		if touches(b.reads, w) || touches(b.writes, w) {
-			return true
-		}
-	}
-	for _, w := range b.writes {
-		if touches(a.reads, w) {
-			return true
-		}
-	}
-	return false
-}
-
-// scheduleWaves partitions ops into waves such that executing the waves in
-// order, with the ops inside one wave in any interleaving, is equivalent to
-// executing ops sequentially in slice order: an op lands in the first wave
-// after every earlier op that conflicts with it. Ops inside a wave are
-// pairwise conflict-free.
-func scheduleWaves(ops []*pruneOp) [][]*pruneOp {
-	waveOf := make([]int, len(ops))
-	nWaves := 0
-	for i, op := range ops {
-		w := 0
-		for j := 0; j < i; j++ {
-			if waveOf[j] >= w && op.conflicts(ops[j]) {
-				w = waveOf[j] + 1
-			}
-		}
-		waveOf[i] = w
-		if w+1 > nWaves {
-			nWaves = w + 1
-		}
-	}
-	waves := make([][]*pruneOp, nWaves)
-	for i, op := range ops {
-		waves[waveOf[i]] = append(waves[waveOf[i]], op)
-	}
-	return waves
-}
-
-// runOps executes one level's ops, fanning conflict-free waves across the
-// worker pool. With limit <= 1 the ops run sequentially in order, which is
-// byte-for-byte the pre-parallel behavior. A cancelled context stops
-// between ops (sequential) or waves (parallel); in-flight ops finish, so
-// the tpStates are never left mid-mutation.
-func runOps(ctx context.Context, limit int, ops []*pruneOp) {
-	if limit <= 1 || len(ops) <= 1 {
-		for _, op := range ops {
-			if ctx.Err() != nil {
-				return
-			}
-			op.run()
-		}
-		return
-	}
-	for _, wave := range scheduleWaves(ops) {
-		if ctx.Err() != nil {
-			return
-		}
-		fns := make([]func(), len(wave))
-		for i, op := range wave {
-			fns[i] = op.run
-		}
-		runLimited(limit, fns)
-	}
 }
 
 // rootPartitions splits the root pattern's surviving triples into

@@ -26,55 +26,6 @@ func TestRunLimitedRunsEverything(t *testing.T) {
 	}
 }
 
-func TestScheduleWavesSeparatesConflicts(t *testing.T) {
-	op := func(reads, writes []int) *pruneOp {
-		return &pruneOp{run: func() {}, reads: reads, writes: writes}
-	}
-	// op0 writes 1; op1 reads 1 (conflict with 0); op2 writes 2 (free);
-	// op3 reads 2 (conflict with 2); op4 reads 3 (free of all).
-	ops := []*pruneOp{
-		op([]int{0, 1}, []int{1}),
-		op([]int{1, 5}, []int{5}),
-		op([]int{2}, []int{2}),
-		op([]int{2, 6}, []int{6}),
-		op([]int{3}, nil),
-	}
-	waves := scheduleWaves(ops)
-	if len(waves) != 2 {
-		t.Fatalf("got %d waves, want 2", len(waves))
-	}
-	if len(waves[0]) != 3 || len(waves[1]) != 2 {
-		t.Fatalf("wave sizes = %d,%d, want 3,2", len(waves[0]), len(waves[1]))
-	}
-	// Pairwise conflict-freedom inside each wave.
-	for wi, wave := range waves {
-		for i := 0; i < len(wave); i++ {
-			for j := i + 1; j < len(wave); j++ {
-				if wave[i].conflicts(wave[j]) {
-					t.Errorf("wave %d holds conflicting ops %d,%d", wi, i, j)
-				}
-			}
-		}
-	}
-}
-
-func TestConflictsSymmetricCases(t *testing.T) {
-	w1 := &pruneOp{reads: []int{1, 2}, writes: []int{2}}
-	r1 := &pruneOp{reads: []int{2, 3}, writes: []int{3}}
-	free := &pruneOp{reads: []int{7}, writes: []int{7}}
-	if !w1.conflicts(r1) || !r1.conflicts(w1) {
-		t.Error("write-read overlap must conflict both ways")
-	}
-	if w1.conflicts(free) || free.conflicts(w1) {
-		t.Error("disjoint ops must not conflict")
-	}
-	roRo := &pruneOp{reads: []int{9}}
-	roRo2 := &pruneOp{reads: []int{9}}
-	if roRo.conflicts(roRo2) {
-		t.Error("read-read overlap must not conflict")
-	}
-}
-
 // forceParallel drops the work threshold so the parallel paths engage on
 // the small test fixtures.
 func forceParallel(t *testing.T) {

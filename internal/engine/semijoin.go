@@ -94,22 +94,17 @@ func maskForSpace(mask *bitvec.Bits, maskSpace, axisSpace Space) *bitvec.Bits {
 
 // pruneTriples implements Algorithm 3.2: one pass over orderbu and one over
 // ordertd; at each join variable, first master-to-slave semi-joins, then
-// clustered-semi-joins within each peer group. With more than one worker
-// configured, the ops of one jvar level fan out in conflict-free waves
-// (see scheduleWaves), which is execution-order equivalent to — and hence
-// produces the same pruned matrices as — the sequential loop. A cancelled
-// context stops the passes between jvar levels (and between waves); the
-// caller checks ctx.Err() afterwards, so a partial prune is never treated
-// as a complete one. workers bounds the fan-out of the waves; the branch
-// executor passes the whole pool, since a query's branches run one after
-// another.
+// clustered-semi-joins within each peer group (pruneLevel), all on the
+// calling goroutine. A cancelled context stops the passes between
+// jvar levels; the caller checks ctx.Err() afterwards, so a partial prune
+// is never treated as a complete one.
 //
 // sp, when non-nil, is the branch's prune span: each jvar level becomes a
 // "level" child recording the pass (bu/td), the variable, the triples
 // held by its patterns before and after the level's semi-joins, and the
 // level's wall time. The before/after counts cost a matrix count per
 // holder, so they are computed only when tracing is on.
-func (e *Engine) pruneTriples(ctx context.Context, plan *planner.Plan, tps []*tpState, workers int, sp *trace.Span) {
+func (e *Engine) pruneTriples(ctx context.Context, plan *planner.Plan, tps []*tpState, sp *trace.Span) {
 	holderCount := func(holders []int) int64 {
 		var n int64
 		for _, t := range holders {
@@ -122,24 +117,16 @@ func (e *Engine) pruneTriples(ctx context.Context, plan *planner.Plan, tps []*tp
 			if ctx.Err() != nil {
 				return
 			}
-			holders := plan.GoJ.TPsOfVar[jIdx]
-			lvlLimit := workers
-			if lvlLimit > 1 {
-				// Fan-out only pays off when the level folds/unfolds a
-				// meaningful number of triples.
-				if holderCount(holders) < parallelMinTriples {
-					lvlLimit = 1
-				}
-			}
+			j, holders := plan.GoJ.Vars[jIdx], plan.GoJ.TPsOfVar[jIdx]
 			var lsp *trace.Span
 			if sp != nil {
 				lsp = sp.Child("level")
 				lsp.Set("pass", name)
-				lsp.Set("var", string(plan.GoJ.Vars[jIdx]))
+				lsp.Set("var", string(j))
 				lsp.Set("patterns", len(holders))
 				lsp.Set("before", holderCount(holders))
 			}
-			runOps(ctx, lvlLimit, e.levelOps(plan.GoJ.Vars[jIdx], holders, plan, tps))
+			e.pruneLevel(j, holders, plan, tps)
 			if lsp != nil {
 				lsp.Set("after", holderCount(holders))
 				lsp.End()
@@ -150,24 +137,15 @@ func (e *Engine) pruneTriples(ctx context.Context, plan *planner.Plan, tps []*tp
 	pass("td", plan.OrderTD)
 }
 
-// levelOps collects one jvar level's pruning operations in sequential
-// execution order: master-slave semi-joins (Algorithm 3.2 lines 2-5 /
-// 10-13), then clustered-semi-joins per peer class (lines 6-8 / 14-16).
-// Each op declares the patterns it folds (reads) and unfolds (writes) so
-// the wave scheduler can run independent ops concurrently.
-func (e *Engine) levelOps(j sparql.Var, holders []int, plan *planner.Plan, tps []*tpState) []*pruneOp {
-	var ops []*pruneOp
+// pruneLevel runs one jvar level's pruning: master-slave semi-joins
+// (Algorithm 3.2 lines 2-5 / 10-13), then clustered-semi-joins per peer
+// class (lines 6-8 / 14-16).
+func (e *Engine) pruneLevel(j sparql.Var, holders []int, plan *planner.Plan, tps []*tpState) {
 	for _, ti := range holders {
 		for _, tj := range holders {
-			if ti == tj || !plan.GoSN.TPIsMasterOf(ti, tj) {
-				continue
+			if ti != tj && plan.GoSN.TPIsMasterOf(ti, tj) {
+				e.semiJoin(j, tps[tj], tps[ti])
 			}
-			master, slave := ti, tj
-			ops = append(ops, &pruneOp{
-				run:    func() { e.semiJoin(j, tps[slave], tps[master]) },
-				reads:  []int{master, slave},
-				writes: []int{slave},
-			})
 		}
 	}
 	seenClass := map[int]bool{}
@@ -179,19 +157,11 @@ func (e *Engine) levelOps(j sparql.Var, holders []int, plan *planner.Plan, tps [
 		}
 		seenClass[class] = true
 		var group []*tpState
-		var members []int
 		for _, t2 := range holders {
 			if plan.GoSN.ArePeers(plan.GoSN.SNOfTP[t2], sn) {
 				group = append(group, tps[t2])
-				members = append(members, t2)
 			}
 		}
-		cluster := group
-		ops = append(ops, &pruneOp{
-			run:    func() { e.clusteredSemiJoin(j, cluster) },
-			reads:  members,
-			writes: members,
-		})
+		e.clusteredSemiJoin(j, group)
 	}
-	return ops
 }

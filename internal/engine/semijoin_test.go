@@ -105,7 +105,7 @@ func TestPruneTriplesExample1(t *testing.T) {
 	// ?sitcom leaves tp2 with exactly (Julia actedIn Seinfeld).
 	g := figure32Graph()
 	e, plan, tps := setupTPs(t, g, q2)
-	e.pruneTriples(context.Background(), plan, tps, 1, nil)
+	e.pruneTriples(context.Background(), plan, tps, nil)
 	if tps[0].count() != 2 {
 		t.Errorf("tp1 = %d, want 2", tps[0].count())
 	}

@@ -192,7 +192,7 @@ func (e *Engine) load(tp sparql.TriplePattern, idx int, sn int, plan *planner.Pl
 		if rowVar != tp.S.Var {
 			orient, build = orientOS, func() *bitmat.Matrix { return bitmat.MatOS(e.idx, p, nil, nil) }
 		}
-		base, src := e.cachedPristine(patKey, orient, rowMask != nil || colMask != nil, build)
+		base, src := e.cachedPristine(patKey, orient, build)
 		cacheSrc = src
 		if base != nil {
 			st.mat = base

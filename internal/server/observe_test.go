@@ -21,6 +21,7 @@ type explainDoc struct {
 	QueryHash string         `json:"query_hash"`
 	Vars      []string       `json:"vars"`
 	Rows      int            `json:"rows"`
+	Boolean   *bool          `json:"boolean"`
 	TotalMS   float64        `json:"total_ms"`
 	Trace     trace.SpanJSON `json:"trace"`
 }
@@ -113,6 +114,46 @@ func TestExplainTracesServedRoute(t *testing.T) {
 	}
 	if doc.Rows != 2 || fmt.Sprint(doc.Vars) != "[friend sitcom]" {
 		t.Errorf("rows=%d vars=%v, want 2 rows over [friend sitcom]", doc.Rows, doc.Vars)
+	}
+}
+
+// TestExplainAskTracesProbe pins that EXPLAIN of an ASK traces the probe
+// the endpoint runs for it — AskContext, which stops at the first
+// solution — rather than an enumeration of every solution.
+func TestExplainAskTracesProbe(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	resp, err := ts.Client().Get(ts.URL + "/sparql?explain=1&query=" + url.QueryEscape(`ASK { ?s ?p ?o }`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != 200 {
+		t.Fatalf("explain: %d %s", resp.StatusCode, raw)
+	}
+	var doc explainDoc
+	if err := json.Unmarshal(raw, &doc); err != nil {
+		t.Fatalf("explain JSON: %v\n%s", err, raw)
+	}
+	if doc.Boolean == nil || !*doc.Boolean {
+		t.Errorf("boolean = %v, want true\n%s", doc.Boolean, raw)
+	}
+	delivered := 0
+	var walk func(s *trace.SpanJSON)
+	walk = func(s *trace.SpanJSON) {
+		if n, ok := s.Attrs["rows"].(float64); ok && s.Name == "join" {
+			delivered += int(n)
+		}
+		for i := range s.Children {
+			walk(&s.Children[i])
+		}
+	}
+	walk(&doc.Trace)
+	if doc.Rows > 1 || delivered > 1 {
+		t.Errorf("explained probe delivered %d rows (joins %d), want at most 1\n%s", doc.Rows, delivered, raw)
+	}
+	if doc.QueryHash == "" || doc.Trace.Attrs["query_hash"] != doc.QueryHash {
+		t.Errorf("query_hash mismatch: doc %q, trace %v", doc.QueryHash, doc.Trace.Attrs["query_hash"])
 	}
 }
 

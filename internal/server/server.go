@@ -376,7 +376,7 @@ func (s *Server) handleSPARQL(w http.ResponseWriter, r *http.Request) {
 	}
 	start := time.Now()
 	if explain {
-		s.serveExplain(ctx, w, r, src, start)
+		s.serveExplain(ctx, w, r, src, q.Ask, start)
 		return
 	}
 	if q.Ask {
@@ -387,40 +387,57 @@ func (s *Server) handleSPARQL(w http.ResponseWriter, r *http.Request) {
 }
 
 // serveExplain answers an ?explain=1 request: the query executes traced
-// on the route serveSelect serves it by (QueryStreamRowsObserved, so a
-// streamable query shows its sequential streamed join) but bypassing the
-// result cache — an EXPLAIN wants this execution's real spans, not a
-// replay — and the response is a JSON document with the stable query
-// hash, the result shape, and the full span tree. The rows are counted,
-// not serialized; run the query without explain for them.
-func (s *Server) serveExplain(ctx context.Context, w http.ResponseWriter, r *http.Request, src string, start time.Time) {
+// on the route the endpoint serves it by — serveSelect's
+// QueryStreamRowsObserved, so a streamable query shows its sequential
+// streamed join, or serveAsk's AskContext probe for an ASK — but
+// bypassing the result cache: an EXPLAIN wants this execution's real
+// spans, not a replay. The response is a JSON document with the stable
+// query hash, the result shape (vars, or the ASK's boolean), the rows
+// delivered, and the full span tree. The rows are counted, not
+// serialized; run the query without explain for them.
+func (s *Server) serveExplain(ctx context.Context, w http.ResponseWriter, r *http.Request, src string, ask bool, start time.Time) {
 	t := trace.New("query")
 	var (
-		st   lbr.Stats
-		vars []string
-		rows int
+		st    lbr.Stats
+		vars  []string
+		rows  int
+		found bool
+		err   error
 	)
-	err := s.store.QueryStreamRowsObserved(ctx, src, &st, t.Root(), func(vs []string, row []lbr.Term) bool {
-		if row == nil {
-			vars = vs
-		} else {
-			rows++
+	if ask {
+		found, err = s.store.AskContext(ctx, src, t.Root())
+		if found {
+			rows = 1
 		}
-		return true
-	})
+	} else {
+		err = s.store.QueryStreamRowsObserved(ctx, src, &st, t.Root(), func(vs []string, row []lbr.Term) bool {
+			if row == nil {
+				vars = vs
+			} else {
+				rows++
+			}
+			return true
+		})
+	}
 	t.Finish()
 	if err != nil {
 		s.failBeforeStream(ctx, w, r, err)
 		return
 	}
 	wall := time.Since(start)
-	s.metrics.observeStages(&st, wall)
 	doc := map[string]any{
 		"query_hash": trace.QueryHash(src),
-		"vars":       vars,
 		"rows":       rows,
 		"total_ms":   float64(wall.Microseconds()) / 1000.0,
 		"trace":      t.Root().Snapshot(),
+	}
+	// Like serveAsk, an ASK records no stage histograms: its probe
+	// reports no stage times.
+	if ask {
+		doc["boolean"] = found
+	} else {
+		s.metrics.observeStages(&st, wall)
+		doc["vars"] = vars
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("X-Content-Type-Options", "nosniff")
@@ -684,7 +701,7 @@ func (s *Server) serveAsk(ctx context.Context, w http.ResponseWriter, r *http.Re
 	if done {
 		return
 	}
-	b, err := s.store.AskContext(ctx, src)
+	b, err := s.store.AskContext(ctx, src, nil)
 	if err != nil {
 		s.failBeforeStream(ctx, w, r, err)
 		return

@@ -76,12 +76,13 @@ func TripleLit(s, p, lit string) Triple { return rdf.TL(s, p, lit) }
 // The engine's ablation switches (engine.Options) are not exposed here:
 // the ablation benchmarks set them on the engine directly.
 type Options struct {
-	// Workers bounds the goroutines of the engine's parallel phases: the
-	// pruning and multi-way join of each query branch. A query's UNION
-	// branches run one after another, each with the whole pool. 0 means
-	// GOMAXPROCS; 1 forces sequential execution; negative values are
-	// treated as 1. Parallel execution returns rows identical to (and in
-	// the same order as) sequential execution.
+	// Workers bounds the goroutines of the partitioned multi-way join of
+	// each query branch, the engine's one parallel phase; init and
+	// pruning run on the query's goroutine. A query's UNION branches run
+	// one after another, each with the whole pool. 0 means GOMAXPROCS; 1
+	// forces sequential execution; negative values are treated as 1.
+	// Parallel execution returns rows identical to (and in the same order
+	// as) sequential execution.
 	Workers int
 	// CacheBudget bounds, in bytes, the store's cross-query BitMat
 	// materialization cache: a cost-weighted LRU of pristine (unmasked,
@@ -89,8 +90,11 @@ type Options struct {
 	// one index snapshot, built single-flight and retired wholesale
 	// whenever a mutation rebuilds the index. Queries clone cached
 	// matrices before pruning, so results are byte-identical with the
-	// cache on, off, or at any budget. 0 selects the default (64 MiB);
-	// negative values disable the cache.
+	// cache on, off, or at any budget. Every load admits its pattern on
+	// first touch. The budget counts row payloads and directory slots but
+	// not the per-row bitvec.Row headers, so the heap a full cache holds
+	// is several times the budget (see CacheStats.BytesUsed). 0 selects
+	// the default (64 MiB); negative values disable the cache.
 	CacheBudget int64
 	// CompactThreshold, when positive, starts a background compaction as
 	// soon as the store's delta overlay accumulates that many entries
@@ -731,14 +735,16 @@ func (s *Store) QueryStreamRowsObserved(ctx context.Context, src string, st *Sta
 // Ask evaluates an ASK query (or the WHERE pattern of any query) as an
 // existence check, stopping at the first solution.
 func (s *Store) Ask(src string) (bool, error) {
-	return s.AskContext(context.Background(), src)
+	return s.AskContext(context.Background(), src, nil)
 }
 
 // AskContext is Ask with cancellation: a done context aborts the
 // existence check in any phase and returns ctx.Err(). It streams like
-// QueryStreamRowsObserved and is slow-query logged like it.
-func (s *Store) AskContext(ctx context.Context, src string) (found bool, err error) {
-	err = s.read(src, nil, func(eng *engine.Engine, q *sparql.Query, sp *trace.Span) (int, error) {
+// QueryStreamRowsObserved and is slow-query logged like it. sp, when
+// non-nil, receives the probe's span tree (the probe stops at its first
+// row) and the query hash, like QueryStreamRowsObserved's.
+func (s *Store) AskContext(ctx context.Context, src string, sp *trace.Span) (found bool, err error) {
+	err = s.read(src, sp, func(eng *engine.Engine, q *sparql.Query, sp *trace.Span) (int, error) {
 		var err error
 		found, err = eng.AskContext(ctx, q, sp)
 		if found {

@@ -225,11 +225,11 @@ func TestAskContextCancelled(t *testing.T) {
 	s := movieStore(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := s.AskContext(ctx, `ASK { <Jerry> <hasFriend> ?x . }`); err != context.Canceled {
+	if _, err := s.AskContext(ctx, `ASK { <Jerry> <hasFriend> ?x . }`, nil); err != context.Canceled {
 		t.Errorf("err = %v, want context.Canceled", err)
 	}
 	// And still answers when the context is live.
-	ok, err := s.AskContext(context.Background(), `ASK { <Jerry> <hasFriend> ?x . }`)
+	ok, err := s.AskContext(context.Background(), `ASK { <Jerry> <hasFriend> ?x . }`, nil)
 	if err != nil || !ok {
 		t.Errorf("ok=%v err=%v", ok, err)
 	}

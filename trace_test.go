@@ -331,7 +331,7 @@ func TestSlowQueryLogAsk(t *testing.T) {
 	var buf bytes.Buffer
 	s := slowLogStore(t, &buf)
 	const q = `ASK { ?s <type> <class0> }`
-	if found, err := s.AskContext(context.Background(), q); err != nil || !found {
+	if found, err := s.AskContext(context.Background(), q, nil); err != nil || !found {
 		t.Fatalf("AskContext = %v, %v; want true", found, err)
 	}
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
