@@ -83,13 +83,16 @@ test-trace:
 # test-filter runs the FILTER-expression test surface under -race: the
 # golden operator-semantics table (asserted against the engine evaluator
 # AND the reference oracle), the engine's evaluator unit tests, filter
-# safety/substitution analysis, the store-level worker filter sweep,
-# and the server's unsupported-filter/filter-span tests. The full
-# `make` covers all of these too; this target is the fast loop while
-# working on the expression evaluator.
+# safety/substitution analysis, the store-level worker filter sweep, the
+# route-agreement suite (TestRouteAgreement: its cheap-filter-best-match
+# probe checks the join sink's re-injection of a substituted filter
+# binding on both routes, against the reference evaluator), and the
+# server's unsupported-filter/filter-span tests. The full `make` covers
+# all of these too; this target is the fast loop while working on the
+# expression evaluator.
 test-filter:
 	$(GO) test -race -count=1 \
-		-run 'TestFilterGoldenTable|TestEvalFilter|TestCompareTerms|TestRefFilter|TestCheckSafeFilters|TestSubstituteCheap|TestPlaceFilters|TestDifferentialFilterWorkerSweep|TestUnsupportedFilter|TestSupportedFilterCore|TestExplainFilterSpan' \
+		-run 'TestFilterGoldenTable|TestEvalFilter|TestCompareTerms|TestRefFilter|TestCheckSafeFilters|TestSubstituteCheap|TestPlaceFilters|TestDifferentialFilterWorkerSweep|TestRouteAgreement|TestUnsupportedFilter|TestSupportedFilterCore|TestExplainFilterSpan' \
 		./internal/engine ./internal/ref ./internal/algebra ./internal/planner ./internal/server .
 
 # test-union runs the UNION/OPTIONAL minimum-union test surface under

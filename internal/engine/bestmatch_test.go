@@ -75,7 +75,7 @@ func TestFigure32EndToEndReorderedPath(t *testing.T) {
 	// the join is effectively the reordered plan over non-minimal triples,
 	// and nullification + best-match must reconstruct Res3.
 	e := engineOver(t, figure32Graph(), Options{DisablePruning: true, DisableActivePruning: true})
-	res, err := e.ExecuteString(q2)
+	res, err := execString(e, q2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -67,7 +67,7 @@ func TestDescribeCyclicFlags(t *testing.T) {
 func TestStatsAccumulation(t *testing.T) {
 	// Union queries accumulate per-branch stats.
 	e := engineOver(t, figure32Graph(), Options{})
-	res, err := e.ExecuteString(`
+	res, err := execString(e, `
 		SELECT * WHERE {
 			{ ?x <actedIn> ?y . } UNION { ?x <hasFriend> ?y . }
 		}`)

@@ -1,3 +1,9 @@
+// Package engine executes well-designed BGP-OPT queries over the BitMat
+// index: the init phase with active pruning, the semi-join and
+// clustered-semi-join primitives built on fold/unfold (Algorithms 5.2 and
+// 5.3), prune_triples (Algorithm 3.2), the recursive multi-way pipelined
+// join (Algorithm 5.4), and the nullification and best-match operators for
+// the cyclic cases that need them.
 package engine
 
 import (
@@ -169,9 +175,12 @@ func (e *Engine) ExecuteStream(ctx context.Context, q *sparql.Query, header func
 		var res *Result
 		if res, err = e.collect(ctx, p, sp); err == nil {
 			stats = res.Stats
-			stats.Results = 0
+			stats.Results, stats.NullResults = 0, 0
 			for _, row := range res.Rows {
 				stats.Results++
+				if row.NullCount() > 0 {
+					stats.NullResults++
+				}
 				if !fn(res.Vars, row) {
 					break
 				}
@@ -285,17 +294,13 @@ func collectSynthVars(execs []execBranch) []sparql.Var {
 }
 
 // stream runs a streamable query: its branches in order, each joining
-// into the stream sink, with the cheap-filter bindings, OFFSET and LIMIT
-// applied as rows reach the caller. A branch that had to collect hands
-// its rows back, and they are replayed through the same path.
+// into the stream sink, with OFFSET and LIMIT applied as rows reach the
+// caller. A branch that had to collect hands its rows back, and they are
+// replayed through the same path.
 func (e *Engine) stream(ctx context.Context, p *prepared, fn func([]sparql.Var, Row) bool, st *Stats, sp *trace.Span) error {
 	if sp != nil {
 		sp.Set("branches", len(p.execs))
 		sp.Set("streamed", true)
-	}
-	varPos := make(map[sparql.Var]int, len(p.vars))
-	for i, v := range p.vars {
-		varPos[v] = i
 	}
 	// Rows arrive in the order the collect route slices, so skipping the
 	// first Offset rows and cutting at Limit is equivalent — and a LIMIT
@@ -303,7 +308,6 @@ func (e *Engine) stream(ctx context.Context, p *prepared, fn func([]sparql.Var, 
 	skip := p.q.Offset
 	remaining := p.q.Limit // negative = unlimited
 	stopped := false
-	var substs []algebra.CheapSubst
 	deliver := func(row Row) bool {
 		if skip > 0 {
 			skip--
@@ -313,7 +317,6 @@ func (e *Engine) stream(ctx context.Context, p *prepared, fn func([]sparql.Var, 
 			stopped = true
 			return false
 		}
-		applyCheapSubstsRow(substs, row, varPos)
 		st.Results++
 		if row.NullCount() > 0 {
 			st.NullResults++
@@ -331,7 +334,6 @@ func (e *Engine) stream(ctx context.Context, p *prepared, fn func([]sparql.Var, 
 		return true
 	}
 	for i, eb := range p.execs {
-		substs = eb.b.Substs
 		br, err := e.executeBranch(ctx, i, eb, p.vars, deliver, sp)
 		if err != nil {
 			return err
@@ -431,7 +433,6 @@ func (e *Engine) collect(ctx context.Context, p *prepared, sp *trace.Span) (*Res
 	var groupBranches []int
 	for i, eb := range execs {
 		br := branchRes[i]
-		applyCheapSubsts(eb.b.Substs, br.Rows, varPos)
 		accumulate(&res.Stats, &br.Stats)
 		if len(execs) == 1 {
 			break // its rows are allRows already, and nothing crosses branches
@@ -490,11 +491,6 @@ func (e *Engine) collect(ctx context.Context, p *prepared, sp *trace.Span) (*Res
 		}
 	}
 	res.Rows = allRows
-	for _, r := range allRows {
-		if r.NullCount() > 0 {
-			res.Stats.NullResults++
-		}
-	}
 	res.applyModifiers(p.q)
 	res.Stats.Merge = time.Since(tMerge)
 	res.Stats.Total = time.Since(p.start)
@@ -510,7 +506,7 @@ func (e *Engine) collect(ctx context.Context, p *prepared, sp *trace.Span) (*Res
 
 // applyModifiers applies q's solution modifiers to the result, in SPARQL
 // order: ORDER BY on the full bindings, then projection, DISTINCT, OFFSET,
-// LIMIT.
+// LIMIT. Results and NullResults then count the rows that remain.
 func (res *Result) applyModifiers(q *sparql.Query) {
 	if len(q.OrderBy) > 0 {
 		res.orderBy(q.OrderBy)
@@ -523,6 +519,12 @@ func (res *Result) applyModifiers(q *sparql.Query) {
 	}
 	res.slice(q.Offset, q.Limit)
 	res.Stats.Results = len(res.Rows)
+	res.Stats.NullResults = 0
+	for _, r := range res.Rows {
+		if r.NullCount() > 0 {
+			res.Stats.NullResults++
+		}
+	}
 }
 
 // orderBy sorts the rows by the given keys: numeric literals compare
@@ -824,6 +826,7 @@ func (e *Engine) executeBranch(ctx context.Context, branch int, eb execBranch, v
 	}
 	forcedSlots := resolveForced(eb, stps, varIdx)
 	witnessSlots := resolveWitnesses(eb, stps, varIdx)
+	substSlots := resolveSubsts(eb.b.Substs, varIdx)
 	makeEmit := func(out *joinChunk) func(*joinRun) bool {
 		return func(r *joinRun) bool {
 			// Cancellation check, amortized over emitted rows.
@@ -831,11 +834,9 @@ func (e *Engine) executeBranch(ctx context.Context, branch int, eb execBranch, v
 				return false
 			}
 			row := out.nextRow(len(vars))
-			for v := range r.bindings {
+			for v, id := range r.bindings {
 				if r.state[v] == stBound {
-					if t, err := e.term(r.bindings[v]); err == nil {
-						row[v] = t
-					}
+					row[v] = r.terms[v][id-1]
 				}
 			}
 			rowChanged := false
@@ -912,6 +913,15 @@ func (e *Engine) executeBranch(ctx context.Context, branch int, eb execBranch, v
 			for _, rf := range rowFilters {
 				if !filterHolds(rf.Expr, row, varIdx) {
 					return true // drop the row, keep enumerating
+				}
+			}
+			// Cheap-filter bindings enter the rows the filters kept, on
+			// both routes, before any dedup or best-match pass.
+			for _, ss := range substSlots {
+				if ss.src >= 0 {
+					row[ss.col] = row[ss.src]
+				} else {
+					row[ss.col] = ss.term
 				}
 			}
 			out.kept++
@@ -1032,38 +1042,34 @@ func emptyShortcut(res *Result, sp *trace.Span) *Result {
 	return res
 }
 
-// applyCheapSubsts re-injects the bindings of whole-scope equality
-// filters that SubstituteCheapFilters folded into the patterns: the
+// substSlot is a CheapSubst resolved against the row layout: column col
+// takes term, or the cell of column src when src >= 0.
+type substSlot struct {
+	col, src int
+	term     rdf.Term
+}
+
+// resolveSubsts resolves the bindings of whole-scope equality filters that
+// SubstituteCheapFilters folded into the patterns. The join sink
+// re-injects them into every row that passes the row filters: the
 // replaced variable's column would otherwise stay NULL even though the
 // filter fixed its value in every row.
-func applyCheapSubsts(substs []algebra.CheapSubst, rows []Row, varPos map[sparql.Var]int) {
+func resolveSubsts(substs []algebra.CheapSubst, varIdx map[sparql.Var]int) []substSlot {
+	var out []substSlot
 	for _, cs := range substs {
-		col, ok := varPos[cs.Var]
+		col, ok := varIdx[cs.Var]
 		if !ok {
 			continue
 		}
+		ss := substSlot{col: col, src: -1, term: cs.Term}
 		if cs.From != "" {
-			src, ok := varPos[cs.From]
-			if !ok {
+			if ss.src, ok = varIdx[cs.From]; !ok {
 				continue
 			}
-			for _, r := range rows {
-				r[col] = r[src]
-			}
-			continue
 		}
-		for _, r := range rows {
-			r[col] = cs.Term
-		}
+		out = append(out, ss)
 	}
-}
-
-// applyCheapSubstsRow is applyCheapSubsts for one streamed row.
-func applyCheapSubstsRow(substs []algebra.CheapSubst, row Row, varPos map[sparql.Var]int) {
-	if len(substs) == 0 {
-		return
-	}
-	applyCheapSubsts(substs, []Row{row}, varPos)
+	return out
 }
 
 // activePrune masks a freshly loaded pattern with the bindings of already
@@ -1079,7 +1085,7 @@ func (e *Engine) activePrune(st *tpState, loaded []*tpState, plan *planner.Plan)
 			if _, isJ := plan.GoJ.VarIdx[v]; !isJ {
 				continue
 			}
-			if _, _, ok := prev.axisOf(v); !ok {
+			if _, ok := prev.axisOf(v); !ok {
 				continue
 			}
 			if plan.GoSN.TPIsMasterOf(prev.idx, st.idx) || plan.GoSN.TPArePeers(prev.idx, st.idx) {
@@ -1185,15 +1191,6 @@ func (res *Result) distinct() {
 		}
 	}
 	res.Rows = out
-}
-
-// ExecuteString parses and executes a query in one step.
-func (e *Engine) ExecuteString(src string) (*Result, error) {
-	q, err := sparql.Parse(src)
-	if err != nil {
-		return nil, err
-	}
-	return e.Execute(context.Background(), q, nil)
 }
 
 // Describe returns a human-readable plan summary, used by the CLI: one

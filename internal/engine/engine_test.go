@@ -1,11 +1,13 @@
 package engine
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
 	"repro/internal/difftest"
 	"repro/internal/rdf"
+	"repro/internal/sparql"
 )
 
 // figure32Graph is the sample data of Figure 3.2.
@@ -34,6 +36,15 @@ func engineOver(t *testing.T, g *rdf.Graph, opts Options) *Engine {
 	return New(indexOf(t, g), opts)
 }
 
+// execString parses src and executes it on the collect route.
+func execString(e *Engine, src string) (*Result, error) {
+	q, err := sparql.Parse(src)
+	if err != nil {
+		return nil, err
+	}
+	return e.Execute(context.Background(), q, nil)
+}
+
 const q2 = `
 	PREFIX : <>
 	SELECT * WHERE {
@@ -49,7 +60,7 @@ func TestFigure32FinalResults(t *testing.T) {
 	// The query of Figure 3.2 has exactly two results: (Julia, Seinfeld)
 	// and (Larry, NULL).
 	e := engineOver(t, figure32Graph(), Options{})
-	res, err := e.ExecuteString(q2)
+	res, err := execString(e, q2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +82,7 @@ func TestExample1PruningToMinimal(t *testing.T) {
 	// tp2 keeps only (Julia actedIn Seinfeld), tp3 keeps 1.
 	// AfterPruning therefore sums to 2 + 1 + 1 = 4.
 	e := engineOver(t, figure32Graph(), Options{})
-	res, err := e.ExecuteString(q2)
+	res, err := execString(e, q2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,11 +99,11 @@ func TestPruningDisabledSameResults(t *testing.T) {
 	// The prune ablation must not change results, only work.
 	e1 := engineOver(t, figure32Graph(), Options{})
 	e2 := engineOver(t, figure32Graph(), Options{DisablePruning: true, DisableActivePruning: true})
-	r1, err := e1.ExecuteString(q2)
+	r1, err := execString(e1, q2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := e2.ExecuteString(q2)
+	r2, err := execString(e2, q2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +115,7 @@ func TestPruningDisabledSameResults(t *testing.T) {
 
 func TestBGPOnlyQuery(t *testing.T) {
 	e := engineOver(t, figure32Graph(), Options{})
-	res, err := e.ExecuteString(`
+	res, err := execString(e, `
 		SELECT * WHERE {
 			?friend <actedIn> ?sitcom .
 			?sitcom <location> <NewYorkCity> . }`)
@@ -119,7 +130,7 @@ func TestBGPOnlyQuery(t *testing.T) {
 
 func TestEmptyMasterShortcut(t *testing.T) {
 	e := engineOver(t, figure32Graph(), Options{})
-	res, err := e.ExecuteString(`
+	res, err := execString(e, `
 		SELECT * WHERE {
 			<Nobody> <hasFriend> ?friend .
 			OPTIONAL { ?friend <actedIn> ?sitcom . } }`)
@@ -136,7 +147,7 @@ func TestEmptyMasterShortcut(t *testing.T) {
 
 func TestEmptySlaveGivesNulls(t *testing.T) {
 	e := engineOver(t, figure32Graph(), Options{})
-	res, err := e.ExecuteString(`
+	res, err := execString(e, `
 		SELECT * WHERE {
 			<Jerry> <hasFriend> ?friend .
 			OPTIONAL { ?friend <noSuchPredicate> ?x . } }`)
@@ -152,7 +163,7 @@ func TestEmptySlaveGivesNulls(t *testing.T) {
 
 func TestProjectionAndDistinct(t *testing.T) {
 	e := engineOver(t, figure32Graph(), Options{})
-	res, err := e.ExecuteString(`SELECT ?friend WHERE {
+	res, err := execString(e, `SELECT ?friend WHERE {
 		<Jerry> <hasFriend> ?friend .
 		OPTIONAL { ?friend <actedIn> ?sitcom . } }`)
 	if err != nil {
@@ -162,7 +173,7 @@ func TestProjectionAndDistinct(t *testing.T) {
 	if len(res.Rows) != 5 || len(res.Vars) != 1 {
 		t.Fatalf("rows = %d vars = %v", len(res.Rows), res.Vars)
 	}
-	res2, err := e.ExecuteString(`SELECT DISTINCT ?friend WHERE {
+	res2, err := execString(e, `SELECT DISTINCT ?friend WHERE {
 		<Jerry> <hasFriend> ?friend .
 		OPTIONAL { ?friend <actedIn> ?sitcom . } }`)
 	if err != nil {
@@ -195,7 +206,7 @@ func TestSingleRowTPShapes(t *testing.T) {
 		{`SELECT * WHERE { <Larry> <actedIn> <Veep> . }`, 0},
 	}
 	for _, c := range cases {
-		res, err := e.ExecuteString(c.src)
+		res, err := execString(e, c.src)
 		if err != nil {
 			t.Fatalf("%s: %v", c.src, err)
 		}
@@ -211,7 +222,7 @@ func TestThreeVarPatternFullScan(t *testing.T) {
 	// every triple with all three columns bound.
 	g := figure32Graph()
 	e := engineOver(t, g, Options{})
-	res, err := e.ExecuteString(`SELECT * WHERE { ?s ?p ?o . }`)
+	res, err := execString(e, `SELECT * WHERE { ?s ?p ?o . }`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +252,7 @@ func TestSelfJoinPattern(t *testing.T) {
 	g.Add(rdf.T("Narcissus", "admires", "Narcissus"))
 	g.Add(rdf.T("Echo", "admires", "Narcissus"))
 	e := engineOver(t, g, Options{})
-	res, err := e.ExecuteString(`SELECT * WHERE { ?x <admires> ?x . }`)
+	res, err := execString(e, `SELECT * WHERE { ?x <admires> ?x . }`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +266,7 @@ func TestNestedOptionals(t *testing.T) {
 	// P1 OPT (P2 OPT P3): friends, their sitcoms, and the sitcoms'
 	// locations.
 	e := engineOver(t, figure32Graph(), Options{})
-	res, err := e.ExecuteString(`
+	res, err := execString(e, `
 		SELECT * WHERE {
 			<Jerry> <hasFriend> ?friend .
 			OPTIONAL {
@@ -279,7 +290,7 @@ func TestNestedOptionals(t *testing.T) {
 
 func TestFilterOnMaster(t *testing.T) {
 	e := engineOver(t, figure32Graph(), Options{})
-	res, err := e.ExecuteString(`
+	res, err := execString(e, `
 		SELECT * WHERE {
 			<Jerry> <hasFriend> ?friend .
 			OPTIONAL { ?friend <actedIn> ?sitcom . }
@@ -302,7 +313,7 @@ func TestFilterInsideOptionalNullifies(t *testing.T) {
 	// The FaN path: a filter scoped to the optional must not drop master
 	// rows, only null the optional part.
 	e := engineOver(t, figure32Graph(), Options{})
-	res, err := e.ExecuteString(`
+	res, err := execString(e, `
 		SELECT * WHERE {
 			<Jerry> <hasFriend> ?friend .
 			OPTIONAL { ?friend <actedIn> ?sitcom . FILTER (?sitcom = <Seinfeld>) }
@@ -319,7 +330,7 @@ func TestFilterInsideOptionalNullifies(t *testing.T) {
 
 func TestUnionQuery(t *testing.T) {
 	e := engineOver(t, figure32Graph(), Options{})
-	res, err := e.ExecuteString(`
+	res, err := execString(e, `
 		SELECT * WHERE {
 			{ <Jerry> <hasFriend> ?x . } UNION { ?x <location> <NewYorkCity> . }
 		}`)
@@ -345,7 +356,7 @@ func TestCyclicQueryLemma34(t *testing.T) {
 	g.Add(rdf.T("b2", "q", "c2"))
 	// a2's triangle is incomplete: no (c2 r a2).
 	e := engineOver(t, g, Options{})
-	res, err := e.ExecuteString(`
+	res, err := execString(e, `
 		SELECT * WHERE {
 			?a <p> ?b . ?b <q> ?c . ?c <r> ?a .
 			OPTIONAL { ?a <extra> ?x . }
@@ -375,7 +386,7 @@ func TestCyclicQueryNeedsBestMatch(t *testing.T) {
 	g.Add(rdf.T("c2", "r", "a2"))
 	// slave does not match a2/b2.
 	e := engineOver(t, g, Options{})
-	res, err := e.ExecuteString(`
+	res, err := execString(e, `
 		SELECT * WHERE {
 			?a <p> ?b . ?b <q> ?c . ?c <r> ?a .
 			OPTIONAL { ?a <s> ?b . }

@@ -117,34 +117,6 @@ func TestCompareTermsNumericVsString(t *testing.T) {
 	}
 }
 
-func TestAxisIndex(t *testing.T) {
-	cases := []struct {
-		b     Binding
-		axis  Space
-		want  int
-		valid bool
-	}{
-		{Binding{SpaceSO, 5}, SpaceSO, 4, true},
-		{Binding{SpaceSO, 15}, SpaceSO, 14, true},
-		{Binding{SpaceP, 2}, SpaceP, 1, true},
-		{Binding{SpaceP, 2}, SpaceSO, 0, false},
-		{Binding{SpaceSO, 2}, SpaceP, 0, false},
-	}
-	for i, c := range cases {
-		got, ok := axisIndex(c.b, c.axis)
-		if ok != c.valid || (ok && got != c.want) {
-			t.Errorf("case %d: axisIndex(%+v, %v) = (%d,%v), want (%d,%v)",
-				i, c.b, c.axis, got, ok, c.want, c.valid)
-		}
-	}
-}
-
-func TestSpaceString(t *testing.T) {
-	if SpaceSO.String() != "SO" || SpaceP.String() != "P" || SpaceNone.String() != "-" {
-		t.Error("Space stringers broken")
-	}
-}
-
 func TestRegexCacheBounded(t *testing.T) {
 	// Flood the cache with distinct patterns: the size must never exceed
 	// the cap, valid and invalid patterns must keep evaluating correctly

@@ -20,7 +20,7 @@ func TestFullScanJoinsOtherPatterns(t *testing.T) {
 	// ?s of the full scan joins the sitcoms Julia acted in; every triple
 	// about those sitcoms (their location statements) must come back with
 	// ?p bound to location.
-	res, err := e.ExecuteString(`SELECT * WHERE { <Julia> <actedIn> ?s . ?s ?p ?o . }`)
+	res, err := execString(e, `SELECT * WHERE { <Julia> <actedIn> ?s . ?s ?p ?o . }`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +45,7 @@ func TestFullScanUnderOptional(t *testing.T) {
 	// NYC occurs only as an object, so the OPTIONAL finds nothing for it.
 	g.Add(rdf.T("Jerry", "hasFriend", "NewYorkCity"))
 	e := engineOver(t, g, Options{})
-	res, err := e.ExecuteString(`SELECT * WHERE {
+	res, err := execString(e, `SELECT * WHERE {
 		<Jerry> <hasFriend> ?f . OPTIONAL { ?f ?p ?x . } }`)
 	if err != nil {
 		t.Fatal(err)
@@ -84,7 +84,7 @@ func TestRule3UnionCollapsesNullRows(t *testing.T) {
 	g.Add(rdf.T("Jerry", "hasFriend", "NYC"))
 	g.Add(rdf.T("Julia", "actedIn", "Seinfeld"))
 	e := engineOver(t, g, Options{})
-	res, err := e.ExecuteString(`SELECT * WHERE { <Jerry> <hasFriend> ?f .
+	res, err := execString(e, `SELECT * WHERE { <Jerry> <hasFriend> ?f .
 		OPTIONAL { { ?f <actedIn> ?x . } UNION { ?f <location> ?x . } } }`)
 	if err != nil {
 		t.Fatal(err)
@@ -198,7 +198,7 @@ func TestFullScanSelfJoin(t *testing.T) {
 	g.Add(rdf.T("Narcissus", "admires", "Narcissus"))
 	g.Add(rdf.T("Echo", "admires", "Narcissus"))
 	e := engineOver(t, g, Options{})
-	res, err := e.ExecuteString(`SELECT * WHERE { ?x ?p ?x . }`)
+	res, err := execString(e, `SELECT * WHERE { ?x ?p ?x . }`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +216,7 @@ func TestFullScanPredicateJoinStillRejected(t *testing.T) {
 		`SELECT * WHERE { ?a ?p ?b . ?c ?p ?d . }`,
 		`SELECT * WHERE { ?a ?p ?b . ?x <rel> ?p . }`,
 	} {
-		_, err := e.ExecuteString(src)
+		_, err := execString(e, src)
 		if !errors.Is(err, algebra.ErrPredicateJoin) {
 			t.Errorf("%s: err = %v, want ErrPredicateJoin", src, err)
 		}
@@ -270,7 +270,7 @@ func TestFullScanParallelMatchesSequential(t *testing.T) {
 	var want []string
 	for _, workers := range []int{1, 2, 8} {
 		e := engineOver(t, g, Options{Workers: workers})
-		res, err := e.ExecuteString(`SELECT * WHERE { ?s ?p ?o . }`)
+		res, err := execString(e, `SELECT * WHERE { ?s ?p ?o . }`)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}

@@ -171,13 +171,13 @@ func TestJoinScanMatchesForEach(t *testing.T) {
 		// every visit reaches emit, which records the bound position.
 		var got []int
 		r := &joinRun{
-			stps:     []*tpState{{rowSpace: SpaceSO, colSpace: SpaceSO}},
+			stps:     []*tpState{{}},
 			rowVarID: []int{-1}, colVarID: []int{0},
 			snOf:     []int{0},
-			bindings: make([]Binding, 1), state: make([]uint8, 1), ownerSN: []int{-1},
+			bindings: make([]rdf.ID, 1), state: make([]uint8, 1), ownerSN: []int{-1},
 			visited: []bool{true}, matched: make([]uint8, 1), nVisited: 1,
 			emit: func(r *joinRun) bool {
-				got = append(got, int(r.bindings[0].ID)-1)
+				got = append(got, int(r.bindings[0])-1)
 				return stopAfter == 0 || len(got) < stopAfter
 			},
 		}

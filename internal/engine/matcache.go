@@ -177,14 +177,6 @@ type MatCacheView struct {
 	gen uint64
 }
 
-// Generation reports the snapshot generation the view is bound to.
-func (v *MatCacheView) Generation() uint64 {
-	if v == nil {
-		return 0
-	}
-	return v.gen
-}
-
 // get returns the shared pristine matrix for the pattern, or a nil
 // matrix when the cache declines and the caller should build directly —
 // with its load-time masks folded in. The cache declines only for a nil

@@ -109,37 +109,21 @@ func TestLemma33MinimalityProperty(t *testing.T) {
 }
 
 // instantiate maps a result mapping to the matrix coordinates it implies
-// for the pattern, if the mapping binds all the pattern's variables.
+// for the pattern, if the mapping binds all the pattern's variables. A
+// variable in the predicate position takes its ID from the predicate
+// space, every other one from the S/O space.
 func instantiate(st *tpState, pat sparql.TriplePattern, m ref.Mapping, dict *rdf.Dictionary) (int, int, bool) {
-	termAt := func(n sparql.Node) (rdf.Term, bool) {
-		if !n.IsVar {
-			return n.Term, true
-		}
-		t, ok := m[n.Var]
-		return t, ok
-	}
-	coord := func(v sparql.Var, space Space) (int, bool) {
-		var n sparql.Node
-		switch {
-		case pat.S.IsVar && pat.S.Var == v:
-			n = pat.S
-		case pat.O.IsVar && pat.O.Var == v:
-			n = pat.O
-		case pat.P.IsVar && pat.P.Var == v:
-			n = pat.P
-		default:
-			return 0, false
-		}
-		term, ok := termAt(n)
+	coord := func(v sparql.Var) (int, bool) {
+		term, ok := m[v]
 		if !ok {
 			return 0, false
 		}
 		var id rdf.ID
-		switch space {
-		case SpaceSO:
-			id = dict.SOID(term)
-		case SpaceP:
+		switch {
+		case pat.P.IsVar && pat.P.Var == v:
 			id = dict.PredicateID(term)
+		case pat.S.IsVar && pat.S.Var == v, pat.O.IsVar && pat.O.Var == v:
+			id = dict.SOID(term)
 		}
 		if id == 0 {
 			return 0, false
@@ -149,7 +133,7 @@ func instantiate(st *tpState, pat sparql.TriplePattern, m ref.Mapping, dict *rdf
 	rIdx := 0
 	if st.rowVar != "" {
 		var ok bool
-		rIdx, ok = coord(st.rowVar, st.rowSpace)
+		rIdx, ok = coord(st.rowVar)
 		if !ok {
 			return 0, 0, false
 		}
@@ -157,7 +141,7 @@ func instantiate(st *tpState, pat sparql.TriplePattern, m ref.Mapping, dict *rdf
 	cIdx := 0
 	if st.colVar != "" {
 		var ok bool
-		cIdx, ok = coord(st.colVar, st.colSpace)
+		cIdx, ok = coord(st.colVar)
 		if !ok {
 			return 0, 0, false
 		}
@@ -175,11 +159,11 @@ func TestPruningNeverDropsResults(t *testing.T) {
 		src, _ := difftest.Query(rng, difftest.WellDesigned)
 		e1 := engineOver(t, g, Options{})
 		e2 := engineOver(t, g, Options{DisablePruning: true, DisableActivePruning: true})
-		r1, err := e1.ExecuteString(src)
+		r1, err := execString(e1, src)
 		if err != nil {
 			t.Fatal(err)
 		}
-		r2, err := e2.ExecuteString(src)
+		r2, err := execString(e2, src)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -18,7 +18,7 @@ func modifierGraph() *rdf.Graph {
 
 func TestOrderByNumeric(t *testing.T) {
 	e := engineOver(t, modifierGraph(), Options{})
-	res, err := e.ExecuteString(`SELECT * WHERE { ?x <score> ?s . } ORDER BY ?s`)
+	res, err := execString(e, `SELECT * WHERE { ?x <score> ?s . } ORDER BY ?s`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +34,7 @@ func TestOrderByNumeric(t *testing.T) {
 
 func TestOrderByDesc(t *testing.T) {
 	e := engineOver(t, modifierGraph(), Options{})
-	res, err := e.ExecuteString(`SELECT * WHERE { ?x <score> ?s . } ORDER BY DESC(?s)`)
+	res, err := execString(e, `SELECT * WHERE { ?x <score> ?s . } ORDER BY DESC(?s)`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +52,7 @@ func TestOrderByMultipleKeys(t *testing.T) {
 	g.Add(rdf.TL("x2", "grp", "A"))
 	g.Add(rdf.TL("x3", "grp", "B"))
 	e := engineOver(t, g, Options{})
-	res, err := e.ExecuteString(`SELECT * WHERE { ?x <grp> ?g . } ORDER BY ?g DESC(?x)`)
+	res, err := execString(e, `SELECT * WHERE { ?x <grp> ?g . } ORDER BY ?g DESC(?x)`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,14 +67,14 @@ func TestOrderByMultipleKeys(t *testing.T) {
 
 func TestLimitOffset(t *testing.T) {
 	e := engineOver(t, modifierGraph(), Options{})
-	res, err := e.ExecuteString(`SELECT * WHERE { ?x <score> ?s . } ORDER BY ?s LIMIT 2`)
+	res, err := execString(e, `SELECT * WHERE { ?x <score> ?s . } ORDER BY ?s LIMIT 2`)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Rows) != 2 {
 		t.Fatalf("LIMIT 2 gave %d rows", len(res.Rows))
 	}
-	res2, err := e.ExecuteString(`SELECT * WHERE { ?x <score> ?s . } ORDER BY ?s OFFSET 1 LIMIT 1`)
+	res2, err := execString(e, `SELECT * WHERE { ?x <score> ?s . } ORDER BY ?s OFFSET 1 LIMIT 1`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestLimitOffset(t *testing.T) {
 		t.Fatalf("OFFSET 1 LIMIT 1 = %v", res2.Rows)
 	}
 	// Offset past the end.
-	res3, err := e.ExecuteString(`SELECT * WHERE { ?x <score> ?s . } OFFSET 99`)
+	res3, err := execString(e, `SELECT * WHERE { ?x <score> ?s . } OFFSET 99`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestLimitOffset(t *testing.T) {
 		t.Fatalf("large OFFSET must empty the result, got %d", len(res3.Rows))
 	}
 	// LIMIT 0.
-	res4, err := e.ExecuteString(`SELECT * WHERE { ?x <score> ?s . } LIMIT 0`)
+	res4, err := execString(e, `SELECT * WHERE { ?x <score> ?s . } LIMIT 0`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func TestOrderByNullsFirst(t *testing.T) {
 	// Unbound (NULL) optional values sort before bound ones.
 	g := modifierGraph()
 	e := engineOver(t, g, Options{})
-	res, err := e.ExecuteString(`
+	res, err := execString(e, `
 		SELECT * WHERE {
 			?x <score> ?s .
 			OPTIONAL { ?x <likes> ?y . }
@@ -123,7 +123,7 @@ func TestOrderByNullsFirst(t *testing.T) {
 func TestOrderByBeforeProjection(t *testing.T) {
 	// Sorting by a variable that is projected away must still order rows.
 	e := engineOver(t, modifierGraph(), Options{})
-	res, err := e.ExecuteString(`SELECT ?x WHERE { ?x <score> ?s . } ORDER BY DESC(?s)`)
+	res, err := execString(e, `SELECT ?x WHERE { ?x <score> ?s . } ORDER BY DESC(?s)`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +147,7 @@ func TestModifierParseErrors(t *testing.T) {
 		`SELECT * WHERE { ?x <score> ?s . } ORDER ?s`,
 		`SELECT * WHERE { ?x <score> ?s . } ORDER BY DESC ?s`,
 	} {
-		if _, err := e.ExecuteString(src); err == nil {
+		if _, err := execString(e, src); err == nil {
 			t.Errorf("expected parse error for %q", src)
 		}
 	}

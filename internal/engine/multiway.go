@@ -51,7 +51,6 @@ const (
 // (Algorithm 5.4). All hot-path state is integer-indexed: variables map to
 // dense IDs, patterns to their position in stps.
 type joinRun struct {
-	eng  *Engine
 	plan *planner.Plan
 	stps []*tpState
 
@@ -66,8 +65,10 @@ type joinRun struct {
 	masterOf [][]int // stps positions that are masters of this pattern
 	snOf     []int
 
-	// Per-variable run state.
-	bindings []Binding
+	// Per-variable run state. A bound variable holds its term's ID, and
+	// terms[v][id-1] is the term.
+	bindings []rdf.ID
+	terms    [][]rdf.Term
 	state    []uint8
 	ownerSN  []int // supernode that first bound the var; -1 when unbound
 
@@ -100,7 +101,6 @@ func (r *joinRun) restrictRoot(tp, lo, hi int) {
 
 func newJoinRun(e *Engine, plan *planner.Plan, stps []*tpState, vars []sparql.Var, nulreqd bool, emit func(*joinRun) bool) *joinRun {
 	r := &joinRun{
-		eng:     e,
 		plan:    plan,
 		stps:    stps,
 		vars:    vars,
@@ -138,7 +138,18 @@ func newJoinRun(e *Engine, plan *planner.Plan, stps []*tpState, vars []sparql.Va
 			}
 		}
 	}
-	r.bindings = make([]Binding, len(vars))
+	r.bindings = make([]rdf.ID, len(vars))
+	// A variable binds in the S/O space, unless it holds a predicate
+	// position (it then occurs nowhere else: the GoJ rejects the join).
+	r.terms = make([][]rdf.Term, len(vars))
+	for v := range r.terms {
+		r.terms[v] = e.dict.SOTerms()
+	}
+	for _, st := range stps {
+		if st.pat.P.IsVar {
+			r.terms[r.varIDs[st.pat.P.Var]] = e.dict.PredicateTerms()
+		}
+	}
 	r.state = make([]uint8, len(vars))
 	r.ownerSN = make([]int, len(vars))
 	for i := range r.ownerSN {
@@ -291,11 +302,7 @@ func (r *joinRun) enumerate(i int, st *tpState) bool {
 		case stNull:
 			return false
 		case stBound:
-			idx, ok := axisIndex(r.bindings[rv], st.rowSpace)
-			if !ok {
-				return false
-			}
-			rowBoundIdx, rowBound = idx, true
+			rowBoundIdx, rowBound = int(r.bindings[rv])-1, true
 		}
 	}
 	if cv >= 0 && !selfJoin {
@@ -303,11 +310,7 @@ func (r *joinRun) enumerate(i int, st *tpState) bool {
 		case stNull:
 			return false
 		case stBound:
-			idx, ok := axisIndex(r.bindings[cv], st.colSpace)
-			if !ok {
-				return false
-			}
-			colBoundIdx, colBound = idx, true
+			colBoundIdx, colBound = int(r.bindings[cv])-1, true
 		}
 	}
 
@@ -410,17 +413,16 @@ func (r *joinRun) visitAt(i, fixed, c int, col bool) bool {
 // pattern i: it binds the pattern's unbound variables, recurses, and
 // unbinds them. It reports whether the join goes on.
 func (r *joinRun) visit(i, rowIdx, colIdx int) bool {
-	st := r.stps[i]
 	rv, cv := r.rowVarID[i], r.colVarID[i]
 	bound0, bound1 := -1, -1
 	if rv >= 0 && r.state[rv] == stUnbound {
-		r.bindings[rv] = Binding{Space: st.rowSpace, ID: rdf.ID(rowIdx + 1)}
+		r.bindings[rv] = rdf.ID(rowIdx + 1)
 		r.state[rv] = stBound
 		r.ownerSN[rv] = r.snOf[i]
 		bound0 = rv
 	}
 	if cv >= 0 && r.state[cv] == stUnbound {
-		r.bindings[cv] = Binding{Space: st.colSpace, ID: rdf.ID(colIdx + 1)}
+		r.bindings[cv] = rdf.ID(colIdx + 1)
 		r.state[cv] = stBound
 		r.ownerSN[cv] = r.snOf[i]
 		bound1 = cv

@@ -25,7 +25,7 @@ func TestNonWellDesignedQueryTransforms(t *testing.T) {
 	// (SN2, SN0) and the undirected path between them crosses BOTH
 	// unidirectional edges, so Appendix B converts the entire chain into
 	// inner joins: {?a p ?j} JOIN {?a q ?y} JOIN {?y r ?j}.
-	res, err := e.ExecuteString(`
+	res, err := execString(e, `
 		SELECT * WHERE {
 			?a <p> ?j .
 			OPTIONAL {
@@ -53,7 +53,7 @@ func TestCartesianFallback(t *testing.T) {
 	g.Add(rdf.T("a2", "p", "b2"))
 	g.Add(rdf.T("x1", "q", "y1"))
 	e := engineOver(t, g, Options{})
-	res, err := e.ExecuteString(`SELECT * WHERE { ?a <p> ?b . ?x <q> ?y . }`)
+	res, err := execString(e, `SELECT * WHERE { ?a <p> ?b . ?x <q> ?y . }`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func TestCartesianWithOptional(t *testing.T) {
 	g.Add(rdf.T("x1", "q", "y1"))
 	g.Add(rdf.T("b1", "r", "c1"))
 	e := engineOver(t, g, Options{})
-	res, err := e.ExecuteString(`
+	res, err := execString(e, `
 		SELECT * WHERE {
 			?a <p> ?b . ?x <q> ?y .
 			OPTIONAL { ?b <r> ?c . }
@@ -97,7 +97,7 @@ func TestConcurrentQueries(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for k := 0; k < 20; k++ {
-				res, err := e.ExecuteString(q2)
+				res, err := execString(e, q2)
 				if err != nil {
 					errs <- err
 					return
@@ -125,7 +125,7 @@ func TestQueryUnknownTermsEmptyNotError(t *testing.T) {
 		`SELECT * WHERE { ?x <hasFriend> <NoSuchObj> . }`,
 	}
 	for _, src := range cases {
-		res, err := e.ExecuteString(src)
+		res, err := execString(e, src)
 		if err != nil {
 			t.Fatalf("%s: %v", src, err)
 		}
@@ -145,7 +145,7 @@ func TestDeeplyNestedOptionals(t *testing.T) {
 	g.Add(rdf.T("r2", "p0", "x"))
 	// x has no p1 edge: everything below is NULL.
 	e := engineOver(t, g, Options{})
-	res, err := e.ExecuteString(`
+	res, err := execString(e, `
 		SELECT * WHERE {
 			?r <p0> ?a .
 			OPTIONAL { ?a <p1> ?b .
@@ -168,7 +168,7 @@ func TestSharedVarAcrossOptionalBranches(t *testing.T) {
 	g := figure32Graph()
 	g.Add(rdf.T("Julia", "bornIn", "NewYorkCity"))
 	e := engineOver(t, g, Options{})
-	res, err := e.ExecuteString(`
+	res, err := execString(e, `
 		SELECT * WHERE {
 			<Jerry> <hasFriend> ?f .
 			OPTIONAL { ?f <actedIn> ?s . }
@@ -194,7 +194,7 @@ func TestSharedVarAcrossOptionalBranches(t *testing.T) {
 
 func TestEmptyGraphQueries(t *testing.T) {
 	e := engineOver(t, rdf.NewGraph(), Options{})
-	res, err := e.ExecuteString(`SELECT * WHERE { ?s <p> ?o . }`)
+	res, err := execString(e, `SELECT * WHERE { ?s <p> ?o . }`)
 	if err != nil {
 		t.Fatal(err)
 	}

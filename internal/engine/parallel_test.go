@@ -84,14 +84,14 @@ func TestParallelMatchesSequentialByteForByte(t *testing.T) {
 	g := chainGraph()
 	seqEng := engineOver(t, g, Options{Workers: 1})
 	for qi, src := range determinismQueries {
-		want, err := seqEng.ExecuteString(src)
+		want, err := execString(seqEng, src)
 		if err != nil {
 			t.Fatalf("q%d sequential: %v", qi, err)
 		}
 		wantRows := difftest.Exact(want.Rows)
 		for _, workers := range []int{2, 3, 8} {
 			parEng := engineOver(t, g, Options{Workers: workers})
-			got, err := parEng.ExecuteString(src)
+			got, err := execString(parEng, src)
 			if err != nil {
 				t.Fatalf("q%d workers=%d: %v", qi, workers, err)
 			}
@@ -113,7 +113,7 @@ func TestParallelMatchesSequentialFigure32(t *testing.T) {
 	g := figure32Graph()
 	for _, workers := range []int{2, 4} {
 		e := engineOver(t, g, Options{Workers: workers})
-		res, err := e.ExecuteString(q2)
+		res, err := execString(e, q2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -139,11 +139,11 @@ func TestParallelAblationsStillAgree(t *testing.T) {
 		seq.Workers = 1
 		par := opts
 		par.Workers = 4
-		want, err := engineOver(t, g, seq).ExecuteString(src)
+		want, err := execString(engineOver(t, g, seq), src)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := engineOver(t, g, par).ExecuteString(src)
+		got, err := execString(engineOver(t, g, par), src)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -156,7 +156,7 @@ func TestParallelAblationsStillAgree(t *testing.T) {
 func TestRootPartitionsCoverScan(t *testing.T) {
 	g := chainGraph()
 	e := engineOver(t, g, Options{})
-	res, err := e.ExecuteString(`SELECT * WHERE { ?x <knows> ?y . }`)
+	res, err := execString(e, `SELECT * WHERE { ?x <knows> ?y . }`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +182,7 @@ const unionDeterminismQuery = `SELECT * WHERE {
 func TestUnionDeterminismAcrossPartitionAndWorkerCounts(t *testing.T) {
 	forceParallel(t)
 	g := chainGraph()
-	want, err := engineOver(t, g, Options{Workers: 1}).ExecuteString(unionDeterminismQuery)
+	want, err := execString(engineOver(t, g, Options{Workers: 1}), unionDeterminismQuery)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +197,7 @@ func TestUnionDeterminismAcrossPartitionAndWorkerCounts(t *testing.T) {
 		t.Fatalf("weak fixture: %d rows, %d with NULLs", len(wantRows), nulls)
 	}
 	for _, workers := range []int{1, 2, 3, 8} {
-		got, err := engineOver(t, g, Options{Workers: workers}).ExecuteString(unionDeterminismQuery)
+		got, err := execString(engineOver(t, g, Options{Workers: workers}), unionDeterminismQuery)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}

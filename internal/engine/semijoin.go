@@ -9,14 +9,11 @@ import (
 	"repro/internal/trace"
 )
 
-// intersectFolds ANDs two fold projections. Folds over the same space
-// intersect bit-wise: subjects and objects share one ID space, so an S-O
-// join needs no translation. P never joins S or O (enforced by the GoJ),
-// so mixing it with the S/O space gives an empty intersection.
-func intersectFolds(a *bitvec.Bits, aSpace Space, b *bitvec.Bits, bSpace Space) *bitvec.Bits {
-	if aSpace != bSpace {
-		return bitvec.NewBits(0)
-	}
+// intersectFolds ANDs two fold projections of a join variable. Join
+// variables live in the subject/object space (the GoJ rejects a join on
+// the predicate position), and subjects and objects share one ID space,
+// so the folds intersect bit-wise whichever positions the variable holds.
+func intersectFolds(a, b *bitvec.Bits) *bitvec.Bits {
 	out := a.Clone()
 	out.AndCompat(b)
 	return out
@@ -26,21 +23,21 @@ func intersectFolds(a *bitvec.Bits, aSpace Space, b *bitvec.Bits, bSpace Space) 
 // of ?j are projected out of both BitMats with fold, intersected, and the
 // result unfolds tpj so that only triples whose ?j binding survives remain.
 func (e *Engine) semiJoin(j sparql.Var, slave, master *tpState) {
-	fm, ms, ok := master.foldVar(j)
+	fm, ok := master.foldVar(j)
 	if !ok {
 		return
 	}
-	fs, ss, ok := slave.foldVar(j)
+	fs, ok := slave.foldVar(j)
 	if !ok {
 		return
 	}
-	beta := intersectFolds(fm, ms, fs, ss)
+	beta := intersectFolds(fm, fs)
 	// beta is a subset of the slave's own projection; an equal population
 	// means the semi-join removes nothing, so the unfold can be skipped.
 	if beta.Count() == fs.Count() {
 		return
 	}
-	slave.unfoldVar(j, maskForSpace(beta, ms, ss))
+	slave.unfoldVar(j, beta)
 }
 
 // clusteredSemiJoin implements Algorithm 5.3 over the patterns sharing ?j:
@@ -50,27 +47,25 @@ func (e *Engine) clusteredSemiJoin(j sparql.Var, tps []*tpState) {
 		return
 	}
 	var beta *bitvec.Bits
-	var betaSpace Space
 	folds := make([]*bitvec.Bits, len(tps))
 	for i, st := range tps {
-		f, space, ok := st.foldVar(j)
+		f, ok := st.foldVar(j)
 		if !ok {
 			continue
 		}
 		folds[i] = f
 		if beta == nil {
-			beta, betaSpace = f.Clone(), space
+			beta = f.Clone()
 			continue
 		}
-		beta = intersectFolds(beta, betaSpace, f, space)
+		beta = intersectFolds(beta, f)
 	}
 	if beta == nil {
 		return
 	}
 	betaCount := beta.Count()
 	for i, st := range tps {
-		_, space, ok := st.axisOf(j)
-		if !ok {
+		if _, ok := st.axisOf(j); !ok {
 			continue
 		}
 		// Skip the unfold when the intersection keeps every binding of
@@ -78,18 +73,8 @@ func (e *Engine) clusteredSemiJoin(j sparql.Var, tps []*tpState) {
 		if folds[i] != nil && folds[i].Count() == betaCount {
 			continue
 		}
-		st.unfoldVar(j, maskForSpace(beta, betaSpace, space))
+		st.unfoldVar(j, beta)
 	}
-}
-
-// maskForSpace adapts a mask computed in maskSpace for unfolding an axis in
-// axisSpace: the same space passes through, and a mask from the other
-// space yields an empty mask.
-func maskForSpace(mask *bitvec.Bits, maskSpace, axisSpace Space) *bitvec.Bits {
-	if maskSpace == axisSpace {
-		return mask
-	}
-	return bitvec.NewBits(0)
 }
 
 // pruneTriples implements Algorithm 3.2: one pass over orderbu and one over

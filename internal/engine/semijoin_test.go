@@ -6,13 +6,10 @@ import (
 
 	"repro/internal/algebra"
 	"repro/internal/bitmat"
-	"repro/internal/bitvec"
 	"repro/internal/planner"
 	"repro/internal/rdf"
 	"repro/internal/sparql"
 )
-
-func bitvecAll(n int) *bitvec.Bits { return bitvec.NewBitsSet(n) }
 
 // setupTPs builds an engine and loads the patterns of a query, returning
 // the plan and pattern states without running prune or join. Active
@@ -202,26 +199,17 @@ func TestActivePruneMasksNewPattern(t *testing.T) {
 func TestLoadOrientationFollowsPlan(t *testing.T) {
 	// Example-2 / Section 5: for (?friend :actedIn ?sitcom), ?friend comes
 	// before ?sitcom in orderbu, so the S-O BitMat loads (rows = friend).
+	// Both axes are indexed by the one S/O ID space: Larry's row holds
+	// exactly the column of CurbYourEnthu, his only sitcom.
 	g := figure32Graph()
-	_, _, tps := setupTPs(t, g, q2)
+	e, _, tps := setupTPs(t, g, q2)
 	tp2 := tps[1]
-	if tp2.rowVar != "friend" || tp2.rowSpace != SpaceSO {
-		t.Errorf("tp2 orientation: rowVar=%s rowSpace=%v, want friend/SO", tp2.rowVar, tp2.rowSpace)
+	if tp2.rowVar != "friend" || tp2.colVar != "sitcom" {
+		t.Fatalf("tp2 orientation: rowVar=%s colVar=%s, want friend/sitcom", tp2.rowVar, tp2.colVar)
 	}
-	if tp2.colVar != "sitcom" || tp2.colSpace != SpaceSO {
-		t.Errorf("tp2 colVar=%s colSpace=%v", tp2.colVar, tp2.colSpace)
-	}
-}
-
-func TestMaskForSpace(t *testing.T) {
-	mask := bitvecAll(10)
-	// Subjects and objects share one space: the mask passes through
-	// untouched whichever position the variable holds.
-	if maskForSpace(mask, SpaceSO, SpaceSO) != mask {
-		t.Error("same-space mask must pass through")
-	}
-	// P against S/O is impossible.
-	if maskForSpace(mask, SpaceP, SpaceSO).Len() != 0 || maskForSpace(mask, SpaceSO, SpaceP).Len() != 0 {
-		t.Error("P/SO pairing must give an empty mask")
+	larry, curb := e.dict.SOID(rdf.NewIRI("Larry")), e.dict.SOID(rdf.NewIRI("CurbYourEnthu"))
+	row := tp2.mat.Row(int(larry) - 1)
+	if row == nil || row.Count() != 1 || !row.Test(int(curb)-1) {
+		t.Errorf("tp2 row of Larry (S/O ID %d) = %v, want only CurbYourEnthu (S/O ID %d)", larry, row, curb)
 	}
 }

@@ -23,8 +23,7 @@ type tpState struct {
 	// zero-variable patterns leave mat nil and use present.
 	mat *bitmat.Matrix
 
-	rowVar, colVar     sparql.Var // "" when the axis carries no variable
-	rowSpace, colSpace Space
+	rowVar, colVar sparql.Var // "" when the axis carries no variable
 
 	present bool // zero-variable patterns: whether the triple exists
 
@@ -83,17 +82,16 @@ func EstimateCounts(idx bitmat.Source, patterns []sparql.TriplePattern) []int64 
 	return counts
 }
 
-// loadMask computes the active-pruning mask for variable v on an axis of
-// the given space: the intersection of the v-projections of already loaded
-// patterns that are masters or peers of pattern idx (Section 5: "while
-// loading BMtp2, we use the bindings of ?friend in BMtp1 to actively prune
-// the triples in BMtp2 while loading it"). nil means no restriction.
-func (e *Engine) loadMask(v sparql.Var, axisSpace Space, idx int, loaded []*tpState, plan *planner.Plan) *bitvec.Bits {
+// loadMask computes the active-pruning mask for join variable v: the
+// intersection of the v-projections of already loaded patterns that are
+// masters or peers of pattern idx (Section 5: "while loading BMtp2, we use
+// the bindings of ?friend in BMtp1 to actively prune the triples in BMtp2
+// while loading it"). nil means no restriction.
+func (e *Engine) loadMask(v sparql.Var, idx int, loaded []*tpState, plan *planner.Plan) *bitvec.Bits {
 	if _, isJ := plan.GoJ.VarIdx[v]; !isJ {
 		return nil
 	}
 	var acc *bitvec.Bits
-	var accSpace Space
 	for _, prev := range loaded {
 		if prev == nil || prev.mat == nil {
 			continue
@@ -101,20 +99,17 @@ func (e *Engine) loadMask(v sparql.Var, axisSpace Space, idx int, loaded []*tpSt
 		if !plan.GoSN.TPIsMasterOf(prev.idx, idx) && !plan.GoSN.TPArePeers(prev.idx, idx) {
 			continue
 		}
-		f, space, ok := prev.foldVar(v)
+		f, ok := prev.foldVar(v)
 		if !ok {
 			continue
 		}
 		if acc == nil {
-			acc, accSpace = f.Clone(), space
+			acc = f.Clone()
 			continue
 		}
-		acc = intersectFolds(acc, accSpace, f, space)
+		acc = intersectFolds(acc, f)
 	}
-	if acc == nil {
-		return nil
-	}
-	return maskForSpace(acc, accSpace, axisSpace)
+	return acc
 }
 
 // load materializes the BitMat for one pattern, choosing the orientation
@@ -152,8 +147,7 @@ func (e *Engine) load(tp sparql.TriplePattern, idx int, sn int, plan *planner.Pl
 		if tp.S.Var == tp.O.Var {
 			// Self join (?x :p ?x): the diagonal of the S-O BitMat,
 			// reduced to a single row over the S/O space.
-			st.colVar, st.colSpace = tp.S.Var, SpaceSO
-			st.rowSpace = SpaceNone
+			st.colVar = tp.S.Var
 			st.mat, cacheSrc = e.cachedOr(patKey, orientSO, func() *bitmat.Matrix {
 				diag := bitmat.NewMatrix(1, dict.NumSO())
 				var pos []uint32
@@ -172,8 +166,7 @@ func (e *Engine) load(tp sparql.TriplePattern, idx int, sn int, plan *planner.Pl
 			return st, nil
 		}
 		rowVar, _ := plan.RowVar(tp)
-		st.rowVar, st.rowSpace = tp.S.Var, SpaceSO
-		st.colVar, st.colSpace = tp.O.Var, SpaceSO
+		st.rowVar, st.colVar = tp.S.Var, tp.O.Var
 		if rowVar != tp.S.Var {
 			st.rowVar, st.colVar = tp.O.Var, tp.S.Var
 		}
@@ -185,8 +178,8 @@ func (e *Engine) load(tp sparql.TriplePattern, idx int, sn int, plan *planner.Pl
 		}
 		var rowMask, colMask *bitvec.Bits
 		if !e.opts.DisableActivePruning {
-			rowMask = e.loadMask(st.rowVar, st.rowSpace, idx, loaded, plan)
-			colMask = e.loadMask(st.colVar, st.colSpace, idx, loaded, plan)
+			rowMask = e.loadMask(st.rowVar, idx, loaded, plan)
+			colMask = e.loadMask(st.colVar, idx, loaded, plan)
 		}
 		orient, build := orientSO, func() *bitmat.Matrix { return bitmat.MatSO(e.idx, p, nil, nil) }
 		if rowVar != tp.S.Var {
@@ -212,37 +205,32 @@ func (e *Engine) load(tp sparql.TriplePattern, idx int, sn int, plan *planner.Pl
 		st.mat, cacheSrc = e.cachedOr(patKey, orientSO, func() *bitmat.Matrix {
 			return bitmat.RowPS(e.idx, p, o)
 		})
-		st.colVar, st.colSpace = tp.S.Var, SpaceSO
-		st.rowSpace = SpaceNone
+		st.colVar = tp.S.Var
 	case !sVar && !pVar && oVar:
 		// (:s :p ?var): one row of the P-O BitMat of s.
 		st.mat, cacheSrc = e.cachedOr(patKey, orientSO, func() *bitmat.Matrix {
 			return bitmat.RowPO(e.idx, p, s)
 		})
-		st.colVar, st.colSpace = tp.O.Var, SpaceSO
-		st.rowSpace = SpaceNone
+		st.colVar = tp.O.Var
 	case !sVar && pVar && oVar:
 		// (:s ?p ?o): the P-O BitMat of s; the predicate variable rides the
 		// row axis (never a join variable, enforced by the GoJ).
 		st.mat, cacheSrc = e.cachedOr(patKey, orientSO, func() *bitmat.Matrix {
 			return bitmat.MatPO(e.idx, s)
 		})
-		st.rowVar, st.rowSpace = tp.P.Var, SpaceP
-		st.colVar, st.colSpace = tp.O.Var, SpaceSO
+		st.rowVar, st.colVar = tp.P.Var, tp.O.Var
 	case sVar && pVar && !oVar:
 		// (?s ?p :o): the P-S BitMat of o.
 		st.mat, cacheSrc = e.cachedOr(patKey, orientSO, func() *bitmat.Matrix {
 			return bitmat.MatPS(e.idx, o)
 		})
-		st.rowVar, st.rowSpace = tp.P.Var, SpaceP
-		st.colVar, st.colSpace = tp.S.Var, SpaceSO
+		st.rowVar, st.colVar = tp.P.Var, tp.S.Var
 	case !sVar && pVar && !oVar:
 		// (:s ?p :o): the predicates linking s to o.
 		st.mat, cacheSrc = e.cachedOr(patKey, orientSO, func() *bitmat.Matrix {
 			return bitmat.RowP(e.idx, s, o)
 		})
-		st.colVar, st.colSpace = tp.P.Var, SpaceP
-		st.rowSpace = SpaceNone
+		st.colVar = tp.P.Var
 	case !sVar && !pVar && !oVar:
 		st.present = e.idx.Contains(s, p, o)
 	default:
@@ -273,31 +261,30 @@ func setLoadAttrs(sp *trace.Span, st *tpState, src string) {
 	}
 }
 
-// axisOf returns the axis carrying variable v and its space.
-func (t *tpState) axisOf(v sparql.Var) (bitmat.Axis, Space, bool) {
+// axisOf returns the axis carrying variable v.
+func (t *tpState) axisOf(v sparql.Var) (bitmat.Axis, bool) {
 	if t.rowVar == v && t.rowVar != "" {
-		return bitmat.Rows, t.rowSpace, true
+		return bitmat.Rows, true
 	}
 	if t.colVar == v && t.colVar != "" {
-		return bitmat.Cols, t.colSpace, true
+		return bitmat.Cols, true
 	}
-	return 0, SpaceNone, false
+	return 0, false
 }
 
 // foldVar projects the bindings of v out of the pattern's matrix.
-func (t *tpState) foldVar(v sparql.Var) (*bitvec.Bits, Space, bool) {
-	axis, space, ok := t.axisOf(v)
+func (t *tpState) foldVar(v sparql.Var) (*bitvec.Bits, bool) {
+	axis, ok := t.axisOf(v)
 	if !ok || t.mat == nil {
-		return nil, SpaceNone, false
+		return nil, false
 	}
-	return t.mat.Fold(axis), space, true
+	return t.mat.Fold(axis), true
 }
 
-// unfoldVar masks the bindings of v in the pattern's matrix. The mask may
-// be shorter than the axis (the empty intersection of two spaces); missing
-// bits are treated as 0.
+// unfoldVar masks the bindings of v in the pattern's matrix. Axis
+// positions past the end of the mask are treated as 0.
 func (t *tpState) unfoldVar(v sparql.Var, mask *bitvec.Bits) {
-	axis, _, ok := t.axisOf(v)
+	axis, ok := t.axisOf(v)
 	if !ok || t.mat == nil {
 		return
 	}

@@ -78,6 +78,12 @@ func (d *Dictionary) Predicate(id ID) (Term, error) {
 	return d.predicates[id-1], nil
 }
 
+// SOTerms and PredicateTerms return the S/O and the predicate space as
+// tables: the term with ID i is at index i-1. The tables are the
+// dictionary's own and must not be modified.
+func (d *Dictionary) SOTerms() []Term        { return d.so }
+func (d *Dictionary) PredicateTerms() []Term { return d.predicates }
+
 // Role bits of an interned term: the ID spaces it occurs in.
 const (
 	roleSO uint8 = 1 << iota
