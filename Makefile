@@ -145,12 +145,16 @@ examples:
 # fuzzers remain the net for what the grammar cannot express. Local deep
 # runs: go test ./internal/engine -run='^$' -fuzz=FuzzQueryDifferential
 # (or . -fuzz=FuzzUpdateDifferential). 30s gives the mutator room to reach
-# the expression-shaped inputs the filter seeds grow.
+# the expression-shaped inputs the filter seeds grow. FUZZMINIMIZETIME
+# bounds the minimization of each new input: Go's default of 60s per
+# input can use up most of a 30s budget, as it did for FuzzMatrixOps,
+# which then ran at 0 execs/s for its last 13s.
 FUZZTIME ?= 30s
+FUZZMINIMIZETIME ?= 1s
 fuzz-smoke:
-	$(GO) test ./internal/engine -run='^$$' -fuzz=FuzzQueryDifferential -fuzztime=$(FUZZTIME)
-	$(GO) test . -run='^$$' -fuzz=FuzzUpdateDifferential -fuzztime=$(FUZZTIME)
-	$(GO) test ./internal/bitmat -run='^$$' -fuzz=FuzzMatrixOps -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/engine -run='^$$' -fuzz=FuzzQueryDifferential -fuzztime=$(FUZZTIME) -fuzzminimizetime=$(FUZZMINIMIZETIME)
+	$(GO) test . -run='^$$' -fuzz=FuzzUpdateDifferential -fuzztime=$(FUZZTIME) -fuzzminimizetime=$(FUZZMINIMIZETIME)
+	$(GO) test ./internal/bitmat -run='^$$' -fuzz=FuzzMatrixOps -fuzztime=$(FUZZTIME) -fuzzminimizetime=$(FUZZMINIMIZETIME)
 
 # loc prints the non-test Go line count outside the benchmark module and
 # the test-only differential kit (internal/difftest, held to test-only
@@ -172,10 +176,11 @@ bench-smoke:
 # bench-join runs the join's Go benchmarks with -benchmem: the collected
 # star-with-OPTIONAL query (BenchmarkJoinCollect, its time and its
 # allocations per query), the directory cursor against Row's binary search
-# (BenchmarkMatrixSeek), and the compressed-row kernels (BenchmarkRow*).
-# CI runs it with BENCHTIME=1x, once each, so they keep compiling and
-# running.
+# (BenchmarkMatrixSeek), the row selection's mask-density sweep on both
+# sides of its seek cut-over (BenchmarkUnfoldRows, BenchmarkCloneRows),
+# and the compressed-row kernels (BenchmarkRow*). CI runs it with
+# BENCHTIME=1x, once each, so they keep compiling and running.
 BENCHTIME ?= 1s
 bench-join:
-	$(GO) test -run='^$$' -bench='^Benchmark(JoinCollect|MatrixSeek|Row)' -benchmem -benchtime=$(BENCHTIME) \
+	$(GO) test -run='^$$' -bench='^Benchmark(JoinCollect|MatrixSeek|UnfoldRows|CloneRows|Row)' -benchmem -benchtime=$(BENCHTIME) \
 		./internal/engine ./internal/bitmat ./internal/bitvec

@@ -22,12 +22,15 @@ import (
 //
 // Like the paper's condensed BitMat, it stores only its non-empty rows: an
 // ascending directory of live row ids and, in parallel, their compressed
-// rows. No field is sized by the dimensions, so every whole-matrix
-// operation costs O(live rows), not O(nRows).
+// rows and set-bit counts. No field is sized by the dimensions, so every
+// whole-matrix operation costs O(live rows), not O(nRows), and a row
+// selection (UnfoldRows, CloneRows) with a sparse mask costs what the
+// mask keeps.
 type Matrix struct {
 	nRows, nCols int
 	ids          []uint32      // ascending ids of the non-empty rows
 	rows         []*bitvec.Row // rows[i] is row ids[i]; never empty
+	counts       []uint32      // counts[i] is rows[i].Count(), read without touching the row
 	count        int64
 }
 
@@ -77,6 +80,7 @@ func (m *Matrix) SetRow(r int, row *bitvec.Row) {
 		if row != nil {
 			m.ids = append(m.ids, uint32(r))
 			m.rows = append(m.rows, row)
+			m.counts = append(m.counts, uint32(row.Count()))
 			m.count += int64(row.Count())
 		}
 		return
@@ -84,15 +88,17 @@ func (m *Matrix) SetRow(r int, row *bitvec.Row) {
 	i, found := m.find(r)
 	switch {
 	case found && row == nil:
-		m.count -= int64(m.rows[i].Count())
+		m.count -= int64(m.counts[i])
 		m.ids = slices.Delete(m.ids, i, i+1)
 		m.rows = slices.Delete(m.rows, i, i+1)
+		m.counts = slices.Delete(m.counts, i, i+1)
 	case found:
-		m.count += int64(row.Count() - m.rows[i].Count())
-		m.rows[i] = row
+		m.count += int64(row.Count()) - int64(m.counts[i])
+		m.rows[i], m.counts[i] = row, uint32(row.Count())
 	case row != nil:
 		m.ids = slices.Insert(m.ids, i, uint32(r))
 		m.rows = slices.Insert(m.rows, i, row)
+		m.counts = slices.Insert(m.counts, i, uint32(row.Count()))
 		m.count += int64(row.Count())
 	}
 }
@@ -127,35 +133,56 @@ func (m *Matrix) Seek(r, hint int) (*bitvec.Row, int) {
 	}
 	hint = min(max(hint, 0), n-1)
 	t := uint32(r)
-	lo, hi := 0, hint
+	var i int
 	if m.ids[hint] <= t {
-		// Gallop: ids[lo] <= t, and on exit ids[hi] > t or hi == n.
-		lo = hint
-		step := 1
-		for lo+step < n && m.ids[lo+step] <= t {
-			lo += step
-			step <<= 1
-		}
-		hi = min(lo+step, n)
+		i = gallop(m.ids, hint, t)
+	} else {
+		i, _ = slices.BinarySearch(m.ids[:hint], t)
 	}
-	i, found := slices.BinarySearch(m.ids[lo:hi], t)
-	i += lo
-	if found {
+	if i < n && m.ids[i] == t {
 		return m.rows[i], i
 	}
 	return nil, i
 }
 
+// gallop returns the first slot j >= lo of the ascending ids with
+// ids[j] >= t, or len(ids); every slot below lo must hold an id below t.
+// It steps 1, 2, 4, ... slots from lo and binary-searches the last step,
+// so it costs O(log(j - lo)) and reads no slot below lo.
+func gallop(ids []uint32, lo int, t uint32) int {
+	hi, step := lo, 1
+	for hi < len(ids) && ids[hi] < t {
+		lo = hi + 1
+		hi += step
+		step <<= 1
+	}
+	j, _ := slices.BinarySearch(ids[lo:min(hi, len(ids))], t)
+	return lo + j
+}
+
 // Clone returns a deep-enough copy: rows are immutable so sharing them is
-// safe; the live-row directory (ids and row pointers) is copied, so unfold
-// on the clone, which compacts the directory in place, leaves the original
-// untouched.
+// safe; the live-row directory (ids, row pointers and counts) is copied,
+// so unfold on the clone, which compacts the directory in place, leaves
+// the original untouched.
 func (m *Matrix) Clone() *Matrix {
 	return &Matrix{
 		nRows: m.nRows, nCols: m.nCols, count: m.count,
-		ids:  slices.Clone(m.ids),
-		rows: slices.Clone(m.rows),
+		ids:    slices.Clone(m.ids),
+		rows:   slices.Clone(m.rows),
+		counts: slices.Clone(m.counts),
 	}
+}
+
+// CloneRows is Clone followed by UnfoldRows(mask), but it copies only the
+// directory entries of the rows the mask keeps.
+func (m *Matrix) CloneRows(mask *bitvec.Bits) *Matrix {
+	c := NewMatrix(m.nRows, m.nCols)
+	maskBits := mask.Count()
+	if k := min(maskBits, len(m.ids)); k > 0 {
+		c.ids, c.rows, c.counts = make([]uint32, 0, k), make([]*bitvec.Row, 0, k), make([]uint32, 0, k)
+	}
+	m.selectRows(mask, c, maskBits*seekDensity < len(m.ids))
+	return c
 }
 
 // FoldCols implements fold(BM, colDim): the projection of the column
@@ -194,40 +221,84 @@ func (m *Matrix) FoldRows() *bitvec.Bits {
 
 // UnfoldCols implements unfold(BM, mask, colDim): clears every column whose
 // mask bit is 0, by ANDing each compressed row with the mask. Rows left
-// empty leave the directory.
+// empty leave the directory; a row the mask keeps whole stays as it is,
+// so only a partly masked row allocates. A mask with no set bit empties
+// the matrix without reading a row.
 func (m *Matrix) UnfoldCols(mask *bitvec.Bits) {
-	m.compact(func(_ uint32, row *bitvec.Row) *bitvec.Row {
-		return row.And(mask)
-	})
+	w := 0
+	var count int64
+	rows := m.rows
+	if !mask.Any() {
+		rows = nil
+	}
+	for i, row := range rows {
+		c := m.counts[i]
+		kept := row.AndOrNil(mask)
+		if kept == nil {
+			continue
+		}
+		if kept != row {
+			c = uint32(kept.Count())
+		}
+		m.ids[w], m.rows[w], m.counts[w] = m.ids[i], kept, c
+		count += int64(c)
+		w++
+	}
+	clear(m.rows[w:]) // release the dropped rows to the collector
+	m.ids, m.rows, m.counts, m.count = m.ids[:w], m.rows[:w], m.counts[:w], count
 }
 
 // UnfoldRows implements unfold(BM, mask, rowDim): drops every row whose
 // mask bit is 0.
 func (m *Matrix) UnfoldRows(mask *bitvec.Bits) {
-	m.compact(func(r uint32, row *bitvec.Row) *bitvec.Row {
-		if mask.Test(int(r)) {
-			return row
-		}
-		return nil
-	})
+	n := len(m.rows)
+	m.selectRows(mask, m, mask.Count()*seekDensity < n)
+	clear(m.rows[len(m.ids):n]) // release the dropped rows to the collector
 }
 
-// compact replaces every live row by keep's result and drops the rows
-// keep empties, compacting the directory in place.
-func (m *Matrix) compact(keep func(r uint32, row *bitvec.Row) *bitvec.Row) {
-	w := 0
+// seekDensity is the cut-over of a row selection: a mask with fewer set
+// bits than 1/seekDensity of the live rows is walked bit by bit, each bit
+// galloping to its slot; a denser one is tested once per live row.
+// BenchmarkUnfoldRows and BenchmarkCloneRows sweep the mask density on
+// both paths.
+const seekDensity = 16
+
+// selectRows appends to dst's directory, in ascending order, the live rows
+// of m whose mask bit is set, and sets dst's count; seek chooses the walk
+// over the mask's set bits. dst is either a new matrix of m's shape or m
+// itself: appending to m's own slices from slot 0 compacts them in place,
+// since the write slot never passes the read slot, and the read side
+// reads no slot below the one it is at.
+func (m *Matrix) selectRows(mask *bitvec.Bits, dst *Matrix, seek bool) {
+	ids, rows, counts := m.ids, m.rows, m.counts
+	if dst == m {
+		dst.ids, dst.rows, dst.counts = ids[:0], rows[:0], counts[:0]
+	}
 	var count int64
-	for i, row := range m.rows {
-		row = keep(m.ids[i], row)
-		if row == nil || row.Count() == 0 {
+	for i := 0; i < len(ids); i++ {
+		if seek {
+			// Leapfrog: the mask skips to the slot's row, the slot
+			// gallops to the mask's next set bit; a miss retries from
+			// the slot the gallop stopped at.
+			t := mask.NextSet(int(ids[i]))
+			if t < 0 {
+				break
+			}
+			if int(ids[i]) != t {
+				if i = gallop(ids, i+1, uint32(t)); i == len(ids) || int(ids[i]) != t {
+					i--
+					continue
+				}
+			}
+		} else if !mask.Test(int(ids[i])) {
 			continue
 		}
-		m.ids[w], m.rows[w] = m.ids[i], row
-		count += int64(row.Count())
-		w++
+		dst.ids = append(dst.ids, ids[i])
+		dst.rows = append(dst.rows, rows[i])
+		dst.counts = append(dst.counts, counts[i])
+		count += int64(counts[i])
 	}
-	clear(m.rows[w:]) // release the dropped rows to the collector
-	m.ids, m.rows, m.count = m.ids[:w], m.rows[:w], count
+	dst.count = count
 }
 
 // Fold projects the requested axis: Rows or Cols.

@@ -94,7 +94,8 @@ func (md *matModel) build() *Matrix {
 // checkModel compares every observable of m against md: Count, LiveRows,
 // Equal and WireSize against a fresh build, Row on every row index and
 // just outside both ends of the row axis, Test on every set bit and its
-// right neighbour, both folds, and ForEachRow.
+// right neighbour, both folds, and ForEachRow. It also checks the
+// directory's count column against the rows and Count.
 func checkModel(t *testing.T, step string, m *Matrix, md *matModel) {
 	t.Helper()
 	fail := func(format string, args ...any) {
@@ -111,6 +112,19 @@ func checkModel(t *testing.T, step string, m *Matrix, md *matModel) {
 	live := liveRows(rc)
 	if m.LiveRows() != len(live) {
 		fail("LiveRows = %d, want %d", m.LiveRows(), len(live))
+	}
+	if len(m.counts) != len(m.ids) || len(m.rows) != len(m.ids) {
+		fail("directory columns %d ids, %d rows, %d counts", len(m.ids), len(m.rows), len(m.counts))
+	}
+	var sum int64
+	for i, c := range m.counts {
+		if int(c) != m.rows[i].Count() {
+			fail("counts[%d] = %d, row %d holds %d bits", i, c, m.ids[i], m.rows[i].Count())
+		}
+		sum += int64(c)
+	}
+	if sum != m.Count() {
+		fail("counts sum to %d, Count = %d", sum, m.Count())
 	}
 	fresh := md.build()
 	if !m.Equal(fresh) || !fresh.Equal(m) {
@@ -201,15 +215,25 @@ func (o *opReader) row(nCols int) (*bitvec.Row, []uint32) {
 }
 
 // mask draws a mask over an axis of length n. Its length may be shorter
-// than the axis: the missing bits count as clear.
+// than the axis: the missing bits count as clear. One mask in eight
+// (state byte 7 mod 8) is sparse, about 1 bit in 64, so unfolds on both
+// axes also see masks that keep few or no bits; the others set about 3
+// bits in 4. The sparse draw reuses the state byte rather than reading
+// another, so the seed corpus decodes as it did before sparse masks
+// existed.
 func (o *opReader) mask(n int) *bitvec.Bits {
 	mask := bitvec.NewBits(o.next() % (n + 1))
-	x := uint32(o.next())*2654435761 | 1 // xorshift state, never zero
+	b := o.next()
+	keep := func(x uint32) bool { return x%4 != 0 }
+	if b%8 == 7 {
+		keep = func(x uint32) bool { return x%64 == 0 }
+	}
+	x := uint32(b)*2654435761 | 1 // xorshift state, never zero
 	for i := 0; i < mask.Len(); i++ {
 		x ^= x << 13
 		x ^= x >> 17
 		x ^= x << 5
-		if x%4 != 0 {
+		if keep(x) {
 			mask.Set(i)
 		}
 	}
@@ -246,7 +270,7 @@ func runMatrixOps(t *testing.T, data []byte) {
 	m, md := NewMatrix(nRows, nCols), newMatModel(nRows, nCols)
 	checkModel(t, "NewMatrix", m, md)
 	for step := 0; !o.done() && step < 100; step++ {
-		switch op := o.next() % 7; op {
+		switch op := o.next() % 8; op {
 		case 0, 1, 2:
 			name := mutate(m, md, o)
 			checkModel(t, fmt.Sprintf("step %d %s", step, name), m, md)
@@ -308,6 +332,32 @@ func runMatrixOps(t *testing.T, data []byte) {
 				}
 				hint = checkSeek(t, fmt.Sprintf("step %d", step), m, rc, r, hint)
 			}
+		case 7:
+			// CloneRows equals a clone unfolded by the same mask, and
+			// mutating it leaves its source as it was. The row selection
+			// behind it and UnfoldRows runs here on both sides of its
+			// cut-over, in place and into a new matrix, whatever the
+			// mask's density: 40 rows seldom reach the seek side.
+			mask := o.mask(nRows)
+			snap := md.build()
+			c, cmd := m.CloneRows(mask), md.clone()
+			cmd.keep(func(r, _ int) bool { return mask.Test(r) })
+			checkModel(t, fmt.Sprintf("step %d CloneRows(%v)", step, mask), c, cmd)
+			for _, seek := range []bool{true, false} {
+				in, out := m.Clone(), NewMatrix(nRows, nCols)
+				in.selectRows(mask, in, seek)
+				m.selectRows(mask, out, seek)
+				checkModel(t, fmt.Sprintf("step %d selectRows(%v) seek %v in place", step, mask, seek), in, cmd)
+				checkModel(t, fmt.Sprintf("step %d selectRows(%v) seek %v", step, mask, seek), out, cmd)
+			}
+			for k := 1 + o.next()%4; k > 0; k-- {
+				name := mutate(c, cmd, o)
+				checkModel(t, fmt.Sprintf("step %d CloneRows %s", step, name), c, cmd)
+			}
+			if !m.Equal(snap) {
+				t.Fatalf("step %d: mutating a CloneRows result changed its source", step)
+			}
+			checkModel(t, fmt.Sprintf("step %d CloneRows source", step), m, md)
 		}
 	}
 }
@@ -329,8 +379,9 @@ func checkSeek(t *testing.T, step string, m *Matrix, rc map[int][]uint32, r, hin
 
 // TestMatrixModel runs random op streams against the map model: SetRow in
 // any row order (replacing and clearing rows with nil or empty rows),
-// unfolds on both axes with masks up to the axis length, clones, transposes,
-// row ranges and Seek sequences, checking every observable after every op.
+// unfolds on both axes with dense and sparse masks up to the axis length,
+// clones, row-masked clones, transposes, row ranges and Seek sequences,
+// checking every observable after every op.
 func TestMatrixModel(t *testing.T) {
 	for seed := int64(0); seed < 300; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -370,6 +421,54 @@ func TestMatrixModel(t *testing.T) {
 			hint = checkSeek(t, fmt.Sprintf("seek %d", k), m, rc, r, hint)
 		}
 	})
+	// The op streams' row masks select among at most 40 rows, so a seek
+	// path gallops a step or two. This case selects from 3 000 rows, 2 000
+	// of them live, with masks on both sides of the seek cut-over, in
+	// place (UnfoldRows) and into a clone (CloneRows).
+	t.Run("unfold-seek", func(t *testing.T) {
+		const nRows, nCols = 3000, 16
+		base, md := NewMatrix(nRows, nCols), newMatModel(nRows, nCols)
+		for r := 0; r < nRows; r++ {
+			if r%3 != 0 {
+				base.SetRow(r, bitvec.RowFromSortedPositions(nCols, []uint32{uint32(r % (nCols - 1)), nCols - 1}))
+				md.bits[[2]int{r, r % (nCols - 1)}] = true
+				md.bits[[2]int{r, nCols - 1}] = true
+			}
+		}
+		rng := rand.New(rand.NewSource(2))
+		sides := [2]int{}
+		for trial := 0; trial < 200; trial++ {
+			// Masks of 1 to ~1 000 set bits, some clustered in one span,
+			// some ending at the last row or past the axis.
+			n := nRows + rng.Intn(3) - 1
+			mask := bitvec.NewBits(n)
+			bits := 1 + rng.Intn([]int{4, 40, 400, 1000}[trial%4])
+			lo, span := rng.Intn(nRows), 1+rng.Intn(nRows)
+			for k := 0; k < bits; k++ {
+				mask.Set(min(lo+rng.Intn(span), n-1))
+			}
+			if trial%5 == 0 {
+				mask.Set(n - 1)
+			}
+			seek := mask.Count()*seekDensity < base.LiveRows()
+			if seek {
+				sides[0]++
+			} else {
+				sides[1]++
+			}
+			want := md.clone()
+			want.keep(func(r, _ int) bool { return mask.Test(r) })
+			step := fmt.Sprintf("trial %d (%d mask bits, seek %v)", trial, mask.Count(), seek)
+			checkModel(t, step+" CloneRows", base.CloneRows(mask), want)
+			in := base.Clone()
+			in.UnfoldRows(mask)
+			checkModel(t, step+" UnfoldRows", in, want)
+		}
+		checkModel(t, "source", base, md)
+		if sides[0] == 0 || sides[1] == 0 {
+			t.Fatalf("masks on the seek side %d times, the scan side %d: both must run", sides[0], sides[1])
+		}
+	})
 }
 
 // FuzzMatrixOps is TestMatrixModel under the fuzzer's byte mutations.
@@ -387,10 +486,11 @@ func FuzzMatrixOps(f *testing.F) {
 var allocSink int
 
 // TestMatrixAllocsIndependentOfDimension pins the condensed layout: with
-// the same 50 live rows, Clone + UnfoldRows + UnfoldCols + ForEachRow
-// allocate the same bytes in a 10^3 x 10^3 matrix as in a 10^6 x 10^6 one,
-// and NewMatrix allocates O(1) however large its shape. Folds are left
-// out: the bitvec.Bits they return is sized by the folded dimension.
+// the same 50 live rows, Clone + UnfoldRows + UnfoldCols + CloneRows +
+// ForEachRow + both folds allocate the same bytes in a 10^3 x 10^3 matrix
+// as in a 10^6 x 10^6 one, and NewMatrix allocates O(1) however large its
+// shape. A fold's bitvec.Bits stores only the words between its first and
+// last set bit, so folds are sized by the live rows and columns too.
 func TestMatrixAllocsIndependentOfDimension(t *testing.T) {
 	const live = 50
 	type fixture struct {
@@ -416,7 +516,9 @@ func TestMatrixAllocsIndependentOfDimension(t *testing.T) {
 			c := fx.m.Clone()
 			c.UnfoldRows(fx.rowMask)
 			c.UnfoldCols(fx.colMask)
+			c = c.CloneRows(fx.rowMask)
 			c.ForEachRow(func(r int, row *bitvec.Row) bool { allocSink += r; return true })
+			allocSink += c.FoldRows().Count() + c.FoldCols().Count()
 		}
 	}
 	bytesPerRun := func(f func()) uint64 {
@@ -525,6 +627,58 @@ func BenchmarkMatrixSeek(b *testing.B) {
 			for _, r := range ids {
 				allocSink += m.Row(r).Count()
 			}
+		}
+	})
+}
+
+// selectBench is the fixture of the row-selection density sweep: a
+// 10^5-row matrix with about 3*10^4 live rows, and row masks with one set
+// bit per d live rows, at random rows, for d from 1 to 256. The seek
+// path wins at the sparse end and the scan at the dense end; seekDensity
+// sits where they cross.
+func selectBench(b *testing.B, run func(b *testing.B, m *Matrix, mask *bitvec.Bits, seek bool)) {
+	rng := rand.New(rand.NewSource(1))
+	m := randomMatrix(rng, 100_000, 8, 0.3)
+	for _, d := range []int{256, 64, 32, 16, 12, 8, 4, 1} {
+		mask := bitvec.NewBits(m.NRows())
+		for k := m.LiveRows() / d; k > 0; k-- {
+			mask.Set(rng.Intn(m.NRows()))
+		}
+		for _, path := range []struct {
+			name string
+			seek bool
+		}{{"seek", true}, {"scan", false}} {
+			b.Run(fmt.Sprintf("live-per-bit=%d/%s", d, path.name), func(b *testing.B) {
+				b.ReportAllocs()
+				run(b, m, mask, path.seek)
+			})
+		}
+	}
+}
+
+// BenchmarkUnfoldRows times the in-place row selection behind UnfoldRows
+// on both sides of its cut-over (seekDensity) across mask densities.
+// Each iteration unfolds a fresh clone, made with the timer stopped.
+func BenchmarkUnfoldRows(b *testing.B) {
+	selectBench(b, func(b *testing.B, m *Matrix, mask *bitvec.Bits, seek bool) {
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			c := m.Clone()
+			b.StartTimer()
+			c.selectRows(mask, c, seek)
+			allocSink += c.LiveRows()
+		}
+	})
+}
+
+// BenchmarkCloneRows times the row selection behind CloneRows, into a
+// new directory, on both sides of its cut-over across mask densities.
+func BenchmarkCloneRows(b *testing.B) {
+	selectBench(b, func(b *testing.B, m *Matrix, mask *bitvec.Bits, seek bool) {
+		for i := 0; i < b.N; i++ {
+			c := NewMatrix(m.NRows(), m.NCols())
+			m.selectRows(mask, c, seek)
+			allocSink += c.LiveRows()
 		}
 	})
 }

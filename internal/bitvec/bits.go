@@ -71,6 +71,12 @@ func (b *Bits) word(gi int) uint64 {
 // end returns the index one past the last stored word.
 func (b *Bits) end() int { return b.off + len(b.words) }
 
+// window returns the range [lo, hi) of bits the stored words cover, cut
+// at the length: every set bit lies in it.
+func (b *Bits) window() (lo, hi int) {
+	return b.off * wordBits, min(b.end()*wordBits, b.n)
+}
+
 // Set sets bit i to 1. The bit must lie in the stored window.
 func (b *Bits) Set(i int) {
 	b.words[i/wordBits-b.off] |= 1 << (uint(i) % wordBits)

@@ -3,6 +3,7 @@ package bitvec
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -443,60 +444,134 @@ func setRange(dst *Bits, start, length int) {
 	}
 }
 
-// And returns a new row containing r AND mask, re-encoded under the hybrid
-// rule. This is the inner step of the unfold operation: bits of r whose mask
-// bit is 0 are cleared. The mask may be shorter than the row; missing mask
-// bits are treated as 0.
+// And returns r AND mask, re-encoded under the hybrid rule. This is the
+// inner step of the unfold operation: bits of r whose mask bit is 0 are
+// cleared. The mask may be shorter than the row; missing mask bits are
+// treated as 0. When every bit of a non-empty row survives, the result is
+// r itself.
 func (r *Row) And(mask *Bits) *Row {
-	switch r.enc {
-	case EncEmpty:
-		return r
-	case EncSparse:
-		out := make([]uint32, 0, len(r.pos))
-		for _, p := range r.pos {
-			if mask.Test(int(p)) {
-				out = append(out, p)
-			}
-		}
-		if len(out) == 0 {
-			return EmptyRow(r.n)
-		}
-		res := &Row{enc: EncSparse, n: r.n, pos: out, count: len(out)}
-		return res.normalize()
-	case EncRLE:
-		// Walk set runs and intersect each with the mask words, gathering
-		// surviving positions; then re-encode hybrid.
-		var out []uint32
-		lo, hi := mask.off*wordBits, min(mask.end()*wordBits, mask.n)
-		r.Runs(func(start, length int) bool {
-			end := min(start+length, hi)
-			for i := max(start, lo); i < end; {
-				wi := i / wordBits
-				bit := uint(i) % wordBits
-				span := wordBits - int(bit)
-				if span > end-i {
-					span = end - i
-				}
-				w := mask.word(wi) >> bit
-				if span < wordBits {
-					w &= (1 << uint(span)) - 1
-				}
-				for w != 0 {
-					tz := bits.TrailingZeros64(w)
-					out = append(out, uint32(i+tz))
-					w &= w - 1
-				}
-				i += span
-			}
-			return true
-		})
-		if len(out) == 0 {
-			return EmptyRow(r.n)
-		}
-		res := &Row{enc: EncSparse, n: r.n, pos: out, count: len(out)}
-		return res.normalize()
+	if out := r.AndOrNil(mask); out != nil {
+		return out
 	}
-	return r
+	return EmptyRow(r.n)
+}
+
+// AndOrNil is And for a caller that drops empty rows: it returns nil when
+// no bit survives and r itself when every bit does, so only a partial
+// result allocates.
+func (r *Row) AndOrNil(mask *Bits) *Row {
+	switch r.enc {
+	case EncSparse:
+		return r.andSparse(mask)
+	case EncRLE:
+		return r.andRLE(mask)
+	}
+	return nil
+}
+
+// andSparse is AndOrNil for a sparse row. It tests only the positions in
+// the mask's stored window, keeps the surviving prefix without copying it
+// until a position drops, and allocates once it has seen a survivor past
+// that drop.
+func (r *Row) andSparse(mask *Bits) *Row {
+	lo, hi := mask.window()
+	pos := clipPositions(r.pos, lo, hi)
+	i := 0
+	for i < len(pos) && mask.Test(int(pos[i])) {
+		i++
+	}
+	if i == len(r.pos) {
+		return r
+	}
+	j := min(i+1, len(pos))
+	for j < len(pos) && !mask.Test(int(pos[j])) {
+		j++
+	}
+	if i == 0 && j == len(pos) {
+		return nil
+	}
+	out := make([]uint32, i, i+len(pos)-j)
+	copy(out, pos[:i])
+	for _, p := range pos[j:] {
+		if mask.Test(int(p)) {
+			out = append(out, p)
+		}
+	}
+	res := &Row{enc: EncSparse, n: r.n, pos: out, count: len(out)}
+	return res.normalize()
+}
+
+// andRLE is AndOrNil for an RLE row: a counting pass over the mask words
+// decides between nil, r and a new row before any position is gathered.
+func (r *Row) andRLE(mask *Bits) *Row {
+	n, _ := r.andRuns(mask, nil)
+	switch n {
+	case 0:
+		return nil
+	case r.count:
+		return r
+	}
+	_, out := r.andRuns(mask, make([]uint32, 0, n))
+	res := &Row{enc: EncSparse, n: r.n, pos: out, count: n}
+	return res.normalize()
+}
+
+// clipPositions returns the part of the ascending, non-empty positions
+// pos that lies in [lo, hi). It answers in O(1) when pos lies wholly
+// inside or outside the range, as the short rows of most matrices do, and
+// binary-searches the ends otherwise.
+func clipPositions(pos []uint32, lo, hi int) []uint32 {
+	first, last := int(pos[0]), int(pos[len(pos)-1])
+	switch {
+	case first >= lo && last < hi:
+		return pos
+	case last < lo || first >= hi:
+		return nil
+	}
+	i, _ := slices.BinarySearch(pos, uint32(lo))
+	j, _ := slices.BinarySearch(pos[i:], uint32(hi))
+	return pos[i : i+j]
+}
+
+// andRuns intersects the set runs of an RLE row with the mask words and
+// returns the number of surviving bits. With a non-nil out it also
+// appends the surviving positions to out and returns it.
+func (r *Row) andRuns(mask *Bits, out []uint32) (int, []uint32) {
+	n := 0
+	lo, hi := mask.window()
+	v, at := r.first, 0
+	for _, rl := range r.runs {
+		start, end := at, min(at+int(rl), hi)
+		at += int(rl)
+		set := v
+		v = !v
+		if !set {
+			continue
+		}
+		if start >= hi {
+			break
+		}
+		for i := max(start, lo); i < end; {
+			wi := i / wordBits
+			bit := uint(i) % wordBits
+			span := min(wordBits-int(bit), end-i)
+			w := mask.word(wi) >> bit
+			if span < wordBits {
+				w &= (1 << uint(span)) - 1
+			}
+			if out == nil {
+				n += bits.OnesCount64(w)
+			} else {
+				for w != 0 {
+					out = append(out, uint32(i+bits.TrailingZeros64(w)))
+					w &= w - 1
+					n++
+				}
+			}
+			i += span
+		}
+	}
+	return n, out
 }
 
 // Bits decompresses the row into a plain bit array.

@@ -165,6 +165,88 @@ func TestRowAndShortMask(t *testing.T) {
 	}
 }
 
+// TestRowAndOrNil checks AndOrNil against a plain-bits intersection on
+// random rows and masks, full-length and stored over a random window
+// (NewBitsSpan) that may cover the row, cut it or miss it: nil exactly
+// when no bit survives, the receiver itself when every bit does, and
+// otherwise the intersection in its hybrid encoding.
+func TestRowAndOrNil(t *testing.T) {
+	// A sparse row cut by the mask window at both ends, where the window's
+	// first and last bits are set.
+	row := RowFromSortedPositions(300, []uint32{10, 63, 64, 100, 127, 128, 200})
+	mask := NewBitsSpan(300, 64, 128)
+	for i := 64; i < 128; i++ {
+		mask.Set(i)
+	}
+	var got []uint32
+	row.AndOrNil(mask).ForEach(func(i int) bool { got = append(got, uint32(i)); return true })
+	if !slices.Equal(got, []uint32{64, 100, 127}) {
+		t.Fatalf("AndOrNil over the window [64, 128) = %v, want [64 100 127]", got)
+	}
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 600; trial++ {
+		n := 1 + rng.Intn(300)
+		row := RowFromBits(randomBits(rng, n, rng.Float64()))
+		var mask *Bits
+		if trial%2 == 0 {
+			mask = randomBits(rng, n, []float64{0, 1, rng.Float64()}[trial%3])
+		} else {
+			lo := rng.Intn(n + 1)
+			hi := lo + rng.Intn(n-lo+1)
+			mask = NewBitsSpan(n, lo, hi)
+			dens := []float64{0, 1, rng.Float64()}[trial%3]
+			for i := lo; i < hi; i++ {
+				if rng.Float64() < dens {
+					mask.Set(i)
+				}
+			}
+		}
+		want := row.Bits()
+		want.AndCompat(mask)
+		got := row.AndOrNil(mask)
+		switch {
+		case want.Count() == 0:
+			if got != nil {
+				t.Fatalf("AndOrNil = %v, want nil: row=%v mask=%s", got, row, mask)
+			}
+		case want.Count() == row.Count():
+			if got != row {
+				t.Fatalf("every bit survives but AndOrNil did not return the receiver: row=%v mask=%s", row, mask)
+			}
+		case !got.Bits().Equal(want) || got.Encoding() != RowFromBits(want).Encoding():
+			t.Fatalf("AndOrNil = %v, want %s: row=%v mask=%s", got, want, row, mask)
+		}
+	}
+}
+
+// TestRowAndOrNilAllocs pins the allocations of the unfold's row step
+// (Matrix.UnfoldCols calls AndOrNil): a mask that keeps every bit of a
+// row, or none, allocates nothing on either encoding; And allocates
+// nothing when every bit survives.
+func TestRowAndOrNilAllocs(t *testing.T) {
+	const n = 1 << 12
+	rows := map[string]*Row{
+		"sparse": RowFromSortedPositions(n, []uint32{3, 70, 700, 4000}),
+		"rle":    RowFromSortedPositions(n, []uint32{64, 65, 66, 67, 68, 69, 70, 71, 72, 200, 201, 202, 203}),
+	}
+	all, none := NewBitsSet(n), NewBits(n)
+	for name, row := range rows {
+		if (name == "rle") != (row.Encoding() == EncRLE) {
+			t.Fatalf("%s fixture has encoding %v", name, row.Encoding())
+		}
+		var sink *Row
+		if a := testing.AllocsPerRun(100, func() { sink = row.AndOrNil(all) }); a != 0 || sink != row {
+			t.Errorf("%s: AndOrNil(all) made %v allocations", name, a)
+		}
+		if a := testing.AllocsPerRun(100, func() { sink = row.AndOrNil(none) }); a != 0 || sink != nil {
+			t.Errorf("%s: AndOrNil(none) made %v allocations", name, a)
+		}
+		if a := testing.AllocsPerRun(100, func() { sink = row.And(all) }); a != 0 || sink != row {
+			t.Errorf("%s: And(all) made %v allocations", name, a)
+		}
+	}
+}
+
 func TestRowOrIntoAgainstNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	for trial := 0; trial < 300; trial++ {

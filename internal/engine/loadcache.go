@@ -2,6 +2,7 @@ package engine
 
 import (
 	"repro/internal/bitmat"
+	"repro/internal/bitvec"
 )
 
 // Matrix orientations the MatCache distinguishes. Two branches whose plans
@@ -13,37 +14,43 @@ const (
 	orientOS              // rows = objects
 )
 
-// cachedPristine returns a private pristine materialization of the pattern
-// through the store-level MatCache, or nil when the cache declines (no
-// cache view, or a retired generation), in which case the caller builds
-// directly with its masks folded into the build. The cached matrix is
-// shared and therefore cloned here, so the caller may prune the returned
-// matrix freely. Every load admits the pattern on its first touch, so a
-// pattern recurring across the UNF branches of one query is built once:
-// the branches run in order, and a later branch finds the entry an
-// earlier one admitted.
+// cachedPristine returns a private copy of the pattern's pristine
+// materialization through the store-level MatCache, restricted to the
+// rows rowMask keeps (every row for a nil mask), or nil when the cache
+// declines (no cache view, or a retired generation), in which case the
+// caller builds directly with its masks folded into the build. The cached
+// matrix is shared and therefore cloned here — only the directory entries
+// the mask keeps — so the caller may prune the returned matrix freely.
+// Every load admits the pattern on its first touch, so a pattern
+// recurring across the UNF branches of one query is built once: the
+// branches run in order, and a later branch finds the entry an earlier
+// one admitted.
 //
-// The second return names the cache outcome — a string constant attached
-// to the pattern's trace span, free when no tracer is attached.
-func (e *Engine) cachedPristine(patKey string, orient uint8, build func() *bitmat.Matrix) (*bitmat.Matrix, string) {
+// The other returns are the shared matrix's live rows (0 when the cache
+// declines) and the cache outcome — a string constant attached to the
+// pattern's trace span, free when no tracer is attached.
+func (e *Engine) cachedPristine(patKey string, orient uint8, rowMask *bitvec.Bits, build func() *bitmat.Matrix) (*bitmat.Matrix, int, string) {
 	mat, outcome := e.mc.get(patKey, orient, build)
-	if mat != nil {
-		mat = mat.Clone()
+	if mat == nil {
+		return nil, 0, string(outcome)
 	}
-	return mat, string(outcome)
+	if rowMask != nil {
+		return mat.CloneRows(rowMask), mat.LiveRows(), string(outcome)
+	}
+	return mat.Clone(), mat.LiveRows(), string(outcome)
 }
 
 // cachedOr returns a private copy of the cached materialization of the
 // pattern — a clone, so the caller may prune it freely — or build()'s
 // result directly when the cache declines. Callers here have no load-time
-// masks: build() already is the final matrix. The second return is the
-// cache outcome for the pattern's trace span.
-func (e *Engine) cachedOr(patKey string, orient uint8, build func() *bitmat.Matrix) (*bitmat.Matrix, string) {
-	m, src := e.cachedPristine(patKey, orient, build)
+// masks: build() already is the final matrix. The other returns are the
+// cached matrix's live rows and the cache outcome, as for cachedPristine.
+func (e *Engine) cachedOr(patKey string, orient uint8, build func() *bitmat.Matrix) (*bitmat.Matrix, int, string) {
+	m, baseRows, src := e.cachedPristine(patKey, orient, nil, build)
 	if m != nil {
-		return m, src
+		return m, baseRows, src
 	}
 	// The cache declined; build directly. src carries the decline reason
 	// (uncached / stale-bypass), which is exactly what the span wants.
-	return build(), src
+	return build(), 0, src
 }

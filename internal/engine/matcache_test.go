@@ -88,9 +88,21 @@ func TestMatCacheAdmitsOnFirstTouch(t *testing.T) {
 				t.Fatalf("load of %v came from %v, want the cache", ld, src)
 			}
 			// chainGraph gives 240 subjects a tel; the mail mask keeps 80.
+			// The masked clone copies only the directory entries it
+			// keeps: base_rows names the cached matrix, clone_bytes the
+			// copied entries, and no column mask narrows them further.
 			pat, _ := ld.Attr("pattern")
-			if rows, _ := ld.Attr("live_rows"); pat == "?x <tel> ?t" && rows.(int) < 240 {
+			rows, _ := ld.Attr("live_rows")
+			base, _ := ld.Attr("base_rows")
+			cloned, _ := ld.Attr("clone_bytes")
+			if pat == "?x <tel> ?t" && rows.(int) < 240 {
 				masked = true
+				if base != 240 {
+					t.Fatalf("masked tel load: base_rows = %v, want 240", base)
+				}
+			}
+			if cloned != dirCost(rows.(int)) || base.(int) < rows.(int) {
+				t.Fatalf("load of %v: clone_bytes = %v, base_rows = %v for %v live rows", pat, cloned, base, rows)
 			}
 		}
 	}
@@ -330,10 +342,12 @@ func TestMatCostFollowsLiveRows(t *testing.T) {
 }
 
 // TestCachedPristineCloneIsolation shares one MatCache entry among 16
-// goroutines, each of which unfolds and rewrites its own clone. The cached
-// original must stay equal to its snapshot: unfold compacts a matrix's row
-// directory in place, so a clone that shared the directory's backing
-// arrays would corrupt the cache. Run under -race.
+// goroutines, each of which unfolds and rewrites its own clone: half take
+// a whole clone and unfold its rows, half a clone restricted to the row
+// mask (CloneRows). The cached original must stay equal to its snapshot:
+// unfold compacts a matrix's row directory in place, so a clone that
+// shared the directory's backing arrays would corrupt the cache. Run
+// under -race.
 func TestCachedPristineCloneIsolation(t *testing.T) {
 	const nRows, nCols = 64, 96
 	build := func() *bitmat.Matrix {
@@ -351,11 +365,6 @@ func TestCachedPristineCloneIsolation(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			m, src := e.cachedPristine("pat", orientSO, build)
-			if m == nil {
-				t.Errorf("goroutine %d: cache declined (%s)", g, src)
-				return
-			}
 			rowMask, colMask := bitvec.NewBits(nRows), bitvec.NewBits(nCols)
 			for r := g % 4; r < nRows; r += 1 + g%3 {
 				rowMask.Set(r)
@@ -363,7 +372,18 @@ func TestCachedPristineCloneIsolation(t *testing.T) {
 			for c := g; c < nCols; c += 2 {
 				colMask.Set(c)
 			}
-			m.UnfoldRows(rowMask)
+			var cloneMask *bitvec.Bits
+			if g%2 == 1 {
+				cloneMask = rowMask
+			}
+			m, baseRows, src := e.cachedPristine("pat", orientSO, cloneMask, build)
+			if m == nil || baseRows != snapshot.LiveRows() {
+				t.Errorf("goroutine %d: cache declined (%s) or base rows %d", g, src, baseRows)
+				return
+			}
+			if cloneMask == nil {
+				m.UnfoldRows(rowMask)
+			}
 			m.UnfoldCols(colMask)
 			m.SetRow(1, bitvec.RowFromSortedPositions(nCols, []uint32{uint32(g)}))
 			m.SetRow(nRows-2, nil)

@@ -213,3 +213,48 @@ func TestLoadOrientationFollowsPlan(t *testing.T) {
 		t.Errorf("tp2 row of Larry (S/O ID %d) = %v, want only CurbYourEnthu (S/O ID %d)", larry, row, curb)
 	}
 }
+
+// TestFoldVarMemoFollowsUnfold pins the per-pattern fold memo: foldVar
+// hands out one fold per axis until the next unfoldVar, and a fold taken
+// after unfoldVar equals a fresh mat.Fold on both axes, whichever axis
+// was unfolded.
+func TestFoldVarMemoFollowsUnfold(t *testing.T) {
+	g := rdf.NewGraph()
+	for _, tr := range [][3]string{{"x1", "q", "y1"}, {"x1", "q", "y2"}, {"x2", "q", "y2"}, {"x3", "q", "y3"}, {"a", "p", "x1"}, {"a", "p", "x3"}} {
+		g.Add(rdf.T(tr[0], tr[1], tr[2]))
+	}
+	e, _, tps := setupTPs(t, g, `SELECT * WHERE { ?a <p> ?x . ?x <q> ?y . }`)
+	st := tps[1]
+	check := func(step string) {
+		t.Helper()
+		for _, v := range []sparql.Var{"x", "y"} {
+			axis, _ := st.axisOf(v)
+			f, ok := st.foldVar(v)
+			if !ok || !f.Equal(st.mat.Fold(axis)) {
+				t.Fatalf("%s: fold of ?%s = %v, fresh fold %v", step, v, f, st.mat.Fold(axis))
+			}
+			if again, _ := st.foldVar(v); again != f {
+				t.Fatalf("%s: second fold of ?%s was not memoized", step, v)
+			}
+		}
+	}
+	check("loaded")
+	for _, step := range []struct {
+		v     sparql.Var
+		drop  string
+		count int64
+	}{{"x", "x3", 3}, {"y", "y2", 1}} { // each also changes the other axis's fold
+		axis, _ := st.axisOf(step.v)
+		mask := st.mat.Fold(axis)
+		id := e.dict.SOID(rdf.NewIRI(step.drop))
+		if id == 0 {
+			t.Fatalf("%s is not in the dictionary", step.drop)
+		}
+		mask.Clear(int(id) - 1)
+		st.unfoldVar(step.v, mask)
+		if st.count() != step.count {
+			t.Fatalf("unfold of ?%s dropping %s left %d triples, want %d", step.v, step.drop, st.count(), step.count)
+		}
+		check("unfold ?" + string(step.v))
+	}
+}

@@ -34,6 +34,12 @@ type tpState struct {
 	// join workers share tpStates and may probe the same pattern at once.
 	trans     *bitmat.Matrix
 	transOnce sync.Once
+
+	// folds memoizes mat.Fold per axis (indexed by bitmat.Axis) until an
+	// unfold changes the matrix: active pruning and the prune levels fold
+	// the same unchanged patterns again and again. A memoized fold is
+	// shared, so every caller treats it as read-only.
+	folds [2]*bitvec.Bits
 }
 
 // transpose returns the cached transpose, building it on first use. Safe
@@ -124,9 +130,14 @@ func (e *Engine) loadMask(v sparql.Var, idx int, loaded []*tpState, plan *planne
 // are applied to the clone — bit-identical to building the filtered
 // matrix directly, since both paths read out-of-range mask bits as 0.
 //
+// A masked S-O/O-S load served by the cache copies only the directory
+// entries its row mask keeps (Matrix.CloneRows), then unfolds the
+// columns of that clone in place.
+//
 // sp, when non-nil, is this pattern's load span: the cache outcome and
-// (for cache-served loads) the approximate bytes cloned are recorded on
-// it. A nil sp costs only the final nil check.
+// (for cache-served loads) the cached matrix's live rows and the bytes
+// cloned from it are recorded on it (setLoadAttrs). A nil sp costs only
+// the final nil check.
 func (e *Engine) load(tp sparql.TriplePattern, idx int, sn int, plan *planner.Plan, loaded []*tpState, sp *trace.Span) (*tpState, error) {
 	st := &tpState{idx: idx, pat: tp, sn: sn}
 	dict := e.dict
@@ -136,6 +147,9 @@ func (e *Engine) load(tp sparql.TriplePattern, idx int, sn int, plan *planner.Pl
 		patKey = tp.String()
 	}
 	cacheSrc := "none"
+	// Cache-served loads: the shared matrix's live rows and the directory
+	// entries cloned from it; copied stays -1 for a whole-matrix clone.
+	baseRows, copied := 0, -1
 
 	// Resolve fixed positions. An unknown term resolves to ID 0, for which
 	// every loader returns an empty matrix: the pattern matches nothing.
@@ -148,7 +162,7 @@ func (e *Engine) load(tp sparql.TriplePattern, idx int, sn int, plan *planner.Pl
 			// Self join (?x :p ?x): the diagonal of the S-O BitMat,
 			// reduced to a single row over the S/O space.
 			st.colVar = tp.S.Var
-			st.mat, cacheSrc = e.cachedOr(patKey, orientSO, func() *bitmat.Matrix {
+			st.mat, baseRows, cacheSrc = e.cachedOr(patKey, orientSO, func() *bitmat.Matrix {
 				diag := bitmat.NewMatrix(1, dict.NumSO())
 				var pos []uint32
 				bitmat.MatSO(e.idx, p, nil, nil).ForEachRow(func(r int, row *bitvec.Row) bool {
@@ -162,7 +176,7 @@ func (e *Engine) load(tp sparql.TriplePattern, idx int, sn int, plan *planner.Pl
 				}
 				return diag
 			})
-			setLoadAttrs(sp, st, cacheSrc)
+			setLoadAttrs(sp, st, cacheSrc, baseRows, baseRows)
 			return st, nil
 		}
 		rowVar, _ := plan.RowVar(tp)
@@ -173,7 +187,7 @@ func (e *Engine) load(tp sparql.TriplePattern, idx int, sn int, plan *planner.Pl
 		if !known {
 			// Empty without computing masks or touching the cache.
 			st.mat = bitmat.NewMatrix(dict.NumSO(), dict.NumSO())
-			setLoadAttrs(sp, st, cacheSrc)
+			setLoadAttrs(sp, st, cacheSrc, 0, 0)
 			return st, nil
 		}
 		var rowMask, colMask *bitvec.Bits
@@ -185,13 +199,9 @@ func (e *Engine) load(tp sparql.TriplePattern, idx int, sn int, plan *planner.Pl
 		if rowVar != tp.S.Var {
 			orient, build = orientOS, func() *bitmat.Matrix { return bitmat.MatOS(e.idx, p, nil, nil) }
 		}
-		base, src := e.cachedPristine(patKey, orient, build)
-		cacheSrc = src
-		if base != nil {
-			st.mat = base
-			if rowMask != nil {
-				st.mat.UnfoldRows(rowMask)
-			}
+		st.mat, baseRows, cacheSrc = e.cachedPristine(patKey, orient, rowMask, build)
+		if st.mat != nil {
+			copied = st.mat.LiveRows()
 			if colMask != nil {
 				st.mat.UnfoldCols(colMask)
 			}
@@ -202,32 +212,32 @@ func (e *Engine) load(tp sparql.TriplePattern, idx int, sn int, plan *planner.Pl
 		}
 	case sVar && !pVar && !oVar:
 		// (?var :p :o): one row of the P-S BitMat of o (Section 5).
-		st.mat, cacheSrc = e.cachedOr(patKey, orientSO, func() *bitmat.Matrix {
+		st.mat, baseRows, cacheSrc = e.cachedOr(patKey, orientSO, func() *bitmat.Matrix {
 			return bitmat.RowPS(e.idx, p, o)
 		})
 		st.colVar = tp.S.Var
 	case !sVar && !pVar && oVar:
 		// (:s :p ?var): one row of the P-O BitMat of s.
-		st.mat, cacheSrc = e.cachedOr(patKey, orientSO, func() *bitmat.Matrix {
+		st.mat, baseRows, cacheSrc = e.cachedOr(patKey, orientSO, func() *bitmat.Matrix {
 			return bitmat.RowPO(e.idx, p, s)
 		})
 		st.colVar = tp.O.Var
 	case !sVar && pVar && oVar:
 		// (:s ?p ?o): the P-O BitMat of s; the predicate variable rides the
 		// row axis (never a join variable, enforced by the GoJ).
-		st.mat, cacheSrc = e.cachedOr(patKey, orientSO, func() *bitmat.Matrix {
+		st.mat, baseRows, cacheSrc = e.cachedOr(patKey, orientSO, func() *bitmat.Matrix {
 			return bitmat.MatPO(e.idx, s)
 		})
 		st.rowVar, st.colVar = tp.P.Var, tp.O.Var
 	case sVar && pVar && !oVar:
 		// (?s ?p :o): the P-S BitMat of o.
-		st.mat, cacheSrc = e.cachedOr(patKey, orientSO, func() *bitmat.Matrix {
+		st.mat, baseRows, cacheSrc = e.cachedOr(patKey, orientSO, func() *bitmat.Matrix {
 			return bitmat.MatPS(e.idx, o)
 		})
 		st.rowVar, st.colVar = tp.P.Var, tp.S.Var
 	case !sVar && pVar && !oVar:
 		// (:s ?p :o): the predicates linking s to o.
-		st.mat, cacheSrc = e.cachedOr(patKey, orientSO, func() *bitmat.Matrix {
+		st.mat, baseRows, cacheSrc = e.cachedOr(patKey, orientSO, func() *bitmat.Matrix {
 			return bitmat.RowP(e.idx, s, o)
 		})
 		st.colVar = tp.P.Var
@@ -236,16 +246,20 @@ func (e *Engine) load(tp sparql.TriplePattern, idx int, sn int, plan *planner.Pl
 	default:
 		return nil, fmt.Errorf("%w: %s", ErrThreeVarPattern, tp)
 	}
-	setLoadAttrs(sp, st, cacheSrc)
+	if copied < 0 {
+		copied = baseRows
+	}
+	setLoadAttrs(sp, st, cacheSrc, baseRows, copied)
 	return st, nil
 }
 
 // setLoadAttrs records a pattern load's cache outcome on its trace span:
-// whether the MatCache served it (or why it declined), the live rows of
-// the loaded BitMat and, for cache-served loads — which clone the shared
-// pristine matrix — the approximate bytes cloned. No-op (and no argument
-// evaluation) on a nil span.
-func setLoadAttrs(sp *trace.Span, st *tpState, src string) {
+// whether the MatCache served it (or why it declined) and the live rows
+// of the loaded BitMat. A cache-served load also records base_rows, the
+// live rows of the shared pristine matrix, and clone_bytes, the bytes of
+// the copied directory entries (copied of them): rows are shared, so a
+// masked clone copies only what its row mask keeps. No-op on a nil span.
+func setLoadAttrs(sp *trace.Span, st *tpState, src string, baseRows, copied int) {
 	if sp == nil {
 		return
 	}
@@ -255,9 +269,8 @@ func setLoadAttrs(sp *trace.Span, st *tpState, src string) {
 	}
 	switch src {
 	case string(outcomeHit), string(outcomeMiss):
-		if st.mat != nil {
-			sp.Set("clone_bytes", matCost(st.mat))
-		}
+		sp.Set("base_rows", baseRows)
+		sp.Set("clone_bytes", dirCost(copied))
 	}
 }
 
@@ -272,21 +285,28 @@ func (t *tpState) axisOf(v sparql.Var) (bitmat.Axis, bool) {
 	return 0, false
 }
 
-// foldVar projects the bindings of v out of the pattern's matrix.
+// foldVar projects the bindings of v out of the pattern's matrix. The
+// fold is memoized until the next unfoldVar; the caller must not modify
+// it.
 func (t *tpState) foldVar(v sparql.Var) (*bitvec.Bits, bool) {
 	axis, ok := t.axisOf(v)
 	if !ok || t.mat == nil {
 		return nil, false
 	}
-	return t.mat.Fold(axis), true
+	if t.folds[axis] == nil {
+		t.folds[axis] = t.mat.Fold(axis)
+	}
+	return t.folds[axis], true
 }
 
-// unfoldVar masks the bindings of v in the pattern's matrix. Axis
-// positions past the end of the mask are treated as 0.
+// unfoldVar masks the bindings of v in the pattern's matrix and drops the
+// memoized folds. Axis positions past the end of the mask are treated as
+// 0.
 func (t *tpState) unfoldVar(v sparql.Var, mask *bitvec.Bits) {
 	axis, ok := t.axisOf(v)
 	if !ok || t.mat == nil {
 		return
 	}
 	t.mat.Unfold(mask, axis)
+	t.folds = [2]*bitvec.Bits{}
 }

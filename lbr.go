@@ -91,10 +91,11 @@ type Options struct {
 	// whenever a mutation rebuilds the index. Queries clone cached
 	// matrices before pruning, so results are byte-identical with the
 	// cache on, off, or at any budget. Every load admits its pattern on
-	// first touch. The budget counts row payloads and directory slots but
-	// not the per-row bitvec.Row headers, so the heap a full cache holds
-	// is several times the budget (see CacheStats.BytesUsed). 0 selects
-	// the default (64 MiB); negative values disable the cache.
+	// first touch. The budget counts row payloads and directory slots
+	// (16 B per live row: its id, row pointer and set-bit count) but not
+	// the per-row bitvec.Row headers, so the heap a full cache holds is
+	// several times the budget (see CacheStats.BytesUsed). 0 selects the
+	// default (64 MiB); negative values disable the cache.
 	CacheBudget int64
 	// CompactThreshold, when positive, starts a background compaction as
 	// soon as the store's delta overlay accumulates that many entries
