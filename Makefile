@@ -145,16 +145,15 @@ examples:
 # fuzzers remain the net for what the grammar cannot express. Local deep
 # runs: go test ./internal/engine -run='^$' -fuzz=FuzzQueryDifferential
 # (or . -fuzz=FuzzUpdateDifferential). 30s gives the mutator room to reach
-# the expression-shaped inputs the filter seeds grow. FUZZMINIMIZETIME
+# the expression-shaped inputs the filter seeds grow. -fuzzminimizetime=1s
 # bounds the minimization of each new input: Go's default of 60s per
 # input can use up most of a 30s budget, as it did for FuzzMatrixOps,
 # which then ran at 0 execs/s for its last 13s.
 FUZZTIME ?= 30s
-FUZZMINIMIZETIME ?= 1s
 fuzz-smoke:
-	$(GO) test ./internal/engine -run='^$$' -fuzz=FuzzQueryDifferential -fuzztime=$(FUZZTIME) -fuzzminimizetime=$(FUZZMINIMIZETIME)
-	$(GO) test . -run='^$$' -fuzz=FuzzUpdateDifferential -fuzztime=$(FUZZTIME) -fuzzminimizetime=$(FUZZMINIMIZETIME)
-	$(GO) test ./internal/bitmat -run='^$$' -fuzz=FuzzMatrixOps -fuzztime=$(FUZZTIME) -fuzzminimizetime=$(FUZZMINIMIZETIME)
+	$(GO) test ./internal/engine -run='^$$' -fuzz=FuzzQueryDifferential -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s
+	$(GO) test . -run='^$$' -fuzz=FuzzUpdateDifferential -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s
+	$(GO) test ./internal/bitmat -run='^$$' -fuzz=FuzzMatrixOps -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s
 
 # loc prints the non-test Go line count outside the benchmark module and
 # the test-only differential kit (internal/difftest, held to test-only

@@ -222,16 +222,11 @@ func (m *Matrix) FoldRows() *bitvec.Bits {
 // UnfoldCols implements unfold(BM, mask, colDim): clears every column whose
 // mask bit is 0, by ANDing each compressed row with the mask. Rows left
 // empty leave the directory; a row the mask keeps whole stays as it is,
-// so only a partly masked row allocates. A mask with no set bit empties
-// the matrix without reading a row.
+// so only a partly masked row allocates.
 func (m *Matrix) UnfoldCols(mask *bitvec.Bits) {
 	w := 0
 	var count int64
-	rows := m.rows
-	if !mask.Any() {
-		rows = nil
-	}
-	for i, row := range rows {
+	for i, row := range m.rows {
 		c := m.counts[i]
 		kept := row.AndOrNil(mask)
 		if kept == nil {
@@ -260,7 +255,11 @@ func (m *Matrix) UnfoldRows(mask *bitvec.Bits) {
 // bits than 1/seekDensity of the live rows is walked bit by bit, each bit
 // galloping to its slot; a denser one is tested once per live row.
 // BenchmarkUnfoldRows and BenchmarkCloneRows sweep the mask density on
-// both paths.
+// both paths. Masked loads take both sides: on the benchmark's
+// selective-lookup workload 59 % of the masked clones seek (about 65 mask
+// bits over 5 100 live rows each), and there a scan-only build read 5 %
+// slower (19 of 20 alternating pairs over two seeds) and a seek-only one
+// 2 % slower (8 of 10 pairs), on a two-core box.
 const seekDensity = 16
 
 // selectRows appends to dst's directory, in ascending order, the live rows

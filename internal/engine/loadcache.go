@@ -3,6 +3,7 @@ package engine
 import (
 	"repro/internal/bitmat"
 	"repro/internal/bitvec"
+	"repro/internal/trace"
 )
 
 // Matrix orientations the MatCache distinguishes. Two branches whose plans
@@ -26,31 +27,41 @@ const (
 // branches run in order, and a later branch finds the entry an earlier
 // one admitted.
 //
-// The other returns are the shared matrix's live rows (0 when the cache
-// declines) and the cache outcome — a string constant attached to the
-// pattern's trace span, free when no tracer is attached.
-func (e *Engine) cachedPristine(patKey string, orient uint8, rowMask *bitvec.Bits, build func() *bitmat.Matrix) (*bitmat.Matrix, int, string) {
+// The second return names the cache outcome — a string constant attached
+// to the pattern's trace span. sp, when non-nil, is that span: a clone
+// records on it base_rows, the shared matrix's live rows, and
+// clone_bytes, the bytes of the directory entries it copied (rows are
+// shared, so a masked clone copies only what its mask keeps).
+func (e *Engine) cachedPristine(patKey string, orient uint8, rowMask *bitvec.Bits, build func() *bitmat.Matrix, sp *trace.Span) (*bitmat.Matrix, string) {
 	mat, outcome := e.mc.get(patKey, orient, build)
 	if mat == nil {
-		return nil, 0, string(outcome)
+		return nil, string(outcome)
 	}
+	var c *bitmat.Matrix
 	if rowMask != nil {
-		return mat.CloneRows(rowMask), mat.LiveRows(), string(outcome)
+		c = mat.CloneRows(rowMask)
+	} else {
+		c = mat.Clone()
 	}
-	return mat.Clone(), mat.LiveRows(), string(outcome)
+	if sp != nil {
+		sp.Set("base_rows", mat.LiveRows())
+		sp.Set("clone_bytes", dirCost(c.LiveRows()))
+	}
+	return c, string(outcome)
 }
 
 // cachedOr returns a private copy of the cached materialization of the
 // pattern — a clone, so the caller may prune it freely — or build()'s
 // result directly when the cache declines. Callers here have no load-time
-// masks: build() already is the final matrix. The other returns are the
-// cached matrix's live rows and the cache outcome, as for cachedPristine.
-func (e *Engine) cachedOr(patKey string, orient uint8, build func() *bitmat.Matrix) (*bitmat.Matrix, int, string) {
-	m, baseRows, src := e.cachedPristine(patKey, orient, nil, build)
+// masks: build() already is the final matrix. The second return is the
+// cache outcome for the pattern's trace span, and sp is that span, as for
+// cachedPristine.
+func (e *Engine) cachedOr(patKey string, orient uint8, build func() *bitmat.Matrix, sp *trace.Span) (*bitmat.Matrix, string) {
+	m, src := e.cachedPristine(patKey, orient, nil, build, sp)
 	if m != nil {
-		return m, baseRows, src
+		return m, src
 	}
 	// The cache declined; build directly. src carries the decline reason
 	// (uncached / stale-bypass), which is exactly what the span wants.
-	return build(), 0, src
+	return build(), src
 }

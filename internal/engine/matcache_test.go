@@ -376,10 +376,16 @@ func TestCachedPristineCloneIsolation(t *testing.T) {
 			if g%2 == 1 {
 				cloneMask = rowMask
 			}
-			m, baseRows, src := e.cachedPristine("pat", orientSO, cloneMask, build)
-			if m == nil || baseRows != snapshot.LiveRows() {
-				t.Errorf("goroutine %d: cache declined (%s) or base rows %d", g, src, baseRows)
+			sp := trace.New("load").Root()
+			m, src := e.cachedPristine("pat", orientSO, cloneMask, build, sp)
+			if m == nil {
+				t.Errorf("goroutine %d: cache declined (%s)", g, src)
 				return
+			}
+			base, _ := sp.Attr("base_rows")
+			cloned, _ := sp.Attr("clone_bytes")
+			if base != snapshot.LiveRows() || cloned != dirCost(m.LiveRows()) {
+				t.Errorf("goroutine %d: base_rows = %v, clone_bytes = %v for %d cloned rows", g, base, cloned, m.LiveRows())
 			}
 			if cloneMask == nil {
 				m.UnfoldRows(rowMask)

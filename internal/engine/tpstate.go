@@ -135,9 +135,9 @@ func (e *Engine) loadMask(v sparql.Var, idx int, loaded []*tpState, plan *planne
 // columns of that clone in place.
 //
 // sp, when non-nil, is this pattern's load span: the cache outcome and
-// (for cache-served loads) the cached matrix's live rows and the bytes
-// cloned from it are recorded on it (setLoadAttrs). A nil sp costs only
-// the final nil check.
+// (for cache-served loads, by cachedPristine) the cached matrix's live
+// rows and the bytes cloned from it are recorded on it. A nil sp costs
+// only nil checks.
 func (e *Engine) load(tp sparql.TriplePattern, idx int, sn int, plan *planner.Plan, loaded []*tpState, sp *trace.Span) (*tpState, error) {
 	st := &tpState{idx: idx, pat: tp, sn: sn}
 	dict := e.dict
@@ -147,9 +147,6 @@ func (e *Engine) load(tp sparql.TriplePattern, idx int, sn int, plan *planner.Pl
 		patKey = tp.String()
 	}
 	cacheSrc := "none"
-	// Cache-served loads: the shared matrix's live rows and the directory
-	// entries cloned from it; copied stays -1 for a whole-matrix clone.
-	baseRows, copied := 0, -1
 
 	// Resolve fixed positions. An unknown term resolves to ID 0, for which
 	// every loader returns an empty matrix: the pattern matches nothing.
@@ -162,7 +159,7 @@ func (e *Engine) load(tp sparql.TriplePattern, idx int, sn int, plan *planner.Pl
 			// Self join (?x :p ?x): the diagonal of the S-O BitMat,
 			// reduced to a single row over the S/O space.
 			st.colVar = tp.S.Var
-			st.mat, baseRows, cacheSrc = e.cachedOr(patKey, orientSO, func() *bitmat.Matrix {
+			st.mat, cacheSrc = e.cachedOr(patKey, orientSO, func() *bitmat.Matrix {
 				diag := bitmat.NewMatrix(1, dict.NumSO())
 				var pos []uint32
 				bitmat.MatSO(e.idx, p, nil, nil).ForEachRow(func(r int, row *bitvec.Row) bool {
@@ -175,8 +172,8 @@ func (e *Engine) load(tp sparql.TriplePattern, idx int, sn int, plan *planner.Pl
 					diag.SetRow(0, bitvec.RowFromSortedPositions(dict.NumSO(), pos))
 				}
 				return diag
-			})
-			setLoadAttrs(sp, st, cacheSrc, baseRows, baseRows)
+			}, sp)
+			setLoadAttrs(sp, st, cacheSrc)
 			return st, nil
 		}
 		rowVar, _ := plan.RowVar(tp)
@@ -187,7 +184,7 @@ func (e *Engine) load(tp sparql.TriplePattern, idx int, sn int, plan *planner.Pl
 		if !known {
 			// Empty without computing masks or touching the cache.
 			st.mat = bitmat.NewMatrix(dict.NumSO(), dict.NumSO())
-			setLoadAttrs(sp, st, cacheSrc, 0, 0)
+			setLoadAttrs(sp, st, cacheSrc)
 			return st, nil
 		}
 		var rowMask, colMask *bitvec.Bits
@@ -199,9 +196,8 @@ func (e *Engine) load(tp sparql.TriplePattern, idx int, sn int, plan *planner.Pl
 		if rowVar != tp.S.Var {
 			orient, build = orientOS, func() *bitmat.Matrix { return bitmat.MatOS(e.idx, p, nil, nil) }
 		}
-		st.mat, baseRows, cacheSrc = e.cachedPristine(patKey, orient, rowMask, build)
+		st.mat, cacheSrc = e.cachedPristine(patKey, orient, rowMask, build, sp)
 		if st.mat != nil {
-			copied = st.mat.LiveRows()
 			if colMask != nil {
 				st.mat.UnfoldCols(colMask)
 			}
@@ -212,65 +208,54 @@ func (e *Engine) load(tp sparql.TriplePattern, idx int, sn int, plan *planner.Pl
 		}
 	case sVar && !pVar && !oVar:
 		// (?var :p :o): one row of the P-S BitMat of o (Section 5).
-		st.mat, baseRows, cacheSrc = e.cachedOr(patKey, orientSO, func() *bitmat.Matrix {
+		st.mat, cacheSrc = e.cachedOr(patKey, orientSO, func() *bitmat.Matrix {
 			return bitmat.RowPS(e.idx, p, o)
-		})
+		}, sp)
 		st.colVar = tp.S.Var
 	case !sVar && !pVar && oVar:
 		// (:s :p ?var): one row of the P-O BitMat of s.
-		st.mat, baseRows, cacheSrc = e.cachedOr(patKey, orientSO, func() *bitmat.Matrix {
+		st.mat, cacheSrc = e.cachedOr(patKey, orientSO, func() *bitmat.Matrix {
 			return bitmat.RowPO(e.idx, p, s)
-		})
+		}, sp)
 		st.colVar = tp.O.Var
 	case !sVar && pVar && oVar:
 		// (:s ?p ?o): the P-O BitMat of s; the predicate variable rides the
 		// row axis (never a join variable, enforced by the GoJ).
-		st.mat, baseRows, cacheSrc = e.cachedOr(patKey, orientSO, func() *bitmat.Matrix {
+		st.mat, cacheSrc = e.cachedOr(patKey, orientSO, func() *bitmat.Matrix {
 			return bitmat.MatPO(e.idx, s)
-		})
+		}, sp)
 		st.rowVar, st.colVar = tp.P.Var, tp.O.Var
 	case sVar && pVar && !oVar:
 		// (?s ?p :o): the P-S BitMat of o.
-		st.mat, baseRows, cacheSrc = e.cachedOr(patKey, orientSO, func() *bitmat.Matrix {
+		st.mat, cacheSrc = e.cachedOr(patKey, orientSO, func() *bitmat.Matrix {
 			return bitmat.MatPS(e.idx, o)
-		})
+		}, sp)
 		st.rowVar, st.colVar = tp.P.Var, tp.S.Var
 	case !sVar && pVar && !oVar:
 		// (:s ?p :o): the predicates linking s to o.
-		st.mat, baseRows, cacheSrc = e.cachedOr(patKey, orientSO, func() *bitmat.Matrix {
+		st.mat, cacheSrc = e.cachedOr(patKey, orientSO, func() *bitmat.Matrix {
 			return bitmat.RowP(e.idx, s, o)
-		})
+		}, sp)
 		st.colVar = tp.P.Var
 	case !sVar && !pVar && !oVar:
 		st.present = e.idx.Contains(s, p, o)
 	default:
 		return nil, fmt.Errorf("%w: %s", ErrThreeVarPattern, tp)
 	}
-	if copied < 0 {
-		copied = baseRows
-	}
-	setLoadAttrs(sp, st, cacheSrc, baseRows, copied)
+	setLoadAttrs(sp, st, cacheSrc)
 	return st, nil
 }
 
 // setLoadAttrs records a pattern load's cache outcome on its trace span:
 // whether the MatCache served it (or why it declined) and the live rows
-// of the loaded BitMat. A cache-served load also records base_rows, the
-// live rows of the shared pristine matrix, and clone_bytes, the bytes of
-// the copied directory entries (copied of them): rows are shared, so a
-// masked clone copies only what its row mask keeps. No-op on a nil span.
-func setLoadAttrs(sp *trace.Span, st *tpState, src string, baseRows, copied int) {
+// of the loaded BitMat. No-op (and no argument evaluation) on a nil span.
+func setLoadAttrs(sp *trace.Span, st *tpState, src string) {
 	if sp == nil {
 		return
 	}
 	sp.Set("cache", src)
 	if st.mat != nil {
 		sp.Set("live_rows", st.mat.LiveRows())
-	}
-	switch src {
-	case string(outcomeHit), string(outcomeMiss):
-		sp.Set("base_rows", baseRows)
-		sp.Set("clone_bytes", dirCost(copied))
 	}
 }
 
