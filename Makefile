@@ -58,12 +58,14 @@ test-cache:
 # equivalence to AddAll-then-Build, its races with Add/Query/Build, and
 # the golden snapshot digest), and the lock-free read path (every read
 # returns while a writer holds the store lock, read-your-writes, and the
-# snapshot span describing the snapshot a query ran on). The full `make`
-# covers all of these too; this target is the fast loop while working on
-# writes.
+# snapshot span describing the snapshot a query ran on), and a result's
+# lifetime (a Result first read after an update and a compaction still
+# resolves to its own snapshot's rows, and concurrent readers of one
+# Result resolve it once, race-free). The full `make` covers all of these
+# too; this target is the fast loop while working on writes.
 test-update:
 	$(GO) test -race -count=1 \
-		-run 'TestApplyUpdate|TestUpdate|TestSecondRoleJoin|TestAutoCompact|TestWAL|TestOverlay|TestExtend|TestParseUpdate|TestETag|TestMetricsSnapshotGeneration|TestStoreMutation|TestLoadNTriples|TestSaveIndexGoldenDigest|TestReadsDoNotWaitForWriter|TestSnapshotSpanMatchesQueryView' \
+		-run 'TestApplyUpdate|TestUpdate|TestSecondRoleJoin|TestAutoCompact|TestWAL|TestOverlay|TestExtend|TestParseUpdate|TestETag|TestMetricsSnapshotGeneration|TestStoreMutation|TestLoadNTriples|TestSaveIndexGoldenDigest|TestReadsDoNotWaitForWriter|TestSnapshotSpanMatchesQueryView|TestResultLifetime' \
 		./internal/rdf ./internal/bitmat ./internal/sparql ./internal/server .
 
 # test-trace runs the observability test surface under -race: every test
@@ -102,12 +104,16 @@ test-filter:
 # no-leak pins (synthetic witness columns must never surface in results,
 # streams, or EXPLAIN), the random union worker sweep, and the in-order
 # branch loop: its per-branch cancellation and the sharing of a recurring
-# pattern across branches through the MatCache (TestUnionBranch*). The
-# full `make` covers all of these too; this target is the fast loop while
-# working on the rule-3 rewrite, the collapse passes or the branch loop.
+# pattern across branches through the MatCache (TestUnionBranch*), and
+# the route-agreement probes (TestRouteAgreement), among them a variable
+# one UNION arm binds in a predicate position and the other in a subject
+# or object one, under DISTINCT and best-match: one IRI must be one cell.
+# The full `make` covers all of these too; this target is the fast loop
+# while working on the rule-3 rewrite, the collapse passes or the branch
+# loop.
 test-union:
 	$(GO) test -race -count=1 \
-		-run 'TestBestMatch|TestDedupNull|TestWitnesslessUnion|TestDifferentialWitnesslessUnionRegressions|TestDifferentialUnionWorkerSweep|TestUnionBranch' \
+		-run 'TestBestMatch|TestDedupNull|TestWitnesslessUnion|TestDifferentialWitnesslessUnionRegressions|TestDifferentialUnionWorkerSweep|TestUnionBranch|TestRouteAgreement' \
 		./internal/engine ./internal/algebra .
 
 # test-benchmark vets and tests the benchmark module (benchmark/, its own

@@ -225,6 +225,11 @@ func TestUpdateFuzzRegressions(t *testing.T) {
 		// The empty IRI <> as subject and predicate: a stored term that
 		// renders like an unbound cell, so both key sides must agree on it.
 		"empty IRI": "INSERT DATA { <><> <0> }",
+		// <> as subject and object of <p1>: the DELETE WHERE the harness
+		// runs after reopening binds both variables to <>, which equals the
+		// zero Term and so counts as unbound on both sides; its template
+		// instance is skipped, not deleted.
+		"empty IRI as subject and object": "INSERT DATA { <> <p1> <> }",
 		// A mutation path through the three-variable full-scan expansion.
 		"mutate then full scan": "INSERT DATA { <e3> <p2> <e8> }\nDELETE { ?s ?p ?o } INSERT { ?o ?p ?s } WHERE { ?s ?p ?o . ?s <p0> ?x }",
 	}

@@ -106,7 +106,7 @@ func checkWorkersMatchSequential(t *testing.T, ds *Dataset, specs []QuerySpec, m
 		if err != nil {
 			t.Fatalf("%s workers=1: %v", spec.ID, err)
 		}
-		want := difftest.Exact(res.Rows)
+		want := difftest.Exact(res.Terms())
 		if multiBranch {
 			// The ?s ?p ?o expansion counts one branch per predicate.
 			if n := len(root.FindAll("branch")); n < 2 {
@@ -121,7 +121,7 @@ func checkWorkersMatchSequential(t *testing.T, ds *Dataset, specs []QuerySpec, m
 			if err != nil {
 				t.Fatalf("%s workers=%d: %v", spec.ID, workers, err)
 			}
-			if d := difftest.Verdict(difftest.Exact(got.Rows), want); d != "" {
+			if d := difftest.Verdict(difftest.Exact(got.Terms()), want); d != "" {
 				t.Errorf("%s workers=%d: rows differ from workers=1: %s", spec.ID, workers, d)
 			}
 		}

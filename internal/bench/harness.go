@@ -114,7 +114,7 @@ func RunQuery(ds *Dataset, spec QuerySpec, opts RunOptions) (Measurement, error)
 			m.NullResults = res.Stats.NullResults
 			m.BestMatch = res.Stats.BestMatch
 			if opts.Verify {
-				lbrRows = canonicalEngineRows(res.Rows, res.Vars)
+				lbrRows = canonicalRows(res.Terms(), res.Vars)
 			}
 			continue
 		}
@@ -210,15 +210,6 @@ func canonicalRows(rows [][]rdf.Term, vars []sparql.Var) []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// canonicalEngineRows adapts engine rows ([]engine.Row) to canonicalRows.
-func canonicalEngineRows(rows []engine.Row, vars []sparql.Var) []string {
-	conv := make([][]rdf.Term, len(rows))
-	for i, r := range rows {
-		conv[i] = []rdf.Term(r)
-	}
-	return canonicalRows(conv, vars)
 }
 
 func equalStrings(a, b []string) bool {

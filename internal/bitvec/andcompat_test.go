@@ -75,3 +75,35 @@ func TestAndCompatWordBoundaries(t *testing.T) {
 		}
 	}
 }
+
+// andCountSink keeps AndCount's result live in the allocation check.
+var andCountSink int
+
+// TestAndCountAgainstAndCompat checks AndCount against the population of
+// an AndCompat, both ways round, for vectors of different lengths that
+// store windows on and off word boundaries (empty ones included), and
+// that it allocates nothing.
+func TestAndCountAgainstAndCompat(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	window := func(n int) *Bits {
+		lo := rng.Intn(n + 1)
+		hi := lo + rng.Intn(n-lo+1)
+		b, _ := spanBits(rng, n, lo, hi, rng.Float64())
+		return b
+	}
+	for trial := 0; trial < 300; trial++ {
+		a, b := window(1+rng.Intn(300)), window(1+rng.Intn(300))
+		want := a.Clone()
+		want.AndCompat(b)
+		if got := a.AndCount(b); got != want.Count() {
+			t.Fatalf("trial %d: %v AndCount %v = %d, want %d", trial, a, b, got, want.Count())
+		}
+		if got := b.AndCount(a); got != want.Count() {
+			t.Fatalf("trial %d: %v AndCount %v = %d, want %d", trial, b, a, got, want.Count())
+		}
+	}
+	a, b := randomBits(rng, 1000, 0.5), randomBits(rng, 700, 0.5)
+	if n := testing.AllocsPerRun(10, func() { andCountSink += a.AndCount(b) }); n != 0 {
+		t.Errorf("AndCount allocates %v times, want 0", n)
+	}
+}

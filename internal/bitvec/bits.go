@@ -144,6 +144,18 @@ func (b *Bits) Count() int {
 	return c
 }
 
+// AndCount returns the number of bits set in both b and other, treating
+// bits outside either's stored window as 0, without allocating: the
+// population of b AND other, for vectors of any lengths.
+func (b *Bits) AndCount(other *Bits) int {
+	lo, hi := max(b.off, other.off), min(b.end(), other.end())
+	c := 0
+	for gi := lo; gi < hi; gi++ {
+		c += bits.OnesCount64(b.words[gi-b.off] & other.words[gi-other.off])
+	}
+	return c
+}
+
 // Any reports whether at least one bit is set.
 func (b *Bits) Any() bool {
 	for _, w := range b.words {

@@ -1,43 +1,10 @@
 package engine
 
 import (
+	"encoding/binary"
 	"sort"
 	"strings"
-
-	"repro/internal/rdf"
 )
-
-// Row is one query result: terms aligned with the result's variable list.
-// A zero Term is a NULL (the variable is unbound in this row).
-type Row []rdf.Term
-
-// IsNull reports whether column i of the row is NULL.
-func (r Row) IsNull(i int) bool { return r[i].IsZero() }
-
-// NullCount returns the number of NULL columns.
-func (r Row) NullCount() int {
-	n := 0
-	for i := range r {
-		if r.IsNull(i) {
-			n++
-		}
-	}
-	return n
-}
-
-// key renders the row as a map key.
-func (r Row) key() string {
-	out := make([]byte, 0, len(r)*8)
-	for _, t := range r {
-		if t.IsZero() {
-			out = append(out, 0)
-		} else {
-			out = append(out, t.Key()...)
-		}
-		out = append(out, 1)
-	}
-	return string(out)
-}
 
 // subsumes reports r2 < r1 in the paper's ordering: every non-null binding
 // of r2 appears identically in r1, and r1 has strictly more non-null
@@ -211,11 +178,10 @@ func bestMatchDead(rows []Row, failedCols [][]int) []bool {
 	}
 	// Projection of a row onto the non-null columns of mask m.
 	projKey := func(r Row, m string) string {
-		out := make([]byte, 0, len(r)*8)
+		out := make([]byte, 0, len(r)*4)
 		for i := 0; i < width; i++ {
 			if m[i] == '0' {
-				out = append(out, r[i].Key()...)
-				out = append(out, 1)
+				out = binary.LittleEndian.AppendUint32(out, r[i])
 			}
 		}
 		return string(out)
@@ -354,16 +320,17 @@ func allNull(r Row, cols []int) bool {
 // distinct master contexts can never produce identical rows (triples are
 // unique), so content-keyed collapsing is exact.
 func dedupNullified(rows []Row, changed []bool) ([]Row, []bool) {
-	seen := map[string]bool{}
+	seen := map[string]struct{}{}
+	var buf []byte
 	outRows := rows[:0]
 	outChanged := changed[:0]
 	for i, r := range rows {
 		if changed[i] {
-			k := r.key()
-			if seen[k] {
+			buf = r.appendKey(buf[:0])
+			if _, dup := seen[string(buf)]; dup {
 				continue
 			}
-			seen[k] = true
+			seen[string(buf)] = struct{}{}
 		}
 		outRows = append(outRows, r)
 		outChanged = append(outChanged, changed[i])

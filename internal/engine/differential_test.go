@@ -23,10 +23,10 @@ func diffRun(t *testing.T, e *Engine, q *sparql.Query, want []string, vars []spa
 	if err != nil {
 		t.Fatalf("%s: %v", label, err)
 	}
-	if v := difftest.Verdict(difftest.Keys(res.Vars, res.Rows, vars), want); v != "" {
+	if v := difftest.Verdict(difftest.Keys(res.Vars, res.Terms(), vars), want); v != "" {
 		t.Fatalf("%s: engine vs reference: %s", label, v)
 	}
-	exact := difftest.Exact(res.Rows)
+	exact := difftest.Exact(res.Terms())
 	checkStreamed(t, e, q, exact, label)
 	return res, exact
 }
@@ -37,9 +37,15 @@ func diffRun(t *testing.T, e *Engine, q *sparql.Query, want []string, vars []spa
 // collected routes are compared wherever the reference judges the engine.
 func checkStreamed(t *testing.T, e *Engine, q *sparql.Query, want []string, label string) {
 	t.Helper()
-	var rows []Row
-	err := e.ExecuteStream(context.Background(), q, nil, func(_ []sparql.Var, row Row) bool {
-		rows = append(rows, row)
+	// A streamed row is valid only during the call, so each is resolved
+	// into a copy of its own.
+	var cells *Cells
+	var rows [][]rdf.Term
+	err := e.ExecuteStream(context.Background(), q, func(_ []sparql.Var, c *Cells) bool {
+		cells = c
+		return true
+	}, func(_ []sparql.Var, row Row) bool {
+		rows = append(rows, cells.Resolve(row, make([]rdf.Term, len(row))))
 		return true
 	}, nil, nil)
 	if err != nil {
@@ -324,11 +330,11 @@ func TestDifferentialCyclicQueries(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got := slices.Compact(difftest.Keys(res.Vars, res.Rows, vars))
+			got := slices.Compact(difftest.Keys(res.Vars, res.Terms(), vars))
 			if v := difftest.Verdict(got, slices.Compact(want)); v != "" {
 				t.Fatalf("trial %d cyclic mismatch on %s: %s", trial, src, v)
 			}
-			checkStreamed(t, e, q, difftest.Exact(res.Rows), fmt.Sprintf("trial %d on %q", trial, src))
+			checkStreamed(t, e, q, difftest.Exact(res.Terms()), fmt.Sprintf("trial %d on %q", trial, src))
 		}
 	}
 }

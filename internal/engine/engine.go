@@ -9,6 +9,7 @@ package engine
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -53,6 +54,8 @@ type Engine struct {
 	// cross-query materialization cache; nil when the engine stands alone
 	// (benchmark harnesses, tests) or caching is disabled.
 	mc *MatCacheView
+	// cells holds the snapshot's ID→cell tables (see Cells).
+	cells cellTables
 }
 
 // New returns an engine over idx.
@@ -86,10 +89,12 @@ type Stats struct {
 	EmptyShortcut  bool // the init-time empty-master optimization fired
 }
 
-// Result is the output of a query execution.
+// Result is the output of a query execution: rows of cells, and the
+// resolver of those cells to terms.
 type Result struct {
 	Vars  []sparql.Var
 	Rows  []Row
+	Cells *Cells
 	Stats Stats
 }
 
@@ -147,15 +152,17 @@ func (e *Engine) AskContext(ctx context.Context, q *sparql.Query, sp *trace.Span
 // Every other query is collected, merged, passed through the solution
 // modifiers, and replayed to fn.
 //
-// header, when non-nil, receives the result columns before any row;
-// returning false ends the call without executing and without error (the
-// streaming analogue of LIMIT 0). fn returning false stops the
-// enumeration. A done ctx stops the execution in any phase and returns
-// ctx.Err(). st, when non-nil, receives the execution's Stats: Results
-// and NullResults count the rows delivered to fn, and the Join stage of a
-// streamed branch includes fn's own time. sp, when non-nil, receives the
-// span tree exactly as Execute records it.
-func (e *Engine) ExecuteStream(ctx context.Context, q *sparql.Query, header func(vars []sparql.Var) bool, fn func(vars []sparql.Var, row Row) bool, st *Stats, sp *trace.Span) error {
+// header, when non-nil, receives the result columns and the resolver of
+// every row's cells before any row; returning false ends the call without
+// executing and without error (the streaming analogue of LIMIT 0). A row
+// handed to fn is valid only during the call: the stream sink reuses it.
+// fn returning false stops the enumeration. A done ctx stops the
+// execution in any phase and returns ctx.Err(). st, when non-nil,
+// receives the execution's Stats: Results and NullResults count the rows
+// delivered to fn, and the Join stage of a streamed branch includes fn's
+// own time. sp, when non-nil, receives the span tree exactly as Execute
+// records it.
+func (e *Engine) ExecuteStream(ctx context.Context, q *sparql.Query, header func(vars []sparql.Var, cells *Cells) bool, fn func(vars []sparql.Var, row Row) bool, st *Stats, sp *trace.Span) error {
 	p, err := e.prepare(q)
 	if err != nil {
 		return err
@@ -164,7 +171,7 @@ func (e *Engine) ExecuteStream(ctx context.Context, q *sparql.Query, header func
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		if !header(p.resultVars()) {
+		if !header(p.resultVars(), p.cells) {
 			return nil
 		}
 	}
@@ -204,6 +211,10 @@ type prepared struct {
 	// variable keeps its column (its binding is re-injected per row).
 	vars  []sparql.Var
 	execs []execBranch
+	// cells resolves the query's rows; witness is the cell of a synthetic
+	// witness column that binds (0 when no branch has one).
+	cells   *Cells
+	witness uint32
 	// streamable marks the shapes whose rows may go straight to the
 	// caller; ExecuteStream states the rule.
 	streamable bool
@@ -233,6 +244,21 @@ func (e *Engine) prepare(q *sparql.Query) (*prepared, error) {
 	// everything below sees only patterns the BitMat layout supports.
 	if p.execs, err = e.expandFullScans(branches); err != nil {
 		return nil, err
+	}
+	// Every constant a row can hold gets its cell here, so the resolver is
+	// complete before any row exists.
+	p.cells = e.newCells()
+	for i := range p.execs {
+		eb := &p.execs[i]
+		eb.substCells = make([]uint32, len(eb.b.Substs))
+		for k, cs := range eb.b.Substs {
+			if cs.From == "" {
+				eb.substCells[k] = p.cells.cell(cs.Term)
+			}
+		}
+		if len(eb.b.SynthWitnesses) > 0 && p.witness == 0 {
+			p.witness = p.cells.cell(witnessMatched)
+		}
 	}
 	p.streamable = len(branches) == 1 && q.SelectAll() && !q.Distinct && len(q.OrderBy) == 0
 	for _, eb := range p.execs {
@@ -334,7 +360,7 @@ func (e *Engine) stream(ctx context.Context, p *prepared, fn func([]sparql.Var, 
 		return true
 	}
 	for i, eb := range p.execs {
-		br, err := e.executeBranch(ctx, i, eb, p.vars, deliver, sp)
+		br, err := e.executeBranch(ctx, i, eb, p, p.vars, deliver, sp)
 		if err != nil {
 			return err
 		}
@@ -359,7 +385,7 @@ func (e *Engine) stream(ctx context.Context, p *prepared, fn func([]sparql.Var, 
 // modifiers.
 func (e *Engine) collect(ctx context.Context, p *prepared, sp *trace.Span) (*Result, error) {
 	vars, execs := p.vars, p.execs
-	res := &Result{Vars: vars}
+	res := &Result{Vars: vars, Cells: p.cells}
 	if sp != nil {
 		// vars is the public column set; synthetic witness columns (below)
 		// are an internal detail and never count here.
@@ -392,7 +418,7 @@ func (e *Engine) collect(ctx context.Context, p *prepared, sp *trace.Span) (*Res
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		br, err := e.executeBranch(ctx, i, execs[i], allVars, nil, sp)
+		br, err := e.executeBranch(ctx, i, execs[i], p, allVars, nil, sp)
 		if err != nil {
 			return nil, err
 		}
@@ -521,7 +547,7 @@ func (res *Result) applyModifiers(q *sparql.Query) {
 	res.Stats.Results = len(res.Rows)
 	res.Stats.NullResults = 0
 	for _, r := range res.Rows {
-		if r.NullCount() > 0 {
+		if slices.Contains(r, 0) {
 			res.Stats.NullResults++
 		}
 	}
@@ -529,7 +555,8 @@ func (res *Result) applyModifiers(q *sparql.Query) {
 
 // orderBy sorts the rows by the given keys: numeric literals compare
 // numerically, everything else by its N-Triples rendering; NULLs sort
-// first (as unbound does in SPARQL).
+// first (as unbound does in SPARQL). Equal cells are equal terms, so only
+// a key whose cells differ is resolved.
 func (res *Result) orderBy(keys []sparql.OrderKey) {
 	cols := make([]int, 0, len(keys))
 	desc := make([]bool, 0, len(keys))
@@ -545,7 +572,11 @@ func (res *Result) orderBy(keys []sparql.OrderKey) {
 	}
 	sort.SliceStable(res.Rows, func(a, b int) bool {
 		for i, c := range cols {
-			cmp := compareForOrder(res.Rows[a][c], res.Rows[b][c])
+			x, y := res.Rows[a][c], res.Rows[b][c]
+			if x == y {
+				continue
+			}
+			cmp := compareForOrder(res.Cells.Term(x), res.Cells.Term(y))
 			if cmp == 0 {
 				continue
 			}
@@ -645,13 +676,18 @@ func (e *Engine) planBranch(b *algebra.Branch) (*planner.Plan, []int64, error) {
 // sink has one chunk whose rows go to fn; the collect sink fills one
 // chunk per root partition, and the chunks concatenate — in partition
 // order — to exactly the sequential output.
+//
+// A collected row is the next w cells of the chunk's current block. The
+// chunk keeps only the blocks, and the branch cuts them into rows once,
+// into a slice sized to the row count, so no per-row slice grows.
 type joinChunk struct {
-	fn           func(Row) bool // stream sink; nil collects into rows
-	rows         []Row
-	changed      []bool     // per collected row: a binding was cleared; only when tracked
-	slab         []rdf.Term // unclaimed tail of the current row block
-	slabRows     int        // rows in the last block allocated
-	kept         int        // rows that survived the row filters
+	fn           func(Row) bool // stream sink; nil collects into blocks
+	blocks       [][]uint32     // the claimed cells of every block but the current one
+	block        []uint32       // the current block
+	changed      []bool         // per collected row: a binding was cleared; only when tracked
+	slab         []uint32       // unclaimed tail of the current block
+	slabRows     int            // rows in the last block allocated
+	kept         int            // rows that survived the row filters
 	fanNullified bool
 	filterIn     int // rows that reached the filter stage
 	fanNulls     int // rows whose scope a slave filter nullified
@@ -671,18 +707,38 @@ const (
 // check serves width 0: its rows take no room but must not be nil.)
 func (c *joinChunk) nextRow(w int) Row {
 	if c.slab == nil || len(c.slab) < w {
+		if c.block != nil {
+			c.blocks = append(c.blocks, c.block[:len(c.block)-len(c.slab)])
+		}
 		c.slabRows = min(max(2*c.slabRows, slabMinRows), slabMaxRows)
-		c.slab = make([]rdf.Term, c.slabRows*w)
+		c.block = make([]uint32, c.slabRows*w)
+		c.slab = c.block
 	}
 	row := Row(c.slab[:w:w])
 	clear(row)
 	return row
 }
 
-// claimRow takes the slot nextRow returned: the row keeps its terms for
+// claimRow takes the slot nextRow returned: the row keeps its cells for
 // good, and the next row is carved from the rest of the block.
 func (c *joinChunk) claimRow(w int) {
 	c.slab = c.slab[w:]
+}
+
+// appendRows appends the chunk's collected rows, of width w, to rows.
+func (c *joinChunk) appendRows(rows []Row, w int) []Row {
+	if w == 0 {
+		for range c.kept {
+			rows = append(rows, Row{})
+		}
+		return rows
+	}
+	for _, b := range append(c.blocks, c.block[:len(c.block)-len(c.slab)]) {
+		for ; len(b) > 0; b = b[w:] {
+			rows = append(rows, Row(b[:w:w]))
+		}
+	}
+	return rows
 }
 
 // executeBranch runs one union-free branch (Algorithm 5.1): plan, init
@@ -693,13 +749,13 @@ func (c *joinChunk) claimRow(w int) {
 // nullification/best-match, or a slave filter may nullify (FaN) — the
 // join collects: the partitioned join fills Rows, deduplicated and
 // best-matched when a binding was cleared, for the caller to merge or
-// replay.
+// replay. The stream sink hands fn one reused row, valid during the call.
 //
 // The branch's partitioned join uses the whole worker pool
 // (e.workers()). qsp, when non-nil, is the query's trace span: the
 // branch records itself in a "branch" child numbered branch, with the
 // plan, init, prune, join and filter stages under that.
-func (e *Engine) executeBranch(ctx context.Context, branch int, eb execBranch, vars []sparql.Var, fn func(Row) bool, qsp *trace.Span) (*Result, error) {
+func (e *Engine) executeBranch(ctx context.Context, branch int, eb execBranch, p *prepared, vars []sparql.Var, fn func(Row) bool, qsp *trace.Span) (*Result, error) {
 	var sp *trace.Span
 	if qsp != nil {
 		sp = qsp.Child("branch")
@@ -826,7 +882,8 @@ func (e *Engine) executeBranch(ctx context.Context, branch int, eb execBranch, v
 	}
 	forcedSlots := resolveForced(eb, stps, varIdx)
 	witnessSlots := resolveWitnesses(eb, stps, varIdx)
-	substSlots := resolveSubsts(eb.b.Substs, varIdx)
+	substSlots := resolveSubsts(eb, varIdx)
+	cells := p.cells
 	makeEmit := func(out *joinChunk) func(*joinRun) bool {
 		return func(r *joinRun) bool {
 			// Cancellation check, amortized over emitted rows.
@@ -836,7 +893,11 @@ func (e *Engine) executeBranch(ctx context.Context, branch int, eb execBranch, v
 			row := out.nextRow(len(vars))
 			for v, id := range r.bindings {
 				if r.state[v] == stBound {
-					row[v] = r.terms[v][id-1]
+					if m := r.cellOf[v]; m != nil {
+						row[v] = m[id]
+					} else {
+						row[v] = uint32(id)
+					}
 				}
 			}
 			rowChanged := false
@@ -846,7 +907,7 @@ func (e *Engine) executeBranch(ctx context.Context, branch int, eb execBranch, v
 				if failed = r.nullification(); failed != nil {
 					for v, sn := range r.ownerSN {
 						if sn >= 0 && failed[sn] {
-							row[v] = rdf.Term{}
+							row[v] = 0
 						}
 					}
 					rowChanged = true
@@ -857,7 +918,7 @@ func (e *Engine) executeBranch(ctx context.Context, branch int, eb execBranch, v
 			// and the pattern's supernode survived nullification.
 			for _, fs := range forcedSlots {
 				if r.matched[fs.pos] == 1 && !failed[fs.sn] {
-					row[fs.col] = fs.term
+					row[fs.col] = fs.cell
 				}
 			}
 			// Synthetic witnesses of rule-3 alternatives whose own variables
@@ -874,7 +935,7 @@ func (e *Engine) executeBranch(ctx context.Context, branch int, eb execBranch, v
 					}
 				}
 				if ok {
-					row[ws.col] = witnessMatched
+					row[ws.col] = p.witness
 				}
 			}
 			// FaN: scoped slave filters nullify their supernodes' bindings on
@@ -883,21 +944,21 @@ func (e *Engine) executeBranch(ctx context.Context, branch int, eb execBranch, v
 				out.filterIn++
 			}
 			for _, sf := range slaveFilters {
-				if !filterHolds(sf.Expr, row, varIdx) {
+				if !filterHolds(sf.Expr, row, varIdx, cells) {
 					failedSNs, changed := e.nullifyScope(row, r, sf.SNs)
 					for _, fs := range forcedSlots {
-						if failedSNs[fs.sn] && !row[fs.col].IsZero() {
-							row[fs.col] = rdf.Term{}
+						if failedSNs[fs.sn] && row[fs.col] != 0 {
+							row[fs.col] = 0
 							changed = true
 						}
 					}
 					for _, ws := range witnessSlots {
-						if row[ws.col].IsZero() {
+						if row[ws.col] == 0 {
 							continue
 						}
 						for _, sn := range ws.sns {
 							if failedSNs[sn] {
-								row[ws.col] = rdf.Term{}
+								row[ws.col] = 0
 								changed = true
 								break
 							}
@@ -911,7 +972,7 @@ func (e *Engine) executeBranch(ctx context.Context, branch int, eb execBranch, v
 				}
 			}
 			for _, rf := range rowFilters {
-				if !filterHolds(rf.Expr, row, varIdx) {
+				if !filterHolds(rf.Expr, row, varIdx, cells) {
 					return true // drop the row, keep enumerating
 				}
 			}
@@ -921,15 +982,16 @@ func (e *Engine) executeBranch(ctx context.Context, branch int, eb execBranch, v
 				if ss.src >= 0 {
 					row[ss.col] = row[ss.src]
 				} else {
-					row[ss.col] = ss.term
+					row[ss.col] = ss.cell
 				}
 			}
 			out.kept++
-			out.claimRow(len(vars))
 			if out.fn != nil {
+				// The stream sink's row is fn's only during the call, so
+				// its slot is never claimed: the next row overwrites it.
 				return out.fn(row)
 			}
-			out.rows = append(out.rows, row)
+			out.claimRow(len(vars))
 			if trackChanged {
 				out.changed = append(out.changed, rowChanged)
 			}
@@ -971,21 +1033,24 @@ func (e *Engine) executeBranch(ctx context.Context, branch int, eb execBranch, v
 		chunks = []joinChunk{{fn: fn}}
 		newJoinRun(e, plan, stps, vars, nulreqd, makeEmit(&chunks[0])).run()
 	}
-	// One chunk hands its rows through; several concatenate into slices
-	// sized once.
-	rows, changed := chunks[0].rows, chunks[0].changed
-	if len(chunks) > 1 {
+	// The chunks' blocks are cut into rows, in partition order, in one
+	// slice sized once; so are the changed flags of several chunks.
+	var rows []Row
+	changed := chunks[0].changed
+	if fn == nil {
 		total := 0
 		for i := range chunks {
-			total += len(chunks[i].rows)
+			total += chunks[i].kept
 		}
 		rows = make([]Row, 0, total)
-		if trackChanged {
-			changed = make([]bool, 0, total)
-		}
 		for i := range chunks {
-			rows = append(rows, chunks[i].rows...)
-			changed = append(changed, chunks[i].changed...)
+			rows = chunks[i].appendRows(rows, len(vars))
+		}
+		if trackChanged && len(chunks) > 1 {
+			changed = make([]bool, 0, total)
+			for i := range chunks {
+				changed = append(changed, chunks[i].changed...)
+			}
 		}
 	}
 	fanNullified := false
@@ -1043,10 +1108,10 @@ func emptyShortcut(res *Result, sp *trace.Span) *Result {
 }
 
 // substSlot is a CheapSubst resolved against the row layout: column col
-// takes term, or the cell of column src when src >= 0.
+// takes cell, or the cell of column src when src >= 0.
 type substSlot struct {
 	col, src int
-	term     rdf.Term
+	cell     uint32
 }
 
 // resolveSubsts resolves the bindings of whole-scope equality filters that
@@ -1054,14 +1119,14 @@ type substSlot struct {
 // re-injects them into every row that passes the row filters: the
 // replaced variable's column would otherwise stay NULL even though the
 // filter fixed its value in every row.
-func resolveSubsts(substs []algebra.CheapSubst, varIdx map[sparql.Var]int) []substSlot {
+func resolveSubsts(eb execBranch, varIdx map[sparql.Var]int) []substSlot {
 	var out []substSlot
-	for _, cs := range substs {
+	for k, cs := range eb.b.Substs {
 		col, ok := varIdx[cs.Var]
 		if !ok {
 			continue
 		}
-		ss := substSlot{col: col, src: -1, term: cs.Term}
+		ss := substSlot{col: col, src: -1, cell: eb.substCells[k]}
 		if cs.From != "" {
 			if ss.src, ok = varIdx[cs.From]; !ok {
 				continue
@@ -1098,10 +1163,11 @@ func (e *Engine) activePrune(st *tpState, loaded []*tpState, plan *planner.Plan)
 	}
 }
 
-func filterHolds(expr sparql.Expr, row Row, varIdx map[sparql.Var]int) bool {
+// filterHolds evaluates expr on row, resolving only the cells it reads.
+func filterHolds(expr sparql.Expr, row Row, varIdx map[sparql.Var]int, cells *Cells) bool {
 	return EvalFilter(expr, func(v sparql.Var) rdf.Term {
 		if i, ok := varIdx[v]; ok {
-			return row[i]
+			return cells.Term(row[i])
 		}
 		return rdf.Term{}
 	})
@@ -1119,8 +1185,8 @@ func (e *Engine) nullifyScope(row Row, r *joinRun, sns map[int]bool) (map[int]bo
 	r.cascadeFailures(failed)
 	any := false
 	for v, sn := range r.ownerSN {
-		if sn >= 0 && failed[sn] && !row[v].IsZero() {
-			row[v] = rdf.Term{}
+		if sn >= 0 && failed[sn] && row[v] != 0 {
+			row[v] = 0
 			any = true
 		}
 	}
@@ -1166,11 +1232,14 @@ func projection(q *sparql.Query, vars []sparql.Var) ([]int, []sparql.Var) {
 	return idx, out
 }
 
-// project reduces the rows to the SELECTed variables, in SELECT order.
+// project reduces the rows to the SELECTed variables, in SELECT order,
+// carving every projected row from one block.
 func (res *Result) project(q *sparql.Query) {
 	idx, vars := projection(q, res.Vars)
+	w := len(idx)
+	block := make([]uint32, len(res.Rows)*w)
 	for i, r := range res.Rows {
-		nr := make(Row, len(idx))
+		nr := Row(block[i*w : (i+1)*w : (i+1)*w])
 		for k, p := range idx {
 			nr[k] = r[p]
 		}
@@ -1179,14 +1248,16 @@ func (res *Result) project(q *sparql.Query) {
 	res.Vars = vars
 }
 
-// distinct removes duplicate rows, preserving first occurrences.
+// distinct removes duplicate rows, preserving first occurrences. Equal
+// cells are equal terms, so the rows are keyed by their cells.
 func (res *Result) distinct() {
-	seen := map[string]bool{}
+	seen := map[string]struct{}{}
+	var buf []byte
 	out := res.Rows[:0]
 	for _, r := range res.Rows {
-		k := r.key()
-		if !seen[k] {
-			seen[k] = true
+		buf = r.appendKey(buf[:0])
+		if _, dup := seen[string(buf)]; !dup {
+			seen[string(buf)] = struct{}{}
 			out = append(out, r)
 		}
 	}

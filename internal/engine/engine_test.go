@@ -54,7 +54,7 @@ const q2 = `
 			?sitcom <location> <NewYorkCity> . }}`
 
 // rowsAsStrings is the sorted multiset key of res over its own columns.
-func rowsAsStrings(res *Result) []string { return difftest.Keys(res.Vars, res.Rows, res.Vars) }
+func rowsAsStrings(res *Result) []string { return difftest.Keys(res.Vars, res.Terms(), res.Vars) }
 
 func TestFigure32FinalResults(t *testing.T) {
 	// The query of Figure 3.2 has exactly two results: (Julia, Seinfeld)
@@ -230,7 +230,7 @@ func TestThreeVarPatternFullScan(t *testing.T) {
 		t.Fatalf("full scan returned %d rows, want %d", len(res.Rows), g.Len())
 	}
 	seen := map[string]bool{}
-	for _, r := range res.Rows {
+	for _, r := range res.Terms() {
 		for i, term := range r {
 			if term.IsZero() {
 				t.Fatalf("NULL column %d in full-scan row %v", i, r)

@@ -25,8 +25,13 @@ import (
 type execBranch struct {
 	b *algebra.Branch
 	// forced holds one entry per rewritten three-variable pattern: when
-	// pattern tp matched in a result row, variable v is bound to term.
+	// pattern tp matched in a result row, variable v is bound to the
+	// pattern's predicate.
 	forced []forcedBinding
+	// substCells holds the cell of each b.Substs term (0 for a
+	// variable-to-variable substitution), encoded when the query is
+	// prepared.
+	substCells []uint32
 	// dupSplits extends b.DupSplits for patterns expanded under an
 	// OPTIONAL: one split per expanded pattern, whose witnesses are the
 	// pattern-owned variables (the predicate variable plus any variable
@@ -38,8 +43,8 @@ type execBranch struct {
 
 type forcedBinding struct {
 	v    sparql.Var
-	term rdf.Term
-	tp   int // global pattern index (tree leaf order)
+	cell uint32 // the predicate's cell
+	tp   int    // global pattern index (tree leaf order)
 }
 
 // forcedSlot is a forcedBinding resolved against one execution's stps
@@ -48,7 +53,7 @@ type forcedSlot struct {
 	pos  int // stps position of the rewritten pattern
 	col  int // result-row column of the forced variable
 	sn   int // the pattern's supernode
-	term rdf.Term
+	cell uint32
 }
 
 // dupMeta is one branch's rule-3 collapse scope resolved against the
@@ -105,7 +110,7 @@ func resolveForced(eb execBranch, stps []*tpState, varIdx map[sparql.Var]int) []
 		}
 		for j, st := range stps {
 			if st.idx == fb.tp {
-				out = append(out, forcedSlot{pos: j, col: col, sn: st.sn, term: fb.term})
+				out = append(out, forcedSlot{pos: j, col: col, sn: st.sn, cell: fb.cell})
 				break
 			}
 		}
@@ -113,9 +118,9 @@ func resolveForced(eb execBranch, stps []*tpState, varIdx map[sparql.Var]int) []
 	return out
 }
 
-// witnessMatched is the term forced into a synthetic witness column when
-// its alternative matched. The value is internal: witness columns are
-// stripped before projection and never serialize.
+// witnessMatched is the term whose cell is forced into a synthetic witness
+// column when its alternative matched. The value is internal: witness
+// columns are stripped before projection and never serialize.
 var witnessMatched = rdf.NewIRI("urn:lbr:witness")
 
 // witnessSlot is one branch SynthWitness resolved against an execution's
@@ -203,6 +208,7 @@ func (e *Engine) expandBranch(b *algebra.Branch) ([]execBranch, error) {
 		return []execBranch{{b: b}}, nil
 	}
 	nPred := e.dict.NumPredicates()
+	predCells := e.cellTables().pred
 	work := []execBranch{{b: b}}
 	for _, ti := range targets {
 		if len(work)*nPred > maxFullScanBranches {
@@ -246,7 +252,7 @@ func (e *Engine) expandBranch(b *algebra.Branch) ([]execBranch, error) {
 				setPatternPredicate(nb.Tree, ti, term)
 				forced := make([]forcedBinding, len(eb.forced), len(eb.forced)+1)
 				copy(forced, eb.forced)
-				forced = append(forced, forcedBinding{v: pv, term: term, tp: ti})
+				forced = append(forced, forcedBinding{v: pv, cell: predCells[p], tp: ti})
 				splits := eb.dupSplits
 				if underOpt {
 					splits = make([]algebra.DupSplit, len(eb.dupSplits), len(eb.dupSplits)+1)

@@ -51,7 +51,7 @@ func TestFullScanUnderOptional(t *testing.T) {
 		t.Fatal(err)
 	}
 	var nullRows, julia, larry int
-	for _, r := range res.Rows {
+	for _, r := range res.Terms() {
 		// Vars sort as f, p, x.
 		switch {
 		case r[1].IsZero() != r[2].IsZero():
@@ -176,11 +176,16 @@ func TestCheapFilterSubstitutionBindsColumn(t *testing.T) {
 		t.Fatal(err)
 	}
 	n := 0
-	if err := e.ExecuteStream(t.Context(), q, nil, func(vars []sparql.Var, row Row) bool {
+	var cells *Cells
+	header := func(_ []sparql.Var, c *Cells) bool {
+		cells = c
+		return true
+	}
+	if err := e.ExecuteStream(t.Context(), q, header, func(vars []sparql.Var, row Row) bool {
 		n++
 		for i, v := range vars {
-			if v == "p" && (row[i].IsZero() || row[i].Value != "a") {
-				t.Fatalf("streamed ?p = %v, want <a>", row[i])
+			if p := cells.Term(row[i]); v == "p" && (p.IsZero() || p.Value != "a") {
+				t.Fatalf("streamed ?p = %v, want <a>", p)
 			}
 		}
 		return true
@@ -234,8 +239,8 @@ func TestFullScanStreamAndAsk(t *testing.T) {
 	}
 	n := 0
 	if err := e.ExecuteStream(t.Context(), q, nil, func(vars []sparql.Var, row Row) bool {
-		for _, term := range row {
-			if term.IsZero() {
+		for _, cell := range row {
+			if cell == 0 {
 				t.Fatalf("NULL column in streamed row %v", row)
 			}
 		}

@@ -151,10 +151,10 @@ func FuzzQueryDifferential(f *testing.F) {
 				}
 				t.Fatalf("%s: %v", label, err)
 			}
-			if v := difftest.Verdict(difftest.Keys(res.Vars, res.Rows, vars), want); v != "" {
+			if v := difftest.Verdict(difftest.Keys(res.Vars, res.Terms(), vars), want); v != "" {
 				t.Fatalf("%s: engine vs reference: %s", label, v)
 			}
-			exact := difftest.Exact(res.Rows)
+			exact := difftest.Exact(res.Terms())
 			checkStreamed(t, e, q, exact, label)
 			if seq == nil {
 				seq = exact
@@ -179,7 +179,7 @@ func FuzzQueryDifferential(f *testing.F) {
 				// supported, so any error here is a cache bug — never skip.
 				t.Fatalf("cached pass %d on %q: %v", pass, src, err)
 			}
-			if v := difftest.Verdict(difftest.Exact(res.Rows), seq); v != "" {
+			if v := difftest.Verdict(difftest.Exact(res.Terms()), seq); v != "" {
 				t.Fatalf("cached pass %d diverges from uncached run on %s: %s", pass, src, v)
 			}
 		}
@@ -247,7 +247,7 @@ func FuzzQueryDifferential(f *testing.F) {
 				}
 				t.Fatalf("post-update query on %s: %v", view.name, err)
 			}
-			if v := difftest.Verdict(difftest.Keys(resM.Vars, resM.Rows, varsM), difftest.RefKeys(mapsM, varsM)); v != "" {
+			if v := difftest.Verdict(difftest.Keys(resM.Vars, resM.Terms(), varsM), difftest.RefKeys(mapsM, varsM)); v != "" {
 				t.Fatalf("post-update %s diverges from reference on %s: %s", view.name, src, v)
 			}
 		}

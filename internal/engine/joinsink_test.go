@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -76,6 +77,50 @@ func TestJoinRowSinkAllocs(t *testing.T) {
 	// allocation per row would add 7n.
 	if limit := small + 7*n/slabMaxRows + 2*10 + 4; big > limit {
 		t.Errorf("allocations: %v for %d rows, %v for %d rows; want at most %v", small, n, big, 8*n, limit)
+	}
+}
+
+// TestJoinRowSinkBytes pins what a collected row costs: its cells, 4 B
+// each, and its slice header. Growing the star from 512 to 4096 rows, the
+// bytes Execute allocates beyond the same query's AskContext — which
+// loads and prunes the same matrices but stops at the first row — may
+// grow by at most 4·width + 32 B per row. A row of terms (56 B a cell)
+// cannot fit, nor can a row slice that grows by appending.
+func TestJoinRowSinkBytes(t *testing.T) {
+	const small, big = 512, 4096
+	const runs = 20
+	perQuery := func(run func()) float64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range runs {
+			run()
+		}
+		runtime.ReadMemStats(&after)
+		return float64(after.TotalAlloc-before.TotalAlloc) / runs
+	}
+	rowBytes := func(n int) (float64, int) {
+		e, q := starEngine(t, n)
+		width := 0
+		collect := perQuery(func() {
+			res, err := e.Execute(context.Background(), q, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			width = len(res.Vars)
+		})
+		ask := perQuery(func() {
+			if _, err := e.AskContext(context.Background(), q, nil); err != nil {
+				t.Fatal(err)
+			}
+		})
+		return collect - ask, width
+	}
+	lo, width := rowBytes(small)
+	hi, _ := rowBytes(big)
+	perRow := (hi - lo) / (big - small)
+	t.Logf("rows cost %.0f B for %d rows, %.0f B for %d rows: %.1f B per row at width %d", lo, small, hi, big, perRow, width)
+	if limit := float64(4*width + 32); perRow > limit {
+		t.Errorf("a collected row costs %.1f B at width %d; want at most %v", perRow, width, limit)
 	}
 }
 

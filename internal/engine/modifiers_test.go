@@ -24,7 +24,7 @@ func TestOrderByNumeric(t *testing.T) {
 	}
 	// Numeric order: 2 < 10 < 30 (string order would give 10 < 2 < 30).
 	want := []string{"2", "10", "30"}
-	for i, r := range res.Rows {
+	for i, r := range res.Terms() {
 		sCol := r[indexOfVar(res, "s")]
 		if sCol.Value != want[i] {
 			t.Fatalf("row %d score = %s, want %s (rows %v)", i, sCol.Value, want[i], res.Rows)
@@ -39,7 +39,7 @@ func TestOrderByDesc(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := []string{"30", "10", "2"}
-	for i, r := range res.Rows {
+	for i, r := range res.Terms() {
 		if got := r[indexOfVar(res, "s")].Value; got != want[i] {
 			t.Fatalf("row %d = %s, want %s", i, got, want[i])
 		}
@@ -58,7 +58,7 @@ func TestOrderByMultipleKeys(t *testing.T) {
 	}
 	xi := indexOfVar(res, "x")
 	want := []string{"x2", "x1", "x3"}
-	for i, r := range res.Rows {
+	for i, r := range res.Terms() {
 		if r[xi].Value != want[i] {
 			t.Fatalf("rows = %v", res.Rows)
 		}
@@ -78,7 +78,7 @@ func TestLimitOffset(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res2.Rows) != 1 || res2.Rows[0][indexOfVar(res2, "s")].Value != "10" {
+	if len(res2.Rows) != 1 || res2.Terms()[0][indexOfVar(res2, "s")].Value != "10" {
 		t.Fatalf("OFFSET 1 LIMIT 1 = %v", res2.Rows)
 	}
 	// Offset past the end.
@@ -112,10 +112,10 @@ func TestOrderByNullsFirst(t *testing.T) {
 		t.Fatal(err)
 	}
 	yi := indexOfVar(res, "y")
-	if !res.Rows[0][yi].IsZero() || !res.Rows[1][yi].IsZero() {
+	if !res.Rows[0].IsNull(yi) || !res.Rows[1].IsNull(yi) {
 		t.Fatalf("NULLs must sort first: %v", res.Rows)
 	}
-	if res.Rows[2][yi].IsZero() {
+	if res.Rows[2].IsNull(yi) {
 		t.Fatal("bound row must sort last")
 	}
 }
@@ -131,7 +131,7 @@ func TestOrderByBeforeProjection(t *testing.T) {
 		t.Fatalf("vars = %v", res.Vars)
 	}
 	want := []string{"c", "a", "b"} // scores 30, 10, 2
-	for i, r := range res.Rows {
+	for i, r := range res.Terms() {
 		if r[0].Value != want[i] {
 			t.Fatalf("rows = %v, want order %v", res.Rows, want)
 		}

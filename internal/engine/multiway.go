@@ -65,10 +65,12 @@ type joinRun struct {
 	masterOf [][]int // stps positions that are masters of this pattern
 	snOf     []int
 
-	// Per-variable run state. A bound variable holds its term's ID, and
-	// terms[v][id-1] is the term.
+	// Per-variable run state. A bound variable holds its term's ID: an
+	// S/O ID, or for a variable in a predicate position a pid. Its cell is
+	// cellOf[v][id], or the ID itself when cellOf[v] is nil (an S/O ID in
+	// a snapshot without the zero Term; see cellTables).
 	bindings []rdf.ID
-	terms    [][]rdf.Term
+	cellOf   [][]uint32
 	state    []uint8
 	ownerSN  []int // supernode that first bound the var; -1 when unbound
 
@@ -141,13 +143,14 @@ func newJoinRun(e *Engine, plan *planner.Plan, stps []*tpState, vars []sparql.Va
 	r.bindings = make([]rdf.ID, len(vars))
 	// A variable binds in the S/O space, unless it holds a predicate
 	// position (it then occurs nowhere else: the GoJ rejects the join).
-	r.terms = make([][]rdf.Term, len(vars))
-	for v := range r.terms {
-		r.terms[v] = e.dict.SOTerms()
+	tables := e.cellTables()
+	r.cellOf = make([][]uint32, len(vars))
+	for v := range r.cellOf {
+		r.cellOf[v] = tables.so
 	}
 	for _, st := range stps {
 		if st.pat.P.IsVar {
-			r.terms[r.varIDs[st.pat.P.Var]] = e.dict.PredicateTerms()
+			r.cellOf[r.varIDs[st.pat.P.Var]] = tables.pred
 		}
 	}
 	r.state = make([]uint8, len(vars))

@@ -88,7 +88,7 @@ func TestParallelMatchesSequentialByteForByte(t *testing.T) {
 		if err != nil {
 			t.Fatalf("q%d sequential: %v", qi, err)
 		}
-		wantRows := difftest.Exact(want.Rows)
+		wantRows := difftest.Exact(want.Terms())
 		for _, workers := range []int{2, 3, 8} {
 			parEng := engineOver(t, g, Options{Workers: workers})
 			got, err := execString(parEng, src)
@@ -98,7 +98,7 @@ func TestParallelMatchesSequentialByteForByte(t *testing.T) {
 			if len(got.Vars) != len(want.Vars) {
 				t.Fatalf("q%d workers=%d: vars %v != %v", qi, workers, got.Vars, want.Vars)
 			}
-			if v := difftest.Verdict(difftest.Exact(got.Rows), wantRows); v != "" {
+			if v := difftest.Verdict(difftest.Exact(got.Terms()), wantRows); v != "" {
 				t.Fatalf("q%d workers=%d: %s", qi, workers, v)
 			}
 			if got.Stats.BestMatch != want.Stats.BestMatch {
@@ -147,7 +147,7 @@ func TestParallelAblationsStillAgree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if v := difftest.Verdict(difftest.Exact(got.Rows), difftest.Exact(want.Rows)); v != "" {
+		if v := difftest.Verdict(difftest.Exact(got.Terms()), difftest.Exact(want.Terms())); v != "" {
 			t.Fatalf("%+v: %s", opts, v)
 		}
 	}
@@ -186,7 +186,7 @@ func TestUnionDeterminismAcrossPartitionAndWorkerCounts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantRows := difftest.Exact(want.Rows)
+	wantRows := difftest.Exact(want.Terms())
 	nulls := 0
 	for _, r := range want.Rows {
 		if r.NullCount() > 0 {
@@ -201,7 +201,7 @@ func TestUnionDeterminismAcrossPartitionAndWorkerCounts(t *testing.T) {
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		if v := difftest.Verdict(difftest.Exact(got.Rows), wantRows); v != "" {
+		if v := difftest.Verdict(difftest.Exact(got.Terms()), wantRows); v != "" {
 			t.Fatalf("workers=%d: %s", workers, v)
 		}
 	}

@@ -27,17 +27,17 @@ func (e *Engine) semiJoin(j sparql.Var, slave, master *tpState) {
 	if !ok {
 		return
 	}
-	fs, ok := slave.foldVar(j)
+	fs, n, ok := slave.foldVarCount(j)
 	if !ok {
 		return
 	}
-	beta := intersectFolds(fm, fs)
-	// beta is a subset of the slave's own projection; an equal population
-	// means the semi-join removes nothing, so the unfold can be skipped.
-	if beta.Count() == fs.Count() {
+	// The intersection is a subset of the slave's own projection; an equal
+	// population means the semi-join removes nothing, so it is counted
+	// without being built, and built only for the unfold.
+	if fm.AndCount(fs) == n {
 		return
 	}
-	slave.unfoldVar(j, beta)
+	slave.unfoldVar(j, intersectFolds(fm, fs))
 }
 
 // clusteredSemiJoin implements Algorithm 5.3 over the patterns sharing ?j:
@@ -48,12 +48,13 @@ func (e *Engine) clusteredSemiJoin(j sparql.Var, tps []*tpState) {
 	}
 	var beta *bitvec.Bits
 	folds := make([]*bitvec.Bits, len(tps))
+	counts := make([]int, len(tps))
 	for i, st := range tps {
-		f, ok := st.foldVar(j)
+		f, n, ok := st.foldVarCount(j)
 		if !ok {
 			continue
 		}
-		folds[i] = f
+		folds[i], counts[i] = f, n
 		if beta == nil {
 			beta = f.Clone()
 			continue
@@ -70,7 +71,7 @@ func (e *Engine) clusteredSemiJoin(j sparql.Var, tps []*tpState) {
 		}
 		// Skip the unfold when the intersection keeps every binding of
 		// this pattern (identity mask).
-		if folds[i] != nil && folds[i].Count() == betaCount {
+		if folds[i] != nil && counts[i] == betaCount {
 			continue
 		}
 		st.unfoldVar(j, beta)

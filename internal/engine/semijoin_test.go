@@ -258,3 +258,29 @@ func TestFoldVarMemoFollowsUnfold(t *testing.T) {
 		check("unfold ?" + string(step.v))
 	}
 }
+
+// TestSemiJoinRemovingNothingAllocatesNothing pins the semi-join's count
+// path: once both folds are memoized, a semi-join whose intersection keeps
+// every binding of the slave is decided by Bits.AndCount against the
+// memoized count, so it neither clones a fold nor allocates at all.
+func TestSemiJoinRemovingNothingAllocatesNothing(t *testing.T) {
+	g := rdf.NewGraph()
+	g.Add(rdf.T("a", "p", "x1"))
+	g.Add(rdf.T("a", "p", "x2"))
+	g.Add(rdf.T("a", "p", "x3"))
+	g.Add(rdf.T("x1", "q", "y1"))
+	g.Add(rdf.T("x2", "q", "y2"))
+	e, _, tps := setupTPs(t, g, `
+		SELECT * WHERE { ?a <p> ?x . OPTIONAL { ?x <q> ?y . } }`)
+	master, slave := tps[0], tps[1]
+	e.semiJoin("x", slave, master) // memoizes both folds; removes nothing
+	if slave.count() != 2 {
+		t.Fatalf("slave has %d triples, want 2", slave.count())
+	}
+	if n := testing.AllocsPerRun(100, func() { e.semiJoin("x", slave, master) }); n != 0 {
+		t.Errorf("a semi-join that removes nothing allocates %v times, want 0", n)
+	}
+	if slave.count() != 2 {
+		t.Fatalf("slave has %d triples after the repeats, want 2", slave.count())
+	}
+}

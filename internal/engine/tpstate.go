@@ -38,8 +38,10 @@ type tpState struct {
 	// folds memoizes mat.Fold per axis (indexed by bitmat.Axis) until an
 	// unfold changes the matrix: active pruning and the prune levels fold
 	// the same unchanged patterns again and again. A memoized fold is
-	// shared, so every caller treats it as read-only.
-	folds [2]*bitvec.Bits
+	// shared, so every caller treats it as read-only. foldCounts holds
+	// each memoized fold's population beside it.
+	folds      [2]*bitvec.Bits
+	foldCounts [2]int
 }
 
 // transpose returns the cached transpose, building it on first use. Safe
@@ -274,14 +276,21 @@ func (t *tpState) axisOf(v sparql.Var) (bitmat.Axis, bool) {
 // fold is memoized until the next unfoldVar; the caller must not modify
 // it.
 func (t *tpState) foldVar(v sparql.Var) (*bitvec.Bits, bool) {
+	f, _, ok := t.foldVarCount(v)
+	return f, ok
+}
+
+// foldVarCount is foldVar with the fold's population, memoized beside it.
+func (t *tpState) foldVarCount(v sparql.Var) (*bitvec.Bits, int, bool) {
 	axis, ok := t.axisOf(v)
 	if !ok || t.mat == nil {
-		return nil, false
+		return nil, 0, false
 	}
 	if t.folds[axis] == nil {
 		t.folds[axis] = t.mat.Fold(axis)
+		t.foldCounts[axis] = t.folds[axis].Count()
 	}
-	return t.folds[axis], true
+	return t.folds[axis], t.foldCounts[axis], true
 }
 
 // unfoldVar masks the bindings of v in the pattern's matrix and drops the

@@ -86,7 +86,7 @@ func assertNoWitnessLeak(t *testing.T, res *Result) {
 			t.Fatalf("synthetic witness variable leaked into result vars: %q", string(v))
 		}
 	}
-	for i, r := range res.Rows {
+	for i, r := range res.Terms() {
 		if len(r) != len(res.Vars) {
 			t.Fatalf("row %d has %d cells for %d public vars", i, len(r), len(res.Vars))
 		}
@@ -109,7 +109,9 @@ func TestWitnesslessUnionStreaming(t *testing.T) {
 			t.Fatal(err)
 		}
 		e := engineOver(t, g, Options{})
-		err = e.ExecuteStream(t.Context(), q, func(vars []sparql.Var) bool {
+		var cells *Cells
+		err = e.ExecuteStream(t.Context(), q, func(vars []sparql.Var, c *Cells) bool {
+			cells = c
 			for _, v := range vars {
 				if algebra.IsSynthWitnessVar(v) {
 					t.Fatalf("%s: streamed header leaked witness var %q", tc.name, string(v))
@@ -121,7 +123,7 @@ func TestWitnesslessUnionStreaming(t *testing.T) {
 				t.Fatalf("%s: streamed row width %d != %d vars", tc.name, len(row), len(vars))
 			}
 			for _, cell := range row {
-				if cell == witnessMatched {
+				if cells.Term(cell) == witnessMatched {
 					t.Fatalf("%s: streamed row leaked the witness marker", tc.name)
 				}
 			}

@@ -30,6 +30,7 @@ import (
 	"fmt"
 	"io"
 	"maps"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -585,29 +586,52 @@ func (s *Store) ensureIndex() (*bitmat.Index, error) {
 }
 
 // Result is a materialized query result. Columns align with Vars; a zero
-// Term is a NULL.
+// Term is a NULL. The engine's rows stay dictionary cells until a row is
+// first read: the first call to Row, Rows, Iterate or String resolves
+// every row to terms, once, and Len and Stats never do. A Result is safe
+// for concurrent use, and it resolves to the same terms after later
+// updates and compactions of its store.
 type Result struct {
 	Vars  []string
-	rows  []engine.Row
 	Stats Stats
+	cells *engine.Result // nil when rows was filled directly
+	once  sync.Once
+	rows  [][]Term
 }
 
 // Len reports the number of result rows.
-func (r *Result) Len() int { return len(r.rows) }
+func (r *Result) Len() int {
+	if r.cells != nil {
+		return len(r.cells.Rows)
+	}
+	return len(r.rows)
+}
+
+// terms returns the resolved rows, resolving them on the first call.
+func (r *Result) terms() [][]Term {
+	r.once.Do(func() {
+		if r.cells != nil {
+			r.rows = r.cells.Terms()
+		}
+	})
+	return r.rows
+}
 
 // Row returns row i. The row is aligned with Vars: unbound variables
 // (from OPTIONAL patterns) appear as zero Terms, never as a shorter row.
-func (r *Result) Row(i int) []Term { return r.rows[i] }
+// The row is shared with the result and must not be mutated.
+func (r *Result) Row(i int) []Term { return r.terms()[i] }
 
 // Rows returns all rows, each aligned with Vars (a zero Term is an
 // unbound OPTIONAL variable). It is the loop-friendly companion to
 // Row(i): callers range over it instead of indexing Len() times. The
-// returned slices share the result's backing arrays and must not be
-// mutated.
+// rows are copies that share no backing array with the result, so the
+// caller may modify them.
 func (r *Result) Rows() [][]Term {
-	out := make([][]Term, len(r.rows))
-	for i := range r.rows {
-		out[i] = r.rows[i]
+	rows := r.terms()
+	out := make([][]Term, len(rows))
+	for i, row := range rows {
+		out[i] = slices.Clone(row)
 	}
 	return out
 }
@@ -621,7 +645,7 @@ func (r *Result) Rows() [][]Term {
 // the format's empty/absent-binding form). Iteration stops early if fn
 // returns false.
 func (r *Result) Iterate(fn func(map[string]Term) bool) {
-	for _, row := range r.rows {
+	for _, row := range r.terms() {
 		m := make(map[string]Term, len(r.Vars))
 		for i, v := range r.Vars {
 			if !row[i].IsZero() {
@@ -646,7 +670,7 @@ func (r *Result) String() string {
 		sb.WriteString("?" + v)
 	}
 	sb.WriteByte('\n')
-	for _, row := range r.rows {
+	for _, row := range r.terms() {
 		for i, t := range row {
 			if i > 0 {
 				sb.WriteByte('\t')
@@ -686,7 +710,7 @@ func (s *Store) collect(ctx context.Context, src string, sp *trace.Span) (res *R
 		if err != nil {
 			return -1, err
 		}
-		res = &Result{Vars: varNames(r.Vars), rows: r.Rows, Stats: r.Stats}
+		res = &Result{Vars: varNames(r.Vars), cells: r, Stats: r.Stats}
 		return res.Len(), nil
 	})
 	return res, err
@@ -695,7 +719,9 @@ func (s *Store) collect(ctx context.Context, src string, sp *trace.Span) (res *R
 // QueryStreamRowsObserved executes a query and streams positional rows to
 // fn: each row is aligned with vars, and an unbound OPTIONAL variable is a
 // zero Term cell. (Result.Iterate is the map view, where an unbound
-// variable is a missing key.) It takes the engine's stream route
+// variable is a missing key.) A row is valid only during the call to fn:
+// every row is resolved into one reused buffer, so a caller that keeps a
+// row copies it. It takes the engine's stream route
 // (engine.Engine.ExecuteStream), whose rule says which queries stream
 // from the multi-way join with constant memory and which are collected
 // and replayed.
@@ -721,13 +747,15 @@ func (s *Store) QueryStreamRowsObserved(ctx context.Context, src string, st *Sta
 	}
 	return s.read(src, sp, func(eng *engine.Engine, q *sparql.Query, sp *trace.Span) (int, error) {
 		var vars []string
-		header := func(vs []sparql.Var) bool {
-			vars = varNames(vs)
+		var cells *engine.Cells
+		var buf []Term
+		header := func(vs []sparql.Var, c *engine.Cells) bool {
+			vars, cells, buf = varNames(vs), c, make([]Term, len(vs))
 			return fn(vars, nil)
 		}
 		// The header and every row come from one normalization pass, so a
 		// row is already in the header's column order.
-		emit := func(_ []sparql.Var, row engine.Row) bool { return fn(vars, row) }
+		emit := func(_ []sparql.Var, row engine.Row) bool { return fn(vars, cells.Resolve(row, buf)) }
 		err := eng.ExecuteStream(ctx, q, header, emit, st, sp)
 		return st.Results, err
 	})
@@ -843,11 +871,7 @@ func (s *Store) QueryBaseline(src string, policy BaselinePolicy) (*Result, error
 	if err != nil {
 		return nil, err
 	}
-	rows := make([]engine.Row, len(res.Rows))
-	for i, r := range res.Rows {
-		rows[i] = engine.Row(r)
-	}
-	return &Result{Vars: varNames(res.Vars), rows: rows}, nil
+	return &Result{Vars: varNames(res.Vars), rows: res.Rows}, nil
 }
 
 // IndexSizes reports the on-disk footprint of the full BitMat family under

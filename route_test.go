@@ -13,9 +13,15 @@ import (
 // routeTestTriples is the dataset of the route-agreement suite: 40
 // subjects, each with a type and a link to the next subject (a ring), plus
 // an email on every second subject and a phone on every third, so
-// OPTIONAL slaves bind on some masters and stay NULL on others.
+// OPTIONAL slaves bind on some masters and stay NULL on others. The
+// predicate <email> is also a typed subject and the object of a
+// <seeAlso>, so one IRI binds a variable both in a predicate position and
+// in a subject or object one.
 func routeTestTriples() []Triple {
-	var ts []Triple
+	ts := []Triple{
+		TripleIRI("email", "type", "class0"),
+		TripleIRI("s0", "seeAlso", "email"),
+	}
 	for i := 0; i < 40; i++ {
 		s := fmt.Sprintf("s%d", i)
 		ts = append(ts,
@@ -33,9 +39,12 @@ func routeTestTriples() []Triple {
 
 // routeProbes covers stars with and without (nested) OPTIONAL, FILTER, a
 // variable predicate, the solution modifiers (over an OPTIONAL too), a
-// chain join, the three-variable scan, a constant subject, UNION, and a
+// chain join, the three-variable scan, a constant subject, UNION, a
 // cyclic OPTIONAL that needs best-match under a cheap filter, whose
-// binding the join sink re-injects.
+// binding the join sink re-injects, and a variable that one UNION arm
+// binds in a predicate position (a ?s ?x ?o expansion) and the other in a
+// subject or object one, under DISTINCT and under best-match: the same
+// IRI must be one value on both arms.
 var routeProbes = []struct {
 	id string
 	q  string
@@ -61,6 +70,9 @@ var routeProbes = []struct {
 	{id: "optional-limit", q: `SELECT * WHERE { ?s <type> ?c . OPTIONAL { ?s <email> ?e } } LIMIT 3`, sliced: true},
 	{id: "optional-projected", q: `SELECT ?s ?c WHERE { ?s <type> ?c . OPTIONAL { ?s <email> ?e } }`},
 	{id: "cheap-filter-best-match", q: `SELECT * WHERE { ?s <linked> ?t . ?s <email> ?e . OPTIONAL { ?t <linked> ?u . ?s <type> ?c . ?u <type> ?c } FILTER (?e = <m4>) }`, bestMatch: true},
+	{id: "distinct-mixed-space", q: `SELECT DISTINCT ?x WHERE { { ?s ?x ?o } UNION { ?x <type> ?c } }`},
+	{id: "best-match-mixed-space", q: `SELECT * WHERE { ?s <type> ?c . OPTIONAL { { ?s ?x ?o } UNION { ?s <seeAlso> ?x } } }`, bestMatch: true},
+	{id: "best-match-mixed-space-distinct", q: `SELECT DISTINCT ?s ?x WHERE { ?s <type> ?c . OPTIONAL { { ?s ?x ?o } UNION { ?s <seeAlso> ?x } } }`, bestMatch: true},
 }
 
 // countStats is Stats without its durations: the fields every route of

@@ -92,21 +92,22 @@ func (s *Store) evalModifyLocked(ctx context.Context, up *sparql.Update, op *spa
 	if err != nil {
 		return nil, nil, err
 	}
-	del = instantiateTemplates(op.DeleteTemplates, r.Vars, r.Rows)
-	ins = instantiateTemplates(op.InsertTemplates, r.Vars, r.Rows)
+	del = instantiateTemplates(op.DeleteTemplates, r)
+	ins = instantiateTemplates(op.InsertTemplates, r)
 	return del, ins, nil
 }
 
 // instantiateTemplates substitutes each solution into the templates. A
 // template triple is skipped for solutions that leave any of its variables
 // unbound (the W3C rule for OPTIONAL-produced nulls); the result is
-// deduplicated in first-occurrence order.
-func instantiateTemplates(tmpl []sparql.TriplePattern, vars []sparql.Var, rows []engine.Row) []Triple {
-	if len(tmpl) == 0 || len(rows) == 0 {
+// deduplicated in first-occurrence order. Only the cells a template reads
+// are resolved.
+func instantiateTemplates(tmpl []sparql.TriplePattern, res *engine.Result) []Triple {
+	if len(tmpl) == 0 || len(res.Rows) == 0 {
 		return nil
 	}
-	varIdx := make(map[sparql.Var]int, len(vars))
-	for i, v := range vars {
+	varIdx := make(map[sparql.Var]int, len(res.Vars))
+	for i, v := range res.Vars {
 		varIdx[v] = i
 	}
 	bindNode := func(n sparql.Node, row engine.Row) (rdf.Term, bool) {
@@ -114,14 +115,14 @@ func instantiateTemplates(tmpl []sparql.TriplePattern, vars []sparql.Var, rows [
 			return n.Term, true
 		}
 		i, ok := varIdx[n.Var]
-		if !ok || row[i].IsZero() {
+		if !ok || row[i] == 0 {
 			return rdf.Term{}, false
 		}
-		return row[i], true
+		return res.Cells.Term(row[i]), true
 	}
 	seen := map[string]bool{}
 	var out []Triple
-	for _, row := range rows {
+	for _, row := range res.Rows {
 		for _, tp := range tmpl {
 			st, ok := bindNode(tp.S, row)
 			if !ok {
