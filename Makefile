@@ -41,12 +41,14 @@ verify: build vet fmt-check difftest-imports race
 # unit tests, the store-level concurrent differential + invalidation
 # harness, the cache-stressing differential regressions, the sharing of a
 # pattern across UNION branches through first-touch admission
-# (TestUnionBranchesShareThroughMatCache), and the server's
-# result-cache/gzip tests. The full `make` covers all of these too; this
-# target is the fast loop while working on the cache layers.
+# (TestUnionBranchesShareThroughMatCache), the prepared-query memo's
+# concurrent, worker-identity, bound, allocation and write-retirement
+# tests (TestQueryMemo*), and the server's result-cache/gzip tests. The
+# full `make` covers all of these too; this target is the fast loop while
+# working on the cache layers.
 test-cache:
 	$(GO) test -race -count=1 \
-		-run 'TestMatCache|TestCrossQueryCache|TestCacheInvalidation|TestEffectiveCacheBudget|TestDifferentialCacheRegressions|TestUnionBranchesShareThroughMatCache|TestResultCache|TestGzip' \
+		-run 'TestMatCache|TestCrossQueryCache|TestCacheInvalidation|TestEffectiveCacheBudget|TestDifferentialCacheRegressions|TestUnionBranchesShareThroughMatCache|TestQueryMemo|TestResultCache|TestGzip' \
 		./internal/engine ./internal/server .
 
 # test-update runs the write-path test surface under -race: SPARQL Update
@@ -183,9 +185,11 @@ bench-smoke:
 # allocations per query), the directory cursor against Row's binary search
 # (BenchmarkMatrixSeek), the row selection's mask-density sweep on both
 # sides of its seek cut-over (BenchmarkUnfoldRows, BenchmarkCloneRows),
-# and the compressed-row kernels (BenchmarkRow*). CI runs it with
-# BENCHTIME=1x, once each, so they keep compiling and running.
+# the compressed-row kernels (BenchmarkRow*), and a repeated selective
+# query served from the prepared-query memo against its first touch on a
+# fresh engine (BenchmarkQueryPrologue). CI runs it with BENCHTIME=1x,
+# once each, so they keep compiling and running.
 BENCHTIME ?= 1s
 bench-join:
-	$(GO) test -run='^$$' -bench='^Benchmark(JoinCollect|MatrixSeek|UnfoldRows|CloneRows|Row)' -benchmem -benchtime=$(BENCHTIME) \
+	$(GO) test -run='^$$' -bench='^Benchmark(JoinCollect|MatrixSeek|UnfoldRows|CloneRows|Row|QueryPrologue)' -benchmem -benchtime=$(BENCHTIME) \
 		./internal/engine ./internal/bitmat ./internal/bitvec

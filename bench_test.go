@@ -88,7 +88,7 @@ func benchQueryTable(b *testing.B, ds *bench.Dataset) {
 			var res *engine.Result
 			for i := 0; i < b.N; i++ {
 				var err error
-				res, err = eng.Execute(context.Background(), q, nil)
+				res, err = eng.Execute(context.Background(), eng.Prepare(q), nil)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -171,7 +171,7 @@ func benchAblation(b *testing.B, opts engine.Options) {
 		b.Run(spec.ID, func(b *testing.B) {
 			eng := engine.New(lubm.Index, opts)
 			for i := 0; i < b.N; i++ {
-				if _, err := eng.Execute(context.Background(), q, nil); err != nil {
+				if _, err := eng.Execute(context.Background(), eng.Prepare(q), nil); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -237,7 +237,7 @@ func BenchmarkCrossover(b *testing.B) {
 		b.Run(fmt.Sprintf("actors=%d/LBR", n), func(b *testing.B) {
 			eng := engine.New(idx, engine.Options{})
 			for i := 0; i < b.N; i++ {
-				if _, err := eng.Execute(context.Background(), q, nil); err != nil {
+				if _, err := eng.Execute(context.Background(), eng.Prepare(q), nil); err != nil {
 					b.Fatal(err)
 				}
 			}

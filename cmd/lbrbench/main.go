@@ -180,7 +180,7 @@ func runAblations(ds *bench.Dataset, runs int) {
 			var total time.Duration
 			for i := 0; i <= runs; i++ {
 				start := time.Now()
-				_, err := eng.Execute(context.Background(), q, nil)
+				_, err := eng.Execute(context.Background(), eng.Prepare(q), nil)
 				check(err)
 				if i > 0 {
 					total += time.Since(start)

@@ -102,7 +102,7 @@ func checkWorkersMatchSequential(t *testing.T, ds *Dataset, specs []QuerySpec, m
 			t.Fatalf("%s: %v", spec.ID, err)
 		}
 		root := trace.New("query").Root()
-		res, err := seq.Execute(context.Background(), q, root)
+		res, err := seq.Execute(context.Background(), seq.Prepare(q), root)
 		if err != nil {
 			t.Fatalf("%s workers=1: %v", spec.ID, err)
 		}
@@ -117,7 +117,8 @@ func checkWorkersMatchSequential(t *testing.T, ds *Dataset, specs []QuerySpec, m
 			}
 		}
 		for _, workers := range []int{2, 4} {
-			got, err := engine.New(ds.Index, engine.Options{Workers: workers}).Execute(context.Background(), q, nil)
+			e := engine.New(ds.Index, engine.Options{Workers: workers})
+			got, err := e.Execute(context.Background(), e.Prepare(q), nil)
 			if err != nil {
 				t.Fatalf("%s workers=%d: %v", spec.ID, workers, err)
 			}

@@ -54,7 +54,7 @@ func RunCrossover(sizes []int, runs int) ([]CrossoverPoint, error) {
 		monet := baseline.New(idx, baseline.OriginalOrder)
 		for i := 0; i <= runs; i++ {
 			start := time.Now()
-			res, err := lbrEng.Execute(context.Background(), q, nil)
+			res, err := lbrEng.Execute(context.Background(), lbrEng.Prepare(q), nil)
 			if err != nil {
 				return nil, err
 			}

@@ -102,7 +102,7 @@ func RunQuery(ds *Dataset, spec QuerySpec, opts RunOptions) (Measurement, error)
 	var lbrRows []string
 	for i := 0; i <= runs; i++ { // one discarded warm-up + timed runs
 		start := time.Now()
-		res, err := lbr.Execute(context.Background(), q, nil)
+		res, err := lbr.Execute(context.Background(), lbr.Prepare(q), nil)
 		if err != nil {
 			return m, fmt.Errorf("%s/%s lbr: %w", ds.Name, spec.ID, err)
 		}

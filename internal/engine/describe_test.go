@@ -14,7 +14,7 @@ func TestDescribePlan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := e.Describe(q)
+	out, err := e.Describe(e.Prepare(q))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +36,7 @@ func TestDescribeUnionBranches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := e.Describe(q)
+	out, err := e.Describe(e.Prepare(q))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +55,7 @@ func TestDescribeCyclicFlags(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := e.Describe(q)
+	out, err := e.Describe(e.Prepare(q))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,13 +91,13 @@ func TestEngineStreamMatchesExecute(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := e.Execute(context.Background(), q, nil)
+	res, err := e.Execute(context.Background(), e.Prepare(q), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var streamed int
 	var streamVars []sparql.Var
-	if err := e.ExecuteStream(t.Context(), q, nil, func(vars []sparql.Var, row Row) bool {
+	if err := e.ExecuteStream(t.Context(), e.Prepare(q), nil, func(vars []sparql.Var, row Row) bool {
 		streamed++
 		streamVars = vars
 		if len(row) != len(vars) {

@@ -19,7 +19,7 @@ import (
 // rows, for the caller's byte-identity checks.
 func diffRun(t *testing.T, e *Engine, q *sparql.Query, want []string, vars []sparql.Var, label string) (*Result, []string) {
 	t.Helper()
-	res, err := e.Execute(context.Background(), q, nil)
+	res, err := e.Execute(context.Background(), e.Prepare(q), nil)
 	if err != nil {
 		t.Fatalf("%s: %v", label, err)
 	}
@@ -41,7 +41,7 @@ func checkStreamed(t *testing.T, e *Engine, q *sparql.Query, want []string, labe
 	// into a copy of its own.
 	var cells *Cells
 	var rows [][]rdf.Term
-	err := e.ExecuteStream(context.Background(), q, func(_ []sparql.Var, c *Cells) bool {
+	err := e.ExecuteStream(context.Background(), e.Prepare(q), func(_ []sparql.Var, c *Cells) bool {
 		cells = c
 		return true
 	}, func(_ []sparql.Var, row Row) bool {
@@ -326,7 +326,7 @@ func TestDifferentialCyclicQueries(t *testing.T) {
 		for _, src := range queries {
 			q, want, vars := difftest.RefSrc(t, g, src)
 			e := engineOver(t, g, Options{})
-			res, err := e.Execute(context.Background(), q, nil)
+			res, err := e.Execute(context.Background(), e.Prepare(q), nil)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -11,6 +11,8 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/algebra"
@@ -56,6 +58,9 @@ type Engine struct {
 	mc *MatCacheView
 	// cells holds the snapshot's ID→cell tables (see Cells).
 	cells cellTables
+	// memo holds the Prepared of every query text read through
+	// PrepareText, for the engine's one snapshot.
+	memo memo
 }
 
 // New returns an engine over idx.
@@ -98,21 +103,21 @@ type Result struct {
 	Stats Stats
 }
 
-// Execute runs a parsed query end to end on the collect route: UNF
-// rewrite, per-branch well-designedness handling, planning, pruning,
-// partitioned multi-way join, the union of branch results, and the
-// solution modifiers. A done ctx aborts the execution in any phase and
-// returns ctx.Err(). When sp is non-nil, the execution records its span
-// tree — per-branch planner decisions, per-pattern load/cache outcomes,
-// per-jvar prune levels, the partitioned join, and the merge — as
-// children of sp; a nil sp reduces the instrumentation to nil checks,
-// allocating nothing and perturbing neither timings nor results.
-func (e *Engine) Execute(ctx context.Context, q *sparql.Query, sp *trace.Span) (*Result, error) {
-	p, err := e.prepare(q)
-	if err != nil {
-		return nil, err
+// Execute runs a prepared query end to end on the collect route: per-branch
+// well-designedness handling, planning, pruning, partitioned multi-way
+// join, the union of branch results, and the solution modifiers. A done
+// ctx aborts the execution in any phase and returns ctx.Err(). When sp is
+// non-nil, the execution records its span tree — per-branch planner
+// decisions, per-pattern load/cache outcomes, per-jvar prune levels, the
+// partitioned join, and the merge — as children of sp; a nil sp reduces
+// the instrumentation to nil checks, allocating nothing and perturbing
+// neither timings nor results.
+func (e *Engine) Execute(ctx context.Context, p *Prepared, sp *trace.Span) (*Result, error) {
+	start := time.Now()
+	if p.err != nil {
+		return nil, p.err
 	}
-	return e.collect(ctx, p, sp)
+	return e.collect(ctx, p, start, sp)
 }
 
 // AskContext evaluates an existence check: whether the pattern has at
@@ -120,8 +125,8 @@ func (e *Engine) Execute(ctx context.Context, q *sparql.Query, sp *trace.Span) (
 // the first row. A done context aborts the check in any phase and returns
 // ctx.Err(). sp, when non-nil, receives the probe's span tree as
 // ExecuteStream records it.
-func (e *Engine) AskContext(ctx context.Context, q *sparql.Query, sp *trace.Span) (bool, error) {
-	probe := *q
+func (e *Engine) AskContext(ctx context.Context, p *Prepared, sp *trace.Span) (bool, error) {
+	probe := *p.q
 	probe.Ask = false
 	probe.Select = nil // SELECT * so the stream sink applies
 	probe.Distinct = false
@@ -129,28 +134,31 @@ func (e *Engine) AskContext(ctx context.Context, q *sparql.Query, sp *trace.Span
 	// but they would change how much work the probe does: ORDER BY forces
 	// the query to collect and sort, and LIMIT/OFFSET would cut the stream
 	// before its first row. Strip them so the probe really stops at the
-	// first solution.
+	// first solution. The pattern is the query's, so the probe shares its
+	// branches, cells and plans.
 	probe.OrderBy = nil
 	probe.Limit, probe.Offset = -1, -1
+	pp := *p
+	pp.q = &probe
 	found := false
-	err := e.ExecuteStream(ctx, &probe, nil, func([]sparql.Var, Row) bool {
+	err := e.ExecuteStream(ctx, &pp, nil, func([]sparql.Var, Row) bool {
 		found = true
 		return false
 	}, nil, sp)
 	return found, err
 }
 
-// ExecuteStream executes a query and hands each result row to fn. It is
-// the engine's one streaming entry point, and this is where its rule
-// lives: rows go from the multi-way join straight to fn when the query
-// has a single UNF branch, is SELECT * without DISTINCT or ORDER BY, and
-// needs no rule-3 minimum union (a UNION or a ?s ?p ?o pattern under an
-// OPTIONAL). OFFSET and LIMIT then apply inline, and the enumeration stops
-// at the limit. Within such a query, a branch whose plan needs best-match
-// (a cyclic plan with multi-jvar slaves, or an ablation option) or whose
-// OPTIONAL carries a FILTER collects its rows first and replays them.
-// Every other query is collected, merged, passed through the solution
-// modifiers, and replayed to fn.
+// ExecuteStream executes a prepared query and hands each result row to
+// fn. It is the engine's one streaming entry point, and this is where its
+// rule lives: rows go from the multi-way join straight to fn when the
+// query has a single UNF branch, is SELECT * without DISTINCT or ORDER BY,
+// and needs no rule-3 minimum union (a UNION or a ?s ?p ?o pattern under
+// an OPTIONAL). OFFSET and LIMIT then apply inline, and the enumeration
+// stops at the limit. Within such a query, a branch whose plan needs
+// best-match (a cyclic plan with multi-jvar slaves, or an ablation option)
+// or whose OPTIONAL carries a FILTER collects its rows first and replays
+// them. Every other query is collected, merged, passed through the
+// solution modifiers, and replayed to fn.
 //
 // header, when non-nil, receives the result columns and the resolver of
 // every row's cells before any row; returning false ends the call without
@@ -162,10 +170,10 @@ func (e *Engine) AskContext(ctx context.Context, q *sparql.Query, sp *trace.Span
 // delivered to fn, and the Join stage of a streamed branch includes fn's
 // own time. sp, when non-nil, receives the span tree exactly as Execute
 // records it.
-func (e *Engine) ExecuteStream(ctx context.Context, q *sparql.Query, header func(vars []sparql.Var, cells *Cells) bool, fn func(vars []sparql.Var, row Row) bool, st *Stats, sp *trace.Span) error {
-	p, err := e.prepare(q)
-	if err != nil {
-		return err
+func (e *Engine) ExecuteStream(ctx context.Context, p *Prepared, header func(vars []sparql.Var, cells *Cells) bool, fn func(vars []sparql.Var, row Row) bool, st *Stats, sp *trace.Span) error {
+	start := time.Now()
+	if p.err != nil {
+		return p.err
 	}
 	if header != nil {
 		if err := ctx.Err(); err != nil {
@@ -176,11 +184,12 @@ func (e *Engine) ExecuteStream(ctx context.Context, q *sparql.Query, header func
 		}
 	}
 	var stats Stats
-	if p.streamable {
+	var err error
+	if p.streamable() {
 		err = e.stream(ctx, p, fn, &stats, sp)
 	} else {
 		var res *Result
-		if res, err = e.collect(ctx, p, sp); err == nil {
+		if res, err = e.collect(ctx, p, start, sp); err == nil {
 			stats = res.Stats
 			stats.Results, stats.NullResults = 0, 0
 			for _, row := range res.Rows {
@@ -195,36 +204,56 @@ func (e *Engine) ExecuteStream(ctx context.Context, q *sparql.Query, header func
 		}
 	}
 	if st != nil {
-		stats.Total = time.Since(p.start)
+		stats.Total = time.Since(start)
 		*st = stats
 	}
 	return err
 }
 
-// prepared is a query normalized once for execution.
-type prepared struct {
-	q     *sparql.Query
-	start time.Time
+// Prepared is a query normalized once for execution over one engine's
+// snapshot: parsed, UNF-rewritten, its three-variable patterns expanded,
+// its constants given cells, and each branch's plan made on the branch's
+// first execution and kept. Everything in it derives from the query and
+// the snapshot alone, so it is read-only once made (a plan slot fills
+// once) and any number of executions may share it: the engine's memo
+// (PrepareText) hands one Prepared to every read of a query text.
+type Prepared struct {
+	q *sparql.Query
+	// err is the preparation's error, returned by every execution.
+	err error
 	// vars is the result variable universe: the sorted union of the
 	// pattern variables across all UNF branches, taken before cheap-filter
 	// substitution, so a FILTER-substituted or rewritten predicate
 	// variable keeps its column (its binding is re-injected per row).
 	vars  []sparql.Var
 	execs []execBranch
+	// plans holds one plan slot per entry of execs.
+	plans []branchPlan
 	// cells resolves the query's rows; witness is the cell of a synthetic
 	// witness column that binds (0 when no branch has one).
 	cells   *Cells
 	witness uint32
-	// streamable marks the shapes whose rows may go straight to the
-	// caller; ExecuteStream states the rule.
-	streamable bool
+	// unionFree marks a single UNF branch that needs no rule-3 minimum
+	// union: the pattern half of the stream rule (see streamable).
+	unionFree bool
 }
 
-// prepare is the one normalization pass under every entry point:
-// FromQuery, the UNF rewrite, the safe-filter check, cheap-filter
-// substitution, and the full-scan expansion.
-func (e *Engine) prepare(q *sparql.Query) (*prepared, error) {
-	p := &prepared{q: q, start: time.Now()}
+// Prepare normalizes a parsed query for execution: FromQuery, the UNF
+// rewrite, the safe-filter check, cheap-filter substitution, and the
+// full-scan expansion. It is the one normalization pass under every entry
+// point. A failure is kept in the Prepared and returned by every
+// execution of it, before any row. Prepare does not consult the memo;
+// PrepareText does.
+func (e *Engine) Prepare(q *sparql.Query) *Prepared {
+	p, err := e.prepare(q)
+	if err != nil {
+		return &Prepared{q: q, err: err}
+	}
+	return p
+}
+
+func (e *Engine) prepare(q *sparql.Query) (*Prepared, error) {
+	p := &Prepared{q: q}
 	tree, err := algebra.FromQuery(q)
 	if err != nil {
 		return nil, err
@@ -245,6 +274,7 @@ func (e *Engine) prepare(q *sparql.Query) (*prepared, error) {
 	if p.execs, err = e.expandFullScans(branches); err != nil {
 		return nil, err
 	}
+	p.plans = make([]branchPlan, len(p.execs))
 	// Every constant a row can hold gets its cell here, so the resolver is
 	// complete before any row exists.
 	p.cells = e.newCells()
@@ -260,16 +290,25 @@ func (e *Engine) prepare(q *sparql.Query) (*prepared, error) {
 			p.witness = p.cells.cell(witnessMatched)
 		}
 	}
-	p.streamable = len(branches) == 1 && q.SelectAll() && !q.Distinct && len(q.OrderBy) == 0
+	p.unionFree = len(branches) == 1
 	for _, eb := range p.execs {
-		p.streamable = p.streamable && !eb.b.UsedRule3
+		p.unionFree = p.unionFree && !eb.b.UsedRule3
 	}
 	return p, nil
 }
 
+// IsAsk reports whether the query is an ASK.
+func (p *Prepared) IsAsk() bool { return p.q.Ask }
+
+// streamable marks the queries whose rows may go straight to the caller;
+// ExecuteStream states the rule.
+func (p *Prepared) streamable() bool {
+	return p.unionFree && p.q.SelectAll() && !p.q.Distinct && len(p.q.OrderBy) == 0
+}
+
 // resultVars is the column order the caller sees: vars projected through
 // an explicit SELECT clause the way project() does.
-func (p *prepared) resultVars() []sparql.Var {
+func (p *Prepared) resultVars() []sparql.Var {
 	if p.q.SelectAll() {
 		return p.vars
 	}
@@ -323,7 +362,7 @@ func collectSynthVars(execs []execBranch) []sparql.Var {
 // into the stream sink, with OFFSET and LIMIT applied as rows reach the
 // caller. A branch that had to collect hands its rows back, and they are
 // replayed through the same path.
-func (e *Engine) stream(ctx context.Context, p *prepared, fn func([]sparql.Var, Row) bool, st *Stats, sp *trace.Span) error {
+func (e *Engine) stream(ctx context.Context, p *Prepared, fn func([]sparql.Var, Row) bool, st *Stats, sp *trace.Span) error {
 	if sp != nil {
 		sp.Set("branches", len(p.execs))
 		sp.Set("streamed", true)
@@ -383,7 +422,7 @@ func (e *Engine) stream(ctx context.Context, p *prepared, fn func([]sparql.Var, 
 // collect runs every branch into the collect sink, merges the branches
 // (cross-branch minimum union included), and applies the solution
 // modifiers.
-func (e *Engine) collect(ctx context.Context, p *prepared, sp *trace.Span) (*Result, error) {
+func (e *Engine) collect(ctx context.Context, p *Prepared, start time.Time, sp *trace.Span) (*Result, error) {
 	vars, execs := p.vars, p.execs
 	res := &Result{Vars: vars, Cells: p.cells}
 	if sp != nil {
@@ -519,7 +558,7 @@ func (e *Engine) collect(ctx context.Context, p *prepared, sp *trace.Span) (*Res
 	res.Rows = allRows
 	res.applyModifiers(p.q)
 	res.Stats.Merge = time.Since(tMerge)
-	res.Stats.Total = time.Since(p.start)
+	res.Stats.Total = time.Since(start)
 	if msp != nil {
 		msp.Set("rows", len(res.Rows))
 		msp.End()
@@ -647,29 +686,52 @@ func accumulate(dst, src *Stats) {
 	dst.EmptyShortcut = dst.EmptyShortcut || src.EmptyShortcut
 }
 
+// branchPlan is one branch's plan step, made on the branch's first
+// execution and kept in its Prepared, so later executions of a memoized
+// query skip it.
+type branchPlan struct {
+	once   sync.Once
+	plan   *planner.Plan
+	placed planner.FilterPlacement
+	err    error
+}
+
+// planOf returns the plan of p's branch i, planning it on first use;
+// cached reports that an earlier call had made it.
+func (e *Engine) planOf(p *Prepared, i int) (bp *branchPlan, cached bool) {
+	bp, cached = &p.plans[i], true
+	bp.once.Do(func() {
+		cached = false
+		b := p.execs[i].b
+		if bp.plan, bp.err = e.planBranch(b); bp.err == nil {
+			bp.placed = planner.PlaceFilters(b, bp.plan.GoSN)
+		}
+	})
+	return bp, cached
+}
+
 // planBranch is a branch's one plan step (Algorithm 5.1 lines 1-2 and
 // 5): GoSN, the Appendix-B transform of a non-well-designed pattern (which
 // then proceeds under null-intolerant joins), GoJ, the selectivity
 // estimates from index metadata, and the plan — Algorithm 3.1's jvar
 // orders and the best-match decision.
-func (e *Engine) planBranch(b *algebra.Branch) (*planner.Plan, []int64, error) {
+func (e *Engine) planBranch(b *algebra.Branch) (*planner.Plan, error) {
 	gosn, err := algebra.BuildGoSN(b.Tree)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if viols := algebra.CheckWellDesigned(b.Tree, gosn); len(viols) > 0 {
 		algebra.TransformNWD(gosn, viols)
 	}
 	goj, err := algebra.BuildGoJ(gosn.Patterns)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	counts := EstimateCounts(e.idx, gosn.Patterns)
-	plan := planner.BuildPlan(gosn, goj, counts)
+	plan := planner.BuildPlan(gosn, goj, EstimateCounts(e.idx, gosn.Patterns))
 	if e.opts.NaiveJvarOrder && !plan.Greedy {
 		naiveOrders(plan)
 	}
-	return plan, counts, nil
+	return plan, nil
 }
 
 // joinChunk is one joinRun's share of a branch's join output. The stream
@@ -755,7 +817,7 @@ func (c *joinChunk) appendRows(rows []Row, w int) []Row {
 // (e.workers()). qsp, when non-nil, is the query's trace span: the
 // branch records itself in a "branch" child numbered branch, with the
 // plan, init, prune, join and filter stages under that.
-func (e *Engine) executeBranch(ctx context.Context, branch int, eb execBranch, p *prepared, vars []sparql.Var, fn func(Row) bool, qsp *trace.Span) (*Result, error) {
+func (e *Engine) executeBranch(ctx context.Context, branch int, eb execBranch, p *Prepared, vars []sparql.Var, fn func(Row) bool, qsp *trace.Span) (*Result, error) {
 	var sp *trace.Span
 	if qsp != nil {
 		sp = qsp.Child("branch")
@@ -767,13 +829,17 @@ func (e *Engine) executeBranch(ctx context.Context, branch int, eb execBranch, p
 	if sp != nil {
 		plsp = sp.Child("plan")
 	}
-	plan, counts, err := e.planBranch(eb.b)
-	plsp.End()
-	if err != nil {
-		return nil, err
+	bp, cached := e.planOf(p, branch)
+	if plsp != nil {
+		plsp.Set("cached", cached)
+		plsp.End()
 	}
+	if bp.err != nil {
+		return nil, bp.err
+	}
+	plan := bp.plan
 	gosn := plan.GoSN
-	res.Stats.InitialTriples = sum(counts)
+	res.Stats.InitialTriples = sum(plan.Counts)
 	if sp != nil {
 		sp.Set("patterns", len(gosn.Patterns))
 		sp.Set("initial_triples", res.Stats.InitialTriples)
@@ -786,7 +852,7 @@ func (e *Engine) executeBranch(ctx context.Context, branch int, eb execBranch, p
 	// and best-match become mandatory (Lemma 3.1); they, and FaN, need the
 	// branch's rows together, so such a branch collects.
 	nulreqd := plan.NeedsBestMatch || e.opts.DisablePruning || e.opts.NaiveJvarOrder
-	placed := planner.PlaceFilters(eb.b, gosn)
+	placed := bp.placed
 	slaveFilters, rowFilters := placed.Slave, placed.Row
 	// Only nullification or a slave filter can clear a binding of an
 	// emitted row, so only then does the sink record which rows changed,
@@ -1264,21 +1330,32 @@ func (res *Result) distinct() {
 	res.Rows = out
 }
 
-// Describe returns a human-readable plan summary, used by the CLI: one
-// entry per branch that executes, planned by the same step.
-func (e *Engine) Describe(q *sparql.Query) (string, error) {
-	p, err := e.prepare(q)
-	if err != nil {
-		return "", err
+// Describe returns a human-readable plan summary, used by the CLI and
+// Store.Explain: one entry per branch that executes, with the plan its
+// executions use — the one in p, planned here if no execution made it yet.
+func (e *Engine) Describe(p *Prepared) (string, error) {
+	if p.err != nil {
+		return "", p.err
 	}
-	out := ""
+	var out strings.Builder
 	for i, eb := range p.execs {
-		plan, _, err := e.planBranch(eb.b)
-		if err != nil {
-			return "", err
+		bp, _ := e.planOf(p, i)
+		if bp.err != nil {
+			return "", bp.err
 		}
-		out += fmt.Sprintf("branch %d: %s\n  GoSN: %s\n  cyclic=%v greedy=%v best-match=%v\n",
-			i, eb.b.Tree.Serialize(), plan.GoSN, plan.Cyclic, plan.Greedy, plan.NeedsBestMatch)
+		plan := bp.plan
+		fmt.Fprintf(&out, "branch %d: %s\n  GoSN: %s\n  cyclic=%v greedy=%v best-match=%v\n  jvar order: bottom-up %s top-down %s\n",
+			i, eb.b.Tree.Serialize(), plan.GoSN, plan.Cyclic, plan.Greedy, plan.NeedsBestMatch,
+			jvarNames(plan, plan.OrderBU), jvarNames(plan, plan.OrderTD))
 	}
-	return out, nil
+	return out.String(), nil
+}
+
+// jvarNames renders a jvar order as its variable names.
+func jvarNames(plan *planner.Plan, order []int) string {
+	names := make([]string, len(order))
+	for i, j := range order {
+		names[i] = "?" + string(plan.GoJ.Vars[j])
+	}
+	return "[" + strings.Join(names, " ") + "]"
 }

@@ -42,7 +42,7 @@ func execString(e *Engine, src string) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return e.Execute(context.Background(), q, nil)
+	return e.Execute(context.Background(), e.Prepare(q), nil)
 }
 
 const q2 = `

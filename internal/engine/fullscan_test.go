@@ -110,7 +110,7 @@ func TestRule3DedupScopedToDistributionGroup(t *testing.T) {
 		{ ?s <p> ?o . OPTIONAL { ?o <q> ?x . } } }`
 	q, want, _ := difftest.RefSrc(t, g, src)
 	e := engineOver(t, g, Options{})
-	res, err := e.Execute(context.Background(), q, nil)
+	res, err := e.Execute(context.Background(), e.Prepare(q), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +181,7 @@ func TestCheapFilterSubstitutionBindsColumn(t *testing.T) {
 		cells = c
 		return true
 	}
-	if err := e.ExecuteStream(t.Context(), q, header, func(vars []sparql.Var, row Row) bool {
+	if err := e.ExecuteStream(t.Context(), e.Prepare(q), header, func(vars []sparql.Var, row Row) bool {
 		n++
 		for i, v := range vars {
 			if p := cells.Term(row[i]); v == "p" && (p.IsZero() || p.Value != "a") {
@@ -238,7 +238,7 @@ func TestFullScanStreamAndAsk(t *testing.T) {
 		t.Fatal(err)
 	}
 	n := 0
-	if err := e.ExecuteStream(t.Context(), q, nil, func(vars []sparql.Var, row Row) bool {
+	if err := e.ExecuteStream(t.Context(), e.Prepare(q), nil, func(vars []sparql.Var, row Row) bool {
 		for _, cell := range row {
 			if cell == 0 {
 				t.Fatalf("NULL column in streamed row %v", row)
@@ -257,12 +257,12 @@ func TestFullScanStreamAndAsk(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ok, err := e.AskContext(context.Background(), aq, nil)
+	ok, err := e.AskContext(context.Background(), e.Prepare(aq), nil)
 	if err != nil || !ok {
 		t.Fatalf("ASK dump = %v/%v, want true", ok, err)
 	}
 	empty := engineOver(t, rdf.NewGraph(), Options{})
-	ok, err = empty.AskContext(context.Background(), aq, nil)
+	ok, err = empty.AskContext(context.Background(), empty.Prepare(aq), nil)
 	if err != nil || ok {
 		t.Fatalf("ASK on empty store = %v/%v, want false", ok, err)
 	}

@@ -131,7 +131,7 @@ func FuzzQueryDifferential(f *testing.F) {
 		for _, w := range []int{1, 2, 8} {
 			e := New(idx, Options{Workers: w})
 			if q.Ask {
-				got, err := e.AskContext(context.Background(), q, nil)
+				got, err := e.AskContext(context.Background(), e.Prepare(q), nil)
 				if err != nil {
 					if Unsupported(err) {
 						t.Skip()
@@ -144,7 +144,7 @@ func FuzzQueryDifferential(f *testing.F) {
 				continue
 			}
 			label := fmt.Sprintf("workers=%d on %q", w, src)
-			res, err := e.Execute(context.Background(), q, nil)
+			res, err := e.Execute(context.Background(), e.Prepare(q), nil)
 			if err != nil {
 				if Unsupported(err) {
 					t.Skip()
@@ -173,7 +173,7 @@ func FuzzQueryDifferential(f *testing.F) {
 		mc := NewMatCache(1 << 22)
 		ce := NewWithCache(idx, Options{Workers: 2}, mc.Advance(1))
 		for pass := 0; pass < 2; pass++ {
-			res, err := ce.Execute(context.Background(), q, nil)
+			res, err := ce.Execute(context.Background(), ce.Prepare(q), nil)
 			if err != nil {
 				// The uncached runs above already proved the query is
 				// supported, so any error here is a cache bug — never skip.
@@ -228,7 +228,7 @@ func FuzzQueryDifferential(f *testing.F) {
 		}{{"overlay", ov}, {"rebuilt", idxM}} {
 			e := New(view.src, Options{Workers: 2})
 			if q.Ask {
-				got, err := e.AskContext(context.Background(), q, nil)
+				got, err := e.AskContext(context.Background(), e.Prepare(q), nil)
 				if err != nil {
 					if Unsupported(err) {
 						t.Skip()
@@ -240,7 +240,7 @@ func FuzzQueryDifferential(f *testing.F) {
 				}
 				continue
 			}
-			resM, err := e.Execute(context.Background(), q, nil)
+			resM, err := e.Execute(context.Background(), e.Prepare(q), nil)
 			if err != nil {
 				if Unsupported(err) {
 					t.Skip()

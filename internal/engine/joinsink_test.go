@@ -44,7 +44,7 @@ func starEngine(tb testing.TB, n int) (*Engine, *sparql.Query) {
 		tb.Fatal(err)
 	}
 	e := NewWithCache(indexOf(tb, starGraph(n)), Options{Workers: 1}, NewMatCache(1<<30).Advance(1))
-	res, err := e.Execute(context.Background(), q, nil) // admits every pattern
+	res, err := e.Execute(context.Background(), e.Prepare(q), nil) // admits every pattern
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func TestJoinRowSinkAllocs(t *testing.T) {
 	allocs := func(n int) float64 {
 		e, q := starEngine(t, n)
 		return testing.AllocsPerRun(20, func() {
-			if _, err := e.Execute(context.Background(), q, nil); err != nil {
+			if _, err := e.Execute(context.Background(), e.Prepare(q), nil); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -102,14 +102,14 @@ func TestJoinRowSinkBytes(t *testing.T) {
 		e, q := starEngine(t, n)
 		width := 0
 		collect := perQuery(func() {
-			res, err := e.Execute(context.Background(), q, nil)
+			res, err := e.Execute(context.Background(), e.Prepare(q), nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 			width = len(res.Vars)
 		})
 		ask := perQuery(func() {
-			if _, err := e.AskContext(context.Background(), q, nil); err != nil {
+			if _, err := e.AskContext(context.Background(), e.Prepare(q), nil); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -153,7 +153,7 @@ func TestCollectBranchCarriesNoChangedFlags(t *testing.T) {
 	allocs := func(n int) float64 {
 		e, q := starEngine(t, n)
 		return testing.AllocsPerRun(20, func() {
-			if _, err := e.Execute(context.Background(), q, nil); err != nil {
+			if _, err := e.Execute(context.Background(), e.Prepare(q), nil); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -179,7 +179,7 @@ func BenchmarkJoinCollect(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := e.Execute(context.Background(), q, nil); err != nil {
+		if _, err := e.Execute(context.Background(), e.Prepare(q), nil); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -53,7 +53,8 @@ func TestMatCacheAdmitsOnFirstTouch(t *testing.T) {
 		t.Fatal(err)
 	}
 	idx := indexOf(t, chainGraph())
-	want, err := New(idx, Options{Workers: 1}).Execute(context.Background(), q, nil)
+	seq := New(idx, Options{Workers: 1})
+	want, err := seq.Execute(context.Background(), seq.Prepare(q), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +68,7 @@ func TestMatCacheAdmitsOnFirstTouch(t *testing.T) {
 		wg.Add(1)
 		go func(sp *trace.Span) {
 			defer wg.Done()
-			res, err := e.Execute(context.Background(), q, sp)
+			res, err := e.Execute(context.Background(), e.Prepare(q), sp)
 			if err != nil {
 				t.Error(err)
 				return

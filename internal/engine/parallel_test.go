@@ -215,7 +215,7 @@ func TestUnionDeterminismAcrossPartitionAndWorkerCounts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, _, err := e.planBranch(p.execs[0].b)
+	plan, err := e.planBranch(p.execs[0].b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,7 +290,7 @@ func TestUnionBranchCancellationMidFlight(t *testing.T) {
 			var b atomic.Int64
 			b.Store(budget)
 			ctx := errAfterCtx{Context: context.Background(), budget: &b}
-			if _, err := e.Execute(ctx, q, nil); err != context.Canceled {
+			if _, err := e.Execute(ctx, e.Prepare(q), nil); err != context.Canceled {
 				t.Fatalf("workers=%d budget=%d: err = %v, want context.Canceled", workers, budget, err)
 			}
 		}

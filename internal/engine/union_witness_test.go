@@ -110,7 +110,7 @@ func TestWitnesslessUnionStreaming(t *testing.T) {
 		}
 		e := engineOver(t, g, Options{})
 		var cells *Cells
-		err = e.ExecuteStream(t.Context(), q, func(vars []sparql.Var, c *Cells) bool {
+		err = e.ExecuteStream(t.Context(), e.Prepare(q), func(vars []sparql.Var, c *Cells) bool {
 			cells = c
 			for _, v := range vars {
 				if algebra.IsSynthWitnessVar(v) {

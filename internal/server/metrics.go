@@ -159,6 +159,9 @@ type Snapshot struct {
 	SnapshotGeneration uint64               `json:"snapshot_generation"`
 	ResultCache        *ResultCacheSnapshot `json:"result_cache,omitempty"`
 	BitMatCache        *lbr.CacheStats      `json:"bitmat_cache,omitempty"`
+	// QueryMemo carries the store's prepared-query memo counters (see
+	// lbr.MemoStats). Filled by the /metrics handler.
+	QueryMemo *lbr.MemoStats `json:"query_memo,omitempty"`
 	// WAL carries the store's durability and compaction counters. Filled
 	// by the /metrics handler.
 	WAL *lbr.WALStats `json:"wal,omitempty"`

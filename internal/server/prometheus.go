@@ -134,4 +134,10 @@ func writeMetricsProm(w http.ResponseWriter, snap Snapshot) {
 		promSimple(w, "lbr_bitmat_cache_entries", "gauge", "BitMat cache resident entries.", bm.Entries)
 		promSimple(w, "lbr_bitmat_cache_bytes", "gauge", "BitMat cache resident bytes.", bm.BytesUsed)
 	}
+
+	if qm := snap.QueryMemo; qm != nil {
+		promSimple(w, "lbr_query_memo_hits_total", "counter", "Query texts served from the snapshot's prepared-query memo.", qm.Hits)
+		promSimple(w, "lbr_query_memo_misses_total", "counter", "Query texts parsed and prepared for the snapshot's memo.", qm.Misses)
+		promSimple(w, "lbr_query_memo_entries", "gauge", "Query texts held by the current snapshot's memo.", qm.Entries)
+	}
 }

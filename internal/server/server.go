@@ -175,6 +175,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	snap.ResultCache = &rc
 	bm := s.store.CacheStats()
 	snap.BitMatCache = &bm
+	memo := s.store.MemoStats()
+	snap.QueryMemo = &memo
 	wal := s.store.WALStats()
 	snap.WAL = &wal
 	snap.RegexCacheEntries = int64(lbr.RegexCacheSize())
@@ -349,8 +351,10 @@ func (s *Server) handleSPARQL(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// Syntax-check before admission so malformed queries are turned away
-	// without consuming an execution slot.
-	q, err := sparql.Parse(src)
+	// without consuming an execution slot. The check goes through the
+	// snapshot's prepared-query memo, so the execution does not parse the
+	// text again, and a repeated text is not parsed at all.
+	ask, err := s.store.CheckQuery(src)
 	if err != nil {
 		writeError(w, perr(http.StatusBadRequest, "malformed_query", "%v", err))
 		return
@@ -376,10 +380,10 @@ func (s *Server) handleSPARQL(w http.ResponseWriter, r *http.Request) {
 	}
 	start := time.Now()
 	if explain {
-		s.serveExplain(ctx, w, r, src, q.Ask, start)
+		s.serveExplain(ctx, w, r, src, ask, start)
 		return
 	}
-	if q.Ask {
+	if ask {
 		s.serveAsk(ctx, w, r, format, src, start)
 		return
 	}

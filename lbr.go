@@ -224,6 +224,11 @@ type Store struct {
 	compactionLastNS atomic.Int64
 	loadLastNS       atomic.Int64
 	overlayLastNS    atomic.Int64
+
+	// Lookups of the snapshots' prepared-query memos (see MemoStats),
+	// counted across snapshots.
+	memoHits   atomic.Int64
+	memoMisses atomic.Int64
 }
 
 // querySnapshot is one immutable query view of the store, published whole
@@ -705,8 +710,8 @@ func (s *Store) QueryContext(ctx context.Context, src string) (*Result, error) {
 
 // collect is the collect route under QueryContext and QueryTrace.
 func (s *Store) collect(ctx context.Context, src string, sp *trace.Span) (res *Result, err error) {
-	err = s.read(src, sp, func(eng *engine.Engine, q *sparql.Query, sp *trace.Span) (int, error) {
-		r, err := eng.Execute(ctx, q, sp)
+	err = s.read(src, sp, func(eng *engine.Engine, p *engine.Prepared, sp *trace.Span) (int, error) {
+		r, err := eng.Execute(ctx, p, sp)
 		if err != nil {
 			return -1, err
 		}
@@ -745,7 +750,7 @@ func (s *Store) QueryStreamRowsObserved(ctx context.Context, src string, st *Sta
 	if st == nil {
 		st = new(Stats)
 	}
-	return s.read(src, sp, func(eng *engine.Engine, q *sparql.Query, sp *trace.Span) (int, error) {
+	return s.read(src, sp, func(eng *engine.Engine, p *engine.Prepared, sp *trace.Span) (int, error) {
 		var vars []string
 		var cells *engine.Cells
 		var buf []Term
@@ -756,7 +761,7 @@ func (s *Store) QueryStreamRowsObserved(ctx context.Context, src string, st *Sta
 		// The header and every row come from one normalization pass, so a
 		// row is already in the header's column order.
 		emit := func(_ []sparql.Var, row engine.Row) bool { return fn(vars, cells.Resolve(row, buf)) }
-		err := eng.ExecuteStream(ctx, q, header, emit, st, sp)
+		err := eng.ExecuteStream(ctx, p, header, emit, st, sp)
 		return st.Results, err
 	})
 }
@@ -773,9 +778,9 @@ func (s *Store) Ask(src string) (bool, error) {
 // non-nil, receives the probe's span tree (the probe stops at its first
 // row) and the query hash, like QueryStreamRowsObserved's.
 func (s *Store) AskContext(ctx context.Context, src string, sp *trace.Span) (found bool, err error) {
-	err = s.read(src, sp, func(eng *engine.Engine, q *sparql.Query, sp *trace.Span) (int, error) {
+	err = s.read(src, sp, func(eng *engine.Engine, p *engine.Prepared, sp *trace.Span) (int, error) {
 		var err error
-		found, err = eng.AskContext(ctx, q, sp)
+		found, err = eng.AskContext(ctx, p, sp)
 		if found {
 			return 1, err
 		}
@@ -784,12 +789,13 @@ func (s *Store) AskContext(ctx context.Context, src string, sp *trace.Span) (fou
 	return found, err
 }
 
-// read is the one prologue under every query entry point: parse, stamp
-// the query hash on sp, bind the published snapshot (under a "snapshot"
-// span when traced), and hand the engine to route, which returns the row
-// count it delivered. When sp is nil and the slow-query log is enabled,
-// the read runs under its own tracer and a slow one is logged.
-func (s *Store) read(src string, sp *trace.Span, route func(*engine.Engine, *sparql.Query, *trace.Span) (int, error)) error {
+// read is the one prologue under every query entry point: stamp the query
+// hash on sp, bind the published snapshot (under a "snapshot" span when
+// traced), take the text's Prepared from the snapshot's memo, and hand the
+// engine and the Prepared to route, which returns the row count it
+// delivered. When sp is nil and the slow-query log is enabled, the read
+// runs under its own tracer and a slow one is logged.
+func (s *Store) read(src string, sp *trace.Span, route func(*engine.Engine, *engine.Prepared, *trace.Span) (int, error)) error {
 	if sp != nil || !s.slowLogging() {
 		_, err := s.readOn(src, sp, route)
 		return err
@@ -804,11 +810,7 @@ func (s *Store) read(src string, sp *trace.Span, route func(*engine.Engine, *spa
 
 // readOn is read on a given span: it returns the route's row count, or
 // -1 when the read failed before the route ran.
-func (s *Store) readOn(src string, sp *trace.Span, route func(*engine.Engine, *sparql.Query, *trace.Span) (int, error)) (int, error) {
-	q, err := sparql.Parse(src)
-	if err != nil {
-		return -1, err
-	}
+func (s *Store) readOn(src string, sp *trace.Span, route func(*engine.Engine, *engine.Prepared, *trace.Span) (int, error)) (int, error) {
 	if sp != nil {
 		sp.Set("query_hash", trace.QueryHash(src))
 	}
@@ -816,7 +818,43 @@ func (s *Store) readOn(src string, sp *trace.Span, route func(*engine.Engine, *s
 	if err != nil {
 		return -1, err
 	}
-	return route(snap.eng, q, sp)
+	p, err := s.prepare(snap, src)
+	if err != nil {
+		return -1, err
+	}
+	return route(snap.eng, p, sp)
+}
+
+// prepare takes src's Prepared from the snapshot engine's memo, counting
+// the lookup for MemoStats.
+func (s *Store) prepare(snap *querySnapshot, src string) (*engine.Prepared, error) {
+	p, hit, err := snap.eng.PrepareText(src)
+	if hit {
+		s.memoHits.Add(1)
+	} else {
+		s.memoMisses.Add(1)
+	}
+	return p, err
+}
+
+// CheckQuery parses src as a query and reports whether it is an ASK. It
+// goes through the current snapshot's memo, so a text that is checked and
+// then run is parsed once per snapshot; before the first build it parses
+// directly, so a check never builds the index.
+func (s *Store) CheckQuery(src string) (ask bool, err error) {
+	snap := s.snap.Load()
+	if snap == nil {
+		q, err := sparql.Parse(src)
+		if err != nil {
+			return false, err
+		}
+		return q.Ask, nil
+	}
+	p, err := s.prepare(snap, src)
+	if err != nil {
+		return false, err
+	}
+	return p.IsAsk(), nil
 }
 
 // varNames renders engine variables as the public column names.
@@ -828,18 +866,20 @@ func varNames(vs []sparql.Var) []string {
 	return names
 }
 
-// Explain returns a plan summary: the serialized tree, the GoSN edges, and
-// the classification flags of each union-free branch.
+// Explain returns a plan summary: the serialized tree, the GoSN edges, the
+// classification flags and the jvar orders of each union-free branch. It
+// reads the plans from the snapshot's memo, so it prints the plans the
+// text's queries run with on this snapshot.
 func (s *Store) Explain(src string) (string, error) {
 	snap, err := s.ensureSnapshot()
 	if err != nil {
 		return "", err
 	}
-	q, err := sparql.Parse(src)
+	p, err := s.prepare(snap, src)
 	if err != nil {
 		return "", err
 	}
-	return snap.eng.Describe(q)
+	return snap.eng.Describe(p)
 }
 
 // BaselinePolicy selects a comparator engine for QueryBaseline.

@@ -155,3 +155,28 @@ func (s *Store) WALStats() WALStats {
 		OverlayInstallLastMS: float64(s.overlayLastNS.Load()) / 1e6,
 	}
 }
+
+// MemoStats is a point-in-time snapshot of the prepared-query memo (see
+// the README's "Caching"), exposed through the server's /metrics.
+type MemoStats struct {
+	// Hits counts query-text lookups the current snapshot's memo served:
+	// the read skipped parse, UNF rewrite and (once made) planning.
+	Hits int64 `json:"hits"`
+	// Misses counts lookups that parsed and prepared the text, the first
+	// for each text on each snapshot.
+	Misses int64 `json:"misses"`
+	// Entries is the number of texts the current snapshot's memo holds; 0
+	// before the first build.
+	Entries int64 `json:"entries"`
+}
+
+// MemoStats snapshots the memo counters without building anything. Safe
+// to call concurrently with queries and mutation; Hits and Misses are
+// monotone, and Entries restarts from 0 with every snapshot.
+func (s *Store) MemoStats() MemoStats {
+	st := MemoStats{Hits: s.memoHits.Load(), Misses: s.memoMisses.Load()}
+	if snap := s.snap.Load(); snap != nil {
+		st.Entries = int64(snap.eng.MemoEntries())
+	}
+	return st
+}

@@ -95,6 +95,20 @@ func TestQueryTraceSpanAccounting(t *testing.T) {
 		if plans != 1 {
 			t.Errorf("branch span has %d plan children, want 1", plans)
 		}
+		// The first read of a text plans it; a repeat takes the plan from
+		// the snapshot's memo; a write retires the memo with its snapshot.
+		checkPlanCached(t, "first read", root, false)
+		if _, root, err = s.QueryTrace(context.Background(), q); err != nil {
+			t.Fatal(err)
+		}
+		checkPlanCached(t, "repeat", root, true)
+		if _, err := s.ApplyUpdate(`INSERT DATA { <s0> <linked> <s9> }`); err != nil {
+			t.Fatal(err)
+		}
+		if _, root, err = s.QueryTrace(context.Background(), q); err != nil {
+			t.Fatal(err)
+		}
+		checkPlanCached(t, "after INSERT DATA", root, false)
 		for _, ld := range root.FindAll("load") {
 			if _, ok := ld.Attr("cache"); !ok {
 				t.Error("load span lacks the cache-outcome attr")
@@ -110,6 +124,21 @@ func TestQueryTraceSpanAccounting(t *testing.T) {
 			}
 		}
 	})
+}
+
+// checkPlanCached requires every plan span under root to carry the cached
+// attribute with value want.
+func checkPlanCached(t *testing.T, when string, root *trace.Span, want bool) {
+	t.Helper()
+	plans := root.FindAll("plan")
+	if len(plans) == 0 {
+		t.Fatalf("%s: trace lacks a plan span", when)
+	}
+	for _, pl := range plans {
+		if got, ok := pl.Attr("cached"); !ok || got != want {
+			t.Errorf("%s: plan span cached = %v (set %v), want %v", when, got, ok, want)
+		}
+	}
 }
 
 // nilSpanSink keeps measureNilSpanNs's loop from being optimized away.

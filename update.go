@@ -88,7 +88,7 @@ func (s *Store) evalModifyLocked(ctx context.Context, up *sparql.Update, op *spa
 		return nil, nil, err
 	}
 	q := &sparql.Query{Prefixes: up.Prefixes, Where: op.Where, Limit: -1, Offset: -1}
-	r, err := snap.eng.Execute(ctx, q, nil)
+	r, err := snap.eng.Execute(ctx, snap.eng.Prepare(q), nil)
 	if err != nil {
 		return nil, nil, err
 	}
