@@ -42,10 +42,10 @@ verify: build vet fmt-check difftest-imports race
 # harness, the cache-stressing differential regressions, the sharing of a
 # pattern across UNION branches through first-touch admission
 # (TestUnionBranchesShareThroughMatCache), the prepared-query memo's
-# concurrent, worker-identity, bound, allocation and write-retirement
-# tests (TestQueryMemo*), and the server's result-cache/gzip tests. The
-# full `make` covers all of these too; this target is the fast loop while
-# working on the cache layers.
+# concurrent, worker-identity, bound, admission, allocation and
+# write-retirement tests (TestQueryMemo*), and the server's
+# result-cache/gzip tests. The full `make` covers all of these too; this
+# target is the fast loop while working on the cache layers.
 test-cache:
 	$(GO) test -race -count=1 \
 		-run 'TestMatCache|TestCrossQueryCache|TestCacheInvalidation|TestEffectiveCacheBudget|TestDifferentialCacheRegressions|TestUnionBranchesShareThroughMatCache|TestQueryMemo|TestResultCache|TestGzip' \

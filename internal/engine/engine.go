@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"slices"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 
@@ -1337,25 +1336,15 @@ func (e *Engine) Describe(p *Prepared) (string, error) {
 	if p.err != nil {
 		return "", p.err
 	}
-	var out strings.Builder
+	out := ""
 	for i, eb := range p.execs {
 		bp, _ := e.planOf(p, i)
 		if bp.err != nil {
 			return "", bp.err
 		}
 		plan := bp.plan
-		fmt.Fprintf(&out, "branch %d: %s\n  GoSN: %s\n  cyclic=%v greedy=%v best-match=%v\n  jvar order: bottom-up %s top-down %s\n",
-			i, eb.b.Tree.Serialize(), plan.GoSN, plan.Cyclic, plan.Greedy, plan.NeedsBestMatch,
-			jvarNames(plan, plan.OrderBU), jvarNames(plan, plan.OrderTD))
+		out += fmt.Sprintf("branch %d: %s\n  GoSN: %s\n  cyclic=%v greedy=%v best-match=%v\n",
+			i, eb.b.Tree.Serialize(), plan.GoSN, plan.Cyclic, plan.Greedy, plan.NeedsBestMatch)
 	}
-	return out.String(), nil
-}
-
-// jvarNames renders a jvar order as its variable names.
-func jvarNames(plan *planner.Plan, order []int) string {
-	names := make([]string, len(order))
-	for i, j := range order {
-		names[i] = "?" + string(plan.GoJ.Vars[j])
-	}
-	return "[" + strings.Join(names, " ") + "]"
+	return out, nil
 }

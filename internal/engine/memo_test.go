@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
@@ -140,31 +141,44 @@ func TestQueryMemoWorkersIdentical(t *testing.T) {
 	}
 }
 
-// TestQueryMemoBound feeds ten times the memo's bound of distinct texts
-// through one engine: the memo must stay at its bound, and a text it
-// still holds must be served from it.
+// TestQueryMemoBound feeds ten times the memo's entry bound of distinct
+// texts through one engine, short ones that meet the entry bound first
+// and 2 KiB ones that meet the weight budget first: the memo must stay
+// within both, keep its weight account exact, and serve a text it still
+// holds from the memo.
 func TestQueryMemoBound(t *testing.T) {
-	e := New(indexOf(t, chainGraph()), Options{})
-	for i := 0; i < 10*memoEntries; i++ {
-		if _, hit, err := e.PrepareText(fmt.Sprintf(`SELECT * WHERE { <p%03d> <knows> ?y . }`, i)); err != nil || hit {
-			t.Fatalf("text %d: hit=%v err=%v", i, hit, err)
+	for _, pad := range []int{0, 2 << 10} {
+		e := New(indexOf(t, chainGraph()), Options{})
+		text := func(i int) string {
+			src := fmt.Sprintf(`SELECT * WHERE { <p%03d> <knows> ?y%d . }`, i%300, i)
+			return src + strings.Repeat(" ", max(0, pad-len(src)))
 		}
-		if n := e.MemoEntries(); n > memoEntries {
-			t.Fatalf("after %d texts the memo holds %d entries, bound %d", i+1, n, memoEntries)
+		for i := 0; i < 10*memoEntries; i++ {
+			if _, hit, err := e.PrepareText(text(i)); err != nil || hit {
+				t.Fatalf("pad %d, text %d: hit=%v err=%v", pad, i, hit, err)
+			}
+			if n, w := e.MemoEntries(), e.memo.weight; n > memoEntries || w > memoBudget {
+				t.Fatalf("pad %d: after %d texts the memo holds %d entries of weight %d, bounds %d and %d", pad, i+1, n, w, memoEntries, memoBudget)
+			}
 		}
-	}
-	if n := e.MemoEntries(); n != memoEntries {
-		t.Errorf("memo holds %d entries after %d texts, want its bound %d", n, 10*memoEntries, memoEntries)
-	}
-	last := fmt.Sprintf(`SELECT * WHERE { <p%03d> <knows> ?y . }`, 10*memoEntries-1)
-	if _, hit, _ := e.PrepareText(last); !hit {
-		t.Error("the last text admitted was not served from the memo")
+		sum := 0
+		for k, p := range e.memo.m {
+			sum += memoWeight(k, p)
+		}
+		if sum != e.memo.weight {
+			t.Errorf("pad %d: memo weight %d, its entries weigh %d", pad, e.memo.weight, sum)
+		}
+		if want := min(memoEntries, memoBudget/len(text(0))); e.MemoEntries() != want {
+			t.Errorf("pad %d: memo holds %d entries after %d texts, want %d", pad, e.MemoEntries(), 10*memoEntries, want)
+		}
+		if _, hit, _ := e.PrepareText(text(10*memoEntries - 1)); !hit {
+			t.Errorf("pad %d: the last text admitted was not served from the memo", pad)
+		}
 	}
 }
 
 // TestQueryMemoHitAllocs pins that a memo hit allocates nothing: the
-// lookup is the whole prologue of a repeated text. A parse error is
-// remembered like any entry.
+// lookup is the whole prologue of a repeated text.
 func TestQueryMemoHitAllocs(t *testing.T) {
 	e := New(indexOf(t, chainGraph()), Options{})
 	src := determinismQueries[3]
@@ -178,9 +192,38 @@ func TestQueryMemoHitAllocs(t *testing.T) {
 	}); allocs != 0 {
 		t.Errorf("a memo hit allocates %.1f times, want 0", allocs)
 	}
-	for run := 0; run < 2; run++ {
-		if _, hit, err := e.PrepareText(`SELECT * WHERE {`); err == nil || hit != (run == 1) {
-			t.Errorf("malformed text, lookup %d: hit=%v err=%v", run, hit, err)
+}
+
+// TestQueryMemoAdmission feeds ten times the memo's bound of texts it
+// must not keep — malformed ones, single-branch ones longer than
+// memoMaxWeight, and short full-scan ones whose branches push them over
+// it — and requires the memo to stay empty while every well-formed one
+// still prepares and runs.
+func TestQueryMemoAdmission(t *testing.T) {
+	e := New(indexOf(t, chainGraph()), Options{})
+	long := strings.Repeat(" ", memoMaxWeight)
+	scan := strings.Repeat(" ", memoMaxWeight/5) // ?s ?p ?o: five predicates
+	for i := 0; i < 10*memoEntries; i++ {
+		var src string
+		switch i % 3 {
+		case 0:
+			src = fmt.Sprintf(`SELECT * WHERE { <p%04d> <knows> `, i)
+		case 1:
+			src = fmt.Sprintf(`SELECT * WHERE { <p%03d> <knows> ?y . }%s`, i%300, long)
+		case 2:
+			src = fmt.Sprintf(`SELECT * WHERE { <p%03d> ?p ?o . ?s ?q ?r . }%s`, i%300, scan)
+		}
+		p, hit, err := e.PrepareText(src)
+		if hit || (err == nil) == (i%3 == 0) {
+			t.Fatalf("text %d: hit=%v err=%v", i, hit, err)
+		}
+		if i < 6 && err == nil {
+			if _, err := e.Execute(context.Background(), p, nil); err != nil {
+				t.Fatalf("text %d: %v", i, err)
+			}
+		}
+		if n := e.MemoEntries(); n != 0 {
+			t.Fatalf("after text %d the memo holds %d entries, want 0", i, n)
 		}
 	}
 }

@@ -136,8 +136,8 @@ func writeMetricsProm(w http.ResponseWriter, snap Snapshot) {
 	}
 
 	if qm := snap.QueryMemo; qm != nil {
-		promSimple(w, "lbr_query_memo_hits_total", "counter", "Query texts served from the snapshot's prepared-query memo.", qm.Hits)
-		promSimple(w, "lbr_query_memo_misses_total", "counter", "Query texts parsed and prepared for the snapshot's memo.", qm.Misses)
+		promSimple(w, "lbr_query_memo_hits_total", "counter", "Reads served from the snapshot's prepared-query memo.", qm.Hits)
+		promSimple(w, "lbr_query_memo_misses_total", "counter", "Reads that parsed and prepared their query text.", qm.Misses)
 		promSimple(w, "lbr_query_memo_entries", "gauge", "Query texts held by the current snapshot's memo.", qm.Entries)
 	}
 }

@@ -351,9 +351,9 @@ func (s *Server) handleSPARQL(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// Syntax-check before admission so malformed queries are turned away
-	// without consuming an execution slot. The check goes through the
-	// snapshot's prepared-query memo, so the execution does not parse the
-	// text again, and a repeated text is not parsed at all.
+	// without consuming an execution slot. A text the snapshot's
+	// prepared-query memo holds is not parsed at all; any other is parsed
+	// here and prepared by the admitted read.
 	ask, err := s.store.CheckQuery(src)
 	if err != nil {
 		writeError(w, perr(http.StatusBadRequest, "malformed_query", "%v", err))

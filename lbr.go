@@ -225,8 +225,8 @@ type Store struct {
 	loadLastNS       atomic.Int64
 	overlayLastNS    atomic.Int64
 
-	// Lookups of the snapshots' prepared-query memos (see MemoStats),
-	// counted across snapshots.
+	// Reads served from the snapshots' prepared-query memos and reads that
+	// prepared their text (see MemoStats), counted across snapshots.
 	memoHits   atomic.Int64
 	memoMisses atomic.Int64
 }
@@ -818,43 +818,35 @@ func (s *Store) readOn(src string, sp *trace.Span, route func(*engine.Engine, *e
 	if err != nil {
 		return -1, err
 	}
-	p, err := s.prepare(snap, src)
-	if err != nil {
-		return -1, err
-	}
-	return route(snap.eng, p, sp)
-}
-
-// prepare takes src's Prepared from the snapshot engine's memo, counting
-// the lookup for MemoStats.
-func (s *Store) prepare(snap *querySnapshot, src string) (*engine.Prepared, error) {
 	p, hit, err := snap.eng.PrepareText(src)
 	if hit {
 		s.memoHits.Add(1)
 	} else {
 		s.memoMisses.Add(1)
 	}
-	return p, err
+	if err != nil {
+		return -1, err
+	}
+	return route(snap.eng, p, sp)
 }
 
-// CheckQuery parses src as a query and reports whether it is an ASK. It
-// goes through the current snapshot's memo, so a text that is checked and
-// then run is parsed once per snapshot; before the first build it parses
-// directly, so a check never builds the index.
+// CheckQuery parses src as a query and reports whether it is an ASK. A
+// text the current snapshot's memo holds is answered from there without
+// a parse. Any other text is only parsed, and nothing is filed: its
+// preparation is left to the read that runs it, so that work happens
+// inside the caller's admission and timeout. A check never builds the
+// index and is not counted in MemoStats.
 func (s *Store) CheckQuery(src string) (ask bool, err error) {
-	snap := s.snap.Load()
-	if snap == nil {
-		q, err := sparql.Parse(src)
-		if err != nil {
-			return false, err
+	if snap := s.snap.Load(); snap != nil {
+		if p := snap.eng.Memoized(src); p != nil {
+			return p.IsAsk(), nil
 		}
-		return q.Ask, nil
 	}
-	p, err := s.prepare(snap, src)
+	q, err := sparql.Parse(src)
 	if err != nil {
 		return false, err
 	}
-	return p.IsAsk(), nil
+	return q.Ask, nil
 }
 
 // varNames renders engine variables as the public column names.
@@ -866,16 +858,16 @@ func varNames(vs []sparql.Var) []string {
 	return names
 }
 
-// Explain returns a plan summary: the serialized tree, the GoSN edges, the
-// classification flags and the jvar orders of each union-free branch. It
-// reads the plans from the snapshot's memo, so it prints the plans the
-// text's queries run with on this snapshot.
+// Explain returns a plan summary: the serialized tree, the GoSN edges, and
+// the classification flags of each union-free branch. It reads the plans
+// from the snapshot's memo, so it prints the plans the text's queries run
+// with on this snapshot.
 func (s *Store) Explain(src string) (string, error) {
 	snap, err := s.ensureSnapshot()
 	if err != nil {
 		return "", err
 	}
-	p, err := s.prepare(snap, src)
+	p, _, err := snap.eng.PrepareText(src)
 	if err != nil {
 		return "", err
 	}

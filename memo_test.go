@@ -1,8 +1,8 @@
 package lbr
 
 import (
+	"context"
 	"fmt"
-	"strings"
 	"testing"
 )
 
@@ -23,49 +23,34 @@ const triangleQuery = `SELECT * WHERE { ?a <p> ?b . ?b <q> ?c . ?c <r> ?a . }`
 
 // TestQueryMemoRetiredByWrite pins that a write retires the memo with its
 // snapshot: after an insert that changes the greedy jvar order of a
-// memoized cyclic query, the store plans it afresh (EXPLAIN shows the new
-// order) and returns the rows of a store built cold from the same triples.
+// memoized cyclic query (p=10, q=3, r=20 ranks ?b and ?c before ?a; q=23
+// ranks ?a first and ?c last), the store plans the query afresh and
+// returns the rows of a store built cold from the same triples.
 func TestQueryMemoRetiredByWrite(t *testing.T) {
-	// p=10, q=3, r=20: ?b and ?c (3) are more selective than ?a (10).
 	base := append(append(triangleTriples(0, 10, "p"), triangleTriples(0, 3, "q")...), triangleTriples(0, 20, "r")...)
 	s := NewStore()
 	s.AddAll(base)
-	if err := s.Build(); err != nil {
-		t.Fatal(err)
-	}
-	before, err := s.Explain(triangleQuery)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(before, "greedy=true") || !strings.Contains(before, "bottom-up [?b ?c ?a]") {
-		t.Fatalf("before the insert the plan is not the expected greedy order:\n%s", before)
-	}
-	for range 2 {
-		if _, err := s.Query(triangleQuery); err != nil {
+	for i, want := range []bool{false, true} {
+		_, root, err := s.QueryTrace(context.Background(), triangleQuery)
+		if err != nil {
 			t.Fatal(err)
 		}
+		checkPlanCached(t, fmt.Sprintf("read %d before the insert", i), root, want)
 	}
-	if m := s.MemoStats(); m.Entries != 1 || m.Hits < 2 {
-		t.Fatalf("memo after EXPLAIN and two reads of one text: %+v", m)
+	if m := s.MemoStats(); m != (MemoStats{Hits: 1, Misses: 1, Entries: 1}) {
+		t.Fatalf("memo after two reads of one text: %+v", m)
 	}
 
-	// q grows to 23: ?a (10) now ranks first, ?c (20) last.
 	added := triangleTriples(3, 23, "q")
 	s.AddAll(added)
 	if m := s.MemoStats(); m.Entries != 0 {
 		t.Errorf("the write left %d texts in the new snapshot's memo", m.Entries)
 	}
-	after, err := s.Explain(triangleQuery)
+	got, root, err := s.QueryTrace(context.Background(), triangleQuery)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(after, "bottom-up [?a ?b ?c]") {
-		t.Fatalf("after the insert the greedy order did not flip:\n%s", after)
-	}
-	got, err := s.Query(triangleQuery)
-	if err != nil {
-		t.Fatal(err)
-	}
+	checkPlanCached(t, "read after the insert", root, false)
 	cold := NewStore()
 	cold.AddAll(append(base, added...))
 	want, err := cold.Query(triangleQuery)
@@ -81,8 +66,9 @@ func TestQueryMemoRetiredByWrite(t *testing.T) {
 }
 
 // TestQueryMemoCheckQuery pins the server's pre-admission check: it never
-// builds the index, and once a snapshot exists it shares the memo with the
-// reads, so a checked-then-run text is parsed once.
+// builds the index, files nothing in the memo (the admitted read prepares
+// the text), answers a text the memo holds without parsing, and is not
+// counted in MemoStats.
 func TestQueryMemoCheckQuery(t *testing.T) {
 	s := NewStore()
 	s.AddAll(triangleTriples(0, 3, "p"))
@@ -102,10 +88,19 @@ func TestQueryMemoCheckQuery(t *testing.T) {
 	if ask, err := s.CheckQuery(q); err != nil || ask {
 		t.Fatalf("CheckQuery(SELECT) = %v, %v", ask, err)
 	}
+	if m := s.MemoStats(); m != (MemoStats{}) {
+		t.Errorf("memo after a check: %+v, want it empty and uncounted", m)
+	}
 	if _, err := s.Query(q); err != nil {
 		t.Fatal(err)
 	}
-	if m := s.MemoStats(); m != (MemoStats{Hits: 1, Misses: 1, Entries: 1}) {
-		t.Errorf("memo after a check and a read of one text: %+v, want one miss then one hit", m)
+	if s.snap.Load().eng.Memoized(q) == nil {
+		t.Fatal("the read did not file its text")
+	}
+	if ask, err := s.CheckQuery(q); err != nil || ask {
+		t.Fatalf("CheckQuery(SELECT) from the memo = %v, %v", ask, err)
+	}
+	if m := s.MemoStats(); m != (MemoStats{Misses: 1, Entries: 1}) {
+		t.Errorf("memo after check, read, check of one text: %+v, want the read's one miss", m)
 	}
 }

@@ -159,11 +159,13 @@ func (s *Store) WALStats() WALStats {
 // MemoStats is a point-in-time snapshot of the prepared-query memo (see
 // the README's "Caching"), exposed through the server's /metrics.
 type MemoStats struct {
-	// Hits counts query-text lookups the current snapshot's memo served:
-	// the read skipped parse, UNF rewrite and (once made) planning.
+	// Hits counts reads the snapshot's memo served: the read skipped
+	// parse, UNF rewrite and (once made) planning.
 	Hits int64 `json:"hits"`
-	// Misses counts lookups that parsed and prepared the text, the first
-	// for each text on each snapshot.
+	// Misses counts reads that parsed and prepared their text: a text's
+	// first read on each snapshot, each of several concurrent first reads,
+	// and every read of a text the memo does not admit or cannot parse.
+	// Syntax checks (CheckQuery) and Explain are counted in neither.
 	Misses int64 `json:"misses"`
 	// Entries is the number of texts the current snapshot's memo holds; 0
 	// before the first build.
