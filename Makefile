@@ -44,11 +44,13 @@ verify: build vet fmt-check difftest-imports race
 # (TestUnionBranchesShareThroughMatCache), the prepared-query memo's
 # concurrent, worker-identity, bound, admission, allocation and
 # write-retirement tests (TestQueryMemo*), and the server's
-# result-cache/gzip tests. The full `make` covers all of these too; this
+# result-cache/gzip tests (the pooled gzip writers' reuse after an
+# abandoned response and under concurrent hits and misses, and the
+# allocation-free Accept-Encoding negotiation among them). The full `make` covers all of these too; this
 # target is the fast loop while working on the cache layers.
 test-cache:
 	$(GO) test -race -count=1 \
-		-run 'TestMatCache|TestCrossQueryCache|TestCacheInvalidation|TestEffectiveCacheBudget|TestDifferentialCacheRegressions|TestUnionBranchesShareThroughMatCache|TestQueryMemo|TestResultCache|TestGzip' \
+		-run 'TestMatCache|TestCrossQueryCache|TestCacheInvalidation|TestEffectiveCacheBudget|TestDifferentialCacheRegressions|TestUnionBranchesShareThroughMatCache|TestQueryMemo|TestResultCache|TestGzip|TestAcceptsGzip' \
 		./internal/engine ./internal/server .
 
 # test-update runs the write-path test surface under -race: SPARQL Update
@@ -140,13 +142,15 @@ examples:
 		$(GO) run ./examples/$$e > /dev/null || { echo "examples/$$e failed"; exit 1; }; \
 	done
 
-# fuzz-smoke runs the three fuzzers briefly — long enough to replay the
+# fuzz-smoke runs the four fuzzers briefly — long enough to replay the
 # seed corpora and mutate around them, short enough for CI:
 # FuzzQueryDifferential (engine vs the naive reference evaluator, across
 # worker counts and delta overlays), FuzzUpdateDifferential (update
 # streams through the delta-overlay store vs the reference applier, across
-# compaction and cold rebuild) and FuzzMatrixOps (op streams over the
-# condensed BitMat vs a map of its set bits). The query fuzzer draws its graphs from
+# compaction and cold rebuild), FuzzMatrixOps (op streams over the
+# condensed BitMat vs a map of its set bits) and FuzzResultEscapers (the
+# result writers' JSON and XML escapers vs json.Marshal and
+# xml.EscapeText, and rdf.Term.Append vs the former Term.String). The query fuzzer draws its graphs from
 # the differential-testing kit (internal/difftest, difftest.Graph), and
 # the shapes it once found by luck are now grammar productions of the
 # kit, swept deterministically by TestDifferentialProductionSweep; the
@@ -162,6 +166,7 @@ fuzz-smoke:
 	$(GO) test ./internal/engine -run='^$$' -fuzz=FuzzQueryDifferential -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s
 	$(GO) test . -run='^$$' -fuzz=FuzzUpdateDifferential -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s
 	$(GO) test ./internal/bitmat -run='^$$' -fuzz=FuzzMatrixOps -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s
+	$(GO) test ./internal/results -run='^$$' -fuzz=FuzzResultEscapers -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s
 
 # loc prints the non-test Go line count outside the benchmark module and
 # the test-only differential kit (internal/difftest, held to test-only
@@ -187,9 +192,11 @@ bench-smoke:
 # sides of its seek cut-over (BenchmarkUnfoldRows, BenchmarkCloneRows),
 # the compressed-row kernels (BenchmarkRow*), and a repeated selective
 # query served from the prepared-query memo against its first touch on a
-# fresh engine (BenchmarkQueryPrologue). CI runs it with BENCHTIME=1x,
-# once each, so they keep compiling and running.
+# fresh engine (BenchmarkQueryPrologue), and the four result writers over
+# 5 000 five-column rows with escapes and unbound cells, per row
+# (BenchmarkWriterRow/{json,xml,csv,tsv}: ns/row and allocs/row). CI runs
+# it with BENCHTIME=1x, once each, so they keep compiling and running.
 BENCHTIME ?= 1s
 bench-join:
-	$(GO) test -run='^$$' -bench='^Benchmark(JoinCollect|MatrixSeek|UnfoldRows|CloneRows|Row|QueryPrologue)' -benchmem -benchtime=$(BENCHTIME) \
-		./internal/engine ./internal/bitmat ./internal/bitvec
+	$(GO) test -run='^$$' -bench='^Benchmark(JoinCollect|MatrixSeek|UnfoldRows|CloneRows|Row|QueryPrologue|WriterRow)' -benchmem -benchtime=$(BENCHTIME) \
+		./internal/engine ./internal/bitmat ./internal/bitvec ./internal/results

@@ -9,6 +9,7 @@ package rdf
 import (
 	"fmt"
 	"strings"
+	"unicode/utf8"
 )
 
 // TermKind distinguishes the three RDF term categories.
@@ -68,29 +69,42 @@ func NewBlank(label string) Term { return Term{Kind: Blank, Value: label} }
 // used as "absent" throughout the engine).
 func (t Term) IsZero() bool { return t == Term{} }
 
-// String renders the term in N-Triples syntax.
+// String renders the term in N-Triples syntax, as Append does. A rendering
+// that fits the stack buffer costs one allocation, the string itself.
 func (t Term) String() string {
+	var buf [128]byte
+	return string(t.Append(buf[:0]))
+}
+
+// Append appends the term's N-Triples rendering to dst and returns the
+// extended slice; String is this rendering as a string. A literal's lexical
+// form is escaped only when it holds a quote, backslash, newline, carriage
+// return or tab, and then rune by rune, which turns each invalid UTF-8 byte
+// into U+FFFD; a literal without those characters is copied verbatim.
+func (t Term) Append(dst []byte) []byte {
 	switch t.Kind {
 	case IRI:
-		return "<" + t.Value + ">"
+		dst = append(dst, '<')
+		dst = append(dst, t.Value...)
+		return append(dst, '>')
 	case Blank:
-		return "_:" + t.Value
+		dst = append(dst, "_:"...)
+		return append(dst, t.Value...)
 	case Literal:
-		var sb strings.Builder
-		sb.WriteByte('"')
-		sb.WriteString(escapeLiteral(t.Value))
-		sb.WriteByte('"')
+		dst = append(dst, '"')
+		dst = appendEscapedLiteral(dst, t.Value)
+		dst = append(dst, '"')
 		if t.Lang != "" {
-			sb.WriteByte('@')
-			sb.WriteString(t.Lang)
+			dst = append(dst, '@')
+			dst = append(dst, t.Lang...)
 		} else if t.Datatype != "" {
-			sb.WriteString("^^<")
-			sb.WriteString(t.Datatype)
-			sb.WriteByte('>')
+			dst = append(dst, "^^<"...)
+			dst = append(dst, t.Datatype...)
+			dst = append(dst, '>')
 		}
-		return sb.String()
+		return dst
 	}
-	return "?"
+	return append(dst, '?')
 }
 
 // Key returns a canonical map key for the term. Distinct terms have
@@ -106,28 +120,27 @@ func (t Term) Key() string {
 	}
 }
 
-func escapeLiteral(s string) string {
+func appendEscapedLiteral(dst []byte, s string) []byte {
 	if !strings.ContainsAny(s, "\"\\\n\r\t") {
-		return s
+		return append(dst, s...)
 	}
-	var sb strings.Builder
 	for _, r := range s {
 		switch r {
 		case '"':
-			sb.WriteString(`\"`)
+			dst = append(dst, `\"`...)
 		case '\\':
-			sb.WriteString(`\\`)
+			dst = append(dst, `\\`...)
 		case '\n':
-			sb.WriteString(`\n`)
+			dst = append(dst, `\n`...)
 		case '\r':
-			sb.WriteString(`\r`)
+			dst = append(dst, `\r`...)
 		case '\t':
-			sb.WriteString(`\t`)
+			dst = append(dst, `\t`...)
 		default:
-			sb.WriteRune(r)
+			dst = utf8.AppendRune(dst, r)
 		}
 	}
-	return sb.String()
+	return dst
 }
 
 // Triple is one RDF statement (S P O).

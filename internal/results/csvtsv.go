@@ -2,7 +2,6 @@ package results
 
 import (
 	"io"
-	"strings"
 
 	"repro/internal/rdf"
 )
@@ -15,42 +14,39 @@ import (
 // CRLF. ASK has no CSV form in the spec; Boolean writes a single
 // true/false record as a pragmatic extension.
 type csvWriter struct {
-	w    io.Writer
+	rowBuf
 	cols int
 }
 
 func (c *csvWriter) Begin(vars []string) error {
 	c.cols = len(vars)
+	b := c.buf[:0]
 	for i, v := range vars {
 		if i > 0 {
-			if _, err := io.WriteString(c.w, ","); err != nil {
-				return err
-			}
+			b = append(b, ',')
 		}
-		if err := writeCSVField(c.w, v); err != nil {
-			return err
-		}
+		b = appendCSVField(b, "", v)
 	}
-	_, err := io.WriteString(c.w, "\r\n")
-	return err
+	return c.write(append(b, "\r\n"...))
 }
 
 func (c *csvWriter) Row(row []rdf.Term) error {
+	b := c.buf[:0]
 	for i := 0; i < c.cols; i++ {
 		if i > 0 {
-			if _, err := io.WriteString(c.w, ","); err != nil {
-				return err
-			}
+			b = append(b, ',')
 		}
 		if i >= len(row) || row[i].IsZero() {
 			continue // unbound: empty field
 		}
-		if err := writeCSVField(c.w, rawValue(row[i])); err != nil {
-			return err
+		// The raw lexical form; blank nodes keep their _: prefix.
+		prefix := ""
+		if row[i].Kind == rdf.Blank {
+			prefix = "_:"
 		}
+		b = appendCSVField(b, prefix, row[i].Value)
 	}
-	_, err := io.WriteString(c.w, "\r\n")
-	return err
+	return c.write(append(b, "\r\n"...))
 }
 
 func (c *csvWriter) End() error { return nil }
@@ -64,32 +60,6 @@ func (c *csvWriter) Boolean(b bool) error {
 	return err
 }
 
-// rawValue is the CSV rendering of a term: the lexical form without any
-// RDF syntax, except blank nodes which keep their _: prefix.
-func rawValue(t rdf.Term) string {
-	if t.Kind == rdf.Blank {
-		return "_:" + t.Value
-	}
-	return t.Value
-}
-
-// writeCSVField quotes s per RFC 4180 when it contains a comma, quote, or
-// line break, doubling embedded quotes.
-func writeCSVField(w io.Writer, s string) error {
-	if !strings.ContainsAny(s, ",\"\r\n") {
-		_, err := io.WriteString(w, s)
-		return err
-	}
-	if _, err := io.WriteString(w, `"`); err != nil {
-		return err
-	}
-	if _, err := io.WriteString(w, strings.ReplaceAll(s, `"`, `""`)); err != nil {
-		return err
-	}
-	_, err := io.WriteString(w, `"`)
-	return err
-}
-
 // tsvWriter emits the SPARQL 1.1 TSV results format: a header of
 // ?-prefixed variable names, then one LF-terminated record per solution
 // with terms in SPARQL (N-Triples) syntax — tabs and newlines inside
@@ -97,42 +67,35 @@ func writeCSVField(w io.Writer, s string) error {
 // lines. Unbound variables are empty fields. Boolean writes true/false as
 // a pragmatic extension (the spec defines TSV for SELECT only).
 type tsvWriter struct {
-	w    io.Writer
+	rowBuf
 	cols int
 }
 
 func (t *tsvWriter) Begin(vars []string) error {
 	t.cols = len(vars)
+	b := t.buf[:0]
 	for i, v := range vars {
 		if i > 0 {
-			if _, err := io.WriteString(t.w, "\t"); err != nil {
-				return err
-			}
+			b = append(b, '\t')
 		}
-		if _, err := io.WriteString(t.w, "?"+v); err != nil {
-			return err
-		}
+		b = append(b, '?')
+		b = append(b, v...)
 	}
-	_, err := io.WriteString(t.w, "\n")
-	return err
+	return t.write(append(b, '\n'))
 }
 
 func (t *tsvWriter) Row(row []rdf.Term) error {
+	b := t.buf[:0]
 	for i := 0; i < t.cols; i++ {
 		if i > 0 {
-			if _, err := io.WriteString(t.w, "\t"); err != nil {
-				return err
-			}
+			b = append(b, '\t')
 		}
 		if i >= len(row) || row[i].IsZero() {
 			continue // unbound: empty field
 		}
-		if _, err := io.WriteString(t.w, row[i].String()); err != nil {
-			return err
-		}
+		b = row[i].Append(b)
 	}
-	_, err := io.WriteString(t.w, "\n")
-	return err
+	return t.write(append(b, '\n'))
 }
 
 func (t *tsvWriter) End() error { return nil }

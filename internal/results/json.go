@@ -1,7 +1,6 @@
 package results
 
 import (
-	"encoding/json"
 	"io"
 
 	"repro/internal/rdf"
@@ -12,63 +11,48 @@ import (
 // incrementally: head on Begin, one binding object per Row, the closing
 // braces on End.
 type jsonWriter struct {
-	w     io.Writer
-	vars  []string
+	rowBuf
+	names []string // each variable's encoded `"name":` prefix
 	first bool
 }
 
 func (j *jsonWriter) Begin(vars []string) error {
-	j.vars = vars
 	j.first = true
-	if _, err := io.WriteString(j.w, `{"head":{"vars":[`); err != nil {
-		return err
-	}
+	j.names = make([]string, len(vars))
+	b := append(j.buf[:0], `{"head":{"vars":[`...)
 	for i, v := range vars {
 		if i > 0 {
-			if _, err := io.WriteString(j.w, ","); err != nil {
-				return err
-			}
+			b = append(b, ',')
 		}
-		if err := writeJSONString(j.w, v); err != nil {
-			return err
-		}
+		start := len(b)
+		b = appendJSONString(b, v)
+		j.names[i] = string(b[start:]) + ":"
 	}
-	_, err := io.WriteString(j.w, `]},"results":{"bindings":[`)
-	return err
+	b = append(b, `]},"results":{"bindings":[`...)
+	return j.write(b)
 }
 
 func (j *jsonWriter) Row(row []rdf.Term) error {
+	b := j.buf[:0]
 	if j.first {
 		j.first = false
-	} else if _, err := io.WriteString(j.w, ","); err != nil {
-		return err
+	} else {
+		b = append(b, ',')
 	}
-	if _, err := io.WriteString(j.w, "\n{"); err != nil {
-		return err
-	}
+	b = append(b, "\n{"...)
 	wrote := false
-	for i, v := range j.vars {
+	for i, name := range j.names {
 		if i >= len(row) || row[i].IsZero() {
 			continue // unbound: the variable is absent from the binding
 		}
 		if wrote {
-			if _, err := io.WriteString(j.w, ","); err != nil {
-				return err
-			}
+			b = append(b, ',')
 		}
 		wrote = true
-		if err := writeJSONString(j.w, v); err != nil {
-			return err
-		}
-		if _, err := io.WriteString(j.w, ":"); err != nil {
-			return err
-		}
-		if err := writeJSONTerm(j.w, row[i]); err != nil {
-			return err
-		}
+		b = append(b, name...)
+		b = appendJSONTerm(b, row[i])
 	}
-	_, err := io.WriteString(j.w, "}")
-	return err
+	return j.write(append(b, '}'))
 }
 
 func (j *jsonWriter) End() error {
@@ -85,48 +69,23 @@ func (j *jsonWriter) Boolean(b bool) error {
 	return err
 }
 
-// writeJSONTerm writes one RDF term as a result-set binding object.
-func writeJSONTerm(w io.Writer, t rdf.Term) error {
-	var typ string
+// appendJSONTerm appends one RDF term as a result-set binding object.
+func appendJSONTerm(b []byte, t rdf.Term) []byte {
 	switch t.Kind {
 	case rdf.IRI:
-		typ = "uri"
+		b = append(b, `{"type":"uri","value":`...)
 	case rdf.Blank:
-		typ = "bnode"
+		b = append(b, `{"type":"bnode","value":`...)
 	default:
-		typ = "literal"
+		b = append(b, `{"type":"literal","value":`...)
 	}
-	if _, err := io.WriteString(w, `{"type":"`+typ+`","value":`); err != nil {
-		return err
-	}
-	if err := writeJSONString(w, t.Value); err != nil {
-		return err
-	}
+	b = appendJSONString(b, t.Value)
 	if t.Kind == rdf.Literal && t.Lang != "" {
-		if _, err := io.WriteString(w, `,"xml:lang":`); err != nil {
-			return err
-		}
-		if err := writeJSONString(w, t.Lang); err != nil {
-			return err
-		}
+		b = append(b, `,"xml:lang":`...)
+		b = appendJSONString(b, t.Lang)
 	} else if t.Kind == rdf.Literal && t.Datatype != "" {
-		if _, err := io.WriteString(w, `,"datatype":`); err != nil {
-			return err
-		}
-		if err := writeJSONString(w, t.Datatype); err != nil {
-			return err
-		}
+		b = append(b, `,"datatype":`...)
+		b = appendJSONString(b, t.Datatype)
 	}
-	_, err := io.WriteString(w, "}")
-	return err
-}
-
-// writeJSONString writes s as a JSON string literal, with full escaping.
-func writeJSONString(w io.Writer, s string) error {
-	b, err := json.Marshal(s)
-	if err != nil {
-		return err
-	}
-	_, err = w.Write(b)
-	return err
+	return append(b, '}')
 }

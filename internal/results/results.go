@@ -67,6 +67,13 @@ func (f Format) ContentType() string {
 // variables — then End. Rows are written as they arrive; nothing is
 // buffered beyond the current row, so the consumer controls memory.
 //
+// Each Row appends the whole row into one buffer the Writer reuses and
+// calls the underlying Write exactly once, with the complete row; so do
+// Begin (the header) and End (the trailer, when the format has one). A
+// consumer that records or frames what it is given (the server's result
+// cache, a gzip stream) thus sees one call per row, and after the first
+// rows a Row allocates nothing.
+//
 // For an ASK result, Boolean writes the complete document by itself;
 // Begin/Row/End must not be used on the same Writer.
 type Writer interface {
@@ -77,17 +84,34 @@ type Writer interface {
 }
 
 // NewWriter returns a streaming serializer for the format writing to w.
-// The Writer does not buffer or close w; wrap w in a bufio.Writer when
-// syscall-sized writes matter.
+// The Writer holds at most the current row and does not close w; wrap w
+// in a bufio.Writer when syscall-sized writes matter.
 func NewWriter(f Format, w io.Writer) Writer {
 	switch f {
 	case XML:
-		return &xmlWriter{w: w}
+		return &xmlWriter{rowBuf: rowBuf{w: w}}
 	case CSV:
-		return &csvWriter{w: w}
+		return &csvWriter{rowBuf: rowBuf{w: w}}
 	case TSV:
-		return &tsvWriter{w: w}
+		return &tsvWriter{rowBuf: rowBuf{w: w}}
 	default:
-		return &jsonWriter{w: w}
+		return &jsonWriter{rowBuf: rowBuf{w: w}}
 	}
+}
+
+// rowBuf is the one buffer a writer appends the header, and then each
+// row, into before handing it to the underlying writer in a single Write.
+// The buffer is reused, so after the first rows a writer allocates
+// nothing.
+type rowBuf struct {
+	w   io.Writer
+	buf []byte
+}
+
+// write keeps b, which extends buf[:0], as the buffer for the next piece
+// and writes it to w.
+func (o *rowBuf) write(b []byte) error {
+	o.buf = b
+	_, err := o.w.Write(b)
+	return err
 }

@@ -1,7 +1,6 @@
 package results
 
 import (
-	"encoding/xml"
 	"io"
 
 	"repro/internal/rdf"
@@ -17,56 +16,35 @@ const xmlProlog = `<?xml version="1.0" encoding="UTF-8"?>` + "\n" +
 // xmlWriter emits SPARQL Query Results XML incrementally: prolog and head
 // on Begin, one <result> element per Row, the closing tags on End.
 type xmlWriter struct {
-	w    io.Writer
-	vars []string
+	rowBuf
+	bindings []string // each variable's encoded `<binding name="...">` tag
 }
 
 func (x *xmlWriter) Begin(vars []string) error {
-	x.vars = vars
-	if _, err := io.WriteString(x.w, xmlProlog+"<head>"); err != nil {
-		return err
+	x.bindings = make([]string, len(vars))
+	b := append(x.buf[:0], xmlProlog+"<head>"...)
+	for i, v := range vars {
+		name := string(appendXMLText(nil, v))
+		x.bindings[i] = `<binding name="` + name + `">`
+		b = append(b, `<variable name="`...)
+		b = append(b, name...)
+		b = append(b, `"/>`...)
 	}
-	for _, v := range vars {
-		if _, err := io.WriteString(x.w, `<variable name="`); err != nil {
-			return err
-		}
-		if err := xmlEscape(x.w, v); err != nil {
-			return err
-		}
-		if _, err := io.WriteString(x.w, `"/>`); err != nil {
-			return err
-		}
-	}
-	_, err := io.WriteString(x.w, "</head>\n<results>\n")
-	return err
+	b = append(b, "</head>\n<results>\n"...)
+	return x.write(b)
 }
 
 func (x *xmlWriter) Row(row []rdf.Term) error {
-	if _, err := io.WriteString(x.w, "<result>"); err != nil {
-		return err
-	}
-	for i, v := range x.vars {
+	b := append(x.buf[:0], "<result>"...)
+	for i, tag := range x.bindings {
 		if i >= len(row) || row[i].IsZero() {
 			continue // unbound: no <binding> element for the variable
 		}
-		if _, err := io.WriteString(x.w, `<binding name="`); err != nil {
-			return err
-		}
-		if err := xmlEscape(x.w, v); err != nil {
-			return err
-		}
-		if _, err := io.WriteString(x.w, `">`); err != nil {
-			return err
-		}
-		if err := writeXMLTerm(x.w, row[i]); err != nil {
-			return err
-		}
-		if _, err := io.WriteString(x.w, "</binding>"); err != nil {
-			return err
-		}
+		b = append(b, tag...)
+		b = appendXMLTerm(b, row[i])
+		b = append(b, "</binding>"...)
 	}
-	_, err := io.WriteString(x.w, "</result>\n")
-	return err
+	return x.write(append(b, "</result>\n"...))
 }
 
 func (x *xmlWriter) End() error {
@@ -83,62 +61,30 @@ func (x *xmlWriter) Boolean(b bool) error {
 	return err
 }
 
-func writeXMLTerm(w io.Writer, t rdf.Term) error {
+// appendXMLTerm appends one RDF term as the content of a <binding>.
+func appendXMLTerm(b []byte, t rdf.Term) []byte {
 	switch t.Kind {
 	case rdf.IRI:
-		if _, err := io.WriteString(w, "<uri>"); err != nil {
-			return err
-		}
-		if err := xmlEscape(w, t.Value); err != nil {
-			return err
-		}
-		_, err := io.WriteString(w, "</uri>")
-		return err
+		b = append(b, "<uri>"...)
+		b = appendXMLText(b, t.Value)
+		return append(b, "</uri>"...)
 	case rdf.Blank:
-		if _, err := io.WriteString(w, "<bnode>"); err != nil {
-			return err
-		}
-		if err := xmlEscape(w, t.Value); err != nil {
-			return err
-		}
-		_, err := io.WriteString(w, "</bnode>")
-		return err
-	default:
-		open := "<literal"
-		if t.Lang != "" {
-			if _, err := io.WriteString(w, open+` xml:lang="`); err != nil {
-				return err
-			}
-			if err := xmlEscape(w, t.Lang); err != nil {
-				return err
-			}
-			if _, err := io.WriteString(w, `">`); err != nil {
-				return err
-			}
-		} else if t.Datatype != "" {
-			if _, err := io.WriteString(w, open+` datatype="`); err != nil {
-				return err
-			}
-			if err := xmlEscape(w, t.Datatype); err != nil {
-				return err
-			}
-			if _, err := io.WriteString(w, `">`); err != nil {
-				return err
-			}
-		} else {
-			if _, err := io.WriteString(w, open+">"); err != nil {
-				return err
-			}
-		}
-		if err := xmlEscape(w, t.Value); err != nil {
-			return err
-		}
-		_, err := io.WriteString(w, "</literal>")
-		return err
+		b = append(b, "<bnode>"...)
+		b = appendXMLText(b, t.Value)
+		return append(b, "</bnode>"...)
 	}
-}
-
-// xmlEscape escapes s for use in element content or a quoted attribute.
-func xmlEscape(w io.Writer, s string) error {
-	return xml.EscapeText(w, []byte(s))
+	switch {
+	case t.Lang != "":
+		b = append(b, `<literal xml:lang="`...)
+		b = appendXMLText(b, t.Lang)
+		b = append(b, `">`...)
+	case t.Datatype != "":
+		b = append(b, `<literal datatype="`...)
+		b = appendXMLText(b, t.Datatype)
+		b = append(b, `">`...)
+	default:
+		b = append(b, "<literal>"...)
+	}
+	b = appendXMLText(b, t.Value)
+	return append(b, "</literal>"...)
 }

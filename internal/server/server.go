@@ -33,6 +33,7 @@ import (
 	"net/url"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -566,15 +567,19 @@ func (s *Server) checkNotModified(w http.ResponseWriter, r *http.Request, gen ui
 func acceptsGzip(r *http.Request) bool {
 	var gzipQ, starQ float64
 	var gzipSeen, starSeen bool
-	for _, part := range strings.Split(r.Header.Get("Accept-Encoding"), ",") {
-		fields := strings.Split(strings.TrimSpace(part), ";")
-		coding := strings.TrimSpace(fields[0])
+	for rest := r.Header.Get("Accept-Encoding"); rest != ""; {
+		var member string
+		member, rest, _ = strings.Cut(rest, ",")
+		coding, params, _ := strings.Cut(member, ";")
+		coding = strings.TrimSpace(coding)
 		isGzip := strings.EqualFold(coding, "gzip")
 		if !isGzip && coding != "*" {
 			continue
 		}
 		q := 1.0
-		for _, p := range fields[1:] {
+		for params != "" {
+			var p string
+			p, params, _ = strings.Cut(params, ";")
 			if p = strings.TrimSpace(p); strings.HasPrefix(p, "q=") {
 				if v, err := strconv.ParseFloat(p[len("q="):], 64); err == nil {
 					q = v
@@ -591,6 +596,23 @@ func acceptsGzip(r *http.Request) bool {
 		return gzipQ > 0
 	}
 	return starSeen && starQ > 0
+}
+
+// gzipPool holds gzip writers at the default level between responses: a
+// writer's compressor is about 1 MB, too much to allocate per response.
+// takeGzip resets a pooled writer onto w, which makes it byte for byte a
+// fresh gzip.NewWriter(w) even when its last response was abandoned
+// mid-stream, so a response puts its writer back however it ended. A
+// pooled writer keeps its last destination reachable until it is taken
+// again or a collection empties the pool.
+var gzipPool sync.Pool
+
+func takeGzip(w io.Writer) *gzip.Writer {
+	if gz, ok := gzipPool.Get().(*gzip.Writer); ok {
+		gz.Reset(w)
+		return gz
+	}
+	return gzip.NewWriter(w)
 }
 
 // setResultHeaders stamps the headers every result document carries. The
@@ -617,7 +639,8 @@ func (s *Server) replayCached(w http.ResponseWriter, r *http.Request, format res
 	var out io.Writer = w
 	var gz *gzip.Writer
 	if useGzip {
-		gz = gzip.NewWriter(w)
+		gz = takeGzip(w)
+		defer gzipPool.Put(gz)
 		out = gz
 	}
 	const chunk = 64 << 10
@@ -715,7 +738,8 @@ func (s *Server) serveAsk(ctx context.Context, w http.ResponseWriter, r *http.Re
 	var out io.Writer = w
 	var gz *gzip.Writer
 	if useGzip {
-		gz = gzip.NewWriter(w)
+		gz = takeGzip(w)
+		defer gzipPool.Put(gz)
 		out = gz
 	}
 	if miss != nil {
@@ -742,15 +766,17 @@ func (s *Server) serveSelect(ctx context.Context, w http.ResponseWriter, r *http
 
 	useGzip := acceptsGzip(r)
 	rc := http.NewResponseController(w)
-	// Write path: serializer -> tee (records the uncompressed document for
-	// the cache; absent when it is disabled) -> 32 KiB buffer -> optional
-	// gzip -> socket. The gzip layer sits under the buffer so each
-	// explicit flush compresses one sizable block instead of many
-	// row-sized ones.
+	// Write path: serializer (one Write per row) -> tee (records the
+	// uncompressed document for the cache; absent when it is disabled) ->
+	// 32 KiB buffer -> optional gzip, a writer taken from gzipPool and
+	// returned to it however the response ends -> socket. The gzip layer
+	// sits under the buffer so each explicit flush compresses one sizable
+	// block instead of many row-sized ones.
 	var sink io.Writer = w
 	var gz *gzip.Writer
 	if useGzip {
-		gz = gzip.NewWriter(w)
+		gz = takeGzip(w)
+		defer gzipPool.Put(gz)
 		sink = gz
 	}
 	bw := bufio.NewWriterSize(sink, 32<<10)
