@@ -65,11 +65,14 @@ test-cache:
 # snapshot span describing the snapshot a query ran on), and a result's
 # lifetime (a Result first read after an update and a compaction still
 # resolves to its own snapshot's rows, and concurrent readers of one
-# Result resolve it once, race-free). The full `make` covers all of these
+# Result resolve it once, race-free), and the identity of a literal
+# holding invalid UTF-8 (it stays distinct from its U+FFFD twin in a
+# built store's delta and through WAL replay, and its N-Triples line
+# parses back to the same triple). The full `make` covers all of these
 # too; this target is the fast loop while working on writes.
 test-update:
 	$(GO) test -race -count=1 \
-		-run 'TestApplyUpdate|TestUpdate|TestSecondRoleJoin|TestAutoCompact|TestWAL|TestOverlay|TestExtend|TestParseUpdate|TestETag|TestMetricsSnapshotGeneration|TestStoreMutation|TestLoadNTriples|TestSaveIndexGoldenDigest|TestReadsDoNotWaitForWriter|TestSnapshotSpanMatchesQueryView|TestResultLifetime' \
+		-run 'TestApplyUpdate|TestUpdate|TestSecondRoleJoin|TestAutoCompact|TestWAL|TestOverlay|TestExtend|TestParseUpdate|TestETag|TestMetricsSnapshotGeneration|TestStoreMutation|TestLoadNTriples|TestSaveIndexGoldenDigest|TestReadsDoNotWaitForWriter|TestSnapshotSpanMatchesQueryView|TestResultLifetime|TestInvalidUTF8|TestQuickNTriplesLineRoundTrip' \
 		./internal/rdf ./internal/bitmat ./internal/sparql ./internal/server .
 
 # test-trace runs the observability test surface under -race: every test
@@ -77,7 +80,9 @@ test-update:
 # pin, concurrent children, the query hash), the store-level
 # traced-vs-untraced differential suite (byte identity across worker
 # counts, span row-count accounting, the disabled-tracing overhead bound,
-# slow-query log), and the server's explain/metrics/Prometheus tests. The
+# slow-query log), and the server's explain/metrics/Prometheus tests,
+# among them the byte pin of both /metrics views over a fixed request
+# sequence (TestMetricsHistogramViewsPinned). The
 # full `make` covers all of these too; this target is the fast loop while
 # working on tracing.
 test-trace:
@@ -150,7 +155,7 @@ examples:
 # compaction and cold rebuild), FuzzMatrixOps (op streams over the
 # condensed BitMat vs a map of its set bits) and FuzzResultEscapers (the
 # result writers' JSON and XML escapers vs json.Marshal and
-# xml.EscapeText, and rdf.Term.Append vs the former Term.String). The query fuzzer draws its graphs from
+# xml.EscapeText, and rdf.Term.Append vs a byte-wise N-Triples escaper). The query fuzzer draws its graphs from
 # the differential-testing kit (internal/difftest, difftest.Graph), and
 # the shapes it once found by luck are now grammar productions of the
 # kit, swept deterministically by TestDifferentialProductionSweep; the

@@ -66,7 +66,7 @@ func TestGoSNFigure21aQ2(t *testing.T) {
 	if !g.IsAbsoluteMaster(0) || g.IsAbsoluteMaster(1) {
 		t.Error("absolute masters wrong")
 	}
-	if len(g.Supernodes[0].Patterns) != 1 || len(g.Supernodes[1].Patterns) != 2 {
+	if len(g.Supernodes[0].TPs) != 1 || len(g.Supernodes[1].TPs) != 2 {
 		t.Error("supernode pattern encapsulation wrong")
 	}
 }

@@ -149,9 +149,6 @@ func BuildGoJ(patterns []sparql.TriplePattern) (*GoJ, error) {
 	return g, nil
 }
 
-// Neighbors returns the jvar indexes adjacent to jvar i in the simple GoJ.
-func (g *GoJ) Neighbors(i int) []int { return g.adj[i] }
-
 // Components returns the connected components of the GoJ (jvar indexes,
 // each sorted). Queries without Cartesian products normally have one.
 func (g *GoJ) Components() [][]int {

@@ -10,10 +10,9 @@ import (
 
 // Supernode encapsulates one OPT-free BGP of the query (Section 2.1).
 type Supernode struct {
-	ID       int
-	Patterns []sparql.TriplePattern
+	ID int
 	// TPs are the global indexes of the supernode's triple patterns in the
-	// query-wide pattern list.
+	// query-wide pattern list, GoSN.Patterns.
 	TPs []int
 }
 
@@ -66,7 +65,6 @@ func BuildGoSN(t Tree) (*GoSN, error) {
 		case *Leaf:
 			sn := &Supernode{ID: len(g.Supernodes)}
 			for _, tp := range n.Patterns {
-				sn.Patterns = append(sn.Patterns, tp)
 				sn.TPs = append(sn.TPs, len(g.Patterns))
 				g.Patterns = append(g.Patterns, tp)
 				g.SNOfTP = append(g.SNOfTP, sn.ID)
@@ -277,8 +275,8 @@ func (g *GoSN) SlaveSupernodes() []int {
 // VarsOfSupernode returns the variables of supernode i's patterns.
 func (g *GoSN) VarsOfSupernode(i int) map[sparql.Var]bool {
 	m := map[sparql.Var]bool{}
-	for _, tp := range g.Supernodes[i].Patterns {
-		for _, v := range tp.Vars() {
+	for _, tp := range g.Supernodes[i].TPs {
+		for _, v := range g.Patterns[tp].Vars() {
 			m[v] = true
 		}
 	}

@@ -418,20 +418,6 @@ func (e *UnsafeFilterError) Error() string {
 		e.Var, e.Expr)
 }
 
-// treeVars collects every variable mentioned by a triple pattern of the
-// tree.
-func treeVars(t Tree) map[sparql.Var]bool {
-	vars := map[sparql.Var]bool{}
-	for _, l := range Leaves(t) {
-		for _, tp := range l.Patterns {
-			for _, v := range tp.Vars() {
-				vars[v] = true
-			}
-		}
-	}
-	return vars
-}
-
 // CheckSafeFilters verifies the supported filter-scope condition, a
 // relaxation of the safe-filter condition of Section 5.2: every variable
 // of each filter must either occur in a triple pattern of the subtree the
@@ -446,7 +432,7 @@ func treeVars(t Tree) map[sparql.Var]bool {
 // on a Branch produced by NormalizeUNF.
 func (b *Branch) CheckSafeFilters() error {
 	leaves := Leaves(b.Tree)
-	bound := treeVars(b.Tree)
+	bound := TreeVars(b.Tree)
 	for _, sf := range b.Filters {
 		inScope := map[sparql.Var]bool{}
 		for i := sf.From; i < sf.To && i < len(leaves); i++ {
@@ -512,7 +498,7 @@ type CheapSubst struct {
 // Everything not substituted is kept and evaluated as a per-row filter.
 func (b *Branch) SubstituteCheapFilters() []CheapSubst {
 	nLeaves := len(Leaves(b.Tree))
-	inTree := treeVars(b.Tree)
+	inTree := TreeVars(b.Tree)
 	otherFilterVars := func(skip int) map[sparql.Var]bool {
 		vars := map[sparql.Var]bool{}
 		for j, sf := range b.Filters {

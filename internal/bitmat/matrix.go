@@ -334,14 +334,6 @@ func (a Axis) String() string {
 	return "cols"
 }
 
-// Other returns the opposite axis.
-func (a Axis) Other() Axis {
-	if a == Rows {
-		return Cols
-	}
-	return Rows
-}
-
 // ForEachRow calls fn for every non-empty row in ascending row order.
 func (m *Matrix) ForEachRow(fn func(r int, row *bitvec.Row) bool) {
 	for i, row := range m.rows {

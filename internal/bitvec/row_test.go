@@ -1,7 +1,6 @@
 package bitvec
 
 import (
-	"bytes"
 	"math/rand"
 	"slices"
 	"testing"
@@ -299,39 +298,6 @@ func TestRowEqualAcrossEncodings(t *testing.T) {
 	other, _ := FromString("0010010001")
 	if sparse.Equal(RowFromBits(other)) {
 		t.Error("different contents must not be Equal")
-	}
-}
-
-func TestRowSerializationRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	for trial := 0; trial < 200; trial++ {
-		n := 1 + rng.Intn(400)
-		row := RowFromBits(randomBits(rng, n, rng.Float64()))
-		var buf bytes.Buffer
-		if _, err := row.WriteTo(&buf); err != nil {
-			t.Fatal(err)
-		}
-		back, err := ReadRow(&buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !back.Equal(row) || back.Encoding() != row.Encoding() {
-			t.Fatalf("round trip mismatch: %v -> %v", row, back)
-		}
-	}
-}
-
-func TestReadRowRejectsCorrupt(t *testing.T) {
-	// An RLE row whose runs do not sum to the length must be rejected.
-	row := RowFromBits(mustBits(t, "11100111"))
-	var buf bytes.Buffer
-	if _, err := row.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	raw := buf.Bytes()
-	raw[1] = 200 // corrupt the length field
-	if _, err := ReadRow(bytes.NewReader(raw)); err == nil {
-		t.Error("corrupt RLE row must not decode")
 	}
 }
 

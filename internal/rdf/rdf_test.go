@@ -189,6 +189,60 @@ func TestNTriplesRoundTrip(t *testing.T) {
 	}
 }
 
+// TestQuickNTriplesLineRoundTrip is the identity property of the
+// N-Triples rendering: ParseTripleLine(t.String()+" .") returns t. Literal
+// lexical forms are arbitrary bytes, the five escapes, control bytes and
+// invalid UTF-8 included; IRIs, blank labels, language tags and datatypes
+// are arbitrary bytes less the delimiters that end them.
+func TestQuickNTriplesLineRoundTrip(t *testing.T) {
+	without := func(b []byte, cut string) string {
+		out := make([]byte, 0, len(b))
+		for _, c := range b {
+			if strings.IndexByte(cut, c) < 0 {
+				out = append(out, c)
+			}
+		}
+		return string(out)
+	}
+	roundTrips := func(tr Triple) bool {
+		got, err := ParseTripleLine(tr.String() + " .")
+		if err != nil || got != tr {
+			t.Logf("%q: parsed %#v, %v; want %#v", tr.String(), got, err, tr)
+			return false
+		}
+		return true
+	}
+	f := func(subj, pred, obj, qual []byte, form uint8) bool {
+		s := NewIRI(without(subj, ">"))
+		if form&1 != 0 {
+			label := without(subj, " \t")
+			if label == "" {
+				label = "b"
+			}
+			s = NewBlank(label)
+		}
+		o := NewLiteral(string(obj))
+		switch (form >> 1) % 4 {
+		case 1:
+			o.Lang = without(qual, " \t")
+		case 2:
+			o.Datatype = without(qual, ">")
+		case 3:
+			o = NewIRI(without(obj, ">"))
+		}
+		return roundTrips(Triple{S: s, P: NewIRI(without(pred, ">")), O: o})
+	}
+	for _, lit := range []string{"t\tb\x80", "t\tb\uFFFD", "a\x80b", `a"b\c`, "\r\n\x00\xff", "\xe2\x82", "\xc0\xaf\""} {
+		if !roundTrips(TL("s", "p", lit)) {
+			t.Errorf("literal %q does not round-trip", lit)
+		}
+	}
+	cfg := &quick.Config{MaxCount: 2000, Rand: rand.New(rand.NewSource(45))}
+	if err := quick.Check(f, cfg); err != nil {
+		t.Error(err)
+	}
+}
+
 func TestNTriplesSkipsCommentsAndBlank(t *testing.T) {
 	in := "# comment\n\n<a> <p> <b> .\n  \n# another\n<a> <p> \"lit\" .\n"
 	g, err := ReadNTriples(strings.NewReader(in))

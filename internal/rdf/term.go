@@ -6,11 +6,7 @@
 // Dictionary).
 package rdf
 
-import (
-	"fmt"
-	"strings"
-	"unicode/utf8"
-)
+import "fmt"
 
 // TermKind distinguishes the three RDF term categories.
 type TermKind uint8
@@ -77,10 +73,9 @@ func (t Term) String() string {
 }
 
 // Append appends the term's N-Triples rendering to dst and returns the
-// extended slice; String is this rendering as a string. A literal's lexical
-// form is escaped only when it holds a quote, backslash, newline, carriage
-// return or tab, and then rune by rune, which turns each invalid UTF-8 byte
-// into U+FFFD; a literal without those characters is copied verbatim.
+// extended slice; String is this rendering as a string. A literal's quotes,
+// backslashes, newlines, carriage returns and tabs are escaped; every other
+// byte of its lexical form, invalid UTF-8 included, is copied verbatim.
 func (t Term) Append(dst []byte) []byte {
 	switch t.Kind {
 	case IRI:
@@ -120,27 +115,33 @@ func (t Term) Key() string {
 	}
 }
 
+// appendEscapedLiteral appends s with the five N-Triples escapes applied
+// byte by byte. The escaped characters are all ASCII, so every other byte,
+// invalid UTF-8 included, is copied verbatim and the rendering stays
+// injective: ParseTripleLine reads back the exact lexical form.
 func appendEscapedLiteral(dst []byte, s string) []byte {
-	if !strings.ContainsAny(s, "\"\\\n\r\t") {
-		return append(dst, s...)
-	}
-	for _, r := range s {
-		switch r {
+	start := 0
+	for i := 0; i < len(s); i++ {
+		var esc string
+		switch s[i] {
 		case '"':
-			dst = append(dst, `\"`...)
+			esc = `\"`
 		case '\\':
-			dst = append(dst, `\\`...)
+			esc = `\\`
 		case '\n':
-			dst = append(dst, `\n`...)
+			esc = `\n`
 		case '\r':
-			dst = append(dst, `\r`...)
+			esc = `\r`
 		case '\t':
-			dst = append(dst, `\t`...)
+			esc = `\t`
 		default:
-			dst = utf8.AppendRune(dst, r)
+			continue
 		}
+		dst = append(dst, s[start:i]...)
+		dst = append(dst, esc...)
+		start = i + 1
 	}
-	return dst
+	return append(dst, s[start:]...)
 }
 
 // Triple is one RDF statement (S P O).

@@ -50,10 +50,12 @@ func escaperCases() []string {
 	return cases
 }
 
-// ntriplesOracle is Term.String as it was written before Term.Append:
-// the rendering Append must reproduce, quirk included (a literal is
-// escaped rune by rune, turning invalid UTF-8 into U+FFFD, only when it
-// holds a character to escape).
+// ntriplesEscaper applies the five N-Triples literal escapes byte by byte;
+// every other byte, invalid UTF-8 included, passes through unchanged.
+var ntriplesEscaper = strings.NewReplacer(`"`, `\"`, `\`, `\\`, "\n", `\n`, "\r", `\r`, "\t", `\t`)
+
+// ntriplesOracle is the N-Triples rendering Term.Append must produce,
+// written independently of it.
 func ntriplesOracle(t rdf.Term) string {
 	switch t.Kind {
 	case rdf.IRI:
@@ -63,26 +65,7 @@ func ntriplesOracle(t rdf.Term) string {
 	case rdf.Literal:
 		var sb strings.Builder
 		sb.WriteByte('"')
-		if !strings.ContainsAny(t.Value, "\"\\\n\r\t") {
-			sb.WriteString(t.Value)
-		} else {
-			for _, r := range t.Value {
-				switch r {
-				case '"':
-					sb.WriteString(`\"`)
-				case '\\':
-					sb.WriteString(`\\`)
-				case '\n':
-					sb.WriteString(`\n`)
-				case '\r':
-					sb.WriteString(`\r`)
-				case '\t':
-					sb.WriteString(`\t`)
-				default:
-					sb.WriteRune(r)
-				}
-			}
-		}
+		sb.WriteString(ntriplesEscaper.Replace(t.Value))
 		sb.WriteByte('"')
 		if t.Lang != "" {
 			sb.WriteByte('@')
@@ -132,8 +115,8 @@ func checkEscapers(t *testing.T, s string) {
 }
 
 // TestEscapersMatchReferences pins the hand-written escapers to the
-// installed standard library (JSON, XML) and Term.Append to the former
-// Term.String, byte for byte.
+// installed standard library (JSON, XML) and Term.Append to the byte-wise
+// N-Triples oracle, byte for byte.
 func TestEscapersMatchReferences(t *testing.T) {
 	for _, s := range escaperCases() {
 		checkEscapers(t, s)

@@ -9,14 +9,18 @@ import (
 	lbr "repro"
 )
 
+// histBounds is the number of finite bounds of each histogram; the
+// implicit final bucket is +Inf.
+const histBounds = 6
+
 // latencyBoundsMS are the upper bounds (milliseconds) of the query latency
-// histogram; the implicit final bucket is +Inf.
-var latencyBoundsMS = [...]float64{1, 5, 25, 100, 500, 2500}
+// histogram.
+var latencyBoundsMS = [histBounds]float64{1, 5, 25, 100, 500, 2500}
 
 // stageBoundsMS are the upper bounds (milliseconds) of the per-stage
 // timing histograms. Stages are much shorter than whole queries, so the
 // buckets start finer than the query histogram's.
-var stageBoundsMS = [...]float64{0.2, 1, 5, 25, 100, 500}
+var stageBoundsMS = [histBounds]float64{0.2, 1, 5, 25, 100, 500}
 
 // stageNames are the per-query execution stages /metrics breaks latency
 // into: the engine's init (BitMat loading), prune (semi-join passes), and
@@ -26,26 +30,40 @@ var stageBoundsMS = [...]float64{0.2, 1, 5, 25, 100, 500}
 // dominated by result serialization and socket writes.
 var stageNames = [...]string{"init", "prune", "join", "merge", "serialize"}
 
-// stageHist is one stage's latency histogram: per-bucket counts plus the
-// running sum (microseconds) and observation count Prometheus clients
-// need for rate/mean queries.
-type stageHist struct {
-	buckets [len(stageBoundsMS) + 1]atomic.Int64
+// histogram is one latency histogram: per-bucket counts plus the running
+// sum (microseconds) Prometheus clients need for rate/mean queries. Its
+// bounds are passed in, so the zero value is ready.
+type histogram struct {
+	buckets [histBounds + 1]atomic.Int64
 	sumUS   atomic.Int64
-	count   atomic.Int64
 }
 
-func (h *stageHist) observe(d time.Duration) {
+func (h *histogram) observe(bounds *[histBounds]float64, d time.Duration) {
 	h.sumUS.Add(d.Microseconds())
-	h.count.Add(1)
 	ms := float64(d) / float64(time.Millisecond)
-	for i, bound := range stageBoundsMS {
+	for i, bound := range bounds {
 		if ms <= bound {
 			h.buckets[i].Add(1)
 			return
 		}
 	}
-	h.buckets[len(stageBoundsMS)].Add(1)
+	h.buckets[histBounds].Add(1)
+}
+
+// snapshot returns the per-bucket counts, labelled with their bounds, the
+// sum in milliseconds and the observation count (the buckets' total).
+func (h *histogram) snapshot(bounds *[histBounds]float64) (out []LatencyBucket, sumMS float64, count int64) {
+	sumMS = float64(h.sumUS.Load()) / 1000.0
+	out = make([]LatencyBucket, len(h.buckets))
+	for i := range h.buckets {
+		le := "+Inf"
+		if i < histBounds {
+			le = formatBound(bounds[i])
+		}
+		out[i] = LatencyBucket{LE: le, Count: h.buckets[i].Load()}
+		count += out[i].Count
+	}
+	return out, sumMS, count
 }
 
 // Metrics is the server's expvar-style instrumentation: monotonically
@@ -64,22 +82,13 @@ type Metrics struct {
 	updateRejected  atomic.Int64 // updates turned away by the write admission bound
 	triplesInserted atomic.Int64 // effective triple inserts across all updates
 	triplesDeleted  atomic.Int64 // effective triple deletes across all updates
-	buckets         [len(latencyBoundsMS) + 1]atomic.Int64
-	latencySumUS    atomic.Int64 // sum over all latency observations
-	stages          [len(stageNames)]stageHist
+	latency         histogram    // wall time of every served request
+	stages          [len(stageNames)]histogram
 }
 
 // observeLatency records one completed query's wall time in the histogram.
 func (m *Metrics) observeLatency(d time.Duration) {
-	m.latencySumUS.Add(d.Microseconds())
-	ms := float64(d) / float64(time.Millisecond)
-	for i, bound := range latencyBoundsMS {
-		if ms <= bound {
-			m.buckets[i].Add(1)
-			return
-		}
-	}
-	m.buckets[len(latencyBoundsMS)].Add(1)
+	m.latency.observe(&latencyBoundsMS, d)
 }
 
 // observeStages attributes one executed query's wall time to the stage
@@ -93,7 +102,7 @@ func (m *Metrics) observeStages(st *lbr.Stats, wall time.Duration) {
 		serialize = 0
 	}
 	for i, d := range [...]time.Duration{st.Init, st.Prune, st.Join, st.Merge, serialize} {
-		m.stages[i].observe(d)
+		m.stages[i].observe(&stageBoundsMS, d)
 	}
 }
 
@@ -186,29 +195,11 @@ func (m *Metrics) Snapshot() Snapshot {
 		UpdateRejected: m.updateRejected.Load(),
 		TriplesIns:     m.triplesInserted.Load(),
 		TriplesDel:     m.triplesDeleted.Load(),
-		LatencySumMS:   float64(m.latencySumUS.Load()) / 1000.0,
 	}
-	for i := range m.buckets {
-		le := "+Inf"
-		if i < len(latencyBoundsMS) {
-			le = formatBound(latencyBoundsMS[i])
-		}
-		s.LatencyBuckets = append(s.LatencyBuckets, LatencyBucket{LE: le, Count: m.buckets[i].Load()})
-	}
+	s.LatencyBuckets, s.LatencySumMS, _ = m.latency.snapshot(&latencyBoundsMS)
 	for si := range m.stages {
-		h := &m.stages[si]
-		sl := StageLatency{
-			Stage: stageNames[si],
-			SumMS: float64(h.sumUS.Load()) / 1000.0,
-			Count: h.count.Load(),
-		}
-		for i := range h.buckets {
-			le := "+Inf"
-			if i < len(stageBoundsMS) {
-				le = formatBound(stageBoundsMS[i])
-			}
-			sl.Buckets = append(sl.Buckets, LatencyBucket{LE: le, Count: h.buckets[i].Load()})
-		}
+		sl := StageLatency{Stage: stageNames[si]}
+		sl.Buckets, sl.SumMS, sl.Count = m.stages[si].snapshot(&stageBoundsMS)
 		s.StageLatency = append(s.StageLatency, sl)
 	}
 	return s
@@ -219,20 +210,11 @@ func formatBound(f float64) string {
 	return string(b)
 }
 
-// writeMetricsJSON is the one metrics serialization: both the bare
-// Metrics handler and the server's /metrics (which adds the cache
-// sections first) write through it, so the format cannot diverge.
+// writeMetricsJSON writes the /metrics snapshot as an indented JSON
+// document.
 func writeMetricsJSON(w http.ResponseWriter, snap Snapshot) {
 	w.Header().Set("Content-Type", "application/json")
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	_ = enc.Encode(snap)
-}
-
-// ServeHTTP writes the snapshot as an indented JSON document. The
-// server's own /metrics route goes through handleMetrics instead, which
-// extends the snapshot with the cache tiers; this handler remains for
-// embedders that mount a bare Metrics.
-func (m *Metrics) ServeHTTP(w http.ResponseWriter, _ *http.Request) {
-	writeMetricsJSON(w, m.Snapshot())
 }

@@ -46,8 +46,9 @@ import (
 )
 
 // Config tunes one Server. The zero value serves with no per-request
-// timeout, an admission bound of 4× the store's effective worker count,
-// a 1 MiB query-text cap, and a flush every 4096 rows.
+// timeout and an admission bound of 4× the store's effective worker
+// count. The query-text cap (maxQueryBytes) and the flush interval
+// (flushEveryRows) are fixed.
 type Config struct {
 	// Timeout bounds each query end to end (parse to last byte); 0 means
 	// no bound. A query that exceeds it is cancelled via its context and
@@ -58,13 +59,6 @@ type Config struct {
 	// burst degrades crisply instead of queueing without bound). 0 picks
 	// 4× the store's Options.EffectiveWorkers().
 	MaxConcurrent int
-	// MaxQueryBytes caps the query text accepted from a request body or
-	// URL; 0 means 1 MiB.
-	MaxQueryBytes int64
-	// FlushEveryRows is how many result rows may accumulate in the
-	// response buffer before an explicit flush; 0 means 4096. The 32 KiB
-	// write buffer also flushes itself whenever it fills.
-	FlushEveryRows int
 	// ResultCacheBudget bounds, in bytes, the server's result cache: a
 	// per-(snapshot generation, normalized query, format) LRU of fully
 	// serialized result documents, replayed to repeat queries of an
@@ -86,6 +80,15 @@ type Config struct {
 // defaultResultCacheBudget is the result cache bound a zero
 // Config.ResultCacheBudget selects.
 const defaultResultCacheBudget = 16 << 20
+
+// maxQueryBytes caps the query text accepted from a request body or URL;
+// a longer text is rejected with 413.
+const maxQueryBytes = 1 << 20
+
+// flushEveryRows is how many result rows may accumulate in the response
+// buffer before an explicit flush. The 32 KiB write buffer also flushes
+// itself whenever it fills.
+const flushEveryRows = 4096
 
 // Server is the SPARQL Protocol front end over one store.
 type Server struct {
@@ -115,12 +118,6 @@ func reqID(w http.ResponseWriter) string {
 func New(store *lbr.Store, cfg Config) *Server {
 	if cfg.MaxConcurrent <= 0 {
 		cfg.MaxConcurrent = 4 * store.Options().EffectiveWorkers()
-	}
-	if cfg.MaxQueryBytes <= 0 {
-		cfg.MaxQueryBytes = 1 << 20
-	}
-	if cfg.FlushEveryRows <= 0 {
-		cfg.FlushEveryRows = 4096
 	}
 	if cfg.ResultCacheBudget == 0 {
 		cfg.ResultCacheBudget = defaultResultCacheBudget
@@ -242,8 +239,8 @@ func (s *Server) requestText(r *http.Request) (src string, isUpdate bool, _ *pro
 		if q == "" {
 			return "", false, perr(http.StatusBadRequest, "missing_query", "GET requires a non-empty query URL parameter")
 		}
-		if int64(len(q)) > s.cfg.MaxQueryBytes {
-			return "", false, perr(http.StatusRequestEntityTooLarge, "query_too_large", "query exceeds %d bytes", s.cfg.MaxQueryBytes)
+		if len(q) > maxQueryBytes {
+			return "", false, perr(http.StatusRequestEntityTooLarge, "query_too_large", "query exceeds %d bytes", maxQueryBytes)
 		}
 		return q, false, nil
 	case http.MethodPost:
@@ -255,11 +252,11 @@ func (s *Server) requestText(r *http.Request) (src string, isUpdate bool, _ *pro
 		switch mt {
 		case "application/sparql-query", "application/sparql-update":
 			isUpdate := mt == "application/sparql-update"
-			body, err := io.ReadAll(http.MaxBytesReader(nil, r.Body, s.cfg.MaxQueryBytes))
+			body, err := io.ReadAll(http.MaxBytesReader(nil, r.Body, maxQueryBytes))
 			if err != nil {
 				var tooBig *http.MaxBytesError
 				if errors.As(err, &tooBig) {
-					return "", isUpdate, perr(http.StatusRequestEntityTooLarge, "query_too_large", "query body exceeds %d bytes", s.cfg.MaxQueryBytes)
+					return "", isUpdate, perr(http.StatusRequestEntityTooLarge, "query_too_large", "query body exceeds %d bytes", maxQueryBytes)
 				}
 				return "", isUpdate, perr(http.StatusBadRequest, "bad_request_body", "reading query body: %v", err)
 			}
@@ -268,11 +265,11 @@ func (s *Server) requestText(r *http.Request) (src string, isUpdate bool, _ *pro
 			}
 			return string(body), isUpdate, nil
 		case "application/x-www-form-urlencoded", "":
-			r.Body = http.MaxBytesReader(nil, r.Body, s.cfg.MaxQueryBytes)
+			r.Body = http.MaxBytesReader(nil, r.Body, maxQueryBytes)
 			if err := r.ParseForm(); err != nil {
 				var tooBig *http.MaxBytesError
 				if errors.As(err, &tooBig) {
-					return "", false, perr(http.StatusRequestEntityTooLarge, "query_too_large", "form body exceeds %d bytes", s.cfg.MaxQueryBytes)
+					return "", false, perr(http.StatusRequestEntityTooLarge, "query_too_large", "form body exceeds %d bytes", maxQueryBytes)
 				}
 				return "", false, perr(http.StatusBadRequest, "bad_form", "unparseable form body: %v", err)
 			}
@@ -833,7 +830,7 @@ func (s *Server) serveSelect(ctx context.Context, w http.ResponseWriter, r *http
 		}
 		rows++
 		sinceFl++
-		if sinceFl >= s.cfg.FlushEveryRows {
+		if sinceFl >= flushEveryRows {
 			sinceFl = 0
 			// Push the chunk to the client even when the HTTP stack is
 			// still under its own buffer threshold; streaming consumers

@@ -250,6 +250,19 @@ func TestProtocolErrors(t *testing.T) {
 	if resp.StatusCode != 415 || errCode(t, string(b)) != "bad_content_type" {
 		t.Errorf("content type: %d %s", resp.StatusCode, b)
 	}
+	// A query body one byte over the fixed bound: 413.
+	long := optionalQ + strings.Repeat(" ", maxQueryBytes+1-len(optionalQ))
+	req, _ = http.NewRequest(http.MethodPost, ts.URL+"/sparql", strings.NewReader(long))
+	req.Header.Set("Content-Type", "application/sparql-query")
+	resp, err = ts.Client().Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, _ = io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != 413 || errCode(t, string(b)) != "query_too_large" {
+		t.Errorf("long query: %d %s", resp.StatusCode, b)
+	}
 	// Unsupported method: 405 with Allow.
 	req, _ = http.NewRequest(http.MethodPut, ts.URL+"/sparql", nil)
 	resp, err = ts.Client().Do(req)

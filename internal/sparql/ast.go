@@ -81,11 +81,6 @@ func (tp TriplePattern) IDs(d *rdf.Dictionary) (s, p, o rdf.ID, ok bool) {
 	return s, p, o, ok
 }
 
-// HasVar reports whether the pattern mentions v.
-func (tp TriplePattern) HasVar(v Var) bool {
-	return (tp.S.IsVar && tp.S.Var == v) || (tp.P.IsVar && tp.P.Var == v) || (tp.O.IsVar && tp.O.Var == v)
-}
-
 // Group is a group graph pattern: the ordered elements between braces.
 type Group struct {
 	Elements []Element

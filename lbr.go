@@ -205,11 +205,6 @@ type Store struct {
 	// when it finishes.
 	compactDone chan struct{}
 
-	// walCheckpointLSN records the store LSN at the last WAL checkpoint
-	// (a SaveIndex that proved every logged mutation folded into the
-	// persisted base, letting the log truncate to zero).
-	walCheckpointLSN uint64
-
 	// slowMu serializes slow-query log lines so concurrent slow queries
 	// never interleave bytes on the shared writer.
 	slowMu sync.Mutex

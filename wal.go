@@ -188,7 +188,6 @@ func (s *Store) maybeCheckpointWAL(saved *bitmat.Index) error {
 	if err := s.wal.truncate(); err != nil {
 		return fmt.Errorf("lbr: wal checkpoint: %w", err)
 	}
-	s.walCheckpointLSN = s.lsn
 	s.walCheckpoints.Add(1)
 	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -382,5 +383,102 @@ func TestWALAppendFailureFailsLoadNTriples(t *testing.T) {
 	}
 	if ok, err := s.Ask(`ASK { <x> <p> <y> }`); err != nil || ok {
 		t.Fatalf("triple of the failed load is queryable: ask=%v err=%v", ok, err)
+	}
+}
+
+// invalidUTF8Pair returns two literal triples whose lexical forms differ
+// only in one byte: an invalid UTF-8 byte 0x80 against U+FFFD, the rune an
+// escaper that decodes runes would replace it with. The tab forces the
+// literal's escaping path.
+func invalidUTF8Pair() [2]Triple {
+	return [2]Triple{
+		{S: IRI("x"), P: IRI("q"), O: Literal("t\tb\x80")},
+		{S: IRI("x"), P: IRI("q"), O: Literal("t\tb�")},
+	}
+}
+
+// literalObjects returns the objects of <x> <q> ?o as raw lexical forms.
+func literalObjects(t *testing.T, s *Store) []string {
+	t.Helper()
+	res, err := s.Query(`SELECT ?o WHERE { <x> <q> ?o }`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []string
+	for _, row := range res.Rows() {
+		out = append(out, row[0].Value)
+	}
+	slices.Sort(out)
+	return out
+}
+
+// TestInvalidUTF8LiteralsStayDistinct pins the identity of a literal that
+// holds invalid UTF-8: on a built store, whose delta keys triples by their
+// N-Triples rendering, it must stay distinct from the same literal with
+// U+FFFD in place of the invalid byte, through Add and through
+// LoadNTriples alike.
+func TestInvalidUTF8LiteralsStayDistinct(t *testing.T) {
+	pair := invalidUTF8Pair()
+	want := []string{pair[0].O.Value, pair[1].O.Value}
+	slices.Sort(want)
+
+	s := walStore(t)
+	for i, tr := range pair {
+		if !s.Add(tr) {
+			t.Fatalf("Add of triple %d reported it present", i)
+		}
+	}
+	if got := s.Len(); got != len(walBase())+2 {
+		t.Fatalf("Len = %d, want %d", got, len(walBase())+2)
+	}
+	if got := literalObjects(t, s); !slices.Equal(got, want) {
+		t.Fatalf("rows = %q, want %q", got, want)
+	}
+
+	nt := pair[0].String() + " .\n" + pair[1].String() + " .\n"
+	fresh := NewStore()
+	built := walStore(t)
+	for name, st := range map[string]*Store{"never built": fresh, "built": built} {
+		if n, err := st.LoadNTriples(strings.NewReader(nt)); err != nil || n != 2 {
+			t.Fatalf("%s store: LoadNTriples = %d, %v; want 2 new triples", name, n, err)
+		}
+		if got := literalObjects(t, st); !slices.Equal(got, want) {
+			t.Fatalf("%s store: rows = %q, want %q", name, got, want)
+		}
+	}
+}
+
+// TestInvalidUTF8LiteralsSurviveWALReplay logs both literals of
+// invalidUTF8Pair and replays the log into a fresh store: the WAL line must
+// carry the original bytes, so both triples come back as written.
+func TestInvalidUTF8LiteralsSurviveWALReplay(t *testing.T) {
+	walPath := filepath.Join(t.TempDir(), "updates.wal")
+	pair := invalidUTF8Pair()
+	want := []string{pair[0].O.Value, pair[1].O.Value}
+	slices.Sort(want)
+
+	s1 := walStore(t)
+	if _, err := s1.OpenWAL(walPath); err != nil {
+		t.Fatal(err)
+	}
+	for i, tr := range pair {
+		if !s1.Add(tr) {
+			t.Fatalf("Add of triple %d reported it present", i)
+		}
+	}
+	if err := s1.CloseWAL(); err != nil {
+		t.Fatal(err)
+	}
+
+	s2 := walStore(t)
+	if n, err := s2.OpenWAL(walPath); err != nil || n == 0 {
+		t.Fatalf("replay: applied=%d err=%v", n, err)
+	}
+	defer s2.CloseWAL()
+	if got := s2.Len(); got != len(walBase())+2 {
+		t.Fatalf("replayed Len = %d, want %d", got, len(walBase())+2)
+	}
+	if got := literalObjects(t, s2); !slices.Equal(got, want) {
+		t.Fatalf("replayed rows = %q, want %q", got, want)
 	}
 }
