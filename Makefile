@@ -197,7 +197,8 @@ bench-smoke:
 # sides of its seek cut-over (BenchmarkUnfoldRows, BenchmarkCloneRows),
 # the compressed-row kernels (BenchmarkRow*), and a repeated selective
 # query served from the prepared-query memo against its first touch on a
-# fresh engine (BenchmarkQueryPrologue), and the four result writers over
+# fresh engine, and a memo hit whose plan decides it empty before any load
+# (BenchmarkQueryPrologue), and the four result writers over
 # 5 000 five-column rows with escapes and unbound cells, per row
 # (BenchmarkWriterRow/{json,xml,csv,tsv}: ns/row and allocs/row). CI runs
 # it with BENCHTIME=1x, once each, so they keep compiling and running.

@@ -27,6 +27,27 @@ func TestDescribePlan(t *testing.T) {
 	}
 }
 
+func TestDescribeEmptyMaster(t *testing.T) {
+	e := engineOver(t, figure32Graph(), Options{})
+	q, err := sparql.Parse(`
+		SELECT * WHERE {
+			{ ?x <actedIn> ?y . ?y <location> <Jerry> . } UNION { ?x <hasFriend> ?y . }
+		}`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := e.Describe(e.Prepare(q))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(out, "empty: pattern 1 ?y <location> <Jerry>") {
+		t.Errorf("Describe must name the zero-count master:\n%s", out)
+	}
+	if strings.Count(out, "empty:") != 1 {
+		t.Errorf("only branch 0 is empty:\n%s", out)
+	}
+}
+
 func TestDescribeUnionBranches(t *testing.T) {
 	e := engineOver(t, figure32Graph(), Options{})
 	q, err := sparql.Parse(`

@@ -692,7 +692,12 @@ type branchPlan struct {
 	once   sync.Once
 	plan   *planner.Plan
 	placed planner.FilterPlacement
-	err    error
+	// emptyAt is the first pattern, in load order, of an absolute-master
+	// supernode whose exact count is 0: the branch's answer is empty
+	// before anything loads (Section 5's simple optimization). -1 when no
+	// such pattern exists.
+	emptyAt int
+	err     error
 }
 
 // planOf returns the plan of p's branch i, planning it on first use;
@@ -704,9 +709,24 @@ func (e *Engine) planOf(p *Prepared, i int) (bp *branchPlan, cached bool) {
 		b := p.execs[i].b
 		if bp.plan, bp.err = e.planBranch(b); bp.err == nil {
 			bp.placed = planner.PlaceFilters(b, bp.plan.GoSN)
+			bp.emptyAt = emptyMaster(bp.plan)
 		}
 	})
 	return bp, cached
+}
+
+// emptyMaster returns the first pattern of an absolute-master supernode
+// whose count is 0, or -1. bitmat.Count is exact over an index and an
+// overlay, and over-counts where it is not (the self-join diagonal), so a
+// zero count always means an empty load.
+func emptyMaster(plan *planner.Plan) int {
+	gosn := plan.GoSN
+	for i, n := range plan.Counts {
+		if n == 0 && gosn.IsAbsoluteMaster(gosn.SNOfTP[i]) {
+			return i
+		}
+	}
+	return -1
 }
 
 // planBranch is a branch's one plan step (Algorithm 5.1 lines 1-2 and
@@ -846,6 +866,14 @@ func (e *Engine) executeBranch(ctx context.Context, branch int, eb execBranch, p
 		sp.Set("greedy", plan.Greedy)
 		sp.Set("best_match", plan.NeedsBestMatch)
 	}
+	// Simple optimization (Section 5), decided by the plan: an absolute
+	// master with no triple means an empty result, so nothing loads.
+	if bp.emptyAt >= 0 {
+		if sp != nil {
+			sp.Set("empty_pattern", bp.emptyAt)
+		}
+		return emptyShortcut(res, sp), nil
+	}
 	// Without the full prune_triples pass (or with a non-standard jvar
 	// order) the per-pattern triple sets are not minimal, so nullification
 	// and best-match become mandatory (Lemma 3.1); they, and FaN, need the
@@ -891,8 +919,7 @@ func (e *Engine) executeBranch(ctx context.Context, branch int, eb execBranch, p
 			lsp.Set("triples", st.count())
 			lsp.End()
 		}
-		// Simple optimization (Section 5): an empty absolute-master
-		// pattern means an empty result.
+		// A master active pruning emptied means an empty result too.
 		if gosn.IsAbsoluteMaster(st.sn) && st.count() == 0 {
 			res.Stats.Init = time.Since(tInit)
 			isp.End()
@@ -951,10 +978,6 @@ func (e *Engine) executeBranch(ctx context.Context, branch int, eb execBranch, p
 	cells := p.cells
 	makeEmit := func(out *joinChunk) func(*joinRun) bool {
 		return func(r *joinRun) bool {
-			// Cancellation check, amortized over emitted rows.
-			if r.emitted&1023 == 0 && ctx.Err() != nil {
-				return false
-			}
 			row := out.nextRow(len(vars))
 			for v, id := range r.bindings {
 				if r.state[v] == stBound {
@@ -1084,7 +1107,7 @@ func (e *Engine) executeBranch(ctx context.Context, branch int, eb execBranch, p
 			fns := make([]func(), len(parts))
 			for k, p := range parts {
 				fns[k] = func() {
-					run := newJoinRun(e, plan, stps, vars, nulreqd, makeEmit(&chunks[k]))
+					run := newJoinRun(ctx, e, plan, stps, vars, nulreqd, makeEmit(&chunks[k]))
 					run.restrictRoot(rootTP, p[0], p[1])
 					run.run()
 				}
@@ -1096,7 +1119,7 @@ func (e *Engine) executeBranch(ctx context.Context, branch int, eb execBranch, p
 		// One sequential joinRun: always for the stream sink, and for the
 		// collect sink when the partitioner declined to split.
 		chunks = []joinChunk{{fn: fn}}
-		newJoinRun(e, plan, stps, vars, nulreqd, makeEmit(&chunks[0])).run()
+		newJoinRun(ctx, e, plan, stps, vars, nulreqd, makeEmit(&chunks[0])).run()
 	}
 	// The chunks' blocks are cut into rows, in partition order, in one
 	// slice sized once; so are the changed flags of several chunks.
@@ -1345,6 +1368,10 @@ func (e *Engine) Describe(p *Prepared) (string, error) {
 		plan := bp.plan
 		out += fmt.Sprintf("branch %d: %s\n  GoSN: %s\n  cyclic=%v greedy=%v best-match=%v\n",
 			i, eb.b.Tree.Serialize(), plan.GoSN, plan.Cyclic, plan.Greedy, plan.NeedsBestMatch)
+		if k := bp.emptyAt; k >= 0 {
+			out += fmt.Sprintf("  empty: pattern %d %s is an absolute master with count 0; nothing loads\n",
+				k, plan.GoSN.Patterns[k])
+		}
 	}
 	return out, nil
 }

@@ -2,12 +2,15 @@ package engine
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"testing"
+	"time"
 
 	"repro/internal/difftest"
 	"repro/internal/rdf"
 	"repro/internal/sparql"
+	"repro/internal/trace"
 )
 
 // figure32Graph is the sample data of Figure 3.2.
@@ -142,6 +145,59 @@ func TestEmptyMasterShortcut(t *testing.T) {
 	}
 	if !res.Stats.EmptyShortcut {
 		t.Error("init must short-circuit on an empty absolute master")
+	}
+
+	// The zero-count master comes last in text order, after two large
+	// patterns, and its terms exist: (?y <mail> <Person>) has count 0 by
+	// the index metadata. The plan decides the branch empty, so no route
+	// loads a BitMat: the MatCache, warmed with the large patterns, sees
+	// neither a hit nor a miss, and the trace has no load span.
+	idx := indexOf(t, chainGraph())
+	mc := NewMatCache(1 << 20)
+	e = NewWithCache(idx, Options{Workers: 2}, mc.Advance(1))
+	const big = `?x <knows> ?y . ?y <type> <Person> . `
+	if _, err := execString(e, `SELECT * WHERE { `+big+`}`); err != nil {
+		t.Fatal(err)
+	}
+	warm := mc.Stats()
+	q, err := sparql.Parse(`SELECT * WHERE { ` + big + `?y <mail> <Person> . OPTIONAL { ?y <tel> ?t . } }`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := e.Prepare(q)
+	for _, traced := range []bool{false, true} {
+		var root *trace.Span
+		if traced {
+			root = trace.New("query").Root()
+		}
+		res, err := e.Execute(context.Background(), p, root)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := res.Stats
+		if len(res.Rows) != 0 || !st.EmptyShortcut || st.InitialTriples != 840 || st.AfterPruning != 0 {
+			t.Errorf("traced=%v: rows=%d stats=%+v, want 0 rows, the shortcut, 840 initial triples, 0 after pruning",
+				traced, len(res.Rows), st)
+		}
+		if root == nil {
+			continue
+		}
+		if ld := root.Find("load"); ld != nil {
+			t.Errorf("an empty branch loaded %v", ld)
+		}
+		if at, _ := root.Find("branch").Attr("empty_pattern"); at != 2 {
+			t.Errorf("branch span empty_pattern = %v, want 2", at)
+		}
+	}
+	var st Stats
+	if err := e.ExecuteStream(context.Background(), p, nil, func([]sparql.Var, Row) bool {
+		t.Error("the stream route emitted a row")
+		return true
+	}, &st, nil); err != nil || !st.EmptyShortcut {
+		t.Errorf("stream: err=%v shortcut=%v", err, st.EmptyShortcut)
+	}
+	if s := mc.Stats(); s.Hits != warm.Hits || s.Misses != warm.Misses {
+		t.Errorf("cache hits/misses %d/%d -> %d/%d: an empty branch loaded", warm.Hits, warm.Misses, s.Hits, s.Misses)
 	}
 }
 
@@ -427,5 +483,49 @@ func TestDifferentialSmallQueries(t *testing.T) {
 	}
 	for _, src := range queries {
 		diffAgainstRef(t, g, src)
+	}
+}
+
+// ringGraph is four layers of n nodes, each node linked by <next> to every
+// node of the following layer and the last layer to the first. Every node
+// has in- and out-edges, so pruning keeps every triple, but the length of
+// every directed cycle is a multiple of four.
+func ringGraph(n int) *rdf.Graph {
+	g := rdf.NewGraph()
+	for l := range 4 {
+		for i := range n {
+			for j := range n {
+				g.Add(rdf.T(fmt.Sprintf("n%d_%d", l, i), "next", fmt.Sprintf("n%d_%d", (l+1)%4, j)))
+			}
+		}
+	}
+	return g
+}
+
+func TestJoinDeadlineOnDeadCycle(t *testing.T) {
+	// A five-cycle over the ring completes no row: the join visits 4n·n⁴
+	// partial bindings (1.3e10 for n = 80) and every one dies on its last
+	// pattern. Only a check counted per recursion step, not per emitted
+	// row, ends it at the deadline.
+	e := engineOver(t, ringGraph(80), Options{Workers: 2})
+	q, err := sparql.Parse(`SELECT * WHERE {
+		?a <next> ?b . ?b <next> ?c . ?c <next> ?d . ?d <next> ?e . ?e <next> ?a . }`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	done := make(chan error, 1)
+	go func() {
+		_, err := e.Execute(ctx, e.Prepare(q), nil)
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("err = %v, want context.DeadlineExceeded", err)
+		}
+	case <-time.After(time.Minute):
+		t.Fatal("the join ran a minute past its 50 ms deadline")
 	}
 }

@@ -231,32 +231,52 @@ func TestQueryMemoAdmission(t *testing.T) {
 // BenchmarkQueryPrologue runs a selective query from a memo hit (parse,
 // UNF rewrite and plan skipped) and on first touch (a fresh engine over
 // the same index, as after a write, which prepares and plans it), so the
-// difference is the prologue the memo saves.
+// difference is the prologue the memo saves. "empty" is a memo hit of a
+// query whose last absolute-master pattern has count 0: its plan decides
+// it empty, so it loads nothing.
 func BenchmarkQueryPrologue(b *testing.B) {
 	idx := indexOf(b, chainGraph())
-	const src = `SELECT * WHERE { <p003> <knows> ?y . OPTIONAL { ?y <mail> ?m . } OPTIONAL { ?y <tel> ?t . } }`
-	run := func(b *testing.B, e *Engine) {
-		p, _, err := e.PrepareText(src)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := e.Execute(context.Background(), p, nil); err != nil {
-			b.Fatal(err)
-		}
-	}
+	const (
+		src   = `SELECT * WHERE { <p003> <knows> ?y . OPTIONAL { ?y <mail> ?m . } OPTIONAL { ?y <tel> ?t . } }`
+		empty = `SELECT * WHERE { ?x <knows> ?y . ?y <type> <Person> . ?y <mail> <Person> . OPTIONAL { ?y <tel> ?t . } }`
+	)
 	b.Run("hit", func(b *testing.B) {
 		e := New(idx, Options{Workers: 1})
-		run(b, e)
+		runText(b, e, src)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			run(b, e)
+			runText(b, e, src)
 		}
 	})
 	b.Run("first-touch", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			run(b, New(idx, Options{Workers: 1}))
+			runText(b, New(idx, Options{Workers: 1}), src)
 		}
 	})
+	b.Run("empty", func(b *testing.B) {
+		e := New(idx, Options{Workers: 1})
+		runText(b, e, empty)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if res := runText(b, e, empty); !res.Stats.EmptyShortcut {
+				b.Fatal("the empty query ran past its plan")
+			}
+		}
+	})
+}
+
+// runText executes query text src from e's memo on the collect route.
+func runText(b *testing.B, e *Engine, src string) *Result {
+	p, _, err := e.PrepareText(src)
+	if err != nil {
+		b.Fatal(err)
+	}
+	res, err := e.Execute(context.Background(), p, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return res
 }

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"slices"
 	"sort"
 
@@ -85,7 +86,8 @@ type joinRun struct {
 	nulreqd bool
 	emit    func(*joinRun) bool // returns false to stop enumeration
 	stopped bool
-	emitted int64 // rows handed to emit so far (for amortized checks)
+	ctx     context.Context
+	steps   int64 // recursion steps so far (for the amortized context check)
 
 	// Root partition (parallel join): when rootTP >= 0, the enumeration of
 	// that pattern — always the first one visited, with nothing bound — is
@@ -101,8 +103,9 @@ func (r *joinRun) restrictRoot(tp, lo, hi int) {
 	r.rootTP, r.rootLo, r.rootHi = tp, lo, hi
 }
 
-func newJoinRun(e *Engine, plan *planner.Plan, stps []*tpState, vars []sparql.Var, nulreqd bool, emit func(*joinRun) bool) *joinRun {
+func newJoinRun(ctx context.Context, e *Engine, plan *planner.Plan, stps []*tpState, vars []sparql.Var, nulreqd bool, emit func(*joinRun) bool) *joinRun {
 	r := &joinRun{
+		ctx:     ctx,
 		plan:    plan,
 		stps:    stps,
 		vars:    vars,
@@ -206,11 +209,17 @@ func (r *joinRun) recurse() {
 	if r.stopped {
 		return
 	}
+	// Cancellation check, amortized over recursion steps rather than
+	// emitted rows: in a cyclic query, where pruning is not minimal, every
+	// partial binding may die before it completes a row.
+	if r.steps++; r.steps&1023 == 0 && r.ctx.Err() != nil {
+		r.stopped = true
+		return
+	}
 	if r.nVisited == len(r.stps) {
 		if !r.emit(r) {
 			r.stopped = true
 		}
-		r.emitted++
 		return
 	}
 	i := r.pickNext()
